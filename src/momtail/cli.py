@@ -150,9 +150,7 @@ def _json_dumps(obj) -> str:
 
 
 def _state_report(cfg: RunConfig, state: eig.BoundState) -> dict:
-    xs = np.linspace(state.support[0], state.support[1], 20001)
-    v = state.psi(xs)
-    norm = float(np.trapezoid(v * v, xs))
+    norm = mom.FilonPanels(state).norm2()
     table = {}
     for a, side in state.derivative_table.items():
         table[f"{a:.17g}"] = {"value": side.value,
@@ -212,7 +210,11 @@ def solve(config, out, grid, n, parity) -> None:
     except (NoSuchState, NoBoundState, ValueError) as exc:
         click.echo(f"solve error: {exc}", err=True)
         sys.exit(2)
-    report = _json_dumps(_state_report(cfg, state))
+    try:
+        report = _json_dumps(_state_report(cfg, state))
+    except QuadratureBudgetExceeded as exc:
+        click.echo(f"quadrature error: {exc}", err=True)
+        sys.exit(1)
     _write_text(Path(out) / "solve.json", report)
     click.echo(report, nl=False)
 

@@ -4,7 +4,12 @@ Every solver returns a ``BoundState`` whose one-sided derivative table
 (orders 0..5 on each side of every discontinuity) is filled *analytically*,
 by differentiating the closed forms or the Airy ODE. Numerical
 differentiation is reserved for tests, so that tail predictions never
-inherit finite-difference noise.
+inherit finite-difference noise. The Airy states evaluate Ai through
+``specfun`` on whole arrays, both in psi and in the asymmetric-linear
+energy scan.
+
+States are numbered n = 1, 2, ... in order of increasing energy (within each
+parity family for the symmetric linear potential).
 
 ``shooting_oracle`` is an independent ODE-shooting eigensolver used for
 cross-validation only.
@@ -28,8 +33,6 @@ from .errors import NoBoundState, NoConvergence, NoSuchState
 
 # support truncation: exp(-42) ~ 5.7e-19
 _DECAY_CUT = 42.0
-
-_ai = np.vectorize(specfun.airy_ai, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,7 @@ def solve_delta(spec: pot.DeltaSum, n: int = 1) -> BoundState:
         right=tuple(amp * (-k0) ** j for j in range(6)),
     )}
     half = _DECAY_CUT / k0
-    return BoundState(energy, 0, "even" if a == 0 else "none", psi, table,
+    return BoundState(energy, 1, "even" if a == 0 else "none", psi, table,
                       support=(a - half, a + half), breaks=(a,))
 
 
@@ -366,8 +369,14 @@ def _hybrid_coeffs(spec: pot.HybridDeltaStep, energy: float):
     return K, Q, A, Bc, Cc
 
 
-def solve_hybrid(spec: pot.HybridDeltaStep) -> BoundState:
-    """Bound state of delta at 0 plus step at a, by root of the matching defect."""
+def solve_hybrid(spec: pot.HybridDeltaStep, n: int = 1) -> BoundState:
+    """Bound state of delta at 0 plus step at a, by root of the matching defect.
+
+    E lies below V everywhere except at the single delta, so there is at most
+    one bound state: any n other than 1 raises NoSuchState.
+    """
+    if n != 1:
+        raise NoSuchState("a delta plus a step holds at most one bound state")
     m, hbar, a, V0 = spec.mass, spec.hbar, spec.a, spec.step_height
     e_delta = -m * spec.g ** 2 / (2.0 * hbar ** 2)
     e_max = min(0.0, V0)
@@ -426,7 +435,7 @@ def solve_hybrid(spec: pot.HybridDeltaStep) -> BoundState:
                         + Cc * K ** j * math.exp(K * a)) for j in range(6)),
             right=tuple(D * (-Q) ** j * math.exp(-Q * a) for j in range(6))),
     }
-    return BoundState(energy, 0, "none", psi, table,
+    return BoundState(energy, 1, "none", psi, table,
                       support=(-_DECAY_CUT / K, a + _DECAY_CUT / Q),
                       breaks=(0.0, a))
 
@@ -459,7 +468,7 @@ def solve_bouncer(spec, n: int) -> BoundState:
         out = np.zeros_like(z)
         mask = z > 0.0
         if np.any(mask):
-            out[mask] = N * _ai(z[mask] / rho - zeta)
+            out[mask] = N * specfun.airy_ai(z[mask] / rho - zeta)
         return out
 
     derivs = _airy_derivs_at_ai_zero(zeta)
@@ -485,7 +494,7 @@ def solve_symmetric_linear(spec, n: int, parity: str) -> BoundState:
 
         def psi(z):
             z = np.asarray(z, dtype=float)
-            return M * _ai(np.abs(z) / rho - eta)
+            return M * specfun.airy_ai(np.abs(z) / rho - eta)
 
         derivs = _airy_derivs_at_aip_zero(eta)
         right = tuple(M * derivs[j] / rho ** j for j in range(6))
@@ -501,7 +510,7 @@ def solve_symmetric_linear(spec, n: int, parity: str) -> BoundState:
 
         def psi(z):
             z = np.asarray(z, dtype=float)
-            return np.sign(z) * amp * _ai(np.abs(z) / rho - zeta)
+            return np.sign(z) * amp * specfun.airy_ai(np.abs(z) / rho - zeta)
 
         derivs = _airy_derivs_at_ai_zero(zeta)
         right = tuple(amp * derivs[j] / rho ** j for j in range(6))
@@ -534,6 +543,7 @@ def solve_asymmetric_linear(spec: pot.AsymmetricLinear, n: int = 1) -> BoundStat
     e0_l = spec.force_left * rho_l
 
     def defect(E):
+        """Matching defect at z = 0; E may be a scalar or an array."""
         ur, ul = -E / e0_r, -E / e0_l
         return (specfun.airy_ai_prime(ur) * specfun.airy_ai(ul) / rho_r
                 + specfun.airy_ai(ur) * specfun.airy_ai_prime(ul) / rho_l)
@@ -541,18 +551,13 @@ def solve_asymmetric_linear(spec: pot.AsymmetricLinear, n: int = 1) -> BoundStat
     # roots interlace those of the two symmetric problems; scan densely
     e_hi = 1.05 * max(e0_r, e0_l) * specfun.airy_zero(n + 1)
     grid = np.linspace(1e-9 * min(e0_r, e0_l), e_hi, 200 * (n + 2))
-    vals = [defect(E) for E in grid]
-    found = 0
-    energy = None
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
-            found += 1
-            if found == n:
-                energy = brentq(defect, grid[i], grid[i + 1],
-                                xtol=1e-14, rtol=8.9e-16, maxiter=200)
-                break
-    if energy is None:
-        raise NoSuchState(f"scan found only {found} states below the cap")
+    vals = defect(grid)
+    cells = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+    if cells.size < n:
+        raise NoSuchState(f"scan found only {cells.size} states below the cap")
+    i = cells[n - 1]
+    energy = brentq(defect, grid[i], grid[i + 1],
+                    xtol=1e-14, rtol=8.9e-16, maxiter=200)
 
     ur, ul = -energy / e0_r, -energy / e0_l
     air, ail = specfun.airy_ai(ur), specfun.airy_ai(ul)
@@ -572,8 +577,8 @@ def solve_asymmetric_linear(spec: pot.AsymmetricLinear, n: int = 1) -> BoundStat
         z = np.asarray(z, dtype=float)
         out = np.empty(z.shape)
         right = z >= 0.0
-        out[right] = c_r * _ai(z[right] / rho_r + ur)
-        out[~right] = c_l * _ai(-z[~right] / rho_l + ul)
+        out[right] = c_r * specfun.airy_ai(z[right] / rho_r + ur)
+        out[~right] = c_l * specfun.airy_ai(-z[~right] / rho_l + ul)
         return out
 
     dr = _airy_derivs(ur)
@@ -735,7 +740,7 @@ def solve(spec: pot.PotentialSpec, n: int = 1, parity: str | None = None) -> Bou
     if isinstance(spec, pot.StepSum):
         return solve_step_sum(spec, n)
     if isinstance(spec, pot.HybridDeltaStep):
-        return solve_hybrid(spec)
+        return solve_hybrid(spec, n)
     if isinstance(spec, pot.Bouncer):
         return solve_bouncer(spec, n)
     if isinstance(spec, pot.SymmetricLinear):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 WALL = math.inf
 
@@ -232,16 +232,9 @@ _KINDS = {cls.kind: cls for cls in
           (DeltaSum, InfiniteWell, FiniteWell, StepSum, HybridDeltaStep,
            Bouncer, SymmetricLinear, AsymmetricLinear)}
 
-_FIELDS = {
-    "delta_sum": ("deltas",),
-    "infinite_well": ("length",),
-    "finite_well": ("depth", "a", "b"),
-    "step_sum": ("steps",),
-    "hybrid_delta_step": ("g", "step_height", "a"),
-    "bouncer": ("force",),
-    "symmetric_linear": ("force",),
-    "asymmetric_linear": ("force_right", "force_left"),
-}
+# each kind's own parameters, in declaration order; mass and hbar are optional
+_FIELDS = {kind: tuple(f.name for f in fields(cls) if f.name not in ("mass", "hbar"))
+           for kind, cls in _KINDS.items()}
 
 
 def to_dict(spec: PotentialSpec) -> dict:

@@ -1,299 +1,54 @@
-"""Double-precision Airy function Ai, its derivative, and their negative-axis zeros.
+"""Airy function Ai, its derivative, and their negative-axis zeros.
 
-Evaluation strategy
--------------------
-- |x| <= 2.2: Maclaurin series (two-series form in powers of x^3). Safe from
-  cancellation in this range.
-- x >= 9:    exponentially-decaying asymptotic expansion (DLMF 9.7.5/9.7.6).
-- x <= -9:   oscillatory amplitude/phase asymptotic expansion (DLMF 9.7.9/9.7.11).
-- In between: Taylor propagation of the Airy ODE y'' = x y from a ladder of
-  precomputed anchor points. On the positive side the ladder is seeded from the
-  asymptotic region and stepped *downward*, which keeps the integration stable
-  with respect to contamination by the growing solution Bi. The naive Maclaurin
-  series loses ~7 digits near x = +5, so it is not used there.
-
-Everything is a pure function of its arguments; the anchor ladders are computed
-lazily once and treated as immutable afterwards.
+Ai and Ai' are scipy's compiled ``scipy.special.airy``; both evaluators take
+scalars or arrays. The zeros start from ``scipy.special.ai_zeros`` and get two
+Newton steps on ``airy``, which brings them from ~1e-11 to full double
+precision.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-_SQRT_PI = math.sqrt(math.pi)
+import numpy as np
+from scipy.special import ai_zeros, airy
 
-# Ai(0) = 3^(-2/3)/Gamma(2/3), Ai'(0) = -3^(-1/3)/Gamma(1/3)
-AI_ZERO = 0.355028053887817239260063186004
-AIP_ZERO = -0.258819403792806798405183560189
-
-_SERIES_CUT = 2.2
-_ASYM_CUT = 9.0
-_LADDER_STEP = 0.4
-_NEWTON_MAX_ITER = 60
+_NEWTON_STEPS = 2
 
 
-class ZeroRefinementError(RuntimeError):
-    """Newton/bisection polish of an Airy zero failed to converge (kernel bug)."""
+def airy_ai(x):
+    """Airy function Ai(x) for finite real x (scalar or array)."""
+    return airy(x)[0]
 
 
-def _maclaurin(x: float) -> tuple[float, float]:
-    """Ai(x), Ai'(x) by the two-series Maclaurin form. Accurate for |x| <~ 2.5."""
-    x3 = x * x * x
-    # f = sum a_k x^{3k},  a_0 = 1,  a_k = a_{k-1} / ((3k-1)(3k))
-    # g = sum b_k x^{3k+1}, b_0 = 1, b_k = b_{k-1} / ((3k)(3k+1))
-    f = 1.0
-    g = x
-    fp = 0.0          # f'
-    gp = 1.0          # g'
-    tf = 1.0
-    tg = x
-    for k in range(1, 60):
-        tf *= x3 / ((3 * k - 1) * (3 * k))
-        tg *= x3 / ((3 * k) * (3 * k + 1))
-        f += tf
-        g += tg
-        if x != 0.0:
-            fp += 3 * k * tf / x
-        gp += (3 * k + 1) * tg / x if x != 0.0 else 0.0
-        if abs(tf) + abs(tg) < 1e-19 * (abs(f) + abs(g) + 1.0):
-            break
-    ai = AI_ZERO * f + AIP_ZERO * g
-    aip = AI_ZERO * fp + AIP_ZERO * gp
-    return ai, aip
+def airy_ai_prime(x):
+    """Derivative Ai'(x) for finite real x (scalar or array)."""
+    return airy(x)[1]
 
 
-def _asym_pos(x: float) -> tuple[float, float]:
-    """Decaying asymptotic expansion, valid for x >= ~9."""
-    zeta = (2.0 / 3.0) * x ** 1.5
-    u = 1.0
-    s_ai = 1.0
-    s_aip = 1.0
-    sign = 1.0
-    zk = 1.0
-    prev = math.inf
-    for k in range(1, 50):
-        u *= (6 * k - 1) * (6 * k - 5) / (72.0 * k)
-        v = u * (6 * k + 1) / (1 - 6 * k)
-        sign = -sign
-        zk /= zeta
-        term_ai = sign * u * zk
-        if abs(term_ai) > prev:      # asymptotic series started diverging
-            break
-        prev = abs(term_ai)
-        s_ai += term_ai
-        s_aip += sign * v * zk
-        if abs(term_ai) < 1e-18:
-            break
-    try:
-        efac = math.exp(-zeta)
-    except OverflowError:
-        efac = 0.0
-    pref = efac / (2.0 * _SQRT_PI)
-    ai = pref * s_ai / x ** 0.25
-    aip = -pref * s_aip * x ** 0.25
-    return ai, aip
-
-
-def _asym_neg(x: float) -> tuple[float, float]:
-    """Oscillatory asymptotic expansion for x <= ~-9."""
-    t = -x
-    zeta = (2.0 / 3.0) * t ** 1.5
-    # u_k, v_k coefficients; split into even/odd partial sums
-    se_u = 1.0   # sum (-1)^k u_{2k} zeta^{-2k}
-    so_u = 0.0   # sum (-1)^k u_{2k+1} zeta^{-2k-1}
-    se_v = 1.0
-    so_v = 0.0
-    u = 1.0
-    zk = 1.0
-    prev = math.inf
-    for k in range(1, 60):
-        u *= (6 * k - 1) * (6 * k - 5) / (72.0 * k)
-        v = u * (6 * k + 1) / (1 - 6 * k)
-        zk /= zeta
-        term = u * zk
-        if term > prev:
-            break
-        prev = term
-        half, rem = divmod(k, 2)
-        sgn = -1.0 if half % 2 else 1.0
-        if rem == 0:      # k = 2j,   sign (-1)^j
-            se_u += sgn * term
-            se_v += sgn * v * zk
-        else:             # k = 2j+1, sign (-1)^j
-            so_u += sgn * term
-            so_v += sgn * v * zk
-        if term < 1e-18:
-            break
-    phase = zeta - 0.25 * math.pi
-    c, s = math.cos(phase), math.sin(phase)
-    ai = (c * se_u + s * so_u) / (_SQRT_PI * t ** 0.25)
-    aip = (s * se_v - c * so_v) * t ** 0.25 / _SQRT_PI
-    return ai, aip
-
-
-def _taylor_step(x0: float, y: float, yp: float, h: float) -> tuple[float, float]:
-    """Propagate (Ai, Ai') from x0 to x0+h via the Taylor series of y'' = x*y."""
-    # t_{n+2} = (x0 t_n + t_{n-1}) / ((n+1)(n+2)), t_n = y^(n)(x0)/n!
-    t_nm1 = 0.0
-    t_n = y
-    t_np1 = yp
-    val = y + yp * h
-    der = yp
-    hn = h               # h^n for the t_{n+2} value term
-    scale = abs(y) + abs(yp) * abs(h) + 1e-300
-    for n in range(0, 90):
-        t_np2 = (x0 * t_n + t_nm1) / ((n + 1) * (n + 2))
-        hn *= h
-        val += t_np2 * hn
-        der += (n + 2) * t_np2 * hn / h
-        if abs(t_np2 * hn) < 1e-20 * scale and n > 4:
-            break
-        t_nm1, t_n, t_np1 = t_n, t_np1, t_np2
-    return val, der
-
-
-def _build_ladder_pos() -> list[tuple[float, float, float]]:
-    anchors = []
-    x = _ASYM_CUT
-    y, yp = _asym_pos(x)
-    anchors.append((x, y, yp))
-    while x > _SERIES_CUT + 1e-9:
-        h = -min(_LADDER_STEP, x - _SERIES_CUT)
-        y, yp = _taylor_step(x, y, yp, h)
-        x += h
-        anchors.append((x, y, yp))
-    return anchors
-
-
-def _build_ladder_neg() -> list[tuple[float, float, float]]:
-    anchors = []
-    x = -_SERIES_CUT
-    y, yp = _maclaurin(x)
-    anchors.append((x, y, yp))
-    while x - 1e-9 > -_ASYM_CUT:
-        h = -min(_LADDER_STEP, x + _ASYM_CUT)
-        y, yp = _taylor_step(x, y, yp, h)
-        x += h
-        anchors.append((x, y, yp))
-    return anchors
-
-
-_ladder_pos: list[tuple[float, float, float]] | None = None
-_ladder_neg: list[tuple[float, float, float]] | None = None
-
-
-def _from_ladder(ladder: list[tuple[float, float, float]], x: float) -> tuple[float, float]:
-    # anchors are ordered by decreasing x; pick the closest anchor at or above x
-    # and take a single short downward step (the stable direction).
-    lo, hi = 0, len(ladder) - 1
-    best = ladder[0]
-    for anchor in ladder:
-        if anchor[0] >= x - 1e-12:
-            best = anchor
-        else:
-            break
-    x0, y, yp = best
-    if abs(x - x0) < 1e-15:
-        return y, yp
-    return _taylor_step(x0, y, yp, x - x0)
-
-
-def _ai_and_aip(x: float) -> tuple[float, float]:
-    global _ladder_pos, _ladder_neg
-    if abs(x) <= _SERIES_CUT:
-        return _maclaurin(x)
-    if x >= _ASYM_CUT:
-        return _asym_pos(x)
-    if x <= -_ASYM_CUT:
-        return _asym_neg(x)
-    if x > 0:
-        if _ladder_pos is None:
-            _ladder_pos = _build_ladder_pos()
-        return _from_ladder(_ladder_pos, x)
-    if _ladder_neg is None:
-        _ladder_neg = _build_ladder_neg()
-    return _from_ladder(_ladder_neg, x)
-
-
-def airy_ai(x: float) -> float:
-    """Airy function Ai(x) for finite real x."""
-    return _ai_and_aip(float(x))[0]
-
-
-def airy_ai_prime(x: float) -> float:
-    """Derivative Ai'(x) for finite real x."""
-    return _ai_and_aip(float(x))[1]
-
-
-def _zero_guess_ai(n: int) -> float:
-    t = 3.0 * math.pi * (4 * n - 1) / 8.0
-    t2 = 1.0 / (t * t)
-    return t ** (2.0 / 3.0) * (
-        1.0 + t2 * (5.0 / 48.0 + t2 * (-5.0 / 36.0 + t2 * (77125.0 / 82944.0
-        + t2 * (-108056875.0 / 6967296.0)))))
-
-
-def _zero_guess_aip(n: int) -> float:
-    if n == 1:
-        return 1.019      # asymptotic series is useless this close to the origin
-    t = 3.0 * math.pi * (4 * n - 3) / 8.0
-    t2 = 1.0 / (t * t)
-    return t ** (2.0 / 3.0) * (
-        1.0 - t2 * (7.0 / 48.0 - t2 * (35.0 / 288.0 - t2 * (181223.0 / 207360.0
-        - t2 * (18683371.0 / 1244160.0)))))
-
-
-def _refine_zero(f, fprime, guess: float, halfwidth: float = 0.2) -> float:
-    """Newton polish with a bisection fallback on a bracketing interval."""
-    lo, hi = guess - halfwidth, guess + halfwidth
-    flo, fhi = f(lo), f(hi)
-    # widen the bracket if the guess was not good enough
-    widen = 0
-    while flo * fhi > 0 and widen < 6:
-        lo -= halfwidth / 2
-        hi += halfwidth / 2
-        flo, fhi = f(lo), f(hi)
-        widen += 1
-    if flo * fhi > 0:
-        raise ZeroRefinementError("could not bracket Airy zero near %.6f" % guess)
-    z = guess
-    for _ in range(_NEWTON_MAX_ITER):
-        fz = f(z)
-        if fz == 0.0:
-            return z
-        if flo * fz < 0:
-            hi = z
-        else:
-            lo, flo = z, fz
-        dfz = fprime(z)
-        step = fz / dfz if dfz != 0.0 else math.inf
-        z_new = z - step
-        if not (lo < z_new < hi):
-            z_new = 0.5 * (lo + hi)     # bisection fallback
-        if abs(z_new - z) < 1e-15 * max(1.0, abs(z)):
-            return z_new
-        z = z_new
-    raise ZeroRefinementError("Airy zero refinement did not converge near %.6f" % guess)
+def _zeros(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """First ``count`` positive zeta (Ai(-zeta) = 0) and eta (Ai'(-eta) = 0)."""
+    if count < 1:
+        raise ValueError("zero index must be >= 1")
+    a, ap, _, _ = ai_zeros(count)
+    zeta, eta = -a, -ap
+    for _ in range(_NEWTON_STEPS):
+        ai, aip, _, _ = airy(-zeta)
+        zeta = zeta + ai / aip
+        ai, aip, _, _ = airy(-eta)
+        # d/d eta Ai'(-eta) = -Ai''(-eta) = eta * Ai(-eta)
+        eta = eta - aip / (eta * ai)
+    return zeta, eta
 
 
 def airy_zero(n: int) -> float:
     """n-th positive zeta with Ai(-zeta) = 0, n >= 1."""
-    if n < 1:
-        raise ValueError("zero index must be >= 1")
-    f = lambda z: airy_ai(-z)
-    fp = lambda z: -airy_ai_prime(-z)
-    return _refine_zero(f, fp, _zero_guess_ai(n))
+    return float(_zeros(n)[0][-1])
 
 
 def airy_prime_zero(n: int) -> float:
     """n-th positive eta with Ai'(-eta) = 0, n >= 1."""
-    if n < 1:
-        raise ValueError("zero index must be >= 1")
-    f = lambda z: airy_ai_prime(-z)
-    # d/dz Ai'(-z) = -Ai''(-z) = z*Ai(-z)
-    fp = lambda z: z * airy_ai(-z)
-    return _refine_zero(f, fp, _zero_guess_aip(n))
+    return float(_zeros(n)[1][-1])
 
 
 @dataclass(frozen=True)
@@ -304,7 +59,6 @@ class AiryZeroTable:
 
 
 def zero_table(count: int) -> AiryZeroTable:
-    return AiryZeroTable(
-        ai_zeros=tuple(airy_zero(n) for n in range(1, count + 1)),
-        aiprime_zeros=tuple(airy_prime_zero(n) for n in range(1, count + 1)),
-    )
+    zeta, eta = _zeros(count)
+    return AiryZeroTable(ai_zeros=tuple(zeta.tolist()),
+                         aiprime_zeros=tuple(eta.tolist()))

@@ -133,6 +133,18 @@ def test_hybrid_against_shooting():
     assert st.energy == pytest.approx(osc.energy, abs=1e-9)
 
 
+def test_hybrid_holds_one_state():
+    spec = pot.HybridDeltaStep(g=1.0, step_height=-0.3, a=2.0)
+    assert eig.solve(spec).n == 1
+    for n in (0, 2, 3):
+        with pytest.raises(NoSuchState):
+            eig.solve(spec, n)
+
+
+def test_single_delta_state_counts_from_one():
+    assert eig.solve(pot.DeltaSum(deltas=((1.0, 0.0),))).n == 1
+
+
 def test_hybrid_no_bound_state():
     # strongly repulsive well region pushes the root out of the window
     with pytest.raises(NoBoundState):

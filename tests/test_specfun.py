@@ -53,6 +53,14 @@ def test_derivative_consistency():
         assert num == pytest.approx(specfun.airy_ai_prime(x), rel=2e-9, abs=1e-12)
 
 
+def test_array_form_matches_scalar_calls():
+    xs = np.linspace(-12.0, 12.0, 97).reshape(1, -1)
+    for f in (specfun.airy_ai, specfun.airy_ai_prime):
+        values = f(xs)
+        assert isinstance(values, np.ndarray) and values.shape == xs.shape
+        assert values.ravel().tolist() == [f(float(x)) for x in xs.ravel()]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20, 30, 50])
 def test_zeros_against_mpmath(n):
     assert specfun.airy_zero(n) == pytest.approx(
