@@ -4,9 +4,7 @@ Every solver returns a ``BoundState`` whose one-sided derivative table
 (orders 0..5 on each side of every discontinuity) is filled *analytically*,
 by differentiating the closed forms or the Airy ODE. Numerical
 differentiation is reserved for tests, so that tail predictions never
-inherit finite-difference noise. The Airy states evaluate Ai through
-``specfun`` on whole arrays, both in psi and in the asymmetric-linear
-energy scan.
+inherit finite-difference noise.
 
 States are numbered n = 1, 2, ... in order of increasing energy (within each
 parity family for the symmetric linear potential).

@@ -124,15 +124,6 @@ class FilonPanels:
         self.halfwidths = np.asarray(halfwidths)[order]
         self.coeffs = np.asarray(coeffs)[order]      # (panels, degree+1)
 
-    def norm2(self) -> float:
-        """integral psi^2 dx by Parseval on the Legendre coefficients.
-
-        On a panel, integral P_j P_k dt = 2/(2k+1) delta_jk, so each panel
-        contributes hw * sum_k c_k^2 * 2/(2k+1).
-        """
-        k = np.arange(self.coeffs.shape[1])
-        return float(self.halfwidths @ (self.coeffs ** 2 @ (2.0 / (2.0 * k + 1.0))))
-
     def transform(self, p: np.ndarray, hbar: float = 1.0) -> np.ndarray:
         """phi(p) for an array of momenta (psi assumed real)."""
         p = np.asarray(p, dtype=float)
