@@ -3,17 +3,14 @@
 Configs are JSON, data files are CSV with 17-significant-digit formatting, and
 reports are JSON with sorted keys; identical inputs produce byte-identical
 outputs. Exit codes: 0 success, 1 verification or quadrature failure,
-2 usage/config errors. MOMTAIL_THREADS caps the thread count used to evaluate
-the momentum grid.
+2 usage/config errors.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -103,28 +100,6 @@ def _parse_grid_flag(text: str) -> dict:
     if kind == "linear":
         return {"kind": "linear", "min": float(a), "max": float(b), "count": int(c)}
     return {"kind": "log", "min": float(a), "max": float(b), "per_decade": int(c)}
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("MOMTAIL_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _transform_grid(state: eig.BoundState, grid: np.ndarray,
-                    hbar: float = 1.0) -> mom.MomentumSamples:
-    """Quadrature transform, optionally chunked over MOMTAIL_THREADS threads."""
-    panels = mom.FilonPanels(state)
-    threads = _thread_count()
-    if threads == 1 or grid.size < 4 * threads:
-        return mom.phi_quadrature(state, grid, hbar, panels=panels)
-    chunks = np.array_split(grid, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda g: panels.transform(g, hbar), chunks))
-    phi = np.concatenate(parts)
-    return mom.MomentumSamples(grid, phi.real.copy(), phi.imag.copy(), "quadrature")
 
 
 def _p_scale(state: eig.BoundState, spec: pot.PotentialSpec) -> float:
@@ -236,7 +211,7 @@ def transform(config, out, grid, n, parity) -> None:
         click.echo(f"solve error: {exc}", err=True)
         sys.exit(2)
     try:
-        samples = _transform_grid(state, cfg.grid(), cfg.spec.hbar)
+        samples = mom.phi_quadrature(state, cfg.grid(), cfg.spec.hbar)
     except QuadratureBudgetExceeded as exc:
         click.echo(f"quadrature error: {exc}", err=True)
         sys.exit(1)
@@ -294,7 +269,7 @@ def verify(config, out, grid, n, parity) -> None:
     count = max(2, int(math.ceil(math.log10(window[1] / window[0]) * 40)) + 1)
     tail_grid = np.geomspace(window[0], window[1], count)
     try:
-        samples = _transform_grid(state, tail_grid, cfg.spec.hbar)
+        samples = mom.phi_quadrature(state, tail_grid, cfg.spec.hbar)
     except QuadratureBudgetExceeded as exc:
         click.echo(f"quadrature error: {exc}", err=True)
         sys.exit(1)
@@ -338,7 +313,7 @@ def figure(number, out) -> None:
         state = eig.solve(spec, 10)
         qn = math.sqrt(2.0 * spec.mass * state.energy)
         grid = np.linspace(-2.0 * qn, 2.0 * qn, 1201)
-        samples = _transform_grid(state, grid)
+        samples = mom.phi_quadrature(state, grid)
         dens = mom.classical_momentum_density(spec, 10, grid)
         lines = ["p,abs_phi2,phi_re2,phi_im2,classical_density"]
         for p, a2, re, im, d in zip(grid, samples.abs_phi2, samples.phi_re,
@@ -351,8 +326,8 @@ def figure(number, out) -> None:
         even = eig.solve(spec, 11, parity="even")
         odd = eig.solve(spec, 11, parity="odd")
         grid = np.geomspace(1.0, 300.0, 241)
-        s_even = _transform_grid(even, grid)
-        s_odd = _transform_grid(odd, grid)
+        s_even = mom.phi_quadrature(even, grid)
+        s_odd = mom.phi_quadrature(odd, grid)
         pred_even = asy.predict_tail(even, pot.discontinuities(spec))
         pred_odd = asy.predict_tail(odd, pot.discontinuities(spec))
         tgt_even = float(pred_even.leading_envelope(np.array([1.0]))[0])

@@ -71,6 +71,31 @@ def test_norm_check_of_wide_state(runner, tmp_path, potential):
     assert abs(report["norm_check"] - 1.0) < 1e-10
 
 
+WIDE_STATES = [
+    {"kind": "delta_sum", "deltas": [[0.01, 0.0]]},
+    {"kind": "delta_sum", "deltas": [[1.0, 0.0]], "hbar": 10.0},
+    {"kind": "finite_well", "depth": 0.01, "a": -1.0, "b": 1.0},
+]
+WIDE_IDS = ["delta_g_0.01", "delta_hbar_10", "finite_well_depth_0.01"]
+
+
+@pytest.mark.parametrize("potential", WIDE_STATES, ids=WIDE_IDS)
+def test_transform_of_wide_state(runner, tmp_path, potential):
+    # decay lengths of 100 and more: the panel width follows the support
+    cfg = write_cfg(tmp_path, {"potential": potential})
+    res = runner.invoke(main, ["transform", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    lines = (tmp_path / "transform.csv").read_text().strip().split("\n")
+    assert len(lines) == 1002
+
+
+def test_verify_of_weak_delta(runner, tmp_path):
+    cfg = write_cfg(tmp_path, {"potential": WIDE_STATES[0]})
+    res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads((tmp_path / "verify.json").read_text())["pass"] is True
+
+
 def test_invalid_config_exits_2(runner, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

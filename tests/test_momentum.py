@@ -1,6 +1,7 @@
 """Momentum-space transforms: closed forms, quadrature, moments, densities."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -76,6 +77,18 @@ def test_quadrature_matches_delta_closed_form():
     assert np.max(np.abs(q.phi - c.phi)) < 1e-8
 
 
+@pytest.mark.parametrize("spec", [
+    pot.DeltaSum(deltas=((0.01, 0.0),)),
+    pot.DeltaSum(deltas=((1.0, 0.0),), hbar=10.0),
+], ids=["g_0.01", "hbar_10"])
+def test_quadrature_matches_wide_delta_closed_form(spec):
+    # decay length 100: 84 panels of width 100, not 8400 of width 1
+    st = eig.solve(spec)
+    q = mom.phi_quadrature(st, GRID, spec.hbar)
+    c = mom.phi_closed_delta(spec, st, GRID)
+    assert np.max(np.abs(q.phi - c.phi)) < 1e-8
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_quadrature_matches_well_closed_form(n):
     well = pot.InfiniteWell(length=math.pi)
@@ -118,6 +131,75 @@ def test_quadrature_deterministic():
     a = mom.phi_quadrature(st, GRID)
     b = mom.phi_quadrature(st, GRID)
     assert np.array_equal(a.phi_re, b.phi_re) and np.array_equal(a.phi_im, b.phi_im)
+
+
+# --- transform by half-width groups ----------------------------------------
+
+CLI_GRID = np.linspace(-50.0, 50.0, 1001)
+
+
+def test_transform_bessel_tables_per_halfwidth(monkeypatch):
+    st = eig.solve(pot.Bouncer(force=0.5), 10)
+    panels = mom.FilonPanels(st)
+    calls = []
+    jn = mom.spherical_jn
+
+    def counting(*args):
+        calls.append(args)
+        return jn(*args)
+
+    monkeypatch.setattr(mom, "spherical_jn", counting)
+    panels.transform(CLI_GRID)
+    blocks = math.ceil(np.unique(np.abs(CLI_GRID)).size / mom._POINT_BLOCK)
+    assert len(calls) <= np.unique(panels.halfwidths).size * blocks
+
+
+@pytest.mark.parametrize("spec,n,groups", [
+    (pot.AsymmetricLinear(force_right=1.0, force_left=0.5), 5, 2),
+    (pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0), 1, 3),
+], ids=["asymlin_5", "hybrid"])
+def test_quadrature_large_p_against_multiprecision_oracle(spec, n, groups):
+    st = eig.solve(spec, n)
+    panels = mom.FilonPanels(st)
+    assert np.unique(panels.halfwidths).size == groups
+    ps = [0.0, 13.0, 400.0]
+    phi = panels.transform(np.array(ps))
+    # unit sub-intervals keep the oracle's integrand to ~64 periods at p = 400;
+    # psi is a double, so 17 digits suffice for the oracle's own arithmetic
+    lo, hi = st.support
+    cuts = sorted({*st.breaks, *np.arange(math.ceil(lo), hi)})
+    with mpmath.workdps(17):
+        for i, p in enumerate(ps):
+            assert abs(phi[i] - mp_phi(st, p, lo, hi, cuts)) < 1e-9
+
+
+def test_transform_input_forms():
+    st = eig.solve(pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0))
+    panels = mom.FilonPanels(st)
+    p = np.linspace(-6.0, 6.0, 12).reshape(3, 4)
+    phi = panels.transform(p)
+    assert phi.shape == (3, 4)
+    assert panels.transform(2.5).shape == ()
+    assert np.array_equal(panels.transform(-p), np.conj(phi))
+    rep = panels.transform(np.array([1.5, 7.0, 1.5, -7.0, 1.5]))
+    assert rep[0] == rep[2] == rep[4] and rep[3] == np.conj(rep[1])
+
+
+def test_transform_memory_is_bounded():
+    spec = pot.FiniteWell(depth=10.0, a=-1.0, b=1.0)
+    st = eig.solve(spec, 1)
+    pred = asy.predict_tail(st, pot.discontinuities(spec))
+    grids = []
+    mom.moment(lambda p: grids.append(p) or np.zeros(p.shape), 2, pred, p_scale=3.0)
+    assert grids[0].size == 76400
+    panels = mom.FilonPanels(st)
+    tracemalloc.start()
+    try:
+        panels.transform(grids[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # --- moments ---------------------------------------------------------------
