@@ -87,10 +87,10 @@ class TailPrediction:
 
 
 def expansion_terms(state: BoundState, records: list[DiscontinuityRecord],
-                    n_max: int = DEFAULT_ORDER_CUTOFF) -> list[TailTerm]:
+                    n_max: int = DEFAULT_ORDER_CUTOFF,
+                    hbar: float = 1.0) -> list[TailTerm]:
     """All T_n terms with n <= n_max at every discontinuity location."""
     terms: list[TailTerm] = []
-    hbar = _state_hbar(state)
     for rec in records:
         side = state.table_at(rec.location)
         if n_max - 1 > len(side.right) - 1:
@@ -102,10 +102,6 @@ def expansion_terms(state: BoundState, records: list[DiscontinuityRecord],
             jump = 0.0 if abs(raw) <= _REL_ZERO * scale else raw
             terms.append(TailTerm(rec.location, n, jump, hbar))
     return terms
-
-
-def _state_hbar(state: BoundState) -> float:
-    return getattr(state, "hbar", 1.0)
 
 
 def jump_from_potential(record: DiscontinuityRecord, state: BoundState,
@@ -148,7 +144,7 @@ def predict_tail(state: BoundState, records: list[DiscontinuityRecord],
                  n_max: int = DEFAULT_ORDER_CUTOFF, mass: float = 1.0,
                  hbar: float = 1.0, check_tol: float = 1e-8) -> TailPrediction:
     """Expansion terms plus the leading exponent, with the two-route cross-check."""
-    terms = expansion_terms(state, records, n_max)
+    terms = expansion_terms(state, records, n_max, hbar)
     for rec in records:
         if rec.is_wall:
             continue

@@ -89,17 +89,22 @@ def solve_delta(spec: pot.DeltaSum, n: int = 1) -> BoundState:
                       support=(a - half, a + half), breaks=(a,))
 
 
-def _pc_propagate(P: float, Q: float, beta: float, w: float) -> tuple[float, float]:
-    """Advance (psi, psi') by width w through a region where psi'' = beta * psi."""
-    if abs(beta) * w * w < 1e-30:
-        return P + Q * w, Q + beta * w * (P + 0.5 * Q * w)
-    if beta > 0:
-        r = math.sqrt(beta)
-        ch, sh = math.cosh(r * w), math.sinh(r * w)
-        return P * ch + Q * sh / r, P * r * sh + Q * ch
-    k = math.sqrt(-beta)
-    c, s = math.cos(k * w), math.sin(k * w)
-    return P * c + Q * s / k, -P * k * s + Q * c
+def _pc_propagate(P, Q, beta, w):
+    """Advance (psi, psi') by width w through a region where psi'' = beta * psi.
+
+    P, Q and beta may be scalars or arrays over energy. With r = sqrt|beta|,
+    (P, Q) -> (P c + Q s/r, P beta s/r + Q c), where (c, s) is (cosh, sinh)
+    of r w for beta > 0 and (cos, sin) of r w for beta < 0; s/r = w at r = 0.
+    """
+    beta = np.asarray(beta, dtype=float)
+    grows = beta > 0.0
+    r = np.sqrt(np.abs(beta))
+    x = r * w
+    xg = np.where(grows, x, 0.0)        # keeps cosh/sinh finite where unused
+    c = np.where(grows, np.cosh(xg), np.cos(x))
+    s = np.where(grows, np.sinh(xg), np.sin(x))
+    s_r = np.where(r > 0.0, s / np.maximum(r, 1e-300), w)
+    return P * c + Q * s_r, P * beta * s_r + Q * c
 
 
 def _pc_eval(P: float, Q: float, beta: float, w):
@@ -114,25 +119,24 @@ def _pc_eval(P: float, Q: float, beta: float, w):
     return P * np.cos(k * w) + Q * np.sin(k * w) / k
 
 
-def _pc_defect(xs, region_v, cusps, E, m, hbar) -> float:
+def _pc_defect(xs, region_v, cusps, E, m, hbar):
     """Decay-matching defect at the last boundary for a piecewise-constant V.
 
+    E may be a scalar or an array of energies; the defect has its shape.
     Starts on the left decaying branch; (psi, psi') are renormalized after each
     region so the defect sign is preserved without overflow.
     """
+    E = np.asarray(E, dtype=float)
     coef = 2.0 * m / hbar ** 2
-    kap_l = math.sqrt(coef * (region_v[0] - E))
-    kap_r = math.sqrt(coef * (region_v[-1] - E))
-    P, Q = 1.0, kap_l
-    for i, x in enumerate(xs):
+    kap_l = np.sqrt(coef * (region_v[0] - E))
+    kap_r = np.sqrt(coef * (region_v[-1] - E))
+    P, Q = np.ones_like(E), kap_l
+    for i in range(len(xs) - 1):
         Qp = Q + coef * cusps[i] * P
-        if i == len(xs) - 1:
-            return Qp + kap_r * P
-        beta = coef * (region_v[i + 1] - E)
-        P, Q = _pc_propagate(P, Qp, beta, xs[i + 1] - x)
-        s = max(abs(P), abs(Q), 1e-280)
+        P, Q = _pc_propagate(P, Qp, coef * (region_v[i + 1] - E), xs[i + 1] - xs[i])
+        s = np.maximum(np.maximum(np.abs(P), np.abs(Q)), 1e-280)
         P, Q = P / s, Q / s
-    raise AssertionError("unreachable")
+    return Q + coef * cusps[-1] * P + kap_r * P
 
 
 def _solve_piecewise_const(xs, region_v, cusps, n, m, hbar, e_lo, e_hi,
@@ -149,19 +153,13 @@ def _solve_piecewise_const(xs, region_v, cusps, n, m, hbar, e_lo, e_hi,
         raise NoSuchState("no admissible bound-state energy window")
     coef = 2.0 * m / hbar ** 2
     grid = np.linspace(e_lo, e_hi, n_scan)
-    vals = [_pc_defect(xs, region_v, cusps, E, m, hbar) for E in grid]
-    found = 0
-    energy = None
-    for i in range(n_scan - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
-            found += 1
-            if found == n:
-                energy = brentq(lambda E: _pc_defect(xs, region_v, cusps, E, m, hbar),
-                                grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16,
-                                maxiter=200)
-                break
-    if energy is None:
-        raise NoSuchState(f"found only {found} bound states, needed {n}")
+    vals = _pc_defect(xs, region_v, cusps, grid, m, hbar)
+    cells = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+    if cells.size < n:
+        raise NoSuchState(f"found only {cells.size} bound states, needed {n}")
+    i = cells[n - 1]
+    energy = brentq(lambda E: _pc_defect(xs, region_v, cusps, E, m, hbar),
+                    grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16, maxiter=200)
 
     kap_l = math.sqrt(coef * (region_v[0] - energy))
     kap_r = math.sqrt(coef * (region_v[-1] - energy))
@@ -173,7 +171,7 @@ def _solve_piecewise_const(xs, region_v, cusps, n, m, hbar, e_lo, e_hi,
         Qp = Q + coef * cusps[i] * P
         profile.append((P, Q, Qp))
         if i < len(xs) - 1:
-            P, Q = _pc_propagate(P, Qp, betas[i + 1], xs[i + 1] - x)
+            P, Q = map(float, _pc_propagate(P, Qp, betas[i + 1], xs[i + 1] - x))
 
     # normalization: analytic outer tails plus Gauss panels over inner regions
     nodes, weights = leggauss(24)

@@ -6,14 +6,15 @@ The general route is a Filon-type quadrature with precomputed moments
 (Iserles & Norsett, Proc. R. Soc. A 461, 2005): psi is expanded in Legendre
 polynomials on panels whose edges include every kink of psi, and the
 oscillatory moments integral P_k(t) e^{-i w t} dt = 2 (-i)^k j_k(w), with
-w = |p| hw / hbar, are evaluated with spherical Bessel functions. The
-Legendre coefficients are computed once per state and reused for every p.
-The moments depend on a panel only through its half-width hw, and the
-panels of a state share a few exact half-widths, so one moment table per
-half-width serves every panel of that width: the transform is a matrix
-product per half-width group rather than a loop over panels. The absolute
-error stays near machine precision even at p ~ 10^3, where phi itself is
-~1e-10.
+w = |p| hw / hbar, come from a table of spherical Bessel functions j_k(w)
+built for all orders at once: by the upward recurrence for k <= w and by
+Miller's backward ratio recurrence above. The Legendre coefficients are
+computed once per state and reused for every p. The moments depend on a
+panel only through its half-width hw, and the panels of a state share a few
+exact half-widths, so one moment table per half-width serves every panel of
+that width: the transform is a matrix product per half-width group rather
+than a loop over panels. The absolute error stays near machine precision
+even at p ~ 10^3, where phi itself is ~1e-10.
 
 Closed forms for the single delta and the infinite well are provided as
 independent cross-checks, and ``moment`` integrates p^k |phi|^2 with an
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.special import spherical_jn
 
 from . import potentials as pot
 from .eigensolve import BoundState
@@ -43,6 +43,7 @@ _PANEL_BLOCK = 32     # panels per block of the transform
 _POINT_BLOCK = 1024   # distinct |p| per block of the transform
 _ORDERS = np.arange(_DEGREE + 1)
 _MOMENT_PHASE = 2.0 * np.array([1.0, -1j, -1.0, 1j])[_ORDERS % 4]   # 2(-i)^k
+_RATIO_START = _DEGREE + 40   # backward ratio recurrence starts here with r = 0
 
 
 @dataclass
@@ -78,6 +79,44 @@ def _from_complex(grid, phi, provenance: str) -> MomentumSamples:
 # ---------------------------------------------------------------------------
 # Filon-Legendre quadrature
 # ---------------------------------------------------------------------------
+
+def _bessel_table(w: np.ndarray) -> np.ndarray:
+    """Spherical Bessel functions j_k(w), k = 0.._DEGREE, for ascending w >= 0.
+
+    Returns shape (_DEGREE + 1, w.size). Orders k <= floor(w) come from the
+    upward recurrence j_{k+1} = (2k+1)/w j_k - j_{k-1}, which is stable
+    there. Higher orders come from j_k = r_k j_{k-1}, with the ratios
+    r_k = j_k / j_{k-1} from Miller's backward recurrence
+    r_k = w / (2k+1 - w r_{k+1}), started at r = 0 forty orders above
+    _DEGREE (Gillman & Fiebig, Computers in Physics 2, 62, 1988; DLMF 10.51).
+    These r_k have no poles: for k > w the first zero of j_{k-1} lies above k.
+    Since w ascends, the columns that take order k from the ratios, those
+    with w < k, are a leading slice.
+    """
+    w = np.asarray(w, dtype=float)
+    table = np.empty((_DEGREE + 1, w.size))
+    table[0] = np.sin(w) / np.where(w > 0.0, w, 1.0)
+    table[0, w == 0.0] = 1.0
+    cut = np.searchsorted(w, _ORDERS)       # w[:cut[k]] < k
+
+    up = cut[1]
+    wu = w[up:]
+    table[1, up:] = (table[0, up:] - np.cos(wu)) / wu
+    for k in range(1, _DEGREE):
+        table[k + 1, up:] = (2 * k + 1) / wu * table[k, up:] - table[k - 1, up:]
+
+    wl = w[:cut[_DEGREE]]
+    ratios = np.empty((_DEGREE + 1, wl.size))
+    r = np.zeros(wl.size)
+    for k in range(_RATIO_START, 0, -1):
+        r = wl / (2 * k + 1 - wl * r)
+        if k <= _DEGREE:
+            ratios[k] = r
+    for k in range(1, _DEGREE + 1):
+        low = cut[k]
+        table[k, :low] = ratios[k, :low] * table[k - 1, :low]
+    return table
+
 
 class FilonPanels:
     """Per-panel Legendre expansion of psi, reusable for every p.
@@ -146,7 +185,8 @@ class FilonPanels:
 
         A panel with center c and half-width hw contributes
         hw e^{-i|p|c/hbar} sum_k c_k 2(-i)^k j_k(|p| hw/hbar). The Bessel
-        table j_k(|p| hw/hbar) depends on the panel only through hw, so it is
+        table j_k(|p| hw/hbar), all orders from one recurrence pass
+        (``_bessel_table``), depends on the panel only through hw, so it is
         computed once per distinct half-width and block of distinct |p|, and
         applied to every panel of that width by one matrix product. Blocks
         are fixed in size and order, so equal inputs give equal outputs.
@@ -160,7 +200,7 @@ class FilonPanels:
         for start in range(0, pa.size, _POINT_BLOCK):
             block = slice(start, start + _POINT_BLOCK)
             for hw, members in groups:
-                jn = spherical_jn(_ORDERS[:, None], pa[None, block] * hw / hbar)
+                jn = _bessel_table(pa[block] * hw / hbar)
                 for first in range(0, members.size, _PANEL_BLOCK):
                     sel = members[first:first + _PANEL_BLOCK]
                     phase = np.exp(-1j * np.outer(self.centers[sel], pa[block]) / hbar)

@@ -36,6 +36,19 @@ def test_delta_order_two_term():
         math.sqrt(2 / math.pi), rel=1e-14)
 
 
+def test_prediction_uses_hbar():
+    # T_2 ~ hbar^2 / sqrt(2 pi hbar): with hbar = 10 the leading coefficient
+    # is 10^1.5 times the one built with hbar = 1
+    spec = pot.DeltaSum(deltas=((1.0, 0.0),), hbar=10.0)
+    st = eig.solve(spec)
+    pred = asy.predict_tail(st, pot.discontinuities(spec), mass=spec.mass,
+                            hbar=spec.hbar)
+    p = np.array([1e3])
+    exact = abs(mom.phi_closed_delta(spec, st, p).phi[0])
+    assert pred.leading_envelope(p)[0] == pytest.approx(exact, rel=1e-3)
+    assert all(t.hbar == 10.0 for t in pred.terms)
+
+
 def test_well_interference_structure():
     well = pot.InfiniteWell(length=math.pi)
     st = eig.solve(well, 2)

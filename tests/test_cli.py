@@ -96,6 +96,16 @@ def test_verify_of_weak_delta(runner, tmp_path):
     assert json.loads((tmp_path / "verify.json").read_text())["pass"] is True
 
 
+def test_verify_of_delta_with_hbar_10(runner, tmp_path):
+    # the predicted tail scales with hbar, as phi's does
+    cfg = write_cfg(tmp_path, {"potential": WIDE_STATES[1]})
+    res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["pass"] is True
+    assert report["comparison"]["max_rel_deviation"] < 0.05
+
+
 def test_invalid_config_exits_2(runner, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -76,6 +76,33 @@ def test_double_delta_against_transcendental():
         eig.solve(spec, 3)
 
 
+@pytest.mark.parametrize("xs,region_v,cusps,e_lo,e_hi", [
+    ([0.0, 1.5, 2.7], [0.0] * 4, [-1.0, -0.6, -1.4], -4.5 * (1 + 1e-9), -4.5e-10),
+    ([0.0, 1.0, 2.5], [0.0, -2.0, -3.0, 0.5], [0.0] * 3, -3.0 + 3e-12, -3e-9),
+], ids=["delta_chain", "step_ladder"])
+def test_pc_defect_array_matches_one_energy_at_a_time(xs, region_v, cusps, e_lo, e_hi):
+    # the energy scan of _solve_piecewise_const evaluates all 4001 energies in
+    # one call; brentq then calls the same function with a scalar
+    grid = np.linspace(e_lo, e_hi, 4001)
+    whole = eig._pc_defect(xs, region_v, cusps, grid, 1.0, 1.0)
+    single = np.array([eig._pc_defect(xs, region_v, cusps, E, 1.0, 1.0) for E in grid])
+    assert whole.shape == grid.shape
+    assert np.all(np.abs(whole - single) <= 1e-13 * np.abs(single))
+    assert np.array_equal(np.sign(whole), np.sign(single))
+    assert np.count_nonzero(np.diff(np.sign(whole))) >= 1
+
+
+def test_distant_double_delta_resolves_both_states():
+    # unit deltas 15 apart: the even/odd splitting is 6e-7, still wider than a
+    # cell of the 4001-point energy scan (ROADMAP item 4 fails from d ~ 19)
+    spec = pot.DeltaSum(deltas=((1.0, 0.0), (1.0, 15.0)))
+    for n, sign, energy in ((1, 1, -0.50000031), (2, -1, -0.49999969)):
+        kap = mpmath.findroot(lambda k: k - 1 - sign * mpmath.e ** (-15 * k), 1.0)
+        st = eig.solve(spec, n)
+        assert st.energy == pytest.approx(energy, abs=5e-9)
+        assert st.energy == pytest.approx(float(-kap ** 2 / 2), rel=1e-9)
+
+
 def test_infinite_well_energies():
     for n in range(1, 6):
         st = eig.solve(pot.InfiniteWell(length=math.pi), n)

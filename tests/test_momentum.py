@@ -142,16 +142,39 @@ def test_transform_bessel_tables_per_halfwidth(monkeypatch):
     st = eig.solve(pot.Bouncer(force=0.5), 10)
     panels = mom.FilonPanels(st)
     calls = []
-    jn = mom.spherical_jn
+    table = mom._bessel_table
 
-    def counting(*args):
-        calls.append(args)
-        return jn(*args)
+    def counting(w):
+        calls.append(w)
+        return table(w)
 
-    monkeypatch.setattr(mom, "spherical_jn", counting)
+    monkeypatch.setattr(mom, "_bessel_table", counting)
     panels.transform(CLI_GRID)
     blocks = math.ceil(np.unique(np.abs(CLI_GRID)).size / mom._POINT_BLOCK)
-    assert len(calls) <= np.unique(panels.halfwidths).size * blocks
+    assert 0 < len(calls) <= np.unique(panels.halfwidths).size * blocks
+
+
+def _mp_sph_jn(k, w):
+    if w == 0:
+        return mpmath.mpf(int(k == 0))
+    w = mpmath.mpf(w)
+    return mpmath.sqrt(mpmath.pi / (2 * w)) * mpmath.besselj(k + mpmath.mpf(1) / 2, w)
+
+
+def test_bessel_table_against_multiprecision():
+    # the recurrence switches from upward to Miller's ratios at k = floor(w),
+    # so integers and their neighbours are the delicate points
+    ints = np.arange(1.0, 37.0)
+    w = np.sort(np.concatenate([
+        [0.0, 1e-12, 1e-3], ints, ints - 1e-12, ints + 1e-12,
+        math.pi * np.arange(1, 12), np.linspace(0.0, 40.0, 200),
+        10.0 ** np.arange(2, 9)]))
+    table = mom._bessel_table(w)
+    assert table.shape == (mom._DEGREE + 1, w.size)
+    with mpmath.workdps(40):
+        worst = max(abs(float(table[k, i] - _mp_sph_jn(k, x)))
+                    for i, x in enumerate(w) for k in range(mom._DEGREE + 1))
+    assert worst <= 1e-15
 
 
 @pytest.mark.parametrize("spec,n,groups", [
