@@ -355,10 +355,11 @@ def solve_finite_well(spec: pot.FiniteWell, n: int) -> BoundState:
                       osc_scale=2.0 * math.pi / k)
 
 
-def _hybrid_coeffs(spec: pot.HybridDeltaStep, energy: float):
+def _hybrid_coeffs(spec: pot.HybridDeltaStep, energy):
+    """Decay rates and coefficients at a scalar energy or an array of them."""
     m, hbar = spec.mass, spec.hbar
-    K = math.sqrt(-2.0 * m * energy) / hbar
-    Q = math.sqrt(2.0 * m * (-energy + spec.step_height)) / hbar
+    K = np.sqrt(-2.0 * m * energy) / hbar
+    Q = np.sqrt(2.0 * m * (-energy + spec.step_height)) / hbar
     A = 1.0
     Bc = m * spec.g / (hbar ** 2 * K)
     Cc = 1.0 - Bc
@@ -382,28 +383,20 @@ def solve_hybrid(spec: pot.HybridDeltaStep, n: int = 1) -> BoundState:
     e_min -= 0.1 * scale
 
     def defect(E):
-        K, Q, A, Bc, Cc = _hybrid_coeffs(spec, E)
-        mid = Bc * math.exp(-K * a) + Cc * math.exp(K * a)
-        midp = -K * Bc * math.exp(-K * a) + K * Cc * math.exp(K * a)
-        return midp + Q * mid
+        """Matching defect at x = a; E may be a scalar or an array."""
+        K, Q, A, Bc, Cc = _hybrid_coeffs(spec, np.asarray(E, dtype=float))
+        lo, hi = Bc * np.exp(-K * a), Cc * np.exp(K * a)
+        return (K * hi - K * lo) + Q * (lo + hi)
 
     grid = np.linspace(e_min, e_max, 600)
-    vals = [defect(E) for E in grid]
-    bracket = None
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
-            bracket = (grid[i], grid[i + 1])
-            break
-    if bracket is None:
+    vals = defect(grid)
+    cells = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+    if cells.size == 0:
         raise NoBoundState("no root of the matching defect in the admissible window")
-    energy = brentq(defect, *bracket, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    # two Newton polish steps via numeric derivative
-    for _ in range(2):
-        h = 1e-8 * max(abs(energy), 1.0)
-        d0 = defect(energy)
-        d1 = (defect(energy + h) - defect(energy - h)) / (2 * h)
-        if d1 != 0.0:
-            energy -= d0 / d1
+    i = cells[0]
+    # |e_max| is the smallest |E| in the window, so the tolerance is relative
+    energy = brentq(defect, grid[i], grid[i + 1], xtol=8.9e-16 * abs(e_max),
+                    rtol=8.9e-16, maxiter=200)
 
     K, Q, A, Bc, Cc = _hybrid_coeffs(spec, energy)
     D = (Bc * math.exp(-K * a) + Cc * math.exp(K * a)) * math.exp(Q * a)
@@ -520,16 +513,30 @@ def solve_symmetric_linear(spec, n: int, parity: str) -> BoundState:
                       support=(-half, half), breaks=(0.0,), osc_scale=lam)
 
 
-def _airy_derivs(u: float) -> tuple[float, ...]:
-    """Ai^(j)(u) for j = 0..5 at an arbitrary point, via the Airy ODE."""
-    a0 = specfun.airy_ai(u)
-    a1 = specfun.airy_ai_prime(u)
+def _airy_derivs(u: float, a0: float, a1: float) -> tuple[float, ...]:
+    """Ai^(j)(u) for j = 0..5 from a0 = Ai(u) and a1 = Ai'(u), via the Airy ODE."""
     return (a0, a1, u * a0, a0 + u * a1, 2.0 * a1 + u * u * a0,
             4.0 * u * a0 + u * u * a1)
 
 
+# walls of the two bouncer ladders closer than this (relative) are one wall
+_SHARED_WALL = 1e-12
+
+
 def solve_asymmetric_linear(spec: pot.AsymmetricLinear, n: int = 1) -> BoundState:
-    """n-th bound state of V = F z (z > 0), Fbar |z| (z < 0); Airy on each side."""
+    """n-th bound state of V = F z (z > 0), Fbar |z| (z < 0); Airy on each side.
+
+    A Dirichlet wall at z = 0 cuts the line into two bouncers, with levels
+    e0_r zeta_k and e0_l zeta_k. The wall is a rank-one change of the
+    resolvent, so the merged, sorted bouncer levels w_1 <= w_2 <= ...
+    interlace the full-line levels, w_(n-1) <= E_n <= w_n (Reed & Simon IV,
+    XIII.15; w_0 = 0), and E_n is the only root of the matching determinant
+    in that bracket. The determinant vanishes at a wall only when both
+    ladders share it (within ``_SHARED_WALL``, as when F = Fbar), and such a
+    wall is itself a level: if w_(n-1) and w_n are shared, E_n is that wall;
+    otherwise a bracket end shared with its outer neighbour is moved inward
+    by ``_SHARED_WALL`` before ``brentq``.
+    """
     if n < 1:
         raise NoSuchState("n must be >= 1")
     m, hbar = spec.mass, spec.hbar
@@ -539,30 +546,51 @@ def solve_asymmetric_linear(spec: pot.AsymmetricLinear, n: int = 1) -> BoundStat
     e0_l = spec.force_left * rho_l
 
     def defect(E):
-        """Matching defect at z = 0; E may be a scalar or an array."""
-        ur, ul = -E / e0_r, -E / e0_l
-        return (specfun.airy_ai_prime(ur) * specfun.airy_ai(ul) / rho_r
-                + specfun.airy_ai(ur) * specfun.airy_ai_prime(ul) / rho_l)
+        """Matching determinant at z = 0, from one Airy call for both sides."""
+        ai, aip = specfun.airy_ai_and_prime(np.array([-E / e0_r, -E / e0_l]))
+        return float(aip[0] * ai[1] / rho_r + ai[0] * aip[1] / rho_l)
 
-    # roots interlace those of the two symmetric problems; scan densely
-    e_hi = 1.05 * max(e0_r, e0_l) * specfun.airy_zero(n + 1)
-    grid = np.linspace(1e-9 * min(e0_r, e0_l), e_hi, 200 * (n + 2))
-    vals = defect(grid)
-    cells = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
-    if cells.size < n:
-        raise NoSuchState(f"scan found only {cells.size} states below the cap")
-    i = cells[n - 1]
-    energy = brentq(defect, grid[i], grid[i + 1],
-                    xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    zeta = specfun.airy_zeros(n)[0]
+    walls = np.sort(np.concatenate([e0_r * zeta, e0_l * zeta]))
+
+    def shared(i):
+        """Walls i and i + 1 (0-based) coincide."""
+        return i >= 0 and walls[i + 1] - walls[i] <= _SHARED_WALL * walls[i + 1]
+
+    if shared(n - 2):
+        energy = float(walls[n - 1])
+    else:
+        lo = float(walls[n - 2]) if n > 1 else 0.0
+        hi = float(walls[n - 1])
+        if shared(n - 3):
+            lo *= 1.0 + _SHARED_WALL
+        if shared(n - 1):
+            hi *= 1.0 - _SHARED_WALL
+        energy = brentq(defect, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
 
     ur, ul = -energy / e0_r, -energy / e0_l
-    air, ail = specfun.airy_ai(ur), specfun.airy_ai(ul)
-    apr, apl = specfun.airy_ai_prime(ur), specfun.airy_ai_prime(ul)
-    # match psi at 0, choosing the better-conditioned continuity equation
-    if abs(ail) >= abs(air):
-        c_r, c_l = 1.0, air / ail
+    ai, aip = specfun.airy_ai_and_prime(np.array([ur, ul]))
+    air, ail = float(ai[0]), float(ai[1])
+    apr, apl = float(aip[0]), float(aip[1])
+    # Match at 0 by continuity of psi or of psi', whichever is better
+    # conditioned. With Ai ~ sin(phase) and Ai' ~ sqrt|u| cos(phase), psi(0)
+    # carries the match when sin^2 of the two phases sums to at least 1; at a
+    # shared wall psi(0) = 0 is pure rounding and only psi' can match.
+    def sin2(a, ap, u):
+        t = a * a * max(-u, 1.0)
+        return t / (t + ap * ap)
+
+    if sin2(air, apr, ur) + sin2(ail, apl, ul) >= 1.0:
+        if abs(ail) >= abs(air):
+            c_r, c_l = 1.0, air / ail
+        else:
+            c_r, c_l = ail / air, 1.0
     else:
-        c_r, c_l = ail / air, 1.0
+        # psi'(0+) = c_r Ai'(ur) / rho_r equals psi'(0-) = -c_l Ai'(ul) / rho_l;
+        # signed as the psi branch signs it
+        c_r, c_l = apl / rho_l, -apr / rho_r
+        if (c_r if abs(ail) >= abs(air) else c_l) < 0.0:
+            c_r, c_l = -c_r, -c_l
     # integral of Ai^2 from b to infinity = Ai'(b)^2 - b Ai(b)^2
     norm2 = (c_r * c_r * rho_r * (apr * apr - ur * air * air)
              + c_l * c_l * rho_l * (apl * apl - ul * ail * ail))
@@ -577,8 +605,8 @@ def solve_asymmetric_linear(spec: pot.AsymmetricLinear, n: int = 1) -> BoundStat
         out[~right] = c_l * specfun.airy_ai(-z[~right] / rho_l + ul)
         return out
 
-    dr = _airy_derivs(ur)
-    dl = _airy_derivs(ul)
+    dr = _airy_derivs(ur, air, apr)
+    dl = _airy_derivs(ul, ail, apl)
     right = tuple(c_r * dr[j] / rho_r ** j for j in range(6))
     left = tuple(c_l * (-1.0) ** j * dl[j] / rho_l ** j for j in range(6))
     table = {0.0: SideDerivatives(right[0], left=left, right=right)}

@@ -1,14 +1,12 @@
 """Airy function Ai, its derivative, and their negative-axis zeros.
 
-Ai and Ai' are scipy's compiled ``scipy.special.airy``; both evaluators take
+Ai and Ai' are scipy's compiled ``scipy.special.airy``; the evaluators take
 scalars or arrays. The zeros start from ``scipy.special.ai_zeros`` and get two
 Newton steps on ``airy``, which brings them from ~1e-11 to full double
 precision.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ai_zeros, airy
@@ -26,8 +24,14 @@ def airy_ai_prime(x):
     return airy(x)[1]
 
 
-def _zeros(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """First ``count`` positive zeta (Ai(-zeta) = 0) and eta (Ai'(-eta) = 0)."""
+def airy_ai_and_prime(x):
+    """(Ai(x), Ai'(x)) from one ``airy`` call, for finite real x (scalar or array)."""
+    ai, aip, _, _ = airy(x)
+    return ai, aip
+
+
+def airy_zeros(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """First ``count`` positive zeta (Ai(-zeta) = 0) and eta (Ai'(-eta) = 0), ascending."""
     if count < 1:
         raise ValueError("zero index must be >= 1")
     a, ap, _, _ = ai_zeros(count)
@@ -43,22 +47,9 @@ def _zeros(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 def airy_zero(n: int) -> float:
     """n-th positive zeta with Ai(-zeta) = 0, n >= 1."""
-    return float(_zeros(n)[0][-1])
+    return float(airy_zeros(n)[0][-1])
 
 
 def airy_prime_zero(n: int) -> float:
     """n-th positive eta with Ai'(-eta) = 0, n >= 1."""
-    return float(_zeros(n)[1][-1])
-
-
-@dataclass(frozen=True)
-class AiryZeroTable:
-    """First zeros of Ai and Ai' on the negative axis (stored as positive zeta/eta)."""
-    ai_zeros: tuple[float, ...]
-    aiprime_zeros: tuple[float, ...]
-
-
-def zero_table(count: int) -> AiryZeroTable:
-    zeta, eta = _zeros(count)
-    return AiryZeroTable(ai_zeros=tuple(zeta.tolist()),
-                         aiprime_zeros=tuple(eta.tolist()))
+    return float(airy_zeros(n)[1][-1])

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import pytest
 from click.testing import CliRunner
@@ -11,6 +10,8 @@ from momtail.cli import main
 
 DELTA_CFG = {"potential": {"kind": "delta_sum", "deltas": [[1.0, 0.0]]}}
 BOUNCER_CFG = {"potential": {"kind": "bouncer", "force": 0.5}, "n": 3}
+ASYMLIN_CFG = {"potential": {"kind": "asymmetric_linear", "force_right": 0.5,
+                             "force_left": 2.0}, "n": 5}
 WELL_CFG = {"potential": {"kind": "infinite_well", "length": math.pi}, "n": 2,
             "grid": {"kind": "linear", "min": -30.0, "max": 30.0, "count": 201}}
 
@@ -183,16 +184,14 @@ def test_outputs_are_deterministic(runner, tmp_path):
     assert texts[0] == texts[1]
 
 
-def test_thread_count_does_not_change_output(runner, tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, BOUNCER_CFG)
+def test_solve_is_deterministic_for_asymmetric_linear(runner, tmp_path):
+    cfg = write_cfg(tmp_path, ASYMLIN_CFG)
     texts = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("MOMTAIL_THREADS", threads)
-        out = tmp_path / threads
-        res = runner.invoke(main, ["transform", "--config", cfg, "--out", str(out),
-                                   "--grid", "linear:-8:8:257"])
-        assert res.exit_code == 0
-        texts.append((out / "transform.csv").read_bytes())
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        texts.append((out / "solve.json").read_bytes())
     assert texts[0] == texts[1]
 
 

@@ -5,11 +5,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from momtail import eigensolve as eig
 from momtail import potentials as pot
+from momtail import specfun
 from momtail.errors import NoBoundState, NoSuchState
 
 mpmath.mp.dps = 30
@@ -218,6 +220,79 @@ def test_asymmetric_linear_reduces_to_symmetric():
         eig.solve(sym, 1, parity="even").energy, rel=1e-10)
     assert eig.solve(asym, 2).energy == pytest.approx(
         eig.solve(sym, 1, parity="odd").energy, rel=1e-10)
+
+
+def count_nodes(state):
+    """Sign changes of psi on a grid of 40 points per shortest wavelength."""
+    lo, hi = state.support
+    points = max(4001, int(40.0 * (hi - lo) / state.osc_scale) + 1)
+    v = state.psi(np.linspace(lo, hi, points))
+    v = v[np.abs(v) > 1e-8 * np.max(np.abs(v))]
+    return int(np.count_nonzero(np.sign(v[1:]) != np.sign(v[:-1])))
+
+
+def asym_det_mp(spec, energy):
+    """Matching determinant of V = F z / Fbar |z| at z = 0, in mpmath."""
+    def side(force):
+        rho = (mpmath.mpf(spec.hbar) ** 2 / (2 * spec.mass * mpmath.mpf(force))) ** (
+            mpmath.mpf(1) / 3)
+        u = -mpmath.mpf(energy) / (force * rho)
+        return rho, mpmath.airyai(u), mpmath.airyai(u, derivative=1)
+    rho_r, ai_r, aip_r = side(spec.force_right)
+    rho_l, ai_l, aip_l = side(spec.force_left)
+    return aip_r * ai_l / rho_r + ai_r * aip_l / rho_l
+
+
+def assert_asym_level(spec, n):
+    """Level n has n - 1 nodes and is the root the determinant changes sign at."""
+    st = eig.solve(spec, n)
+    assert count_nodes(st) == n - 1
+    below = asym_det_mp(spec, st.energy * (1 - 1e-12))
+    above = asym_det_mp(spec, st.energy * (1 + 1e-12))
+    assert below * above < 0
+
+
+def test_asymmetric_linear_equal_forces_alternate_symmetric_levels():
+    # with F = Fbar both bouncer ladders share every wall, and the odd levels
+    # sit exactly on those walls
+    asym = pot.AsymmetricLinear(force_right=0.7, force_left=0.7)
+    sym = pot.SymmetricLinear(force=0.7)
+    for n in range(1, 11):
+        st = eig.solve(asym, n)
+        want = eig.solve(sym, (n + 1) // 2, "even" if n % 2 else "odd")
+        assert st.energy == pytest.approx(want.energy, rel=1e-13)
+        assert count_nodes(st) == n - 1
+        side = st.table_at(0.0)
+        assert side.right[1] == pytest.approx(side.left[1], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("force_left", [1.0 + 1e-4, 1.0 + 1e-9])
+def test_asymmetric_linear_near_equal_forces(force_left):
+    spec = pot.AsymmetricLinear(force_right=1.0, force_left=force_left)
+    for n in range(1, 31):
+        assert_asym_level(spec, n)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(hst.floats(0.2, 3.0), hst.floats(0.2, 3.0), hst.integers(1, 30))
+def test_asymmetric_linear_levels_property(force_right, force_left, n):
+    assert_asym_level(pot.AsymmetricLinear(force_right=force_right,
+                                           force_left=force_left), n)
+
+
+def test_asymmetric_linear_solve_evaluates_few_airy_arguments(monkeypatch):
+    # the interlacing bracket needs the wall ladder and a brentq on two
+    # arguments per energy, where an energy scan at n = 30 took 6,400 energies
+    counted = []
+    airy = specfun.airy
+
+    def counting_airy(x):
+        counted.append(np.size(x))
+        return airy(x)
+
+    monkeypatch.setattr(specfun, "airy", counting_airy)
+    eig.solve(pot.AsymmetricLinear(force_right=0.5, force_left=2.0), 30)
+    assert 0 < sum(counted) < 400
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

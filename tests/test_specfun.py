@@ -59,6 +59,9 @@ def test_array_form_matches_scalar_calls():
         values = f(xs)
         assert isinstance(values, np.ndarray) and values.shape == xs.shape
         assert values.ravel().tolist() == [f(float(x)) for x in xs.ravel()]
+    ai, aip = specfun.airy_ai_and_prime(xs)
+    assert np.array_equal(ai, specfun.airy_ai(xs))
+    assert np.array_equal(aip, specfun.airy_ai_prime(xs))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20, 30, 50])
@@ -78,18 +81,18 @@ def test_zeros_are_roots():
 
 
 def test_zero_interlacing():
-    tab = specfun.zero_table(30)
+    zeta, eta = specfun.airy_zeros(30)
     seq = []
-    for z, e in zip(tab.ai_zeros, tab.aiprime_zeros):
+    for z, e in zip(zeta, eta):
         seq.extend([e, z])      # eta_n < zeta_n < eta_{n+1}
     assert all(a < b for a, b in zip(seq, seq[1:]))
 
 
 def test_zero_table_shape():
-    tab = specfun.zero_table(5)
-    assert len(tab.ai_zeros) == 5 and len(tab.aiprime_zeros) == 5
-    assert tab.ai_zeros[0] == pytest.approx(2.338107410459767, rel=1e-12)
-    assert tab.aiprime_zeros[0] == pytest.approx(1.018792971647471, rel=1e-12)
+    zeta, eta = specfun.airy_zeros(5)
+    assert len(zeta) == 5 and len(eta) == 5
+    assert zeta[0] == pytest.approx(2.338107410459767, rel=1e-12)
+    assert eta[0] == pytest.approx(1.018792971647471, rel=1e-12)
 
 
 def test_zero_index_validation():
