@@ -24,7 +24,7 @@ import numpy as np
 
 from .eigensolve import BoundState
 from .errors import InconsistentJumps, InsufficientDerivativeDepth, UnsupportedCase
-from .potentials import DiscontinuityRecord
+from .potentials import DiscontinuityRecord, check_units
 
 _REL_ZERO = 1e-9    # below this (relative to the one-sided values) a jump is "zero"
 
@@ -37,7 +37,7 @@ class TailTerm:
     location: float
     order: int            # power of (hbar/p)
     jump: float           # psi^(order-1)(a+) - psi^(order-1)(a-)
-    hbar: float = 1.0
+    hbar: float
 
     @property
     def phase_prefactor(self) -> complex:
@@ -87,9 +87,8 @@ class TailPrediction:
 
 
 def expansion_terms(state: BoundState, records: list[DiscontinuityRecord],
-                    n_max: int = DEFAULT_ORDER_CUTOFF,
-                    hbar: float = 1.0) -> list[TailTerm]:
-    """All T_n terms with n <= n_max at every discontinuity location."""
+                    n_max: int = DEFAULT_ORDER_CUTOFF) -> list[TailTerm]:
+    """All T_n terms with n <= n_max at every discontinuity location, in the state's hbar."""
     terms: list[TailTerm] = []
     for rec in records:
         side = state.table_at(rec.location)
@@ -100,56 +99,47 @@ def expansion_terms(state: BoundState, records: list[DiscontinuityRecord],
             raw = side.right[n - 1] - side.left[n - 1]
             scale = abs(side.right[n - 1]) + abs(side.left[n - 1])
             jump = 0.0 if abs(raw) <= _REL_ZERO * scale else raw
-            terms.append(TailTerm(rec.location, n, jump, hbar))
+            terms.append(TailTerm(rec.location, n, jump, state.hbar))
     return terms
 
 
-def jump_from_potential(record: DiscontinuityRecord, state: BoundState,
-                        mass: float = 1.0, hbar: float = 1.0) -> float:
+def jump_from_potential(record: DiscontinuityRecord,
+                        state: BoundState) -> tuple[int, float]:
     """Predicted lowest nonvanishing psi-derivative jump from potential data alone.
 
-    Uses only the V-jump and psi(a) (or psi'(a) when psi(a) = 0); never reads
+    Returns (k, jump): the jump is in psi^(k). Uses only the V-jump and psi(a)
+    (or psi'(a) when psi(a) = 0), in the state's mass and hbar; never reads
     the one-sided derivative differences, so it is an independent route.
-    The derivative order it applies to is given by ``jump_order``.
     """
     if record.is_wall:
         raise UnsupportedCase("walls have one-sided data only; no jump-condition route")
     side = state.table_at(record.location)
+    m, hbar = state.mass, state.hbar
     if record.order == -1:
         # delta: psi'(a+) - psi'(a-) = (2m/hbar^2) * c * psi(a), c the delta coefficient
-        return 2.0 * mass / hbar ** 2 * record.jump * side.value
+        return 1, 2.0 * m / hbar ** 2 * record.jump * side.value
     scale = max(abs(side.right[1]), abs(side.left[1]), 1.0)
     if abs(side.value) > 1e-10 * scale:
-        return 2.0 * mass / hbar ** 2 * record.jump * side.value
+        return record.order + 2, 2.0 * m / hbar ** 2 * record.jump * side.value
     psi_prime = side.right[1]
     if abs(psi_prime) <= 1e-10 * scale:
         raise UnsupportedCase("psi and psi' both vanish at the discontinuity")
-    return (record.order + 1) * 2.0 * mass / hbar ** 2 * record.jump * psi_prime
-
-
-def jump_order(record: DiscontinuityRecord, state: BoundState) -> int:
-    """Derivative order of the jump predicted by ``jump_from_potential``."""
-    if record.is_wall:
-        raise UnsupportedCase("walls have one-sided data only")
-    side = state.table_at(record.location)
-    if record.order == -1:
-        return 1
-    scale = max(abs(side.right[1]), abs(side.left[1]), 1.0)
-    if abs(side.value) > 1e-10 * scale:
-        return record.order + 2
-    return record.order + 3
+    return record.order + 3, (record.order + 1) * 2.0 * m / hbar ** 2 * record.jump * psi_prime
 
 
 def predict_tail(state: BoundState, records: list[DiscontinuityRecord],
-                 n_max: int = DEFAULT_ORDER_CUTOFF, mass: float = 1.0,
-                 hbar: float = 1.0, check_tol: float = 1e-8) -> TailPrediction:
-    """Expansion terms plus the leading exponent, with the two-route cross-check."""
-    terms = expansion_terms(state, records, n_max, hbar)
+                 n_max: int = DEFAULT_ORDER_CUTOFF, mass: float | None = None,
+                 hbar: float | None = None, check_tol: float = 1e-8) -> TailPrediction:
+    """Expansion terms plus the leading exponent, with the two-route cross-check.
+
+    Units are the state's; an explicit ``mass`` or ``hbar`` must equal them.
+    """
+    check_units(state, mass, hbar)
+    terms = expansion_terms(state, records, n_max)
     for rec in records:
         if rec.is_wall:
             continue
-        predicted = jump_from_potential(rec, state, mass, hbar)
-        order = jump_order(rec, state)
+        order, predicted = jump_from_potential(rec, state)
         side = state.table_at(rec.location)
         tabulated = side.right[order] - side.left[order]
         tol = check_tol * max(abs(predicted), abs(tabulated), 1.0)

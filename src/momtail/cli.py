@@ -102,20 +102,6 @@ def _parse_grid_flag(text: str) -> dict:
     return {"kind": "log", "min": float(a), "max": float(b), "per_decade": int(c)}
 
 
-def _p_scale(state: eig.BoundState, spec: pot.PotentialSpec) -> float:
-    """Momentum scale separating structure from tail: sqrt(2m|E - V_floor|)."""
-    floor = 0.0
-    if isinstance(spec, pot.FiniteWell):
-        floor = -spec.depth
-    elif isinstance(spec, pot.StepSum):
-        floor = min(0.0, float(np.min(np.cumsum([h for _, h in spec.steps]))))
-    return math.sqrt(2.0 * spec.mass * abs(state.energy - floor))
-
-
-def _solve_from_config(cfg: RunConfig) -> eig.BoundState:
-    return eig.solve(cfg.spec, cfg.n, cfg.parity)
-
-
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -191,7 +177,7 @@ def solve(config, out, grid, n, parity) -> None:
     """Solve the configured bound state and report energy + derivative table."""
     cfg = _load_config(config, grid, n, parity)
     try:
-        state = _solve_from_config(cfg)
+        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
     except (NoSuchState, NoBoundState, ValueError) as exc:
         click.echo(f"solve error: {exc}", err=True)
         sys.exit(2)
@@ -206,12 +192,12 @@ def transform(config, out, grid, n, parity) -> None:
     """Momentum-space wavefunction on the configured grid, as CSV."""
     cfg = _load_config(config, grid, n, parity)
     try:
-        state = _solve_from_config(cfg)
+        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
     except (NoSuchState, NoBoundState, ValueError) as exc:
         click.echo(f"solve error: {exc}", err=True)
         sys.exit(2)
     try:
-        samples = mom.phi_quadrature(state, cfg.grid(), cfg.spec.hbar)
+        samples = mom.phi_quadrature(state, cfg.grid())
     except QuadratureBudgetExceeded as exc:
         click.echo(f"quadrature error: {exc}", err=True)
         sys.exit(1)
@@ -239,9 +225,8 @@ def predict(config, out, grid, n, parity) -> None:
     """Predicted large-|p| expansion terms for the configured state."""
     cfg = _load_config(config, grid, n, parity)
     try:
-        state = _solve_from_config(cfg)
-        prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec),
-                                      mass=cfg.spec.mass, hbar=cfg.spec.hbar)
+        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
+        prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
     except (NoSuchState, NoBoundState, ValueError) as exc:
         click.echo(f"solve error: {exc}", err=True)
         sys.exit(2)
@@ -257,19 +242,19 @@ def verify(config, out, grid, n, parity) -> None:
     """Quadrature vs prediction: fit the tail and score the envelope; exit 1 on failure."""
     cfg = _load_config(config, grid, n, parity)
     try:
-        state = _solve_from_config(cfg)
-        prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec),
-                                      mass=cfg.spec.mass, hbar=cfg.spec.hbar)
+        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
+        prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
     except (NoSuchState, NoBoundState, ValueError) as exc:
         click.echo(f"solve error: {exc}", err=True)
         sys.exit(2)
 
-    scale = _p_scale(state, cfg.spec)
+    # momentum scale separating structure from tail: sqrt(2m|E - V_floor|)
+    scale = math.sqrt(2.0 * state.mass * abs(state.energy - cfg.spec.v_floor))
     window = (_FIT_LO_MULT * scale, max(_FIT_HI, 20.0 * _FIT_LO_MULT * scale))
     count = max(2, int(math.ceil(math.log10(window[1] / window[0]) * 40)) + 1)
     tail_grid = np.geomspace(window[0], window[1], count)
     try:
-        samples = mom.phi_quadrature(state, tail_grid, cfg.spec.hbar)
+        samples = mom.phi_quadrature(state, tail_grid)
     except QuadratureBudgetExceeded as exc:
         click.echo(f"quadrature error: {exc}", err=True)
         sys.exit(1)

@@ -49,6 +49,8 @@ class BoundState:
     psi: Callable[[np.ndarray], np.ndarray]
     derivative_table: dict[float, SideDerivatives]
     support: tuple[float, float]    # numeric support, |psi| < ~1e-18 outside
+    mass: float                     # the spec's units, which the transform,
+    hbar: float                     # the prediction and the moments read
     breaks: tuple[float, ...] = ()  # kink locations of psi inside the support
     osc_scale: float = math.inf     # shortest oscillation wavelength of psi
 
@@ -57,10 +59,6 @@ class BoundState:
             if abs(a - location) <= tol:
                 return side
         raise KeyError(f"no derivative table near x = {location}")
-
-
-def _powers(base: float, count: int = 6) -> tuple[float, ...]:
-    return tuple(base ** j for j in range(count))
 
 
 def solve_delta(spec: pot.DeltaSum, n: int = 1) -> BoundState:
@@ -86,7 +84,7 @@ def solve_delta(spec: pot.DeltaSum, n: int = 1) -> BoundState:
     )}
     half = _DECAY_CUT / k0
     return BoundState(energy, 1, "even" if a == 0 else "none", psi, table,
-                      support=(a - half, a + half), breaks=(a,))
+                      support=(a - half, a + half), mass=m, hbar=hbar, breaks=(a,))
 
 
 def _pc_propagate(P, Q, beta, w):
@@ -221,7 +219,7 @@ def _solve_piecewise_const(xs, region_v, cusps, n, m, hbar, e_lo, e_hi,
     osc = [2.0 * math.pi / math.sqrt(-b) for b in betas[1:-1] if b < 0]
     return BoundState(energy, n, "none", psi, table,
                       support=(xs[0] - _DECAY_CUT / kap_l, xs[-1] + _DECAY_CUT / kap_r),
-                      breaks=tuple(float(x) for x in xs),
+                      mass=m, hbar=hbar, breaks=tuple(float(x) for x in xs),
                       osc_scale=min(osc) if osc else math.inf)
 
 
@@ -231,10 +229,9 @@ def _solve_delta_chain(spec: pot.DeltaSum, n: int) -> BoundState:
     xs = [a for _, a in spec.deltas]
     g_tot = sum(g for g, _ in spec.deltas)
     e_floor = -m * g_tot ** 2 / (2.0 * hbar ** 2)
-    st = _solve_piecewise_const(xs, [0.0] * (len(xs) + 1),
-                                [-g for g, _ in spec.deltas], n, m, hbar,
-                                e_floor * (1.0 + 1e-9), e_floor * 1e-10)
-    return st
+    return _solve_piecewise_const(xs, [0.0] * (len(xs) + 1),
+                                  [-g for g, _ in spec.deltas], n, m, hbar,
+                                  e_floor * (1.0 + 1e-9), e_floor * 1e-10)
 
 
 def solve_step_sum(spec: pot.StepSum, n: int = 1) -> BoundState:
@@ -251,12 +248,9 @@ def solve_step_sum(spec: pot.StepSum, n: int = 1) -> BoundState:
                                   e_floor + 1e-12 * span, e_cap - 1e-9 * span)
 
 
-def solve_infinite_well(well, n: int) -> BoundState:
+def solve_infinite_well(spec: pot.InfiniteWell, n: int) -> BoundState:
     """Particle in a box on (0, L), n = 1, 2, ..."""
-    if isinstance(well, pot.InfiniteWell):
-        L, m, hbar = well.length, well.mass, well.hbar
-    else:
-        L, m, hbar = float(well), 1.0, 1.0
+    L, m, hbar = spec.length, spec.mass, spec.hbar
     if n < 1:
         raise NoSuchState("n must be >= 1")
     k = n * math.pi / L
@@ -280,7 +274,7 @@ def solve_infinite_well(well, n: int) -> BoundState:
     }
     parity = "even" if n % 2 == 1 else "odd"   # about the well center
     return BoundState(energy, n, parity, psi, table, support=(0.0, L),
-                      breaks=(0.0, L), osc_scale=2.0 * L / n)
+                      mass=m, hbar=hbar, breaks=(0.0, L), osc_scale=2.0 * L / n)
 
 
 def _finite_well_theta(R: float, i: int) -> float:
@@ -351,8 +345,8 @@ def solve_finite_well(spec: pot.FiniteWell, n: int) -> BoundState:
     }
     half = w + _DECAY_CUT / kappa
     return BoundState(energy, n, "even" if even else "odd", psi, table,
-                      support=(c - half, c + half), breaks=(spec.a, spec.b),
-                      osc_scale=2.0 * math.pi / k)
+                      support=(c - half, c + half), mass=m, hbar=hbar,
+                      breaks=(spec.a, spec.b), osc_scale=2.0 * math.pi / k)
 
 
 def _hybrid_coeffs(spec: pot.HybridDeltaStep, energy):
@@ -426,7 +420,7 @@ def solve_hybrid(spec: pot.HybridDeltaStep, n: int = 1) -> BoundState:
     }
     return BoundState(energy, 1, "none", psi, table,
                       support=(-_DECAY_CUT / K, a + _DECAY_CUT / Q),
-                      breaks=(0.0, a))
+                      mass=m, hbar=hbar, breaks=(0.0, a))
 
 
 def _airy_derivs_at_ai_zero(zeta: float) -> tuple[float, ...]:
@@ -441,10 +435,8 @@ def _airy_derivs_at_aip_zero(eta: float) -> tuple[float, ...]:
     return (av, 0.0, -eta * av, av, eta * eta * av, -4.0 * eta * av)
 
 
-def solve_bouncer(spec, n: int) -> BoundState:
+def solve_bouncer(spec: pot.Bouncer, n: int) -> BoundState:
     """n-th bouncer state (n >= 1): shifted Airy function above an infinite floor."""
-    if not isinstance(spec, pot.Bouncer):
-        spec = pot.Bouncer(force=float(spec))
     if n < 1:
         raise NoSuchState("n must be >= 1")
     rho, e0 = spec.rho, spec.energy_scale
@@ -465,14 +457,14 @@ def solve_bouncer(spec, n: int) -> BoundState:
         left=(0.0,) * 6,
         right=tuple(N * derivs[j] / rho ** j for j in range(6)))}
     return BoundState(energy, n, "none", psi, table,
-                      support=(0.0, rho * (zeta + 18.0)), breaks=(0.0,),
-                      osc_scale=2.0 * math.pi * rho / math.sqrt(zeta))
+                      support=(0.0, rho * (zeta + 18.0)), mass=spec.mass, hbar=spec.hbar,
+                      breaks=(0.0,), osc_scale=2.0 * math.pi * rho / math.sqrt(zeta))
 
 
-def solve_symmetric_linear(spec, n: int, parity: str) -> BoundState:
+def solve_symmetric_linear(spec: pot.SymmetricLinear, n: int, parity: str) -> BoundState:
     """n-th even or odd state of V = F|z| (n >= 1 within each parity family)."""
-    if not isinstance(spec, pot.SymmetricLinear):
-        spec = pot.SymmetricLinear(force=float(spec))
+    if parity not in ("even", "odd"):
+        raise ValueError("parity required for the symmetric linear potential")
     if n < 1:
         raise NoSuchState("n must be >= 1")
     rho, e0 = spec.rho, spec.energy_scale
@@ -491,7 +483,7 @@ def solve_symmetric_linear(spec, n: int, parity: str) -> BoundState:
         table = {0.0: SideDerivatives(right[0], left=left, right=right)}
         half = rho * (eta + 18.0)
         lam = 2.0 * math.pi * rho / math.sqrt(eta)
-    elif parity == "odd":
+    else:
         zeta = specfun.airy_zero(n)
         energy = e0 * zeta
         N = 1.0 / (math.sqrt(rho) * specfun.airy_ai_prime(-zeta))
@@ -507,10 +499,8 @@ def solve_symmetric_linear(spec, n: int, parity: str) -> BoundState:
         table = {0.0: SideDerivatives(0.0, left=left, right=right)}
         half = rho * (zeta + 18.0)
         lam = 2.0 * math.pi * rho / math.sqrt(zeta)
-    else:
-        raise ValueError("parity must be 'even' or 'odd'")
-    return BoundState(energy, n, parity, psi, table,
-                      support=(-half, half), breaks=(0.0,), osc_scale=lam)
+    return BoundState(energy, n, parity, psi, table, support=(-half, half),
+                      mass=spec.mass, hbar=spec.hbar, breaks=(0.0,), osc_scale=lam)
 
 
 def _airy_derivs(u: float, a0: float, a1: float) -> tuple[float, ...]:
@@ -540,8 +530,8 @@ def solve_asymmetric_linear(spec: pot.AsymmetricLinear, n: int = 1) -> BoundStat
     if n < 1:
         raise NoSuchState("n must be >= 1")
     m, hbar = spec.mass, spec.hbar
-    rho_r = (hbar ** 2 / (2.0 * m * spec.force_right)) ** (1.0 / 3.0)
-    rho_l = (hbar ** 2 / (2.0 * m * spec.force_left)) ** (1.0 / 3.0)
+    rho_r = pot.airy_length(spec.force_right, m, hbar)
+    rho_l = pot.airy_length(spec.force_left, m, hbar)
     e0_r = spec.force_right * rho_r
     e0_l = spec.force_left * rho_l
 
@@ -614,8 +604,8 @@ def solve_asymmetric_linear(spec: pot.AsymmetricLinear, n: int = 1) -> BoundStat
     half_l = rho_l * (-ul + 18.0)
     osc = 2.0 * math.pi * min(rho_r / math.sqrt(max(-ur, 1e-12)),
                               rho_l / math.sqrt(max(-ul, 1e-12)))
-    return BoundState(energy, n, "none", psi, table,
-                      support=(-half_l, half_r), breaks=(0.0,), osc_scale=osc)
+    return BoundState(energy, n, "none", psi, table, support=(-half_l, half_r),
+                      mass=m, hbar=hbar, breaks=(0.0,), osc_scale=osc)
 
 
 # ---------------------------------------------------------------------------
@@ -649,40 +639,50 @@ def _integrate_inward(spec, energy, x_start, x_end, breakpoints=()):
     return y
 
 
+def _linear_reach(spec: pot.Bouncer | pot.SymmetricLinear, E: float) -> float:
+    """Turning point E/F plus ten (stretched) Airy lengths: psi is negligible beyond."""
+    zt = E / spec.force
+    return zt + 10.0 * spec.rho * max(1.0, zt ** (1 / 6))
+
+
 def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
                     n: int = 1, parity: str | None = None) -> BoundState:
     """Eigenvalue by shooting + bisection on a matching defect; for tests.
 
     The bracket must contain exactly one eigenvalue and the defect must change
-    sign across it.
+    sign across it. Each kind defines its matching defect and the span on
+    which psi is tabulated at the found energy.
     """
     m, hbar = spec.mass, spec.hbar
     e_lo, e_hi = e_bracket
 
     if isinstance(spec, pot.Bouncer):
+        def span(E):
+            return 0.0, _linear_reach(spec, E)
+
         def defect(E):
-            zt = E / spec.force
-            zmax = zt + 10.0 * spec.rho * max(1.0, zt ** (1 / 6))
-            y = _integrate_inward(spec, E, zmax, 0.0)
-            return y[0]
-        x_grid = None
+            return _integrate_inward(spec, E, span(E)[1], 0.0)[0]
     elif isinstance(spec, pot.SymmetricLinear):
         if parity not in ("even", "odd"):
             raise ValueError("parity required for the symmetric linear potential")
         comp = 0 if parity == "odd" else 1    # odd: psi(0)=0; even: psi'(0)=0
 
-        def defect(E):
-            zt = E / spec.force
-            zmax = zt + 10.0 * spec.rho * max(1.0, zt ** (1 / 6))
-            y = _integrate_inward(spec, E, zmax, 0.0)
-            return y[comp]
-    elif isinstance(spec, pot.AsymmetricLinear):
-        rho_r = (hbar ** 2 / (2.0 * m * spec.force_right)) ** (1.0 / 3.0)
-        rho_l = (hbar ** 2 / (2.0 * m * spec.force_left)) ** (1.0 / 3.0)
+        def span(E):
+            zmax = _linear_reach(spec, E)
+            return -zmax, zmax
 
         def defect(E):
-            zr = E / spec.force_right + 10.0 * rho_r
-            zl = -(E / spec.force_left + 10.0 * rho_l)
+            return _integrate_inward(spec, E, span(E)[1], 0.0)[comp]
+    elif isinstance(spec, pot.AsymmetricLinear):
+        rho_r = pot.airy_length(spec.force_right, m, hbar)
+        rho_l = pot.airy_length(spec.force_left, m, hbar)
+
+        def span(E):
+            return (-(E / spec.force_left + 10.0 * rho_l),
+                    E / spec.force_right + 10.0 * rho_r)
+
+        def defect(E):
+            zl, zr = span(E)
             yr = _integrate_inward(spec, E, zr, 0.0)
             yl = _integrate_inward(spec, E, zl, 0.0)
             return yr[1] * yl[0] - yl[1] * yr[0]
@@ -690,17 +690,22 @@ def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
         c = 0.5 * (spec.a + spec.b)
         want_even = n % 2 == 1
 
-        def defect(E):
+        def span(E):
             kappa = math.sqrt(2.0 * m * max(-E, 1e-12)) / hbar
-            xr = spec.b + min(40.0 / kappa, 200.0 * (spec.b - spec.a))
-            y = _integrate_inward(spec, E, xr, c, breakpoints=(spec.b,))
+            pad = min(40.0 / kappa, 200.0 * (spec.b - spec.a))
+            return spec.a - pad, spec.b + pad
+
+        def defect(E):
+            y = _integrate_inward(spec, E, span(E)[1], c, breakpoints=(spec.b,))
             return y[1] if want_even else y[0]
     elif isinstance(spec, pot.HybridDeltaStep):
-        def defect(E):
+        def span(E):
             kappa = math.sqrt(2.0 * m * (-E)) / hbar
             q = math.sqrt(2.0 * m * (-E + spec.step_height)) / hbar
-            xr = spec.a + 40.0 / q
-            xl = -40.0 / kappa
+            return -40.0 / kappa, spec.a + 40.0 / q
+
+        def defect(E):
+            xl, xr = span(E)
             yr = _integrate_inward(spec, E, xr, 0.0, breakpoints=(spec.a,))
             yl = _integrate_inward(spec, E, xl, 0.0)
             cusp = -2.0 * m * spec.g / hbar ** 2
@@ -714,25 +719,7 @@ def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
     energy = brentq(defect, e_lo, e_hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
     # wavefunction on a grid, normalized numerically (for qualitative checks)
-    if isinstance(spec, (pot.Bouncer, pot.SymmetricLinear)):
-        zt = energy / spec.force
-        zmax = zt + 10.0 * spec.rho * max(1.0, zt ** (1 / 6))
-        lo = 0.0 if isinstance(spec, pot.Bouncer) else -zmax
-        xs = np.linspace(lo, zmax, 4001)
-    elif isinstance(spec, pot.AsymmetricLinear):
-        rho_r = (hbar ** 2 / (2.0 * m * spec.force_right)) ** (1.0 / 3.0)
-        rho_l = (hbar ** 2 / (2.0 * m * spec.force_left)) ** (1.0 / 3.0)
-        xs = np.linspace(-(energy / spec.force_left + 10.0 * rho_l),
-                         energy / spec.force_right + 10.0 * rho_r, 4001)
-    elif isinstance(spec, pot.FiniteWell):
-        kappa = math.sqrt(2.0 * m * max(-energy, 1e-12)) / hbar
-        pad = min(40.0 / kappa, 200.0 * (spec.b - spec.a))
-        xs = np.linspace(spec.a - pad, spec.b + pad, 4001)
-    else:
-        kappa = math.sqrt(2.0 * m * (-energy)) / hbar
-        q = math.sqrt(2.0 * m * (-energy + spec.step_height)) / hbar
-        xs = np.linspace(-40.0 / kappa, spec.a + 40.0 / q, 4001)
-
+    xs = np.linspace(*span(energy), 4001)
     coef = 2.0 * m / hbar ** 2
 
     def rhs(x, y):
@@ -750,27 +737,27 @@ def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
         x = np.asarray(x, dtype=float)
         return np.where((x >= lo) & (x <= hi), spline(np.clip(x, lo, hi)), 0.0)
 
-    return BoundState(energy, n, parity or "none", psi, {}, support=(lo, hi))
+    return BoundState(energy, n, parity or "none", psi, {}, support=(lo, hi),
+                      mass=m, hbar=hbar)
+
+
+# spec type -> solver(spec, n, parity); only the symmetric linear potential
+# numbers its states within parity families, the other kinds by n alone
+_SOLVERS = {
+    pot.DeltaSum: lambda spec, n, parity: solve_delta(spec, n),
+    pot.InfiniteWell: lambda spec, n, parity: solve_infinite_well(spec, n),
+    pot.FiniteWell: lambda spec, n, parity: solve_finite_well(spec, n),
+    pot.StepSum: lambda spec, n, parity: solve_step_sum(spec, n),
+    pot.HybridDeltaStep: lambda spec, n, parity: solve_hybrid(spec, n),
+    pot.Bouncer: lambda spec, n, parity: solve_bouncer(spec, n),
+    pot.SymmetricLinear: solve_symmetric_linear,
+    pot.AsymmetricLinear: lambda spec, n, parity: solve_asymmetric_linear(spec, n),
+}
 
 
 def solve(spec: pot.PotentialSpec, n: int = 1, parity: str | None = None) -> BoundState:
     """Dispatch to the closed-form solver for the given potential kind."""
-    if isinstance(spec, pot.DeltaSum):
-        return solve_delta(spec, n)
-    if isinstance(spec, pot.InfiniteWell):
-        return solve_infinite_well(spec, n)
-    if isinstance(spec, pot.FiniteWell):
-        return solve_finite_well(spec, n)
-    if isinstance(spec, pot.StepSum):
-        return solve_step_sum(spec, n)
-    if isinstance(spec, pot.HybridDeltaStep):
-        return solve_hybrid(spec, n)
-    if isinstance(spec, pot.Bouncer):
-        return solve_bouncer(spec, n)
-    if isinstance(spec, pot.SymmetricLinear):
-        if parity not in ("even", "odd"):
-            raise ValueError("parity required for the symmetric linear potential")
-        return solve_symmetric_linear(spec, n, parity)
-    if isinstance(spec, pot.AsymmetricLinear):
-        return solve_asymmetric_linear(spec, n)
-    raise NoSuchState(f"no closed-form solver for potential kind {spec.kind!r}")
+    solver = _SOLVERS.get(type(spec))
+    if solver is None:
+        raise NoSuchState(f"no closed-form solver for potential kind {spec.kind!r}")
+    return solver(spec, n, parity)

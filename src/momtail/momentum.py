@@ -179,9 +179,12 @@ class FilonPanels:
         self.centers = np.asarray(centers)[order]
         self.halfwidths = np.asarray(halfwidths)[order]
         self.coeffs = np.asarray(coeffs)[order]      # (panels, degree+1)
+        self.hbar = state.hbar
 
-    def transform(self, p: np.ndarray, hbar: float = 1.0) -> np.ndarray:
+    def transform(self, p: np.ndarray, hbar: float | None = None) -> np.ndarray:
         """phi(p) for an array of momenta (psi assumed real), shaped like p.
+
+        phi is in the state's hbar; an explicit ``hbar`` must equal it.
 
         A panel with center c and half-width hw contributes
         hw e^{-i|p|c/hbar} sum_k c_k 2(-i)^k j_k(|p| hw/hbar). The Bessel
@@ -191,6 +194,7 @@ class FilonPanels:
         applied to every panel of that width by one matrix product. Blocks
         are fixed in size and order, so equal inputs give equal outputs.
         """
+        pot.check_units(self, hbar=hbar)
         p = np.asarray(p, dtype=float)
         pa, inverse = np.unique(np.abs(p).ravel(), return_inverse=True)
         moments = self.coeffs * _MOMENT_PHASE       # c_k 2(-i)^k
@@ -200,23 +204,26 @@ class FilonPanels:
         for start in range(0, pa.size, _POINT_BLOCK):
             block = slice(start, start + _POINT_BLOCK)
             for hw, members in groups:
-                jn = _bessel_table(pa[block] * hw / hbar)
+                jn = _bessel_table(pa[block] * hw / self.hbar)
                 for first in range(0, members.size, _PANEL_BLOCK):
                     sel = members[first:first + _PANEL_BLOCK]
-                    phase = np.exp(-1j * np.outer(self.centers[sel], pa[block]) / hbar)
+                    phase = np.exp(-1j * np.outer(self.centers[sel], pa[block]) / self.hbar)
                     out[block] += hw * np.sum(phase * (moments[sel] @ jn), axis=0)
-        out /= math.sqrt(2.0 * math.pi * hbar)
+        out /= math.sqrt(2.0 * math.pi * self.hbar)
         out = out[inverse].reshape(p.shape)
         # psi real: phi(-p) = conj(phi(p))
         return np.where(p < 0.0, np.conj(out), out)
 
 
-def phi_quadrature(state: BoundState, grid, hbar: float = 1.0,
+def phi_quadrature(state: BoundState, grid, hbar: float | None = None,
                    panels: FilonPanels | None = None) -> MomentumSamples:
-    """phi on the grid by Filon-Legendre quadrature of the state's psi."""
+    """phi on the grid by Filon-Legendre quadrature of the state's psi, in the
+    state's hbar; an explicit ``hbar`` must equal it."""
+    pot.check_units(state, hbar=hbar)
     if panels is None:
         panels = FilonPanels(state)
-    return _from_complex(grid, panels.transform(np.asarray(grid, float), hbar),
+    # hbar passed explicitly: a wrapped transform may default it otherwise
+    return _from_complex(grid, panels.transform(np.asarray(grid, float), state.hbar),
                          "quadrature")
 
 
@@ -242,19 +249,18 @@ def phi_closed_delta(spec: pot.DeltaSum, state: BoundState, grid) -> MomentumSam
     return _from_complex(p, phi, "closed_form")
 
 
-def phi_closed_well(well, n: int, grid, mass: float = 1.0,
-                    hbar: float = 1.0) -> MomentumSamples:
+def phi_closed_well(spec: pot.InfiniteWell, n: int, grid, mass: float | None = None,
+                    hbar: float | None = None) -> MomentumSamples:
     """Closed-form phi for the box on (0, L).
 
     phi_n(p) = sqrt(hbar/2pi) sqrt(2/L) [(-1)^n e^{-ipL/hbar} - 1]
                * p_n / (p^2 - p_n^2),  p_n = n pi hbar / L.
     The removable singularities at p = +-p_n are filled by a Taylor expansion
-    in the detuning.
+    in the detuning. Units are the spec's; an explicit ``mass`` or ``hbar``
+    must equal them.
     """
-    if isinstance(well, pot.InfiniteWell):
-        L, hbar = well.length, well.hbar
-    else:
-        L = float(well)
+    pot.check_units(spec, mass, hbar)
+    L, hbar = spec.length, spec.hbar
     if n < 1:
         raise NoSuchState("n must be >= 1")
     pn = n * math.pi * hbar / L
@@ -287,7 +293,7 @@ def phi_closed_well(well, n: int, grid, mass: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def moment(phi_fn, k: int, prediction, p_scale: float = 1.0,
-           p_cut: float | None = None, hbar: float = 1.0) -> float:
+           p_cut: float | None = None) -> float:
     """<p^k> = integral p^k |phi(p)|^2 dp for a real-psi state.
 
     ``phi_fn(p_array) -> complex phi`` must be cheap to evaluate in bulk.
@@ -296,6 +302,7 @@ def moment(phi_fn, k: int, prediction, p_scale: float = 1.0,
     remainder of the leading envelope, 2 * A2 / ((2e-k-1) p_cut^(2e-k-1)) with
     A2 the angle-averaged squared envelope. Raises DivergentMoment when
     2e - k <= 1. Odd k vanish by the phi(-p) = conj(phi(p)) symmetry.
+    hbar is the one the prediction's terms carry.
     """
     if k < 0:
         raise ValueError("moment order must be >= 0")
@@ -313,7 +320,7 @@ def moment(phi_fn, k: int, prediction, p_scale: float = 1.0,
     span = (locs[-1] - locs[0]) if len(locs) > 1 else 0.0
     width = 0.5 * p_scale
     if span > 0.0:
-        width = min(width, 0.5 * math.pi * hbar / span)
+        width = min(width, 0.5 * math.pi * prediction.terms[0].hbar / span)
 
     nodes, weights = leggauss(10)
     m_panels = math.ceil(p_cut / width)
@@ -340,25 +347,9 @@ def parseval_norm(samples: MomentumSamples) -> float:
 def classical_momentum_density(spec, n: int, p, parity: str | None = None):
     """Classical momentum distribution: flat on |p| <= Q_n, Q_n = sqrt(2mE_n).
 
-    For the linear potentials E_n = e0 * (n-th Airy or Airy-prime zero); for
-    the box E_n is the level energy. Normalized to unit integral over p.
+    Q_n is the spec's ``classical_q``; kinds without one raise NoSuchState.
+    Normalized to unit integral over p.
     """
-    from . import specfun
-
+    qn = spec.classical_q(n, parity)
     p = np.asarray(p, dtype=float)
-    if isinstance(spec, pot.Bouncer):
-        zeta = specfun.airy_zero(n)
-        qn = (spec.hbar / spec.rho) * math.sqrt(zeta)
-    elif isinstance(spec, pot.SymmetricLinear):
-        if parity == "even":
-            root = specfun.airy_prime_zero(n)
-        elif parity == "odd":
-            root = specfun.airy_zero(n)
-        else:
-            raise ValueError("parity required for the symmetric linear potential")
-        qn = (spec.hbar / spec.rho) * math.sqrt(root)
-    elif isinstance(spec, pot.InfiniteWell):
-        qn = n * math.pi * spec.hbar / spec.length
-    else:
-        raise NoSuchState(f"no classical density for potential kind {spec.kind!r}")
     return np.where(np.abs(p) <= qn, 1.0 / (2.0 * qn), 0.0)

@@ -1,7 +1,8 @@
 """Catalog of 1D potentials with non-smooth structure and their discontinuity ledgers.
 
-Each potential kind is an immutable dataclass. ``discontinuities`` extracts the
-ledger of (location, order, jump) records that drive the momentum-space tail
+Each potential kind is an immutable dataclass that defines its own behaviour:
+its ledger, V(x), floor and classical Q_n (see ``_Kind``). The ledger lists the
+(location, order, jump) records that drive the momentum-space tail
 predictions: order -1 marks a delta singularity or an infinite wall, order 0 a
 finite step, order k >= 1 a kink in the k-th derivative of V.
 
@@ -17,6 +18,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
+
+from . import specfun
+from .errors import NoSuchState
 
 WALL = math.inf
 
@@ -35,12 +41,34 @@ class DiscontinuityRecord:
     is_wall: bool = False
 
 
-@dataclass(frozen=True)
-class DeltaSum:
-    """V(x) = sum_i -g_i * delta(x - a_i), g_i > 0."""
-    deltas: tuple[tuple[float, float], ...]   # (strength g, location a)
+def airy_length(force: float, mass: float, hbar: float) -> float:
+    """Airy length scale (hbar^2 / 2mF)^(1/3) of a linear potential of force F."""
+    return (hbar ** 2 / (2.0 * mass * force)) ** (1.0 / 3.0)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Kind:
+    """What every potential kind carries and defines for itself.
+
+    Its units ``mass`` and ``hbar`` (keyword-only, default 1); ``ledger()``,
+    its discontinuity records sorted by location; ``potential(x)``, V(x) with
+    WALL beyond infinite walls and delta spikes excluded; ``v_floor``, the
+    floor of V in the momentum scale sqrt(2m |E - v_floor|) that separates
+    structure from tail; and ``classical_q(n, parity)``, the edge
+    Q_n = sqrt(2m E_n) of the classical momentum density, where there is one.
+    """
     mass: float = 1.0
     hbar: float = 1.0
+    v_floor = 0.0
+
+    def classical_q(self, n: int, parity: str | None = None) -> float:
+        raise NoSuchState(f"no classical density for potential kind {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class DeltaSum(_Kind):
+    """V(x) = sum_i -g_i * delta(x - a_i), g_i > 0."""
+    deltas: tuple[tuple[float, float], ...]   # (strength g, location a)
     kind = "delta_sum"
 
     def __post_init__(self):
@@ -53,28 +81,40 @@ class DeltaSum:
         if sorted(locs) != locs or len(set(locs)) != len(locs):
             raise ValueError("delta locations must be strictly increasing")
 
+    def ledger(self) -> list[DiscontinuityRecord]:
+        return [DiscontinuityRecord(a, -1, -g) for g, a in self.deltas]
+
+    def potential(self, x: float) -> float:
+        return 0.0
+
 
 @dataclass(frozen=True)
-class InfiniteWell:
+class InfiniteWell(_Kind):
     """Impenetrable box on (0, L)."""
     length: float
-    mass: float = 1.0
-    hbar: float = 1.0
     kind = "infinite_well"
 
     def __post_init__(self):
         if self.length <= 0:
             raise ValueError("well width must be positive")
 
+    def ledger(self) -> list[DiscontinuityRecord]:
+        return [DiscontinuityRecord(0.0, -1, math.nan, is_wall=True),
+                DiscontinuityRecord(self.length, -1, math.nan, is_wall=True)]
+
+    def potential(self, x: float) -> float:
+        return 0.0 if 0.0 <= x <= self.length else WALL
+
+    def classical_q(self, n: int, parity: str | None = None) -> float:
+        return n * math.pi * self.hbar / self.length
+
 
 @dataclass(frozen=True)
-class FiniteWell:
+class FiniteWell(_Kind):
     """V = -V0 on (a, b), zero outside; V0 > 0."""
     depth: float
     a: float
     b: float
-    mass: float = 1.0
-    hbar: float = 1.0
     kind = "finite_well"
 
     def __post_init__(self):
@@ -83,13 +123,22 @@ class FiniteWell:
         if not self.a < self.b:
             raise ValueError("need a < b")
 
+    def ledger(self) -> list[DiscontinuityRecord]:
+        return [DiscontinuityRecord(self.a, 0, -self.depth),
+                DiscontinuityRecord(self.b, 0, +self.depth)]
+
+    def potential(self, x: float) -> float:
+        return -self.depth if self.a < x < self.b else 0.0
+
+    @property
+    def v_floor(self) -> float:
+        return -self.depth
+
 
 @dataclass(frozen=True)
-class StepSum:
+class StepSum(_Kind):
     """Sum of Heaviside steps: V(x) = sum_i h_i * Theta(x - a_i)."""
     steps: tuple[tuple[float, float], ...]    # (location a, height jump h)
-    mass: float = 1.0
-    hbar: float = 1.0
     kind = "step_sum"
 
     def __post_init__(self):
@@ -100,15 +149,23 @@ class StepSum:
         if any(h == 0 for _, h in self.steps):
             raise ValueError("step heights must be nonzero")
 
+    def ledger(self) -> list[DiscontinuityRecord]:
+        return [DiscontinuityRecord(a, 0, h) for a, h in self.steps]
+
+    def potential(self, x: float) -> float:
+        return sum(h for a, h in self.steps if x > a)
+
+    @property
+    def v_floor(self) -> float:
+        return min(0.0, float(np.min(np.cumsum([h for _, h in self.steps]))))
+
 
 @dataclass(frozen=True)
-class HybridDeltaStep:
+class HybridDeltaStep(_Kind):
     """Attractive delta of strength g at x = 0 plus a step of height V0 at x = a > 0."""
     g: float
     step_height: float
     a: float
-    mass: float = 1.0
-    hbar: float = 1.0
     kind = "hybrid_delta_step"
 
     def __post_init__(self):
@@ -117,14 +174,16 @@ class HybridDeltaStep:
         if self.a <= 0:
             raise ValueError("step location must be positive")
 
+    def ledger(self) -> list[DiscontinuityRecord]:
+        return [DiscontinuityRecord(0.0, -1, -self.g),
+                DiscontinuityRecord(self.a, 0, self.step_height)]
 
-@dataclass(frozen=True)
-class Bouncer:
-    """V = F*z for z >= 0, infinite wall at z = 0; F > 0."""
-    force: float
-    mass: float = 1.0
-    hbar: float = 1.0
-    kind = "bouncer"
+    def potential(self, x: float) -> float:
+        return self.step_height if x > self.a else 0.0
+
+
+class _OneForce(_Kind):
+    """A linear potential of a single force F > 0, with its Airy scales."""
 
     def __post_init__(self):
         if self.force <= 0:
@@ -133,7 +192,7 @@ class Bouncer:
     @property
     def rho(self) -> float:
         """Airy length scale (hbar^2 / 2mF)^(1/3)."""
-        return (self.hbar ** 2 / (2.0 * self.mass * self.force)) ** (1.0 / 3.0)
+        return airy_length(self.force, self.mass, self.hbar)
 
     @property
     def energy_scale(self) -> float:
@@ -141,38 +200,60 @@ class Bouncer:
 
 
 @dataclass(frozen=True)
-class SymmetricLinear:
+class Bouncer(_OneForce):
+    """V = F*z for z >= 0, infinite wall at z = 0; F > 0."""
+    force: float
+    kind = "bouncer"
+
+    def ledger(self) -> list[DiscontinuityRecord]:
+        return [DiscontinuityRecord(0.0, -1, math.nan, is_wall=True)]
+
+    def potential(self, x: float) -> float:
+        return self.force * x if x >= 0.0 else WALL
+
+    def classical_q(self, n: int, parity: str | None = None) -> float:
+        return (self.hbar / self.rho) * math.sqrt(specfun.airy_zero(n))
+
+
+@dataclass(frozen=True)
+class SymmetricLinear(_OneForce):
     """V = F*|z|; F > 0."""
     force: float
-    mass: float = 1.0
-    hbar: float = 1.0
     kind = "symmetric_linear"
 
-    def __post_init__(self):
-        if self.force <= 0:
-            raise ValueError("force must be positive")
+    def ledger(self) -> list[DiscontinuityRecord]:
+        # V'' = 2F delta(z): V' jumps by 2F at the origin
+        return [DiscontinuityRecord(0.0, 1, 2.0 * self.force)]
 
-    @property
-    def rho(self) -> float:
-        return (self.hbar ** 2 / (2.0 * self.mass * self.force)) ** (1.0 / 3.0)
+    def potential(self, x: float) -> float:
+        return self.force * abs(x)
 
-    @property
-    def energy_scale(self) -> float:
-        return self.force * self.rho
+    def classical_q(self, n: int, parity: str | None = None) -> float:
+        if parity == "even":
+            root = specfun.airy_prime_zero(n)
+        elif parity == "odd":
+            root = specfun.airy_zero(n)
+        else:
+            raise ValueError("parity required for the symmetric linear potential")
+        return (self.hbar / self.rho) * math.sqrt(root)
 
 
 @dataclass(frozen=True)
-class AsymmetricLinear:
+class AsymmetricLinear(_Kind):
     """V = F*z for z > 0, V = Fbar*|z| for z < 0; both forces positive."""
     force_right: float
     force_left: float
-    mass: float = 1.0
-    hbar: float = 1.0
     kind = "asymmetric_linear"
 
     def __post_init__(self):
         if self.force_right <= 0 or self.force_left <= 0:
             raise ValueError("forces must be positive")
+
+    def ledger(self) -> list[DiscontinuityRecord]:
+        return [DiscontinuityRecord(0.0, 1, self.force_right + self.force_left)]
+
+    def potential(self, x: float) -> float:
+        return self.force_right * x if x >= 0.0 else self.force_left * (-x)
 
 
 PotentialSpec = (DeltaSum | InfiniteWell | FiniteWell | StepSum
@@ -181,51 +262,24 @@ PotentialSpec = (DeltaSum | InfiniteWell | FiniteWell | StepSum
 
 def discontinuities(spec: PotentialSpec) -> list[DiscontinuityRecord]:
     """Complete ledger of discontinuity records, sorted by location."""
-    recs: list[DiscontinuityRecord]
-    if isinstance(spec, DeltaSum):
-        recs = [DiscontinuityRecord(a, -1, -g) for g, a in spec.deltas]
-    elif isinstance(spec, InfiniteWell):
-        recs = [DiscontinuityRecord(0.0, -1, math.nan, is_wall=True),
-                DiscontinuityRecord(spec.length, -1, math.nan, is_wall=True)]
-    elif isinstance(spec, FiniteWell):
-        recs = [DiscontinuityRecord(spec.a, 0, -spec.depth),
-                DiscontinuityRecord(spec.b, 0, +spec.depth)]
-    elif isinstance(spec, StepSum):
-        recs = [DiscontinuityRecord(a, 0, h) for a, h in spec.steps]
-    elif isinstance(spec, HybridDeltaStep):
-        recs = [DiscontinuityRecord(0.0, -1, -spec.g),
-                DiscontinuityRecord(spec.a, 0, spec.step_height)]
-    elif isinstance(spec, Bouncer):
-        recs = [DiscontinuityRecord(0.0, -1, math.nan, is_wall=True)]
-    elif isinstance(spec, SymmetricLinear):
-        # V'' = 2F delta(z): V' jumps by 2F at the origin
-        recs = [DiscontinuityRecord(0.0, 1, 2.0 * spec.force)]
-    elif isinstance(spec, AsymmetricLinear):
-        recs = [DiscontinuityRecord(0.0, 1, spec.force_right + spec.force_left)]
-    else:
-        raise TypeError(f"unknown potential spec {spec!r}")
-    return sorted(recs, key=lambda r: r.location)
+    return spec.ledger()
 
 
 def evaluate(spec: PotentialSpec, x: float) -> float:
     """Pointwise V(x); WALL (inf) beyond infinite walls; delta spikes excluded."""
-    if isinstance(spec, DeltaSum):
-        return 0.0
-    if isinstance(spec, InfiniteWell):
-        return 0.0 if 0.0 <= x <= spec.length else WALL
-    if isinstance(spec, FiniteWell):
-        return -spec.depth if spec.a < x < spec.b else 0.0
-    if isinstance(spec, StepSum):
-        return sum(h for a, h in spec.steps if x > a)
-    if isinstance(spec, HybridDeltaStep):
-        return spec.step_height if x > spec.a else 0.0
-    if isinstance(spec, Bouncer):
-        return spec.force * x if x >= 0.0 else WALL
-    if isinstance(spec, SymmetricLinear):
-        return spec.force * abs(x)
-    if isinstance(spec, AsymmetricLinear):
-        return spec.force_right * x if x >= 0.0 else spec.force_left * (-x)
-    raise TypeError(f"unknown potential spec {spec!r}")
+    return spec.potential(x)
+
+
+def check_units(carrier, mass: float | None = None, hbar: float | None = None) -> None:
+    """Refuse an explicit mass or hbar that differs from the carrier's own.
+
+    ``carrier`` is a spec or a bound state; None means "use the carrier's
+    value", so only a conflicting value raises ValueError.
+    """
+    for name, given in (("mass", mass), ("hbar", hbar)):
+        if given is not None and given != getattr(carrier, name):
+            raise ValueError(f"{name} = {given!r} differs from the carried "
+                             f"{name} = {getattr(carrier, name)!r}")
 
 
 _KINDS = {cls.kind: cls for cls in

@@ -42,13 +42,6 @@ class FitResult:
                 "n_points": self.n_points, "conclusive": self.conclusive}
 
 
-def default_window(p_scale: float, lo_mult: float = 3.0,
-                   hi: float = 1e3) -> tuple[float, float]:
-    """Fitting window clearing the classical crossover: [lo_mult * p_scale, hi]."""
-    lo = lo_mult * p_scale
-    return (lo, max(hi, 10.0 * lo))
-
-
 def _component_values(samples: MomentumSamples, component: str) -> np.ndarray:
     if component == "re":
         return np.abs(samples.phi_re)
@@ -139,8 +132,6 @@ def compare(prediction, samples: MomentumSamples, component: str = "abs",
     else:
         if fit.conclusive:
             exp_dev = fit.exponent - (-prediction.leading_exponent)
-        else:
-            fit, exp_dev = fit, None
     return TailComparison(predicted_exponent=prediction.leading_exponent,
                           max_rel_deviation=dev, window=window,
                           fit=fit, exponent_deviation=exp_dev)

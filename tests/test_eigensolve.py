@@ -109,9 +109,9 @@ def test_infinite_well_energies():
     for n in range(1, 6):
         st = eig.solve(pot.InfiniteWell(length=math.pi), n)
         assert st.energy == pytest.approx(n * n / 2.0, rel=1e-14)
-    st = eig.solve_infinite_well(math.pi, 1)
+    st = eig.solve_infinite_well(pot.InfiniteWell(length=math.pi), 1)
     assert st.table_at(0.0).right[1] == pytest.approx(math.sqrt(2 / math.pi), rel=1e-14)
-    st2 = eig.solve_infinite_well(math.pi, 2)
+    st2 = eig.solve_infinite_well(pot.InfiniteWell(length=math.pi), 2)
     assert st2.table_at(math.pi).left[1] == pytest.approx(
         2 * math.sqrt(2 / math.pi), rel=1e-14)
 

@@ -49,7 +49,7 @@ def test_delta_translation_phase_only():
 
 
 def test_well_closed_form_values():
-    s = mom.phi_closed_well(math.pi, 1, np.array([0.0]))
+    s = mom.phi_closed_well(pot.InfiniteWell(length=math.pi), 1, np.array([0.0]))
     assert abs(s.phi[0]) == pytest.approx(2 / math.pi, rel=1e-14)
 
 
@@ -57,11 +57,11 @@ def test_well_removable_singularity():
     # p = +-p_n and tiny detunings give the analytic limit smoothly
     pn = 3.0
     tiny = pn * np.array([1 - 3e-5, 1 - 1e-5, 1.0, 1 + 1e-5, 1 + 3e-5])
-    s = mom.phi_closed_well(math.pi, 3, np.concatenate([tiny, -tiny]))
+    s = mom.phi_closed_well(pot.InfiniteWell(length=math.pi), 3, np.concatenate([tiny, -tiny]))
     assert np.all(np.isfinite(s.abs_phi2))
     # series branch agrees with the direct formula where both are accurate
     p = pn * (1 + 8e-5)
-    series = mom.phi_closed_well(math.pi, 3, np.array([p])).phi[0]
+    series = mom.phi_closed_well(pot.InfiniteWell(length=math.pi), 3, np.array([p])).phi[0]
     direct = (math.sqrt(1 / (2 * math.pi)) * math.sqrt(2 / math.pi)
               * (-np.exp(-1j * p * math.pi) - 1.0) * pn / (p * p - pn * pn))
     assert abs(series - direct) < 1e-10 * abs(direct)

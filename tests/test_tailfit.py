@@ -39,12 +39,6 @@ def test_subsampling_invariance():
     assert f2.coefficient == pytest.approx(f1.coefficient, rel=1e-9)
 
 
-def test_default_window():
-    assert tailfit.default_window(2.0) == (6.0, 1e3)
-    lo, hi = tailfit.default_window(50.0)
-    assert lo == 150.0 and hi == 1500.0
-
-
 def test_delta_tail_fit():
     spec = pot.DeltaSum(deltas=((1.0, 0.0),))
     st = eig.solve(spec)
