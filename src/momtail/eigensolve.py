@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
@@ -62,9 +61,9 @@ class BoundState:
 
 
 def solve_delta(spec: pot.DeltaSum, n: int = 1) -> BoundState:
-    """Bound state of a delta sum: closed form for one delta, matching for more."""
+    """Bound state of a delta sum: closed form for one delta, ``solve_piecewise`` for more."""
     if len(spec.deltas) != 1:
-        return _solve_delta_chain(spec, n)
+        return solve_piecewise(spec, n)
     if n != 1:
         raise NoSuchState("a single attractive delta holds exactly one bound state")
     g, a = spec.deltas[0]
@@ -87,165 +86,209 @@ def solve_delta(spec: pot.DeltaSum, n: int = 1) -> BoundState:
                       support=(a - half, a + half), mass=m, hbar=hbar, breaks=(a,))
 
 
-def _pc_propagate(P, Q, beta, w):
-    """Advance (psi, psi') by width w through a region where psi'' = beta * psi.
+def _advance(P: float, Q: float, beta: float, w: float):
+    """Carry (psi, psi') across width w of psi'' = beta psi.
 
-    P, Q and beta may be scalars or arrays over energy. With r = sqrt|beta|,
-    (P, Q) -> (P c + Q s/r, P beta s/r + Q c), where (c, s) is (cosh, sinh)
-    of r w for beta > 0 and (cos, sin) of r w for beta < 0; s/r = w at r = 0.
+    Returns the new (psi, psi') divided by a positive factor, the log of that
+    factor, and the number of zeros of psi in (0, w]. Where beta = r^2 > 0,
+    the growing and decaying parts (P +- Q/r)/2 are advanced apart, because
+    their sum through tanh(r w) would round a far level's e^(-2 r w) away,
+    and the factor is e^(r w) or e^(-r w), whichever part leads at the far
+    end. w may be infinite, for the zeros of the last region.
     """
-    beta = np.asarray(beta, dtype=float)
-    grows = beta > 0.0
-    r = np.sqrt(np.abs(beta))
-    x = r * w
-    xg = np.where(grows, x, 0.0)        # keeps cosh/sinh finite where unused
-    c = np.where(grows, np.cosh(xg), np.cos(x))
-    s = np.where(grows, np.sinh(xg), np.sin(x))
-    s_r = np.where(r > 0.0, s / np.maximum(r, 1e-300), w)
-    return P * c + Q * s_r, P * beta * s_r + Q * c
-
-
-def _pc_eval(P: float, Q: float, beta: float, w):
-    """Vectorized psi over offsets w inside a constant-beta region."""
-    w = np.asarray(w, dtype=float)
-    if abs(beta) < 1e-300:
-        return P + Q * w
-    if beta > 0:
+    if beta > 0.0:
         r = math.sqrt(beta)
-        return P * np.cosh(r * w) + Q * np.sinh(r * w) / r
-    k = math.sqrt(-beta)
-    return P * np.cos(k * w) + Q * np.sin(k * w) / k
+        up, down = 0.5 * (P + Q / r), 0.5 * (P - Q / r)
+        t = math.exp(-2.0 * r * w)
+        zeros = up * down < 0.0 and abs(down) > abs(up) >= abs(down) * t
+        if abs(up) > abs(down) * t:
+            return up + down * t, r * (up - down * t), r * w, int(zeros)
+        lead = up / t if up else 0.0        # t > 0 here unless up = 0
+        return lead + down, r * (lead - down), -r * w, int(zeros)
+    if beta < 0.0:
+        k = math.sqrt(-beta)
+        phase = math.atan2(k * P, Q)        # psi = R sin(k s + phase)
+        zeros = math.floor((k * w + phase) / math.pi) - math.floor(phase / math.pi)
+        c, s = math.cos(k * w), math.sin(k * w)
+        return P * c + Q * s / k, Q * c - P * k * s, 0.0, zeros
+    return P + Q * w, Q, 0.0, int(Q != 0.0 and 0.0 < -P / Q <= w)
 
 
-def _pc_defect(xs, region_v, cusps, E, m, hbar):
-    """Decay-matching defect at the last boundary for a piecewise-constant V.
+def _sweep(xs, vs, cusps, energy: float, coef: float):
+    """March the solution that decays at -infinity from left to right.
 
-    E may be a scalar or an array of energies; the defect has its shape.
-    Starts on the left decaying branch; (psi, psi') are renormalized after each
-    region so the defect sign is preserved without overflow.
+    Returns the number of its zeros, which by the Sturm oscillation theorem
+    is the number of levels below ``energy``; the matching defect
+    psi'(a+) + kappa psi(a) at the last boundary, which vanishes at a level
+    and has the sign (-1)^zeros; and (psi, psi'(a-), psi'(a+), log scale) at
+    each boundary a, with psi rescaled at each boundary.
     """
-    E = np.asarray(E, dtype=float)
-    coef = 2.0 * m / hbar ** 2
-    kap_l = np.sqrt(coef * (region_v[0] - E))
-    kap_r = np.sqrt(coef * (region_v[-1] - E))
-    P, Q = np.ones_like(E), kap_l
-    for i in range(len(xs) - 1):
+    P, Q = 1.0, math.sqrt(coef * (vs[0] - energy))
+    log_scale, zeros, rows = 0.0, 0, []
+    for i, x in enumerate(xs):
         Qp = Q + coef * cusps[i] * P
-        P, Q = _pc_propagate(P, Qp, coef * (region_v[i + 1] - E), xs[i + 1] - xs[i])
-        s = np.maximum(np.maximum(np.abs(P), np.abs(Q)), 1e-280)
-        P, Q = P / s, Q / s
-    return Q + coef * cusps[-1] * P + kap_r * P
+        rows.append((P, Q, Qp, log_scale))
+        if i + 1 == len(xs):
+            break
+        P, Q, growth, z = _advance(P, Qp, coef * (vs[i + 1] - energy), xs[i + 1] - x)
+        s = max(abs(P), abs(Q))
+        P, Q, log_scale, zeros = P / s, Q / s, log_scale + growth + math.log(s), zeros + z
+    zeros += _advance(P, Qp, coef * (vs[-1] - energy), math.inf)[3]
+    return zeros, Qp + math.sqrt(coef * (vs[-1] - energy)) * P, rows
 
 
-def _solve_piecewise_const(xs, region_v, cusps, n, m, hbar, e_lo, e_hi,
-                           n_scan: int = 4001) -> BoundState:
-    """Generic bound-state solver for piecewise-constant V with delta cusps.
+def _sin_cubic(y: float) -> float:
+    """(y - sin y) / y^3, by its Taylor series below y = 1, where the difference cancels."""
+    if y >= 1.0:
+        return (y - math.sin(y)) / y ** 3
+    return sum((-y * y) ** j / math.factorial(2 * j + 3) for j in range(8))
 
-    ``xs`` are the boundary locations, ``region_v`` the M+1 region potentials,
-    ``cusps`` the delta coefficients at each boundary (0 for a plain step).
-    States are indexed n = 1, 2, ... in order of increasing energy.
+
+def solve_piecewise(spec: pot.DeltaSum | pot.StepSum | pot.HybridDeltaStep,
+                    n: int = 1) -> BoundState:
+    """n-th level of a piecewise-constant V with attractive delta cusps.
+
+    ``spec.pieces()`` gives the boundaries, the region potentials and the
+    delta coefficients (-g). Levels lie between the asymptote
+    min(V_left, V_right) and min(V) - m (sum g)^2 / 2 hbar^2. Bisecting the
+    Sturm count of ``_sweep`` isolates level n, and ``brentq`` finds the root
+    of its defect.
     """
+    xs, vs, cusps = spec.pieces()
+    m, hbar = spec.mass, spec.hbar
+    coef = 2.0 * m / hbar ** 2
+    top = min(vs[0], vs[-1])
+    bottom = min(vs) - m * sum(cusps) ** 2 / (2.0 * hbar ** 2)
     if n < 1:
         raise NoSuchState("n must be >= 1")
-    if not e_lo < e_hi:
+    if not bottom < top:
         raise NoSuchState("no admissible bound-state energy window")
+    levels = _sweep(xs, vs, cusps, top, coef)[0]
+    if levels == 0:
+        raise NoBoundState("no level below the asymptote")
+    if levels < n:
+        raise NoSuchState(f"holds only {levels} bound states, needed {n}")
+    lo, hi, below_lo, below_hi = bottom, top, 0, levels
+    while (below_lo, below_hi) != (n - 1, n) and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        below = _sweep(xs, vs, cusps, mid, coef)[0]
+        if below >= n:
+            hi, below_hi = mid, below
+        else:
+            lo, below_lo = mid, below
+
+    def defect(E):
+        return _sweep(xs, vs, cusps, E, coef)[1]
+
+    d_lo, d_hi = defect(lo), defect(hi)
+    if d_lo * d_hi > 0.0:
+        # the count and the defect's sign disagree only within rounding of a
+        # level, or where level n shares its float with a neighbour
+        energy = lo if abs(d_lo) < abs(d_hi) else hi
+    else:
+        # brentq stops at rtol relative to E, which a chain resolves (its V - E
+        # is -E exactly); xtol, far below the depth, only ends a search at E = 0
+        energy = brentq(defect, lo, hi, xtol=1e-30 * (top - bottom), rtol=8.9e-16,
+                        maxiter=200)
+    return _piecewise_state(spec, n, energy)
+
+
+def _piecewise_state(spec, n: int, energy: float) -> BoundState:
+    """The normalised state of ``solve_piecewise`` at its level ``energy``.
+
+    psi is built from both ends: the solutions that decay at -infinity and at
+    +infinity are joined at the boundary where their product, which near a
+    level is proportional to psi^2 (the diagonal of the Green's function), is
+    largest, so the rounding of the energy leaves the smallest kink. In a
+    region with E < V, psi = D e^(-r(x - a)) + U e^(r(x - b)), so neither term
+    exceeds the region's scale; with E >= V, psi = A cos(k(x - a)) +
+    B sin(k(x - a))/k. Each region is normalised in closed form.
+    """
+    xs, vs, cusps = spec.pieces()
+    m, hbar = spec.mass, spec.hbar
     coef = 2.0 * m / hbar ** 2
-    grid = np.linspace(e_lo, e_hi, n_scan)
-    vals = _pc_defect(xs, region_v, cusps, grid, m, hbar)
-    cells = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
-    if cells.size < n:
-        raise NoSuchState(f"found only {cells.size} bound states, needed {n}")
-    i = cells[n - 1]
-    energy = brentq(lambda E: _pc_defect(xs, region_v, cusps, E, m, hbar),
-                    grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    left = _sweep(xs, vs, cusps, energy, coef)[2]
+    mirrored = _sweep([-x for x in xs[::-1]], vs[::-1], cusps[::-1], energy, coef)[2]
+    right = [(P, -Qp, -Qm, log_scale) for P, Qm, Qp, log_scale in mirrored[::-1]]
 
-    kap_l = math.sqrt(coef * (region_v[0] - energy))
-    kap_r = math.sqrt(coef * (region_v[-1] - energy))
-    betas = [coef * (v - energy) for v in region_v]
-    # unnormalized (psi, psi'-, psi'+) at each boundary
-    profile = []
-    P, Q = 1.0, kap_l
-    for i, x in enumerate(xs):
-        Qp = Q + coef * cusps[i] * P
-        profile.append((P, Q, Qp))
-        if i < len(xs) - 1:
-            P, Q = map(float, _pc_propagate(P, Qp, betas[i + 1], xs[i + 1] - x))
+    def weight(i):
+        """log |psi_L psi_R| at boundary i, which near a level is log psi^2 + const."""
+        product = left[i][0] * right[i][0]
+        return math.log(abs(product)) + left[i][3] + right[i][3] if product else -math.inf
 
-    # normalization: analytic outer tails plus Gauss panels over inner regions
-    nodes, weights = leggauss(24)
+    j = max(range(len(xs)), key=weight)
 
-    def raw_psi(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        left = x <= xs[0]
-        out[left] = profile[0][0] * np.exp(kap_l * (x[left] - xs[0]))
-        right = x >= xs[-1]
-        out[right] = profile[-1][0] * np.exp(-kap_r * (x[right] - xs[-1]))
-        for i in range(len(xs) - 1):
-            seg = (x > xs[i]) & (x <= xs[i + 1])
-            if np.any(seg):
-                out[seg] = _pc_eval(profile[i][0], profile[i][2], betas[i + 1],
-                                    x[seg] - xs[i])
-        return out
+    def at_joint(side, i):
+        """(psi, psi'(a-), psi'(a+)) of side[i], scaled to psi = 1 at the joint."""
+        factor = math.exp(side[i][3] - side[j][3]) / side[j][0]
+        return [factor * v for v in side[i][:3]]
 
-    norm2 = (profile[0][0] ** 2 / (2.0 * kap_l)
-             + profile[-1][0] ** 2 / (2.0 * kap_r))
-    for i in range(len(xs) - 1):
-        width = xs[i + 1] - xs[i]
-        lam = 2.0 * math.pi / math.sqrt(-betas[i + 1]) if betas[i + 1] < 0 else width
-        panels = max(1, math.ceil(width / (0.25 * lam)))
-        edges = np.linspace(xs[i], xs[i + 1], panels + 1)
-        c = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        hw = 0.5 * (edges[1] - edges[0])
-        pts = (c + hw * nodes[None, :]).ravel()
-        v2 = raw_psi(pts).reshape(panels, -1) ** 2
-        norm2 += float(np.sum(hw * (v2 @ weights)))
-    scale = 1.0 / math.sqrt(norm2)
+    rows = [at_joint(left, i) for i in range(j)] + [at_joint(right, i) for i in range(j, len(xs))]
+    rows[j][1] = left[j][1] / left[j][0]
+    P, Qm, Qp = zip(*rows)
+
+    betas = [coef * (v - energy) for v in vs]
+    kap_l, kap_r = math.sqrt(betas[0]), math.sqrt(betas[-1])
+    # (a, b, beta, first, second): psi = first e^(-r(x - a)) + second e^(r(x - b))
+    # where beta = r^2 > 0, else first cos(k(x - a)) + second sin(k(x - a))/k
+    regions = [(-math.inf, xs[0], betas[0], 0.0, P[0])]
+    norm2 = P[0] ** 2 / (2.0 * kap_l) + P[-1] ** 2 / (2.0 * kap_r)
+    for i in range(1, len(xs)):
+        a, b, beta = xs[i - 1], xs[i], betas[i]
+        w = b - a
+        if beta > 0.0:
+            r = math.sqrt(beta)
+            D, U = 0.5 * (P[i - 1] - Qp[i - 1] / r), 0.5 * (P[i] + Qm[i] / r)
+            norm2 += ((D * D + U * U) * -math.expm1(-2.0 * r * w) / (2.0 * r)
+                      + 2.0 * D * U * w * math.exp(-r * w))
+            regions.append((a, b, beta, D, U))
+        else:
+            k = math.sqrt(-beta)
+            A, B = P[i - 1], Qp[i - 1]
+            S = math.sin(k * w) / k if k else w
+            norm2 += (A * A * (w + S * math.cos(k * w)) / 2.0 + A * B * S * S
+                      + B * B * 2.0 * w ** 3 * _sin_cubic(2.0 * k * w))
+            regions.append((a, b, beta, A, B))
+    regions.append((xs[-1], math.inf, betas[-1], P[-1], 0.0))
+    scale = math.copysign(1.0 / math.sqrt(norm2), left[j][0])   # psi > 0 as x -> -inf
+    regions = [(a, b, beta, scale * c1, scale * c2) for a, b, beta, c1, c2 in regions]
+    edges = np.array(xs)
+
+    def piece(i, x):
+        a, b, beta, c1, c2 = regions[i]
+        s = x - a
+        if beta > 0.0:
+            r = math.sqrt(beta)
+            return c1 * np.exp(-r * s) + c2 * np.exp(r * (x - b))
+        k = math.sqrt(-beta)
+        return c1 * np.cos(k * s) + c2 * s * np.sinc(k * s / math.pi)
 
     def psi(x):
-        return scale * raw_psi(x)
+        x = np.asarray(x, dtype=float)
+        region = np.searchsorted(edges, x)
+        first, last = (region.min(), region.max()) if x.size else (0, 0)
+        if first == last:
+            return piece(first, x)
+        out = np.empty(x.shape)
+        for i in range(first, last + 1):
+            sel = region == i
+            out[sel] = piece(i, x[sel])
+        return out
 
     table = {}
-    for i, x in enumerate(xs):
-        P, Qm, Qp = (scale * v for v in profile[i])
-        beta_l, beta_r = betas[i], betas[i + 1]
-        left = [P, Qm]
-        right = [P, Qp]
-        for j in range(4):
-            left.append(beta_l * left[j])
-            right.append(beta_r * right[j])
-        table[float(x)] = SideDerivatives(P, left=tuple(left), right=tuple(right))
+    for i, row in enumerate(rows):
+        value, slope_l, slope_r = (scale * v for v in row)
+        left_d, right_d = [value, slope_l], [value, slope_r]
+        for d in range(4):
+            left_d.append(betas[i] * left_d[d])
+            right_d.append(betas[i + 1] * right_d[d])
+        table[float(xs[i])] = SideDerivatives(value, left=tuple(left_d), right=tuple(right_d))
 
     osc = [2.0 * math.pi / math.sqrt(-b) for b in betas[1:-1] if b < 0]
     return BoundState(energy, n, "none", psi, table,
                       support=(xs[0] - _DECAY_CUT / kap_l, xs[-1] + _DECAY_CUT / kap_r),
                       mass=m, hbar=hbar, breaks=tuple(float(x) for x in xs),
                       osc_scale=min(osc) if osc else math.inf)
-
-
-def _solve_delta_chain(spec: pot.DeltaSum, n: int) -> BoundState:
-    """n-th bound state of several attractive deltas on a free line."""
-    m, hbar = spec.mass, spec.hbar
-    xs = [a for _, a in spec.deltas]
-    g_tot = sum(g for g, _ in spec.deltas)
-    e_floor = -m * g_tot ** 2 / (2.0 * hbar ** 2)
-    return _solve_piecewise_const(xs, [0.0] * (len(xs) + 1),
-                                  [-g for g, _ in spec.deltas], n, m, hbar,
-                                  e_floor * (1.0 + 1e-9), e_floor * 1e-10)
-
-
-def solve_step_sum(spec: pot.StepSum, n: int = 1) -> BoundState:
-    """n-th bound state of a sum of Heaviside steps (must form a well)."""
-    m, hbar = spec.mass, spec.hbar
-    xs = [a for a, _ in spec.steps]
-    region_v = [0.0] + list(np.cumsum([h for _, h in spec.steps]))
-    e_cap = min(region_v[0], region_v[-1])
-    e_floor = min(region_v)
-    if e_floor >= e_cap:
-        raise NoSuchState("step configuration has no well below its asymptotes")
-    span = e_cap - e_floor
-    return _solve_piecewise_const(xs, region_v, [0.0] * len(xs), n, m, hbar,
-                                  e_floor + 1e-12 * span, e_cap - 1e-9 * span)
 
 
 def solve_infinite_well(spec: pot.InfiniteWell, n: int) -> BoundState:
@@ -347,80 +390,6 @@ def solve_finite_well(spec: pot.FiniteWell, n: int) -> BoundState:
     return BoundState(energy, n, "even" if even else "odd", psi, table,
                       support=(c - half, c + half), mass=m, hbar=hbar,
                       breaks=(spec.a, spec.b), osc_scale=2.0 * math.pi / k)
-
-
-def _hybrid_coeffs(spec: pot.HybridDeltaStep, energy):
-    """Decay rates and coefficients at a scalar energy or an array of them."""
-    m, hbar = spec.mass, spec.hbar
-    K = np.sqrt(-2.0 * m * energy) / hbar
-    Q = np.sqrt(2.0 * m * (-energy + spec.step_height)) / hbar
-    A = 1.0
-    Bc = m * spec.g / (hbar ** 2 * K)
-    Cc = 1.0 - Bc
-    return K, Q, A, Bc, Cc
-
-
-def solve_hybrid(spec: pot.HybridDeltaStep, n: int = 1) -> BoundState:
-    """Bound state of delta at 0 plus step at a, by root of the matching defect.
-
-    E lies below V everywhere except at the single delta, so there is at most
-    one bound state: any n other than 1 raises NoSuchState.
-    """
-    if n != 1:
-        raise NoSuchState("a delta plus a step holds at most one bound state")
-    m, hbar, a, V0 = spec.mass, spec.hbar, spec.a, spec.step_height
-    e_delta = -m * spec.g ** 2 / (2.0 * hbar ** 2)
-    e_max = min(0.0, V0)
-    e_min = e_delta + min(0.0, V0)
-    scale = max(abs(e_min), abs(e_delta))
-    e_max -= 1e-12 * scale
-    e_min -= 0.1 * scale
-
-    def defect(E):
-        """Matching defect at x = a; E may be a scalar or an array."""
-        K, Q, A, Bc, Cc = _hybrid_coeffs(spec, np.asarray(E, dtype=float))
-        lo, hi = Bc * np.exp(-K * a), Cc * np.exp(K * a)
-        return (K * hi - K * lo) + Q * (lo + hi)
-
-    grid = np.linspace(e_min, e_max, 600)
-    vals = defect(grid)
-    cells = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
-    if cells.size == 0:
-        raise NoBoundState("no root of the matching defect in the admissible window")
-    i = cells[0]
-    # |e_max| is the smallest |E| in the window, so the tolerance is relative
-    energy = brentq(defect, grid[i], grid[i + 1], xtol=8.9e-16 * abs(e_max),
-                    rtol=8.9e-16, maxiter=200)
-
-    K, Q, A, Bc, Cc = _hybrid_coeffs(spec, energy)
-    D = (Bc * math.exp(-K * a) + Cc * math.exp(K * a)) * math.exp(Q * a)
-    norm2 = (A * A / (2 * K)
-             + Bc * Bc * (1 - math.exp(-2 * K * a)) / (2 * K)
-             + 2 * Bc * Cc * a
-             + Cc * Cc * (math.exp(2 * K * a) - 1) / (2 * K)
-             + D * D * math.exp(-2 * Q * a) / (2 * Q))
-    s = 1.0 / math.sqrt(norm2)
-    A, Bc, Cc, D = A * s, Bc * s, Cc * s, D * s
-
-    def psi(x):
-        x = np.asarray(x, dtype=float)
-        left = A * np.exp(K * np.minimum(x, 0.0))
-        mid = Bc * np.exp(-K * x) + Cc * np.exp(K * np.minimum(x, a))
-        right = D * np.exp(-Q * np.maximum(x, a))
-        return np.where(x < 0.0, left, np.where(x <= a, mid, right))
-
-    table = {
-        0.0: SideDerivatives(A,
-            left=tuple(A * K ** j for j in range(6)),
-            right=tuple(Bc * (-K) ** j + Cc * K ** j for j in range(6))),
-        a: SideDerivatives(D * math.exp(-Q * a),
-            left=tuple((Bc * (-K) ** j * math.exp(-K * a)
-                        + Cc * K ** j * math.exp(K * a)) for j in range(6)),
-            right=tuple(D * (-Q) ** j * math.exp(-Q * a) for j in range(6))),
-    }
-    return BoundState(energy, 1, "none", psi, table,
-                      support=(-_DECAY_CUT / K, a + _DECAY_CUT / Q),
-                      mass=m, hbar=hbar, breaks=(0.0, a))
 
 
 def _airy_derivs_at_ai_zero(zeta: float) -> tuple[float, ...]:
@@ -747,8 +716,8 @@ _SOLVERS = {
     pot.DeltaSum: lambda spec, n, parity: solve_delta(spec, n),
     pot.InfiniteWell: lambda spec, n, parity: solve_infinite_well(spec, n),
     pot.FiniteWell: lambda spec, n, parity: solve_finite_well(spec, n),
-    pot.StepSum: lambda spec, n, parity: solve_step_sum(spec, n),
-    pot.HybridDeltaStep: lambda spec, n, parity: solve_hybrid(spec, n),
+    pot.StepSum: lambda spec, n, parity: solve_piecewise(spec, n),
+    pot.HybridDeltaStep: lambda spec, n, parity: solve_piecewise(spec, n),
     pot.Bouncer: lambda spec, n, parity: solve_bouncer(spec, n),
     pot.SymmetricLinear: solve_symmetric_linear,
     pot.AsymmetricLinear: lambda spec, n, parity: solve_asymmetric_linear(spec, n),

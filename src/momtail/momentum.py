@@ -38,6 +38,7 @@ _NODES = 48           # Gauss-Legendre nodes per panel
 _DEGREE = 34          # highest Legendre coefficient kept per panel
 _TAIL_COEFFS = 5      # trailing coefficients used for the resolution check
 _MAX_PANELS = 4096
+_REL_TOL = 1e-12      # resolved: trailing coefficients below this share of the scale
 _BASE_PANELS = 84     # base panel width: max(1, support length / _BASE_PANELS)
 _PANEL_BLOCK = 32     # panels per block of the transform
 _POINT_BLOCK = 1024   # distinct |p| per block of the transform
@@ -126,15 +127,14 @@ class FilonPanels:
     at most max(1, support length / 84) wide and at most half the state's
     shortest oscillation wavelength, so the panel count does not grow with
     the decay length. A panel is accepted when the trailing Legendre
-    coefficients have decayed below ``rel_tol`` of the global scale,
+    coefficients have decayed below 1e-12 of the global scale,
     otherwise it is bisected into two panels of exactly half its half-width;
     panels never outnumber the budget. So a state's panels come in a few
     groups of equal half-width, and the transform shares one table of
     oscillatory moments across each group.
     """
 
-    def __init__(self, state: BoundState, rel_tol: float = 1e-12,
-                 max_panels: int = _MAX_PANELS):
+    def __init__(self, state: BoundState):
         nodes, weights = leggauss(_NODES)
         vander = legvander(nodes, _DEGREE)          # (nodes, degree+1)
         # c_k = (2k+1)/2 * sum_i w_i P_k(t_i) psi_i
@@ -159,16 +159,16 @@ class FilonPanels:
         centers, halfwidths, coeffs = [], [], []
         scale = 0.0
         while pending:
-            if len(centers) + len(pending) > max_panels:
+            if len(centers) + len(pending) > _MAX_PANELS:
                 raise QuadratureBudgetExceeded(
-                    f"needed more than {max_panels} panels to resolve psi")
+                    f"needed more than {_MAX_PANELS} panels to resolve psi")
             c, hw = pending.pop()
             vals = state.psi(c + hw * nodes)
             ck = proj @ vals
             peak = np.max(np.abs(ck))
             scale = max(scale, peak)
             tail = np.max(np.abs(ck[-_TAIL_COEFFS:]))
-            if tail > rel_tol * max(scale, 1e-300) and hw > 1e-12:
+            if tail > _REL_TOL * max(scale, 1e-300) and hw > 1e-12:
                 pending.append((c - 0.5 * hw, 0.5 * hw))
                 pending.append((c + 0.5 * hw, 0.5 * hw))
                 continue
@@ -215,16 +215,13 @@ class FilonPanels:
         return np.where(p < 0.0, np.conj(out), out)
 
 
-def phi_quadrature(state: BoundState, grid, hbar: float | None = None,
-                   panels: FilonPanels | None = None) -> MomentumSamples:
+def phi_quadrature(state: BoundState, grid, hbar: float | None = None) -> MomentumSamples:
     """phi on the grid by Filon-Legendre quadrature of the state's psi, in the
     state's hbar; an explicit ``hbar`` must equal it."""
     pot.check_units(state, hbar=hbar)
-    if panels is None:
-        panels = FilonPanels(state)
     # hbar passed explicitly: a wrapped transform may default it otherwise
-    return _from_complex(grid, panels.transform(np.asarray(grid, float), state.hbar),
-                         "quadrature")
+    phi = FilonPanels(state).transform(np.asarray(grid, float), state.hbar)
+    return _from_complex(grid, phi, "quadrature")
 
 
 # ---------------------------------------------------------------------------

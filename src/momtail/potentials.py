@@ -18,8 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
+from itertools import accumulate
 
 from . import specfun
 from .errors import NoSuchState
@@ -86,6 +85,12 @@ class DeltaSum(_Kind):
 
     def potential(self, x: float) -> float:
         return 0.0
+
+    def pieces(self) -> tuple[list[float], list[float], list[float]]:
+        """(boundaries, the potentials of the regions between them, the
+        delta coefficient at each boundary): V is constant between deltas."""
+        return ([a for _, a in self.deltas], [0.0] * (len(self.deltas) + 1),
+                [-g for g, _ in self.deltas])
 
 
 @dataclass(frozen=True)
@@ -155,9 +160,15 @@ class StepSum(_Kind):
     def potential(self, x: float) -> float:
         return sum(h for a, h in self.steps if x > a)
 
+    def pieces(self) -> tuple[list[float], list[float], list[float]]:
+        """(boundaries, region potentials, delta coefficients), as for DeltaSum."""
+        return ([a for a, _ in self.steps],
+                list(accumulate((h for _, h in self.steps), initial=0.0)),
+                [0.0] * len(self.steps))
+
     @property
     def v_floor(self) -> float:
-        return min(0.0, float(np.min(np.cumsum([h for _, h in self.steps]))))
+        return min(self.pieces()[1])
 
 
 @dataclass(frozen=True)
@@ -180,6 +191,10 @@ class HybridDeltaStep(_Kind):
 
     def potential(self, x: float) -> float:
         return self.step_height if x > self.a else 0.0
+
+    def pieces(self) -> tuple[list[float], list[float], list[float]]:
+        """(boundaries, region potentials, delta coefficients), as for DeltaSum."""
+        return [0.0, self.a], [0.0, 0.0, self.step_height], [-self.g, 0.0]
 
 
 class _OneForce(_Kind):

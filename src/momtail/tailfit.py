@@ -91,8 +91,8 @@ class TailComparison:
     predicted_exponent: int
     max_rel_deviation: float
     window: tuple[float, float]
-    fit: FitResult | None        # None when the fit was inconclusive
-    exponent_deviation: float | None
+    fit: FitResult | None        # None when no power law fits; kept when inconclusive
+    exponent_deviation: float | None    # None unless the fit is conclusive
 
     def to_dict(self) -> dict:
         return {"predicted_exponent": self.predicted_exponent,

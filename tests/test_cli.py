@@ -72,18 +72,27 @@ def test_norm_check_of_wide_state(runner, tmp_path, potential):
     assert abs(report["norm_check"] - 1.0) < 1e-10
 
 
+DELTA_PAIR_GAP_12 = {"kind": "delta_sum", "deltas": [[1.0, 0.0], [1.0, 12.0]]}
+FIVE_DELTA_CHAIN = {"kind": "delta_sum", "deltas": [[1.1, 0.0], [0.9, 3.0], [1.2, 7.5],
+                                                    [1.0, 10.0], [0.85, 22.0]]}
 WIDE_STATES = [
-    {"kind": "delta_sum", "deltas": [[0.01, 0.0]]},
-    {"kind": "delta_sum", "deltas": [[1.0, 0.0]], "hbar": 10.0},
-    {"kind": "finite_well", "depth": 0.01, "a": -1.0, "b": 1.0},
+    ({"kind": "delta_sum", "deltas": [[0.01, 0.0]]}, 1),
+    ({"kind": "delta_sum", "deltas": [[1.0, 0.0]], "hbar": 10.0}, 1),
+    ({"kind": "finite_well", "depth": 0.01, "a": -1.0, "b": 1.0}, 1),
+    (DELTA_PAIR_GAP_12, 1),
+    (DELTA_PAIR_GAP_12, 2),
+    (FIVE_DELTA_CHAIN, 3),
 ]
-WIDE_IDS = ["delta_g_0.01", "delta_hbar_10", "finite_well_depth_0.01"]
+WIDE_IDS = ["delta_g_0.01", "delta_hbar_10", "finite_well_depth_0.01",
+            "delta_pair_gap_12_n1", "delta_pair_gap_12_n2", "five_delta_chain_n3"]
 
 
-@pytest.mark.parametrize("potential", WIDE_STATES, ids=WIDE_IDS)
-def test_transform_of_wide_state(runner, tmp_path, potential):
-    # decay lengths of 100 and more: the panel width follows the support
-    cfg = write_cfg(tmp_path, {"potential": potential})
+@pytest.mark.parametrize("potential,n", WIDE_STATES, ids=WIDE_IDS)
+def test_transform_of_wide_state(runner, tmp_path, potential, n):
+    # decay lengths of 100 and more: the panel width follows the support;
+    # chains 12 to 22 apart: psi between the deltas is smooth enough for the
+    # panels' tolerance
+    cfg = write_cfg(tmp_path, {"potential": potential, "n": n})
     res = runner.invoke(main, ["transform", "--config", cfg, "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     lines = (tmp_path / "transform.csv").read_text().strip().split("\n")
@@ -91,7 +100,7 @@ def test_transform_of_wide_state(runner, tmp_path, potential):
 
 
 def test_verify_of_weak_delta(runner, tmp_path):
-    cfg = write_cfg(tmp_path, {"potential": WIDE_STATES[0]})
+    cfg = write_cfg(tmp_path, {"potential": WIDE_STATES[0][0]})
     res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     assert json.loads((tmp_path / "verify.json").read_text())["pass"] is True
@@ -99,12 +108,20 @@ def test_verify_of_weak_delta(runner, tmp_path):
 
 def test_verify_of_delta_with_hbar_10(runner, tmp_path):
     # the predicted tail scales with hbar, as phi's does
-    cfg = write_cfg(tmp_path, {"potential": WIDE_STATES[1]})
+    cfg = write_cfg(tmp_path, {"potential": WIDE_STATES[1][0]})
     res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     report = json.loads((tmp_path / "verify.json").read_text())
     assert report["pass"] is True
     assert report["comparison"]["max_rel_deviation"] < 0.05
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_of_distant_delta_pair(runner, tmp_path, n):
+    cfg = write_cfg(tmp_path, {"potential": DELTA_PAIR_GAP_12, "n": n})
+    res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads((tmp_path / "verify.json").read_text())["pass"] is True
 
 
 def test_invalid_config_exits_2(runner, tmp_path):

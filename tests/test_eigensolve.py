@@ -6,10 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
+from momtail import asymptotics as asy
 from momtail import eigensolve as eig
+from momtail import momentum as mom
 from momtail import potentials as pot
 from momtail import specfun
 from momtail.errors import NoBoundState, NoSuchState
@@ -78,31 +79,16 @@ def test_double_delta_against_transcendental():
         eig.solve(spec, 3)
 
 
-@pytest.mark.parametrize("xs,region_v,cusps,e_lo,e_hi", [
-    ([0.0, 1.5, 2.7], [0.0] * 4, [-1.0, -0.6, -1.4], -4.5 * (1 + 1e-9), -4.5e-10),
-    ([0.0, 1.0, 2.5], [0.0, -2.0, -3.0, 0.5], [0.0] * 3, -3.0 + 3e-12, -3e-9),
-], ids=["delta_chain", "step_ladder"])
-def test_pc_defect_array_matches_one_energy_at_a_time(xs, region_v, cusps, e_lo, e_hi):
-    # the energy scan of _solve_piecewise_const evaluates all 4001 energies in
-    # one call; brentq then calls the same function with a scalar
-    grid = np.linspace(e_lo, e_hi, 4001)
-    whole = eig._pc_defect(xs, region_v, cusps, grid, 1.0, 1.0)
-    single = np.array([eig._pc_defect(xs, region_v, cusps, E, 1.0, 1.0) for E in grid])
-    assert whole.shape == grid.shape
-    assert np.all(np.abs(whole - single) <= 1e-13 * np.abs(single))
-    assert np.array_equal(np.sign(whole), np.sign(single))
-    assert np.count_nonzero(np.diff(np.sign(whole))) >= 1
-
-
-def test_distant_double_delta_resolves_both_states():
-    # unit deltas 15 apart: the even/odd splitting is 6e-7, still wider than a
-    # cell of the 4001-point energy scan (ROADMAP item 4 fails from d ~ 19)
-    spec = pot.DeltaSum(deltas=((1.0, 0.0), (1.0, 15.0)))
-    for n, sign, energy in ((1, 1, -0.50000031), (2, -1, -0.49999969)):
-        kap = mpmath.findroot(lambda k: k - 1 - sign * mpmath.e ** (-15 * k), 1.0)
-        st = eig.solve(spec, n)
-        assert st.energy == pytest.approx(energy, abs=5e-9)
-        assert st.energy == pytest.approx(float(-kap ** 2 / 2), rel=1e-9)
+@pytest.mark.parametrize("gap", [15, 20, 25])
+def test_distant_double_delta_resolves_both_states(gap):
+    # the even/odd splitting of two unit deltas falls as e^(-gap): 6e-7 of the
+    # level at gap 15, 1.4e-11 at gap 25
+    spec = pot.DeltaSum(deltas=((1.0, 0.0), (1.0, float(gap))))
+    for n, sign in ((1, 1), (2, -1)):
+        kap = mpmath.findroot(lambda k: k - 1 - sign * mpmath.e ** (-gap * k), 1.0)
+        assert eig.solve(spec, n).energy == pytest.approx(float(-kap ** 2 / 2), rel=1e-12)
+    with pytest.raises(NoSuchState):
+        eig.solve(spec, 3)
 
 
 def test_infinite_well_energies():
@@ -301,6 +287,114 @@ def test_asymmetric_linear_against_shooting(n):
     st = eig.solve(spec, n)
     osc = eig.shooting_oracle(spec, (st.energy - 0.05, st.energy + 0.05), n)
     assert st.energy == pytest.approx(osc.energy, abs=1e-9)
+
+
+# --- delta chains and step ladders: properties against independent oracles --
+
+def bs_eigenvalues(spec, kappa):
+    """Birman-Schwinger eigenvalues of a delta chain at decay rate kappa,
+    largest first. E = -(hbar kappa)^2 / 2m is a level exactly when one of
+    them is 1, and each falls as kappa grows, so the levels below E are the
+    eigenvalues above 1."""
+    g = np.array([d[0] for d in spec.deltas])
+    a = np.array([d[1] for d in spec.deltas])
+    s = (spec.mass / (spec.hbar ** 2 * kappa)) * np.sqrt(np.outer(g, g)) \
+        * np.exp(-kappa * np.abs(a[:, None] - a[None, :]))
+    return np.linalg.eigvalsh(s)[::-1]
+
+
+def ladder_defect_mp(spec, energy):
+    """psi' + kappa psi at the last step of the solution decaying on the left
+    of a step ladder, propagated by cosh/sinh and cos/sin at 30 digits."""
+    coef = 2 * mpmath.mpf(spec.mass) / mpmath.mpf(spec.hbar) ** 2
+    E = mpmath.mpf(energy)
+    P, Q, v = mpmath.mpf(1), mpmath.sqrt(-coef * E), mpmath.mpf(0)
+    for (x, h), (x_next, _) in zip(spec.steps, spec.steps[1:] + ((None, None),)):
+        v += h
+        if x_next is None:
+            break
+        w, beta = mpmath.mpf(x_next) - x, coef * (v - E)
+        if beta > 0:
+            r = mpmath.sqrt(beta)
+            P, Q = (P * mpmath.cosh(r * w) + Q * mpmath.sinh(r * w) / r,
+                    P * r * mpmath.sinh(r * w) + Q * mpmath.cosh(r * w))
+        else:
+            k = mpmath.sqrt(-beta)
+            P, Q = (P * mpmath.cos(k * w) + Q * mpmath.sin(k * w) / k,
+                    -P * k * mpmath.sin(k * w) + Q * mpmath.cos(k * w))
+    return Q + mpmath.sqrt(coef * (v - E)) * P
+
+
+def tight_norm(state):
+    """integral psi^2, adaptively on each piece between the kinks of psi."""
+    lo, hi = state.support
+    edges = [lo, *(b for b in state.breaks if lo < b < hi), hi]
+    f = lambda x: float(state.psi(np.array([x]))[0]) ** 2
+    return math.fsum(quad(f, u, v, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     for u, v in zip(edges[:-1], edges[1:]))
+
+
+def assert_state_quality(spec, st):
+    """Norm 1, the two routes to the tail agree, and the panels fit the budget."""
+    assert abs(tight_norm(st) - 1.0) < 1e-12
+    asy.predict_tail(st, pot.discontinuities(spec))    # raises InconsistentJumps
+    return mom.FilonPanels(st)                         # raises past its budget
+
+
+CHAINS = hst.lists(hst.tuples(hst.floats(0.5, 2.0), hst.floats(0.5, 25.0)),
+                   min_size=2, max_size=5)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(CHAINS, hst.integers(1, 5))
+def test_delta_chain_levels_property(chain, pick):
+    at = np.cumsum([0.0] + [gap for _, gap in chain[:-1]])
+    spec = pot.DeltaSum(deltas=tuple((g, float(a)) for (g, _), a in zip(chain, at)))
+    g_sum = sum(g for g, _ in spec.deltas)
+    levels = int(np.sum(bs_eigenvalues(spec, 1e-8 * g_sum) > 1.0))
+    with pytest.raises(NoSuchState):
+        eig.solve(spec, levels + 1)
+    n = min(pick, levels)
+    st = eig.solve(spec, n)
+    lam = bs_eigenvalues(spec, math.sqrt(-2.0 * st.energy))
+    assert np.sum(lam > 1.0 + 1e-9) <= n - 1 and np.sum(lam > 1.0 - 1e-9) >= n
+    panels = assert_state_quality(spec, st)
+    grid = np.linspace(-50.0, 50.0, 1001)
+    closed = mom.phi_closed_delta(spec, st, grid).phi
+    assert np.max(np.abs(panels.transform(grid) - closed)) < 1e-10
+
+
+POTENTIAL = hst.floats(-5.0, 5.0).filter(lambda v: abs(v) >= 0.1)
+LADDERS = hst.tuples(POTENTIAL, POTENTIAL, POTENTIAL, hst.floats(0.3, 3.0),
+                     hst.floats(0.3, 3.0)).filter(
+    lambda t: min(t[0], t[1]) < min(0.0, t[2]) and abs(t[1] - t[0]) >= 0.1
+    and abs(t[2] - t[1]) >= 0.1)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(LADDERS, hst.integers(1, 5))
+def test_step_ladder_levels_property(ladder, pick):
+    v1, v2, v3, w1, w2 = ladder
+    spec = pot.StepSum(steps=((0.0, v1), (w1, v2 - v1), (w1 + w2, v3 - v2)))
+    top, bottom = min(0.0, v3), min(v1, v2)
+    states = []
+    while True:
+        try:
+            states.append(eig.solve(spec, len(states) + 1))
+        except (NoSuchState, NoBoundState) as exc:
+            assert isinstance(exc, NoBoundState) == (not states)
+            break
+        st = states[-1]
+        assert count_nodes(st) == len(states) - 1
+        step = 1e-12 * (top - bottom)
+        assert ladder_defect_mp(spec, st.energy - step) * ladder_defect_mp(
+            spec, st.energy + step) < 0
+    # the defect changes sign once per level between the floor and the top
+    span = top - bottom
+    assert (ladder_defect_mp(spec, bottom - 1e-6 * span)
+            * ladder_defect_mp(spec, top - 1e-9 * span) * (-1) ** len(states)) > 0
+    if states:
+        assert_state_quality(spec, states[min(pick, len(states)) - 1])
 
 
 # --- state quality --------------------------------------------------------

@@ -89,6 +89,19 @@ def test_quadrature_matches_wide_delta_closed_form(spec):
     assert np.max(np.abs(q.phi - c.phi)) < 1e-8
 
 
+@pytest.mark.parametrize("gap", [12.0, 20.0, 25.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_quadrature_matches_distant_delta_pair_closed_form(n, gap):
+    # psi between the deltas carries no cancellation noise, so the quadrature
+    # meets the closed form, exact given E and psi(a_i), to rounding
+    spec = pot.DeltaSum(deltas=((1.0, 0.0), (1.0, gap)))
+    st = eig.solve(spec, n)
+    grid = np.linspace(-50.0, 50.0, 1001)
+    q = mom.phi_quadrature(st, grid)
+    c = mom.phi_closed_delta(spec, st, grid)
+    assert np.max(np.abs(q.phi - c.phi)) < 1e-13
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_quadrature_matches_well_closed_form(n):
     well = pot.InfiniteWell(length=math.pi)

@@ -90,6 +90,22 @@ def test_compare_handles_interference_zeros():
     assert cmpr.exponent_deviation is None   # oscillatory: no conclusive fit
 
 
+def test_compare_keeps_an_inconclusive_fit():
+    # a wobble of 8% about the delta's tail: 0.99 <= r^2 < 0.999, so the fit
+    # is kept but marked inconclusive, and no exponent deviation is scored
+    spec = pot.DeltaSum(deltas=((1.0, 0.0),))
+    pred = asy.predict_tail(eig.solve(spec), pot.discontinuities(spec))
+    grid = np.geomspace(40.0, 200.0, 150)
+    phi = math.sqrt(2 / math.pi) / grid ** 2 * (1.0 + 0.08 * np.sin(12.0 * np.log(grid)))
+    s = mom.MomentumSamples(grid=grid, phi_re=phi, phi_im=np.zeros_like(phi),
+                            provenance="synthetic")
+    cmpr = tailfit.compare(pred, s, component="abs")
+    assert cmpr.fit is not None
+    assert 0.99 <= cmpr.fit.r_squared < tailfit.CONCLUSIVE_R2
+    assert cmpr.to_dict()["fit"]["conclusive"] is False
+    assert cmpr.exponent_deviation is None
+
+
 def test_fit_result_serialization():
     grid = np.geomspace(5.0, 500.0, 100)
     fit = tailfit.fit_power_law(synthetic(1.0, 2, grid))
