@@ -4,13 +4,16 @@ Every solver returns a ``BoundState`` whose one-sided derivative table
 (orders 0..5 on each side of every discontinuity) is filled *analytically*,
 by differentiating the closed forms or the Airy ODE. Numerical
 differentiation is reserved for tests, so that tail predictions never
-inherit finite-difference noise.
+inherit finite-difference noise. Each state also carries ``psi_and_slope``,
+(psi, psi') from one evaluation, and ``ode``, the coefficients of
+psi'' = (b0 + b1 x) psi on each piece of V, from which
+``momentum.FilonPanels`` expands psi on its panels.
 
 States are numbered n = 1, 2, ... in order of increasing energy (within each
 parity family for the symmetric linear potential).
 
 ``shooting_oracle`` is an independent ODE-shooting eigensolver used for
-cross-validation only.
+cross-validation only; its spline state carries no ODE data.
 """
 
 from __future__ import annotations
@@ -50,8 +53,16 @@ class BoundState:
     support: tuple[float, float]    # numeric support, |psi| < ~1e-18 outside
     mass: float                     # the spec's units, which the transform,
     hbar: float                     # the prediction and the moments read
-    breaks: tuple[float, ...] = ()  # kink locations of psi inside the support
+    # boundaries of the pieces of V, ascending: psi can kink only there; they
+    # need not lie inside the support (the box's walls are its ends)
+    breaks: tuple[float, ...] = ()
     osc_scale: float = math.inf     # shortest oscillation wavelength of psi
+    # (psi, psi') at an array of points, from one evaluation
+    psi_and_slope: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    # the ODE psi'' = (b0 + b1 x) psi, b0 + b1 x = (2m/hbar^2)(V(x) - E), as
+    # (b0, b1) for each of the len(breaks) + 1 regions between consecutive
+    # breaks, region i ending at breaks[i]; (0, 0) where psi vanishes (V = inf)
+    ode: tuple[tuple[float, float], ...] = ()
 
     def table_at(self, location: float, tol: float = 1e-9) -> SideDerivatives:
         for a, side in self.derivative_table.items():
@@ -72,9 +83,10 @@ def solve_delta(spec: pot.DeltaSum, n: int = 1) -> BoundState:
     energy = -m * g ** 2 / (2.0 * hbar ** 2)
     amp = math.sqrt(k0)
 
-    def psi(x):
+    def psi_and_slope(x):
         x = np.asarray(x, dtype=float)
-        return amp * np.exp(-k0 * np.abs(x - a))
+        value = amp * np.exp(-k0 * np.abs(x - a))
+        return value, -k0 * np.sign(x - a) * value
 
     table = {a: SideDerivatives(
         value=amp,
@@ -82,8 +94,10 @@ def solve_delta(spec: pot.DeltaSum, n: int = 1) -> BoundState:
         right=tuple(amp * (-k0) ** j for j in range(6)),
     )}
     half = _DECAY_CUT / k0
-    return BoundState(energy, 1, "even" if a == 0 else "none", psi, table,
-                      support=(a - half, a + half), mass=m, hbar=hbar, breaks=(a,))
+    return BoundState(energy, 1, "even" if a == 0 else "none",
+                      lambda x: psi_and_slope(x)[0], table,
+                      support=(a - half, a + half), mass=m, hbar=hbar, breaks=(a,),
+                      psi_and_slope=psi_and_slope, ode=((k0 * k0, 0.0),) * 2)
 
 
 def _advance(P: float, Q: float, beta: float, w: float):
@@ -255,25 +269,28 @@ def _piecewise_state(spec, n: int, energy: float) -> BoundState:
     edges = np.array(xs)
 
     def piece(i, x):
+        """(psi, psi') on region i, stacked."""
         a, b, beta, c1, c2 = regions[i]
         s = x - a
         if beta > 0.0:
             r = math.sqrt(beta)
-            return c1 * np.exp(-r * s) + c2 * np.exp(r * (x - b))
+            down, up = c1 * np.exp(-r * s), c2 * np.exp(r * (x - b))
+            return np.array([down + up, r * (up - down)])
         k = math.sqrt(-beta)
-        return c1 * np.cos(k * s) + c2 * s * np.sinc(k * s / math.pi)
+        return np.array([c1 * np.cos(k * s) + c2 * s * np.sinc(k * s / math.pi),
+                         c2 * np.cos(k * s) - c1 * k * np.sin(k * s)])
 
-    def psi(x):
+    def psi_and_slope(x):
         x = np.asarray(x, dtype=float)
         region = np.searchsorted(edges, x)
         first, last = (region.min(), region.max()) if x.size else (0, 0)
         if first == last:
-            return piece(first, x)
-        out = np.empty(x.shape)
+            return tuple(piece(first, x))
+        out = np.empty((2,) + x.shape)
         for i in range(first, last + 1):
             sel = region == i
-            out[sel] = piece(i, x[sel])
-        return out
+            out[:, sel] = piece(i, x[sel])
+        return tuple(out)
 
     table = {}
     for i, row in enumerate(rows):
@@ -285,10 +302,12 @@ def _piecewise_state(spec, n: int, energy: float) -> BoundState:
         table[float(xs[i])] = SideDerivatives(value, left=tuple(left_d), right=tuple(right_d))
 
     osc = [2.0 * math.pi / math.sqrt(-b) for b in betas[1:-1] if b < 0]
-    return BoundState(energy, n, "none", psi, table,
+    return BoundState(energy, n, "none", lambda x: psi_and_slope(x)[0], table,
                       support=(xs[0] - _DECAY_CUT / kap_l, xs[-1] + _DECAY_CUT / kap_r),
                       mass=m, hbar=hbar, breaks=tuple(float(x) for x in xs),
-                      osc_scale=min(osc) if osc else math.inf)
+                      osc_scale=min(osc) if osc else math.inf,
+                      psi_and_slope=psi_and_slope,
+                      ode=tuple((b, 0.0) for b in betas))
 
 
 def solve_infinite_well(spec: pot.InfiniteWell, n: int) -> BoundState:
@@ -300,10 +319,12 @@ def solve_infinite_well(spec: pot.InfiniteWell, n: int) -> BoundState:
     amp = math.sqrt(2.0 / L)
     energy = hbar ** 2 * k ** 2 / (2.0 * m)
 
-    def psi(x):
+    def psi_and_slope(x):
         x = np.asarray(x, dtype=float)
         inside = (x >= 0.0) & (x <= L)
-        return np.where(inside, amp * np.sin(k * np.clip(x, 0.0, L)), 0.0)
+        kx = k * np.clip(x, 0.0, L)
+        return (np.where(inside, amp * np.sin(kx), 0.0),
+                np.where(inside, amp * k * np.cos(kx), 0.0))
 
     # d^j/dx^j sin(kx): cycle [sin, cos, -sin, -cos]
     sin_cycle = (0.0, 1.0, 0.0, -1.0)
@@ -316,8 +337,10 @@ def solve_infinite_well(spec: pot.InfiniteWell, n: int) -> BoundState:
         L: SideDerivatives(0.0, left=leftL, right=zeros),
     }
     parity = "even" if n % 2 == 1 else "odd"   # about the well center
-    return BoundState(energy, n, parity, psi, table, support=(0.0, L),
-                      mass=m, hbar=hbar, breaks=(0.0, L), osc_scale=2.0 * L / n)
+    return BoundState(energy, n, parity, lambda x: psi_and_slope(x)[0], table, support=(0.0, L),
+                      mass=m, hbar=hbar, breaks=(0.0, L), osc_scale=2.0 * L / n,
+                      psi_and_slope=psi_and_slope,
+                      ode=((0.0, 0.0), (-k * k, 0.0), (0.0, 0.0)))
 
 
 def _finite_well_theta(R: float, i: int) -> float:
@@ -360,13 +383,17 @@ def solve_finite_well(spec: pot.FiniteWell, n: int) -> BoundState:
     amp = 1.0 / math.sqrt(inner_norm + edge * edge / kappa)
     B = amp * edge
 
-    def psi(x):
+    def psi_and_slope(x):
         u = np.asarray(x, dtype=float) - c
-        inner = amp * (np.cos(k * u) if even else np.sin(k * u))
+        inside = np.abs(u) <= w
+        ku = k * u
+        cos, sin = np.cos(ku), np.sin(ku)
         outer = B * np.exp(-kappa * (np.abs(u) - w))
         if not even:
             outer = outer * np.sign(u)
-        return np.where(np.abs(u) <= w, inner, outer)
+        return (np.where(inside, amp * (cos if even else sin), outer),
+                np.where(inside, amp * k * (-sin if even else cos),
+                         -kappa * np.sign(u) * outer))
 
     # one-sided derivatives at the edges x' = -w and x' = +w
     def trig_derivs(u: float) -> tuple[float, ...]:
@@ -387,9 +414,11 @@ def solve_finite_well(spec: pot.FiniteWell, n: int) -> BoundState:
         spec.b: SideDerivatives(B, left=trig_derivs(w), right=exp_right),
     }
     half = w + _DECAY_CUT / kappa
-    return BoundState(energy, n, "even" if even else "odd", psi, table,
+    return BoundState(energy, n, "even" if even else "odd", lambda x: psi_and_slope(x)[0], table,
                       support=(c - half, c + half), mass=m, hbar=hbar,
-                      breaks=(spec.a, spec.b), osc_scale=2.0 * math.pi / k)
+                      breaks=(spec.a, spec.b), osc_scale=2.0 * math.pi / k,
+                      psi_and_slope=psi_and_slope,
+                      ode=((kappa * kappa, 0.0), (-k * k, 0.0), (kappa * kappa, 0.0)))
 
 
 def _airy_derivs_at_ai_zero(zeta: float) -> tuple[float, ...]:
@@ -413,21 +442,21 @@ def solve_bouncer(spec: pot.Bouncer, n: int) -> BoundState:
     energy = e0 * zeta
     N = 1.0 / (math.sqrt(rho) * specfun.airy_ai_prime(-zeta))
 
-    def psi(z):
+    def psi_and_slope(z):
         z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        mask = z > 0.0
-        if np.any(mask):
-            out[mask] = N * specfun.airy_ai(z[mask] / rho - zeta)
-        return out
+        ai, aip = specfun.airy_ai_and_prime(np.maximum(z, 0.0) / rho - zeta)
+        above = z > 0.0
+        return np.where(above, N * ai, 0.0), np.where(above, N / rho * aip, 0.0)
 
     derivs = _airy_derivs_at_ai_zero(zeta)
     table = {0.0: SideDerivatives(0.0,
         left=(0.0,) * 6,
         right=tuple(N * derivs[j] / rho ** j for j in range(6)))}
-    return BoundState(energy, n, "none", psi, table,
+    return BoundState(energy, n, "none", lambda z: psi_and_slope(z)[0], table,
                       support=(0.0, rho * (zeta + 18.0)), mass=spec.mass, hbar=spec.hbar,
-                      breaks=(0.0,), osc_scale=2.0 * math.pi * rho / math.sqrt(zeta))
+                      breaks=(0.0,), osc_scale=2.0 * math.pi * rho / math.sqrt(zeta),
+                      psi_and_slope=psi_and_slope,
+                      ode=((0.0, 0.0), (-zeta / rho ** 2, 1.0 / rho ** 3)))
 
 
 def solve_symmetric_linear(spec: pot.SymmetricLinear, n: int, parity: str) -> BoundState:
@@ -442,9 +471,10 @@ def solve_symmetric_linear(spec: pot.SymmetricLinear, n: int, parity: str) -> Bo
         energy = e0 * eta
         M = 1.0 / (math.sqrt(2.0 * rho * eta) * specfun.airy_ai(-eta))
 
-        def psi(z):
+        def psi_and_slope(z):
             z = np.asarray(z, dtype=float)
-            return M * specfun.airy_ai(np.abs(z) / rho - eta)
+            ai, aip = specfun.airy_ai_and_prime(np.abs(z) / rho - eta)
+            return M * ai, np.sign(z) * (M / rho) * aip
 
         derivs = _airy_derivs_at_aip_zero(eta)
         right = tuple(M * derivs[j] / rho ** j for j in range(6))
@@ -452,15 +482,17 @@ def solve_symmetric_linear(spec: pot.SymmetricLinear, n: int, parity: str) -> Bo
         table = {0.0: SideDerivatives(right[0], left=left, right=right)}
         half = rho * (eta + 18.0)
         lam = 2.0 * math.pi * rho / math.sqrt(eta)
+        level = eta
     else:
         zeta = specfun.airy_zero(n)
         energy = e0 * zeta
         N = 1.0 / (math.sqrt(rho) * specfun.airy_ai_prime(-zeta))
         amp = N / math.sqrt(2.0)
 
-        def psi(z):
+        def psi_and_slope(z):
             z = np.asarray(z, dtype=float)
-            return np.sign(z) * amp * specfun.airy_ai(np.abs(z) / rho - zeta)
+            ai, aip = specfun.airy_ai_and_prime(np.abs(z) / rho - zeta)
+            return np.sign(z) * amp * ai, (amp / rho) * aip
 
         derivs = _airy_derivs_at_ai_zero(zeta)
         right = tuple(amp * derivs[j] / rho ** j for j in range(6))
@@ -468,8 +500,13 @@ def solve_symmetric_linear(spec: pot.SymmetricLinear, n: int, parity: str) -> Bo
         table = {0.0: SideDerivatives(0.0, left=left, right=right)}
         half = rho * (zeta + 18.0)
         lam = 2.0 * math.pi * rho / math.sqrt(zeta)
-    return BoundState(energy, n, parity, psi, table, support=(-half, half),
-                      mass=spec.mass, hbar=spec.hbar, breaks=(0.0,), osc_scale=lam)
+        level = zeta
+    # psi'' = (|z|/rho - level) psi / rho^2 on either side of the kink
+    b0, b1 = -level / rho ** 2, 1.0 / rho ** 3
+    return BoundState(energy, n, parity, lambda z: psi_and_slope(z)[0], table,
+                      support=(-half, half),
+                      mass=spec.mass, hbar=spec.hbar, breaks=(0.0,), osc_scale=lam,
+                      psi_and_slope=psi_and_slope, ode=((b0, -b1), (b0, b1)))
 
 
 def _airy_derivs(u: float, a0: float, a1: float) -> tuple[float, ...]:
@@ -556,13 +593,13 @@ def solve_asymmetric_linear(spec: pot.AsymmetricLinear, n: int = 1) -> BoundStat
     c_r /= math.sqrt(norm2)
     c_l /= math.sqrt(norm2)
 
-    def psi(z):
+    def psi_and_slope(z):
         z = np.asarray(z, dtype=float)
-        out = np.empty(z.shape)
         right = z >= 0.0
-        out[right] = c_r * specfun.airy_ai(z[right] / rho_r + ur)
-        out[~right] = c_l * specfun.airy_ai(-z[~right] / rho_l + ul)
-        return out
+        ai, aip = specfun.airy_ai_and_prime(
+            np.where(right, z / rho_r + ur, -z / rho_l + ul))
+        return (np.where(right, c_r, c_l) * ai,
+                np.where(right, c_r / rho_r, -c_l / rho_l) * aip)
 
     dr = _airy_derivs(ur, air, apr)
     dl = _airy_derivs(ul, ail, apl)
@@ -573,8 +610,12 @@ def solve_asymmetric_linear(spec: pot.AsymmetricLinear, n: int = 1) -> BoundStat
     half_l = rho_l * (-ul + 18.0)
     osc = 2.0 * math.pi * min(rho_r / math.sqrt(max(-ur, 1e-12)),
                               rho_l / math.sqrt(max(-ul, 1e-12)))
-    return BoundState(energy, n, "none", psi, table, support=(-half_l, half_r),
-                      mass=m, hbar=hbar, breaks=(0.0,), osc_scale=osc)
+    return BoundState(energy, n, "none", lambda z: psi_and_slope(z)[0], table,
+                      support=(-half_l, half_r),
+                      mass=m, hbar=hbar, breaks=(0.0,), osc_scale=osc,
+                      psi_and_slope=psi_and_slope,
+                      ode=((ul / rho_l ** 2, -1.0 / rho_l ** 3),
+                           (ur / rho_r ** 2, 1.0 / rho_r ** 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,12 @@ polynomials on panels whose edges include every kink of psi, and the
 oscillatory moments integral P_k(t) e^{-i w t} dt = 2 (-i)^k j_k(w), with
 w = |p| hw / hbar, come from a table of spherical Bessel functions j_k(w)
 built for all orders at once: by the upward recurrence for k <= w and by
-Miller's backward ratio recurrence above. The Legendre coefficients are
-computed once per state and reused for every p. The moments depend on a
+Miller's backward ratio recurrence above. The Legendre coefficients come
+from the Schrodinger equation itself: within each piece of V, V is constant
+or linear, so psi'' = (b0 + b1 x) psi gives psi's Taylor series about a
+panel center from psi and psi' there, and a fixed matrix maps it to
+Legendre coefficients. They are computed once per state, for all pending
+panels at once, and reused for every p. The moments depend on a
 panel only through its half-width hw, and the panels of a state share a few
 exact half-widths, so one moment table per half-width serves every panel of
 that width: the transform is a matrix product per half-width group rather
@@ -28,23 +32,36 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
+from numpy.polynomial.legendre import leggauss, legmulx
 
 from . import potentials as pot
 from .eigensolve import BoundState
 from .errors import DivergentMoment, NoSuchState, QuadratureBudgetExceeded
 
-_NODES = 48           # Gauss-Legendre nodes per panel
-_DEGREE = 34          # highest Legendre coefficient kept per panel
+_DEGREE = 34          # highest Taylor and Legendre coefficient kept per panel
 _TAIL_COEFFS = 5      # trailing coefficients used for the resolution check
 _MAX_PANELS = 4096
-_REL_TOL = 1e-12      # resolved: trailing coefficients below this share of the scale
+_REL_TOL = 1e-12      # resolved: trailing Legendre coefficients and last Taylor
+                      # terms below this share of the scale
 _BASE_PANELS = 84     # base panel width: max(1, support length / _BASE_PANELS)
 _PANEL_BLOCK = 32     # panels per block of the transform
 _POINT_BLOCK = 1024   # distinct |p| per block of the transform
 _ORDERS = np.arange(_DEGREE + 1)
 _MOMENT_PHASE = 2.0 * np.array([1.0, -1j, -1.0, 1j])[_ORDERS % 4]   # 2(-i)^k
 _RATIO_START = _DEGREE + 40   # backward ratio recurrence starts here with r = 0
+
+
+def _monomial_to_legendre() -> np.ndarray:
+    """(_DEGREE + 1)^2 matrix whose column k holds the Legendre coefficients of t^k."""
+    out = np.zeros((_DEGREE + 1, _DEGREE + 1))
+    column = np.array([1.0])
+    for k in range(_DEGREE + 1):
+        out[:k + 1, k] = column
+        column = legmulx(column)
+    return out
+
+
+_TO_LEGENDRE = _monomial_to_legendre()
 
 
 @dataclass
@@ -126,20 +143,25 @@ class FilonPanels:
     interval between kinks is cut into equal panels of one shared half-width,
     at most max(1, support length / 84) wide and at most half the state's
     shortest oscillation wavelength, so the panel count does not grow with
-    the decay length. A panel is accepted when the trailing Legendre
-    coefficients have decayed below 1e-12 of the global scale,
-    otherwise it is bisected into two panels of exactly half its half-width;
-    panels never outnumber the budget. So a state's panels come in a few
-    groups of equal half-width, and the transform shares one table of
-    oscillatory moments across each group.
+    the decay length. Each generation of pending panels is expanded together
+    (``_panel_coefficients``): one ``state.psi_and_slope`` call at their
+    centers, then the Taylor recurrence of the state's ODE, ``state.ode``,
+    to degree 34. A panel is accepted when its trailing Legendre
+    coefficients and its last Taylor terms are below 1e-12 of the global
+    scale; otherwise it is bisected into two panels of exactly half its
+    half-width, which join the next generation. Panels never outnumber the
+    budget, which also stops a panel that never resolves: its descendants
+    double every generation. So a state's panels come in a few groups of
+    equal half-width, and the transform shares one table of oscillatory
+    moments across each group.
+
+    A state without ODE data (``shooting_oracle``'s spline) raises
+    ``ValueError``.
     """
 
     def __init__(self, state: BoundState):
-        nodes, weights = leggauss(_NODES)
-        vander = legvander(nodes, _DEGREE)          # (nodes, degree+1)
-        # c_k = (2k+1)/2 * sum_i w_i P_k(t_i) psi_i
-        proj = ((2.0 * _ORDERS + 1.0) / 2.0)[:, None] \
-            * (vander.T * weights)
+        if state.psi_and_slope is None or len(state.ode) != len(state.breaks) + 1:
+            raise ValueError("the state carries no ODE data to expand psi from")
 
         lo, hi = state.support
         edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
@@ -147,38 +169,39 @@ class FilonPanels:
         if math.isfinite(state.osc_scale):
             width = min(width, 0.5 * state.osc_scale)
 
-        # (center, half-width) pairs; centers are computed from the shared
-        # half-width, not from linspace cuts, so the half-widths of one
-        # interval (and of their bisections) are bitwise equal
-        pending = []
+        # centers are computed from the shared half-width, not from linspace
+        # cuts, so the half-widths of one interval (and of their bisections)
+        # are bitwise equal
+        c, hw = [], []
         for u, v in zip(edges[:-1], edges[1:]):
             m = max(1, math.ceil((v - u) / width))
-            hw = 0.5 * (v - u) / m
-            pending.extend((u + (2 * i + 1) * hw, hw) for i in range(m))
+            h = 0.5 * (v - u) / m
+            c.extend(u + (2 * i + 1) * h for i in range(m))
+            hw.extend([h] * m)
+        c, hw = np.array(c), np.array(hw)
 
         centers, halfwidths, coeffs = [], [], []
-        scale = 0.0
-        while pending:
-            if len(centers) + len(pending) > _MAX_PANELS:
+        accepted, scale = 0, 0.0
+        while c.size:
+            if accepted + c.size > _MAX_PANELS:
                 raise QuadratureBudgetExceeded(
                     f"needed more than {_MAX_PANELS} panels to resolve psi")
-            c, hw = pending.pop()
-            vals = state.psi(c + hw * nodes)
-            ck = proj @ vals
-            peak = np.max(np.abs(ck))
-            scale = max(scale, peak)
-            tail = np.max(np.abs(ck[-_TAIL_COEFFS:]))
-            if tail > _REL_TOL * max(scale, 1e-300) and hw > 1e-12:
-                pending.append((c - 0.5 * hw, 0.5 * hw))
-                pending.append((c + 0.5 * hw, 0.5 * hw))
-                continue
-            centers.append(c)
-            halfwidths.append(hw)
-            coeffs.append(ck)
+            ck, truncation = _panel_coefficients(state, c, hw)
+            scale = max(scale, np.max(np.abs(ck)))
+            tail = np.maximum(np.max(np.abs(ck[:, -_TAIL_COEFFS:]), axis=1), truncation)
+            done = tail <= _REL_TOL * max(scale, 1e-300)
+            centers.append(c[done])
+            halfwidths.append(hw[done])
+            coeffs.append(ck[done])
+            accepted += np.count_nonzero(done)
+            # each rejected panel becomes two of exactly half its half-width
+            c, hw = c[~done], 0.5 * hw[~done]
+            c, hw = np.concatenate([c - hw, c + hw]), np.concatenate([hw, hw])
+        centers = np.concatenate(centers)
         order = np.argsort(centers)
-        self.centers = np.asarray(centers)[order]
-        self.halfwidths = np.asarray(halfwidths)[order]
-        self.coeffs = np.asarray(coeffs)[order]      # (panels, degree+1)
+        self.centers = centers[order]
+        self.halfwidths = np.concatenate(halfwidths)[order]
+        self.coeffs = np.concatenate(coeffs)[order]      # (panels, degree+1)
         self.hbar = state.hbar
 
     def transform(self, p: np.ndarray, hbar: float | None = None) -> np.ndarray:
@@ -213,6 +236,31 @@ class FilonPanels:
         out = out[inverse].reshape(p.shape)
         # psi real: phi(-p) = conj(phi(p))
         return np.where(p < 0.0, np.conj(out), out)
+
+
+def _panel_coefficients(state: BoundState, c: np.ndarray,
+                        hw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Legendre coefficients of psi(c + hw t), t in [-1, 1], for each panel.
+
+    With psi'' = (b0 + b1 x) psi in the panel's region, the Taylor
+    coefficients t_k of psi(c + hw t) obey (k+1)(k+2) t_(k+2) = A t_k +
+    G t_(k-1), A = (b0 + b1 c) hw^2, G = b1 hw^3, from t_0 = psi(c) and
+    t_1 = hw psi'(c), and a fixed matrix maps t_0..t__DEGREE to Legendre
+    coefficients. Returns those, shape (panels, _DEGREE + 1), and per panel
+    the larger of the last two Taylor terms, which bounds the dropped rest of
+    the series while its terms fall (two terms, because with G = 0 the even
+    and the odd terms are independent).
+    """
+    psi, slope = state.psi_and_slope(c)
+    b0, b1 = np.asarray(state.ode)[np.searchsorted(state.breaks, c)].T
+    a = (b0 + b1 * c) * hw ** 2
+    g = b1 * hw ** 3
+    taylor = np.empty((_DEGREE + 1, c.size))
+    taylor[0], taylor[1] = psi, hw * slope
+    taylor[2] = 0.5 * a * taylor[0]
+    for k in range(1, _DEGREE - 1):
+        taylor[k + 2] = (a * taylor[k] + g * taylor[k - 1]) / ((k + 1) * (k + 2))
+    return (_TO_LEGENDRE @ taylor).T, np.max(np.abs(taylor[-2:]), axis=0)
 
 
 def phi_quadrature(state: BoundState, grid, hbar: float | None = None) -> MomentumSamples:

@@ -1,17 +1,22 @@
 """Momentum-space transforms: closed forms, quadrature, moments, densities."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from mpmath.calculus.quadrature import GaussLegendre
+from numpy.polynomial.legendre import leggauss, legvander
 
 from momtail import asymptotics as asy
 from momtail import eigensolve as eig
 from momtail import momentum as mom
 from momtail import potentials as pot
-from momtail.errors import DivergentMoment
+from momtail import specfun
+from momtail.errors import DivergentMoment, QuadratureBudgetExceeded
+from test_units import IDS as UNIT_IDS, STATES as UNIT_STATES
 
 mpmath.mp.dps = 30
 
@@ -89,6 +94,26 @@ def test_quadrature_matches_wide_delta_closed_form(spec):
     assert np.max(np.abs(q.phi - c.phi)) < 1e-8
 
 
+@pytest.mark.parametrize("spec", [
+    pot.DeltaSum(deltas=((1e14, 0.0),)),
+    pot.DeltaSum(deltas=((1.0, 0.0),), hbar=1e-7),
+], ids=["g_1e14", "hbar_1e-7"])
+def test_quadrature_matches_narrow_delta_closed_form(spec):
+    # support 8.4e-13: the panels bisect until the Taylor series converges,
+    # with no absolute floor on the half-width
+    st = eig.solve(spec)
+    p = GRID * spec.mass * spec.deltas[0][0] / spec.hbar
+    calls = []
+    slope = st.psi_and_slope
+    st.psi_and_slope = lambda x: calls.append(np.size(x)) or slope(x)
+    panels = mom.FilonPanels(st)
+    # every rejected panel comes back as two in the next generation
+    assert len(calls) > 1 and sum(calls[1:]) == 2 * (sum(calls) - panels.centers.size)
+    q = panels.transform(p)
+    c = mom.phi_closed_delta(spec, st, p).phi
+    assert np.max(np.abs(q - c)) < 1e-13 * np.max(np.abs(c))
+
+
 @pytest.mark.parametrize("gap", [12.0, 20.0, 25.0])
 @pytest.mark.parametrize("n", [1, 2])
 def test_quadrature_matches_distant_delta_pair_closed_form(n, gap):
@@ -144,6 +169,93 @@ def test_quadrature_deterministic():
     a = mom.phi_quadrature(st, GRID)
     b = mom.phi_quadrature(st, GRID)
     assert np.array_equal(a.phi_re, b.phi_re) and np.array_equal(a.phi_im, b.phi_im)
+
+
+# --- panel coefficients from the ODE ---------------------------------------
+
+def _unit_states():
+    for (spec, n, parity), name in zip(UNIT_STATES, UNIT_IDS):
+        unit = dataclasses.replace(spec, mass=1.0, hbar=1.0)
+        yield pytest.param(unit, n, parity, id=f"{name}-unit")
+        yield pytest.param(spec, n, parity, id=f"{name}-m2-hbar2")
+
+
+@pytest.mark.parametrize("spec,n,parity", list(_unit_states()))
+def test_panel_coefficients_match_gauss_projection(spec, n, parity):
+    st = eig.solve(spec, n, parity)
+    panels = mom.FilonPanels(st)
+    nodes, weights = leggauss(48)
+    degree = panels.coeffs.shape[1] - 1
+    # c_k = (2k+1)/2 sum_i w_i P_k(t_i) psi(c + hw t_i)
+    proj = ((2.0 * np.arange(degree + 1) + 1.0) / 2.0)[:, None] \
+        * (legvander(nodes, degree).T * weights)
+    vals = st.psi(panels.centers[:, None] + panels.halfwidths[:, None] * nodes)
+    gauss = vals @ proj.T
+    assert np.max(np.abs(panels.coeffs - gauss)) <= 1e-12 * np.max(np.abs(gauss))
+
+
+def test_panel_coefficients_against_multiprecision():
+    # the panel of symlin n = 11 (even) at z = 12.25, where the Gauss
+    # projection of scipy's Ai is off by 1.3e-13 of the global scale
+    spec = pot.SymmetricLinear(force=0.5)      # rho = 1
+    panels = mom.FilonPanels(eig.solve(spec, 11, "even"))
+    i = int(np.argmin(np.abs(panels.centers - 12.25)))
+    c, hw = mpmath.mpf(panels.centers[i]), mpmath.mpf(panels.halfwidths[i])
+    eta = -mpmath.airyaizero(11, derivative=1)
+    amp = 1 / (mpmath.sqrt(2 * eta) * mpmath.airyai(-eta))
+    degree = panels.coeffs.shape[1] - 1
+    sums = [mpmath.mpf(0)] * (degree + 1)
+    # 96-node Gauss-Legendre at 30 digits, with P_k by its recurrence
+    for t, w in GaussLegendre(mpmath.mp).calc_nodes(6, mpmath.mp.prec):
+        f = w * amp * mpmath.airyai(abs(c + hw * t) - eta)
+        prev, cur = mpmath.mpf(1), t
+        sums[0] += f
+        for k in range(1, degree + 1):
+            sums[k] += f * cur
+            prev, cur = cur, ((2 * k + 1) * t * cur - k * prev) / (k + 1)
+    ref = np.array([float((2 * k + 1) * sums[k] / 2) for k in range(degree + 1)])
+    assert np.max(np.abs(panels.coeffs[i] - ref)) <= 1e-14 * np.max(np.abs(panels.coeffs))
+
+
+@pytest.mark.parametrize("spec,n,parity", [
+    (pot.Bouncer(force=0.5), 10, None),
+    (pot.SymmetricLinear(force=0.5), 11, "even"),
+], ids=["bouncer_10", "symlin_11_even"])
+def test_build_evaluates_each_panel_once_per_generation(monkeypatch, spec, n, parity):
+    st = eig.solve(spec, n, parity)
+    calls, airy_args = [], []
+    slope = st.psi_and_slope
+    airy = specfun.airy_ai_and_prime
+
+    def no_psi(x):
+        raise AssertionError("the build sampled psi")
+
+    monkeypatch.setattr(specfun, "airy_ai_and_prime",
+                        lambda x: airy_args.append(np.size(x)) or airy(x))
+    st.psi = no_psi
+    st.psi_and_slope = lambda x: calls.append(np.size(x)) or slope(x)
+    panels = mom.FilonPanels(st)
+    # every panel resolves in the first generation: one call, one Airy
+    # argument per panel
+    assert calls == [panels.centers.size]
+    assert airy_args == calls
+
+
+def test_build_refuses_state_without_ode():
+    spec = pot.Bouncer(force=0.5)
+    energy = eig.solve(spec, 1).energy
+    shot = eig.shooting_oracle(spec, (0.99 * energy, 1.01 * energy), 1)
+    with pytest.raises(ValueError):
+        mom.FilonPanels(shot)
+
+
+def test_budget_stops_a_panel_that_never_resolves():
+    # a NaN expansion fails the resolution test at every half-width, so the
+    # panels double each generation until the budget stops them
+    st = eig.solve(pot.DeltaSum(deltas=((1.0, 0.0),)))
+    nan = dataclasses.replace(st, psi_and_slope=lambda x: (np.full(np.shape(x), np.nan),) * 2)
+    with pytest.raises(QuadratureBudgetExceeded):
+        mom.FilonPanels(nan)
 
 
 # --- transform by half-width groups ----------------------------------------
