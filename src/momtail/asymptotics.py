@@ -7,11 +7,16 @@ Each non-smooth point a of psi contributes a series of terms
 and phi(p) = (1/sqrt(2 pi hbar)) * sum_n T_n(p), summed over all locations.
 Order-1 terms vanish identically because psi is continuous.
 
-Two independent routes give the lowest nonvanishing jump at each location:
-reading the solver's analytic derivative table, or applying the jump condition
+Two independent routes give the lowest nonvanishing jump at each location.
+One reads the state's derivative table, which the state derives from the
+solver's (psi, psi'(a-), psi'(a+)) at each break and its ODE
+psi'' = (2m/hbar^2)(V - E) psi on each piece (``eigensolve``). The other
+applies the jump condition
 psi^(k+2)(a+) - psi^(k+2)(a-) = (2m/hbar^2) [V^(k)(a+) - V^(k)(a-)] psi(a)
-(with the (k+1)-enhanced psi'(a) variant when psi(a) = 0). ``predict_tail``
-cross-checks the two and refuses to emit a prediction when they disagree.
+to the spec's ledger (``potentials``), with the (k+1)-enhanced psi'(a) variant
+when psi(a) = 0. ``predict_tail`` cross-checks the two and refuses to emit a
+prediction when they disagree; the check thereby also guards the ODE from
+which ``momentum.FilonPanels`` expands psi.
 """
 
 from __future__ import annotations

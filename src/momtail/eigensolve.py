@@ -1,25 +1,28 @@
 """Normalized bound states for the cataloged potentials.
 
-Every solver returns a ``BoundState`` whose one-sided derivative table
-(orders 0..5 on each side of every discontinuity) is filled *analytically*,
-by differentiating the closed forms or the Airy ODE. Numerical
+Every solver returns a ``BoundState`` carrying ``psi_and_slope``, (psi, psi')
+at an array of points from one evaluation, and ``ode``, the coefficients of
+psi'' = (b0 + b1 x) psi on each piece of V. At each break a of V a solver
+gives only (psi(a), psi'(a-), psi'(a+)); the state derives its one-sided
+derivative table (orders 0..5 on each side) from those and ``ode``, by the
+Taylor recurrence ``ode_taylor``, the same recurrence from which
+``momentum.FilonPanels`` expands psi on its panels. Numerical
 differentiation is reserved for tests, so that tail predictions never
-inherit finite-difference noise. Each state also carries ``psi_and_slope``,
-(psi, psi') from one evaluation, and ``ode``, the coefficients of
-psi'' = (b0 + b1 x) psi on each piece of V, from which
-``momentum.FilonPanels`` expands psi on its panels.
+inherit finite-difference noise.
 
 States are numbered n = 1, 2, ... in order of increasing energy (within each
 parity family for the symmetric linear potential).
 
 ``shooting_oracle`` is an independent ODE-shooting eigensolver used for
-cross-validation only; its spline state carries no ODE data.
+cross-validation only; its state carries ``psi_and_slope`` from a spline,
+but no ODE, breaks or derivative table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -33,6 +36,22 @@ from .errors import NoBoundState, NoConvergence, NoSuchState
 
 # support truncation: exp(-42) ~ 5.7e-19
 _DECAY_CUT = 42.0
+# highest derivative order in a derivative table
+_TABLE_ORDER = 5
+_FACTORIALS = tuple(math.factorial(k) for k in range(_TABLE_ORDER + 1))
+
+
+def ode_taylor(t0, t1, a, g, degree: int) -> list:
+    """Taylor coefficients t_0..t_degree of psi(c + h t) in t, where psi'' = (b0 + b1 x) psi.
+
+    They obey (k+1)(k+2) t_(k+2) = A t_k + G t_(k-1), with A = (b0 + b1 c) h^2
+    and G = b1 h^3, from t_0 = psi(c) and t_1 = h psi'(c). With h = 1,
+    psi^(k)(c) = k! t_k. Takes floats or arrays of one shape, elementwise.
+    """
+    t = [t0, t1, 0.5 * a * t0]
+    for k in range(1, degree - 1):
+        t.append((a * t[k] + g * t[k - 1]) / ((k + 1) * (k + 2)))
+    return t
 
 
 @dataclass(frozen=True)
@@ -48,27 +67,49 @@ class BoundState:
     energy: float
     n: int
     parity: str                     # 'even' | 'odd' | 'none'
-    psi: Callable[[np.ndarray], np.ndarray]
-    derivative_table: dict[float, SideDerivatives]
+    # (psi, psi') at an array of points, from one evaluation
+    psi_and_slope: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     support: tuple[float, float]    # numeric support, |psi| < ~1e-18 outside
     mass: float                     # the spec's units, which the transform,
     hbar: float                     # the prediction and the moments read
     # boundaries of the pieces of V, ascending: psi can kink only there; they
     # need not lie inside the support (the box's walls are its ends)
     breaks: tuple[float, ...] = ()
-    osc_scale: float = math.inf     # shortest oscillation wavelength of psi
-    # (psi, psi') at an array of points, from one evaluation
-    psi_and_slope: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     # the ODE psi'' = (b0 + b1 x) psi, b0 + b1 x = (2m/hbar^2)(V(x) - E), as
     # (b0, b1) for each of the len(breaks) + 1 regions between consecutive
     # breaks, region i ending at breaks[i]; (0, 0) where psi vanishes (V = inf)
     ode: tuple[tuple[float, float], ...] = ()
+    # (psi(a), psi'(a-), psi'(a+)) at each break a
+    matching: tuple[tuple[float, float, float], ...] = ()
+    osc_scale: float = math.inf     # shortest oscillation wavelength of psi
+    # psi^(0.._TABLE_ORDER) on each side of each break, from matching and ode
+    derivative_table: dict[float, SideDerivatives] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.derivative_table = {}
+        # the left side of break i lies in region i, its right side in region i + 1
+        for a, (value, slope_l, slope_r), (l0, l1), (r0, r1) in zip(
+                self.breaks, self.matching, self.ode, self.ode[1:]):
+            left = ode_taylor(value, slope_l, l0 + l1 * a, l1, _TABLE_ORDER)
+            right = ode_taylor(value, slope_r, r0 + r1 * a, r1, _TABLE_ORDER)
+            self.derivative_table[float(a)] = SideDerivatives(
+                float(value), tuple(map(mul, _FACTORIALS, left)),
+                tuple(map(mul, _FACTORIALS, right)))
+
+    def psi(self, x):
+        """psi at an array of points."""
+        return self.psi_and_slope(x)[0]
 
     def table_at(self, location: float, tol: float = 1e-9) -> SideDerivatives:
-        for a, side in self.derivative_table.items():
-            if abs(a - location) <= tol:
-                return side
-        raise KeyError(f"no derivative table near x = {location}")
+        """The table of the break nearest ``location``, if within ``tol``."""
+        side = self.derivative_table.get(location)
+        if side is None:
+            nearest = min(self.derivative_table, key=lambda a: abs(a - location),
+                          default=math.inf)
+            if abs(nearest - location) > tol:
+                raise KeyError(f"no derivative table near x = {location}")
+            side = self.derivative_table[nearest]
+        return side
 
 
 def solve_delta(spec: pot.DeltaSum, n: int = 1) -> BoundState:
@@ -88,16 +129,10 @@ def solve_delta(spec: pot.DeltaSum, n: int = 1) -> BoundState:
         value = amp * np.exp(-k0 * np.abs(x - a))
         return value, -k0 * np.sign(x - a) * value
 
-    table = {a: SideDerivatives(
-        value=amp,
-        left=tuple(amp * k0 ** j for j in range(6)),
-        right=tuple(amp * (-k0) ** j for j in range(6)),
-    )}
     half = _DECAY_CUT / k0
-    return BoundState(energy, 1, "even" if a == 0 else "none",
-                      lambda x: psi_and_slope(x)[0], table,
+    return BoundState(energy, 1, "even" if a == 0 else "none", psi_and_slope,
                       support=(a - half, a + half), mass=m, hbar=hbar, breaks=(a,),
-                      psi_and_slope=psi_and_slope, ode=((k0 * k0, 0.0),) * 2)
+                      ode=((k0 * k0, 0.0),) * 2, matching=((amp, amp * k0, -amp * k0),))
 
 
 def _advance(P: float, Q: float, beta: float, w: float):
@@ -292,22 +327,13 @@ def _piecewise_state(spec, n: int, energy: float) -> BoundState:
             out[:, sel] = piece(i, x[sel])
         return tuple(out)
 
-    table = {}
-    for i, row in enumerate(rows):
-        value, slope_l, slope_r = (scale * v for v in row)
-        left_d, right_d = [value, slope_l], [value, slope_r]
-        for d in range(4):
-            left_d.append(betas[i] * left_d[d])
-            right_d.append(betas[i + 1] * right_d[d])
-        table[float(xs[i])] = SideDerivatives(value, left=tuple(left_d), right=tuple(right_d))
-
     osc = [2.0 * math.pi / math.sqrt(-b) for b in betas[1:-1] if b < 0]
-    return BoundState(energy, n, "none", lambda x: psi_and_slope(x)[0], table,
+    return BoundState(energy, n, "none", psi_and_slope,
                       support=(xs[0] - _DECAY_CUT / kap_l, xs[-1] + _DECAY_CUT / kap_r),
                       mass=m, hbar=hbar, breaks=tuple(float(x) for x in xs),
-                      osc_scale=min(osc) if osc else math.inf,
-                      psi_and_slope=psi_and_slope,
-                      ode=tuple((b, 0.0) for b in betas))
+                      ode=tuple((b, 0.0) for b in betas),
+                      matching=tuple(tuple(scale * v for v in row) for row in rows),
+                      osc_scale=min(osc) if osc else math.inf)
 
 
 def solve_infinite_well(spec: pot.InfiniteWell, n: int) -> BoundState:
@@ -326,21 +352,12 @@ def solve_infinite_well(spec: pot.InfiniteWell, n: int) -> BoundState:
         return (np.where(inside, amp * np.sin(kx), 0.0),
                 np.where(inside, amp * k * np.cos(kx), 0.0))
 
-    # d^j/dx^j sin(kx): cycle [sin, cos, -sin, -cos]
-    sin_cycle = (0.0, 1.0, 0.0, -1.0)
-    right0 = tuple(amp * k ** j * sin_cycle[j % 4] for j in range(6))
-    sign = (-1.0) ** n
-    leftL = tuple(amp * k ** j * sin_cycle[j % 4] * sign for j in range(6))
-    zeros = (0.0,) * 6
-    table = {
-        0.0: SideDerivatives(0.0, left=zeros, right=right0),
-        L: SideDerivatives(0.0, left=leftL, right=zeros),
-    }
     parity = "even" if n % 2 == 1 else "odd"   # about the well center
-    return BoundState(energy, n, parity, lambda x: psi_and_slope(x)[0], table, support=(0.0, L),
-                      mass=m, hbar=hbar, breaks=(0.0, L), osc_scale=2.0 * L / n,
-                      psi_and_slope=psi_and_slope,
-                      ode=((0.0, 0.0), (-k * k, 0.0), (0.0, 0.0)))
+    return BoundState(energy, n, parity, psi_and_slope, support=(0.0, L),
+                      mass=m, hbar=hbar, breaks=(0.0, L),
+                      ode=((0.0, 0.0), (-k * k, 0.0), (0.0, 0.0)),
+                      matching=((0.0, 0.0, amp * k), (0.0, amp * k * (-1.0) ** n, 0.0)),
+                      osc_scale=2.0 * L / n)
 
 
 def _finite_well_theta(R: float, i: int) -> float:
@@ -351,7 +368,7 @@ def _finite_well_theta(R: float, i: int) -> float:
     hi = min(i * math.pi / 2.0, R)
     if i % 2 == 1:   # even parity: theta*sin(theta) = sqrt(R^2-th^2)*cos(theta)
         f = lambda th: th * math.sin(th) - math.sqrt(max(R * R - th * th, 0.0)) * math.cos(th)
-    else:            # odd parity: theta*cos(theta) + sqrt(R^2-th^2)*sin(theta) = 0... sign flipped
+    else:            # odd parity: theta*cos(theta) = -sqrt(R^2-th^2)*sin(theta)
         f = lambda th: th * math.cos(th) + math.sqrt(max(R * R - th * th, 0.0)) * math.sin(th)
     eps = 1e-13 * max(1.0, hi)
     flo, fhi = f(lo + eps), f(hi - eps)
@@ -395,42 +412,16 @@ def solve_finite_well(spec: pot.FiniteWell, n: int) -> BoundState:
                 np.where(inside, amp * k * (-sin if even else cos),
                          -kappa * np.sign(u) * outer))
 
-    # one-sided derivatives at the edges x' = -w and x' = +w
-    def trig_derivs(u: float) -> tuple[float, ...]:
-        out = []
-        for j in range(6):
-            if even:
-                cyc = (math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t), math.sin)
-            else:
-                cyc = (math.sin, math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t))
-            out.append(amp * k ** j * cyc[j % 4](k * u))
-        return tuple(out)
-
-    exp_right = tuple(B * (-kappa) ** j for j in range(6))
     sign_left = 1.0 if even else -1.0
-    exp_left = tuple(sign_left * B * kappa ** j for j in range(6))
-    table = {
-        spec.a: SideDerivatives(sign_left * B, left=exp_left, right=trig_derivs(-w)),
-        spec.b: SideDerivatives(B, left=trig_derivs(w), right=exp_right),
-    }
+    inner = amp * k * (math.sin(theta) if even else math.cos(theta))    # psi'(a+)
     half = w + _DECAY_CUT / kappa
-    return BoundState(energy, n, "even" if even else "odd", lambda x: psi_and_slope(x)[0], table,
+    return BoundState(energy, n, "even" if even else "odd", psi_and_slope,
                       support=(c - half, c + half), mass=m, hbar=hbar,
-                      breaks=(spec.a, spec.b), osc_scale=2.0 * math.pi / k,
-                      psi_and_slope=psi_and_slope,
-                      ode=((kappa * kappa, 0.0), (-k * k, 0.0), (kappa * kappa, 0.0)))
-
-
-def _airy_derivs_at_ai_zero(zeta: float) -> tuple[float, ...]:
-    """Ai^(j)(-zeta) for j = 0..5 where Ai(-zeta) = 0, via the Airy ODE."""
-    ap = specfun.airy_ai_prime(-zeta)
-    return (0.0, ap, 0.0, -zeta * ap, 2.0 * ap, zeta * zeta * ap)
-
-
-def _airy_derivs_at_aip_zero(eta: float) -> tuple[float, ...]:
-    """Ai^(j)(-eta) for j = 0..5 where Ai'(-eta) = 0."""
-    av = specfun.airy_ai(-eta)
-    return (av, 0.0, -eta * av, av, eta * eta * av, -4.0 * eta * av)
+                      breaks=(spec.a, spec.b),
+                      ode=((kappa * kappa, 0.0), (-k * k, 0.0), (kappa * kappa, 0.0)),
+                      matching=((sign_left * B, sign_left * B * kappa, inner),
+                                (B, -sign_left * inner, -B * kappa)),
+                      osc_scale=2.0 * math.pi / k)
 
 
 def solve_bouncer(spec: pot.Bouncer, n: int) -> BoundState:
@@ -440,7 +431,8 @@ def solve_bouncer(spec: pot.Bouncer, n: int) -> BoundState:
     rho, e0 = spec.rho, spec.energy_scale
     zeta = specfun.airy_zero(n)
     energy = e0 * zeta
-    N = 1.0 / (math.sqrt(rho) * specfun.airy_ai_prime(-zeta))
+    ap = specfun.airy_ai_prime(-zeta)
+    N = 1.0 / (math.sqrt(rho) * ap)
 
     def psi_and_slope(z):
         z = np.asarray(z, dtype=float)
@@ -448,15 +440,12 @@ def solve_bouncer(spec: pot.Bouncer, n: int) -> BoundState:
         above = z > 0.0
         return np.where(above, N * ai, 0.0), np.where(above, N / rho * aip, 0.0)
 
-    derivs = _airy_derivs_at_ai_zero(zeta)
-    table = {0.0: SideDerivatives(0.0,
-        left=(0.0,) * 6,
-        right=tuple(N * derivs[j] / rho ** j for j in range(6)))}
-    return BoundState(energy, n, "none", lambda z: psi_and_slope(z)[0], table,
+    slope = N * ap / rho
+    return BoundState(energy, n, "none", psi_and_slope,
                       support=(0.0, rho * (zeta + 18.0)), mass=spec.mass, hbar=spec.hbar,
-                      breaks=(0.0,), osc_scale=2.0 * math.pi * rho / math.sqrt(zeta),
-                      psi_and_slope=psi_and_slope,
-                      ode=((0.0, 0.0), (-zeta / rho ** 2, 1.0 / rho ** 3)))
+                      breaks=(0.0,), ode=((0.0, 0.0), (-zeta / rho ** 2, 1.0 / rho ** 3)),
+                      matching=((0.0, 0.0, slope),),
+                      osc_scale=2.0 * math.pi * rho / math.sqrt(zeta))
 
 
 def solve_symmetric_linear(spec: pot.SymmetricLinear, n: int, parity: str) -> BoundState:
@@ -469,50 +458,39 @@ def solve_symmetric_linear(spec: pot.SymmetricLinear, n: int, parity: str) -> Bo
     if parity == "even":
         eta = specfun.airy_prime_zero(n)
         energy = e0 * eta
-        M = 1.0 / (math.sqrt(2.0 * rho * eta) * specfun.airy_ai(-eta))
+        av = specfun.airy_ai(-eta)
+        M = 1.0 / (math.sqrt(2.0 * rho * eta) * av)
 
         def psi_and_slope(z):
             z = np.asarray(z, dtype=float)
             ai, aip = specfun.airy_ai_and_prime(np.abs(z) / rho - eta)
             return M * ai, np.sign(z) * (M / rho) * aip
 
-        derivs = _airy_derivs_at_aip_zero(eta)
-        right = tuple(M * derivs[j] / rho ** j for j in range(6))
-        left = tuple(right[j] * (-1.0) ** j for j in range(6))
-        table = {0.0: SideDerivatives(right[0], left=left, right=right)}
+        matching = ((M * av, 0.0, 0.0),)
         half = rho * (eta + 18.0)
         lam = 2.0 * math.pi * rho / math.sqrt(eta)
         level = eta
     else:
         zeta = specfun.airy_zero(n)
         energy = e0 * zeta
-        N = 1.0 / (math.sqrt(rho) * specfun.airy_ai_prime(-zeta))
-        amp = N / math.sqrt(2.0)
+        ap = specfun.airy_ai_prime(-zeta)
+        amp = 1.0 / (math.sqrt(rho) * ap) / math.sqrt(2.0)
 
         def psi_and_slope(z):
             z = np.asarray(z, dtype=float)
             ai, aip = specfun.airy_ai_and_prime(np.abs(z) / rho - zeta)
             return np.sign(z) * amp * ai, (amp / rho) * aip
 
-        derivs = _airy_derivs_at_ai_zero(zeta)
-        right = tuple(amp * derivs[j] / rho ** j for j in range(6))
-        left = tuple(-right[j] * (-1.0) ** j for j in range(6))
-        table = {0.0: SideDerivatives(0.0, left=left, right=right)}
+        slope = amp * ap / rho
+        matching = ((0.0, slope, slope),)
         half = rho * (zeta + 18.0)
         lam = 2.0 * math.pi * rho / math.sqrt(zeta)
         level = zeta
     # psi'' = (|z|/rho - level) psi / rho^2 on either side of the kink
     b0, b1 = -level / rho ** 2, 1.0 / rho ** 3
-    return BoundState(energy, n, parity, lambda z: psi_and_slope(z)[0], table,
-                      support=(-half, half),
-                      mass=spec.mass, hbar=spec.hbar, breaks=(0.0,), osc_scale=lam,
-                      psi_and_slope=psi_and_slope, ode=((b0, -b1), (b0, b1)))
-
-
-def _airy_derivs(u: float, a0: float, a1: float) -> tuple[float, ...]:
-    """Ai^(j)(u) for j = 0..5 from a0 = Ai(u) and a1 = Ai'(u), via the Airy ODE."""
-    return (a0, a1, u * a0, a0 + u * a1, 2.0 * a1 + u * u * a0,
-            4.0 * u * a0 + u * u * a1)
+    return BoundState(energy, n, parity, psi_and_slope, support=(-half, half),
+                      mass=spec.mass, hbar=spec.hbar, breaks=(0.0,),
+                      ode=((b0, -b1), (b0, b1)), matching=matching, osc_scale=lam)
 
 
 # walls of the two bouncer ladders closer than this (relative) are one wall
@@ -601,21 +579,16 @@ def solve_asymmetric_linear(spec: pot.AsymmetricLinear, n: int = 1) -> BoundStat
         return (np.where(right, c_r, c_l) * ai,
                 np.where(right, c_r / rho_r, -c_l / rho_l) * aip)
 
-    dr = _airy_derivs(ur, air, apr)
-    dl = _airy_derivs(ul, ail, apl)
-    right = tuple(c_r * dr[j] / rho_r ** j for j in range(6))
-    left = tuple(c_l * (-1.0) ** j * dl[j] / rho_l ** j for j in range(6))
-    table = {0.0: SideDerivatives(right[0], left=left, right=right)}
     half_r = rho_r * (-ur + 18.0)
     half_l = rho_l * (-ul + 18.0)
     osc = 2.0 * math.pi * min(rho_r / math.sqrt(max(-ur, 1e-12)),
                               rho_l / math.sqrt(max(-ul, 1e-12)))
-    return BoundState(energy, n, "none", lambda z: psi_and_slope(z)[0], table,
-                      support=(-half_l, half_r),
-                      mass=m, hbar=hbar, breaks=(0.0,), osc_scale=osc,
-                      psi_and_slope=psi_and_slope,
+    return BoundState(energy, n, "none", psi_and_slope, support=(-half_l, half_r),
+                      mass=m, hbar=hbar, breaks=(0.0,),
                       ode=((ul / rho_l ** 2, -1.0 / rho_l ** 3),
-                           (ur / rho_r ** 2, 1.0 / rho_r ** 3)))
+                           (ur / rho_r ** 2, 1.0 / rho_r ** 3)),
+                      matching=((c_r * air, -c_l * apl / rho_l, c_r * apr / rho_r),),
+                      osc_scale=osc)
 
 
 # ---------------------------------------------------------------------------
@@ -743,11 +716,13 @@ def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
     spline = CubicSpline(xs, vals / norm)
     lo, hi = float(xs[0]), float(xs[-1])
 
-    def psi(x):
+    def psi_and_slope(x):
         x = np.asarray(x, dtype=float)
-        return np.where((x >= lo) & (x <= hi), spline(np.clip(x, lo, hi)), 0.0)
+        inside = (x >= lo) & (x <= hi)
+        x = np.clip(x, lo, hi)
+        return np.where(inside, spline(x), 0.0), np.where(inside, spline(x, 1), 0.0)
 
-    return BoundState(energy, n, parity or "none", psi, {}, support=(lo, hi),
+    return BoundState(energy, n, parity or "none", psi_and_slope, support=(lo, hi),
                       mass=m, hbar=hbar)
 
 

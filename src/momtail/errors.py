@@ -18,7 +18,8 @@ class DivergentMoment(ArithmeticError):
 
 
 class QuadratureBudgetExceeded(RuntimeError):
-    """Oscillatory quadrature could not reach tolerance within its panel budget."""
+    """Oscillatory quadrature could not reach tolerance within its panel budget,
+    or its panels are too narrow for their centers' float resolution."""
 
 
 class NonPowerLaw(ValueError):

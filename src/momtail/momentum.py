@@ -35,7 +35,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legmulx
 
 from . import potentials as pot
-from .eigensolve import BoundState
+from .eigensolve import BoundState, ode_taylor
 from .errors import DivergentMoment, NoSuchState, QuadratureBudgetExceeded
 
 _DEGREE = 34          # highest Taylor and Legendre coefficient kept per panel
@@ -49,6 +49,7 @@ _POINT_BLOCK = 1024   # distinct |p| per block of the transform
 _ORDERS = np.arange(_DEGREE + 1)
 _MOMENT_PHASE = 2.0 * np.array([1.0, -1j, -1.0, 1j])[_ORDERS % 4]   # 2(-i)^k
 _RATIO_START = _DEGREE + 40   # backward ratio recurrence starts here with r = 0
+_MIN_RESOLUTION = 1e11  # least panel half-width, in ulps of the panel center
 
 
 def _monomial_to_legendre() -> np.ndarray:
@@ -153,14 +154,16 @@ class FilonPanels:
     budget, which also stops a panel that never resolves: its descendants
     double every generation. So a state's panels come in a few groups of
     equal half-width, and the transform shares one table of oscillatory
-    moments across each group.
+    moments across each group. A panel narrower than 1e11 ulps of its center
+    raises ``QuadratureBudgetExceeded`` too: the float position of its center
+    cannot place a psi that varies on that scale.
 
     A state without ODE data (``shooting_oracle``'s spline) raises
     ``ValueError``.
     """
 
     def __init__(self, state: BoundState):
-        if state.psi_and_slope is None or len(state.ode) != len(state.breaks) + 1:
+        if len(state.ode) != len(state.breaks) + 1:
             raise ValueError("the state carries no ODE data to expand psi from")
 
         lo, hi = state.support
@@ -201,6 +204,15 @@ class FilonPanels:
         order = np.argsort(centers)
         self.centers = centers[order]
         self.halfwidths = np.concatenate(halfwidths)[order]
+        # psi is expanded about the rounded center: a panel r ulps wide
+        # misplaces psi by ~1/r of its width, and phi errs by ~(1..10)/r
+        coarse = self.halfwidths < _MIN_RESOLUTION * np.spacing(np.abs(self.centers))
+        if np.any(coarse):
+            i = np.argmax(coarse)
+            raise QuadratureBudgetExceeded(
+                f"the panel at x = {self.centers[i]:.17g} of half-width "
+                f"{self.halfwidths[i]:.3g} spans fewer than {_MIN_RESOLUTION:.0e} ulps "
+                f"of its center, too few to place psi")
         self.coeffs = np.concatenate(coeffs)[order]      # (panels, degree+1)
         self.hbar = state.hbar
 
@@ -242,24 +254,18 @@ def _panel_coefficients(state: BoundState, c: np.ndarray,
                         hw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Legendre coefficients of psi(c + hw t), t in [-1, 1], for each panel.
 
-    With psi'' = (b0 + b1 x) psi in the panel's region, the Taylor
-    coefficients t_k of psi(c + hw t) obey (k+1)(k+2) t_(k+2) = A t_k +
-    G t_(k-1), A = (b0 + b1 c) hw^2, G = b1 hw^3, from t_0 = psi(c) and
-    t_1 = hw psi'(c), and a fixed matrix maps t_0..t__DEGREE to Legendre
-    coefficients. Returns those, shape (panels, _DEGREE + 1), and per panel
-    the larger of the last two Taylor terms, which bounds the dropped rest of
-    the series while its terms fall (two terms, because with G = 0 the even
-    and the odd terms are independent).
+    With psi'' = (b0 + b1 x) psi in the panel's region, ``ode_taylor`` gives
+    the Taylor coefficients t_0..t__DEGREE of psi(c + hw t) from psi(c) and
+    psi'(c), and a fixed matrix maps them to Legendre coefficients. Returns
+    those, shape (panels, _DEGREE + 1), and per panel the larger of the last
+    two Taylor terms, which bounds the dropped rest of the series while its
+    terms fall (two terms, because with G = 0 the even and the odd terms are
+    independent).
     """
     psi, slope = state.psi_and_slope(c)
     b0, b1 = np.asarray(state.ode)[np.searchsorted(state.breaks, c)].T
-    a = (b0 + b1 * c) * hw ** 2
-    g = b1 * hw ** 3
-    taylor = np.empty((_DEGREE + 1, c.size))
-    taylor[0], taylor[1] = psi, hw * slope
-    taylor[2] = 0.5 * a * taylor[0]
-    for k in range(1, _DEGREE - 1):
-        taylor[k + 2] = (a * taylor[k] + g * taylor[k - 1]) / ((k + 1) * (k + 2))
+    taylor = np.array(ode_taylor(psi, hw * slope, (b0 + b1 * c) * hw ** 2, b1 * hw ** 3,
+                                 _DEGREE))
     return (_TO_LEGENDRE @ taylor).T, np.max(np.abs(taylor[-2:]), axis=0)
 
 

@@ -65,6 +65,7 @@ def test_well_interference_structure():
 
 EXPONENT_CASES = [
     ("delta", pot.DeltaSum(deltas=((1.0, 0.0),)), {}, 2),
+    ("delta_pair_gap_1e-10", pot.DeltaSum(deltas=((1.0, 0.0), (2.0, 1e-10))), {}, 2),
     ("well", pot.InfiniteWell(length=math.pi), dict(n=1), 2),
     ("finite_well", pot.FiniteWell(depth=10.0, a=-1.0, b=1.0), dict(n=1), 3),
     ("step_ladder", pot.StepSum(steps=((0.0, -5.0), (1.0, 2.0), (2.0, 3.0))),
@@ -84,6 +85,9 @@ def test_exponent_rule(name, spec, kw, expected):
     st = eig.solve(spec, kw.get("n", 1), kw.get("parity"))
     pred = asy.predict_tail(st, pot.discontinuities(spec))
     assert pred.leading_exponent == expected
+    if isinstance(spec, pot.DeltaSum):
+        # every delta, however close to the next, gives its own order-2 term
+        assert [t.location for t in pred.leading_terms()] == [a for _, a in spec.deltas]
 
 
 @pytest.mark.parametrize("name,spec,kw,expected", EXPONENT_CASES,

@@ -99,6 +99,13 @@ def test_transform_of_wide_state(runner, tmp_path, potential, n):
     assert len(lines) == 1002
 
 
+def test_transform_of_unplaceable_narrow_state_exits_1(runner, tmp_path):
+    cfg = write_cfg(tmp_path, {"potential": {"kind": "delta_sum", "deltas": [[1e14, 0.3]]}})
+    res = runner.invoke(main, ["transform", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert not (tmp_path / "transform.csv").exists()
+
+
 def test_verify_of_weak_delta(runner, tmp_path):
     cfg = write_cfg(tmp_path, {"potential": WIDE_STATES[0][0]})
     res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])

@@ -457,6 +457,41 @@ def test_derivative_table_matches_finite_differences(name, spec, kw):
                 assert abs(fd[j] - side.left[j]) < 1e-5 * scale
 
 
+AIRY_STATES = [
+    ("bouncer", pot.Bouncer(force=0.5), dict(n=4)),
+    ("symlin_even", pot.SymmetricLinear(force=0.5), dict(n=2, parity="even")),
+    ("symlin_odd", pot.SymmetricLinear(force=0.5), dict(n=2, parity="odd")),
+    ("asymlin", pot.AsymmetricLinear(force_right=0.5, force_left=2.0), dict(n=2)),
+    ("asymlin_m2_hbar2", pot.AsymmetricLinear(force_right=0.5, force_left=2.0,
+                                              mass=2.0, hbar=2.0), dict(n=3)),
+]
+
+
+@pytest.mark.parametrize("name,spec,kw", AIRY_STATES, ids=[s[0] for s in AIRY_STATES])
+def test_airy_derivative_tables_match_mpmath(name, spec, kw):
+    # on the side of force F, psi(z) = c Ai(|z|/rho + u0) with u0 = -E/(F rho),
+    # so psi^(j)(0+-) = c (+-1/rho)^j Ai^(j)(u0); c is fitted to psi itself
+    st = eig.solve(spec, kw["n"], kw.get("parity"))
+    side = st.table_at(0.0)
+    if isinstance(spec, pot.AsymmetricLinear):
+        forces = (spec.force_left, spec.force_right)
+    else:
+        forces = (None if isinstance(spec, pot.Bouncer) else spec.force, spec.force)
+    for sign, force, got in zip((-1.0, 1.0), forces, (side.left, side.right)):
+        if force is None:
+            assert got == (0.0,) * 6
+            continue
+        rho = pot.airy_length(force, spec.mass, spec.hbar)
+        u0 = -st.energy / (force * rho)
+        ts = np.linspace(0.1, 2.0, 20)
+        ai = np.array([float(mpmath.airyai(t + u0)) for t in ts])
+        c = np.dot(st.psi(sign * rho * ts), ai) / np.dot(ai, ai)
+        want = [c * (sign / rho) ** j * float(mpmath.airyai(u0, derivative=j))
+                for j in range(6)]
+        scale = max(abs(w) for w in want)
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-13 * scale
+
+
 @pytest.mark.parametrize("name,spec,kw", STATES, ids=[s[0] for s in STATES])
 def test_jump_conditions(name, spec, kw):
     st = eig.solve(spec, kw.get("n", 1), kw.get("parity"))
@@ -505,6 +540,19 @@ def test_shooting_agreement_bouncer(n):
     st = eig.solve(spec, n)
     osc = eig.shooting_oracle(spec, (st.energy - 0.05, st.energy + 0.05), n)
     assert abs(st.energy - osc.energy) / abs(st.energy) < 1e-8
+
+
+def test_shooting_oracle_psi_and_slope():
+    # the oracle's spline gives psi and psi'; its sign is arbitrary
+    spec = pot.AsymmetricLinear(force_right=0.5, force_left=2.0)
+    st = eig.solve(spec, 2)
+    osc = eig.shooting_oracle(spec, (st.energy - 1e-3, st.energy + 1e-3), 2)
+    z = np.linspace(-3.0, 8.0, 45)
+    got, want = osc.psi_and_slope(z), st.psi_and_slope(z)
+    sign = np.sign(np.dot(got[0], want[0]))
+    for g, w in zip(got, want):
+        assert np.max(np.abs(sign * g - w)) < 1e-4
+    assert np.array_equal(osc.psi(z), got[0])
 
 
 @pytest.mark.parametrize("n,parity", [(n, p) for n in (1, 2, 3, 4, 5)

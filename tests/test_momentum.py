@@ -249,6 +249,14 @@ def test_build_refuses_state_without_ode():
         mom.FilonPanels(shot)
 
 
+def test_build_refuses_panels_too_narrow_for_their_position():
+    # at x = 0.3 the panels of a support-8.4e-13 delta span ~1e3 ulps of their
+    # centers, and the rounded centers put phi ~6e-3 off the closed form
+    spec = pot.DeltaSum(deltas=((1e14, 0.3),))
+    with pytest.raises(QuadratureBudgetExceeded):
+        mom.FilonPanels(eig.solve(spec))
+
+
 def test_budget_stops_a_panel_that_never_resolves():
     # a NaN expansion fails the resolution test at every half-width, so the
     # panels double each generation until the budget stops them
