@@ -2,8 +2,12 @@
 
 Configs are JSON, data files are CSV with 17-significant-digit formatting, and
 reports are JSON with sorted keys; identical inputs produce byte-identical
-outputs. Exit codes: 0 success, 1 verification or quadrature failure,
-2 usage/config errors.
+outputs. ``solve`` reports ``norm_check``, the integral of psi^2 by the
+adaptive Gauss-Legendre rule ``momentum.norm_check`` on psi samples alone, and
+``norm_check_error``, that rule's summed 16-versus-32-node gap. Exit codes:
+0 success, 1 verification or quadrature failure (``transform`` and ``verify``
+when the Filon panels cannot resolve psi, ``solve`` when the norm check
+cannot), 2 usage/config errors.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from pathlib import Path
 
 import click
 import numpy as np
-from scipy.integrate import quad
 
 from . import asymptotics as asy
 from . import eigensolve as eig
@@ -107,28 +110,32 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
+    """click.echo to the current sys.stdout, or sys.stderr.
+
+    Left to pick the stream, click caches a wrapper per stream object, and
+    for a text stream the wrapper is the stream itself, so its weak-keyed
+    cache never lets go: a process that runs the CLI in-process with a
+    fresh stream per call (a test runner, a benchmark) would keep every
+    call's stream and all the text written to it.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _norm_check(state: eig.BoundState) -> float:
-    """integral psi^2 dx, adaptively on each piece between the kinks of psi."""
-    lo, hi = state.support
-    edges = [lo, *(b for b in state.breaks if lo < b < hi), hi]
-    psi2 = lambda x: float(state.psi(np.array([x]))[0]) ** 2
-    return math.fsum(quad(psi2, u, v, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-                     for u, v in zip(edges[:-1], edges[1:]))
-
-
 def _state_report(cfg: RunConfig, state: eig.BoundState) -> dict:
-    norm = _norm_check(state)
+    norm, norm_error = mom.norm_check(state)
     table = {}
     for a, side in state.derivative_table.items():
         table[f"{a:.17g}"] = {"value": side.value,
                               "left": list(side.left), "right": list(side.right)}
     return {"potential": pot.to_dict(cfg.spec), "n": state.n,
             "parity": state.parity, "energy": state.energy,
-            "norm_check": norm, "support": list(state.support),
+            "norm_check": norm, "norm_check_error": norm_error,
+            "support": list(state.support),
             "derivative_table": table}
 
 
@@ -150,7 +157,7 @@ def _load_config(config: str, grid: str | None, n: int | None,
             cfg.parity = parity
         return cfg
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        click.echo(f"config error: {exc}", err=True)
+        _echo(f"config error: {exc}", err=True)
         sys.exit(2)
 
 
@@ -179,11 +186,15 @@ def solve(config, out, grid, n, parity) -> None:
     try:
         state = eig.solve(cfg.spec, cfg.n, cfg.parity)
     except (NoSuchState, NoBoundState, ValueError) as exc:
-        click.echo(f"solve error: {exc}", err=True)
+        _echo(f"solve error: {exc}", err=True)
         sys.exit(2)
-    report = _json_dumps(_state_report(cfg, state))
+    try:
+        report = _json_dumps(_state_report(cfg, state))
+    except QuadratureBudgetExceeded as exc:
+        _echo(f"quadrature error: {exc}", err=True)
+        sys.exit(1)
     _write_text(Path(out) / "solve.json", report)
-    click.echo(report, nl=False)
+    _echo(report, nl=False)
 
 
 @main.command()
@@ -194,12 +205,12 @@ def transform(config, out, grid, n, parity) -> None:
     try:
         state = eig.solve(cfg.spec, cfg.n, cfg.parity)
     except (NoSuchState, NoBoundState, ValueError) as exc:
-        click.echo(f"solve error: {exc}", err=True)
+        _echo(f"solve error: {exc}", err=True)
         sys.exit(2)
     try:
         samples = mom.phi_quadrature(state, cfg.grid())
     except QuadratureBudgetExceeded as exc:
-        click.echo(f"quadrature error: {exc}", err=True)
+        _echo(f"quadrature error: {exc}", err=True)
         sys.exit(1)
     text = samples.to_csv()
     try:
@@ -215,8 +226,8 @@ def transform(config, out, grid, n, parity) -> None:
         text = "\n".join(lines) + "\n"
     path = Path(out) / "transform.csv"
     _write_text(path, text)
-    click.echo(f"wrote {path} ({samples.grid.size} samples, "
-               f"provenance {samples.provenance})")
+    _echo(f"wrote {path} ({samples.grid.size} samples, "
+          f"provenance {samples.provenance})")
 
 
 @main.command()
@@ -228,12 +239,12 @@ def predict(config, out, grid, n, parity) -> None:
         state = eig.solve(cfg.spec, cfg.n, cfg.parity)
         prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
     except (NoSuchState, NoBoundState, ValueError) as exc:
-        click.echo(f"solve error: {exc}", err=True)
+        _echo(f"solve error: {exc}", err=True)
         sys.exit(2)
     path = Path(out) / "predict.csv"
     _write_text(path, asy.prediction_to_csv(prediction))
-    click.echo(asy.summary(prediction))
-    click.echo(f"wrote {path}")
+    _echo(asy.summary(prediction))
+    _echo(f"wrote {path}")
 
 
 @main.command()
@@ -245,7 +256,7 @@ def verify(config, out, grid, n, parity) -> None:
         state = eig.solve(cfg.spec, cfg.n, cfg.parity)
         prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
     except (NoSuchState, NoBoundState, ValueError) as exc:
-        click.echo(f"solve error: {exc}", err=True)
+        _echo(f"solve error: {exc}", err=True)
         sys.exit(2)
 
     # momentum scale separating structure from tail: sqrt(2m|E - V_floor|)
@@ -256,7 +267,7 @@ def verify(config, out, grid, n, parity) -> None:
     try:
         samples = mom.phi_quadrature(state, tail_grid)
     except QuadratureBudgetExceeded as exc:
-        click.echo(f"quadrature error: {exc}", err=True)
+        _echo(f"quadrature error: {exc}", err=True)
         sys.exit(1)
 
     comparison = tailfit.compare(prediction, samples, component="abs",
@@ -283,7 +294,7 @@ def verify(config, out, grid, n, parity) -> None:
     }
     text = _json_dumps(report)
     _write_text(Path(out) / "verify.json", text)
-    click.echo(text, nl=False)
+    _echo(text, nl=False)
     if not passed:
         sys.exit(1)
 
@@ -323,7 +334,7 @@ def figure(number, out) -> None:
                          f"{tgt_even:.17g},{tgt_odd:.17g}")
         path = Path(out) / "figure2.csv"
         _write_text(path, "\n".join(lines) + "\n")
-    click.echo(f"wrote {path}")
+    _echo(f"wrote {path}")
 
 
 if __name__ == "__main__":

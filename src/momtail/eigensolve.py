@@ -633,8 +633,12 @@ def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
     """Eigenvalue by shooting + bisection on a matching defect; for tests.
 
     The bracket must contain exactly one eigenvalue and the defect must change
-    sign across it. Each kind defines its matching defect and the span on
-    which psi is tabulated at the found energy.
+    sign across it. Each kind defines its matching defect, the span on which
+    psi is tabulated at the found energy, and the joint (x, component) where
+    the two inward sweeps that tabulate it meet: they join at equal psi, or
+    at equal psi' where the parity zeroes psi there. Integrating outward
+    instead, the mode that grows outward, admitted by the energy's last bits,
+    would swamp psi.
     """
     m, hbar = spec.mass, spec.hbar
     e_lo, e_hi = e_bracket
@@ -645,6 +649,7 @@ def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
 
         def defect(E):
             return _integrate_inward(spec, E, span(E)[1], 0.0)[0]
+        joint = (0.0, 0)      # the wall: one sweep from the right
     elif isinstance(spec, pot.SymmetricLinear):
         if parity not in ("even", "odd"):
             raise ValueError("parity required for the symmetric linear potential")
@@ -656,6 +661,7 @@ def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
 
         def defect(E):
             return _integrate_inward(spec, E, span(E)[1], 0.0)[comp]
+        joint = (0.0, 1 - comp)
     elif isinstance(spec, pot.AsymmetricLinear):
         rho_r = pot.airy_length(spec.force_right, m, hbar)
         rho_l = pot.airy_length(spec.force_left, m, hbar)
@@ -669,6 +675,7 @@ def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
             yr = _integrate_inward(spec, E, zr, 0.0)
             yl = _integrate_inward(spec, E, zl, 0.0)
             return yr[1] * yl[0] - yl[1] * yr[0]
+        joint = (0.0, 0)
     elif isinstance(spec, pot.FiniteWell):
         c = 0.5 * (spec.a + spec.b)
         want_even = n % 2 == 1
@@ -681,6 +688,7 @@ def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
         def defect(E):
             y = _integrate_inward(spec, E, span(E)[1], c, breakpoints=(spec.b,))
             return y[1] if want_even else y[0]
+        joint = (c, 0 if want_even else 1)
     elif isinstance(spec, pot.HybridDeltaStep):
         def span(E):
             kappa = math.sqrt(2.0 * m * (-E)) / hbar
@@ -693,6 +701,7 @@ def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
             yl = _integrate_inward(spec, E, xl, 0.0)
             cusp = -2.0 * m * spec.g / hbar ** 2
             return yr[1] * yl[0] - yl[1] * yr[0] - cusp * yl[0] * yr[0]
+        joint = (0.0, 0)      # the delta: psi' jumps there
     else:
         raise NoConvergence(f"shooting oracle does not handle {spec.kind}")
 
@@ -701,17 +710,33 @@ def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
         raise NoConvergence("defect does not change sign in the energy bracket")
     energy = brentq(defect, e_lo, e_hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
-    # wavefunction on a grid, normalized numerically (for qualitative checks)
-    xs = np.linspace(*span(energy), 4001)
+    # wavefunction on a grid of 4001 points, swept inward from both ends to
+    # the joint and normalized numerically (for qualitative checks)
     coef = 2.0 * m / hbar ** 2
 
     def rhs(x, y):
         return [y[1], coef * (pot.evaluate(spec, x) - energy) * y[0]]
 
-    sol = solve_ivp(rhs, (xs[-1], xs[0]),
-                    [1e-6, 1e-6 * math.sqrt(max(coef * (pot.evaluate(spec, xs[-1]) - energy), 1e-12))],
-                    t_eval=xs[::-1], method="DOP853", rtol=1e-10, atol=1e-300)
-    vals = sol.y[0][::-1]
+    def sweep(xs):
+        """(psi, psi') at xs, from xs[0] on the branch that decays outward."""
+        kap = math.sqrt(max(coef * (pot.evaluate(spec, xs[0]) - energy), 1e-12))
+        start = [1e-6, math.copysign(kap, xs[-1] - xs[0]) * 1e-6]
+        sol = solve_ivp(rhs, (xs[0], xs[-1]), start, t_eval=xs, method="DOP853",
+                        rtol=1e-10, atol=1e-300)
+        return sol.y
+
+    lo, hi = span(energy)
+    x_joint, matched = joint
+    n_left = round(4000 * (x_joint - lo) / (hi - lo))
+    xs = np.linspace(x_joint, hi, 4001 - n_left)
+    vals = sweep(xs[::-1])[:, ::-1]
+    if n_left:
+        xs_left = np.linspace(lo, x_joint, n_left + 1)
+        left = sweep(xs_left)
+        left *= vals[matched, 0] / left[matched, -1]
+        xs = np.concatenate([xs_left[:-1], xs])
+        vals = np.concatenate([left[:, :-1], vals], axis=1)
+    vals = vals[0]
     norm = math.sqrt(np.trapezoid(vals * vals, xs))
     spline = CubicSpline(xs, vals / norm)
     lo, hi = float(xs[0]), float(xs[-1])

@@ -22,7 +22,9 @@ even at p ~ 10^3, where phi itself is ~1e-10.
 
 Closed forms for the single delta and the infinite well are provided as
 independent cross-checks, and ``moment`` integrates p^k |phi|^2 with an
-analytic large-p remainder taken from a tail prediction.
+analytic large-p remainder taken from a tail prediction. ``norm_check``
+integrates psi^2 by adaptive Gauss-Legendre on the same kink-aware tiling,
+from samples of psi alone.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ _ORDERS = np.arange(_DEGREE + 1)
 _MOMENT_PHASE = 2.0 * np.array([1.0, -1j, -1.0, 1j])[_ORDERS % 4]   # 2(-i)^k
 _RATIO_START = _DEGREE + 40   # backward ratio recurrence starts here with r = 0
 _MIN_RESOLUTION = 1e11  # least panel half-width, in ulps of the panel center
+_NORM_RULES = (leggauss(16), leggauss(32))    # the norm check's two Gauss rules
+_NORM_TOL = 1e-15     # norm check: a panel's |I32 - I16| at acceptance
 
 
 def _monomial_to_legendre() -> np.ndarray:
@@ -137,26 +141,70 @@ def _bessel_table(w: np.ndarray) -> np.ndarray:
     return table
 
 
+def _bisect_until_resolved(state: BoundState, width: float, resolved) -> None:
+    """Adaptive bisection by generations over the state's support.
+
+    The first generation tiles the support, cut at the state's breaks: each
+    interval between kinks of psi is cut into equal panels of one shared
+    half-width, none wider than ``width``. ``resolved(c, hw)`` takes a
+    generation of pending panels (centers, half-widths), keeps what it needs
+    of those it accepts and returns their mask. Each rejected panel becomes
+    two of exactly half its half-width, which join the next generation.
+    Centers are computed from the shared half-width, not from linspace cuts,
+    so the half-widths of one interval (and of their bisections) are
+    bitwise equal.
+
+    Raises ``QuadratureBudgetExceeded`` before panels outnumber the budget,
+    which also stops a panel that never resolves: its descendants double
+    every generation. It raises too for a panel narrower than 1e11 ulps of
+    its center: the float position of its center cannot place a psi that
+    varies on that scale (a panel r ulps wide misplaces psi by ~1/r of its
+    width), and its halves are no wider in ulps.
+    """
+    lo, hi = state.support
+    edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
+    c, hw = [], []
+    for u, v in zip(edges[:-1], edges[1:]):
+        m = max(1, math.ceil((v - u) / width))
+        h = 0.5 * (v - u) / m
+        c.extend(u + (2 * i + 1) * h for i in range(m))
+        hw.extend([h] * m)
+    c, hw = np.array(c), np.array(hw)
+    accepted = 0
+    while c.size:
+        if accepted + c.size > _MAX_PANELS:
+            raise QuadratureBudgetExceeded(
+                f"needed more than {_MAX_PANELS} panels to resolve psi")
+        coarse = hw < _MIN_RESOLUTION * np.spacing(np.abs(c))
+        if np.any(coarse):
+            i = np.argmax(coarse)
+            raise QuadratureBudgetExceeded(
+                f"the panel at x = {c[i]:.17g} of half-width {hw[i]:.3g} spans "
+                f"fewer than {_MIN_RESOLUTION:.0e} ulps of its center, too few "
+                f"to place psi")
+        done = resolved(c, hw)
+        accepted += np.count_nonzero(done)
+        c, hw = c[~done], 0.5 * hw[~done]
+        c, hw = np.concatenate([c - hw, c + hw]), np.concatenate([hw, hw])
+
+
 class FilonPanels:
     """Per-panel Legendre expansion of psi, reusable for every p.
 
-    Panels tile the state's support with edges at every psi kink. Each
-    interval between kinks is cut into equal panels of one shared half-width,
-    at most max(1, support length / 84) wide and at most half the state's
-    shortest oscillation wavelength, so the panel count does not grow with
-    the decay length. Each generation of pending panels is expanded together
+    Panels tile the state's support with edges at every psi kink, at most
+    max(1, support length / 84) wide and at most half the state's shortest
+    oscillation wavelength, so the panel count does not grow with the decay
+    length. Each generation of pending panels is expanded together
     (``_panel_coefficients``): one ``state.psi_and_slope`` call at their
     centers, then the Taylor recurrence of the state's ODE, ``state.ode``,
     to degree 34. A panel is accepted when its trailing Legendre
     coefficients and its last Taylor terms are below 1e-12 of the global
-    scale; otherwise it is bisected into two panels of exactly half its
-    half-width, which join the next generation. Panels never outnumber the
-    budget, which also stops a panel that never resolves: its descendants
-    double every generation. So a state's panels come in a few groups of
-    equal half-width, and the transform shares one table of oscillatory
-    moments across each group. A panel narrower than 1e11 ulps of its center
-    raises ``QuadratureBudgetExceeded`` too: the float position of its center
-    cannot place a psi that varies on that scale.
+    scale; otherwise it is bisected. The tiling, the bisection, the panel
+    budget and the resolution rule (``QuadratureBudgetExceeded`` for a panel
+    too narrow for its center's float position) are
+    ``_bisect_until_resolved``'s, shared with ``norm_check``. So a state's
+    panels come in a few groups of equal half-width, and the transform
+    shares one table of oscillatory moments across each group.
 
     A state without ODE data (``shooting_oracle``'s spline) raises
     ``ValueError``.
@@ -167,28 +215,12 @@ class FilonPanels:
             raise ValueError("the state carries no ODE data to expand psi from")
 
         lo, hi = state.support
-        edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
-        width = max(1.0, (hi - lo) / _BASE_PANELS)
-        if math.isfinite(state.osc_scale):
-            width = min(width, 0.5 * state.osc_scale)
-
-        # centers are computed from the shared half-width, not from linspace
-        # cuts, so the half-widths of one interval (and of their bisections)
-        # are bitwise equal
-        c, hw = [], []
-        for u, v in zip(edges[:-1], edges[1:]):
-            m = max(1, math.ceil((v - u) / width))
-            h = 0.5 * (v - u) / m
-            c.extend(u + (2 * i + 1) * h for i in range(m))
-            hw.extend([h] * m)
-        c, hw = np.array(c), np.array(hw)
-
+        width = min(max(1.0, (hi - lo) / _BASE_PANELS), 0.5 * state.osc_scale)
         centers, halfwidths, coeffs = [], [], []
-        accepted, scale = 0, 0.0
-        while c.size:
-            if accepted + c.size > _MAX_PANELS:
-                raise QuadratureBudgetExceeded(
-                    f"needed more than {_MAX_PANELS} panels to resolve psi")
+        scale = 0.0
+
+        def resolved(c, hw):
+            nonlocal scale
             ck, truncation = _panel_coefficients(state, c, hw)
             scale = max(scale, np.max(np.abs(ck)))
             tail = np.maximum(np.max(np.abs(ck[:, -_TAIL_COEFFS:]), axis=1), truncation)
@@ -196,23 +228,13 @@ class FilonPanels:
             centers.append(c[done])
             halfwidths.append(hw[done])
             coeffs.append(ck[done])
-            accepted += np.count_nonzero(done)
-            # each rejected panel becomes two of exactly half its half-width
-            c, hw = c[~done], 0.5 * hw[~done]
-            c, hw = np.concatenate([c - hw, c + hw]), np.concatenate([hw, hw])
+            return done
+
+        _bisect_until_resolved(state, width, resolved)
         centers = np.concatenate(centers)
         order = np.argsort(centers)
         self.centers = centers[order]
         self.halfwidths = np.concatenate(halfwidths)[order]
-        # psi is expanded about the rounded center: a panel r ulps wide
-        # misplaces psi by ~1/r of its width, and phi errs by ~(1..10)/r
-        coarse = self.halfwidths < _MIN_RESOLUTION * np.spacing(np.abs(self.centers))
-        if np.any(coarse):
-            i = np.argmax(coarse)
-            raise QuadratureBudgetExceeded(
-                f"the panel at x = {self.centers[i]:.17g} of half-width "
-                f"{self.halfwidths[i]:.3g} spans fewer than {_MIN_RESOLUTION:.0e} ulps "
-                f"of its center, too few to place psi")
         self.coeffs = np.concatenate(coeffs)[order]      # (panels, degree+1)
         self.hbar = state.hbar
 
@@ -276,6 +298,44 @@ def phi_quadrature(state: BoundState, grid, hbar: float | None = None) -> Moment
     # hbar passed explicitly: a wrapped transform may default it otherwise
     phi = FilonPanels(state).transform(np.asarray(grid, float), state.hbar)
     return _from_complex(grid, phi, "quadrature")
+
+
+# ---------------------------------------------------------------------------
+# norm check
+# ---------------------------------------------------------------------------
+
+def norm_check(state: BoundState) -> tuple[float, float]:
+    """(integral psi^2 dx, its error estimate), from samples of psi alone.
+
+    Adaptive Gauss-Legendre by generations, on the kink-aware tiling with
+    no panel wider than the state's oscillation scale: one ``state.psi``
+    call samples every pending panel at its 16 and 32 Gauss nodes. A panel
+    is accepted when the two rules agree to 1e-15, and bisected otherwise,
+    under the panel budget and resolution rule of ``FilonPanels``
+    (``QuadratureBudgetExceeded``), so a noisy psi or one that the float
+    centers cannot place is refused. Returns the fsum of the accepted
+    32-node integrals and the sum of their |I32 - I16|, an estimate of the
+    truncation error only (rounding in psi itself reaches ~5e-15 on supports
+    thousands wide). It reads neither ``ode`` nor the solver's closed-form
+    normalization, so it checks that normalization rather than repeating it.
+    """
+    (x16, w16), (x32, w32) = _NORM_RULES
+    nodes = np.concatenate([x16, x32])
+    integrals, gaps = [], []
+
+    def resolved(c, hw):
+        x = c[:, None] + hw[:, None] * nodes
+        psi2 = state.psi(x.ravel()).reshape(x.shape) ** 2
+        i16 = hw * (psi2[:, :x16.size] @ w16)
+        i32 = hw * (psi2[:, x16.size:] @ w32)
+        gap = np.abs(i32 - i16)
+        done = gap <= _NORM_TOL
+        integrals.extend(i32[done])
+        gaps.extend(gap[done])
+        return done
+
+    _bisect_until_resolved(state, state.osc_scale, resolved)
+    return math.fsum(integrals), math.fsum(gaps)
 
 
 # ---------------------------------------------------------------------------

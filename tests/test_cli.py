@@ -1,7 +1,11 @@
 """End-to-end CLI runs via click's test runner."""
 
+import contextlib
+import gc
+import io
 import json
 import math
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -104,6 +108,24 @@ def test_transform_of_unplaceable_narrow_state_exits_1(runner, tmp_path):
     res = runner.invoke(main, ["transform", "--config", cfg, "--out", str(tmp_path)])
     assert res.exit_code == 1
     assert not (tmp_path / "transform.csv").exists()
+
+
+def test_solve_of_unplaceable_narrow_state_exits_1(runner, tmp_path):
+    # the norm check's panels at x = 0.3 span ~4e3 ulps of their centers
+    cfg = write_cfg(tmp_path, {"potential": {"kind": "delta_sum", "deltas": [[1e14, 0.3]]}})
+    res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert "quadrature error" in res.output
+    assert not (tmp_path / "solve.json").exists()
+
+
+def test_solve_of_narrow_delta_at_origin(runner, tmp_path):
+    cfg = write_cfg(tmp_path, {"potential": {"kind": "delta_sum", "deltas": [[1e14, 0.0]]}})
+    res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    report = json.loads((tmp_path / "solve.json").read_text())
+    assert abs(report["norm_check"] - 1.0) <= 1e-13
+    assert 0.0 <= report["norm_check_error"] <= 1e-12
 
 
 def test_verify_of_weak_delta(runner, tmp_path):
@@ -217,6 +239,23 @@ def test_solve_is_deterministic_for_asymmetric_linear(runner, tmp_path):
         assert res.exit_code == 0, res.output
         texts.append((out / "solve.json").read_bytes())
     assert texts[0] == texts[1]
+
+
+def test_in_process_runs_release_their_output_stream(tmp_path):
+    # a harness that runs the CLI in-process swaps in a fresh stream per
+    # call; each stream, with everything echoed to it, must not outlive it
+    cfg = write_cfg(tmp_path, DELTA_CFG)
+    refs = []
+    for command in ("solve", "verify"):
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            main.main(args=[command, "--config", cfg, "--out", str(tmp_path)],
+                      standalone_mode=False)
+        assert stream.getvalue().startswith("{")
+        refs.append(weakref.ref(stream))
+        del stream
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_figure_one(runner, tmp_path):

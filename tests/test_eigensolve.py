@@ -555,6 +555,25 @@ def test_shooting_oracle_psi_and_slope():
     assert np.array_equal(osc.psi(z), got[0])
 
 
+@pytest.mark.parametrize("spec,n,parity,window", [
+    *((pot.SymmetricLinear(force=0.5), n, parity, 0.04)
+      for n in (1, 2) for parity in ("even", "odd")),
+    (pot.FiniteWell(depth=10.0, a=-1.0, b=1.0), 1, None, 0.05),
+    (pot.FiniteWell(depth=10.0, a=-1.0, b=1.0), 2, None, 0.05),
+    (pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0), 1, None, 0.01),
+], ids=["symlin_1_even", "symlin_1_odd", "symlin_2_even", "symlin_2_odd",
+        "finite_well_1", "finite_well_2", "hybrid"])
+def test_shooting_oracle_psi_decays_on_both_sides(spec, n, parity, window):
+    # the oracle sweeps psi inward from both ends and joins the sweeps; a
+    # single sweep lets the mode that grows toward the far end swamp psi
+    st = eig.solve(spec, n, parity)
+    osc = eig.shooting_oracle(spec, (st.energy - window, st.energy + window), n, parity)
+    z = np.linspace(-8.0, 8.0, 161)
+    got, want = osc.psi(z), st.psi(z)
+    sign = np.sign(np.dot(got, want))
+    assert np.max(np.abs(sign * got - want)) < 1e-4
+
+
 @pytest.mark.parametrize("n,parity", [(n, p) for n in (1, 2, 3, 4, 5)
                                       for p in ("even", "odd")])
 def test_shooting_agreement_symmetric_linear(n, parity):

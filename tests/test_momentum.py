@@ -16,6 +16,7 @@ from momtail import momentum as mom
 from momtail import potentials as pot
 from momtail import specfun
 from momtail.errors import DivergentMoment, QuadratureBudgetExceeded
+from test_eigensolve import tight_norm
 from test_units import IDS as UNIT_IDS, STATES as UNIT_STATES
 
 mpmath.mp.dps = 30
@@ -264,6 +265,119 @@ def test_budget_stops_a_panel_that_never_resolves():
     nan = dataclasses.replace(st, psi_and_slope=lambda x: (np.full(np.shape(x), np.nan),) * 2)
     with pytest.raises(QuadratureBudgetExceeded):
         mom.FilonPanels(nan)
+
+
+# --- shared tiling ----------------------------------------------------------
+
+def _reference_panels(state):
+    """FilonPanels' centers and half-widths from the tiling and bisection
+    written out in one loop, with FilonPanels' own width."""
+    lo, hi = state.support
+    edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
+    width = max(1.0, (hi - lo) / mom._BASE_PANELS)
+    if math.isfinite(state.osc_scale):
+        width = min(width, 0.5 * state.osc_scale)
+    c, hw = [], []
+    for u, v in zip(edges[:-1], edges[1:]):
+        m = max(1, math.ceil((v - u) / width))
+        h = 0.5 * (v - u) / m
+        c.extend(u + (2 * i + 1) * h for i in range(m))
+        hw.extend([h] * m)
+    c, hw = np.array(c), np.array(hw)
+    centers, halfwidths, scale = [], [], 0.0
+    while c.size:
+        ck, truncation = mom._panel_coefficients(state, c, hw)
+        scale = max(scale, np.max(np.abs(ck)))
+        tail = np.maximum(np.max(np.abs(ck[:, -mom._TAIL_COEFFS:]), axis=1), truncation)
+        done = tail <= mom._REL_TOL * max(scale, 1e-300)
+        centers.append(c[done])
+        halfwidths.append(hw[done])
+        c, hw = c[~done], 0.5 * hw[~done]
+        c, hw = np.concatenate([c - hw, c + hw]), np.concatenate([hw, hw])
+    centers = np.concatenate(centers)
+    order = np.argsort(centers)
+    return centers[order], np.concatenate(halfwidths)[order]
+
+
+PANEL_COUNTS = {
+    "delta-unit": 84, "delta-m2-hbar2": 84, "delta_chain-unit": 85,
+    "delta_chain-m2-hbar2": 85, "well-unit": 4, "well-m2-hbar2": 4,
+    "finite_well-unit": 26, "finite_well-m2-hbar2": 42, "step_ladder-unit": 34,
+    "step_ladder-m2-hbar2": 50, "hybrid-unit": 70, "hybrid-m2-hbar2": 86,
+    "bouncer-unit": 24, "bouncer-m2-hbar2": 30, "symlin_even-unit": 44,
+    "symlin_even-m2-hbar2": 54, "symlin_odd-unit": 46, "symlin_odd-m2-hbar2": 56,
+    "asymlin-unit": 36, "asymlin-m2-hbar2": 45,
+}
+
+
+@pytest.mark.parametrize("spec,n,parity", list(_unit_states()))
+def test_filon_panels_keep_their_tiling(request, spec, n, parity):
+    # the tiling helper is shared with the norm check, which cuts it at
+    # another width: the Filon panels, and so transform.csv, must not move
+    st = eig.solve(spec, n, parity)
+    panels = mom.FilonPanels(st)
+    centers, halfwidths = _reference_panels(st)
+    assert panels.centers.size == PANEL_COUNTS[request.node.callspec.id]
+    assert np.array_equal(panels.centers, centers)
+    assert np.array_equal(panels.halfwidths, halfwidths)
+
+
+# --- norm check ---------------------------------------------------------------
+
+WEAK_HYBRID = pot.HybridDeltaStep(g=0.864794, step_height=-0.468192, a=1.036333)
+NORM_STATES = list(_unit_states()) + [
+    pytest.param(WEAK_HYBRID, 1, None, id="hybrid_bound_by_0.3%"),
+    pytest.param(pot.DeltaSum(deltas=((0.01, 0.0),)), 1, None, id="delta_g_0.01"),
+    pytest.param(pot.DeltaSum(deltas=((1.0, 0.0),), hbar=10.0), 1, None, id="delta_hbar_10"),
+    pytest.param(pot.SymmetricLinear(force=0.5), 30, "odd", id="symlin_30_odd"),
+    pytest.param(pot.Bouncer(force=0.5), 30, None, id="bouncer_30"),
+    pytest.param(pot.InfiniteWell(length=math.pi), 40, None, id="well_40"),
+]
+
+
+@pytest.mark.parametrize("spec,n,parity", NORM_STATES)
+def test_norm_check_against_quad(spec, n, parity):
+    st = eig.solve(spec, n, parity)
+    norm, error = mom.norm_check(st)
+    assert abs(norm - 1.0) <= 1e-13
+    assert 0.0 <= error <= 1e-12
+    assert abs(norm - tight_norm(st)) <= 1e-13
+
+
+@pytest.mark.parametrize("spec,n,parity", [
+    (pot.DeltaSum(deltas=((1.0, 0.0),)), 1, None),
+    (WEAK_HYBRID, 1, None),
+    (pot.Bouncer(force=0.5), 10, None),
+], ids=["delta", "weak_hybrid", "bouncer_10"])
+def test_norm_check_samples_psi_once_per_generation(monkeypatch, spec, n, parity):
+    st = eig.solve(spec, n, parity)
+    calls, generations = [], []
+    slope = st.psi_and_slope
+    st.psi_and_slope = lambda x: calls.append(np.shape(x)) or slope(x)
+    bisect = mom._bisect_until_resolved
+    monkeypatch.setattr(mom, "_bisect_until_resolved", lambda state, width, resolved: bisect(
+        state, width, lambda c, hw: generations.append(c.size) or resolved(c, hw)))
+    mom.norm_check(st)
+    # every pending panel's 16 and 32 Gauss nodes, in one array per generation
+    assert generations
+    assert calls == [(48 * size,) for size in generations]
+
+
+def test_norm_check_refuses_noisy_psi():
+    st = eig.solve(pot.DeltaSum(deltas=((1.0, 0.0),)))
+    clean = st.psi_and_slope
+
+    def noisy(x):
+        psi, slope = clean(x)
+        return psi + 1e-9 * np.sin(1e7 * x), slope
+
+    with pytest.raises(QuadratureBudgetExceeded):
+        mom.norm_check(dataclasses.replace(st, psi_and_slope=noisy))
+
+
+def test_norm_check_refuses_panels_too_narrow_for_their_position():
+    with pytest.raises(QuadratureBudgetExceeded):
+        mom.norm_check(eig.solve(pot.DeltaSum(deltas=((1e14, 0.3),))))
 
 
 # --- transform by half-width groups ----------------------------------------
