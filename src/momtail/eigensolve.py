@@ -26,8 +26,8 @@ from operator import mul
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.integrate import simpson, solve_ivp
+from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 from . import potentials as pot
@@ -710,8 +710,12 @@ def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
         raise NoConvergence("defect does not change sign in the energy bracket")
     energy = brentq(defect, e_lo, e_hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
-    # wavefunction on a grid of 4001 points, swept inward from both ends to
-    # the joint and normalized numerically (for qualitative checks)
+    # (psi, psi') on a grid of about 4001 points, swept inward from both ends
+    # to the joint; every discontinuity of V in the span is a grid node, where
+    # the sweep restarts, so no integrator step straddles one
+    lo, hi = span(energy)
+    x_joint, matched = joint
+    cuts = [r.location for r in pot.discontinuities(spec) if lo < r.location < hi]
     coef = 2.0 * m / hbar ** 2
 
     def rhs(x, y):
@@ -720,32 +724,42 @@ def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
     def sweep(xs):
         """(psi, psi') at xs, from xs[0] on the branch that decays outward."""
         kap = math.sqrt(max(coef * (pot.evaluate(spec, xs[0]) - energy), 1e-12))
-        start = [1e-6, math.copysign(kap, xs[-1] - xs[0]) * 1e-6]
-        sol = solve_ivp(rhs, (xs[0], xs[-1]), start, t_eval=xs, method="DOP853",
-                        rtol=1e-10, atol=1e-300)
-        return sol.y
+        out = np.empty((2, xs.size))
+        out[:, 0] = [1e-6, math.copysign(kap, xs[-1] - xs[0]) * 1e-6]
+        stops = [0, *np.flatnonzero(np.isin(xs[1:-1], cuts)) + 1, xs.size - 1]
+        for i, j in zip(stops[:-1], stops[1:]):
+            out[:, i:j + 1] = solve_ivp(rhs, (xs[i], xs[j]), out[:, i], t_eval=xs[i:j + 1],
+                                        method="DOP853", rtol=1e-10, atol=1e-300).y
+        return out
 
-    lo, hi = span(energy)
-    x_joint, matched = joint
     n_left = round(4000 * (x_joint - lo) / (hi - lo))
-    xs = np.linspace(x_joint, hi, 4001 - n_left)
-    vals = sweep(xs[::-1])[:, ::-1]
+    xs = np.union1d(np.linspace(x_joint, hi, 4001 - n_left), [c for c in cuts if c > x_joint])
+    sides = [(xs, sweep(xs[::-1])[:, ::-1])]
     if n_left:
-        xs_left = np.linspace(lo, x_joint, n_left + 1)
-        left = sweep(xs_left)
-        left *= vals[matched, 0] / left[matched, -1]
-        xs = np.concatenate([xs_left[:-1], xs])
-        vals = np.concatenate([left[:, :-1], vals], axis=1)
-    vals = vals[0]
-    norm = math.sqrt(np.trapezoid(vals * vals, xs))
-    spline = CubicSpline(xs, vals / norm)
-    lo, hi = float(xs[0]), float(xs[-1])
+        xs = np.union1d(np.linspace(lo, x_joint, n_left + 1), [c for c in cuts if c < x_joint])
+        left = sweep(xs)
+        sides.insert(0, (xs, left * (sides[0][1][matched, 0] / left[matched, -1])))
+    # Simpson's rule on each piece between discontinuities, where psi is smooth
+    pieces = np.unique([lo, hi, x_joint, *cuts])
+    squares = []
+    for xs, y in sides:
+        for a, b in zip(pieces[:-1], pieces[1:]):
+            inside = (xs >= a) & (xs <= b)
+            if np.count_nonzero(inside) > 1:
+                squares.append(simpson(y[0, inside] ** 2, x=xs[inside]))
+    norm = math.sqrt(math.fsum(squares))
+    # one interpolant per side of the joint, so psi' may jump there (the
+    # delta); at the joint itself the right side's, written last, holds
+    splines = [(xs[0], xs[-1], CubicHermiteSpline(xs, y[0] / norm, y[1] / norm))
+               for xs, y in sides]
 
     def psi_and_slope(x):
         x = np.asarray(x, dtype=float)
-        inside = (x >= lo) & (x <= hi)
-        x = np.clip(x, lo, hi)
-        return np.where(inside, spline(x), 0.0), np.where(inside, spline(x, 1), 0.0)
+        psi, slope = np.zeros(x.shape), np.zeros(x.shape)
+        for a, b, spline in splines:
+            at = (x >= a) & (x <= b)
+            psi[at], slope[at] = spline(x[at]), spline(x[at], 1)
+        return psi, slope
 
     return BoundState(energy, n, parity or "none", psi_and_slope, support=(lo, hi),
                       mass=m, hbar=hbar)

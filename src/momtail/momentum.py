@@ -13,18 +13,20 @@ from the Schrodinger equation itself: within each piece of V, V is constant
 or linear, so psi'' = (b0 + b1 x) psi gives psi's Taylor series about a
 panel center from psi and psi' there, and a fixed matrix maps it to
 Legendre coefficients. They are computed once per state, for all pending
-panels at once, and reused for every p. The moments depend on a
-panel only through its half-width hw, and the panels of a state share a few
-exact half-widths, so one moment table per half-width serves every panel of
-that width: the transform is a matrix product per half-width group rather
-than a loop over panels. The absolute error stays near machine precision
-even at p ~ 10^3, where phi itself is ~1e-10.
+panels at once, and reused for every p. The panels tile the support as the
+norm check's do, cut at the kinks and at the oscillation scale, and are
+bisected until the degree-34 expansion resolves psi. The transform builds
+one Bessel table per block of momenta for all half-widths together, and
+stays in real arithmetic: c_k 2(-i)^k is real for even k and imaginary for
+odd k, so the sum over orders is two real matrix products, and the phase
+e^{-ipc/hbar} enters as its cosine and sine. The absolute error stays near
+machine precision even at p ~ 10^3, where phi itself is ~1e-10.
 
 Closed forms for the single delta and the infinite well are provided as
 independent cross-checks, and ``moment`` integrates p^k |phi|^2 with an
 analytic large-p remainder taken from a tail prediction. ``norm_check``
-integrates psi^2 by adaptive Gauss-Legendre on the same kink-aware tiling,
-from samples of psi alone.
+integrates psi^2 by adaptive Gauss-Legendre on the same tiling, from samples
+of psi alone.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ _TAIL_COEFFS = 5      # trailing coefficients used for the resolution check
 _MAX_PANELS = 4096
 _REL_TOL = 1e-12      # resolved: trailing Legendre coefficients and last Taylor
                       # terms below this share of the scale
-_BASE_PANELS = 84     # base panel width: max(1, support length / _BASE_PANELS)
 _PANEL_BLOCK = 32     # panels per block of the transform
 _POINT_BLOCK = 1024   # distinct |p| per block of the transform
 _ORDERS = np.arange(_DEGREE + 1)
@@ -141,12 +142,13 @@ def _bessel_table(w: np.ndarray) -> np.ndarray:
     return table
 
 
-def _bisect_until_resolved(state: BoundState, width: float, resolved) -> None:
+def _bisect_until_resolved(state: BoundState, resolved) -> None:
     """Adaptive bisection by generations over the state's support.
 
     The first generation tiles the support, cut at the state's breaks: each
     interval between kinks of psi is cut into equal panels of one shared
-    half-width, none wider than ``width``. ``resolved(c, hw)`` takes a
+    half-width, none wider than the state's oscillation scale
+    ``state.osc_scale``. ``resolved(c, hw)`` takes a
     generation of pending panels (centers, half-widths), keeps what it needs
     of those it accepts and returns their mask. Each rejected panel becomes
     two of exactly half its half-width, which join the next generation.
@@ -165,7 +167,7 @@ def _bisect_until_resolved(state: BoundState, width: float, resolved) -> None:
     edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
     c, hw = [], []
     for u, v in zip(edges[:-1], edges[1:]):
-        m = max(1, math.ceil((v - u) / width))
+        m = max(1, math.ceil((v - u) / state.osc_scale))
         h = 0.5 * (v - u) / m
         c.extend(u + (2 * i + 1) * h for i in range(m))
         hw.extend([h] * m)
@@ -191,10 +193,10 @@ def _bisect_until_resolved(state: BoundState, width: float, resolved) -> None:
 class FilonPanels:
     """Per-panel Legendre expansion of psi, reusable for every p.
 
-    Panels tile the state's support with edges at every psi kink, at most
-    max(1, support length / 84) wide and at most half the state's shortest
-    oscillation wavelength, so the panel count does not grow with the decay
-    length. Each generation of pending panels is expanded together
+    Panels tile the state's support as ``norm_check``'s do: edges at every
+    psi kink, and no panel wider than the state's oscillation scale, so the
+    panel count grows with neither the decay length nor the support. Each
+    generation of pending panels is expanded together
     (``_panel_coefficients``): one ``state.psi_and_slope`` call at their
     centers, then the Taylor recurrence of the state's ODE, ``state.ode``,
     to degree 34. A panel is accepted when its trailing Legendre
@@ -203,8 +205,7 @@ class FilonPanels:
     budget and the resolution rule (``QuadratureBudgetExceeded`` for a panel
     too narrow for its center's float position) are
     ``_bisect_until_resolved``'s, shared with ``norm_check``. So a state's
-    panels come in a few groups of equal half-width, and the transform
-    shares one table of oscillatory moments across each group.
+    panels come in a few groups of equal half-width.
 
     A state without ODE data (``shooting_oracle``'s spline) raises
     ``ValueError``.
@@ -214,8 +215,6 @@ class FilonPanels:
         if len(state.ode) != len(state.breaks) + 1:
             raise ValueError("the state carries no ODE data to expand psi from")
 
-        lo, hi = state.support
-        width = min(max(1.0, (hi - lo) / _BASE_PANELS), 0.5 * state.osc_scale)
         centers, halfwidths, coeffs = [], [], []
         scale = 0.0
 
@@ -230,12 +229,15 @@ class FilonPanels:
             coeffs.append(ck[done])
             return done
 
-        _bisect_until_resolved(state, width, resolved)
+        _bisect_until_resolved(state, resolved)
         centers = np.concatenate(centers)
         order = np.argsort(centers)
         self.centers = centers[order]
         self.halfwidths = np.concatenate(halfwidths)[order]
         self.coeffs = np.concatenate(coeffs)[order]      # (panels, degree+1)
+        # c_k 2(-i)^k is real for even k and imaginary for odd k
+        moments = self.coeffs * _MOMENT_PHASE
+        self._even, self._odd = moments[:, 0::2].real.copy(), moments[:, 1::2].imag.copy()
         self.hbar = state.hbar
 
     def transform(self, p: np.ndarray, hbar: float | None = None) -> np.ndarray:
@@ -245,28 +247,38 @@ class FilonPanels:
 
         A panel with center c and half-width hw contributes
         hw e^{-i|p|c/hbar} sum_k c_k 2(-i)^k j_k(|p| hw/hbar). The Bessel
-        table j_k(|p| hw/hbar), all orders from one recurrence pass
-        (``_bessel_table``), depends on the panel only through hw, so it is
-        computed once per distinct half-width and block of distinct |p|, and
-        applied to every panel of that width by one matrix product. Blocks
-        are fixed in size and order, so equal inputs give equal outputs.
+        tables j_k(|p| hw/hbar) of every half-width come from one recurrence
+        pass (``_bessel_table``) per block of distinct |p|, and the sum over
+        k is two real matrix products per group of equal half-width: the
+        even orders give its real part, the odd orders its imaginary part.
+        The phase is applied as cos and sin, so the whole sum stays in real
+        arithmetic. Blocks are fixed in size and order, so equal inputs give
+        equal outputs.
         """
         pot.check_units(self, hbar=hbar)
         p = np.asarray(p, dtype=float)
         pa, inverse = np.unique(np.abs(p).ravel(), return_inverse=True)
-        moments = self.coeffs * _MOMENT_PHASE       # c_k 2(-i)^k
-        groups = [(hw, np.flatnonzero(self.halfwidths == hw))
-                  for hw in np.unique(self.halfwidths)]
-        out = np.zeros(pa.size, dtype=complex)
+        widths, group = np.unique(self.halfwidths, return_inverse=True)
+        members = [np.flatnonzero(group == g) for g in range(widths.size)]
+        re, im = np.zeros(pa.size), np.zeros(pa.size)
         for start in range(0, pa.size, _POINT_BLOCK):
             block = slice(start, start + _POINT_BLOCK)
-            for hw, members in groups:
-                jn = _bessel_table(pa[block] * hw / self.hbar)
-                for first in range(0, members.size, _PANEL_BLOCK):
-                    sel = members[first:first + _PANEL_BLOCK]
-                    phase = np.exp(-1j * np.outer(self.centers[sel], pa[block]) / self.hbar)
-                    out[block] += hw * np.sum(phase * (moments[sel] @ jn), axis=0)
-        out /= math.sqrt(2.0 * math.pi * self.hbar)
+            q = pa[block]
+            w = (q * widths[:, None] / self.hbar).ravel()
+            order = np.argsort(w, kind="stable")
+            table = np.empty((_DEGREE + 1, w.size))
+            table[:, order] = _bessel_table(w[order])
+            table = table.reshape(_DEGREE + 1, widths.size, q.size)
+            for hw, jn, panels in zip(widths, table.transpose(1, 0, 2), members):
+                for first in range(0, panels.size, _PANEL_BLOCK):
+                    sel = panels[first:first + _PANEL_BLOCK]
+                    arg = np.outer(self.centers[sel], q) / self.hbar
+                    cos, sin = np.cos(arg), np.sin(arg)
+                    even = self._even[sel] @ jn[0::2]
+                    odd = self._odd[sel] @ jn[1::2]
+                    re[block] += hw * np.sum(even * cos + odd * sin, axis=0)
+                    im[block] += hw * np.sum(odd * cos - even * sin, axis=0)
+        out = (re + 1j * im) / math.sqrt(2.0 * math.pi * self.hbar)
         out = out[inverse].reshape(p.shape)
         # psi real: phi(-p) = conj(phi(p))
         return np.where(p < 0.0, np.conj(out), out)
@@ -334,7 +346,7 @@ def norm_check(state: BoundState) -> tuple[float, float]:
         gaps.extend(gap[done])
         return done
 
-    _bisect_until_resolved(state, state.osc_scale, resolved)
+    _bisect_until_resolved(state, resolved)
     return math.fsum(integrals), math.fsum(gaps)
 
 

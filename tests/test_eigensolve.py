@@ -574,6 +574,31 @@ def test_shooting_oracle_psi_decays_on_both_sides(spec, n, parity, window):
     assert np.max(np.abs(sign * got - want)) < 1e-4
 
 
+@pytest.mark.parametrize("spec,n,parity,window", [
+    (pot.Bouncer(force=0.5), 3, None, 0.05),
+    *((pot.SymmetricLinear(force=0.5), 2, parity, 0.04) for parity in ("even", "odd")),
+    (pot.AsymmetricLinear(force_right=0.5, force_left=2.0), 2, None, 1e-3),
+    (pot.FiniteWell(depth=10.0, a=-1.0, b=1.0), 1, None, 0.05),
+    (pot.FiniteWell(depth=10.0, a=-1.0, b=1.0), 2, None, 0.05),
+    (pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0), 1, None, 0.01),
+], ids=["bouncer_3", "symlin_2_even", "symlin_2_odd", "asymlin_2", "finite_well_1",
+        "finite_well_2", "hybrid"])
+def test_shooting_oracle_psi_and_slope_match_solve(spec, n, parity, window):
+    # the grid holds every discontinuity of V: steps and kinks, where a higher
+    # derivative of psi jumps, and the delta and the wall, where psi' jumps,
+    # so psi' is compared away from those two
+    st = eig.solve(spec, n, parity)
+    osc = eig.shooting_oracle(spec, (st.energy - window, st.energy + window), n, parity)
+    z = np.linspace(-8.0, 8.0, 161)
+    records = pot.discontinuities(spec)
+    assert all(np.any(z == r.location) for r in records)
+    (psi, slope), (want, want_slope) = osc.psi_and_slope(z), st.psi_and_slope(z)
+    sign = np.sign(np.dot(psi, want))
+    assert np.max(np.abs(sign * psi - want)) < 1e-7
+    smooth = ~np.isin(z, [r.location for r in records if r.order == -1])
+    assert np.max(np.abs(sign * slope - want_slope)[smooth]) < 1e-6
+
+
 @pytest.mark.parametrize("n,parity", [(n, p) for n in (1, 2, 3, 4, 5)
                                       for p in ("even", "odd")])
 def test_shooting_agreement_symmetric_linear(n, parity):

@@ -88,7 +88,7 @@ def test_quadrature_matches_delta_closed_form():
     pot.DeltaSum(deltas=((1.0, 0.0),), hbar=10.0),
 ], ids=["g_0.01", "hbar_10"])
 def test_quadrature_matches_wide_delta_closed_form(spec):
-    # decay length 100: 84 panels of width 100, not 8400 of width 1
+    # decay length 100: as few panels as at decay length 1, not 100 times as many
     st = eig.solve(spec)
     q = mom.phi_quadrature(st, GRID, spec.hbar)
     c = mom.phi_closed_delta(spec, st, GRID)
@@ -271,15 +271,12 @@ def test_budget_stops_a_panel_that_never_resolves():
 
 def _reference_panels(state):
     """FilonPanels' centers and half-widths from the tiling and bisection
-    written out in one loop, with FilonPanels' own width."""
+    written out in one loop, with no panel wider than the oscillation scale."""
     lo, hi = state.support
     edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
-    width = max(1.0, (hi - lo) / mom._BASE_PANELS)
-    if math.isfinite(state.osc_scale):
-        width = min(width, 0.5 * state.osc_scale)
     c, hw = [], []
     for u, v in zip(edges[:-1], edges[1:]):
-        m = max(1, math.ceil((v - u) / width))
+        m = max(1, math.ceil((v - u) / state.osc_scale))
         h = 0.5 * (v - u) / m
         c.extend(u + (2 * i + 1) * h for i in range(m))
         hw.extend([h] * m)
@@ -300,20 +297,20 @@ def _reference_panels(state):
 
 
 PANEL_COUNTS = {
-    "delta-unit": 84, "delta-m2-hbar2": 84, "delta_chain-unit": 85,
-    "delta_chain-m2-hbar2": 85, "well-unit": 4, "well-m2-hbar2": 4,
-    "finite_well-unit": 26, "finite_well-m2-hbar2": 42, "step_ladder-unit": 34,
-    "step_ladder-m2-hbar2": 50, "hybrid-unit": 70, "hybrid-m2-hbar2": 86,
-    "bouncer-unit": 24, "bouncer-m2-hbar2": 30, "symlin_even-unit": 44,
-    "symlin_even-m2-hbar2": 54, "symlin_odd-unit": 46, "symlin_odd-m2-hbar2": 56,
-    "asymlin-unit": 36, "asymlin-m2-hbar2": 45,
+    "delta-unit": 6, "delta-m2-hbar2": 6, "delta_chain-unit": 7,
+    "delta_chain-m2-hbar2": 7, "well-unit": 1, "well-m2-hbar2": 1,
+    "finite_well-unit": 11, "finite_well-m2-hbar2": 17, "step_ladder-unit": 12,
+    "step_ladder-m2-hbar2": 14, "hybrid-unit": 7, "hybrid-m2-hbar2": 7,
+    "bouncer-unit": 9, "bouncer-m2-hbar2": 9, "symlin_even-unit": 14,
+    "symlin_even-m2-hbar2": 14, "symlin_odd-unit": 16, "symlin_odd-m2-hbar2": 16,
+    "asymlin-unit": 13, "asymlin-m2-hbar2": 13,
 }
 
 
 @pytest.mark.parametrize("spec,n,parity", list(_unit_states()))
 def test_filon_panels_keep_their_tiling(request, spec, n, parity):
-    # the tiling helper is shared with the norm check, which cuts it at
-    # another width: the Filon panels, and so transform.csv, must not move
+    # the tiling helper is shared with the norm check: the Filon panels, and
+    # so transform.csv, move only on purpose
     st = eig.solve(spec, n, parity)
     panels = mom.FilonPanels(st)
     centers, halfwidths = _reference_panels(st)
@@ -355,8 +352,8 @@ def test_norm_check_samples_psi_once_per_generation(monkeypatch, spec, n, parity
     slope = st.psi_and_slope
     st.psi_and_slope = lambda x: calls.append(np.shape(x)) or slope(x)
     bisect = mom._bisect_until_resolved
-    monkeypatch.setattr(mom, "_bisect_until_resolved", lambda state, width, resolved: bisect(
-        state, width, lambda c, hw: generations.append(c.size) or resolved(c, hw)))
+    monkeypatch.setattr(mom, "_bisect_until_resolved", lambda state, resolved: bisect(
+        state, lambda c, hw: generations.append(c.size) or resolved(c, hw)))
     mom.norm_check(st)
     # every pending panel's 16 and 32 Gauss nodes, in one array per generation
     assert generations
@@ -380,14 +377,11 @@ def test_norm_check_refuses_panels_too_narrow_for_their_position():
         mom.norm_check(eig.solve(pot.DeltaSum(deltas=((1e14, 0.3),))))
 
 
-# --- transform by half-width groups ----------------------------------------
-
-CLI_GRID = np.linspace(-50.0, 50.0, 1001)
-
+# --- transform ----------------------------------------------------------------
 
 def test_transform_bessel_tables_per_halfwidth(monkeypatch):
-    st = eig.solve(pot.Bouncer(force=0.5), 10)
-    panels = mom.FilonPanels(st)
+    panels = mom.FilonPanels(eig.solve(pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0)))
+    assert np.unique(panels.halfwidths).size > 1
     calls = []
     table = mom._bessel_table
 
@@ -396,9 +390,13 @@ def test_transform_bessel_tables_per_halfwidth(monkeypatch):
         return table(w)
 
     monkeypatch.setattr(mom, "_bessel_table", counting)
-    panels.transform(CLI_GRID)
-    blocks = math.ceil(np.unique(np.abs(CLI_GRID)).size / mom._POINT_BLOCK)
-    assert 0 < len(calls) <= np.unique(panels.halfwidths).size * blocks
+    grid = np.linspace(-1500.0, 1500.0, 3001)
+    panels.transform(grid)
+    # one table per block of distinct |p|, for every half-width at once
+    blocks = math.ceil(np.unique(np.abs(grid)).size / mom._POINT_BLOCK)
+    assert blocks > 1 and len(calls) == blocks
+    assert all(w.size == np.unique(panels.halfwidths).size * mom._POINT_BLOCK
+               for w in calls[:-1])
 
 
 def _mp_sph_jn(k, w):
@@ -426,7 +424,7 @@ def test_bessel_table_against_multiprecision():
 
 @pytest.mark.parametrize("spec,n,groups", [
     (pot.AsymmetricLinear(force_right=1.0, force_left=0.5), 5, 2),
-    (pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0), 1, 3),
+    (pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0), 1, 5),
 ], ids=["asymlin_5", "hybrid"])
 def test_quadrature_large_p_against_multiprecision_oracle(spec, n, groups):
     st = eig.solve(spec, n)
@@ -441,6 +439,47 @@ def test_quadrature_large_p_against_multiprecision_oracle(spec, n, groups):
     with mpmath.workdps(17):
         for i, p in enumerate(ps):
             assert abs(phi[i] - mp_phi(st, p, lo, hi, cuts)) < 1e-9
+
+
+def _mp_panel_sum(panels, p):
+    """phi(p) as a 30-digit sum over the panels' own float centers,
+    half-widths and Legendre coefficients: the transform's rounding alone."""
+    hbar = mpmath.mpf(panels.hbar)
+    q = mpmath.mpf(p) / hbar
+    total, tables = mpmath.mpc(0), {}
+    for c, hw, ck in zip(panels.centers, panels.halfwidths, panels.coeffs):
+        if hw not in tables:
+            tables[hw] = [_mp_sph_jn(k, q * mpmath.mpf(hw)) for k in range(ck.size)]
+        moment = mpmath.fsum(mpmath.mpf(x) * 2 * (-1j) ** k * j
+                             for k, (x, j) in enumerate(zip(ck, tables[hw])))
+        total += mpmath.mpf(hw) * mpmath.expj(-q * mpmath.mpf(c)) * moment
+    return complex(total / mpmath.sqrt(2 * mpmath.pi * hbar))
+
+
+@pytest.mark.parametrize("spec,n,parity", [
+    (pot.DeltaSum(deltas=((1.0, 0.0),)), 1, None),
+    (pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0), 1, None),
+    (pot.Bouncer(force=0.5), 10, None),
+    (pot.SymmetricLinear(force=0.5), 11, "odd"),
+    (pot.StepSum(steps=((0.0, -5.0), (1.0, 2.0), (2.0, 3.0))), 1, None),
+    (pot.FiniteWell(depth=10.0, a=-1.0, b=1.0), 2, None),
+], ids=["delta", "hybrid", "bouncer_10", "symlin_11_odd", "step_ladder", "finite_well"])
+def test_transform_against_multiprecision_panel_sum(spec, n, parity):
+    panels = mom.FilonPanels(eig.solve(spec, n, parity))
+    ps = [0.3, 2.5, 17.0, 100.0, 1000.0, 3000.0]
+    phi = panels.transform(np.array(ps))
+    for i, p in enumerate(ps):
+        assert abs(phi[i] - _mp_panel_sum(panels, p)) <= 1e-15
+
+
+def test_transform_deep_tail_against_series():
+    # phi ~ 1e-15 at p = 1000 and ~5e-18 at p = 3000 (a p^-5 tail): what is
+    # left against the series is the transform's absolute rounding floor
+    spec = pot.SymmetricLinear(force=0.5)
+    st = eig.solve(spec, 11, "odd")
+    series = asy.predict_tail(st, pot.discontinuities(spec)).series
+    p = np.geomspace(500.0, 3000.0, 61)
+    assert np.max(np.abs(mom.FilonPanels(st).transform(p) - series(p))) <= 8.5e-16
 
 
 def test_transform_input_forms():
