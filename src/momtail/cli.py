@@ -156,8 +156,22 @@ def _load_config(config: str, grid: str | None, n: int | None,
         if parity is not None:
             cfg.parity = parity
         return cfg
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         _echo(f"config error: {exc}", err=True)
+        sys.exit(2)
+
+
+def _solve(cfg: RunConfig, predict: bool = False):
+    """The configured state, and its tail prediction if ``predict`` (else None).
+
+    A state or a prediction that the config cannot have exits 2.
+    """
+    try:
+        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
+        return state, (asy.predict_tail(state, pot.discontinuities(cfg.spec))
+                       if predict else None)
+    except (NoSuchState, NoBoundState, ValueError) as exc:
+        _echo(f"solve error: {exc}", err=True)
         sys.exit(2)
 
 
@@ -183,11 +197,7 @@ def _with_shared(fn):
 def solve(config, out, grid, n, parity) -> None:
     """Solve the configured bound state and report energy + derivative table."""
     cfg = _load_config(config, grid, n, parity)
-    try:
-        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
-    except (NoSuchState, NoBoundState, ValueError) as exc:
-        _echo(f"solve error: {exc}", err=True)
-        sys.exit(2)
+    state, _ = _solve(cfg)
     try:
         report = _json_dumps(_state_report(cfg, state))
     except QuadratureBudgetExceeded as exc:
@@ -202,11 +212,7 @@ def solve(config, out, grid, n, parity) -> None:
 def transform(config, out, grid, n, parity) -> None:
     """Momentum-space wavefunction on the configured grid, as CSV."""
     cfg = _load_config(config, grid, n, parity)
-    try:
-        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
-    except (NoSuchState, NoBoundState, ValueError) as exc:
-        _echo(f"solve error: {exc}", err=True)
-        sys.exit(2)
+    state, _ = _solve(cfg)
     try:
         samples = mom.phi_quadrature(state, cfg.grid())
     except QuadratureBudgetExceeded as exc:
@@ -235,12 +241,7 @@ def transform(config, out, grid, n, parity) -> None:
 def predict(config, out, grid, n, parity) -> None:
     """Predicted large-|p| expansion terms for the configured state."""
     cfg = _load_config(config, grid, n, parity)
-    try:
-        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
-        prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
-    except (NoSuchState, NoBoundState, ValueError) as exc:
-        _echo(f"solve error: {exc}", err=True)
-        sys.exit(2)
+    _, prediction = _solve(cfg, predict=True)
     path = Path(out) / "predict.csv"
     _write_text(path, asy.prediction_to_csv(prediction))
     _echo(asy.summary(prediction))
@@ -252,12 +253,7 @@ def predict(config, out, grid, n, parity) -> None:
 def verify(config, out, grid, n, parity) -> None:
     """Quadrature vs prediction: fit the tail and score the envelope; exit 1 on failure."""
     cfg = _load_config(config, grid, n, parity)
-    try:
-        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
-        prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
-    except (NoSuchState, NoBoundState, ValueError) as exc:
-        _echo(f"solve error: {exc}", err=True)
-        sys.exit(2)
+    state, prediction = _solve(cfg, predict=True)
 
     # momentum scale separating structure from tail: sqrt(2m|E - V_floor|)
     scale = math.sqrt(2.0 * state.mass * abs(state.energy - cfg.spec.v_floor))

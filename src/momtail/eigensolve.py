@@ -112,29 +112,6 @@ class BoundState:
         return side
 
 
-def solve_delta(spec: pot.DeltaSum, n: int = 1) -> BoundState:
-    """Bound state of a delta sum: closed form for one delta, ``solve_piecewise`` for more."""
-    if len(spec.deltas) != 1:
-        return solve_piecewise(spec, n)
-    if n != 1:
-        raise NoSuchState("a single attractive delta holds exactly one bound state")
-    g, a = spec.deltas[0]
-    m, hbar = spec.mass, spec.hbar
-    k0 = m * g / hbar ** 2
-    energy = -m * g ** 2 / (2.0 * hbar ** 2)
-    amp = math.sqrt(k0)
-
-    def psi_and_slope(x):
-        x = np.asarray(x, dtype=float)
-        value = amp * np.exp(-k0 * np.abs(x - a))
-        return value, -k0 * np.sign(x - a) * value
-
-    half = _DECAY_CUT / k0
-    return BoundState(energy, 1, "even" if a == 0 else "none", psi_and_slope,
-                      support=(a - half, a + half), mass=m, hbar=hbar, breaks=(a,),
-                      ode=((k0 * k0, 0.0),) * 2, matching=((amp, amp * k0, -amp * k0),))
-
-
 def _advance(P: float, Q: float, beta: float, w: float):
     """Carry (psi, psi') across width w of psi'' = beta psi.
 
@@ -193,7 +170,7 @@ def _sin_cubic(y: float) -> float:
     return sum((-y * y) ** j / math.factorial(2 * j + 3) for j in range(8))
 
 
-def solve_piecewise(spec: pot.DeltaSum | pot.StepSum | pot.HybridDeltaStep,
+def solve_piecewise(spec: pot.DeltaSum | pot.FiniteWell | pot.StepSum | pot.HybridDeltaStep,
                     n: int = 1) -> BoundState:
     """n-th level of a piecewise-constant V with attractive delta cusps.
 
@@ -251,7 +228,9 @@ def _piecewise_state(spec, n: int, energy: float) -> BoundState:
     largest, so the rounding of the energy leaves the smallest kink. In a
     region with E < V, psi = D e^(-r(x - a)) + U e^(r(x - b)), so neither term
     exceeds the region's scale; with E >= V, psi = A cos(k(x - a)) +
-    B sin(k(x - a))/k. Each region is normalised in closed form.
+    B sin(k(x - a))/k. Each region is normalised in closed form, and psi > 0
+    as x -> -infinity. Where the pieces are mirror-symmetric, level n is even
+    for odd n and odd for even n; otherwise its parity is "none".
     """
     xs, vs, cusps = spec.pieces()
     m, hbar = spec.mass, spec.hbar
@@ -327,8 +306,11 @@ def _piecewise_state(spec, n: int, energy: float) -> BoundState:
             out[:, sel] = piece(i, x[sel])
         return tuple(out)
 
+    mirror = (vs == vs[::-1] and cusps == cusps[::-1]
+              and len({x + y for x, y in zip(xs, xs[::-1])}) == 1)
+    parity = ("even" if n % 2 else "odd") if mirror else "none"
     osc = [2.0 * math.pi / math.sqrt(-b) for b in betas[1:-1] if b < 0]
-    return BoundState(energy, n, "none", psi_and_slope,
+    return BoundState(energy, n, parity, psi_and_slope,
                       support=(xs[0] - _DECAY_CUT / kap_l, xs[-1] + _DECAY_CUT / kap_r),
                       mass=m, hbar=hbar, breaks=tuple(float(x) for x in xs),
                       ode=tuple((b, 0.0) for b in betas),
@@ -358,70 +340,6 @@ def solve_infinite_well(spec: pot.InfiniteWell, n: int) -> BoundState:
                       ode=((0.0, 0.0), (-k * k, 0.0), (0.0, 0.0)),
                       matching=((0.0, 0.0, amp * k), (0.0, amp * k * (-1.0) ** n, 0.0)),
                       osc_scale=2.0 * L / n)
-
-
-def _finite_well_theta(R: float, i: int) -> float:
-    """Solve the transcendental matching for the i-th state (i >= 1)."""
-    lo = (i - 1) * math.pi / 2.0
-    if lo >= R:
-        raise NoSuchState(f"finite well holds fewer than {i} bound states")
-    hi = min(i * math.pi / 2.0, R)
-    if i % 2 == 1:   # even parity: theta*sin(theta) = sqrt(R^2-th^2)*cos(theta)
-        f = lambda th: th * math.sin(th) - math.sqrt(max(R * R - th * th, 0.0)) * math.cos(th)
-    else:            # odd parity: theta*cos(theta) = -sqrt(R^2-th^2)*sin(theta)
-        f = lambda th: th * math.cos(th) + math.sqrt(max(R * R - th * th, 0.0)) * math.sin(th)
-    eps = 1e-13 * max(1.0, hi)
-    flo, fhi = f(lo + eps), f(hi - eps)
-    if flo * fhi > 0:
-        raise NoSuchState(f"finite well holds fewer than {i} bound states")
-    return brentq(f, lo + eps, hi - eps, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-
-
-def solve_finite_well(spec: pot.FiniteWell, n: int) -> BoundState:
-    """n-th bound state (n = 1 is the ground state) of the square well."""
-    if n < 1:
-        raise NoSuchState("n must be >= 1")
-    m, hbar, V0 = spec.mass, spec.hbar, spec.depth
-    c = 0.5 * (spec.a + spec.b)
-    w = 0.5 * (spec.b - spec.a)
-    R = w * math.sqrt(2.0 * m * V0) / hbar
-    theta = _finite_well_theta(R, n)
-    k = theta / w
-    kappa = math.sqrt(max(R * R - theta * theta, 0.0)) / w
-    energy = -V0 + hbar ** 2 * k ** 2 / (2.0 * m)
-    even = n % 2 == 1
-
-    if even:
-        edge = math.cos(theta)
-        inner_norm = w + math.sin(2.0 * theta) / (2.0 * k)
-    else:
-        edge = math.sin(theta)
-        inner_norm = w - math.sin(2.0 * theta) / (2.0 * k)
-    amp = 1.0 / math.sqrt(inner_norm + edge * edge / kappa)
-    B = amp * edge
-
-    def psi_and_slope(x):
-        u = np.asarray(x, dtype=float) - c
-        inside = np.abs(u) <= w
-        ku = k * u
-        cos, sin = np.cos(ku), np.sin(ku)
-        outer = B * np.exp(-kappa * (np.abs(u) - w))
-        if not even:
-            outer = outer * np.sign(u)
-        return (np.where(inside, amp * (cos if even else sin), outer),
-                np.where(inside, amp * k * (-sin if even else cos),
-                         -kappa * np.sign(u) * outer))
-
-    sign_left = 1.0 if even else -1.0
-    inner = amp * k * (math.sin(theta) if even else math.cos(theta))    # psi'(a+)
-    half = w + _DECAY_CUT / kappa
-    return BoundState(energy, n, "even" if even else "odd", psi_and_slope,
-                      support=(c - half, c + half), mass=m, hbar=hbar,
-                      breaks=(spec.a, spec.b),
-                      ode=((kappa * kappa, 0.0), (-k * k, 0.0), (kappa * kappa, 0.0)),
-                      matching=((sign_left * B, sign_left * B * kappa, inner),
-                                (B, -sign_left * inner, -B * kappa)),
-                      osc_scale=2.0 * math.pi / k)
 
 
 def solve_bouncer(spec: pot.Bouncer, n: int) -> BoundState:
@@ -768,11 +686,9 @@ def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
 # spec type -> solver(spec, n, parity); only the symmetric linear potential
 # numbers its states within parity families, the other kinds by n alone
 _SOLVERS = {
-    pot.DeltaSum: lambda spec, n, parity: solve_delta(spec, n),
     pot.InfiniteWell: lambda spec, n, parity: solve_infinite_well(spec, n),
-    pot.FiniteWell: lambda spec, n, parity: solve_finite_well(spec, n),
-    pot.StepSum: lambda spec, n, parity: solve_piecewise(spec, n),
-    pot.HybridDeltaStep: lambda spec, n, parity: solve_piecewise(spec, n),
+    **dict.fromkeys((pot.DeltaSum, pot.FiniteWell, pot.StepSum, pot.HybridDeltaStep),
+                    lambda spec, n, parity: solve_piecewise(spec, n)),
     pot.Bouncer: lambda spec, n, parity: solve_bouncer(spec, n),
     pot.SymmetricLinear: solve_symmetric_linear,
     pot.AsymmetricLinear: lambda spec, n, parity: solve_asymmetric_linear(spec, n),
@@ -780,8 +696,8 @@ _SOLVERS = {
 
 
 def solve(spec: pot.PotentialSpec, n: int = 1, parity: str | None = None) -> BoundState:
-    """Dispatch to the closed-form solver for the given potential kind."""
+    """Dispatch to the solver for the given potential kind."""
     solver = _SOLVERS.get(type(spec))
     if solver is None:
-        raise NoSuchState(f"no closed-form solver for potential kind {spec.kind!r}")
+        raise NoSuchState(f"no solver for potential kind {spec.kind!r}")
     return solver(spec, n, parity)

@@ -135,6 +135,10 @@ class FiniteWell(_Kind):
     def potential(self, x: float) -> float:
         return -self.depth if self.a < x < self.b else 0.0
 
+    def pieces(self) -> tuple[list[float], list[float], list[float]]:
+        """(boundaries, region potentials, delta coefficients), as for DeltaSum."""
+        return [self.a, self.b], [0.0, -self.depth, 0.0], [0.0, 0.0]
+
     @property
     def v_floor(self) -> float:
         return -self.depth

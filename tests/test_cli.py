@@ -163,6 +163,20 @@ def test_invalid_config_exits_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("cfg", [
+    {"potential": {"kind": "finite_well", "depth": "x", "a": -1.0, "b": 1.0}},
+    {**DELTA_CFG, "n": None},
+    {**DELTA_CFG, "grid": {"kind": "linear", "min": "-50", "max": 50.0, "count": 11}},
+    {"potential": {"kind": "delta_sum", "deltas": [1, 0]}},
+], ids=["string_depth", "null_n", "string_grid_min", "flat_deltas"])
+def test_config_of_wrong_field_type_exits_2(runner, tmp_path, cfg):
+    res = runner.invoke(main, ["solve", "--config", write_cfg(tmp_path, cfg),
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "config error:" in res.output
+    assert not (tmp_path / "solve.json").exists()
+
+
 def test_no_such_state_exits_2(runner, tmp_path):
     cfg = write_cfg(tmp_path, {**DELTA_CFG, "n": 2})
     res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path)])

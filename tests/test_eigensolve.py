@@ -121,6 +121,72 @@ def test_finite_well_state_count():
         eig.solve(pot.FiniteWell(depth=1.0, a=-0.5, b=0.5), 5)
 
 
+def well_level_mpmath(spec, n):
+    """Level n of a finite well from its matching condition, by mpmath.
+
+    With half-width w and R = w sqrt(2 m V0) / hbar, theta = k w solves
+    theta tan theta = sqrt(R^2 - theta^2) (even) or -theta cot theta =
+    sqrt(R^2 - theta^2) (odd) in ((n - 1) pi/2, n pi/2), and
+    E = -hbar^2 (R^2 - theta^2) / (2 m w^2).
+    """
+    w = mpmath.mpf(spec.b - spec.a) / 2
+    R = w * mpmath.sqrt(2 * mpmath.mpf(spec.mass) * spec.depth) / spec.hbar
+    outer = lambda th: mpmath.sqrt(R * R - th * th)
+    if n % 2:
+        f = lambda th: th * mpmath.sin(th) - outer(th) * mpmath.cos(th)
+    else:
+        f = lambda th: th * mpmath.cos(th) + outer(th) * mpmath.sin(th)
+    theta = mpmath.findroot(f, ((n - 1) * mpmath.pi / 2, min(n * mpmath.pi / 2, R)),
+                            solver="anderson")
+    return float(-(spec.hbar * outer(theta) / w) ** 2 / (2 * spec.mass))
+
+
+@pytest.mark.parametrize("depth,a,b,units,n", [
+    *((20.0, -1.0, 1.5, units, n) for units in (1.0, 2.0) for n in (1, 2, 3, 4)),
+    *((1e4, 0.0, math.pi, units, n) for units in (1.0, 2.0) for n in (1, 4)),
+    # weakly bound: the level sits 0.04% to 2% of the depth below zero
+    (10.0, -1.0, 1.0, 2.0, 3),
+    (0.01, -1.0, 1.0, 2.0, 1),
+    (0.01, -1.0, 1.0, 1.0, 1),
+])
+def test_finite_well_against_matching_condition(depth, a, b, units, n):
+    spec = pot.FiniteWell(depth=depth, a=a, b=b, mass=units, hbar=units)
+    st = eig.solve(spec, n)
+    # abs=0: pytest's default absolute tolerance, 1e-12, would swamp rel on a weak level
+    assert st.energy == pytest.approx(well_level_mpmath(spec, n), rel=1e-13, abs=0.0)
+    assert st.parity == ("even" if n % 2 else "odd")
+
+
+def test_single_delta_off_origin_with_units():
+    g, a, m, hbar = 0.7, 1.3, 2.0, 2.0
+    st = eig.solve(pot.DeltaSum(deltas=((g, a),), mass=m, hbar=hbar))
+    assert st.energy == pytest.approx(-m * g * g / (2 * hbar ** 2), rel=1e-15, abs=0.0)
+    assert st.table_at(a).value == pytest.approx(math.sqrt(m * g) / hbar, rel=1e-14, abs=0.0)
+    assert st.parity == "even"
+
+
+def test_mirror_symmetric_pieces_set_parity():
+    pair = pot.DeltaSum(deltas=((1.0, -1.0), (1.0, 1.0)))
+    assert [eig.solve(pair, n).parity for n in (1, 2)] == ["even", "odd"]
+    ladder = pot.StepSum(steps=((-1.0, -2.0), (0.0, -1.0), (1.5, 3.0)))
+    assert eig.solve(ladder, 1).parity == "none"
+    shifted_pair = pot.DeltaSum(deltas=((1.0, 0.0), (1.2, 2.0)))
+    assert eig.solve(shifted_pair, 1).parity == "none"
+
+
+@pytest.mark.parametrize("spec,n", [
+    *((pot.FiniteWell(depth=20.0, a=-1.0, b=1.5), n) for n in (1, 2, 3, 4)),
+    (pot.DeltaSum(deltas=((0.7, 1.3),)), 1),
+    *((pot.DeltaSum(deltas=((1.0, -1.0), (1.0, 1.0))), n) for n in (1, 2)),
+    *((pot.StepSum(steps=((-1.0, -10.0), (0.0, 4.0), (1.0, 6.0))), n) for n in (1, 2, 3)),
+    (pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0), 1),
+])
+def test_piecewise_psi_positive_far_left(spec, n):
+    st = eig.solve(spec, n)
+    x = np.array([st.support[0], st.breaks[0] - 1.0])
+    assert np.all(st.psi(x) > 0.0)
+
+
 def test_step_sum_reduces_to_finite_well():
     ss = pot.StepSum(steps=((-1.0, -10.0), (1.0, 10.0)))
     fw = pot.FiniteWell(depth=10.0, a=-1.0, b=1.0)
