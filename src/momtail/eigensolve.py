@@ -189,13 +189,17 @@ def solve_piecewise(spec: pot.DeltaSum | pot.FiniteWell | pot.StepSum | pot.Hybr
         raise NoSuchState("n must be >= 1")
     if not bottom < top:
         raise NoSuchState("no admissible bound-state energy window")
-    levels = _sweep(xs, vs, cusps, top, coef)[0]
+    levels, at_top = _sweep(xs, vs, cusps, top, coef)[:2]
     if levels == 0:
         raise NoBoundState("no level below the asymptote")
     if levels < n:
         raise NoSuchState(f"holds only {levels} bound states, needed {n}")
+    # a defect of exactly 0 at top is a zero-energy resonance, which is no
+    # level: the bracket must leave top, or brentq returns it as the root
+    resonant = at_top == 0.0
     lo, hi, below_lo, below_hi = bottom, top, 0, levels
-    while (below_lo, below_hi) != (n - 1, n) and lo < 0.5 * (lo + hi) < hi:
+    while (((below_lo, below_hi) != (n - 1, n) or (resonant and hi == top))
+           and lo < 0.5 * (lo + hi) < hi):
         mid = 0.5 * (lo + hi)
         below = _sweep(xs, vs, cusps, mid, coef)[0]
         if below >= n:

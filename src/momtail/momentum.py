@@ -8,19 +8,23 @@ polynomials on panels whose edges include every kink of psi, and the
 oscillatory moments integral P_k(t) e^{-i w t} dt = 2 (-i)^k j_k(w), with
 w = |p| hw / hbar, come from a table of spherical Bessel functions j_k(w)
 built for all orders at once: by the upward recurrence for k <= w and by
-Miller's backward ratio recurrence above. The Legendre coefficients come
+Miller's backward ratio recurrence above, started a fixed lead of orders
+above the highest order the table needs. The Legendre coefficients come
 from the Schrodinger equation itself: within each piece of V, V is constant
 or linear, so psi'' = (b0 + b1 x) psi gives psi's Taylor series about a
 panel center from psi and psi' there, and a fixed matrix maps it to
 Legendre coefficients. They are computed once per state, for all pending
 panels at once, and reused for every p. The panels tile the support as the
-norm check's do, cut at the kinks and at the oscillation scale, and are
-bisected until the degree-34 expansion resolves psi. The transform builds
-one Bessel table per block of momenta for all half-widths together, and
-stays in real arithmetic: c_k 2(-i)^k is real for even k and imaginary for
-odd k, so the sum over orders is two real matrix products, and the phase
-e^{-ipc/hbar} enters as its cosine and sine. The absolute error stays near
-machine precision even at p ~ 10^3, where phi itself is ~1e-10.
+norm check's do, cut at the kinks, at the oscillation scale and, where V is
+constant above E, at the decay length, and are bisected until the Taylor
+expansion of degree 34 resolves psi. Each panel then keeps the orders up to
+its last coefficient above eps / 35 of the state's scale, and the transform
+sums only those. It builds one Bessel table per block of momenta for all
+half-widths together, and stays in real arithmetic: c_k 2(-i)^k is real for
+even k and imaginary for odd k, so the sum over orders is two real matrix
+products, and the phase e^{-ipc/hbar} enters as its cosine and sine. The
+absolute error stays near machine precision even at p ~ 10^3, where phi
+itself is ~1e-10.
 
 Closed forms for the single delta and the infinite well are provided as
 independent cross-checks, and ``moment`` integrates p^k |phi|^2 with an
@@ -51,7 +55,6 @@ _PANEL_BLOCK = 32     # panels per block of the transform
 _POINT_BLOCK = 1024   # distinct |p| per block of the transform
 _ORDERS = np.arange(_DEGREE + 1)
 _MOMENT_PHASE = 2.0 * np.array([1.0, -1j, -1.0, 1j])[_ORDERS % 4]   # 2(-i)^k
-_RATIO_START = _DEGREE + 40   # backward ratio recurrence starts here with r = 0
 _MIN_RESOLUTION = 1e11  # least panel half-width, in ulps of the panel center
 _NORM_RULES = (leggauss(16), leggauss(32))    # the norm check's two Gauss rules
 _NORM_TOL = 1e-15     # norm check: a panel's |I32 - I16| at acceptance
@@ -104,41 +107,73 @@ def _from_complex(grid, phi, provenance: str) -> MomentumSamples:
 # Filon-Legendre quadrature
 # ---------------------------------------------------------------------------
 
-def _bessel_table(w: np.ndarray) -> np.ndarray:
-    """Spherical Bessel functions j_k(w), k = 0.._DEGREE, for ascending w >= 0.
+def _ratio_lead() -> int:
+    """Orders above ``top`` at which ``_bessel_table``'s ratio recurrence starts.
 
-    Returns shape (_DEGREE + 1, w.size). Orders k <= floor(w) come from the
-    upward recurrence j_{k+1} = (2k+1)/w j_k - j_{k-1}, which is stable
-    there. Higher orders come from j_k = r_k j_{k-1}, with the ratios
+    Started at order N with r = 0, the backward recurrence errs in r_k by
+    about prod_{j=k+1}^{N} r_j^2 of itself. For a column with w < j the
+    ratios fall with j (Turan's inequality j_j^2 > j_{j-1} j_{j+1}), so r_j
+    lies below the fixed point of r = w / (2j+1 - w r),
+    r*_j = 2w / (2j+1 + sqrt((2j+1)^2 - 4w^2)). That bound, at the worst
+    column w = top, grows with top, so the least lead that takes
+    prod r*_j^2 below eps at top = _DEGREE serves every top.
+    """
+    bound, j = 1.0, _DEGREE
+    while bound >= np.finfo(float).eps:
+        j += 1
+        fixed_point = 2 * _DEGREE / (2 * j + 1 + math.sqrt((2 * j + 1) ** 2 - 4 * _DEGREE ** 2))
+        bound *= fixed_point ** 2
+    return j - _DEGREE
+
+
+_RATIO_LEAD = _ratio_lead()     # 23
+
+
+def _bessel_table(w: np.ndarray, top: int) -> np.ndarray:
+    """Spherical Bessel functions j_k(w), k = 0..top, for ascending w >= 0.
+
+    Returns shape (top + 1, w.size). Order k at the columns with w >= k
+    comes from the upward recurrence j_{k+1} = (2k+1)/w j_k - j_{k-1},
+    which is stable there and runs over those columns only. The columns
+    with w < k take it from j_k = r_k j_{k-1}, with the ratios
     r_k = j_k / j_{k-1} from Miller's backward recurrence
-    r_k = w / (2k+1 - w r_{k+1}), started at r = 0 forty orders above
-    _DEGREE (Gillman & Fiebig, Computers in Physics 2, 62, 1988; DLMF 10.51).
-    These r_k have no poles: for k > w the first zero of j_{k-1} lies above k.
-    Since w ascends, the columns that take order k from the ratios, those
-    with w < k, are a leading slice.
+    r_k = w / (2k+1 - w r_{k+1}), started at r = 0 ``_RATIO_LEAD`` orders
+    above ``top`` (Gillman & Fiebig, Computers in Physics 2, 62, 1988;
+    DLMF 10.51) and run at order k over the columns with w < min(k, top)
+    only. These r_k have no poles: for k > w the first zero of j_{k-1} lies
+    above k. Since w ascends, the columns of each recurrence are a trailing
+    or a leading slice.
     """
     w = np.asarray(w, dtype=float)
-    table = np.empty((_DEGREE + 1, w.size))
+    table = np.empty((top + 1, w.size))
     table[0] = np.sin(w) / np.where(w > 0.0, w, 1.0)
     table[0, w == 0.0] = 1.0
-    cut = np.searchsorted(w, _ORDERS)       # w[:cut[k]] < k
+    if top == 0:
+        return table
+    cut = np.searchsorted(w, np.arange(top + 1)).tolist()    # w[:cut[k]] < k
 
     up = cut[1]
-    wu = w[up:]
-    table[1, up:] = (table[0, up:] - np.cos(wu)) / wu
-    for k in range(1, _DEGREE):
-        table[k + 1, up:] = (2 * k + 1) / wu * table[k, up:] - table[k - 1, up:]
+    table[1, up:] = (table[0, up:] - np.cos(w[up:])) / w[up:]
+    for k in range(1, top):
+        up = cut[k + 1]
+        row = table[k + 1, up:]
+        np.divide(2 * k + 1, w[up:], out=row)
+        row *= table[k, up:]
+        row -= table[k - 1, up:]
 
-    wl = w[:cut[_DEGREE]]
-    ratios = np.empty((_DEGREE + 1, wl.size))
-    r = np.zeros(wl.size)
-    for k in range(_RATIO_START, 0, -1):
-        r = wl / (2 * k + 1 - wl * r)
-        if k <= _DEGREE:
-            ratios[k] = r
-    for k in range(1, _DEGREE + 1):
+    ratios = np.empty((top + 1, cut[top]))
+    r, scratch = np.zeros(cut[top]), np.empty(cut[top])
+    for k in range(top + _RATIO_LEAD, 0, -1):
+        low = cut[min(k, top)]
+        wl, rl, tl = w[:low], r[:low], scratch[:low]
+        np.multiply(wl, rl, out=tl)
+        np.subtract(2 * k + 1, tl, out=tl)
+        np.divide(wl, tl, out=rl)
+        if k <= top:
+            ratios[k, :low] = rl
+    for k in range(1, top + 1):
         low = cut[k]
-        table[k, :low] = ratios[k, :low] * table[k - 1, :low]
+        np.multiply(ratios[k, :low], table[k - 1, :low], out=table[k, :low])
     return table
 
 
@@ -148,7 +183,11 @@ def _bisect_until_resolved(state: BoundState, resolved) -> None:
     The first generation tiles the support, cut at the state's breaks: each
     interval between kinks of psi is cut into equal panels of one shared
     half-width, none wider than the state's oscillation scale
-    ``state.osc_scale``. ``resolved(c, hw)`` takes a
+    ``state.osc_scale`` and, where the interval's ODE piece is constant and
+    classically forbidden (psi'' = b0 psi with b0 > 0), none wider than the
+    decay length 2 pi / sqrt(b0). Over that width psi changes by e^(2 pi), so
+    the degree-34 expansion resolves such panels at once and decaying tails
+    need no bisection. ``resolved(c, hw)`` takes a
     generation of pending panels (centers, half-widths), keeps what it needs
     of those it accepts and returns their mask. Each rejected panel becomes
     two of exactly half its half-width, which join the next generation.
@@ -165,9 +204,15 @@ def _bisect_until_resolved(state: BoundState, resolved) -> None:
     """
     lo, hi = state.support
     edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
+    pieces = state.ode if len(state.ode) == len(state.breaks) + 1 else ()
     c, hw = [], []
     for u, v in zip(edges[:-1], edges[1:]):
-        m = max(1, math.ceil((v - u) / state.osc_scale))
+        width = state.osc_scale
+        if pieces:
+            b0, b1 = pieces[np.searchsorted(state.breaks, 0.5 * (u + v))]
+            if b1 == 0.0 and b0 > 0.0:
+                width = min(width, 2.0 * math.pi / math.sqrt(b0))
+        m = max(1, math.ceil((v - u) / width))
         h = 0.5 * (v - u) / m
         c.extend(u + (2 * i + 1) * h for i in range(m))
         hw.extend([h] * m)
@@ -194,8 +239,9 @@ class FilonPanels:
     """Per-panel Legendre expansion of psi, reusable for every p.
 
     Panels tile the state's support as ``norm_check``'s do: edges at every
-    psi kink, and no panel wider than the state's oscillation scale, so the
-    panel count grows with neither the decay length nor the support. Each
+    psi kink, and no panel wider than the state's oscillation scale or, in a
+    constant forbidden piece, its decay length, so the panel count grows
+    with neither the decay length nor the support. Each
     generation of pending panels is expanded together
     (``_panel_coefficients``): one ``state.psi_and_slope`` call at their
     centers, then the Taylor recurrence of the state's ODE, ``state.ode``,
@@ -206,6 +252,11 @@ class FilonPanels:
     too narrow for its center's float position) are
     ``_bisect_until_resolved``'s, shared with ``norm_check``. So a state's
     panels come in a few groups of equal half-width.
+
+    ``orders`` holds, per panel, the last order k whose |c_k| exceeds
+    eps scale / (_DEGREE + 1), with scale the largest |c_k| of the state:
+    the orders above it add up to less than one ulp of the scale, so the
+    transform drops them.
 
     A state without ODE data (``shooting_oracle``'s spline) raises
     ``ValueError``.
@@ -235,6 +286,10 @@ class FilonPanels:
         self.centers = centers[order]
         self.halfwidths = np.concatenate(halfwidths)[order]
         self.coeffs = np.concatenate(coeffs)[order]      # (panels, degree+1)
+        # the last order above eps scale / (degree+1): the dropped rest of a
+        # panel's sum stays below one ulp of the scale
+        carried = np.abs(self.coeffs) > np.finfo(float).eps * scale / (_DEGREE + 1)
+        self.orders = np.max(np.where(carried, _ORDERS, 0), axis=1)
         # c_k 2(-i)^k is real for even k and imaginary for odd k
         moments = self.coeffs * _MOMENT_PHASE
         self._even, self._odd = moments[:, 0::2].real.copy(), moments[:, 1::2].imag.copy()
@@ -246,11 +301,13 @@ class FilonPanels:
         phi is in the state's hbar; an explicit ``hbar`` must equal it.
 
         A panel with center c and half-width hw contributes
-        hw e^{-i|p|c/hbar} sum_k c_k 2(-i)^k j_k(|p| hw/hbar). The Bessel
-        tables j_k(|p| hw/hbar) of every half-width come from one recurrence
-        pass (``_bessel_table``) per block of distinct |p|, and the sum over
-        k is two real matrix products per group of equal half-width: the
-        even orders give its real part, the odd orders its imaginary part.
+        hw e^{-i|p|c/hbar} sum_k c_k 2(-i)^k j_k(|p| hw/hbar), summed up to
+        the panel's ``orders``. The Bessel tables j_k(|p| hw/hbar) of every
+        half-width come from one recurrence pass (``_bessel_table``) per
+        block of distinct |p|, up to the highest order of any panel, and the
+        sum over k is two real matrix products per block of panels of equal
+        half-width, over the orders up to the block's highest: the even
+        orders give its real part, the odd orders its imaginary part.
         The phase is applied as cos and sin, so the whole sum stays in real
         arithmetic. Blocks are fixed in size and order, so equal inputs give
         equal outputs.
@@ -260,22 +317,24 @@ class FilonPanels:
         pa, inverse = np.unique(np.abs(p).ravel(), return_inverse=True)
         widths, group = np.unique(self.halfwidths, return_inverse=True)
         members = [np.flatnonzero(group == g) for g in range(widths.size)]
+        top = int(self.orders.max())
         re, im = np.zeros(pa.size), np.zeros(pa.size)
         for start in range(0, pa.size, _POINT_BLOCK):
             block = slice(start, start + _POINT_BLOCK)
             q = pa[block]
             w = (q * widths[:, None] / self.hbar).ravel()
             order = np.argsort(w, kind="stable")
-            table = np.empty((_DEGREE + 1, w.size))
-            table[:, order] = _bessel_table(w[order])
-            table = table.reshape(_DEGREE + 1, widths.size, q.size)
+            table = np.empty((top + 1, w.size))
+            table[:, order] = _bessel_table(w[order], top)
+            table = table.reshape(top + 1, widths.size, q.size)
             for hw, jn, panels in zip(widths, table.transpose(1, 0, 2), members):
                 for first in range(0, panels.size, _PANEL_BLOCK):
                     sel = panels[first:first + _PANEL_BLOCK]
+                    k = int(self.orders[sel].max()) + 1        # orders 0..k-1
                     arg = np.outer(self.centers[sel], q) / self.hbar
                     cos, sin = np.cos(arg), np.sin(arg)
-                    even = self._even[sel] @ jn[0::2]
-                    odd = self._odd[sel] @ jn[1::2]
+                    even = self._even[sel, :(k + 1) // 2] @ jn[0:k:2]
+                    odd = self._odd[sel, :k // 2] @ jn[1:k:2]
                     re[block] += hw * np.sum(even * cos + odd * sin, axis=0)
                     im[block] += hw * np.sum(odd * cos - even * sin, axis=0)
         out = (re + 1j * im) / math.sqrt(2.0 * math.pi * self.hbar)
@@ -319,8 +378,8 @@ def phi_quadrature(state: BoundState, grid, hbar: float | None = None) -> Moment
 def norm_check(state: BoundState) -> tuple[float, float]:
     """(integral psi^2 dx, its error estimate), from samples of psi alone.
 
-    Adaptive Gauss-Legendre by generations, on the kink-aware tiling with
-    no panel wider than the state's oscillation scale: one ``state.psi``
+    Adaptive Gauss-Legendre by generations, on the Filon panels' kink-aware
+    first tiling (``_bisect_until_resolved``): one ``state.psi``
     call samples every pending panel at its 16 and 32 Gauss nodes. A panel
     is accepted when the two rules agree to 1e-15, and bisected otherwise,
     under the panel budget and resolution rule of ``FilonPanels``
@@ -328,8 +387,9 @@ def norm_check(state: BoundState) -> tuple[float, float]:
     centers cannot place is refused. Returns the fsum of the accepted
     32-node integrals and the sum of their |I32 - I16|, an estimate of the
     truncation error only (rounding in psi itself reaches ~5e-15 on supports
-    thousands wide). It reads neither ``ode`` nor the solver's closed-form
-    normalization, so it checks that normalization rather than repeating it.
+    thousands wide). It reads ``ode`` only to place its first tiling (the
+    decay-length cut), and never the solver's closed-form normalization, so
+    it checks that normalization rather than repeating it.
     """
     (x16, w16), (x32, w32) = _NORM_RULES
     nodes = np.concatenate([x16, x32])

@@ -183,6 +183,16 @@ def test_no_such_state_exits_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "transform", "predict", "verify"])
+@pytest.mark.parametrize("n,code", [(1, 0), (2, 2)])
+def test_delta_pair_with_zero_energy_resonance(runner, tmp_path, command, n, code):
+    # the odd level of this pair sits exactly at E = 0 and cannot be normalised
+    cfg = write_cfg(tmp_path, {"potential": {"kind": "delta_sum",
+                                             "deltas": [[0.5, -1.0], [0.5, 1.0]]}, "n": n})
+    res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == code, res.output
+
+
 def test_transform_csv_and_classical_density(runner, tmp_path):
     cfg = write_cfg(tmp_path, WELL_CFG)
     res = runner.invoke(main, ["transform", "--config", cfg, "--out", str(tmp_path)])

@@ -79,6 +79,30 @@ def test_double_delta_against_transcendental():
         eig.solve(spec, 3)
 
 
+# pairs of strength g, 2d apart, with (m g / hbar^2)(2d) = 1: the odd level
+# sits exactly at E = 0
+THRESHOLD_PAIRS = [
+    (pot.DeltaSum(deltas=((0.5, -1.0), (0.5, 1.0))), 0.5, 1.0),
+    (pot.DeltaSum(deltas=((1.0, -1.0), (1.0, 1.0)), mass=2.0, hbar=2.0), 1.0, 1.0),
+    (pot.DeltaSum(deltas=((0.25, 0.0), (0.25, 4.0))), 0.25, 2.0),
+]
+
+
+@pytest.mark.parametrize("spec,g,d", THRESHOLD_PAIRS, ids=["g_0.5", "m2_hbar2", "g_0.25_gap_4"])
+def test_double_delta_with_zero_energy_resonance(spec, g, d):
+    # the matching defect vanishes at the top of the bracket, E = 0, which is
+    # a resonance and no level: n = 1 is the even level, and n = 2 cannot be
+    # normalised
+    m, hbar = spec.mass, spec.hbar
+    kap = mpmath.findroot(lambda k: k - m * g / hbar ** 2 * (1 + mpmath.e ** (-2 * k * d)),
+                          m * g / hbar ** 2)
+    st = eig.solve(spec, 1)
+    assert st.energy == pytest.approx(float(-(hbar * kap) ** 2 / (2 * m)), rel=1e-14, abs=0)
+    assert st.parity == "even"
+    with pytest.raises(NoSuchState):
+        eig.solve(spec, 2)
+
+
 @pytest.mark.parametrize("gap", [15, 20, 25])
 def test_distant_double_delta_resolves_both_states(gap):
     # the even/odd splitting of two unit deltas falls as e^(-gap): 6e-7 of the

@@ -1,5 +1,6 @@
 """Momentum-space transforms: closed forms, quadrature, moments, densities."""
 
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -100,16 +101,18 @@ def test_quadrature_matches_wide_delta_closed_form(spec):
     pot.DeltaSum(deltas=((1.0, 0.0),), hbar=1e-7),
 ], ids=["g_1e14", "hbar_1e-7"])
 def test_quadrature_matches_narrow_delta_closed_form(spec):
-    # support 8.4e-13: the panels bisect until the Taylor series converges,
-    # with no absolute floor on the half-width
+    # support 8.4e-13: the first tiling cuts it at the decay length
+    # 2 pi / kappa ~ 6.3e-14, with no absolute floor on the half-width
     st = eig.solve(spec)
+    kappa = spec.mass * spec.deltas[0][0] / spec.hbar ** 2
     p = GRID * spec.mass * spec.deltas[0][0] / spec.hbar
     calls = []
     slope = st.psi_and_slope
     st.psi_and_slope = lambda x: calls.append(np.size(x)) or slope(x)
     panels = mom.FilonPanels(st)
-    # every rejected panel comes back as two in the next generation
-    assert len(calls) > 1 and sum(calls[1:]) == 2 * (sum(calls) - panels.centers.size)
+    # every panel of that tiling resolves in the first generation
+    assert calls == [panels.centers.size]
+    assert np.all(panels.halfwidths <= math.pi / kappa)
     q = panels.transform(p)
     c = mom.phi_closed_delta(spec, st, p).phi
     assert np.max(np.abs(q - c)) < 1e-13 * np.max(np.abs(c))
@@ -271,12 +274,15 @@ def test_budget_stops_a_panel_that_never_resolves():
 
 def _reference_panels(state):
     """FilonPanels' centers and half-widths from the tiling and bisection
-    written out in one loop, with no panel wider than the oscillation scale."""
+    written out in one loop, with no panel wider than the oscillation scale,
+    nor, in a constant forbidden piece psi'' = b0 psi, than 2 pi / sqrt(b0)."""
     lo, hi = state.support
     edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
     c, hw = [], []
     for u, v in zip(edges[:-1], edges[1:]):
-        m = max(1, math.ceil((v - u) / state.osc_scale))
+        b0, b1 = state.ode[np.searchsorted(state.breaks, 0.5 * (u + v))]
+        decay = 2.0 * math.pi / math.sqrt(b0) if b1 == 0.0 and b0 > 0.0 else math.inf
+        m = max(1, math.ceil((v - u) / min(state.osc_scale, decay)))
         h = 0.5 * (v - u) / m
         c.extend(u + (2 * i + 1) * h for i in range(m))
         hw.extend([h] * m)
@@ -297,10 +303,10 @@ def _reference_panels(state):
 
 
 PANEL_COUNTS = {
-    "delta-unit": 6, "delta-m2-hbar2": 6, "delta_chain-unit": 7,
-    "delta_chain-m2-hbar2": 7, "well-unit": 1, "well-m2-hbar2": 1,
-    "finite_well-unit": 11, "finite_well-m2-hbar2": 17, "step_ladder-unit": 12,
-    "step_ladder-m2-hbar2": 14, "hybrid-unit": 7, "hybrid-m2-hbar2": 7,
+    "delta-unit": 14, "delta-m2-hbar2": 14, "delta_chain-unit": 15,
+    "delta_chain-m2-hbar2": 15, "well-unit": 1, "well-m2-hbar2": 1,
+    "finite_well-unit": 15, "finite_well-m2-hbar2": 17, "step_ladder-unit": 16,
+    "step_ladder-m2-hbar2": 16, "hybrid-unit": 15, "hybrid-m2-hbar2": 15,
     "bouncer-unit": 9, "bouncer-m2-hbar2": 9, "symlin_even-unit": 14,
     "symlin_even-m2-hbar2": 14, "symlin_odd-unit": 16, "symlin_odd-m2-hbar2": 16,
     "asymlin-unit": 13, "asymlin-m2-hbar2": 13,
@@ -385,9 +391,9 @@ def test_transform_bessel_tables_per_halfwidth(monkeypatch):
     calls = []
     table = mom._bessel_table
 
-    def counting(w):
+    def counting(w, top):
         calls.append(w)
-        return table(w)
+        return table(w, top)
 
     monkeypatch.setattr(mom, "_bessel_table", counting)
     grid = np.linspace(-1500.0, 1500.0, 3001)
@@ -408,23 +414,27 @@ def _mp_sph_jn(k, w):
 
 def test_bessel_table_against_multiprecision():
     # the recurrence switches from upward to Miller's ratios at k = floor(w),
-    # so integers and their neighbours are the delicate points
+    # so integers and their neighbours are the delicate points; the ratio
+    # recurrence starts _RATIO_LEAD orders above top, so every order the
+    # transform can ask for is checked
     ints = np.arange(1.0, 37.0)
     w = np.sort(np.concatenate([
         [0.0, 1e-12, 1e-3], ints, ints - 1e-12, ints + 1e-12,
         math.pi * np.arange(1, 12), np.linspace(0.0, 40.0, 200),
         10.0 ** np.arange(2, 9)]))
-    table = mom._bessel_table(w)
-    assert table.shape == (mom._DEGREE + 1, w.size)
     with mpmath.workdps(40):
-        worst = max(abs(float(table[k, i] - _mp_sph_jn(k, x)))
-                    for i, x in enumerate(w) for k in range(mom._DEGREE + 1))
-    assert worst <= 1e-15
+        ref = [[_mp_sph_jn(k, x) for x in w] for k in range(mom._DEGREE + 1)]
+        for top in (0, 1, 8, 21, 27, mom._DEGREE):
+            table = mom._bessel_table(w, top)
+            assert table.shape == (top + 1, w.size)
+            worst = max(abs(float(table[k, i] - ref[k][i]))
+                        for i in range(w.size) for k in range(top + 1))
+            assert worst <= 1e-15, top
 
 
 @pytest.mark.parametrize("spec,n,groups", [
     (pot.AsymmetricLinear(force_right=1.0, force_left=0.5), 5, 2),
-    (pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0), 1, 5),
+    (pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0), 1, 3),
 ], ids=["asymlin_5", "hybrid"])
 def test_quadrature_large_p_against_multiprecision_oracle(spec, n, groups):
     st = eig.solve(spec, n)
@@ -470,6 +480,23 @@ def test_transform_against_multiprecision_panel_sum(spec, n, parity):
     phi = panels.transform(np.array(ps))
     for i, p in enumerate(ps):
         assert abs(phi[i] - _mp_panel_sum(panels, p)) <= 1e-15
+
+
+CLI_GRID = np.linspace(-50.0, 50.0, 1001)
+LOG_GRID = np.geomspace(1.0, 1000.0, 121)     # log:1:1000:40
+
+
+@pytest.mark.parametrize("grid", [CLI_GRID, LOG_GRID], ids=["cli", "log"])
+@pytest.mark.parametrize("spec,n,parity", list(_unit_states()))
+def test_transform_truncated_against_full_order_sums(spec, n, parity, grid):
+    # each panel sums only the orders whose coefficients exceed
+    # eps scale / (degree + 1); the dropped rest stays below an ulp
+    panels = mom.FilonPanels(eig.solve(spec, n, parity))
+    assert panels.orders.max() < mom._DEGREE      # the sums are truncated
+    full = copy.copy(panels)
+    full.orders = np.full_like(panels.orders, mom._DEGREE)
+    phi, ref = panels.transform(grid), full.transform(grid)
+    assert np.max(np.abs(phi - ref)) <= 2 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
 def test_transform_deep_tail_against_series():
