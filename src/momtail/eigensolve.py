@@ -10,8 +10,10 @@ Taylor recurrence ``ode_taylor``, the same recurrence from which
 differentiation is reserved for tests, so that tail predictions never
 inherit finite-difference noise.
 
-States are numbered n = 1, 2, ... in order of increasing energy (within each
-parity family for the symmetric linear potential).
+States are numbered n = 1, 2, ... in order of increasing energy. The
+symmetric linear potential numbers them within each parity family, and its
+spec's ``level_index`` places the even state n at level 2n - 1 and the odd
+one at 2n, the level ``solve_linear`` solves for.
 
 ``shooting_oracle`` is an independent ODE-shooting eigensolver used for
 cross-validation only; its state carries ``psi_and_slope`` from a spline,
@@ -39,6 +41,8 @@ _DECAY_CUT = 42.0
 # highest derivative order in a derivative table
 _TABLE_ORDER = 5
 _FACTORIALS = tuple(math.factorial(k) for k in range(_TABLE_ORDER + 1))
+# ``table_at`` takes the break nearest a location within this distance
+_BREAK_TOL = 1e-9
 
 
 def ode_taylor(t0, t1, a, g, degree: int) -> list:
@@ -100,13 +104,13 @@ class BoundState:
         """psi at an array of points."""
         return self.psi_and_slope(x)[0]
 
-    def table_at(self, location: float, tol: float = 1e-9) -> SideDerivatives:
-        """The table of the break nearest ``location``, if within ``tol``."""
+    def table_at(self, location: float) -> SideDerivatives:
+        """The table of the break nearest ``location``, if within ``_BREAK_TOL``."""
         side = self.derivative_table.get(location)
         if side is None:
             nearest = min(self.derivative_table, key=lambda a: abs(a - location),
                           default=math.inf)
-            if abs(nearest - location) > tol:
+            if abs(nearest - location) > _BREAK_TOL:
                 raise KeyError(f"no derivative table near x = {location}")
             side = self.derivative_table[nearest]
         return side
@@ -346,128 +350,70 @@ def solve_infinite_well(spec: pot.InfiniteWell, n: int) -> BoundState:
                       osc_scale=2.0 * L / n)
 
 
-def solve_bouncer(spec: pot.Bouncer, n: int) -> BoundState:
-    """n-th bouncer state (n >= 1): shifted Airy function above an infinite floor."""
-    if n < 1:
-        raise NoSuchState("n must be >= 1")
-    rho, e0 = spec.rho, spec.energy_scale
-    zeta = specfun.airy_zero(n)
-    energy = e0 * zeta
-    ap = specfun.airy_ai_prime(-zeta)
-    N = 1.0 / (math.sqrt(rho) * ap)
-
-    def psi_and_slope(z):
-        z = np.asarray(z, dtype=float)
-        ai, aip = specfun.airy_ai_and_prime(np.maximum(z, 0.0) / rho - zeta)
-        above = z > 0.0
-        return np.where(above, N * ai, 0.0), np.where(above, N / rho * aip, 0.0)
-
-    slope = N * ap / rho
-    return BoundState(energy, n, "none", psi_and_slope,
-                      support=(0.0, rho * (zeta + 18.0)), mass=spec.mass, hbar=spec.hbar,
-                      breaks=(0.0,), ode=((0.0, 0.0), (-zeta / rho ** 2, 1.0 / rho ** 3)),
-                      matching=((0.0, 0.0, slope),),
-                      osc_scale=2.0 * math.pi * rho / math.sqrt(zeta))
-
-
-def solve_symmetric_linear(spec: pot.SymmetricLinear, n: int, parity: str) -> BoundState:
-    """n-th even or odd state of V = F|z| (n >= 1 within each parity family)."""
-    if parity not in ("even", "odd"):
-        raise ValueError("parity required for the symmetric linear potential")
-    if n < 1:
-        raise NoSuchState("n must be >= 1")
-    rho, e0 = spec.rho, spec.energy_scale
-    if parity == "even":
-        eta = specfun.airy_prime_zero(n)
-        energy = e0 * eta
-        av = specfun.airy_ai(-eta)
-        M = 1.0 / (math.sqrt(2.0 * rho * eta) * av)
-
-        def psi_and_slope(z):
-            z = np.asarray(z, dtype=float)
-            ai, aip = specfun.airy_ai_and_prime(np.abs(z) / rho - eta)
-            return M * ai, np.sign(z) * (M / rho) * aip
-
-        matching = ((M * av, 0.0, 0.0),)
-        half = rho * (eta + 18.0)
-        lam = 2.0 * math.pi * rho / math.sqrt(eta)
-        level = eta
-    else:
-        zeta = specfun.airy_zero(n)
-        energy = e0 * zeta
-        ap = specfun.airy_ai_prime(-zeta)
-        amp = 1.0 / (math.sqrt(rho) * ap) / math.sqrt(2.0)
-
-        def psi_and_slope(z):
-            z = np.asarray(z, dtype=float)
-            ai, aip = specfun.airy_ai_and_prime(np.abs(z) / rho - zeta)
-            return np.sign(z) * amp * ai, (amp / rho) * aip
-
-        slope = amp * ap / rho
-        matching = ((0.0, slope, slope),)
-        half = rho * (zeta + 18.0)
-        lam = 2.0 * math.pi * rho / math.sqrt(zeta)
-        level = zeta
-    # psi'' = (|z|/rho - level) psi / rho^2 on either side of the kink
-    b0, b1 = -level / rho ** 2, 1.0 / rho ** 3
-    return BoundState(energy, n, parity, psi_and_slope, support=(-half, half),
-                      mass=spec.mass, hbar=spec.hbar, breaks=(0.0,),
-                      ode=((b0, -b1), (b0, b1)), matching=matching, osc_scale=lam)
-
-
 # walls of the two bouncer ladders closer than this (relative) are one wall
 _SHARED_WALL = 1e-12
 
 
-def solve_asymmetric_linear(spec: pot.AsymmetricLinear, n: int = 1) -> BoundState:
-    """n-th bound state of V = F z (z > 0), Fbar |z| (z < 0); Airy on each side.
+def solve_linear(spec: pot.Bouncer | pot.SymmetricLinear | pot.AsymmetricLinear,
+                 n: int = 1, parity: str | None = None) -> BoundState:
+    """A state of V = F z (z > 0), Fbar |z| (z < 0), with (F, Fbar) = ``spec.forces``.
 
-    A Dirichlet wall at z = 0 cuts the line into two bouncers, with levels
-    e0_r zeta_k and e0_l zeta_k. The wall is a rank-one change of the
-    resolvent, so the merged, sorted bouncer levels w_1 <= w_2 <= ...
-    interlace the full-line levels, w_(n-1) <= E_n <= w_n (Reed & Simon IV,
-    XIII.15; w_0 = 0), and E_n is the only root of the matching determinant
-    in that bracket. The determinant vanishes at a wall only when both
-    ladders share it (within ``_SHARED_WALL``, as when F = Fbar), and such a
-    wall is itself a level: if w_(n-1) and w_n are shared, E_n is that wall;
-    otherwise a bracket end shared with its outer neighbour is moved inward
-    by ``_SHARED_WALL`` before ``brentq``.
+    psi = c_r Ai(z / rho_r + u_r) for z >= 0 and c_l Ai(-z / rho_l + u_l)
+    below, with u = -E / e0 on each side, and E is level k =
+    ``spec.level_index(n, parity)``. Beside a wall (Fbar = WALL) E = e0
+    zeta_k; at equal forces E = e0 eta_j for odd k and e0 zeta_j for even k,
+    j = (k + 1) // 2. Otherwise a Dirichlet wall at 0, a rank-one change of
+    the resolvent, cuts the line into two bouncers whose merged levels w_1 <=
+    w_2 <= ... interlace the full-line ones, w_(k-1) <= E <= w_k (Reed &
+    Simon IV, XIII.15; w_0 = 0), and E is the only root of the matching
+    determinant there. The determinant vanishes at a wall only when both
+    ladders share it (within ``_SHARED_WALL``), and such a wall is a level:
+    if w_(k-1) and w_k are shared, E is that wall; otherwise a bracket end
+    shared with its outer neighbour moves inward by ``_SHARED_WALL`` before
+    ``brentq``. A kink leaves psi' continuous, so the state reports one
+    psi'(0); psi(0) = 0 exactly where E is a zero of Ai, and psi'(0) = 0
+    where it is one of Ai'. psi(0) > 0, or psi'(0) > 0 where psi(0) = 0.
     """
-    if n < 1:
+    k = spec.level_index(n, parity)
+    if k < 1:
         raise NoSuchState("n must be >= 1")
     m, hbar = spec.mass, spec.hbar
-    rho_r = pot.airy_length(spec.force_right, m, hbar)
-    rho_l = pot.airy_length(spec.force_left, m, hbar)
-    e0_r = spec.force_right * rho_r
-    e0_l = spec.force_left * rho_l
-
-    def defect(E):
-        """Matching determinant at z = 0, from one Airy call for both sides."""
-        ai, aip = specfun.airy_ai_and_prime(np.array([-E / e0_r, -E / e0_l]))
-        return float(aip[0] * ai[1] / rho_r + ai[0] * aip[1] / rho_l)
-
-    zeta = specfun.airy_zeros(n)[0]
-    walls = np.sort(np.concatenate([e0_r * zeta, e0_l * zeta]))
-
-    def shared(i):
-        """Walls i and i + 1 (0-based) coincide."""
-        return i >= 0 and walls[i + 1] - walls[i] <= _SHARED_WALL * walls[i + 1]
-
-    if shared(n - 2):
-        energy = float(walls[n - 1])
+    force_r, force_l = spec.forces
+    wall = force_l == pot.WALL
+    rho_r = pot.airy_length(force_r, m, hbar)
+    rho_l = rho_r if wall else pot.airy_length(force_l, m, hbar)
+    e0_r, e0_l = force_r * rho_r, force_l * rho_l
+    if wall or force_l == force_r:
+        zeta, eta = specfun.airy_zeros(k if wall else (k + 1) // 2)
+        level = float(eta[-1] if k % 2 and not wall else zeta[-1])
+        energy = e0_r * level
+        u_r = u_l = -level
     else:
-        lo = float(walls[n - 2]) if n > 1 else 0.0
-        hi = float(walls[n - 1])
-        if shared(n - 3):
-            lo *= 1.0 + _SHARED_WALL
-        if shared(n - 1):
-            hi *= 1.0 - _SHARED_WALL
-        energy = brentq(defect, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+        def defect(E):
+            """Matching determinant at z = 0, from one Airy call for both sides."""
+            ai, aip = specfun.airy_ai_and_prime(np.array([-E / e0_r, -E / e0_l]))
+            return float(aip[0] * ai[1] / rho_r + ai[0] * aip[1] / rho_l)
 
-    ur, ul = -energy / e0_r, -energy / e0_l
-    ai, aip = specfun.airy_ai_and_prime(np.array([ur, ul]))
-    air, ail = float(ai[0]), float(ai[1])
-    apr, apl = float(aip[0]), float(aip[1])
+        zeta = specfun.airy_zeros(k)[0]
+        walls = np.sort(np.concatenate([e0_r * zeta, e0_l * zeta]))
+
+        def shared(i):
+            """Walls i and i + 1 (0-based) coincide."""
+            return i >= 0 and walls[i + 1] - walls[i] <= _SHARED_WALL * walls[i + 1]
+
+        if shared(k - 2):
+            energy = float(walls[k - 1])
+        else:
+            lo = float(walls[k - 2]) if k > 1 else 0.0
+            hi = float(walls[k - 1])
+            if shared(k - 3):
+                lo *= 1.0 + _SHARED_WALL
+            if shared(k - 1):
+                hi *= 1.0 - _SHARED_WALL
+            energy = brentq(defect, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+        u_r, u_l = -energy / e0_r, -energy / e0_l
+
+    (air, ail), (apr, apl) = np.array(specfun.airy_ai_and_prime(np.array([u_r, u_l]))).tolist()
     # Match at 0 by continuity of psi or of psi', whichever is better
     # conditioned. With Ai ~ sin(phase) and Ai' ~ sqrt|u| cos(phase), psi(0)
     # carries the match when sin^2 of the two phases sums to at least 1; at a
@@ -476,41 +422,42 @@ def solve_asymmetric_linear(spec: pot.AsymmetricLinear, n: int = 1) -> BoundStat
         t = a * a * max(-u, 1.0)
         return t / (t + ap * ap)
 
-    if sin2(air, apr, ur) + sin2(ail, apl, ul) >= 1.0:
-        if abs(ail) >= abs(air):
-            c_r, c_l = 1.0, air / ail
-        else:
-            c_r, c_l = ail / air, 1.0
+    if wall:
+        c_r, c_l = 1.0, 0.0
+    elif sin2(air, apr, u_r) + sin2(ail, apl, u_l) >= 1.0:
+        c_r, c_l = (1.0, air / ail) if abs(ail) >= abs(air) else (ail / air, 1.0)
     else:
-        # psi'(0+) = c_r Ai'(ur) / rho_r equals psi'(0-) = -c_l Ai'(ul) / rho_l;
-        # signed as the psi branch signs it
+        # psi'(0+) = c_r Ai'(u_r) / rho_r equals psi'(0-) = -c_l Ai'(u_l) / rho_l
         c_r, c_l = apl / rho_l, -apr / rho_r
-        if (c_r if abs(ail) >= abs(air) else c_l) < 0.0:
-            c_r, c_l = -c_r, -c_l
+    # psi(0) and psi'(0) are the means of the two sides, which differ by the
+    # residual of the match; at equal forces, where one of them vanishes, the
+    # two sides cancel exactly
+    value = 0.0 if wall else 0.5 * (c_r * air + c_l * ail)
+    slope = c_r * apr / rho_r if wall else 0.5 * (c_r * apr / rho_r - c_l * apl / rho_l)
     # integral of Ai^2 from b to infinity = Ai'(b)^2 - b Ai(b)^2
-    norm2 = (c_r * c_r * rho_r * (apr * apr - ur * air * air)
-             + c_l * c_l * rho_l * (apl * apl - ul * ail * ail))
-    c_r /= math.sqrt(norm2)
-    c_l /= math.sqrt(norm2)
+    norm2 = (c_r * c_r * rho_r * (apr * apr - u_r * air * air)
+             + c_l * c_l * rho_l * (apl * apl - u_l * ail * ail))
+    scale = math.copysign(1.0 / math.sqrt(norm2), value if value else slope)
+    c_r, c_l, value, slope = scale * c_r, scale * c_l, scale * value, scale * slope
 
     def psi_and_slope(z):
         z = np.asarray(z, dtype=float)
         right = z >= 0.0
         ai, aip = specfun.airy_ai_and_prime(
-            np.where(right, z / rho_r + ur, -z / rho_l + ul))
+            np.where(right, z / rho_r + u_r, -z / rho_l + u_l))
         return (np.where(right, c_r, c_l) * ai,
                 np.where(right, c_r / rho_r, -c_l / rho_l) * aip)
 
-    half_r = rho_r * (-ur + 18.0)
-    half_l = rho_l * (-ul + 18.0)
-    osc = 2.0 * math.pi * min(rho_r / math.sqrt(max(-ur, 1e-12)),
-                              rho_l / math.sqrt(max(-ul, 1e-12)))
-    return BoundState(energy, n, "none", psi_and_slope, support=(-half_l, half_r),
+    parity = ("even" if k % 2 else "odd") if force_l == force_r else "none"
+    # a wall's left side copies the right one's scales, so it leaves osc_scale as is
+    return BoundState(energy, n, parity, psi_and_slope,
+                      support=(0.0 if wall else -rho_l * (18.0 - u_l), rho_r * (18.0 - u_r)),
                       mass=m, hbar=hbar, breaks=(0.0,),
-                      ode=((ul / rho_l ** 2, -1.0 / rho_l ** 3),
-                           (ur / rho_r ** 2, 1.0 / rho_r ** 3)),
-                      matching=((c_r * air, -c_l * apl / rho_l, c_r * apr / rho_r),),
-                      osc_scale=osc)
+                      ode=((0.0, 0.0) if wall else (u_l / rho_l ** 2, -1.0 / rho_l ** 3),
+                           (u_r / rho_r ** 2, 1.0 / rho_r ** 3)),
+                      matching=((value, 0.0 if wall else slope, slope),),
+                      osc_scale=min(2.0 * math.pi * rho_r / math.sqrt(-u_r),
+                                    2.0 * math.pi * rho_l / math.sqrt(-u_l)))
 
 
 # ---------------------------------------------------------------------------
@@ -693,9 +640,7 @@ _SOLVERS = {
     pot.InfiniteWell: lambda spec, n, parity: solve_infinite_well(spec, n),
     **dict.fromkeys((pot.DeltaSum, pot.FiniteWell, pot.StepSum, pot.HybridDeltaStep),
                     lambda spec, n, parity: solve_piecewise(spec, n)),
-    pot.Bouncer: lambda spec, n, parity: solve_bouncer(spec, n),
-    pot.SymmetricLinear: solve_symmetric_linear,
-    pot.AsymmetricLinear: lambda spec, n, parity: solve_asymmetric_linear(spec, n),
+    **dict.fromkeys((pot.Bouncer, pot.SymmetricLinear, pot.AsymmetricLinear), solve_linear),
 }
 
 

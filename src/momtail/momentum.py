@@ -475,16 +475,19 @@ def phi_closed_well(spec: pot.InfiniteWell, n: int, grid, mass: float | None = N
 # moments and classical comparison
 # ---------------------------------------------------------------------------
 
-def moment(phi_fn, k: int, prediction, p_scale: float = 1.0,
-           p_cut: float | None = None) -> float:
+# numeric integration of a moment ends here, in units of max(1, p_scale)
+_MOMENT_CUT = 2000.0
+
+
+def moment(phi_fn, k: int, prediction, p_scale: float = 1.0) -> float:
     """<p^k> = integral p^k |phi(p)|^2 dp for a real-psi state.
 
     ``phi_fn(p_array) -> complex phi`` must be cheap to evaluate in bulk.
     ``prediction`` supplies the leading tail exponent e and the leading term
-    coefficients: the integral over |p| > p_cut is replaced by the analytic
-    remainder of the leading envelope, 2 * A2 / ((2e-k-1) p_cut^(2e-k-1)) with
-    A2 the angle-averaged squared envelope. Raises DivergentMoment when
-    2e - k <= 1. Odd k vanish by the phi(-p) = conj(phi(p)) symmetry.
+    coefficients: the integral over |p| > p_cut = ``_MOMENT_CUT`` max(1, p_scale)
+    is replaced by the analytic remainder of the leading envelope,
+    2 * A2 / ((2e-k-1) p_cut^(2e-k-1)) with A2 the angle-averaged squared
+    envelope. Raises DivergentMoment when 2e - k <= 1. Odd k vanish by the phi(-p) = conj(phi(p)) symmetry.
     hbar is the one the prediction's terms carry.
     """
     if k < 0:
@@ -495,8 +498,7 @@ def moment(phi_fn, k: int, prediction, p_scale: float = 1.0,
     if 2 * e - k <= 1:
         raise DivergentMoment(
             f"|phi|^2 ~ p^-{2 * e}: <p^{k}> has a divergent tail integral")
-    if p_cut is None:
-        p_cut = 2000.0 * max(1.0, p_scale)
+    p_cut = _MOMENT_CUT * max(1.0, p_scale)
 
     # oscillation of |phi|^2 in p comes from cross terms e^{-ip(a_i - a_j)/hbar}
     locs = sorted({t.location for t in prediction.terms})

@@ -201,7 +201,16 @@ class HybridDeltaStep(_Kind):
         return [0.0, self.a], [0.0, 0.0, self.step_height], [-self.g, 0.0]
 
 
-class _OneForce(_Kind):
+class _Linear(_Kind):
+    """A linear potential on each side of z = 0: ``forces`` is (F, Fbar), the
+    forces right and left of 0, with WALL for an infinite wall, and
+    ``level_index(n, parity)`` the place of the state among all levels, from 1."""
+
+    def level_index(self, n: int, parity: str | None = None) -> int:
+        return n
+
+
+class _OneForce(_Linear):
     """A linear potential of a single force F > 0, with its Airy scales."""
 
     def __post_init__(self):
@@ -230,6 +239,10 @@ class Bouncer(_OneForce):
     def potential(self, x: float) -> float:
         return self.force * x if x >= 0.0 else WALL
 
+    @property
+    def forces(self) -> tuple[float, float]:
+        return self.force, WALL
+
     def classical_q(self, n: int, parity: str | None = None) -> float:
         return (self.hbar / self.rho) * math.sqrt(specfun.airy_zero(n))
 
@@ -247,18 +260,24 @@ class SymmetricLinear(_OneForce):
     def potential(self, x: float) -> float:
         return self.force * abs(x)
 
-    def classical_q(self, n: int, parity: str | None = None) -> float:
-        if parity == "even":
-            root = specfun.airy_prime_zero(n)
-        elif parity == "odd":
-            root = specfun.airy_zero(n)
-        else:
+    @property
+    def forces(self) -> tuple[float, float]:
+        return self.force, self.force
+
+    def level_index(self, n: int, parity: str | None = None) -> int:
+        """Even and odd states alternate: the n-th even is level 2n - 1, the n-th odd 2n."""
+        if parity not in ("even", "odd"):
             raise ValueError("parity required for the symmetric linear potential")
+        return 2 * n - (parity == "even")
+
+    def classical_q(self, n: int, parity: str | None = None) -> float:
+        even = self.level_index(n, parity) % 2
+        root = specfun.airy_prime_zero(n) if even else specfun.airy_zero(n)
         return (self.hbar / self.rho) * math.sqrt(root)
 
 
 @dataclass(frozen=True)
-class AsymmetricLinear(_Kind):
+class AsymmetricLinear(_Linear):
     """V = F*z for z > 0, V = Fbar*|z| for z < 0; both forces positive."""
     force_right: float
     force_left: float
@@ -273,6 +292,10 @@ class AsymmetricLinear(_Kind):
 
     def potential(self, x: float) -> float:
         return self.force_right * x if x >= 0.0 else self.force_left * (-x)
+
+    @property
+    def forces(self) -> tuple[float, float]:
+        return self.force_right, self.force_left
 
 
 PotentialSpec = (DeltaSum | InfiniteWell | FiniteWell | StepSum

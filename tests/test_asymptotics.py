@@ -125,6 +125,17 @@ def test_symmetric_linear_jump_values():
     assert order == 4
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("excess", [0.0, 1e-13, 1e-11, 1e-9, 1e-8, 1e-7])
+def test_asymmetric_linear_at_near_equal_forces_has_kink_tail(excess, n):
+    # psi(0) != 0 at the kink of V = F z / Fbar |z| makes the third derivative
+    # of psi jump, so the tail is p^-4; where psi'(0) is as small as the
+    # match's residual, two one-sided slopes would leave a spurious p^-2 term
+    spec = pot.AsymmetricLinear(force_right=1.0, force_left=1.0 + excess)
+    st = eig.solve(spec, n)
+    assert asy.predict_tail(st, pot.discontinuities(spec)).leading_exponent == 4
+
+
 def test_translation_covariance():
     d = 1.7
     base = pot.DeltaSum(deltas=((1.0, 0.0),))

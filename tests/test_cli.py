@@ -242,27 +242,53 @@ def test_verify_fails_on_corrupt_grid_free_state(runner, tmp_path, monkeypatch):
     assert res.exit_code == 1
 
 
-def test_outputs_are_deterministic(runner, tmp_path):
-    cfg = write_cfg(tmp_path, BOUNCER_CFG)
-    texts = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        res = runner.invoke(main, ["transform", "--config", cfg, "--out", str(out),
-                                   "--grid", "linear:-8:8:257"])
-        assert res.exit_code == 0
-        texts.append((out / "transform.csv").read_bytes())
-    assert texts[0] == texts[1]
+SYMLIN = {"kind": "symmetric_linear", "force": 0.5}
+EVERY_KIND = {
+    "delta_sum": DELTA_CFG,
+    "infinite_well": WELL_CFG,
+    "finite_well": {"potential": {"kind": "finite_well", "depth": 10.0, "a": -1.0,
+                                  "b": 1.0}, "n": 2},
+    "step_sum": {"potential": {"kind": "step_sum",
+                               "steps": [[0.0, -5.0], [1.0, 2.0], [2.0, 3.0]]}},
+    "hybrid_delta_step": {"potential": {"kind": "hybrid_delta_step", "g": 1.0,
+                                        "step_height": 1.0, "a": 1.0}},
+    "bouncer": BOUNCER_CFG,
+    "symmetric_linear_even": {"potential": SYMLIN, "n": 2, "parity": "even"},
+    "symmetric_linear_odd": {"potential": SYMLIN, "n": 2, "parity": "odd"},
+    "asymmetric_linear": ASYMLIN_CFG,
+}
+OUTPUTS = {"solve": "solve.json", "transform": "transform.csv",
+           "predict": "predict.csv", "verify": "verify.json"}
 
 
-def test_solve_is_deterministic_for_asymmetric_linear(runner, tmp_path):
-    cfg = write_cfg(tmp_path, ASYMLIN_CFG)
-    texts = []
+@pytest.mark.parametrize("name", EVERY_KIND)
+def test_outputs_are_deterministic(runner, tmp_path, name):
+    # two runs of every command write byte-identical files and exit alike;
+    # solve, transform and predict succeed
+    cfg = write_cfg(tmp_path, EVERY_KIND[name])
+    runs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
-        res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
-        assert res.exit_code == 0, res.output
-        texts.append((out / "solve.json").read_bytes())
-    assert texts[0] == texts[1]
+        run = {}
+        for command, filename in OUTPUTS.items():
+            res = runner.invoke(main, [command, "--config", cfg, "--out", str(out),
+                                       "--grid", "linear:-8:8:257"])
+            run[command] = (res.exit_code, (out / filename).read_bytes())
+        runs.append(run)
+    assert runs[0] == runs[1]
+    assert all(runs[0][command][0] == 0 for command in ("solve", "transform", "predict"))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_asymmetric_linear_at_equal_forces_predicts_and_verifies(runner, tmp_path, n):
+    # the kink's p^-4 tail, not a p^-2 term made of the match's residual
+    cfg = write_cfg(tmp_path, {"potential": {"kind": "asymmetric_linear", "force_right": 1.0,
+                                             "force_left": 1.0}, "n": n})
+    res = runner.invoke(main, ["predict", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert "leading exponent: 4" in res.output
+    res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
 
 
 def test_in_process_runs_release_their_output_stream(tmp_path):

@@ -330,16 +330,63 @@ def assert_asym_level(spec, n):
 
 def test_asymmetric_linear_equal_forces_alternate_symmetric_levels():
     # with F = Fbar both bouncer ladders share every wall, and the odd levels
-    # sit exactly on those walls
+    # sit exactly on those walls; levels 2n - 1 and 2n are the symmetric even
+    # and odd states n, to the bit
     asym = pot.AsymmetricLinear(force_right=0.7, force_left=0.7)
     sym = pot.SymmetricLinear(force=0.7)
     for n in range(1, 11):
         st = eig.solve(asym, n)
-        want = eig.solve(sym, (n + 1) // 2, "even" if n % 2 else "odd")
-        assert st.energy == pytest.approx(want.energy, rel=1e-13)
+        parity = "even" if n % 2 else "odd"
+        want = eig.solve(sym, (n + 1) // 2, parity)
+        assert st.energy == want.energy
+        assert st.parity == parity
         assert count_nodes(st) == n - 1
         side = st.table_at(0.0)
-        assert side.right[1] == pytest.approx(side.left[1], rel=1e-12, abs=1e-12)
+        assert side.right[1] == side.left[1]
+
+
+@pytest.mark.parametrize("mass,hbar", [(1.0, 1.0), (2.0, 2.0)])
+@pytest.mark.parametrize("force", [0.1, 0.5, 7.3])
+def test_linear_energies_are_airy_zeros_times_energy_scale(force, mass, hbar):
+    bouncer = pot.Bouncer(force=force, mass=mass, hbar=hbar)
+    sym = pot.SymmetricLinear(force=force, mass=mass, hbar=hbar)
+    e0 = sym.energy_scale
+    for n in range(1, 13):
+        assert eig.solve(bouncer, n).energy == e0 * specfun.airy_zero(n)
+        assert eig.solve(sym, n, "even").energy == e0 * specfun.airy_prime_zero(n)
+        assert eig.solve(sym, n, "odd").energy == e0 * specfun.airy_zero(n)
+
+
+LINEAR_STATES = [
+    *((pot.Bouncer(force=0.5), n, None) for n in (1, 2, 5)),
+    *((pot.SymmetricLinear(force=f, mass=m, hbar=m), n, parity)
+      for f, m in ((0.5, 1.0), (2.0, 2.0)) for n in (1, 2, 7) for parity in ("even", "odd")),
+    *((pot.AsymmetricLinear(force_right=1.0, force_left=fl), n, None)
+      for fl in (1.0, 1.0 + 1e-13, 1.0 + 1e-9, 1.0 + 1e-4, 2.0, 0.3) for n in (1, 2, 3, 8)),
+    *((pot.AsymmetricLinear(force_right=0.5, force_left=2.0, mass=2.0, hbar=2.0), n, None)
+      for n in (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("spec,n,parity", LINEAR_STATES, ids=[
+    "_".join([spec.kind, *map(repr, spec.forces), f"m{spec.mass:g}", f"n{n}", str(parity)])
+    for spec, n, parity in LINEAR_STATES])
+def test_linear_sign_rule_and_one_slope_at_the_kink(spec, n, parity):
+    # psi(0) > 0, or psi'(0) > 0 where psi(0) = 0; a kink leaves psi'
+    # continuous, so both sides carry the same psi'(0), and a wall's left
+    # side carries nothing
+    st = eig.solve(spec, n, parity)
+    side = st.table_at(0.0)
+    assert side.value > 0.0 or (side.value == 0.0 and side.right[1] > 0.0)
+    if isinstance(spec, pot.Bouncer):
+        assert side.value == 0.0 and side.left == (0.0,) * 6
+    else:
+        assert side.left[1] == side.right[1]
+    # psi(0) and psi'(0) vanish exactly where E is a zero of Ai and of Ai'
+    if st.parity == "odd":
+        assert side.value == 0.0
+    if st.parity == "even":
+        assert side.right[1] == 0.0
 
 
 @pytest.mark.parametrize("force_left", [1.0 + 1e-4, 1.0 + 1e-9])
