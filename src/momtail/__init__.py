@@ -6,7 +6,7 @@ structure.
 """
 
 from .asymptotics import TailPrediction, TailTerm, expansion_terms, predict_tail
-from .eigensolve import BoundState, SideDerivatives, shooting_oracle, solve
+from .eigensolve import BoundState, SideDerivatives, solve
 from .errors import (DivergentMoment, InconsistentJumps,
                      InsufficientDerivativeDepth, NoBoundState, NoConvergence,
                      NonPowerLaw, NoSuchState, QuadratureBudgetExceeded,
@@ -18,6 +18,15 @@ from .potentials import (AsymmetricLinear, Bouncer, DeltaSum, DiscontinuityRecor
                          FiniteWell, HybridDeltaStep, InfiniteWell, PotentialSpec,
                          StepSum, SymmetricLinear, discontinuities)
 from .tailfit import FitResult, TailComparison, compare, fit_power_law
+
+
+def __getattr__(name: str):
+    """``shooting_oracle`` loads scipy's integrators, so it is imported on first access."""
+    if name == "shooting_oracle":
+        from .oracle import shooting_oracle
+        return shooting_oracle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AsymmetricLinear", "Bouncer", "BoundState", "DeltaSum",

@@ -26,7 +26,7 @@ from . import eigensolve as eig
 from . import momentum as mom
 from . import potentials as pot
 from . import tailfit
-from .errors import (DivergentMoment, NoBoundState, NoSuchState,
+from .errors import (DivergentMoment, NoBoundState, NoConvergence, NoSuchState,
                      QuadratureBudgetExceeded)
 
 _FIT_LO_MULT = 10.0     # verification fit window starts at 10 * p_scale
@@ -164,13 +164,14 @@ def _load_config(config: str, grid: str | None, n: int | None,
 def _solve(cfg: RunConfig, predict: bool = False):
     """The configured state, and its tail prediction if ``predict`` (else None).
 
-    A state or a prediction that the config cannot have exits 2.
+    A state or a prediction that the config cannot have, or a level whose
+    root polish fails, exits 2.
     """
     try:
         state = eig.solve(cfg.spec, cfg.n, cfg.parity)
         return state, (asy.predict_tail(state, pot.discontinuities(cfg.spec))
                        if predict else None)
-    except (NoSuchState, NoBoundState, ValueError) as exc:
+    except (NoSuchState, NoBoundState, NoConvergence, ValueError) as exc:
         _echo(f"solve error: {exc}", err=True)
         sys.exit(2)
 

@@ -18,13 +18,13 @@ panels at once, and reused for every p. The panels tile the support as the
 norm check's do, cut at the kinks, at the oscillation scale and, where V is
 constant above E, at the decay length, and are bisected until the Taylor
 expansion of degree 34 resolves psi. Each panel then keeps the orders up to
-its last coefficient above eps / 35 of the state's scale, and the transform
-sums only those. It builds one Bessel table per block of momenta for all
-half-widths together, and stays in real arithmetic: c_k 2(-i)^k is real for
-even k and imaginary for odd k, so the sum over orders is two real matrix
-products, and the phase e^{-ipc/hbar} enters as its cosine and sine. The
-absolute error stays near machine precision even at p ~ 10^3, where phi
-itself is ~1e-10.
+its last coefficient above eps / 35 of the state's scale, a panel with none
+is dropped, and the transform sums only what is kept. It builds one Bessel
+table per block of momenta for all half-widths together, and stays in real
+arithmetic: c_k 2(-i)^k is real for even k and imaginary for odd k, so the
+sum over orders is two real matrix products, and the phase e^{-ipc/hbar}
+enters as its cosine and sine. The absolute error stays near machine
+precision even at p ~ 10^3, where phi itself is ~1e-10.
 
 Closed forms for the single delta and the infinite well are provided as
 independent cross-checks, and ``moment`` integrates p^k |phi|^2 with an
@@ -256,7 +256,8 @@ class FilonPanels:
     ``orders`` holds, per panel, the last order k whose |c_k| exceeds
     eps scale / (_DEGREE + 1), with scale the largest |c_k| of the state:
     the orders above it add up to less than one ulp of the scale, so the
-    transform drops them.
+    transform drops them. By the same rule a panel with no such order (far
+    out in a tail, where psi leaves no trace) is not kept at all.
 
     A state without ODE data (``shooting_oracle``'s spline) raises
     ``ValueError``.
@@ -281,15 +282,17 @@ class FilonPanels:
             return done
 
         _bisect_until_resolved(state, resolved)
-        centers = np.concatenate(centers)
+        centers, coeffs = np.concatenate(centers), np.concatenate(coeffs)
+        # the last order above eps scale / (degree+1): the dropped rest of a
+        # panel's sum stays below one ulp of the scale; a panel with no such
+        # order is dropped whole
+        carried = np.abs(coeffs) > np.finfo(float).eps * scale / (_DEGREE + 1)
         order = np.argsort(centers)
+        order = order[carried[order].any(axis=1)]
         self.centers = centers[order]
         self.halfwidths = np.concatenate(halfwidths)[order]
-        self.coeffs = np.concatenate(coeffs)[order]      # (panels, degree+1)
-        # the last order above eps scale / (degree+1): the dropped rest of a
-        # panel's sum stays below one ulp of the scale
-        carried = np.abs(self.coeffs) > np.finfo(float).eps * scale / (_DEGREE + 1)
-        self.orders = np.max(np.where(carried, _ORDERS, 0), axis=1)
+        self.coeffs = coeffs[order]      # (panels, degree+1)
+        self.orders = np.max(np.where(carried[order], _ORDERS, 0), axis=1)
         # c_k 2(-i)^k is real for even k and imaginary for odd k
         moments = self.coeffs * _MOMENT_PHASE
         self._even, self._odd = moments[:, 0::2].real.copy(), moments[:, 1::2].imag.copy()

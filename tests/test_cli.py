@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from momtail.cli import main
+from momtail.errors import NoConvergence
 
 DELTA_CFG = {"potential": {"kind": "delta_sum", "deltas": [[1.0, 0.0]]}}
 BOUNCER_CFG = {"potential": {"kind": "bouncer", "force": 0.5}, "n": 3}
@@ -181,6 +182,22 @@ def test_no_such_state_exits_2(runner, tmp_path):
     cfg = write_cfg(tmp_path, {**DELTA_CFG, "n": 2})
     res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path)])
     assert res.exit_code == 2
+
+
+def test_failed_root_polish_exits_2(runner, tmp_path, monkeypatch):
+    # the polish raises a typed error, which the CLI reports as a solve
+    # error instead of a traceback
+    import momtail.eigensolve as eig
+
+    def no_root(*args, **kwargs):
+        raise NoConvergence("the root polish did not converge in 200 iterations")
+
+    monkeypatch.setattr(eig, "_brentq", no_root)
+    cfg = write_cfg(tmp_path, ASYMLIN_CFG)
+    res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "solve error: the root polish did not converge" in res.output
+    assert not (tmp_path / "solve.json").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "transform", "predict", "verify"])

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from momtail import asymptotics as asy
 from momtail import eigensolve as eig
 from momtail import momentum as mom
 from momtail import potentials as pot
 from momtail import specfun
-from momtail.errors import NoBoundState, NoSuchState
+from momtail.errors import NoBoundState, NoConvergence, NoSuchState
 
 mpmath.mp.dps = 30
 
@@ -424,6 +425,57 @@ def test_asymmetric_linear_against_shooting(n):
     st = eig.solve(spec, n)
     osc = eig.shooting_oracle(spec, (st.energy - 0.05, st.energy + 0.05), n)
     assert st.energy == pytest.approx(osc.energy, abs=1e-9)
+
+
+# --- the root polish ---------------------------------------------------------
+
+POLISHED = [
+    (pot.DeltaSum(deltas=((1.0, -1.0), (1.5, 0.5), (0.8, 2.0))), 2),
+    (pot.FiniteWell(depth=10.0, a=-1.0, b=1.0), 2),
+    (pot.StepSum(steps=((0.0, -5.0), (1.0, 2.0), (2.0, 3.0))), 1),
+    (pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0), 1),
+    (pot.AsymmetricLinear(force_right=1.0, force_left=0.5), 1),
+    (pot.AsymmetricLinear(force_right=0.5, force_left=2.0), 30),
+    (pot.AsymmetricLinear(force_right=1.0, force_left=1.0000001), 2),
+]
+
+
+@pytest.mark.parametrize("spec,n", POLISHED, ids=[
+    "delta_chain", "finite_well", "step_ladder", "hybrid", "asym_1", "asym_30", "asym_near_equal"])
+def test_brentq_port_matches_scipy_bit_for_bit(monkeypatch, spec, n):
+    # every polish of the solve, on its own defect and bracket, against scipy
+    polish, pairs = eig._brentq, []
+
+    def both(f, a, b, xtol, rtol, maxiter):
+        ours = polish(f, a, b, xtol, rtol, maxiter)
+        pairs.append((ours, brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)))
+        return ours
+
+    monkeypatch.setattr(eig, "_brentq", both)
+    eig.solve(spec, n)
+    assert pairs
+    for ours, theirs in pairs:
+        assert ours.hex() == theirs.hex()
+
+
+def test_brentq_port_returns_a_root_at_either_end():
+    for a, b in [(0.3, 2.0), (-1.0, 0.3)]:
+        assert eig._brentq(lambda x: x - 0.3, a, b, 1e-14, 8.9e-16, 200) == 0.3
+        assert brentq(lambda x: x - 0.3, a, b, xtol=1e-14, rtol=8.9e-16) == 0.3
+
+
+def test_brentq_port_raises_typed_errors():
+    def nan_inside(x):
+        return x - 0.3 if x in (0.0, 1.0) else math.nan
+
+    with pytest.raises(NoConvergence, match="NaN"):
+        eig._brentq(nan_inside, 0.0, 1.0, 1e-14, 8.9e-16, 200)
+    with pytest.raises(NoConvergence, match="NaN"):
+        eig._brentq(lambda x: math.nan, 0.0, 1.0, 1e-14, 8.9e-16, 200)
+    with pytest.raises(NoConvergence, match="3 iterations"):
+        eig._brentq(lambda x: math.exp(x) - 2.0, 0.0, 1.0, 1e-300, 8.9e-16, 3)
+    with pytest.raises(NoConvergence, match="sign"):
+        eig._brentq(lambda x: x + 1.0, 0.0, 1.0, 1e-14, 8.9e-16, 200)
 
 
 # --- delta chains and step ladders: properties against independent oracles --

@@ -227,6 +227,7 @@ def test_panel_coefficients_against_multiprecision():
 ], ids=["bouncer_10", "symlin_11_even"])
 def test_build_evaluates_each_panel_once_per_generation(monkeypatch, spec, n, parity):
     st = eig.solve(spec, n, parity)
+    tiling = _reference_panels(st)[0].size
     calls, airy_args = [], []
     slope = st.psi_and_slope
     airy = specfun.airy_ai_and_prime
@@ -240,8 +241,8 @@ def test_build_evaluates_each_panel_once_per_generation(monkeypatch, spec, n, pa
     st.psi_and_slope = lambda x: calls.append(np.size(x)) or slope(x)
     panels = mom.FilonPanels(st)
     # every panel resolves in the first generation: one call, one Airy
-    # argument per panel
-    assert calls == [panels.centers.size]
+    # argument per panel of the tiling (the panels kept are fewer)
+    assert calls == [tiling]
     assert airy_args == calls
 
 
@@ -273,9 +274,11 @@ def test_budget_stops_a_panel_that_never_resolves():
 # --- shared tiling ----------------------------------------------------------
 
 def _reference_panels(state):
-    """FilonPanels' centers and half-widths from the tiling and bisection
-    written out in one loop, with no panel wider than the oscillation scale,
-    nor, in a constant forbidden piece psi'' = b0 psi, than 2 pi / sqrt(b0)."""
+    """FilonPanels' tiling from the tiling and bisection written out in one
+    loop, with no panel wider than the oscillation scale, nor, in a constant
+    forbidden piece psi'' = b0 psi, than 2 pi / sqrt(b0): its centers and
+    half-widths, and which panels have a Legendre coefficient above
+    eps / 35 of the largest, the panels FilonPanels keeps."""
     lo, hi = state.support
     edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
     c, hw = [], []
@@ -287,7 +290,7 @@ def _reference_panels(state):
         c.extend(u + (2 * i + 1) * h for i in range(m))
         hw.extend([h] * m)
     c, hw = np.array(c), np.array(hw)
-    centers, halfwidths, scale = [], [], 0.0
+    centers, halfwidths, largest, scale = [], [], [], 0.0
     while c.size:
         ck, truncation = mom._panel_coefficients(state, c, hw)
         scale = max(scale, np.max(np.abs(ck)))
@@ -295,11 +298,13 @@ def _reference_panels(state):
         done = tail <= mom._REL_TOL * max(scale, 1e-300)
         centers.append(c[done])
         halfwidths.append(hw[done])
+        largest.append(np.max(np.abs(ck[done]), axis=1))
         c, hw = c[~done], 0.5 * hw[~done]
         c, hw = np.concatenate([c - hw, c + hw]), np.concatenate([hw, hw])
     centers = np.concatenate(centers)
     order = np.argsort(centers)
-    return centers[order], np.concatenate(halfwidths)[order]
+    kept = np.concatenate(largest)[order] > np.finfo(float).eps * scale / 35.0
+    return centers[order], np.concatenate(halfwidths)[order], kept
 
 
 PANEL_COUNTS = {
@@ -311,6 +316,13 @@ PANEL_COUNTS = {
     "symlin_even-m2-hbar2": 14, "symlin_odd-unit": 16, "symlin_odd-m2-hbar2": 16,
     "asymlin-unit": 13, "asymlin-m2-hbar2": 13,
 }
+# panels of the tiling past the end of an Airy tail, with no coefficient
+# above eps / 35 of the scale; FilonPanels drops them
+EMPTY_PANELS = {
+    "bouncer-unit": 1, "bouncer-m2-hbar2": 1, "symlin_even-unit": 2,
+    "symlin_even-m2-hbar2": 2, "symlin_odd-unit": 2, "symlin_odd-m2-hbar2": 2,
+    "asymlin-unit": 1, "asymlin-m2-hbar2": 1,
+}
 
 
 @pytest.mark.parametrize("spec,n,parity", list(_unit_states()))
@@ -319,10 +331,11 @@ def test_filon_panels_keep_their_tiling(request, spec, n, parity):
     # so transform.csv, move only on purpose
     st = eig.solve(spec, n, parity)
     panels = mom.FilonPanels(st)
-    centers, halfwidths = _reference_panels(st)
-    assert panels.centers.size == PANEL_COUNTS[request.node.callspec.id]
-    assert np.array_equal(panels.centers, centers)
-    assert np.array_equal(panels.halfwidths, halfwidths)
+    centers, halfwidths, kept = _reference_panels(st)
+    assert centers.size == PANEL_COUNTS[request.node.callspec.id]
+    assert np.count_nonzero(~kept) == EMPTY_PANELS.get(request.node.callspec.id, 0)
+    assert np.array_equal(panels.centers, centers[kept])
+    assert np.array_equal(panels.halfwidths, halfwidths[kept])
 
 
 # --- norm check ---------------------------------------------------------------
