@@ -1,13 +1,25 @@
 """Command-line driver: solve -> transform -> predict -> verify, plus figure data.
 
-Configs are JSON, data files are CSV with 17-significant-digit formatting, and
-reports are JSON with sorted keys; identical inputs produce byte-identical
-outputs. ``solve`` reports ``norm_check``, the integral of psi^2 by the
-adaptive Gauss-Legendre rule ``momentum.norm_check`` on psi samples alone, and
-``norm_check_error``, that rule's summed 16-versus-32-node gap. Exit codes:
-0 success, 1 verification or quadrature failure (``transform`` and ``verify``
-when the Filon panels cannot resolve psi, ``solve`` when the norm check
-cannot), 2 usage/config errors.
+A config is a JSON object: ``potential`` (``{"kind": ..., <its parameters>}``
+with optional ``mass`` and ``hbar``, as ``potentials.from_dict`` reads it),
+``n`` (an integer, default 1), ``parity`` ("even", "odd" or null) and
+``grid``, the momenta of ``transform``: ``{"kind": "linear", "min", "max",
+"count"}`` (default -50 to 50, 1001 points) or ``{"kind": "log", "min",
+"max", "per_decade"}`` (per_decade default 40). ``--n``, ``--parity`` and
+``--grid`` (linear:min:max:count or log:min:max:per_decade) override them.
+
+Data files are CSV with 17-significant-digit formatting, and reports are JSON
+with sorted keys; identical inputs produce byte-identical outputs. ``solve``
+reports ``norm_check`` and ``norm_check_error``: the integral of psi^2 by
+``momentum.norm_check`` and that rule's summed 16-versus-32-node gap.
+
+Exit codes: 0 success; 1 a failed verification or a quadrature failure
+(``transform`` and ``verify`` when the Filon panels cannot resolve psi,
+``solve`` when the norm check cannot); 2 a usage error, a ``config error``
+(an unreadable config, a field of the wrong type, grid bounds that are not
+finite with min < max, a potential parameter that is not finite, a mass or
+hbar <= 0) or a ``solve error`` (a state, parity or prediction the config
+cannot have, or a failed root polish).
 """
 
 from __future__ import annotations
@@ -15,7 +27,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import click
@@ -26,88 +40,29 @@ from . import eigensolve as eig
 from . import momentum as mom
 from . import potentials as pot
 from . import tailfit
-from .errors import (DivergentMoment, NoBoundState, NoConvergence, NoSuchState,
-                     QuadratureBudgetExceeded)
+from .errors import NoBoundState, NoConvergence, NoSuchState, QuadratureBudgetExceeded
 
 _FIT_LO_MULT = 10.0     # verification fit window starts at 10 * p_scale
 _FIT_HI = 1e3
 _EXPONENT_TOL = 0.1
 _ENVELOPE_TOL = 0.05
+_DEFAULT_GRID = {"kind": "linear", "min": -50.0, "max": 50.0, "count": 1001}
+
+# each stage of a command: the errors it reports under this prefix, and the exit code
+_FAILURES = {
+    "config error": ((OSError, KeyError, TypeError, ValueError, OverflowError), 2),
+    "solve error": ((NoSuchState, NoBoundState, NoConvergence, ValueError), 2),
+    "quadrature error": ((QuadratureBudgetExceeded,), 1),
+}
 
 
 @dataclass
 class RunConfig:
-    """One CLI run: a potential, a state selector, and a p-grid policy."""
+    """One CLI run: a potential, a state selector and the momentum grid."""
     spec: pot.PotentialSpec
-    n: int = 1
-    parity: str | None = None
-    grid_policy: dict = field(default_factory=lambda: {
-        "kind": "linear", "min": -50.0, "max": 50.0, "count": 1001})
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        return cls.from_dict(raw)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        if "potential" not in raw:
-            raise ValueError("config must contain a 'potential' object")
-        cfg = cls(spec=pot.from_dict(raw["potential"]))
-        if "n" in raw:
-            cfg.n = int(raw["n"])
-        if "parity" in raw:
-            cfg.parity = raw["parity"]
-        if "grid" in raw:
-            cfg.grid_policy = dict(raw["grid"])
-        _validate_grid_policy(cfg.grid_policy)
-        return cfg
-
-    def grid(self) -> np.ndarray:
-        return _build_grid(self.grid_policy)
-
-
-def _validate_grid_policy(policy: dict) -> None:
-    kind = policy.get("kind")
-    if kind == "linear":
-        if int(policy["count"]) < 2:
-            raise ValueError("linear grid needs count >= 2")
-        if not policy["min"] < policy["max"]:
-            raise ValueError("grid needs min < max")
-    elif kind == "log":
-        if not 0 < policy["min"] < policy["max"]:
-            raise ValueError("log grid needs 0 < min < max")
-        if policy.get("per_decade", 40) < 1:
-            raise ValueError("log grid needs per_decade >= 1")
-    else:
-        raise ValueError(f"unknown grid kind {kind!r}")
-
-
-def _build_grid(policy: dict) -> np.ndarray:
-    if policy["kind"] == "linear":
-        return np.linspace(float(policy["min"]), float(policy["max"]),
-                           int(policy["count"]))
-    decades = math.log10(policy["max"] / policy["min"])
-    count = max(2, int(math.ceil(decades * policy.get("per_decade", 40))) + 1)
-    return np.geomspace(float(policy["min"]), float(policy["max"]), count)
-
-
-def _parse_grid_flag(text: str) -> dict:
-    """--grid linear:min:max:count or log:min:max:per_decade."""
-    parts = text.split(":")
-    if len(parts) != 4 or parts[0] not in ("linear", "log"):
-        raise ValueError("grid spec must be linear:min:max:count or "
-                         "log:min:max:per_decade")
-    kind, a, b, c = parts
-    if kind == "linear":
-        return {"kind": "linear", "min": float(a), "max": float(b), "count": int(c)}
-    return {"kind": "log", "min": float(a), "max": float(b), "per_decade": int(c)}
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    n: int
+    parity: str | None
+    grid: partial    # checked on loading, built on call: solve and verify use no grid
 
 
 def _echo(message: str, err: bool = False, nl: bool = True) -> None:
@@ -122,21 +77,77 @@ def _echo(message: str, err: bool = False, nl: bool = True) -> None:
     click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+@contextmanager
+def _failing_as(prefix: str):
+    """Report an error that ``_FAILURES`` lists under ``prefix``, and exit with its code."""
+    types, code = _FAILURES[prefix]
+    try:
+        yield
+    except types as exc:
+        _echo(f"{prefix}: {exc}", err=True)
+        sys.exit(code)
 
 
-def _state_report(cfg: RunConfig, state: eig.BoundState) -> dict:
-    norm, norm_error = mom.norm_check(state)
-    table = {}
-    for a, side in state.derivative_table.items():
-        table[f"{a:.17g}"] = {"value": side.value,
-                              "left": list(side.left), "right": list(side.right)}
-    return {"potential": pot.to_dict(cfg.spec), "n": state.n,
-            "parity": state.parity, "energy": state.energy,
-            "norm_check": norm, "norm_check_error": norm_error,
-            "support": list(state.support),
-            "derivative_table": table}
+def _grid(kind: str, lo: float, hi: float, count: int) -> partial:
+    """The builder of a linear grid of ``count`` points from ``lo`` to ``hi``,
+    or of a log grid of ``count`` points per decade."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError("grid needs finite min < max")
+    if kind == "linear":
+        if type(count) is not int or count < 2:
+            raise ValueError(f"linear grid needs an integer count >= 2, not {count!r}")
+        return partial(np.linspace, float(lo), float(hi), count)
+    if kind != "log":
+        raise ValueError(f"unknown grid kind {kind!r}")
+    if lo <= 0:
+        raise ValueError("log grid needs 0 < min < max")
+    if count < 1:
+        raise ValueError("log grid needs per_decade >= 1")
+    points = max(2, int(math.ceil(math.log10(hi / lo) * count)) + 1)
+    return partial(np.geomspace, float(lo), float(hi), points)
+
+
+def _load_config(config: str, grid: str | None, n: int | None, parity: str | None) -> RunConfig:
+    """The run the ``config`` file describes, with the flags' overrides."""
+    with _failing_as("config error"):
+        with open(config) as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict) or "potential" not in raw:
+            raise ValueError("config must contain a 'potential' object")
+        spec = pot.from_dict(raw["potential"])
+        n = raw.get("n", 1) if n is None else n
+        parity = raw.get("parity") if parity is None else parity
+        if type(n) is not int or parity not in (None, "even", "odd"):
+            raise ValueError(f"n must be an integer and parity even, odd or null: got "
+                             f"n = {n!r}, parity = {parity!r}")
+        if grid is None:
+            policy = dict(raw.get("grid", _DEFAULT_GRID))
+            kind, lo, hi = policy.get("kind"), policy["min"], policy["max"]
+            count = policy["count"] if kind == "linear" else policy.get("per_decade", 40)
+        else:
+            parts = grid.split(":")
+            if len(parts) != 4 or parts[0] not in ("linear", "log"):
+                raise ValueError("--grid must be linear:min:max:count or log:min:max:per_decade")
+            kind, lo, hi, count = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+        return RunConfig(spec, n, parity, _grid(kind, lo, hi, count))
+
+
+def _write_text(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """One row per index of the ``columns``, each value to 17 significant digits."""
+    rows = (",".join(f"{v:.17g}" for v in row) for row in zip(*columns))
+    _write_text(path, "\n".join([header, *rows]) + "\n")
+
+
+def _write_report(path: Path, report: dict) -> None:
+    """Write ``report`` as JSON with sorted keys, and echo it."""
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    _write_text(path, text)
+    _echo(text, nl=False)
 
 
 @click.group()
@@ -144,128 +155,83 @@ def main() -> None:
     """Bound states, momentum-space wavefunctions, and their power-law tails."""
 
 
-def _load_config(config: str, grid: str | None, n: int | None,
-                 parity: str | None) -> RunConfig:
-    try:
-        cfg = RunConfig.from_file(config)
-        if grid is not None:
-            cfg.grid_policy = _parse_grid_flag(grid)
-            _validate_grid_policy(cfg.grid_policy)
-        if n is not None:
-            cfg.n = n
-        if parity is not None:
-            cfg.parity = parity
-        return cfg
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        _echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+def _config_command(fn):
+    """Register ``fn(cfg, out)`` as a command of ``main`` on the shared options,
+    called with the loaded RunConfig and the output directory."""
+    @click.option("--config", required=True, type=click.Path(), help="JSON run config")
+    @click.option("--out", default=".", type=click.Path(path_type=Path), help="output directory")
+    @click.option("--grid", default=None, help="override grid: linear:min:max:count "
+                  "or log:min:max:per_decade")
+    @click.option("--n", default=None, type=int, help="state index override")
+    @click.option("--parity", default=None, type=click.Choice(["even", "odd"]),
+                  help="parity override")
+    def command(config, out, grid, n, parity):
+        fn(_load_config(config, grid, n, parity), out)
+    return main.command(fn.__name__, help=fn.__doc__)(command)
 
 
-def _solve(cfg: RunConfig, predict: bool = False):
-    """The configured state, and its tail prediction if ``predict`` (else None).
-
-    A state or a prediction that the config cannot have, or a level whose
-    root polish fails, exits 2.
-    """
-    try:
-        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
-        return state, (asy.predict_tail(state, pot.discontinuities(cfg.spec))
-                       if predict else None)
-    except (NoSuchState, NoBoundState, NoConvergence, ValueError) as exc:
-        _echo(f"solve error: {exc}", err=True)
-        sys.exit(2)
-
-
-_shared = [
-    click.option("--config", required=True, type=click.Path(), help="JSON run config"),
-    click.option("--out", default=".", type=click.Path(), help="output directory"),
-    click.option("--grid", default=None, help="override grid: linear:min:max:count "
-                 "or log:min:max:per_decade"),
-    click.option("--n", default=None, type=int, help="state index override"),
-    click.option("--parity", default=None, type=click.Choice(["even", "odd"]),
-                 help="parity override"),
-]
-
-
-def _with_shared(fn):
-    for opt in reversed(_shared):
-        fn = opt(fn)
-    return fn
-
-
-@main.command()
-@_with_shared
-def solve(config, out, grid, n, parity) -> None:
+@_config_command
+def solve(cfg: RunConfig, out: Path) -> None:
     """Solve the configured bound state and report energy + derivative table."""
-    cfg = _load_config(config, grid, n, parity)
-    state, _ = _solve(cfg)
-    try:
-        report = _json_dumps(_state_report(cfg, state))
-    except QuadratureBudgetExceeded as exc:
-        _echo(f"quadrature error: {exc}", err=True)
-        sys.exit(1)
-    _write_text(Path(out) / "solve.json", report)
-    _echo(report, nl=False)
+    with _failing_as("solve error"):
+        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
+    with _failing_as("quadrature error"):
+        norm, norm_error = mom.norm_check(state)
+    table = {}
+    for a, side in state.derivative_table.items():
+        table[f"{a:.17g}"] = {"value": side.value,
+                              "left": list(side.left), "right": list(side.right)}
+    _write_report(out / "solve.json", {
+        "potential": pot.to_dict(cfg.spec), "n": state.n,
+        "parity": state.parity, "energy": state.energy,
+        "norm_check": norm, "norm_check_error": norm_error,
+        "support": list(state.support),
+        "derivative_table": table})
 
 
-@main.command()
-@_with_shared
-def transform(config, out, grid, n, parity) -> None:
+@_config_command
+def transform(cfg: RunConfig, out: Path) -> None:
     """Momentum-space wavefunction on the configured grid, as CSV."""
-    cfg = _load_config(config, grid, n, parity)
-    state, _ = _solve(cfg)
-    try:
+    with _failing_as("solve error"):
+        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
+    with _failing_as("quadrature error"):
         samples = mom.phi_quadrature(state, cfg.grid())
-    except QuadratureBudgetExceeded as exc:
-        _echo(f"quadrature error: {exc}", err=True)
-        sys.exit(1)
-    text = samples.to_csv()
+    header = "p,phi_re,phi_im,abs_phi2"
+    columns = [samples.grid, samples.phi_re, samples.phi_im, samples.abs_phi2]
     try:
-        dens = mom.classical_momentum_density(cfg.spec, cfg.n, samples.grid,
-                                              cfg.parity)
+        columns.append(mom.classical_momentum_density(cfg.spec, cfg.n, samples.grid, cfg.parity))
+        header += ",classical_density"
     except (NoSuchState, ValueError):
-        dens = None
-    if dens is not None:
-        lines = text.splitlines()
-        lines[0] += ",classical_density"
-        for i, d in enumerate(dens):
-            lines[i + 1] += f",{d:.17g}"
-        text = "\n".join(lines) + "\n"
-    path = Path(out) / "transform.csv"
-    _write_text(path, text)
-    _echo(f"wrote {path} ({samples.grid.size} samples, "
-          f"provenance {samples.provenance})")
+        pass
+    path = out / "transform.csv"
+    _write_csv(path, header, *columns)
+    _echo(f"wrote {path} ({samples.grid.size} samples, provenance {samples.provenance})")
 
 
-@main.command()
-@_with_shared
-def predict(config, out, grid, n, parity) -> None:
+@_config_command
+def predict(cfg: RunConfig, out: Path) -> None:
     """Predicted large-|p| expansion terms for the configured state."""
-    cfg = _load_config(config, grid, n, parity)
-    _, prediction = _solve(cfg, predict=True)
-    path = Path(out) / "predict.csv"
+    with _failing_as("solve error"):
+        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
+        prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
+    path = out / "predict.csv"
     _write_text(path, asy.prediction_to_csv(prediction))
     _echo(asy.summary(prediction))
     _echo(f"wrote {path}")
 
 
-@main.command()
-@_with_shared
-def verify(config, out, grid, n, parity) -> None:
+@_config_command
+def verify(cfg: RunConfig, out: Path) -> None:
     """Quadrature vs prediction: fit the tail and score the envelope; exit 1 on failure."""
-    cfg = _load_config(config, grid, n, parity)
-    state, prediction = _solve(cfg, predict=True)
+    with _failing_as("solve error"):
+        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
+        prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
 
     # momentum scale separating structure from tail: sqrt(2m|E - V_floor|)
     scale = math.sqrt(2.0 * state.mass * abs(state.energy - cfg.spec.v_floor))
     window = (_FIT_LO_MULT * scale, max(_FIT_HI, 20.0 * _FIT_LO_MULT * scale))
-    count = max(2, int(math.ceil(math.log10(window[1] / window[0]) * 40)) + 1)
-    tail_grid = np.geomspace(window[0], window[1], count)
-    try:
-        samples = mom.phi_quadrature(state, tail_grid)
-    except QuadratureBudgetExceeded as exc:
-        _echo(f"quadrature error: {exc}", err=True)
-        sys.exit(1)
+    with _failing_as("quadrature error"):
+        samples = mom.phi_quadrature(state, _grid("log", *window, 40)())
 
     comparison = tailfit.compare(prediction, samples, component="abs",
                                  window=window)
@@ -273,7 +239,7 @@ def verify(config, out, grid, n, parity) -> None:
     exp_ok = (comparison.exponent_deviation is None
               or abs(comparison.exponent_deviation) <= _EXPONENT_TOL)
     passed = env_ok and exp_ok
-    report = {
+    _write_report(out / "verify.json", {
         "potential": pot.to_dict(cfg.spec),
         "n": cfg.n, "parity": cfg.parity,
         "energy": state.energy,
@@ -288,17 +254,14 @@ def verify(config, out, grid, n, parity) -> None:
                    "envelope_tolerance": _ENVELOPE_TOL,
                    "exponent_tolerance": _EXPONENT_TOL},
         "pass": passed,
-    }
-    text = _json_dumps(report)
-    _write_text(Path(out) / "verify.json", text)
-    _echo(text, nl=False)
+    })
     if not passed:
         sys.exit(1)
 
 
 @main.command()
 @click.argument("number", type=click.Choice(["1", "2"]))
-@click.option("--out", default=".", type=click.Path(), help="output directory")
+@click.option("--out", default=".", type=click.Path(path_type=Path), help="output directory")
 def figure(number, out) -> None:
     """Plot-ready CSV data for the two reference figures."""
     if number == "1":
@@ -307,30 +270,24 @@ def figure(number, out) -> None:
         qn = math.sqrt(2.0 * spec.mass * state.energy)
         grid = np.linspace(-2.0 * qn, 2.0 * qn, 1201)
         samples = mom.phi_quadrature(state, grid)
-        dens = mom.classical_momentum_density(spec, 10, grid)
-        lines = ["p,abs_phi2,phi_re2,phi_im2,classical_density"]
-        for p, a2, re, im, d in zip(grid, samples.abs_phi2, samples.phi_re,
-                                    samples.phi_im, dens):
-            lines.append(f"{p:.17g},{a2:.17g},{re * re:.17g},{im * im:.17g},{d:.17g}")
-        path = Path(out) / "figure1.csv"
-        _write_text(path, "\n".join(lines) + "\n")
+        path = out / "figure1.csv"
+        _write_csv(path, "p,abs_phi2,phi_re2,phi_im2,classical_density", grid,
+                   samples.abs_phi2, samples.phi_re ** 2, samples.phi_im ** 2,
+                   mom.classical_momentum_density(spec, 10, grid))
     else:
         spec = pot.SymmetricLinear(force=0.5)
-        even = eig.solve(spec, 11, parity="even")
-        odd = eig.solve(spec, 11, parity="odd")
         grid = np.geomspace(1.0, 300.0, 241)
-        s_even = mom.phi_quadrature(even, grid)
-        s_odd = mom.phi_quadrature(odd, grid)
-        pred_even = asy.predict_tail(even, pot.discontinuities(spec))
-        pred_odd = asy.predict_tail(odd, pot.discontinuities(spec))
-        tgt_even = float(pred_even.leading_envelope(np.array([1.0]))[0])
-        tgt_odd = float(pred_odd.leading_envelope(np.array([1.0]))[0])
-        lines = ["p,p4_abs_phi_even,p5_abs_phi_odd,even_asymptote,odd_asymptote"]
-        for p, ae, ao in zip(grid, np.sqrt(s_even.abs_phi2), np.sqrt(s_odd.abs_phi2)):
-            lines.append(f"{p:.17g},{p ** 4 * ae:.17g},{p ** 5 * ao:.17g},"
-                         f"{tgt_even:.17g},{tgt_odd:.17g}")
-        path = Path(out) / "figure2.csv"
-        _write_text(path, "\n".join(lines) + "\n")
+        scaled, asymptotes = [], []
+        for parity, power in (("even", 4), ("odd", 5)):
+            state = eig.solve(spec, 11, parity=parity)
+            abs_phi = np.sqrt(mom.phi_quadrature(state, grid).abs_phi2)
+            # scalar powers: an array power may round differently
+            scaled.append([p ** power * a for p, a in zip(grid, abs_phi)])
+            prediction = asy.predict_tail(state, pot.discontinuities(spec))
+            asymptotes.append(np.full(grid.size, prediction.leading_envelope(np.array([1.0]))[0]))
+        path = out / "figure2.csv"
+        _write_csv(path, "p,p4_abs_phi_even,p5_abs_phi_odd,even_asymptote,odd_asymptote",
+                   grid, *scaled, *asymptotes)
     _echo(f"wrote {path}")
 
 

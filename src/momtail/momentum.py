@@ -35,7 +35,6 @@ of psi alone.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -88,13 +87,6 @@ class MomentumSamples:
     @property
     def abs_phi2(self) -> np.ndarray:
         return self.phi_re ** 2 + self.phi_im ** 2
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("p,phi_re,phi_im,abs_phi2\n")
-        for p, re, im, a2 in zip(self.grid, self.phi_re, self.phi_im, self.abs_phi2):
-            buf.write(f"{p:.17g},{re:.17g},{im:.17g},{a2:.17g}\n")
-        return buf.getvalue()
 
 
 def _from_complex(grid, phi, provenance: str) -> MomentumSamples:
@@ -440,10 +432,12 @@ def phi_closed_well(spec: pot.InfiniteWell, n: int, grid, mass: float | None = N
     """Closed-form phi for the box on (0, L).
 
     phi_n(p) = sqrt(hbar/2pi) sqrt(2/L) [(-1)^n e^{-ipL/hbar} - 1]
-               * p_n / (p^2 - p_n^2),  p_n = n pi hbar / L.
-    The removable singularities at p = +-p_n are filled by a Taylor expansion
-    in the detuning. Units are the spec's; an explicit ``mass`` or ``hbar``
-    must equal them.
+               * p_n / (p^2 - p_n^2),  p_n = n pi hbar / L,
+    evaluated without its removable poles at p = +-p_n: with s = sign(p)
+    (s = 1 at p = 0) and theta = (p - s p_n) L/hbar, the bracket is
+    -i theta e^{-i theta/2} sinc(theta/2pi) (numpy's sinc) and p^2 - p_n^2
+    is (p - s p_n)(p + s p_n), whose second factor is at least p_n. Units
+    are the spec's; an explicit ``mass`` or ``hbar`` must equal them.
     """
     pot.check_units(spec, mass, hbar)
     L, hbar = spec.length, spec.hbar
@@ -452,25 +446,10 @@ def phi_closed_well(spec: pot.InfiniteWell, n: int, grid, mass: float | None = N
     pn = n * math.pi * hbar / L
     p = np.asarray(grid, dtype=float)
     pref = math.sqrt(hbar / (2.0 * math.pi)) * math.sqrt(2.0 / L)
-    sign = (-1.0) ** n
-    phi = np.empty(p.shape, dtype=complex)
-    near = np.abs(np.abs(p) - pn) < 1e-4 * pn
-    far = ~near
-    pf = p[far]
-    phi[far] = pref * (sign * np.exp(-1j * pf * L / hbar) - 1.0) \
-        * pn / (pf * pf - pn * pn)
-    if np.any(near):
-        # detuning d = (p - s*p_n) with s = sign(p); expand
-        # [(-1)^n e^{-ipL} - 1] / (p^2 - p_n^2) around d = 0. With
-        # theta = dL/hbar: (-1)^n e^{-ipL} = e^{-i s n pi} e^{-i theta} (-1)^n
-        # = e^{-i theta}, so the bracket is e^{-i theta} - 1 = -i theta(1 - i theta/2 - theta^2/6 ...).
-        pnear = p[near]
-        s = np.sign(pnear)
-        d = pnear - s * pn
-        theta = d * L / hbar
-        series_over_d = (-1j * L / hbar) * (1.0 - 1j * theta / 2.0
-                                            - theta ** 2 / 6.0 + 1j * theta ** 3 / 24.0)
-        phi[near] = pref * series_over_d * pn / (pnear + s * pn)
+    s = np.where(p < 0.0, -1.0, 1.0)
+    theta = (p - s * pn) * L / hbar
+    phi = pref * (-1j * L / hbar) * pn * np.exp(-0.5j * theta) \
+        * np.sinc(theta / (2.0 * math.pi)) / (p + s * pn)
     return _from_complex(p, phi, "closed_form")
 
 

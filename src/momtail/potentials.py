@@ -55,10 +55,24 @@ class _Kind:
     floor of V in the momentum scale sqrt(2m |E - v_floor|) that separates
     structure from tail; and ``classical_q(n, parity)``, the edge
     Q_n = sqrt(2m E_n) of the classical momentum density, where there is one.
+    Every parameter must be finite and mass and hbar positive; ``_check``
+    adds the kind's own conditions.
     """
     mass: float = 1.0
     hbar: float = 1.0
     v_floor = 0.0
+
+    def __post_init__(self):
+        self._check()
+        for f in fields(self):
+            v = getattr(self, f.name)    # a number, or a tuple of pairs
+            if not all(map(math.isfinite, sum(v, ()) if isinstance(v, tuple) else [v])):
+                raise ValueError(f"{self.kind} parameters must be finite")
+        if not (self.mass > 0 and self.hbar > 0):
+            raise ValueError("mass and hbar must be positive")
+
+    def _check(self) -> None:
+        """Refuse parameters the kind cannot have (ValueError)."""
 
     def classical_q(self, n: int, parity: str | None = None) -> float:
         raise NoSuchState(f"no classical density for potential kind {self.kind!r}")
@@ -70,7 +84,7 @@ class DeltaSum(_Kind):
     deltas: tuple[tuple[float, float], ...]   # (strength g, location a)
     kind = "delta_sum"
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if not self.deltas:
             raise ValueError("need at least one delta")
         object.__setattr__(self, "deltas", tuple((float(g), float(a)) for g, a in self.deltas))
@@ -99,7 +113,7 @@ class InfiniteWell(_Kind):
     length: float
     kind = "infinite_well"
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.length <= 0:
             raise ValueError("well width must be positive")
 
@@ -122,7 +136,7 @@ class FiniteWell(_Kind):
     b: float
     kind = "finite_well"
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.depth <= 0:
             raise ValueError("well depth must be positive")
         if not self.a < self.b:
@@ -150,7 +164,7 @@ class StepSum(_Kind):
     steps: tuple[tuple[float, float], ...]    # (location a, height jump h)
     kind = "step_sum"
 
-    def __post_init__(self):
+    def _check(self) -> None:
         object.__setattr__(self, "steps", tuple((float(a), float(h)) for a, h in self.steps))
         locs = [a for a, _ in self.steps]
         if sorted(locs) != locs or len(set(locs)) != len(locs):
@@ -183,7 +197,7 @@ class HybridDeltaStep(_Kind):
     a: float
     kind = "hybrid_delta_step"
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.g <= 0:
             raise ValueError("delta strength must be positive")
         if self.a <= 0:
@@ -213,7 +227,7 @@ class _Linear(_Kind):
 class _OneForce(_Linear):
     """A linear potential of a single force F > 0, with its Airy scales."""
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.force <= 0:
             raise ValueError("force must be positive")
 
@@ -283,7 +297,7 @@ class AsymmetricLinear(_Linear):
     force_left: float
     kind = "asymmetric_linear"
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.force_right <= 0 or self.force_left <= 0:
             raise ValueError("forces must be positive")
 

@@ -7,6 +7,7 @@ import json
 import math
 import weakref
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -169,7 +170,11 @@ def test_invalid_config_exits_2(runner, tmp_path):
     {**DELTA_CFG, "n": None},
     {**DELTA_CFG, "grid": {"kind": "linear", "min": "-50", "max": 50.0, "count": 11}},
     {"potential": {"kind": "delta_sum", "deltas": [1, 0]}},
-], ids=["string_depth", "null_n", "string_grid_min", "flat_deltas"])
+    {**DELTA_CFG, "n": 1.9},
+    {**DELTA_CFG, "n": "2"},
+    {**DELTA_CFG, "parity": "sideways"},
+], ids=["string_depth", "null_n", "string_grid_min", "flat_deltas", "fractional_n",
+        "string_n", "unknown_parity"])
 def test_config_of_wrong_field_type_exits_2(runner, tmp_path, cfg):
     res = runner.invoke(main, ["solve", "--config", write_cfg(tmp_path, cfg),
                                "--out", str(tmp_path)])
@@ -210,15 +215,20 @@ def test_delta_pair_with_zero_energy_resonance(runner, tmp_path, command, n, cod
     assert res.exit_code == code, res.output
 
 
-def test_transform_csv_and_classical_density(runner, tmp_path):
-    cfg = write_cfg(tmp_path, WELL_CFG)
-    res = runner.invoke(main, ["transform", "--config", cfg, "--out", str(tmp_path)])
+@pytest.mark.parametrize("cfg,header,rows", [
+    (WELL_CFG, "p,phi_re,phi_im,abs_phi2,classical_density", 201),
+    (DELTA_CFG, "p,phi_re,phi_im,abs_phi2", 1001),   # no classical density
+], ids=["infinite_well", "delta_sum"])
+def test_transform_csv_and_classical_density(runner, tmp_path, cfg, header, rows):
+    res = runner.invoke(main, ["transform", "--config", write_cfg(tmp_path, cfg),
+                               "--out", str(tmp_path)])
     assert res.exit_code == 0
     lines = (tmp_path / "transform.csv").read_text().strip().split("\n")
-    assert lines[0] == "p,phi_re,phi_im,abs_phi2,classical_density"
-    assert len(lines) == 202
-    row = [float(v) for v in lines[1].split(",")]
-    assert row[3] == pytest.approx(row[1] ** 2 + row[2] ** 2, rel=1e-12)
+    assert lines[0] == header
+    assert len(lines) == rows + 1
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.all(np.isfinite(table))
+    assert np.allclose(table[:, 3], table[:, 1] ** 2 + table[:, 2] ** 2, rtol=1e-15, atol=0)
 
 
 def test_grid_override_flag(runner, tmp_path):
@@ -294,6 +304,42 @@ def test_outputs_are_deterministic(runner, tmp_path, name):
         runs.append(run)
     assert runs[0] == runs[1]
     assert all(runs[0][command][0] == 0 for command in ("solve", "transform", "predict"))
+
+
+MALFORMED = {
+    "grid_flag_log_to_inf": (DELTA_CFG, ["--grid", "log:1:inf:40"]),
+    "grid_flag_linear_to_inf": (DELTA_CFG, ["--grid", "linear:-50:inf:11"]),
+    "grid_log_to_inf": ({**DELTA_CFG, "grid": {"kind": "log", "min": 1.0, "max": math.inf}}, []),
+    "grid_linear_to_inf": ({**DELTA_CFG, "grid": {"kind": "linear", "min": -50.0,
+                                                  "max": math.inf, "count": 11}}, []),
+    "grid_linear_from_nan": ({**DELTA_CFG, "grid": {"kind": "linear", "min": math.nan,
+                                                    "max": 50.0, "count": 11}}, []),
+    "fractional_count": ({**DELTA_CFG, "grid": {"kind": "linear", "min": -5.0, "max": 5.0,
+                                                "count": 5.5}}, []),
+    "unknown_parity": ({**DELTA_CFG, "parity": "sideways"}, []),
+    "fractional_n": ({**DELTA_CFG, "n": 1.9}, []),
+    "mass_0": ({"potential": {**DELTA_CFG["potential"], "mass": 0.0}}, []),
+    "hbar_0": ({"potential": {**DELTA_CFG["potential"], "hbar": 0.0}}, []),
+    "box_hbar_-1": ({"potential": {"kind": "infinite_well", "length": 1.0, "hbar": -1.0}}, []),
+    "mass_nan": ({"potential": {**DELTA_CFG["potential"], "mass": math.nan}}, []),
+    "bouncer_force_inf": ({"potential": {"kind": "bouncer", "force": math.inf}}, []),
+    "finite_well_a_-inf": ({"potential": {"kind": "finite_well", "depth": 1.0,
+                                          "a": -math.inf, "b": 1.0}}, []),
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUTS))
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_input_is_a_config_error(runner, tmp_path, command, name):
+    # exit 2 through the CLI's own report, not an exception (a traceback);
+    # the config file carries the non-finite numbers as JSON Infinity/NaN
+    cfg, flags = MALFORMED[name]
+    res = runner.invoke(main, [command, "--config", write_cfg(tmp_path, cfg),
+                               "--out", str(tmp_path)] + flags)
+    assert res.exit_code == 2, res.output
+    assert type(res.exception) is SystemExit
+    assert res.output.startswith("config error:") and "Traceback" not in res.output
+    assert not (tmp_path / OUTPUTS[command]).exists()
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -66,12 +66,37 @@ def test_well_removable_singularity():
     tiny = pn * np.array([1 - 3e-5, 1 - 1e-5, 1.0, 1 + 1e-5, 1 + 3e-5])
     s = mom.phi_closed_well(pot.InfiniteWell(length=math.pi), 3, np.concatenate([tiny, -tiny]))
     assert np.all(np.isfinite(s.abs_phi2))
-    # series branch agrees with the direct formula where both are accurate
+    # agrees with the direct formula where that is accurate
     p = pn * (1 + 8e-5)
     series = mom.phi_closed_well(pot.InfiniteWell(length=math.pi), 3, np.array([p])).phi[0]
     direct = (math.sqrt(1 / (2 * math.pi)) * math.sqrt(2 / math.pi)
               * (-np.exp(-1j * p * math.pi) - 1.0) * pn / (p * p - pn * pn))
     assert abs(series - direct) < 1e-10 * abs(direct)
+
+
+BOXES = [(pot.InfiniteWell(length=math.pi), 3), (pot.InfiniteWell(length=1.0, hbar=0.5), 40),
+         (pot.InfiniteWell(length=2.7, hbar=2.0), 17),
+         (pot.InfiniteWell(length=0.3, mass=2.0, hbar=1.3), 1)]
+
+
+@pytest.mark.parametrize("well,n", BOXES, ids=["pi_n3", "hbar0.5_n40", "hbar2_n17", "m2_n1"])
+def test_well_closed_form_against_multiprecision(well, n):
+    # detunings 1e-12 to 1e-3 from +-p_n, where the textbook form cancels,
+    # and |p| from 1e-3 to 3e5, against the textbook form in 40 digits
+    pn = n * math.pi * well.hbar / well.length
+    detuning = np.geomspace(1e-12, 1e-3, 19)
+    near = pn * np.concatenate([1 - detuning, 1 + detuning])
+    far = np.geomspace(1e-3, 3e5, 50)
+    p = np.concatenate([near, -near, far, -far, [0.0]])
+    with mpmath.workdps(40):
+        L, hbar = mpmath.mpf(well.length), mpmath.mpf(well.hbar)
+        pn_mp = n * mpmath.pi * hbar / L
+        pref = mpmath.sqrt(hbar / (2 * mpmath.pi)) * mpmath.sqrt(2 / L)
+        ref = np.array([complex(pref * ((-1) ** n * mpmath.exp(-1j * x * L / hbar) - 1)
+                                * pn_mp / (x * x - pn_mp * pn_mp))
+                        for x in map(mpmath.mpf, p)])
+    phi = mom.phi_closed_well(well, n, p).phi
+    assert np.max(np.abs(phi - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # --- quadrature ------------------------------------------------------------
@@ -643,16 +668,3 @@ def test_bouncer_imaginary_tail_exponent():
     s = mom.phi_quadrature(st, pg)
     slope = np.polyfit(np.log(pg), np.log(np.abs(s.phi_im)), 1)[0]
     assert slope == pytest.approx(-5.0, abs=0.1)
-
-
-def test_csv_serialization():
-    spec = pot.DeltaSum(deltas=((1.0, 0.0),))
-    st = eig.solve(spec)
-    s = mom.phi_closed_delta(spec, st, np.array([1.0, 2.0]))
-    text = s.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "p,phi_re,phi_im,abs_phi2"
-    assert len(lines) == 3
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[0] == 1.0
-    assert first[3] == pytest.approx(first[1] ** 2 + first[2] ** 2, rel=1e-15)

@@ -123,6 +123,29 @@ def test_validation_errors():
         pot.HybridDeltaStep(g=1.0, step_height=1.0, a=-1.0)
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("bouncer", {"force": 1.0, "mass": 0.0}),
+    ("bouncer", {"force": 1.0, "hbar": 0.0}),
+    ("infinite_well", {"length": 1.0, "hbar": -1.0}),
+    ("bouncer", {"force": 1.0, "mass": math.nan}),
+    ("delta_sum", {"deltas": ((1.0, 0.0),), "hbar": math.inf}),
+    ("bouncer", {"force": math.inf}),
+    ("symmetric_linear", {"force": math.nan}),
+    ("asymmetric_linear", {"force_right": 1.0, "force_left": math.inf}),
+    ("finite_well", {"depth": 1.0, "a": -math.inf, "b": 1.0}),
+    ("finite_well", {"depth": math.inf, "a": -1.0, "b": 1.0}),
+    ("infinite_well", {"length": math.inf}),
+    ("delta_sum", {"deltas": ((1.0, 0.0), (math.inf, 1.0))}),
+    ("step_sum", {"steps": ((0.0, -1.0), (math.nan, 1.0))}),
+    ("hybrid_delta_step", {"g": 1.0, "step_height": -math.inf, "a": 1.0}),
+], ids=["mass_0", "hbar_0", "hbar_-1", "mass_nan", "hbar_inf", "force_inf", "force_nan",
+        "force_left_inf", "a_-inf", "depth_inf", "length_inf", "g_inf", "step_at_nan",
+        "step_height_-inf"])
+def test_non_finite_or_non_positive_units_and_parameters_refused(kind, params):
+    with pytest.raises(ValueError):
+        pot._KINDS[kind](**params)
+
+
 def test_from_dict_rejects_unknown():
     with pytest.raises(ValueError):
         pot.from_dict({"kind": "nonsense"})
