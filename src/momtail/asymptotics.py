@@ -17,6 +17,12 @@ to the spec's ledger (``potentials``), with the (k+1)-enhanced psi'(a) variant
 when psi(a) = 0. ``predict_tail`` cross-checks the two and refuses to emit a
 prediction when they disagree; the check thereby also guards the ODE from
 which ``momentum.FilonPanels`` expands psi.
+
+``TailPrediction.series`` and ``leading_envelope`` group the terms by
+location and by order: the phase e^{-ipa/hbar} is formed once per location
+and the real power (1/p)^n once per order, and the sum of phase x power x
+coefficient runs elementwise over p x locations x orders, with no matrix
+product.
 """
 
 from __future__ import annotations
@@ -54,12 +60,6 @@ class TailTerm:
         return (self.phase_prefactor * self.jump * self.hbar ** self.order
                 / math.sqrt(2.0 * math.pi * self.hbar))
 
-    def contribution(self, p):
-        """Complex contribution to phi(p), vectorized over p."""
-        p = np.asarray(p, dtype=float)
-        return (self.coefficient * np.exp(-1j * p * self.location / self.hbar)
-                / p.astype(complex) ** self.order)
-
 
 @dataclass
 class TailPrediction:
@@ -72,23 +72,32 @@ class TailPrediction:
 
     def series(self, p, max_order: int | None = None):
         """Sum of all (or all up-to-max_order) term contributions at p."""
-        p = np.asarray(p, dtype=float)
-        total = np.zeros(p.shape, dtype=complex)
-        for t in self.terms:
-            if t.jump == 0.0:
-                continue
-            if max_order is not None and t.order > max_order:
-                continue
-            total += t.contribution(p)
-        return total
+        top = math.inf if max_order is None else max_order
+        return _sum_terms([t for t in self.terms if t.jump != 0.0 and t.order <= top], p)
 
     def leading_envelope(self, p):
         """|sum of leading-order contributions|, phases included, vectorized."""
-        p = np.asarray(p, dtype=float)
-        total = np.zeros(p.shape, dtype=complex)
-        for t in self.leading_terms():
-            total += t.contribution(p)
-        return np.abs(total)
+        return np.abs(_sum_terms(self.leading_terms(), p))
+
+
+def _sum_terms(terms: list[TailTerm], p):
+    """Sum of the terms' coefficient e^{-ipa/hbar} p^-order at each p.
+
+    The terms at one location a share one phase e^{-ipa/hbar}, and the terms
+    of one order one real power of 1/p: the sum runs over an array of
+    p x location x order, the phases times the powers times the coefficients.
+    """
+    p = np.asarray(p, dtype=float)
+    if not terms:
+        return np.zeros(p.shape, dtype=complex)
+    locations = sorted({t.location for t in terms})
+    orders = sorted({t.order for t in terms})
+    coef = np.zeros((len(locations), len(orders)), dtype=complex)
+    for t in terms:
+        coef[locations.index(t.location), orders.index(t.order)] += t.coefficient
+    phase = np.exp(-1j * (np.multiply.outer(p, locations) / terms[0].hbar))
+    powers = np.power.outer(1.0 / p, orders)
+    return (phase[..., :, None] * powers[..., None, :] * coef).sum(axis=(-2, -1))
 
 
 def expansion_terms(state: BoundState, records: list[DiscontinuityRecord],

@@ -103,6 +103,9 @@ def _grid(kind: str, lo: float, hi: float, count: int) -> partial:
         raise ValueError("log grid needs 0 < min < max")
     if count < 1:
         raise ValueError("log grid needs per_decade >= 1")
+    if math.isinf(hi / lo):
+        raise ValueError(f"log grid from {lo!r} to {hi!r} spans more decades than a "
+                         f"float ratio holds (max/min overflows)")
     points = max(2, int(math.ceil(math.log10(hi / lo) * count)) + 1)
     return partial(np.geomspace, float(lo), float(hi), points)
 

@@ -174,24 +174,29 @@ def _sin_cubic(y: float) -> float:
     return sum((-y * y) ** j / math.factorial(2 * j + 3) for j in range(8))
 
 
-def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> float:
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int,
+            fa: float | None = None, fb: float | None = None) -> float:
     """A root of f between a and b, where f(a) and f(b) differ in sign.
 
     A step-for-step port of scipy's ``brentq`` iteration (Brent 1973, ch. 4):
     an inverse quadratic or secant step where it falls well inside the
     bracket, a bisection otherwise, until the bracket is narrower than
-    xtol + rtol |x|; so it returns the float scipy would. An end where f is 0
-    is returned as the root. Raises ``NoConvergence`` where f is NaN, where
-    f(a) and f(b) share a sign, or after ``maxiter`` iterations.
+    xtol + rtol |x|; so it returns the float scipy would. ``fa`` and ``fb``,
+    where given, are f(a) and f(b), which it then does not evaluate again. An
+    end where f is 0 is returned as the root. Raises ``NoConvergence`` where f
+    is NaN, where f(a) and f(b) share a sign, or after ``maxiter`` iterations.
     """
-    def evaluate(x):
-        value = f(x)
+    def checked(x, value):
         if math.isnan(value):
             raise NoConvergence(f"the root polish met a NaN at {x!r}")
         return value
 
+    def evaluate(x):
+        return checked(x, f(x))
+
     xpre, xcur = a, b
-    fpre, fcur = evaluate(xpre), evaluate(xcur)
+    fpre = evaluate(a) if fa is None else checked(a, fa)
+    fcur = evaluate(b) if fb is None else checked(b, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -278,7 +283,7 @@ def solve_piecewise(spec: pot.DeltaSum | pot.FiniteWell | pot.StepSum | pot.Hybr
         # _brentq stops at rtol relative to E, which a chain resolves (its V - E
         # is -E exactly); xtol, far below the depth, only ends a search at E = 0
         energy = _brentq(defect, lo, hi, xtol=1e-30 * (top - bottom), rtol=8.9e-16,
-                         maxiter=200)
+                         maxiter=200, fa=d_lo, fb=d_hi)
     return _piecewise_state(spec, n, energy)
 
 
@@ -439,8 +444,8 @@ def solve_linear(spec: pot.Bouncer | pot.SymmetricLinear | pot.AsymmetricLinear,
     rho_l = rho_r if wall else pot.airy_length(force_l, m, hbar)
     e0_r, e0_l = force_r * rho_r, force_l * rho_l
     if wall or force_l == force_r:
-        zeta, eta = specfun.airy_zeros(k if wall else (k + 1) // 2)
-        level = float(eta[-1] if k % 2 and not wall else zeta[-1])
+        j = k if wall else (k + 1) // 2
+        level = specfun.airy_prime_zero(j) if k % 2 and not wall else specfun.airy_zero(j)
         energy = e0_r * level
         u_r = u_l = -level
     else:
@@ -449,7 +454,7 @@ def solve_linear(spec: pot.Bouncer | pot.SymmetricLinear | pot.AsymmetricLinear,
             ai, aip = specfun.airy_ai_and_prime(np.array([-E / e0_r, -E / e0_l]))
             return float(aip[0] * ai[1] / rho_r + ai[0] * aip[1] / rho_l)
 
-        zeta = specfun.airy_zeros(k)[0]
+        zeta = specfun.airy_zero_ladder(k)
         walls = np.sort(np.concatenate([e0_r * zeta, e0_l * zeta]))
 
         def shared(i):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -199,3 +200,74 @@ def test_csv_and_summary():
     assert header == "order,location,jump,coefficient_re,coefficient_im"
     assert len(rows) == len(pred.terms)
     assert "leading exponent: 2" in asy.summary(pred)
+
+
+# --- the summed series against a 30-digit sum of the same terms --------------
+
+SUM_STATES = {
+    "delta_chain": (pot.DeltaSum(deltas=((1.0, -2.0), (0.7, -1.0), (1.3, 0.0), (0.9, 1.1),
+                                         (1.1, 2.0)), hbar=0.7), 2, None),
+    "infinite_well": (pot.InfiniteWell(length=math.pi), 3, None),
+    "finite_well": (pot.FiniteWell(depth=10.0, a=-1.0, b=1.0, mass=2.0), 2, None),
+    "step_sum": (pot.StepSum(steps=((0.0, -5.0), (1.0, 2.0), (2.0, 3.0))), 1, None),
+    "hybrid": (pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0), 1, None),
+    "bouncer": (pot.Bouncer(force=0.5), 3, None),
+    "symmetric_linear": (pot.SymmetricLinear(force=0.5, hbar=1.5), 2, "odd"),
+    "asymmetric_linear": (pot.AsymmetricLinear(force_right=0.5, force_left=2.0), 4, None),
+}
+SUM_P = np.concatenate([np.geomspace(3.0, 3000.0, 9), -np.geomspace(5.0, 500.0, 4)])
+
+
+def mp_sum(terms, p):
+    """The terms' sum at one p in 30 digits, and the sum of their moduli.
+
+    Each term is (-i)^n jump hbar^n / sqrt(2 pi hbar) e^(-i theta) p^-n.
+    theta = a p / hbar is rounded to a double as the code rounds it, so the
+    comparison measures the sum and not the conditioning of the phase in p.
+    """
+    with mpmath.workdps(30):
+        total, size = mpmath.mpc(0), mpmath.mpf(0)
+        for t in terms:
+            hbar, n = mpmath.mpf(t.hbar), t.order
+            term = (mpmath.mpc(0, -1) ** n * t.jump * hbar ** n / mpmath.sqrt(2 * mpmath.pi * hbar)
+                    * mpmath.expj(-mpmath.mpf(t.location * p / t.hbar)) / mpmath.mpf(p) ** n)
+            total += term
+            size += abs(term)
+        return complex(total), float(size)
+
+
+def assert_sums_match(got, terms, p, of=lambda z: z):
+    """got = of(sum of the terms) within 8 eps of the sum of their moduli, at each p."""
+    p = np.asarray(p, dtype=float)
+    assert got.shape == p.shape
+    for value, at in zip(np.ravel(got), p.ravel()):
+        ref, size = mp_sum(terms, float(at))
+        assert abs(value - of(ref)) <= 8 * np.finfo(float).eps * size, (at, value, ref)
+
+
+@pytest.mark.parametrize("name", SUM_STATES)
+def test_series_and_envelope_against_multiprecision_sum(name):
+    spec, n, parity = SUM_STATES[name]
+    pred = asy.predict_tail(eig.solve(spec, n, parity), pot.discontinuities(spec))
+    nonzero = [t for t in pred.terms if t.jump != 0.0]
+    assert_sums_match(pred.series(SUM_P), nonzero, SUM_P)
+    top = pred.leading_exponent + 1
+    assert_sums_match(pred.series(SUM_P, max_order=top),
+                      [t for t in nonzero if t.order <= top], SUM_P)
+    envelope = pred.leading_envelope(SUM_P)
+    assert envelope.dtype == float
+    assert_sums_match(envelope, pred.leading_terms(), SUM_P, of=abs)
+    for p in (np.float64(-40.0), SUM_P[:12].reshape(3, 4)):
+        assert_sums_match(pred.series(p), nonzero, p)
+        assert_sums_match(pred.leading_envelope(p), pred.leading_terms(), p, of=abs)
+
+
+def test_envelope_at_a_zero_of_two_locations():
+    # box of length pi, n = 2: the walls' leading terms cancel at every even p
+    well = pot.InfiniteWell(length=math.pi)
+    pred = asy.predict_tail(eig.solve(well, 2), pot.discontinuities(well))
+    leads = pred.leading_terms()
+    assert {t.location for t in leads} == {0.0, math.pi}
+    p = np.array([2.0, 40.0, 400.0, 4000.0])
+    assert all(abs(mp_sum(leads, at)[0]) < 1e-12 * mp_sum(leads, at)[1] for at in p)
+    assert_sums_match(pred.leading_envelope(p), leads, p, of=abs)

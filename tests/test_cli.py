@@ -309,6 +309,7 @@ def test_outputs_are_deterministic(runner, tmp_path, name):
 MALFORMED = {
     "grid_flag_log_to_inf": (DELTA_CFG, ["--grid", "log:1:inf:40"]),
     "grid_flag_linear_to_inf": (DELTA_CFG, ["--grid", "linear:-50:inf:11"]),
+    "grid_flag_log_span_overflows": (DELTA_CFG, ["--grid", "log:1e-300:1e300:40"]),
     "grid_log_to_inf": ({**DELTA_CFG, "grid": {"kind": "log", "min": 1.0, "max": math.inf}}, []),
     "grid_linear_to_inf": ({**DELTA_CFG, "grid": {"kind": "linear", "min": -50.0,
                                                   "max": math.inf, "count": 11}}, []),
@@ -340,6 +341,14 @@ def test_malformed_input_is_a_config_error(runner, tmp_path, command, name):
     assert type(res.exception) is SystemExit
     assert res.output.startswith("config error:") and "Traceback" not in res.output
     assert not (tmp_path / OUTPUTS[command]).exists()
+
+
+def test_log_grid_whose_span_overflows_names_the_grid(runner, tmp_path):
+    # max/min = 1e600 overflows a float: the report names the grid's span
+    res = runner.invoke(main, ["solve", "--config", write_cfg(tmp_path, DELTA_CFG),
+                               "--out", str(tmp_path), "--grid", "log:1e-300:1e300:40"])
+    assert res.exit_code == 2
+    assert "log grid from 1e-300 to 1e+300" in res.output and "decades" in res.output
 
 
 @pytest.mark.parametrize("n", [1, 3])

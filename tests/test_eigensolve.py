@@ -416,7 +416,29 @@ def test_asymmetric_linear_solve_evaluates_few_airy_arguments(monkeypatch):
 
     monkeypatch.setattr(specfun, "airy", counting_airy)
     eig.solve(pot.AsymmetricLinear(force_right=0.5, force_left=2.0), 30)
-    assert 0 < sum(counted) < 400
+    # two Newton steps on the 30 zeta of the wall ladder (no eta), two
+    # arguments per brentq evaluation, and two for the match at z = 0
+    assert 0 < sum(counted) <= 78
+
+
+@pytest.mark.parametrize("spec,parity", [
+    (pot.Bouncer(force=0.5), None),
+    (pot.SymmetricLinear(force=0.5), "even"),
+    (pot.SymmetricLinear(force=0.5), "odd"),
+], ids=["bouncer", "symmetric_even", "symmetric_odd"])
+def test_single_airy_zero_solve_polishes_one_zero(monkeypatch, spec, parity):
+    # level 30 is one Airy zero: one argument per Newton step, then both
+    # sides of the match at z = 0 in one call
+    counted = []
+    airy = specfun.airy
+
+    def counting_airy(x):
+        counted.append(np.size(x))
+        return airy(x)
+
+    monkeypatch.setattr(specfun, "airy", counting_airy)
+    eig.solve(spec, 30, parity)
+    assert counted == [1] * specfun._NEWTON_STEPS + [2]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -446,8 +468,8 @@ def test_brentq_port_matches_scipy_bit_for_bit(monkeypatch, spec, n):
     # every polish of the solve, on its own defect and bracket, against scipy
     polish, pairs = eig._brentq, []
 
-    def both(f, a, b, xtol, rtol, maxiter):
-        ours = polish(f, a, b, xtol, rtol, maxiter)
+    def both(f, a, b, xtol, rtol, maxiter, **ends):
+        ours = polish(f, a, b, xtol, rtol, maxiter, **ends)
         pairs.append((ours, brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)))
         return ours
 
@@ -476,6 +498,48 @@ def test_brentq_port_raises_typed_errors():
         eig._brentq(lambda x: math.exp(x) - 2.0, 0.0, 1.0, 1e-300, 8.9e-16, 3)
     with pytest.raises(NoConvergence, match="sign"):
         eig._brentq(lambda x: x + 1.0, 0.0, 1.0, 1e-14, 8.9e-16, 200)
+    for ends in ({"fa": math.nan}, {"fb": math.nan}):
+        with pytest.raises(NoConvergence, match="NaN"):
+            eig._brentq(lambda x: x - 0.3, 0.0, 1.0, 1e-14, 8.9e-16, 200, **ends)
+
+
+def test_brentq_port_takes_the_end_values_it_is_given():
+    # the given f(a), f(b) replace its own two evaluations, with the same root
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.exp(x) - 2.0
+
+    plain = eig._brentq(f, 0.0, 1.0, 1e-14, 8.9e-16, 200)
+    evaluated = list(seen)
+    fa, fb = f(0.0), f(1.0)
+    seen.clear()
+    given = eig._brentq(f, 0.0, 1.0, 1e-14, 8.9e-16, 200, fa=fa, fb=fb)
+    assert given == plain
+    assert evaluated[:2] == [0.0, 1.0] and seen == evaluated[2:]
+
+
+def test_piecewise_polish_sweeps_neither_bracket_end(monkeypatch):
+    # solve_piecewise hands _brentq the defects at both ends it has swept
+    polished, sweeps = [], []
+    polish, sweep = eig._brentq, eig._sweep
+
+    def recording(f, a, b, *args, **kwargs):
+        sweeps.clear()
+        root = polish(f, a, b, *args, **kwargs)
+        polished.append((a, b, list(sweeps)))
+        return root
+
+    def counting(xs, vs, cusps, energy, coef):
+        sweeps.append(energy)
+        return sweep(xs, vs, cusps, energy, coef)
+
+    monkeypatch.setattr(eig, "_brentq", recording)
+    monkeypatch.setattr(eig, "_sweep", counting)
+    eig.solve(pot.DeltaSum(deltas=((1.0, -1.0), (1.5, 0.5), (0.8, 2.0))), 2)
+    (lo, hi, inside), = polished
+    assert inside and lo not in inside and hi not in inside
 
 
 # --- delta chains and step ladders: properties against independent oracles --

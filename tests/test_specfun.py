@@ -100,3 +100,12 @@ def test_zero_index_validation():
         specfun.airy_zero(0)
     with pytest.raises(ValueError):
         specfun.airy_prime_zero(-1)
+
+
+def test_single_zeros_and_ladder_equal_the_table_bit_for_bit():
+    # each zero is polished on its own from the same ai_zeros(n) start
+    for n in range(1, 81):
+        zeta, eta = specfun.airy_zeros(n)
+        assert specfun.airy_zero(n).hex() == float(zeta[-1]).hex()
+        assert specfun.airy_prime_zero(n).hex() == float(eta[-1]).hex()
+        assert specfun.airy_zero_ladder(n).tobytes() == zeta.tobytes()

@@ -45,6 +45,23 @@ for spec in (potentials.InfiniteWell(length=1.0), potentials.DeltaSum(deltas=((1
     assert loaded == []
 
 
+def test_airy_kinds_solve_and_predict_with_scipy_special_alone():
+    # a bouncer and an asymmetric linear solve, then the predicted tail, load
+    # the scipy modules that importing scipy.special loads and no others
+    loaded = run_fresh("""
+import numpy as np
+from momtail import asymptotics, eigensolve, potentials
+for spec in (potentials.Bouncer(force=0.5),
+             potentials.AsymmetricLinear(force_right=0.5, force_left=2.0)):
+    state = eigensolve.solve(spec, 3)
+    prediction = asymptotics.predict_tail(state, potentials.discontinuities(spec))
+    prediction.series(np.geomspace(10.0, 1000.0, 81))
+""" + SCIPY_LOADED)
+    special = run_fresh("import scipy.special\n" + SCIPY_LOADED)
+    assert "scipy.special" in loaded
+    assert set(loaded) <= set(special)
+
+
 def test_shooting_oracle_survives_a_patch_round_trip():
     # perfbench/tracing.py wraps eigensolve.shooting_oracle by getattr and
     # setattr, and puts the original back the same way
