@@ -22,7 +22,7 @@ spec = pot.DeltaSum(deltas=((1.0, 0.0),))
 state = eig.solve(spec)
 print(f"bound state energy: {state.energy}  (closed form: -m g^2 / 2 hbar^2)")
 
-side = state.table_at(0.0)
+side = state.derivative_table[0.0]
 print(f"cusp at x = 0: psi'(0+) - psi'(0-) = {side.right[1] - side.left[1]:+.6f}"
       f"  (= -2 g psi(0) = {-2.0 * side.value:+.6f})")
 

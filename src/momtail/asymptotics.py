@@ -15,8 +15,11 @@ applies the jump condition
 psi^(k+2)(a+) - psi^(k+2)(a-) = (2m/hbar^2) [V^(k)(a+) - V^(k)(a-)] psi(a)
 to the spec's ledger (``potentials``), with the (k+1)-enhanced psi'(a) variant
 when psi(a) = 0. ``predict_tail`` cross-checks the two and refuses to emit a
-prediction when they disagree; the check thereby also guards the ODE from
-which ``momentum.FilonPanels`` expands psi.
+prediction when they disagree. A constant-V spec's pieces are read off the
+same ledger, but the table is not: the solver builds it from ``matching``
+and ``ode``, so the check still catches a region's V or a cusp put at the
+wrong break, and it guards the ODE from which ``momentum.FilonPanels``
+expands psi.
 
 ``TailPrediction.series`` and ``leading_envelope`` group the terms by
 location and by order: the phase e^{-ipa/hbar} is formed once per location
@@ -105,7 +108,7 @@ def expansion_terms(state: BoundState, records: list[DiscontinuityRecord],
     """All T_n terms with n <= n_max at every discontinuity location, in the state's hbar."""
     terms: list[TailTerm] = []
     for rec in records:
-        side = state.table_at(rec.location)
+        side = state.derivative_table[rec.location]
         if n_max - 1 > len(side.right) - 1:
             raise InsufficientDerivativeDepth(
                 f"need derivatives through order {n_max - 1}, table holds {len(side.right) - 1}")
@@ -127,7 +130,7 @@ def jump_from_potential(record: DiscontinuityRecord,
     """
     if record.is_wall:
         raise UnsupportedCase("walls have one-sided data only; no jump-condition route")
-    side = state.table_at(record.location)
+    side = state.derivative_table[record.location]
     m, hbar = state.mass, state.hbar
     if record.order == -1:
         # delta: psi'(a+) - psi'(a-) = (2m/hbar^2) * c * psi(a), c the delta coefficient
@@ -154,7 +157,7 @@ def predict_tail(state: BoundState, records: list[DiscontinuityRecord],
         if rec.is_wall:
             continue
         order, predicted = jump_from_potential(rec, state)
-        side = state.table_at(rec.location)
+        side = state.derivative_table[rec.location]
         tabulated = side.right[order] - side.left[order]
         tol = check_tol * max(abs(predicted), abs(tabulated), 1.0)
         if abs(predicted - tabulated) > tol:

@@ -1,19 +1,23 @@
 """Normalized bound states for the cataloged potentials.
 
+``solve`` dispatches on the spec's family: a ``potentials.Piecewise`` kind
+to ``solve_piecewise`` on the pieces of its ledger, a ``potentials.Linear``
+kind to ``solve_linear`` on its ``forces`` and the level ``level_index(n,
+parity)``, and the box to ``solve_infinite_well``; a new kind of either
+family needs no change here. States are numbered n = 1, 2, ... in order of
+increasing energy, the symmetric linear potential's within each parity.
+
 Every solver returns a ``BoundState`` carrying ``psi_and_slope``, (psi, psi')
 at an array of points from one evaluation, and ``ode``, the coefficients of
 psi'' = (b0 + b1 x) psi on each piece of V. At each break a of V a solver
 gives only (psi(a), psi'(a-), psi'(a+)); the state derives its one-sided
 derivative table (orders 0..5 on each side) from those and ``ode``, by the
 Taylor recurrence ``ode_taylor``, the same recurrence from which
-``momentum.FilonPanels`` expands psi on its panels. Numerical
+``momentum.FilonPanels`` expands psi on its panels. The breaks are the
+ledger's locations themselves, so the table of a record is
+``derivative_table[record.location]``. Numerical
 differentiation is reserved for tests, so that tail predictions never
 inherit finite-difference noise.
-
-States are numbered n = 1, 2, ... in order of increasing energy. The
-symmetric linear potential numbers them within each parity family, and its
-spec's ``level_index`` places the even state n at level 2n - 1 and the odd
-one at 2n, the level ``solve_linear`` solves for.
 
 Where a level is the root of a defect inside a bracket, ``_brentq``, a
 step-for-step port of scipy's ``brentq`` (Brent 1973, ch. 4), polishes it,
@@ -41,8 +45,6 @@ _DECAY_CUT = 42.0
 # highest derivative order in a derivative table
 _TABLE_ORDER = 5
 _FACTORIALS = tuple(math.factorial(k) for k in range(_TABLE_ORDER + 1))
-# ``table_at`` takes the break nearest a location within this distance
-_BREAK_TOL = 1e-9
 
 
 def ode_taylor(t0, t1, a, g, degree: int) -> list:
@@ -103,17 +105,6 @@ class BoundState:
     def psi(self, x):
         """psi at an array of points."""
         return self.psi_and_slope(x)[0]
-
-    def table_at(self, location: float) -> SideDerivatives:
-        """The table of the break nearest ``location``, if within ``_BREAK_TOL``."""
-        side = self.derivative_table.get(location)
-        if side is None:
-            nearest = min(self.derivative_table, key=lambda a: abs(a - location),
-                          default=math.inf)
-            if abs(nearest - location) > _BREAK_TOL:
-                raise KeyError(f"no derivative table near x = {location}")
-            side = self.derivative_table[nearest]
-        return side
 
 
 def _advance(P: float, Q: float, beta: float, w: float):
@@ -234,17 +225,16 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int,
     raise NoConvergence(f"the root polish did not converge in {maxiter} iterations")
 
 
-def solve_piecewise(spec: pot.DeltaSum | pot.FiniteWell | pot.StepSum | pot.HybridDeltaStep,
-                    n: int = 1) -> BoundState:
+def solve_piecewise(spec: pot.Piecewise, n: int = 1) -> BoundState:
     """n-th level of a piecewise-constant V with attractive delta cusps.
 
     ``spec.pieces()`` gives the boundaries, the region potentials and the
-    delta coefficients (-g). Levels lie between the asymptote
-    min(V_left, V_right) and min(V) - m (sum g)^2 / 2 hbar^2. Bisecting the
-    Sturm count of ``_sweep`` isolates level n, and ``_brentq`` finds the
-    root of its defect.
+    delta coefficients (-g), all read off the spec's ledger. Levels lie
+    between the asymptote min(V_left, V_right) and min(V) - m (sum g)^2 /
+    2 hbar^2. Bisecting the Sturm count of ``_sweep`` isolates level n, and
+    ``_brentq`` finds the root of its defect.
     """
-    xs, vs, cusps = spec.pieces()
+    xs, vs, cusps = pieces = spec.pieces()
     m, hbar = spec.mass, spec.hbar
     coef = 2.0 * m / hbar ** 2
     top = min(vs[0], vs[-1])
@@ -284,11 +274,12 @@ def solve_piecewise(spec: pot.DeltaSum | pot.FiniteWell | pot.StepSum | pot.Hybr
         # is -E exactly); xtol, far below the depth, only ends a search at E = 0
         energy = _brentq(defect, lo, hi, xtol=1e-30 * (top - bottom), rtol=8.9e-16,
                          maxiter=200, fa=d_lo, fb=d_hi)
-    return _piecewise_state(spec, n, energy)
+    return _piecewise_state(spec, pieces, n, energy)
 
 
-def _piecewise_state(spec, n: int, energy: float) -> BoundState:
-    """The normalised state of ``solve_piecewise`` at its level ``energy``.
+def _piecewise_state(spec: pot.Piecewise, pieces, n: int, energy: float) -> BoundState:
+    """The normalised state of ``solve_piecewise`` at its level ``energy``,
+    on the ``pieces`` (boundaries, region potentials, delta coefficients).
 
     psi is built from both ends: the solutions that decay at -infinity and at
     +infinity are joined at the boundary where their product, which near a
@@ -300,7 +291,7 @@ def _piecewise_state(spec, n: int, energy: float) -> BoundState:
     as x -> -infinity. Where the pieces are mirror-symmetric, level n is even
     for odd n and odd for even n; otherwise its parity is "none".
     """
-    xs, vs, cusps = spec.pieces()
+    xs, vs, cusps = pieces
     m, hbar = spec.mass, spec.hbar
     coef = 2.0 * m / hbar ** 2
     left = _sweep(xs, vs, cusps, energy, coef)[2]
@@ -414,23 +405,21 @@ def solve_infinite_well(spec: pot.InfiniteWell, n: int) -> BoundState:
 _SHARED_WALL = 1e-12
 
 
-def solve_linear(spec: pot.Bouncer | pot.SymmetricLinear | pot.AsymmetricLinear,
-                 n: int = 1, parity: str | None = None) -> BoundState:
+def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> BoundState:
     """A state of V = F z (z > 0), Fbar |z| (z < 0), with (F, Fbar) = ``spec.forces``.
 
     psi = c_r Ai(z / rho_r + u_r) for z >= 0 and c_l Ai(-z / rho_l + u_l)
     below, with u = -E / e0 on each side, and E is level k =
-    ``spec.level_index(n, parity)``. Beside a wall (Fbar = WALL) E = e0
-    zeta_k; at equal forces E = e0 eta_j for odd k and e0 zeta_j for even k,
-    j = (k + 1) // 2. Otherwise a Dirichlet wall at 0, a rank-one change of
-    the resolvent, cuts the line into two bouncers whose merged levels w_1 <=
-    w_2 <= ... interlace the full-line ones, w_(k-1) <= E <= w_k (Reed &
-    Simon IV, XIII.15; w_0 = 0), and E is the only root of the matching
-    determinant there. The determinant vanishes at a wall only when both
-    ladders share it (within ``_SHARED_WALL``), and such a wall is a level:
-    if w_(k-1) and w_k are shared, E is that wall; otherwise a bracket end
-    shared with its outer neighbour moves inward by ``_SHARED_WALL`` before
-    ``_brentq``. A kink leaves psi' continuous, so the state reports one
+    ``spec.level_index(n, parity)``. Beside a wall (Fbar = WALL) or at equal
+    forces E is e0 times ``pot.airy_level(k, wall)``. Otherwise a Dirichlet
+    wall at 0, a rank-one change of the resolvent, cuts the line into two
+    bouncers whose merged levels w_1 <= w_2 <= ... interlace the full-line
+    ones, w_(k-1) <= E <= w_k (Reed & Simon IV, XIII.15; w_0 = 0), and E is
+    the only root of the matching determinant there. The determinant
+    vanishes at a wall only when both ladders share it (within
+    ``_SHARED_WALL``), and such a wall is a level: if w_(k-1) and w_k are
+    shared, E is that wall; otherwise a bracket end shared with its outer
+    neighbour moves inward by ``_SHARED_WALL`` before ``_brentq``. A kink leaves psi' continuous, so the state reports one
     psi'(0); psi(0) = 0 exactly where E is a zero of Ai, and psi'(0) = 0
     where it is one of Ai'. psi(0) > 0, or psi'(0) > 0 where psi(0) = 0.
     """
@@ -444,8 +433,7 @@ def solve_linear(spec: pot.Bouncer | pot.SymmetricLinear | pot.AsymmetricLinear,
     rho_l = rho_r if wall else pot.airy_length(force_l, m, hbar)
     e0_r, e0_l = force_r * rho_r, force_l * rho_l
     if wall or force_l == force_r:
-        j = k if wall else (k + 1) // 2
-        level = specfun.airy_prime_zero(j) if k % 2 and not wall else specfun.airy_zero(j)
+        level = pot.airy_level(k, wall)
         energy = e0_r * level
         u_r = u_l = -level
     else:
@@ -520,13 +508,12 @@ def solve_linear(spec: pot.Bouncer | pot.SymmetricLinear | pot.AsymmetricLinear,
                                     2.0 * math.pi * rho_l / math.sqrt(-u_l)))
 
 
-# spec type -> solver(spec, n, parity); only the symmetric linear potential
-# numbers its states within parity families, the other kinds by n alone
+# spec family -> solver(spec, n, parity); only the linear family reads the
+# parity, through its ``level_index``
 _SOLVERS = {
     pot.InfiniteWell: lambda spec, n, parity: solve_infinite_well(spec, n),
-    **dict.fromkeys((pot.DeltaSum, pot.FiniteWell, pot.StepSum, pot.HybridDeltaStep),
-                    lambda spec, n, parity: solve_piecewise(spec, n)),
-    **dict.fromkeys((pot.Bouncer, pot.SymmetricLinear, pot.AsymmetricLinear), solve_linear),
+    pot.Piecewise: lambda spec, n, parity: solve_piecewise(spec, n),
+    pot.Linear: solve_linear,
 }
 
 
@@ -539,8 +526,8 @@ def __getattr__(name: str):
 
 
 def solve(spec: pot.PotentialSpec, n: int = 1, parity: str | None = None) -> BoundState:
-    """Dispatch to the solver for the given potential kind."""
-    solver = _SOLVERS.get(type(spec))
-    if solver is None:
-        raise NoSuchState(f"no solver for potential kind {spec.kind!r}")
-    return solver(spec, n, parity)
+    """Dispatch to the solver for the given potential's family."""
+    for family, solver in _SOLVERS.items():
+        if isinstance(spec, family):
+            return solver(spec, n, parity)
+    raise NoSuchState(f"no solver for potential kind {spec.kind!r}")

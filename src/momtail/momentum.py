@@ -421,7 +421,7 @@ def phi_closed_delta(spec: pot.DeltaSum, state: BoundState, grid) -> MomentumSam
     p = np.asarray(grid, dtype=float)
     num = np.zeros(p.shape, dtype=complex)
     for g, a in spec.deltas:
-        num += g * state.table_at(a).value * np.exp(-1j * p * a / hbar)
+        num += g * state.derivative_table[a].value * np.exp(-1j * p * a / hbar)
     phi = (2.0 * m / math.sqrt(2.0 * math.pi * hbar)) * num \
         / (p * p + 2.0 * m * abs(state.energy))
     return _from_complex(p, phi, "closed_form")

@@ -1,10 +1,13 @@
 """Catalog of 1D potentials with non-smooth structure and their discontinuity ledgers.
 
-Each potential kind is an immutable dataclass that defines its own behaviour:
-its ledger, V(x), floor and classical Q_n (see ``_Kind``). The ledger lists the
+Each potential kind is an immutable dataclass. Its ledger lists the
 (location, order, jump) records that drive the momentum-space tail
 predictions: order -1 marks a delta singularity or an infinite wall, order 0 a
-finite step, order k >= 1 a kink in the k-th derivative of V.
+finite step, order k >= 1 a kink in the k-th derivative of V. Each kind is
+described once: a constant-V kind (``Piecewise``) defines only its ledger,
+from which its V follows; a linear kind (``Linear``) defines only its
+``forces`` and ``level_index``, from which its ledger and V follow. The box
+(``InfiniteWell``) defines its own.
 
 Infinite walls are modeled as boundary conditions (psi = 0 beyond the wall),
 not as a finite V -> infinity limit; they carry ``is_wall=True`` instead of a
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from itertools import accumulate
 
@@ -47,7 +51,7 @@ def airy_length(force: float, mass: float, hbar: float) -> float:
 
 @dataclass(frozen=True, kw_only=True)
 class _Kind:
-    """What every potential kind carries and defines for itself.
+    """What every potential kind carries and gives, by itself or by its family.
 
     Its units ``mass`` and ``hbar`` (keyword-only, default 1); ``ledger()``,
     its discontinuity records sorted by location; ``potential(x)``, V(x) with
@@ -78,8 +82,28 @@ class _Kind:
         raise NoSuchState(f"no classical density for potential kind {self.kind!r}")
 
 
+class Piecewise(_Kind):
+    """A V that is constant between the locations of its ``ledger()``, whose
+    delta (order -1) and step (order 0) records with V = 0 at -infinity are
+    the whole potential."""
+
+    def pieces(self) -> tuple[list[float], list[float], list[float]]:
+        """(boundaries, the potentials of the regions between them, the delta
+        coefficient at each boundary), summing the steps from V = 0 at -infinity."""
+        records = self.ledger()
+        return ([r.location for r in records],
+                list(accumulate((r.jump if r.order == 0 else 0.0 for r in records),
+                                initial=0.0)),
+                [r.jump if r.order == -1 else 0.0 for r in records])
+
+    def potential(self, x: float) -> float:
+        """V(x); at a boundary, the value of the region to its left."""
+        boundaries, values, _ = self.pieces()
+        return values[bisect_left(boundaries, x)]
+
+
 @dataclass(frozen=True)
-class DeltaSum(_Kind):
+class DeltaSum(Piecewise):
     """V(x) = sum_i -g_i * delta(x - a_i), g_i > 0."""
     deltas: tuple[tuple[float, float], ...]   # (strength g, location a)
     kind = "delta_sum"
@@ -96,15 +120,6 @@ class DeltaSum(_Kind):
 
     def ledger(self) -> list[DiscontinuityRecord]:
         return [DiscontinuityRecord(a, -1, -g) for g, a in self.deltas]
-
-    def potential(self, x: float) -> float:
-        return 0.0
-
-    def pieces(self) -> tuple[list[float], list[float], list[float]]:
-        """(boundaries, the potentials of the regions between them, the
-        delta coefficient at each boundary): V is constant between deltas."""
-        return ([a for _, a in self.deltas], [0.0] * (len(self.deltas) + 1),
-                [-g for g, _ in self.deltas])
 
 
 @dataclass(frozen=True)
@@ -129,7 +144,7 @@ class InfiniteWell(_Kind):
 
 
 @dataclass(frozen=True)
-class FiniteWell(_Kind):
+class FiniteWell(Piecewise):
     """V = -V0 on (a, b), zero outside; V0 > 0."""
     depth: float
     a: float
@@ -146,20 +161,13 @@ class FiniteWell(_Kind):
         return [DiscontinuityRecord(self.a, 0, -self.depth),
                 DiscontinuityRecord(self.b, 0, +self.depth)]
 
-    def potential(self, x: float) -> float:
-        return -self.depth if self.a < x < self.b else 0.0
-
-    def pieces(self) -> tuple[list[float], list[float], list[float]]:
-        """(boundaries, region potentials, delta coefficients), as for DeltaSum."""
-        return [self.a, self.b], [0.0, -self.depth, 0.0], [0.0, 0.0]
-
     @property
     def v_floor(self) -> float:
         return -self.depth
 
 
 @dataclass(frozen=True)
-class StepSum(_Kind):
+class StepSum(Piecewise):
     """Sum of Heaviside steps: V(x) = sum_i h_i * Theta(x - a_i)."""
     steps: tuple[tuple[float, float], ...]    # (location a, height jump h)
     kind = "step_sum"
@@ -175,22 +183,13 @@ class StepSum(_Kind):
     def ledger(self) -> list[DiscontinuityRecord]:
         return [DiscontinuityRecord(a, 0, h) for a, h in self.steps]
 
-    def potential(self, x: float) -> float:
-        return sum(h for a, h in self.steps if x > a)
-
-    def pieces(self) -> tuple[list[float], list[float], list[float]]:
-        """(boundaries, region potentials, delta coefficients), as for DeltaSum."""
-        return ([a for a, _ in self.steps],
-                list(accumulate((h for _, h in self.steps), initial=0.0)),
-                [0.0] * len(self.steps))
-
     @property
     def v_floor(self) -> float:
         return min(self.pieces()[1])
 
 
 @dataclass(frozen=True)
-class HybridDeltaStep(_Kind):
+class HybridDeltaStep(Piecewise):
     """Attractive delta of strength g at x = 0 plus a step of height V0 at x = a > 0."""
     g: float
     step_height: float
@@ -207,24 +206,39 @@ class HybridDeltaStep(_Kind):
         return [DiscontinuityRecord(0.0, -1, -self.g),
                 DiscontinuityRecord(self.a, 0, self.step_height)]
 
-    def potential(self, x: float) -> float:
-        return self.step_height if x > self.a else 0.0
 
-    def pieces(self) -> tuple[list[float], list[float], list[float]]:
-        """(boundaries, region potentials, delta coefficients), as for DeltaSum."""
-        return [0.0, self.a], [0.0, 0.0, self.step_height], [-self.g, 0.0]
+def airy_level(k: int, wall: bool) -> float:
+    """The Airy zero that level k of a single force F is e0 = F rho times:
+    beside a wall zeta_k, the k-th zero of Ai; on the full line, where even and
+    odd states alternate, eta_j (a zero of Ai') for odd k and zeta_j for even
+    k, j = (k + 1) // 2."""
+    if wall:
+        return specfun.airy_zero(k)
+    j = (k + 1) // 2
+    return specfun.airy_prime_zero(j) if k % 2 else specfun.airy_zero(j)
 
 
-class _Linear(_Kind):
-    """A linear potential on each side of z = 0: ``forces`` is (F, Fbar), the
-    forces right and left of 0, with WALL for an infinite wall, and
-    ``level_index(n, parity)`` the place of the state among all levels, from 1."""
+class Linear(_Kind):
+    """A linear potential on each side of z = 0, described by ``forces``, (F,
+    Fbar) right and left of 0 with WALL for an infinite wall, and
+    ``level_index(n, parity)``, the place of the state among all levels from 1."""
 
     def level_index(self, n: int, parity: str | None = None) -> int:
         return n
 
+    def ledger(self) -> list[DiscontinuityRecord]:
+        """A wall at 0 where Fbar is WALL, else a kink: V' jumps by F + Fbar."""
+        force, force_bar = self.forces
+        if force_bar == WALL:
+            return [DiscontinuityRecord(0.0, -1, math.nan, is_wall=True)]
+        return [DiscontinuityRecord(0.0, 1, force + force_bar)]
 
-class _OneForce(_Linear):
+    def potential(self, x: float) -> float:
+        force, force_bar = self.forces
+        return force * x if x >= 0.0 else force_bar * -x
+
+
+class _OneForce(Linear):
     """A linear potential of a single force F > 0, with its Airy scales."""
 
     def _check(self) -> None:
@@ -240,6 +254,10 @@ class _OneForce(_Linear):
     def energy_scale(self) -> float:
         return self.force * self.rho
 
+    def classical_q(self, n: int, parity: str | None = None) -> float:
+        level = airy_level(self.level_index(n, parity), self.forces[1] == WALL)
+        return (self.hbar / self.rho) * math.sqrt(level)
+
 
 @dataclass(frozen=True)
 class Bouncer(_OneForce):
@@ -247,18 +265,9 @@ class Bouncer(_OneForce):
     force: float
     kind = "bouncer"
 
-    def ledger(self) -> list[DiscontinuityRecord]:
-        return [DiscontinuityRecord(0.0, -1, math.nan, is_wall=True)]
-
-    def potential(self, x: float) -> float:
-        return self.force * x if x >= 0.0 else WALL
-
     @property
     def forces(self) -> tuple[float, float]:
         return self.force, WALL
-
-    def classical_q(self, n: int, parity: str | None = None) -> float:
-        return (self.hbar / self.rho) * math.sqrt(specfun.airy_zero(n))
 
 
 @dataclass(frozen=True)
@@ -266,13 +275,6 @@ class SymmetricLinear(_OneForce):
     """V = F*|z|; F > 0."""
     force: float
     kind = "symmetric_linear"
-
-    def ledger(self) -> list[DiscontinuityRecord]:
-        # V'' = 2F delta(z): V' jumps by 2F at the origin
-        return [DiscontinuityRecord(0.0, 1, 2.0 * self.force)]
-
-    def potential(self, x: float) -> float:
-        return self.force * abs(x)
 
     @property
     def forces(self) -> tuple[float, float]:
@@ -284,14 +286,9 @@ class SymmetricLinear(_OneForce):
             raise ValueError("parity required for the symmetric linear potential")
         return 2 * n - (parity == "even")
 
-    def classical_q(self, n: int, parity: str | None = None) -> float:
-        even = self.level_index(n, parity) % 2
-        root = specfun.airy_prime_zero(n) if even else specfun.airy_zero(n)
-        return (self.hbar / self.rho) * math.sqrt(root)
-
 
 @dataclass(frozen=True)
-class AsymmetricLinear(_Linear):
+class AsymmetricLinear(Linear):
     """V = F*z for z > 0, V = Fbar*|z| for z < 0; both forces positive."""
     force_right: float
     force_left: float
@@ -300,12 +297,6 @@ class AsymmetricLinear(_Linear):
     def _check(self) -> None:
         if self.force_right <= 0 or self.force_left <= 0:
             raise ValueError("forces must be positive")
-
-    def ledger(self) -> list[DiscontinuityRecord]:
-        return [DiscontinuityRecord(0.0, 1, self.force_right + self.force_left)]
-
-    def potential(self, x: float) -> float:
-        return self.force_right * x if x >= 0.0 else self.force_left * (-x)
 
     @property
     def forces(self) -> tuple[float, float]:
@@ -338,9 +329,7 @@ def check_units(carrier, mass: float | None = None, hbar: float | None = None) -
                              f"{name} = {getattr(carrier, name)!r}")
 
 
-_KINDS = {cls.kind: cls for cls in
-          (DeltaSum, InfiniteWell, FiniteWell, StepSum, HybridDeltaStep,
-           Bouncer, SymmetricLinear, AsymmetricLinear)}
+_KINDS = {cls.kind: cls for cls in PotentialSpec.__args__}
 
 # each kind's own parameters, in declaration order; mass and hbar are optional
 _FIELDS = {kind: tuple(f.name for f in fields(cls) if f.name not in ("mass", "hbar"))

@@ -153,9 +153,9 @@ def test_criterion_5_jump_condition_suite():
     hyb = pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0)
     st = eig.solve(hyb)
     recs = {r.order: r for r in pot.discontinuities(hyb)}
-    d = st.table_at(recs[-1].location)
+    d = st.derivative_table[recs[-1].location]
     delta_dev = abs((d.right[1] - d.left[1]) - 2.0 * recs[-1].jump * d.value)
-    s = st.table_at(recs[0].location)
+    s = st.derivative_table[recs[0].location]
     step_dev = abs((s.right[2] - s.left[2]) - 2.0 * recs[0].jump * s.value)
     dt = time.perf_counter() - t0
     ok = checked >= 25 and delta_dev < 1e-8 and step_dev < 1e-8

@@ -115,12 +115,12 @@ def test_symmetric_linear_jump_values():
     spec = pot.SymmetricLinear(force=0.5)   # rho = 1
     even = eig.solve(spec, 1, parity="even")
     rec = pot.discontinuities(spec)[0]
-    psi0 = even.table_at(0.0).value
+    psi0 = even.derivative_table[0.0].value
     order, jump = asy.jump_from_potential(rec, even)
     assert jump == pytest.approx(2.0 * psi0, rel=1e-12)
     assert order == 3
     odd = eig.solve(spec, 1, parity="odd")
-    slope = odd.table_at(0.0).right[1]
+    slope = odd.derivative_table[0.0].right[1]
     order, jump = asy.jump_from_potential(rec, odd)
     assert jump == pytest.approx(4.0 * slope, rel=1e-12)
     assert order == 4

@@ -55,7 +55,7 @@ def fd_residual(state, spec, x):
 def test_delta_ground_state():
     st = eig.solve(pot.DeltaSum(deltas=((1.0, 0.0),)))
     assert st.energy == -0.5
-    assert st.table_at(0.0).value == pytest.approx(1.0, rel=1e-14)
+    assert st.derivative_table[0.0].value == pytest.approx(1.0, rel=1e-14)
     assert st.parity == "even"
     with pytest.raises(NoSuchState):
         eig.solve(pot.DeltaSum(deltas=((1.0, 0.0),)), n=2)
@@ -121,9 +121,9 @@ def test_infinite_well_energies():
         st = eig.solve(pot.InfiniteWell(length=math.pi), n)
         assert st.energy == pytest.approx(n * n / 2.0, rel=1e-14)
     st = eig.solve_infinite_well(pot.InfiniteWell(length=math.pi), 1)
-    assert st.table_at(0.0).right[1] == pytest.approx(math.sqrt(2 / math.pi), rel=1e-14)
+    assert st.derivative_table[0.0].right[1] == pytest.approx(math.sqrt(2 / math.pi), rel=1e-14)
     st2 = eig.solve_infinite_well(pot.InfiniteWell(length=math.pi), 2)
-    assert st2.table_at(math.pi).left[1] == pytest.approx(
+    assert st2.derivative_table[math.pi].left[1] == pytest.approx(
         2 * math.sqrt(2 / math.pi), rel=1e-14)
 
 
@@ -186,7 +186,8 @@ def test_single_delta_off_origin_with_units():
     g, a, m, hbar = 0.7, 1.3, 2.0, 2.0
     st = eig.solve(pot.DeltaSum(deltas=((g, a),), mass=m, hbar=hbar))
     assert st.energy == pytest.approx(-m * g * g / (2 * hbar ** 2), rel=1e-15, abs=0.0)
-    assert st.table_at(a).value == pytest.approx(math.sqrt(m * g) / hbar, rel=1e-14, abs=0.0)
+    assert st.derivative_table[a].value == pytest.approx(
+        math.sqrt(m * g) / hbar, rel=1e-14, abs=0.0)
     assert st.parity == "even"
 
 
@@ -268,8 +269,8 @@ def test_bouncer_wall_slope_n_independent():
     spec = pot.Bouncer(force=0.5)   # rho = 1
     for n in (1, 4, 9):
         st = eig.solve(spec, n)
-        assert st.table_at(0.0).right[1] == pytest.approx(1.0, rel=1e-12)
-        assert st.table_at(0.0).value == 0.0
+        assert st.derivative_table[0.0].right[1] == pytest.approx(1.0, rel=1e-12)
+        assert st.derivative_table[0.0].value == 0.0
 
 
 def test_symmetric_linear_energies():
@@ -286,7 +287,7 @@ def test_symmetric_linear_energies():
 def test_symmetric_linear_center_value():
     st = eig.solve(pot.SymmetricLinear(force=0.5), 1, parity="even")
     eta1 = float(-mpmath.airyaizero(1, derivative=1))
-    assert st.table_at(0.0).value == pytest.approx(1 / math.sqrt(2 * eta1), rel=1e-12)
+    assert st.derivative_table[0.0].value == pytest.approx(1 / math.sqrt(2 * eta1), rel=1e-12)
 
 
 def test_asymmetric_linear_reduces_to_symmetric():
@@ -342,7 +343,7 @@ def test_asymmetric_linear_equal_forces_alternate_symmetric_levels():
         assert st.energy == want.energy
         assert st.parity == parity
         assert count_nodes(st) == n - 1
-        side = st.table_at(0.0)
+        side = st.derivative_table[0.0]
         assert side.right[1] == side.left[1]
 
 
@@ -357,6 +358,20 @@ def test_linear_energies_are_airy_zeros_times_energy_scale(force, mass, hbar):
         assert eig.solve(sym, n, "even").energy == e0 * specfun.airy_prime_zero(n)
         assert eig.solve(sym, n, "odd").energy == e0 * specfun.airy_zero(n)
 
+
+
+@pytest.mark.parametrize("mass,hbar", [(1.0, 1.0), (2.0, 0.5)])
+def test_classical_edge_and_solved_energy_read_one_airy_level(mass, hbar):
+    # classical_q and solve_linear both take the level's Airy zero from
+    # pot.airy_level: Q_n^2 / 2m is the solved energy
+    states = [(pot.Bouncer(force=0.75, mass=mass, hbar=hbar), None)] + [
+        (pot.SymmetricLinear(force=0.75, mass=mass, hbar=hbar), parity)
+        for parity in ("even", "odd")]
+    for spec, parity in states:
+        for n in range(1, 11):
+            q = spec.classical_q(n, parity)
+            assert q ** 2 / (2 * mass) == pytest.approx(
+                eig.solve(spec, n, parity).energy, rel=1e-14, abs=0.0)
 
 LINEAR_STATES = [
     *((pot.Bouncer(force=0.5), n, None) for n in (1, 2, 5)),
@@ -377,7 +392,7 @@ def test_linear_sign_rule_and_one_slope_at_the_kink(spec, n, parity):
     # continuous, so both sides carry the same psi'(0), and a wall's left
     # side carries nothing
     st = eig.solve(spec, n, parity)
-    side = st.table_at(0.0)
+    side = st.derivative_table[0.0]
     assert side.value > 0.0 or (side.value == 0.0 and side.right[1] > 0.0)
     if isinstance(spec, pot.Bouncer):
         assert side.value == 0.0 and side.left == (0.0,) * 6
@@ -725,7 +740,7 @@ def test_airy_derivative_tables_match_mpmath(name, spec, kw):
     # on the side of force F, psi(z) = c Ai(|z|/rho + u0) with u0 = -E/(F rho),
     # so psi^(j)(0+-) = c (+-1/rho)^j Ai^(j)(u0); c is fitted to psi itself
     st = eig.solve(spec, kw["n"], kw.get("parity"))
-    side = st.table_at(0.0)
+    side = st.derivative_table[0.0]
     if isinstance(spec, pot.AsymmetricLinear):
         forces = (spec.force_left, spec.force_right)
     else:
@@ -752,7 +767,7 @@ def test_jump_conditions(name, spec, kw):
     for rec in pot.discontinuities(spec):
         if rec.is_wall:
             continue
-        side = st.table_at(rec.location)
+        side = st.derivative_table[rec.location]
         k = rec.order
         if k == -1:
             got = side.right[1] - side.left[1]

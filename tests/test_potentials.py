@@ -2,9 +2,11 @@
 
 import json
 import math
+from itertools import accumulate
 
 import pytest
 
+from momtail import eigensolve as eig
 from momtail import potentials as pot
 
 ALL_SPECS = [
@@ -18,6 +20,68 @@ ALL_SPECS = [
     pot.SymmetricLinear(force=0.5),
     pot.AsymmetricLinear(force_right=0.5, force_left=2.0),
 ]
+
+
+# a ladder whose partial sums of heights are inexact, from an integer location
+LADDER = pot.StepSum(steps=((0, -4.823), (1.703, 0.76), (2.681, 3.224)))
+
+
+def _hand_pieces(spec):
+    """(boundaries, region potentials, delta coefficients) as each constant-V
+    kind wrote them out by hand before they were read off its ledger."""
+    if isinstance(spec, pot.DeltaSum):
+        return ([a for _, a in spec.deltas], [0.0] * (len(spec.deltas) + 1),
+                [-g for g, _ in spec.deltas])
+    if isinstance(spec, pot.FiniteWell):
+        return [spec.a, spec.b], [0.0, -spec.depth, 0.0], [0.0, 0.0]
+    if isinstance(spec, pot.StepSum):
+        return ([a for a, _ in spec.steps],
+                list(accumulate((h for _, h in spec.steps), initial=0.0)),
+                [0.0] * len(spec.steps))
+    return [0.0, spec.a], [0.0, 0.0, spec.step_height], [-spec.g, 0.0]
+
+
+def _hand_linear(spec):
+    """(ledger as (location, order, jump, is_wall), V) of each linear kind by hand."""
+    if isinstance(spec, pot.Bouncer):
+        return [(0.0, -1, None, True)], lambda x: spec.force * x if x >= 0.0 else math.inf
+    if isinstance(spec, pot.SymmetricLinear):
+        return [(0.0, 1, 2.0 * spec.force, False)], lambda x: spec.force * abs(x)
+    return ([(0.0, 1, spec.force_right + spec.force_left, False)],
+            lambda x: spec.force_right * x if x >= 0.0 else spec.force_left * -x)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [LADDER], ids=lambda s: s.kind)
+def test_family_descriptions_against_kind_formulas(spec):
+    # each family derives from one description what the kinds once wrote out
+    # by hand; the hand formulas stay here as the reference, compared with ==
+    if isinstance(spec, pot.Piecewise):
+        xs, vs, cusps = _hand_pieces(spec)
+        assert spec.pieces() == (xs, vs, cusps)
+        inside = ([xs[0] - 1.0] + [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
+                  + [xs[-1] + 1.0])
+        assert [spec.potential(x) for x in inside] == vs
+        assert [spec.potential(a) for a in xs] == vs[:-1]     # the left region's value
+    elif isinstance(spec, pot.Linear):
+        ledger, V = _hand_linear(spec)
+        assert [(r.location, r.order, None if r.is_wall else r.jump, r.is_wall)
+                for r in spec.ledger()] == ledger
+        assert all(math.isnan(r.jump) for r in spec.ledger() if r.is_wall)
+        for x in (-3.7, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.25, 2.0, 41.5):
+            assert spec.potential(x) == V(x)
+    else:
+        assert isinstance(spec, pot.InfiniteWell)
+        assert [(r.location, r.is_wall) for r in spec.ledger()] == [
+            (0.0, True), (spec.length, True)]
+        assert [spec.potential(x) for x in (-0.1, 0.0, 1.0, spec.length, 4.0)] == [
+            math.inf, 0.0, 0.0, 0.0, math.inf]
+
+
+def test_every_kind_is_tested_and_solved_by_one_family():
+    # a new kind cannot skip the ledger and round-trip tests or the solver dispatch
+    assert set(pot._KINDS) == {s.kind for s in ALL_SPECS}
+    for cls in pot.PotentialSpec.__args__:
+        assert sum(issubclass(cls, family) for family in eig._SOLVERS) == 1, cls
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
