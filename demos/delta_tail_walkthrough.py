@@ -42,6 +42,6 @@ fit = tailfit.fit_power_law(closed, component="abs", window=(50.0, 200.0))
 print(f"fit over p in [50, 200]: exponent {fit.exponent:.4f}, "
       f"coefficient {fit.coefficient:.5f}, r^2 = {fit.r_squared:.6f}")
 
-score = tailfit.compare(prediction, closed, component="abs", window=(50.0, 200.0))
+score = tailfit.compare(prediction, closed, window=(50.0, 200.0))
 print(f"max relative deviation from the predicted envelope: "
       f"{score.max_rel_deviation:.2%}")

@@ -41,6 +41,7 @@ from .errors import InconsistentJumps, InsufficientDerivativeDepth, UnsupportedC
 from .potentials import DiscontinuityRecord, check_units
 
 _REL_ZERO = 1e-9    # below this (relative to the one-sided values) a jump is "zero"
+_JUMP_CHECK_TOL = 1e-8  # the two routes' jumps may differ by this share of the larger
 
 DEFAULT_ORDER_CUTOFF = 6
 
@@ -54,13 +55,9 @@ class TailTerm:
     hbar: float
 
     @property
-    def phase_prefactor(self) -> complex:
-        return (-1j) ** self.order
-
-    @property
     def coefficient(self) -> complex:
         """Complex prefactor of e^{-ipa/hbar} p^{-order}."""
-        return (self.phase_prefactor * self.jump * self.hbar ** self.order
+        return ((-1j) ** self.order * self.jump * self.hbar ** self.order
                 / math.sqrt(2.0 * math.pi * self.hbar))
 
 
@@ -146,7 +143,7 @@ def jump_from_potential(record: DiscontinuityRecord,
 
 def predict_tail(state: BoundState, records: list[DiscontinuityRecord],
                  n_max: int = DEFAULT_ORDER_CUTOFF, mass: float | None = None,
-                 hbar: float | None = None, check_tol: float = 1e-8) -> TailPrediction:
+                 hbar: float | None = None) -> TailPrediction:
     """Expansion terms plus the leading exponent, with the two-route cross-check.
 
     Units are the state's; an explicit ``mass`` or ``hbar`` must equal them.
@@ -159,7 +156,7 @@ def predict_tail(state: BoundState, records: list[DiscontinuityRecord],
         order, predicted = jump_from_potential(rec, state)
         side = state.derivative_table[rec.location]
         tabulated = side.right[order] - side.left[order]
-        tol = check_tol * max(abs(predicted), abs(tabulated), 1.0)
+        tol = _JUMP_CHECK_TOL * max(abs(predicted), abs(tabulated), 1.0)
         if abs(predicted - tabulated) > tol:
             raise InconsistentJumps(
                 f"at x={rec.location}: potential route gives {predicted!r} for the "

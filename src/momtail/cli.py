@@ -208,7 +208,7 @@ def transform(cfg: RunConfig, out: Path) -> None:
         pass
     path = out / "transform.csv"
     _write_csv(path, header, *columns)
-    _echo(f"wrote {path} ({samples.grid.size} samples, provenance {samples.provenance})")
+    _echo(f"wrote {path} ({samples.grid.size} samples)")
 
 
 @_config_command
@@ -236,8 +236,7 @@ def verify(cfg: RunConfig, out: Path) -> None:
     with _failing_as("quadrature error"):
         samples = mom.phi_quadrature(state, _grid("log", *window, 40)())
 
-    comparison = tailfit.compare(prediction, samples, component="abs",
-                                 window=window)
+    comparison = tailfit.compare(prediction, samples, window=window)
     env_ok = comparison.max_rel_deviation <= _ENVELOPE_TOL
     exp_ok = (comparison.exponent_deviation is None
               or abs(comparison.exponent_deviation) <= _EXPONENT_TOL)

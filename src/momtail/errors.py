@@ -10,7 +10,8 @@ class NoBoundState(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Shooting defect does not change sign in the supplied energy bracket."""
+    """A root search failed (``_brentq``, the shooting oracle): a defect that is NaN or
+    has no sign change in its bracket, too many iterations, or a failed ODE sweep."""
 
 
 class DivergentMoment(ArithmeticError):

@@ -2,35 +2,26 @@
 
 phi(p) = (1 / sqrt(2 pi hbar)) * integral psi(x) e^{-ipx/hbar} dx.
 
-The general route is a Filon-type quadrature with precomputed moments
-(Iserles & Norsett, Proc. R. Soc. A 461, 2005): psi is expanded in Legendre
-polynomials on panels whose edges include every kink of psi, and the
-oscillatory moments integral P_k(t) e^{-i w t} dt = 2 (-i)^k j_k(w), with
-w = |p| hw / hbar, come from a table of spherical Bessel functions j_k(w)
-built for all orders at once: by the upward recurrence for k <= w and by
-Miller's backward ratio recurrence above, started a fixed lead of orders
-above the highest order the table needs. The Legendre coefficients come
-from the Schrodinger equation itself: within each piece of V, V is constant
-or linear, so psi'' = (b0 + b1 x) psi gives psi's Taylor series about a
-panel center from psi and psi' there, and a fixed matrix maps it to
-Legendre coefficients. They are computed once per state, for all pending
-panels at once, and reused for every p. The panels tile the support as the
-norm check's do, cut at the kinks, at the oscillation scale and, where V is
-constant above E, at the decay length, and are bisected until the Taylor
-expansion of degree 34 resolves psi. Each panel then keeps the orders up to
-its last coefficient above eps / 35 of the state's scale, a panel with none
-is dropped, and the transform sums only what is kept. It builds one Bessel
-table per block of momenta for all half-widths together, and stays in real
-arithmetic: c_k 2(-i)^k is real for even k and imaginary for odd k, so the
-sum over orders is two real matrix products, and the phase e^{-ipc/hbar}
-enters as its cosine and sine. The absolute error stays near machine
-precision even at p ~ 10^3, where phi itself is ~1e-10.
+The general route, ``phi_quadrature``, is a Filon-type quadrature with
+precomputed moments (Iserles & Norsett, Proc. R. Soc. A 461, 2005): psi is
+expanded in Legendre polynomials on panels whose edges include every kink of
+psi, from the Taylor series that the state's ODE gives about each panel
+center (``FilonPanels``), and the oscillatory moments integral
+P_k(t) e^{-i w t} dt = 2 (-i)^k j_k(w), with w = |p| hw / hbar, come from one
+table of spherical Bessel functions for all orders (``_bessel_table``). The
+absolute error stays near machine precision even at p ~ 10^3, where phi
+itself is ~1e-10. ``norm_check`` integrates psi^2 by adaptive Gauss-Legendre
+on the same tiling, from samples of psi alone.
 
-Closed forms for the single delta and the infinite well are provided as
-independent cross-checks, and ``moment`` integrates p^k |phi|^2 with an
-analytic large-p remainder taken from a tail prediction. ``norm_check``
-integrates psi^2 by adaptive Gauss-Legendre on the same tiling, from samples
-of psi alone.
+``phi_closed`` gives phi in closed form, region by region, for every state
+whose V is constant between its breaks: the delta sums, finite wells, step
+ladders, the delta+step hybrid and the box (``phi_closed_delta`` and
+``phi_closed_well`` call it). In the paper's terms it is the jump ledger of
+the large-p series summed to all orders. It is a cross-check, not a route:
+``phi_quadrature`` stays Filon for every kind, and ``verify`` does not read
+it, because its large-p series is the derivative table's own, so scoring
+the prediction against it would be circular. ``moment`` integrates
+p^k |phi|^2 with an analytic large-p remainder taken from a tail prediction.
 """
 
 from __future__ import annotations
@@ -42,8 +33,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legmulx
 
 from . import potentials as pot
-from .eigensolve import BoundState, ode_taylor
-from .errors import DivergentMoment, NoSuchState, QuadratureBudgetExceeded
+from .eigensolve import BoundState, ode_taylor, solve_infinite_well
+from .errors import DivergentMoment, QuadratureBudgetExceeded
 
 _DEGREE = 34          # highest Taylor and Legendre coefficient kept per panel
 _TAIL_COEFFS = 5      # trailing coefficients used for the resolution check
@@ -74,25 +65,21 @@ _TO_LEGENDRE = _monomial_to_legendre()
 
 @dataclass
 class MomentumSamples:
-    """phi sampled on a momentum grid, with the route that produced it."""
+    """phi, complex, sampled on a momentum grid."""
     grid: np.ndarray
-    phi_re: np.ndarray
-    phi_im: np.ndarray
-    provenance: str     # 'quadrature' | 'closed_form'
+    phi: np.ndarray
 
     @property
-    def phi(self) -> np.ndarray:
-        return self.phi_re + 1j * self.phi_im
+    def phi_re(self) -> np.ndarray:
+        return self.phi.real
+
+    @property
+    def phi_im(self) -> np.ndarray:
+        return self.phi.imag
 
     @property
     def abs_phi2(self) -> np.ndarray:
         return self.phi_re ** 2 + self.phi_im ** 2
-
-
-def _from_complex(grid, phi, provenance: str) -> MomentumSamples:
-    phi = np.asarray(phi, dtype=complex)
-    return MomentumSamples(np.asarray(grid, dtype=float),
-                           phi.real.copy(), phi.imag.copy(), provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +349,8 @@ def phi_quadrature(state: BoundState, grid, hbar: float | None = None) -> Moment
     state's hbar; an explicit ``hbar`` must equal it."""
     pot.check_units(state, hbar=hbar)
     # hbar passed explicitly: a wrapped transform may default it otherwise
-    phi = FilonPanels(state).transform(np.asarray(grid, float), state.hbar)
-    return _from_complex(grid, phi, "quadrature")
+    grid = np.asarray(grid, dtype=float)
+    return MomentumSamples(grid, FilonPanels(state).transform(grid, state.hbar))
 
 
 # ---------------------------------------------------------------------------
@@ -409,48 +396,63 @@ def norm_check(state: BoundState) -> tuple[float, float]:
 # closed forms
 # ---------------------------------------------------------------------------
 
-def phi_closed_delta(spec: pot.DeltaSum, state: BoundState, grid) -> MomentumSamples:
-    """Closed-form phi for a sum of attractive deltas.
+def _sinc_integral(v: np.ndarray, w: float) -> np.ndarray:
+    """integral of e^{-ivs} over 0 < s < w, as w e^{-ivw/2} sinc(vw/2pi): no pole at v = 0."""
+    return w * np.exp(-0.5j * v * w) * np.sinc(v * w / (2.0 * math.pi))
 
-    phi(p) = (2m / sqrt(2 pi hbar)) * sum_i g_i psi(a_i) e^{-ipa_i/hbar}
-             / (p^2 + 2m|E|),
-    exact for any bound state of the delta sum given its energy and the psi
-    values at the delta locations.
+
+def phi_closed(state: BoundState, grid) -> MomentumSamples:
+    """Closed-form phi of a state whose V is constant between its breaks.
+
+    Sums the integral of psi e^{-iqx}, q = p/hbar, region by region of
+    ``state.ode``, from the ``breaks`` and ``matching`` rows alone. An outer
+    region gives psi(a) e^{-iqa} / (kappa -+ iq), or nothing where V is not
+    above E (psi = 0, the box's outside). An interior one with E < V, psi =
+    D e^{-r(x - a)} + U e^{r(x - b)}, has only r +- iq denominators; one with
+    E > V, psi = A cos k(x - a) + B sin k(x - a)/k, is summed through
+    ``_sinc_integral`` at q -+ k, so no removable pole appears. A linear
+    kind's state, a state without ODE data and an E equal to an interior V
+    (where the B term would need its k -> 0 limit) raise ValueError.
     """
-    m, hbar = spec.mass, spec.hbar
+    breaks, ode, rows = state.breaks, state.ode, state.matching
+    if len(ode) != len(breaks) + 1 or any(b1 != 0.0 for _, b1 in ode):
+        raise ValueError("the state's V is not constant between its breaks")
     p = np.asarray(grid, dtype=float)
-    num = np.zeros(p.shape, dtype=complex)
-    for g, a in spec.deltas:
-        num += g * state.derivative_table[a].value * np.exp(-1j * p * a / hbar)
-    phi = (2.0 * m / math.sqrt(2.0 * math.pi * hbar)) * num \
-        / (p * p + 2.0 * m * abs(state.energy))
-    return _from_complex(p, phi, "closed_form")
+    q = p / state.hbar
+    total = np.zeros(p.shape, dtype=complex)
+    for (b0, _), (value, _, _), a, sign in ((ode[0], rows[0], breaks[0], -1.0),
+                                            (ode[-1], rows[-1], breaks[-1], 1.0)):
+        if b0 > 0.0:
+            total += value * np.exp(-1j * q * a) / (math.sqrt(b0) + sign * 1j * q)
+    for (b0, _), a, b, (psi_a, _, slope_a), (psi_b, slope_b, _) in zip(
+            ode[1:-1], breaks, breaks[1:], rows, rows[1:]):
+        w = b - a
+        if b0 > 0.0:
+            r = math.sqrt(b0)
+            down, up = 0.5 * (psi_a - slope_a / r), 0.5 * (psi_b + slope_b / r)
+            total += (down * np.exp(-1j * q * a) * (1.0 - np.exp(-(r + 1j * q) * w)) / (r + 1j * q)
+                      + up * np.exp(-1j * q * b) * (1.0 - np.exp(-(r - 1j * q) * w)) / (r - 1j * q))
+        elif b0 < 0.0:
+            k = math.sqrt(-b0)
+            lower, upper = _sinc_integral(q - k, w), _sinc_integral(q + k, w)
+            total += np.exp(-1j * q * a) * (psi_a * 0.5 * (lower + upper)
+                                            + slope_a * (lower - upper) / (2j * k))
+        else:
+            raise ValueError(f"E equals V on the region ({a!r}, {b!r})")
+    return MomentumSamples(p, total / math.sqrt(2.0 * math.pi * state.hbar))
+
+
+def phi_closed_delta(spec: pot.DeltaSum, state: BoundState, grid) -> MomentumSamples:
+    """phi of a bound state of the delta sum ``spec``, by ``phi_closed``."""
+    return phi_closed(state, grid)
 
 
 def phi_closed_well(spec: pot.InfiniteWell, n: int, grid, mass: float | None = None,
                     hbar: float | None = None) -> MomentumSamples:
-    """Closed-form phi for the box on (0, L).
-
-    phi_n(p) = sqrt(hbar/2pi) sqrt(2/L) [(-1)^n e^{-ipL/hbar} - 1]
-               * p_n / (p^2 - p_n^2),  p_n = n pi hbar / L,
-    evaluated without its removable poles at p = +-p_n: with s = sign(p)
-    (s = 1 at p = 0) and theta = (p - s p_n) L/hbar, the bracket is
-    -i theta e^{-i theta/2} sinc(theta/2pi) (numpy's sinc) and p^2 - p_n^2
-    is (p - s p_n)(p + s p_n), whose second factor is at least p_n. Units
-    are the spec's; an explicit ``mass`` or ``hbar`` must equal them.
-    """
+    """phi of level n of the box, by ``phi_closed``. Units are the spec's; an
+    explicit ``mass`` or ``hbar`` must equal them. n < 1 raises NoSuchState."""
     pot.check_units(spec, mass, hbar)
-    L, hbar = spec.length, spec.hbar
-    if n < 1:
-        raise NoSuchState("n must be >= 1")
-    pn = n * math.pi * hbar / L
-    p = np.asarray(grid, dtype=float)
-    pref = math.sqrt(hbar / (2.0 * math.pi)) * math.sqrt(2.0 / L)
-    s = np.where(p < 0.0, -1.0, 1.0)
-    theta = (p - s * pn) * L / hbar
-    phi = pref * (-1j * L / hbar) * pn * np.exp(-0.5j * theta) \
-        * np.sinc(theta / (2.0 * math.pi)) / (p + s * pn)
-    return _from_complex(p, phi, "closed_form")
+    return phi_closed(solve_infinite_well(spec, n), grid)
 
 
 # ---------------------------------------------------------------------------

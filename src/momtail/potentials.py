@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from itertools import accumulate
+from typing import NamedTuple
 
 from . import specfun
 from .errors import NoSuchState
@@ -30,13 +30,13 @@ from .errors import NoSuchState
 WALL = math.inf
 
 
-@dataclass(frozen=True)
-class DiscontinuityRecord:
+class DiscontinuityRecord(NamedTuple):
     """A single non-smooth feature of the potential.
 
     ``order``: -1 for delta/wall, 0 for a step, k >= 1 for a kink in V^(k).
     ``jump``: V^(k)(a+) - V^(k)(a-); for a delta, the delta coefficient
-    (negative for attraction). Walls carry is_wall=True and jump = nan.
+    (negative for attraction). Walls carry is_wall=True and jump = nan. A
+    named tuple: ``Piecewise.potential(x)`` builds the ledger on every call.
     """
     location: float
     order: int
@@ -97,9 +97,9 @@ class Piecewise(_Kind):
                 [r.jump if r.order == -1 else 0.0 for r in records])
 
     def potential(self, x: float) -> float:
-        """V(x); at a boundary, the value of the region to its left."""
-        boundaries, values, _ = self.pieces()
-        return values[bisect_left(boundaries, x)]
+        """V(x), the steps below x summed from V = 0 at -infinity as ``pieces()``
+        sums them; at a boundary, the value of the region to its left."""
+        return sum((r.jump for r in self.ledger() if r.order == 0 and r.location < x), 0.0)
 
 
 @dataclass(frozen=True)
@@ -350,6 +350,13 @@ def to_dict(spec: PotentialSpec) -> dict:
     return d
 
 
+def _number(name: str, value):
+    """``value`` if an int or a float, not a bool; else ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return value
+
+
 def from_dict(d: dict) -> PotentialSpec:
     d = dict(d)
     kind = d.pop("kind", None)
@@ -362,10 +369,12 @@ def from_dict(d: dict) -> PotentialSpec:
             raise ValueError(f"potential kind {kind!r} needs field {name!r}")
         value = d.pop(name)
         if isinstance(value, list):
-            value = tuple(tuple(pair) for pair in value)
-        kwargs[name] = value
-    kwargs["mass"] = float(d.pop("mass", 1.0))
-    kwargs["hbar"] = float(d.pop("hbar", 1.0))
+            kwargs[name] = tuple(tuple(_number(f"each entry of {name}", v) for v in pair)
+                                 for pair in value)
+        else:
+            kwargs[name] = _number(name, value)
+    kwargs["mass"] = float(_number("mass", d.pop("mass", 1.0)))
+    kwargs["hbar"] = float(_number("hbar", d.pop("hbar", 1.0)))
     if d:
         raise ValueError(f"unexpected fields for {kind!r}: {sorted(d)}")
     return cls(**kwargs)

@@ -37,9 +37,7 @@ class FitResult:
         return self.r_squared >= CONCLUSIVE_R2
 
     def to_dict(self) -> dict:
-        return {"exponent": self.exponent, "coefficient": self.coefficient,
-                "r_squared": self.r_squared, "window": list(self.window),
-                "n_points": self.n_points, "conclusive": self.conclusive}
+        return {**vars(self), "window": list(self.window), "conclusive": self.conclusive}
 
 
 def _component_values(samples: MomentumSamples, component: str) -> np.ndarray:
@@ -52,6 +50,13 @@ def _component_values(samples: MomentumSamples, component: str) -> np.ndarray:
     raise ValueError(f"component must be one of {COMPONENTS}, got {component!r}")
 
 
+def _in_window(p: np.ndarray, window: tuple[float, float] | None):
+    """(window, mask of the positive p inside it); by default the window spans all p > 0."""
+    if window is None:
+        window = (float(np.min(p[p > 0])), float(np.max(p)))
+    return window, (p >= window[0]) & (p <= window[1]) & (p > 0)
+
+
 def fit_power_law(samples: MomentumSamples, component: str = "abs",
                   window: tuple[float, float] | None = None) -> FitResult:
     """Fit |phi_component(p)| = c * p^e on the window by log-log least squares.
@@ -62,10 +67,7 @@ def fit_power_law(samples: MomentumSamples, component: str = "abs",
     """
     values = _component_values(samples, component)
     p = samples.grid
-    if window is None:
-        positive = p > 0
-        window = (float(np.min(p[positive])), float(np.max(p)))
-    mask = (p >= window[0]) & (p <= window[1]) & (p > 0)
+    window, mask = _in_window(p, window)
     if np.count_nonzero(mask) < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples in {window}, "
                          f"have {np.count_nonzero(mask)}")
@@ -95,14 +97,11 @@ class TailComparison:
     exponent_deviation: float | None    # None unless the fit is conclusive
 
     def to_dict(self) -> dict:
-        return {"predicted_exponent": self.predicted_exponent,
-                "max_rel_deviation": self.max_rel_deviation,
-                "window": list(self.window),
-                "fit": self.fit.to_dict() if self.fit else None,
-                "exponent_deviation": self.exponent_deviation}
+        return {**vars(self), "window": list(self.window),
+                "fit": self.fit.to_dict() if self.fit else None}
 
 
-def compare(prediction, samples: MomentumSamples, component: str = "abs",
+def compare(prediction, samples: MomentumSamples,
             window: tuple[float, float] | None = None) -> TailComparison:
     """Score |sum of leading terms| against sampled |phi| over the window.
 
@@ -112,21 +111,18 @@ def compare(prediction, samples: MomentumSamples, component: str = "abs",
     single power law fits conclusively.
     """
     p = samples.grid
-    if window is None:
-        positive = p > 0
-        window = (float(np.min(p[positive])), float(np.max(p)))
-    mask = (p >= window[0]) & (p <= window[1]) & (p > 0)
+    window, mask = _in_window(p, window)
     if not np.any(mask):
         raise ValueError(f"no samples in window {window}")
     env = prediction.leading_envelope(p[mask])
-    meas = _component_values(samples, component)[mask]
+    meas = np.sqrt(samples.abs_phi2[mask])
     floor = float(np.median(env))
     dev = float(np.max(np.abs(env - meas) / np.maximum(env, floor)))
 
     fit = None
     exp_dev = None
     try:
-        fit = fit_power_law(samples, component, window)
+        fit = fit_power_law(samples, "abs", window)
     except (NonPowerLaw, ValueError):
         pass
     else:

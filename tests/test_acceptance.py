@@ -147,7 +147,7 @@ def test_criterion_5_jump_condition_suite():
                 except NoSuchState:
                     break
                 # raises InconsistentJumps if the routes disagree beyond 1e-8
-                asy.predict_tail(st, pot.discontinuities(spec), check_tol=1e-8)
+                asy.predict_tail(st, pot.discontinuities(spec))
                 checked += 1
     # explicit cusp conditions on the hybrid delta + step system
     hyb = pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0)

@@ -96,8 +96,9 @@ def test_exponent_rule(name, spec, kw, expected):
 def test_two_route_consistency(name, spec, kw, expected):
     # predict_tail raises InconsistentJumps when the cusp-condition route
     # disagrees with the derivative table beyond 1e-8
+    assert asy._JUMP_CHECK_TOL == 1e-8
     st = eig.solve(spec, kw.get("n", 1), kw.get("parity"))
-    asy.predict_tail(st, pot.discontinuities(spec), check_tol=1e-8)
+    asy.predict_tail(st, pot.discontinuities(spec))
 
 
 def test_two_route_detects_corruption():

@@ -326,6 +326,14 @@ MALFORMED = {
     "bouncer_force_inf": ({"potential": {"kind": "bouncer", "force": math.inf}}, []),
     "finite_well_a_-inf": ({"potential": {"kind": "finite_well", "depth": 1.0,
                                           "a": -math.inf, "b": 1.0}}, []),
+    # a JSON string, boolean or null where a number belongs
+    "string_mass": ({"potential": {**DELTA_CFG["potential"], "mass": "2"}}, []),
+    "null_hbar": ({"potential": {**DELTA_CFG["potential"], "hbar": None}}, []),
+    "string_delta_strength": ({"potential": {"kind": "delta_sum", "deltas": [["1", 0]]}}, []),
+    "bool_delta_strength": ({"potential": {"kind": "delta_sum", "deltas": [[True, 0]]}}, []),
+    "bool_force": ({"potential": {"kind": "bouncer", "force": True}}, []),
+    "string_force": ({"potential": {"kind": "bouncer", "force": "0.5"}}, []),
+    "null_force": ({"potential": {"kind": "bouncer", "force": None}}, []),
 }
 
 

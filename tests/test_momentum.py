@@ -18,6 +18,7 @@ from momtail import potentials as pot
 from momtail import specfun
 from momtail.errors import DivergentMoment, QuadratureBudgetExceeded
 from test_eigensolve import tight_norm
+from test_potentials import LADDER
 from test_units import IDS as UNIT_IDS, STATES as UNIT_STATES
 
 mpmath.mp.dps = 30
@@ -97,6 +98,51 @@ def test_well_closed_form_against_multiprecision(well, n):
                         for x in map(mpmath.mpf, p)])
     phi = mom.phi_closed_well(well, n, p).phi
     assert np.max(np.abs(phi - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+CLOSED_FORM_STATES = {
+    "delta": (pot.DeltaSum(deltas=((1.0, 0.0),)), [1]),
+    "delta_chain": (pot.DeltaSum(deltas=((1.0, 0.0), (0.8, 1.5), (1.2, 3.0))), [1, 2]),
+    "delta_pair_gap_12": (pot.DeltaSum(deltas=((1.0, 0.0), (1.0, 12.0))), [1, 2]),
+    "finite_well": (pot.FiniteWell(10.0, -1.0, 1.0), [1, 2, 3]),
+    "ladder": (LADDER, [1, 2, 3]),
+    "hybrid": (pot.HybridDeltaStep(1.0, 1.0, 1.0), [1]),
+    "hybrid_m2_hbar2": (pot.HybridDeltaStep(1.0, 1.0, 1.0, mass=2.0, hbar=2.0), [1]),
+    "box": (pot.InfiniteWell(length=math.pi), [1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_STATES)
+def test_closed_form_of_every_constant_v_kind_matches_filon(name):
+    # on the CLI's default grid and on a log grid out to 1e4
+    spec, levels = CLOSED_FORM_STATES[name]
+    for n in levels:
+        st = eig.solve(spec, n)
+        panels = mom.FilonPanels(st)
+        for grid in (np.linspace(-50.0, 50.0, 1001), np.geomspace(1.0, 1e4, 161)):
+            closed = mom.phi_closed(st, grid).phi
+            filon = panels.transform(grid)
+            assert np.max(np.abs(closed - filon)) <= 2e-14 * np.max(np.abs(filon)), n
+
+
+@pytest.mark.parametrize("spec,n", [(LADDER, 2), (pot.HybridDeltaStep(1.0, 1.0, 1.0), 1)],
+                         ids=["ladder_n2", "hybrid"])
+def test_closed_form_against_multiprecision(spec, n):
+    st = eig.solve(spec, n)
+    ps = [0.0, 1.7, -13.0]
+    closed = mom.phi_closed(st, np.array(ps)).phi
+    ref = np.array([mp_phi(st, p, st.support[0], st.support[1], list(st.breaks)) for p in ps])
+    assert np.max(np.abs(closed - ref)) <= 2e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("spec,parity", [
+    (pot.Bouncer(force=1.0), None),
+    (pot.SymmetricLinear(force=1.0), "even"),
+    (pot.AsymmetricLinear(force_right=0.5, force_left=2.0), None),
+], ids=["bouncer", "symmetric_linear", "asymmetric_linear"])
+def test_closed_form_refuses_linear_kinds(spec, parity):
+    with pytest.raises(ValueError, match="not constant"):
+        mom.phi_closed(eig.solve(spec, 1, parity), GRID)
 
 
 # --- quadrature ------------------------------------------------------------
@@ -277,6 +323,8 @@ def test_build_refuses_state_without_ode():
     shot = eig.shooting_oracle(spec, (0.99 * energy, 1.01 * energy), 1)
     with pytest.raises(ValueError):
         mom.FilonPanels(shot)
+    with pytest.raises(ValueError):
+        mom.phi_closed(shot, GRID)
 
 
 def test_build_refuses_panels_too_narrow_for_their_position():

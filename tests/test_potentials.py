@@ -219,6 +219,28 @@ def test_from_dict_rejects_unknown():
         pot.from_dict({"kind": "bouncer"})
 
 
+@pytest.mark.parametrize("d,field", [
+    ({"kind": "delta_sum", "deltas": [[1.0, 0.0]], "mass": "2"}, "mass"),
+    ({"kind": "delta_sum", "deltas": [[1.0, 0.0]], "hbar": None}, "hbar"),
+    ({"kind": "delta_sum", "deltas": [["1", 0.0]]}, "deltas"),
+    ({"kind": "delta_sum", "deltas": [[True, 0.0]]}, "deltas"),
+    ({"kind": "step_sum", "steps": [[0.0, None]]}, "steps"),
+    ({"kind": "bouncer", "force": True}, "force"),
+    ({"kind": "bouncer", "force": "0.5"}, "force"),
+    ({"kind": "bouncer", "force": None}, "force"),
+    ({"kind": "finite_well", "depth": 1.0, "a": False, "b": 1.0}, "a"),
+], ids=["string_mass", "null_hbar", "string_strength", "bool_strength", "null_height",
+        "bool_force", "string_force", "null_force", "bool_a"])
+def test_from_dict_refuses_a_non_number_by_its_field(d, field):
+    with pytest.raises(ValueError, match=f"^{field} |of {field} "):
+        pot.from_dict(d)
+
+
+def test_from_dict_keeps_json_integers():
+    spec = pot.from_dict({"kind": "delta_sum", "deltas": [[1, 0]], "mass": 2})
+    assert spec.deltas == ((1.0, 0.0),) and spec.mass == 2.0
+
+
 def test_units_survive_round_trip():
     spec = pot.Bouncer(force=1.0, mass=2.0, hbar=0.5)
     again = pot.from_json(pot.to_json(spec))

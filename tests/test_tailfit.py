@@ -15,8 +15,7 @@ from momtail.errors import NonPowerLaw
 
 def synthetic(c, m, grid):
     phi = c * grid.astype(complex) ** (-m)
-    return mom.MomentumSamples(grid=grid, phi_re=phi.real, phi_im=phi.imag,
-                               provenance="synthetic")
+    return mom.MomentumSamples(grid=grid, phi=phi)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -70,7 +69,7 @@ def test_compare_delta_agreement():
     pred = asy.predict_tail(st, pot.discontinuities(spec))
     grid = np.geomspace(20.0, 200.0, 150)
     s = mom.phi_closed_delta(spec, st, grid)
-    cmpr = tailfit.compare(pred, s, component="abs", window=(40.0, 200.0))
+    cmpr = tailfit.compare(pred, s, window=(40.0, 200.0))
     assert cmpr.predicted_exponent == 2
     assert cmpr.max_rel_deviation < 0.005
     assert cmpr.fit is not None and cmpr.fit.conclusive
@@ -84,7 +83,7 @@ def test_compare_handles_interference_zeros():
     pred = asy.predict_tail(st, pot.discontinuities(well))
     grid = np.geomspace(30.0, 300.0, 600)
     s = mom.phi_closed_well(well, 1, grid)
-    cmpr = tailfit.compare(pred, s, component="abs", window=(30.0, 300.0))
+    cmpr = tailfit.compare(pred, s, window=(30.0, 300.0))
     assert math.isfinite(cmpr.max_rel_deviation)
     assert cmpr.max_rel_deviation < 0.05
     assert cmpr.exponent_deviation is None   # oscillatory: no conclusive fit
@@ -97,9 +96,8 @@ def test_compare_keeps_an_inconclusive_fit():
     pred = asy.predict_tail(eig.solve(spec), pot.discontinuities(spec))
     grid = np.geomspace(40.0, 200.0, 150)
     phi = math.sqrt(2 / math.pi) / grid ** 2 * (1.0 + 0.08 * np.sin(12.0 * np.log(grid)))
-    s = mom.MomentumSamples(grid=grid, phi_re=phi, phi_im=np.zeros_like(phi),
-                            provenance="synthetic")
-    cmpr = tailfit.compare(pred, s, component="abs")
+    s = mom.MomentumSamples(grid=grid, phi=phi.astype(complex))
+    cmpr = tailfit.compare(pred, s)
     assert cmpr.fit is not None
     assert 0.99 <= cmpr.fit.r_squared < tailfit.CONCLUSIVE_R2
     assert cmpr.to_dict()["fit"]["conclusive"] is False
