@@ -10,12 +10,13 @@ with optional ``mass`` and ``hbar``, as ``potentials.from_dict`` reads it),
 
 Data files are CSV with 17-significant-digit formatting, and reports are JSON
 with sorted keys; identical inputs produce byte-identical outputs. ``solve``
-reports ``norm_check`` and ``norm_check_error``: the integral of psi^2 by
-``momentum.norm_check`` and that rule's summed 16-versus-32-node gap.
+reports ``norm_check`` and ``norm_check_error``: the integral of psi^2 from
+the state's Filon panels and its truncation bound (``momentum.FilonPanels``'
+``norm`` and ``norm_error``).
 
 Exit codes: 0 success; 1 a failed verification or a quadrature failure
-(``transform`` and ``verify`` when the Filon panels cannot resolve psi,
-``solve`` when the norm check cannot); 2 a usage error, a ``config error``
+(``solve``, ``transform`` and ``verify`` when the Filon panels cannot
+resolve psi); 2 a usage error, a ``config error``
 (an unreadable config, a field of the wrong type, grid bounds that are not
 finite with min < max, a potential parameter that is not finite, a mass or
 hbar <= 0) or a ``solve error`` (a state, parity or prediction the config
@@ -179,7 +180,7 @@ def solve(cfg: RunConfig, out: Path) -> None:
     with _failing_as("solve error"):
         state = eig.solve(cfg.spec, cfg.n, cfg.parity)
     with _failing_as("quadrature error"):
-        norm, norm_error = mom.norm_check(state)
+        panels = mom.FilonPanels(state)
     table = {}
     for a, side in state.derivative_table.items():
         table[f"{a:.17g}"] = {"value": side.value,
@@ -187,7 +188,7 @@ def solve(cfg: RunConfig, out: Path) -> None:
     _write_report(out / "solve.json", {
         "potential": pot.to_dict(cfg.spec), "n": state.n,
         "parity": state.parity, "energy": state.energy,
-        "norm_check": norm, "norm_check_error": norm_error,
+        "norm_check": panels.norm, "norm_check_error": panels.norm_error,
         "support": list(state.support),
         "derivative_table": table})
 

@@ -10,8 +10,8 @@ center (``FilonPanels``), and the oscillatory moments integral
 P_k(t) e^{-i w t} dt = 2 (-i)^k j_k(w), with w = |p| hw / hbar, come from one
 table of spherical Bessel functions for all orders (``_bessel_table``). The
 absolute error stays near machine precision even at p ~ 10^3, where phi
-itself is ~1e-10. ``norm_check`` integrates psi^2 by adaptive Gauss-Legendre
-on the same tiling, from samples of psi alone.
+itself is ~1e-10. The same expansion gives the integral of psi^2
+(``FilonPanels.norm``), so psi is expanded once per state.
 
 ``phi_closed`` gives phi in closed form, region by region, for every state
 whose V is constant between its breaks: the delta sums, finite wells, step
@@ -46,8 +46,6 @@ _POINT_BLOCK = 1024   # distinct |p| per block of the transform
 _ORDERS = np.arange(_DEGREE + 1)
 _MOMENT_PHASE = 2.0 * np.array([1.0, -1j, -1.0, 1j])[_ORDERS % 4]   # 2(-i)^k
 _MIN_RESOLUTION = 1e11  # least panel half-width, in ulps of the panel center
-_NORM_RULES = (leggauss(16), leggauss(32))    # the norm check's two Gauss rules
-_NORM_TOL = 1e-15     # norm check: a panel's |I32 - I16| at acceptance
 
 
 def _monomial_to_legendre() -> np.ndarray:
@@ -156,81 +154,45 @@ def _bessel_table(w: np.ndarray, top: int) -> np.ndarray:
     return table
 
 
-def _bisect_until_resolved(state: BoundState, resolved) -> None:
-    """Adaptive bisection by generations over the state's support.
+class FilonPanels:
+    """Per-panel Legendre expansion of psi, reusable for every p, and psi's norm.
 
-    The first generation tiles the support, cut at the state's breaks: each
-    interval between kinks of psi is cut into equal panels of one shared
-    half-width, none wider than the state's oscillation scale
+    The first generation of panels tiles the state's support, cut at its
+    breaks: each interval between kinks of psi is cut into equal panels of
+    one shared half-width, none wider than the state's oscillation scale
     ``state.osc_scale`` and, where the interval's ODE piece is constant and
     classically forbidden (psi'' = b0 psi with b0 > 0), none wider than the
-    decay length 2 pi / sqrt(b0). Over that width psi changes by e^(2 pi), so
-    the degree-34 expansion resolves such panels at once and decaying tails
-    need no bisection. ``resolved(c, hw)`` takes a
-    generation of pending panels (centers, half-widths), keeps what it needs
-    of those it accepts and returns their mask. Each rejected panel becomes
-    two of exactly half its half-width, which join the next generation.
-    Centers are computed from the shared half-width, not from linspace cuts,
-    so the half-widths of one interval (and of their bisections) are
-    bitwise equal.
+    decay length 2 pi / sqrt(b0). Over that width psi changes by e^(2 pi),
+    so the degree-34 expansion resolves such panels at once, and the panel
+    count grows with neither the decay length nor the support. Each
+    generation of pending panels is expanded together
+    (``_panel_coefficients``): one ``state.psi_and_slope`` call at their
+    centers, then the Taylor recurrence of the state's ODE, ``state.ode``,
+    to degree 34. A panel is accepted when its trailing Legendre
+    coefficients and its last Taylor terms are below 1e-12 of the global
+    scale; otherwise it becomes two of exactly half its half-width, which
+    join the next generation. Centers are computed from the shared
+    half-width, not from linspace cuts, so a state's panels come in a few
+    groups of bitwise equal half-width.
 
     Raises ``QuadratureBudgetExceeded`` before panels outnumber the budget,
     which also stops a panel that never resolves: its descendants double
     every generation. It raises too for a panel narrower than 1e11 ulps of
     its center: the float position of its center cannot place a psi that
     varies on that scale (a panel r ulps wide misplaces psi by ~1/r of its
-    width), and its halves are no wider in ulps.
-    """
-    lo, hi = state.support
-    edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
-    pieces = state.ode if len(state.ode) == len(state.breaks) + 1 else ()
-    c, hw = [], []
-    for u, v in zip(edges[:-1], edges[1:]):
-        width = state.osc_scale
-        if pieces:
-            b0, b1 = pieces[np.searchsorted(state.breaks, 0.5 * (u + v))]
-            if b1 == 0.0 and b0 > 0.0:
-                width = min(width, 2.0 * math.pi / math.sqrt(b0))
-        m = max(1, math.ceil((v - u) / width))
-        h = 0.5 * (v - u) / m
-        c.extend(u + (2 * i + 1) * h for i in range(m))
-        hw.extend([h] * m)
-    c, hw = np.array(c), np.array(hw)
-    accepted = 0
-    while c.size:
-        if accepted + c.size > _MAX_PANELS:
-            raise QuadratureBudgetExceeded(
-                f"needed more than {_MAX_PANELS} panels to resolve psi")
-        coarse = hw < _MIN_RESOLUTION * np.spacing(np.abs(c))
-        if np.any(coarse):
-            i = np.argmax(coarse)
-            raise QuadratureBudgetExceeded(
-                f"the panel at x = {c[i]:.17g} of half-width {hw[i]:.3g} spans "
-                f"fewer than {_MIN_RESOLUTION:.0e} ulps of its center, too few "
-                f"to place psi")
-        done = resolved(c, hw)
-        accepted += np.count_nonzero(done)
-        c, hw = c[~done], 0.5 * hw[~done]
-        c, hw = np.concatenate([c - hw, c + hw]), np.concatenate([hw, hw])
+    width), and its halves are no wider in ulps. And it raises when two
+    neighbouring expansions give psi at their shared edge more than 1e-12
+    of the scale apart: psi is continuous at every break, so expansions
+    that disagree there do not reproduce the state's psi.
 
-
-class FilonPanels:
-    """Per-panel Legendre expansion of psi, reusable for every p.
-
-    Panels tile the state's support as ``norm_check``'s do: edges at every
-    psi kink, and no panel wider than the state's oscillation scale or, in a
-    constant forbidden piece, its decay length, so the panel count grows
-    with neither the decay length nor the support. Each
-    generation of pending panels is expanded together
-    (``_panel_coefficients``): one ``state.psi_and_slope`` call at their
-    centers, then the Taylor recurrence of the state's ODE, ``state.ode``,
-    to degree 34. A panel is accepted when its trailing Legendre
-    coefficients and its last Taylor terms are below 1e-12 of the global
-    scale; otherwise it is bisected. The tiling, the bisection, the panel
-    budget and the resolution rule (``QuadratureBudgetExceeded`` for a panel
-    too narrow for its center's float position) are
-    ``_bisect_until_resolved``'s, shared with ``norm_check``. So a state's
-    panels come in a few groups of equal half-width.
+    ``norm`` is the integral of psi^2, hw sum_k c_k^2 2/(2k+1) summed over
+    the accepted panels by ``math.fsum``; it reads no closed-form
+    normalization, so it checks the solver's. ``norm_error`` bounds its
+    truncation error: with psi at most t off a panel's expansion, t the
+    larger of its trailing coefficients and last Taylor terms, psi's
+    L2 distance there is at most s = sqrt(2 hw) t, which moves the panel's
+    integral n by at most 2 s sqrt(n) + s^2. Rounding in psi itself, ~5e-15
+    on supports thousands wide, is not in it.
 
     ``orders`` holds, per panel, the last order k whose |c_k| exceeds
     eps scale / (_DEGREE + 1), with scale the largest |c_k| of the state:
@@ -246,32 +208,67 @@ class FilonPanels:
         if len(state.ode) != len(state.breaks) + 1:
             raise ValueError("the state carries no ODE data to expand psi from")
 
-        centers, halfwidths, coeffs = [], [], []
-        scale = 0.0
-
-        def resolved(c, hw):
-            nonlocal scale
+        lo, hi = state.support
+        edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
+        c, hw = [], []
+        for u, v in zip(edges[:-1], edges[1:]):
+            width = state.osc_scale
+            b0, b1 = state.ode[np.searchsorted(state.breaks, 0.5 * (u + v))]
+            if b1 == 0.0 and b0 > 0.0:
+                width = min(width, 2.0 * math.pi / math.sqrt(b0))
+            m = max(1, math.ceil((v - u) / width))
+            h = 0.5 * (v - u) / m
+            c.extend(u + (2 * i + 1) * h for i in range(m))
+            hw.extend([h] * m)
+        c, hw = np.array(c), np.array(hw)
+        parts = [], [], [], []      # accepted centers, half-widths, coefficients, tails
+        scale, accepted = 0.0, 0
+        while c.size:
+            if accepted + c.size > _MAX_PANELS:
+                raise QuadratureBudgetExceeded(
+                    f"needed more than {_MAX_PANELS} panels to resolve psi")
+            coarse = hw < _MIN_RESOLUTION * np.spacing(np.abs(c))
+            if np.any(coarse):
+                i = np.argmax(coarse)
+                raise QuadratureBudgetExceeded(
+                    f"the panel at x = {c[i]:.17g} of half-width {hw[i]:.3g} spans "
+                    f"fewer than {_MIN_RESOLUTION:.0e} ulps of its center, too few "
+                    f"to place psi")
             ck, truncation = _panel_coefficients(state, c, hw)
             scale = max(scale, np.max(np.abs(ck)))
             tail = np.maximum(np.max(np.abs(ck[:, -_TAIL_COEFFS:]), axis=1), truncation)
             done = tail <= _REL_TOL * max(scale, 1e-300)
-            centers.append(c[done])
-            halfwidths.append(hw[done])
-            coeffs.append(ck[done])
-            return done
+            for part, value in zip(parts, (c, hw, ck, tail)):
+                part.append(value[done])
+            accepted += np.count_nonzero(done)
+            c, hw = c[~done], 0.5 * hw[~done]
+            c, hw = np.concatenate([c - hw, c + hw]), np.concatenate([hw, hw])
+        order = np.argsort(np.concatenate(parts[0]))
+        centers, halfwidths, coeffs, tails = (np.concatenate(part)[order] for part in parts)
 
-        _bisect_until_resolved(state, resolved)
-        centers, coeffs = np.concatenate(centers), np.concatenate(coeffs)
+        # psi at a panel's right edge, t = 1, is the sum of its c_k, and at its
+        # left edge, t = -1, the alternating sum
+        even, odd = coeffs[:, 0::2].sum(axis=1), coeffs[:, 1::2].sum(axis=1)
+        jump = np.abs((even + odd)[:-1] - (even - odd)[1:])
+        if np.any(jump > _REL_TOL * scale):
+            i = np.argmax(jump)
+            raise QuadratureBudgetExceeded(
+                f"the expansions of psi meeting at x = {centers[i] + halfwidths[i]:.17g} "
+                f"differ by {jump[i] / scale:.3g} of the scale: they do not reproduce psi")
+        norms = halfwidths * (coeffs ** 2 @ (2.0 / (2 * _ORDERS + 1)))
+        self.norm = math.fsum(norms)
+        distance = np.sqrt(2.0 * halfwidths) * tails     # L2, psi from its expansion
+        self.norm_error = math.fsum(distance * (2.0 * np.sqrt(norms) + distance))
+
         # the last order above eps scale / (degree+1): the dropped rest of a
         # panel's sum stays below one ulp of the scale; a panel with no such
         # order is dropped whole
         carried = np.abs(coeffs) > np.finfo(float).eps * scale / (_DEGREE + 1)
-        order = np.argsort(centers)
-        order = order[carried[order].any(axis=1)]
-        self.centers = centers[order]
-        self.halfwidths = np.concatenate(halfwidths)[order]
-        self.coeffs = coeffs[order]      # (panels, degree+1)
-        self.orders = np.max(np.where(carried[order], _ORDERS, 0), axis=1)
+        kept = carried.any(axis=1)
+        self.centers = centers[kept]
+        self.halfwidths = halfwidths[kept]
+        self.coeffs = coeffs[kept]      # (panels, degree+1)
+        self.orders = np.max(np.where(carried[kept], _ORDERS, 0), axis=1)
         # c_k 2(-i)^k is real for even k and imaginary for odd k
         moments = self.coeffs * _MOMENT_PHASE
         self._even, self._odd = moments[:, 0::2].real.copy(), moments[:, 1::2].imag.copy()
@@ -351,45 +348,6 @@ def phi_quadrature(state: BoundState, grid, hbar: float | None = None) -> Moment
     # hbar passed explicitly: a wrapped transform may default it otherwise
     grid = np.asarray(grid, dtype=float)
     return MomentumSamples(grid, FilonPanels(state).transform(grid, state.hbar))
-
-
-# ---------------------------------------------------------------------------
-# norm check
-# ---------------------------------------------------------------------------
-
-def norm_check(state: BoundState) -> tuple[float, float]:
-    """(integral psi^2 dx, its error estimate), from samples of psi alone.
-
-    Adaptive Gauss-Legendre by generations, on the Filon panels' kink-aware
-    first tiling (``_bisect_until_resolved``): one ``state.psi``
-    call samples every pending panel at its 16 and 32 Gauss nodes. A panel
-    is accepted when the two rules agree to 1e-15, and bisected otherwise,
-    under the panel budget and resolution rule of ``FilonPanels``
-    (``QuadratureBudgetExceeded``), so a noisy psi or one that the float
-    centers cannot place is refused. Returns the fsum of the accepted
-    32-node integrals and the sum of their |I32 - I16|, an estimate of the
-    truncation error only (rounding in psi itself reaches ~5e-15 on supports
-    thousands wide). It reads ``ode`` only to place its first tiling (the
-    decay-length cut), and never the solver's closed-form normalization, so
-    it checks that normalization rather than repeating it.
-    """
-    (x16, w16), (x32, w32) = _NORM_RULES
-    nodes = np.concatenate([x16, x32])
-    integrals, gaps = [], []
-
-    def resolved(c, hw):
-        x = c[:, None] + hw[:, None] * nodes
-        psi2 = state.psi(x.ravel()).reshape(x.shape) ** 2
-        i16 = hw * (psi2[:, :x16.size] @ w16)
-        i32 = hw * (psi2[:, x16.size:] @ w32)
-        gap = np.abs(i32 - i16)
-        done = gap <= _NORM_TOL
-        integrals.extend(i32[done])
-        gaps.extend(gap[done])
-        return done
-
-    _bisect_until_resolved(state, resolved)
-    return math.fsum(integrals), math.fsum(gaps)
 
 
 # ---------------------------------------------------------------------------

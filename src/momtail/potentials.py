@@ -331,8 +331,10 @@ def check_units(carrier, mass: float | None = None, hbar: float | None = None) -
 
 _KINDS = {cls.kind: cls for cls in PotentialSpec.__args__}
 
-# each kind's own parameters, in declaration order; mass and hbar are optional
-_FIELDS = {kind: tuple(f.name for f in fields(cls) if f.name not in ("mass", "hbar"))
+# each kind's own parameters, in declaration order, mapped to whether the
+# parameter is a tuple of pairs; mass and hbar are optional
+_FIELDS = {kind: {f.name: f.type.startswith("tuple") for f in fields(cls)
+                  if f.name not in ("mass", "hbar")}
            for kind, cls in _KINDS.items()}
 
 
@@ -364,15 +366,18 @@ def from_dict(d: dict) -> PotentialSpec:
         raise ValueError(f"unknown potential kind {kind!r}")
     cls = _KINDS[kind]
     kwargs = {}
-    for name in _FIELDS[kind]:
+    for name, paired in _FIELDS[kind].items():
         if name not in d:
             raise ValueError(f"potential kind {kind!r} needs field {name!r}")
         value = d.pop(name)
-        if isinstance(value, list):
+        if not paired:
+            kwargs[name] = _number(name, value)
+        elif isinstance(value, list) and all(isinstance(pair, list) and len(pair) == 2
+                                             for pair in value):
             kwargs[name] = tuple(tuple(_number(f"each entry of {name}", v) for v in pair)
                                  for pair in value)
         else:
-            kwargs[name] = _number(name, value)
+            raise ValueError(f"{name} must be a list of 2-number lists, not {value!r}")
     kwargs["mass"] = float(_number("mass", d.pop("mass", 1.0)))
     kwargs["hbar"] = float(_number("hbar", d.pop("hbar", 1.0)))
     if d:

@@ -48,3 +48,11 @@ def test_one_traced_job_per_kind_passes_its_check(tmp_path, workload):
         assert all(firsts[kind]["phi_closed"] is not None
                    for kind in ("delta_sum", "infinite_well"))
     assert prepare.oracle_max_diff <= 1e-8
+
+
+def test_known_defect_probes_do_not_fail(tmp_path):
+    # each probe is "ok" or a defect the benchmark knows; the cli_solve probe
+    # reads solve.json's norm_check
+    outcomes = workloads.probe_known_defects(tmp_path)
+    assert outcomes
+    assert not [(tag, o) for tag, o in outcomes.items() if o.startswith("failed")]

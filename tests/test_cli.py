@@ -113,12 +113,39 @@ def test_transform_of_unplaceable_narrow_state_exits_1(runner, tmp_path):
 
 
 def test_solve_of_unplaceable_narrow_state_exits_1(runner, tmp_path):
-    # the norm check's panels at x = 0.3 span ~4e3 ulps of their centers
+    # the Filon panels at x = 0.3 span ~1e3 ulps of their centers
     cfg = write_cfg(tmp_path, {"potential": {"kind": "delta_sum", "deltas": [[1e14, 0.3]]}})
     res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path)])
     assert res.exit_code == 1
     assert "quadrature error" in res.output
     assert not (tmp_path / "solve.json").exists()
+
+
+def test_solve_of_noisy_psi_exits_1(runner, tmp_path, monkeypatch):
+    # a psi its own panel expansions cannot reproduce: solve refuses it as
+    # transform and verify do
+    import dataclasses
+
+    import momtail.eigensolve as eig
+    solve = eig.solve
+
+    def noisy_solve(*args):
+        st = solve(*args)
+        clean = st.psi_and_slope
+
+        def noisy(x):
+            psi, slope = clean(x)
+            return psi + 1e-9 * np.sin(1e7 * x), slope
+
+        return dataclasses.replace(st, psi_and_slope=noisy)
+
+    monkeypatch.setattr(eig, "solve", noisy_solve)
+    cfg = write_cfg(tmp_path, DELTA_CFG)
+    for command in ("solve", "transform", "verify"):
+        res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 1, (command, res.output)
+        assert res.output.startswith("quadrature error:")
+        assert not (tmp_path / OUTPUTS[command]).exists()
 
 
 def test_solve_of_narrow_delta_at_origin(runner, tmp_path):
@@ -334,6 +361,10 @@ MALFORMED = {
     "bool_force": ({"potential": {"kind": "bouncer", "force": True}}, []),
     "string_force": ({"potential": {"kind": "bouncer", "force": "0.5"}}, []),
     "null_force": ({"potential": {"kind": "bouncer", "force": None}}, []),
+    # a list of pairs or a number of the wrong shape
+    "delta_triple": ({"potential": {"kind": "delta_sum", "deltas": [[1, 0, 5]]}}, []),
+    "number_deltas": ({"potential": {"kind": "delta_sum", "deltas": 5}}, []),
+    "pair_force": ({"potential": {"kind": "bouncer", "force": [1, 2]}}, []),
 }
 
 

@@ -344,7 +344,7 @@ def test_budget_stops_a_panel_that_never_resolves():
         mom.FilonPanels(nan)
 
 
-# --- shared tiling ----------------------------------------------------------
+# --- tiling -----------------------------------------------------------------
 
 def _reference_panels(state):
     """FilonPanels' tiling from the tiling and bisection written out in one
@@ -400,8 +400,8 @@ EMPTY_PANELS = {
 
 @pytest.mark.parametrize("spec,n,parity", list(_unit_states()))
 def test_filon_panels_keep_their_tiling(request, spec, n, parity):
-    # the tiling helper is shared with the norm check: the Filon panels, and
-    # so transform.csv, move only on purpose
+    # the Filon panels, and so transform.csv and solve.json's norm, move
+    # only on purpose
     st = eig.solve(spec, n, parity)
     panels = mom.FilonPanels(st)
     centers, halfwidths, kept = _reference_panels(st)
@@ -411,7 +411,7 @@ def test_filon_panels_keep_their_tiling(request, spec, n, parity):
     assert np.array_equal(panels.halfwidths, halfwidths[kept])
 
 
-# --- norm check ---------------------------------------------------------------
+# --- norm ---------------------------------------------------------------------
 
 WEAK_HYBRID = pot.HybridDeltaStep(g=0.864794, step_height=-0.468192, a=1.036333)
 NORM_STATES = list(_unit_states()) + [
@@ -427,32 +427,15 @@ NORM_STATES = list(_unit_states()) + [
 @pytest.mark.parametrize("spec,n,parity", NORM_STATES)
 def test_norm_check_against_quad(spec, n, parity):
     st = eig.solve(spec, n, parity)
-    norm, error = mom.norm_check(st)
-    assert abs(norm - 1.0) <= 1e-13
-    assert 0.0 <= error <= 1e-12
-    assert abs(norm - tight_norm(st)) <= 1e-13
-
-
-@pytest.mark.parametrize("spec,n,parity", [
-    (pot.DeltaSum(deltas=((1.0, 0.0),)), 1, None),
-    (WEAK_HYBRID, 1, None),
-    (pot.Bouncer(force=0.5), 10, None),
-], ids=["delta", "weak_hybrid", "bouncer_10"])
-def test_norm_check_samples_psi_once_per_generation(monkeypatch, spec, n, parity):
-    st = eig.solve(spec, n, parity)
-    calls, generations = [], []
-    slope = st.psi_and_slope
-    st.psi_and_slope = lambda x: calls.append(np.shape(x)) or slope(x)
-    bisect = mom._bisect_until_resolved
-    monkeypatch.setattr(mom, "_bisect_until_resolved", lambda state, resolved: bisect(
-        state, lambda c, hw: generations.append(c.size) or resolved(c, hw)))
-    mom.norm_check(st)
-    # every pending panel's 16 and 32 Gauss nodes, in one array per generation
-    assert generations
-    assert calls == [(48 * size,) for size in generations]
+    panels = mom.FilonPanels(st)
+    assert abs(panels.norm - 1.0) <= 1e-13
+    assert 0.0 <= panels.norm_error <= 1e-12
+    assert abs(panels.norm - tight_norm(st)) <= 1e-13
 
 
 def test_norm_check_refuses_noisy_psi():
+    # each panel's expansion is resolved, but psi at its center carries the
+    # noise, so neighbouring expansions meet ~6e-8 of the scale apart
     st = eig.solve(pot.DeltaSum(deltas=((1.0, 0.0),)))
     clean = st.psi_and_slope
 
@@ -460,13 +443,11 @@ def test_norm_check_refuses_noisy_psi():
         psi, slope = clean(x)
         return psi + 1e-9 * np.sin(1e7 * x), slope
 
+    noisy_state = dataclasses.replace(st, psi_and_slope=noisy)
     with pytest.raises(QuadratureBudgetExceeded):
-        mom.norm_check(dataclasses.replace(st, psi_and_slope=noisy))
-
-
-def test_norm_check_refuses_panels_too_narrow_for_their_position():
+        mom.FilonPanels(noisy_state)
     with pytest.raises(QuadratureBudgetExceeded):
-        mom.norm_check(eig.solve(pot.DeltaSum(deltas=((1e14, 0.3),))))
+        mom.phi_quadrature(noisy_state, GRID)
 
 
 # --- transform ----------------------------------------------------------------

@@ -229,8 +229,13 @@ def test_from_dict_rejects_unknown():
     ({"kind": "bouncer", "force": "0.5"}, "force"),
     ({"kind": "bouncer", "force": None}, "force"),
     ({"kind": "finite_well", "depth": 1.0, "a": False, "b": 1.0}, "a"),
+    ({"kind": "delta_sum", "deltas": [[1, 0, 5]]}, "deltas"),
+    ({"kind": "delta_sum", "deltas": 5}, "deltas"),
+    ({"kind": "step_sum", "steps": [0.0, 1.0]}, "steps"),
+    ({"kind": "bouncer", "force": [1, 2]}, "force"),
 ], ids=["string_mass", "null_hbar", "string_strength", "bool_strength", "null_height",
-        "bool_force", "string_force", "null_force", "bool_a"])
+        "bool_force", "string_force", "null_force", "bool_a", "delta_triple",
+        "number_deltas", "flat_steps", "pair_force"])
 def test_from_dict_refuses_a_non_number_by_its_field(d, field):
     with pytest.raises(ValueError, match=f"^{field} |of {field} "):
         pot.from_dict(d)

@@ -39,7 +39,7 @@ from momtail import asymptotics, eigensolve, momentum, potentials
 for spec in (potentials.InfiniteWell(length=1.0), potentials.DeltaSum(deltas=((1.0, 0.0),))):
     state = eigensolve.solve(spec, 1)
     momentum.phi_quadrature(state, np.linspace(-50.0, 50.0, 1001))
-    momentum.norm_check(state)
+    momentum.FilonPanels(state).norm
     asymptotics.predict_tail(state, potentials.discontinuities(spec))
 """ + SCIPY_LOADED)
     assert loaded == []
