@@ -20,14 +20,6 @@ from .potentials import (AsymmetricLinear, Bouncer, DeltaSum, DiscontinuityRecor
 from .tailfit import FitResult, TailComparison, compare, fit_power_law
 
 
-def __getattr__(name: str):
-    """``shooting_oracle`` loads scipy's integrators, so it is imported on first access."""
-    if name == "shooting_oracle":
-        from .oracle import shooting_oracle
-        return shooting_oracle
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AsymmetricLinear", "Bouncer", "BoundState", "DeltaSum",
     "DiscontinuityRecord", "DivergentMoment", "FilonPanels", "FiniteWell",
@@ -39,5 +31,5 @@ __all__ = [
     "UnsupportedCase", "classical_momentum_density", "compare",
     "discontinuities", "expansion_terms", "fit_power_law", "moment",
     "parseval_norm", "phi_closed_delta", "phi_closed_well", "phi_quadrature",
-    "predict_tail", "shooting_oracle", "solve",
+    "predict_tail", "solve",
 ]

@@ -132,24 +132,29 @@ def jump_from_potential(record: DiscontinuityRecord,
     if record.order == -1:
         # delta: psi'(a+) - psi'(a-) = (2m/hbar^2) * c * psi(a), c the delta coefficient
         return 1, 2.0 * m / hbar ** 2 * record.jump * side.value
-    scale = max(abs(side.right[1]), abs(side.left[1]), 1.0)
-    if abs(side.value) > 1e-10 * scale:
+    # psi(a) counts as zero below 1e-10 of |psi'(a)| / sqrt(|b|), the change of
+    # psi over the length on which psi'' = b psi acts, b the larger of the two
+    # pieces beside a: scale-free, so a psi(a) ~ 1e-33 deep in a tail, whose
+    # psi' is as small, keeps its jump
+    i = state.breaks.index(record.location)
+    b = max(abs(b0 + b1 * record.location) for b0, b1 in state.ode[i:i + 2])
+    slope = max(abs(side.right[1]), abs(side.left[1]))
+    if abs(side.value) * math.sqrt(b) > 1e-10 * slope:
         return record.order + 2, 2.0 * m / hbar ** 2 * record.jump * side.value
     psi_prime = side.right[1]
-    if abs(psi_prime) <= 1e-10 * scale:
+    if psi_prime == 0.0:
         raise UnsupportedCase("psi and psi' both vanish at the discontinuity")
     return record.order + 3, (record.order + 1) * 2.0 * m / hbar ** 2 * record.jump * psi_prime
 
 
 def predict_tail(state: BoundState, records: list[DiscontinuityRecord],
-                 n_max: int = DEFAULT_ORDER_CUTOFF, mass: float | None = None,
-                 hbar: float | None = None) -> TailPrediction:
+                 mass: float | None = None, hbar: float | None = None) -> TailPrediction:
     """Expansion terms plus the leading exponent, with the two-route cross-check.
 
     Units are the state's; an explicit ``mass`` or ``hbar`` must equal them.
     """
     check_units(state, mass, hbar)
-    terms = expansion_terms(state, records, n_max)
+    terms = expansion_terms(state, records)
     for rec in records:
         if rec.is_wall:
             continue

@@ -20,7 +20,8 @@ resolve psi); 2 a usage error, a ``config error``
 (an unreadable config, a field of the wrong type, grid bounds that are not
 finite with min < max, a potential parameter that is not finite, a mass or
 hbar <= 0) or a ``solve error`` (a state, parity or prediction the config
-cannot have, or a failed root polish).
+cannot have, psi and psi' both zero at a break, jumps whose two routes
+disagree, or a failed root polish).
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from . import eigensolve as eig
 from . import momentum as mom
 from . import potentials as pot
 from . import tailfit
-from .errors import NoBoundState, NoConvergence, NoSuchState, QuadratureBudgetExceeded
+from .errors import (InconsistentJumps, NoBoundState, NoConvergence, NoSuchState,
+                     QuadratureBudgetExceeded, UnsupportedCase)
 
 _FIT_LO_MULT = 10.0     # verification fit window starts at 10 * p_scale
 _FIT_HI = 1e3
@@ -52,7 +54,8 @@ _DEFAULT_GRID = {"kind": "linear", "min": -50.0, "max": 50.0, "count": 1001}
 # each stage of a command: the errors it reports under this prefix, and the exit code
 _FAILURES = {
     "config error": ((OSError, KeyError, TypeError, ValueError, OverflowError), 2),
-    "solve error": ((NoSuchState, NoBoundState, NoConvergence, ValueError), 2),
+    "solve error": ((NoSuchState, NoBoundState, NoConvergence, UnsupportedCase,
+                     InconsistentJumps, ValueError), 2),
     "quadrature error": ((QuadratureBudgetExceeded,), 1),
 }
 
@@ -66,18 +69,6 @@ class RunConfig:
     grid: partial    # checked on loading, built on call: solve and verify use no grid
 
 
-def _echo(message: str, err: bool = False, nl: bool = True) -> None:
-    """click.echo to the current sys.stdout, or sys.stderr.
-
-    Left to pick the stream, click caches a wrapper per stream object, and
-    for a text stream the wrapper is the stream itself, so its weak-keyed
-    cache never lets go: a process that runs the CLI in-process with a
-    fresh stream per call (a test runner, a benchmark) would keep every
-    call's stream and all the text written to it.
-    """
-    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
-
-
 @contextmanager
 def _failing_as(prefix: str):
     """Report an error that ``_FAILURES`` lists under ``prefix``, and exit with its code."""
@@ -85,7 +76,7 @@ def _failing_as(prefix: str):
     try:
         yield
     except types as exc:
-        _echo(f"{prefix}: {exc}", err=True)
+        print(f"{prefix}: {exc}", file=sys.stderr)
         sys.exit(code)
 
 
@@ -148,10 +139,10 @@ def _write_csv(path: Path, header: str, *columns) -> None:
 
 
 def _write_report(path: Path, report: dict) -> None:
-    """Write ``report`` as JSON with sorted keys, and echo it."""
+    """Write ``report`` as JSON with sorted keys, and print it."""
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     _write_text(path, text)
-    _echo(text, nl=False)
+    print(text, end="")
 
 
 @click.group()
@@ -209,7 +200,7 @@ def transform(cfg: RunConfig, out: Path) -> None:
         pass
     path = out / "transform.csv"
     _write_csv(path, header, *columns)
-    _echo(f"wrote {path} ({samples.grid.size} samples)")
+    print(f"wrote {path} ({samples.grid.size} samples)")
 
 
 @_config_command
@@ -220,8 +211,8 @@ def predict(cfg: RunConfig, out: Path) -> None:
         prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
     path = out / "predict.csv"
     _write_text(path, asy.prediction_to_csv(prediction))
-    _echo(asy.summary(prediction))
-    _echo(f"wrote {path}")
+    print(asy.summary(prediction))
+    print(f"wrote {path}")
 
 
 @_config_command
@@ -291,7 +282,7 @@ def figure(number, out) -> None:
         path = out / "figure2.csv"
         _write_csv(path, "p,p4_abs_phi_even,p5_abs_phi_odd,even_asymptote,odd_asymptote",
                    grid, *scaled, *asymptotes)
-    _echo(f"wrote {path}")
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

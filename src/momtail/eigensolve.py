@@ -356,11 +356,8 @@ def _piecewise_state(spec: pot.Piecewise, pieces, n: int, energy: float) -> Boun
     def psi_and_slope(x):
         x = np.asarray(x, dtype=float)
         region = np.searchsorted(edges, x)
-        first, last = (region.min(), region.max()) if x.size else (0, 0)
-        if first == last:
-            return tuple(piece(first, x))
         out = np.empty((2,) + x.shape)
-        for i in range(first, last + 1):
+        for i in np.unique(region):
             sel = region == i
             out[:, sel] = piece(i, x[sel])
         return tuple(out)

@@ -159,12 +159,13 @@ class FilonPanels:
 
     The first generation of panels tiles the state's support, cut at its
     breaks: each interval between kinks of psi is cut into equal panels of
-    one shared half-width, none wider than the state's oscillation scale
-    ``state.osc_scale`` and, where the interval's ODE piece is constant and
-    classically forbidden (psi'' = b0 psi with b0 > 0), none wider than the
-    decay length 2 pi / sqrt(b0). Over that width psi changes by e^(2 pi),
-    so the degree-34 expansion resolves such panels at once, and the panel
-    count grows with neither the decay length nor the support. Each
+    one shared half-width. Where the interval's ODE piece is constant and
+    classically forbidden (psi'' = b0 psi with b0 > 0), psi does not
+    oscillate, and the panels are no wider than the decay length
+    2 pi / sqrt(b0): over that width psi changes by e^(2 pi), so the
+    degree-34 expansion resolves them at once, and their count grows with
+    neither the decay length nor the support. Elsewhere no panel is wider
+    than the state's oscillation scale ``state.osc_scale``. Each
     generation of pending panels is expanded together
     (``_panel_coefficients``): one ``state.psi_and_slope`` call at their
     centers, then the Taylor recurrence of the state's ODE, ``state.ode``,
@@ -212,10 +213,9 @@ class FilonPanels:
         edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
         c, hw = [], []
         for u, v in zip(edges[:-1], edges[1:]):
-            width = state.osc_scale
             b0, b1 = state.ode[np.searchsorted(state.breaks, 0.5 * (u + v))]
-            if b1 == 0.0 and b0 > 0.0:
-                width = min(width, 2.0 * math.pi / math.sqrt(b0))
+            decays = b1 == 0.0 and b0 > 0.0
+            width = 2.0 * math.pi / math.sqrt(b0) if decays else state.osc_scale
             m = max(1, math.ceil((v - u) / width))
             h = 0.5 * (v - u) / m
             c.extend(u + (2 * i + 1) * h for i in range(m))

@@ -250,10 +250,6 @@ class _OneForce(Linear):
         """Airy length scale (hbar^2 / 2mF)^(1/3)."""
         return airy_length(self.force, self.mass, self.hbar)
 
-    @property
-    def energy_scale(self) -> float:
-        return self.force * self.rho
-
     def classical_q(self, n: int, parity: str | None = None) -> float:
         level = airy_level(self.level_index(n, parity), self.forces[1] == WALL)
         return (self.hbar / self.rho) * math.sqrt(level)

@@ -4,12 +4,12 @@ Ai and Ai' are scipy's compiled ``scipy.special.airy``; the evaluators take
 scalars or arrays. The zeros start from ``scipy.special.ai_zeros`` and get two
 Newton steps on ``airy``, which brings them from ~1e-11 to full double
 precision. Only the zeros a caller returns are polished: ``airy_zero(n)`` and
-``airy_prime_zero(n)`` polish the n-th zero alone, ``airy_zero_ladder`` the
-zeta ladder alone, and ``airy_zeros`` both ladders. Past |x| = 10 ``airy``
-takes scipy's AMOS branch, about ten times dearer a point, so polishing the
-unread zeros of a ladder would cost a solve more than the rest of it. Newton
-acts on each zero on its own, from the same ``ai_zeros(count)`` start, so a
-zero is the same float whichever of them returns it.
+``airy_prime_zero(n)`` polish the n-th zero alone, and ``airy_zero_ladder``
+the zeta ladder alone. Past |x| = 10 ``airy`` takes scipy's AMOS branch,
+about ten times dearer a point, so polishing the unread zeros of a ladder
+would cost a solve more than the rest of it. Newton acts on each zero on its
+own, from the same ``ai_zeros(count)`` start, so a zeta is the same float
+whichever of them returns it.
 
 ``scipy.special`` is imported on first use, so the kinds that need no Airy
 function load no scipy. ``airy`` and ``ai_zeros`` are module attributes,
@@ -61,39 +61,25 @@ def _starts(count: int) -> tuple[np.ndarray, np.ndarray]:
     return -a, -ap
 
 
-def _polish_zeta(zeta):
-    """Newton steps on Ai(-zeta) = 0, elementwise."""
+def _polish(x, derivative: bool):
+    """Newton steps on Ai(-x) = 0, or on Ai'(-x) = 0 with ``derivative``, elementwise."""
     for _ in range(_NEWTON_STEPS):
-        ai, aip, _, _ = _module.airy(-zeta)
-        zeta = zeta + ai / aip
-    return zeta
-
-
-def _polish_eta(eta):
-    """Newton steps on Ai'(-eta) = 0, elementwise."""
-    for _ in range(_NEWTON_STEPS):
-        ai, aip, _, _ = _module.airy(-eta)
-        # d/d eta Ai'(-eta) = -Ai''(-eta) = eta * Ai(-eta)
-        eta = eta - aip / (eta * ai)
-    return eta
-
-
-def airy_zeros(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """First ``count`` positive zeta (Ai(-zeta) = 0) and eta (Ai'(-eta) = 0), ascending."""
-    zeta, eta = _starts(count)
-    return _polish_zeta(zeta), _polish_eta(eta)
+        ai, aip, _, _ = _module.airy(-x)
+        # d/dx Ai(-x) = -Ai'(-x) and d/dx Ai'(-x) = -Ai''(-x) = x Ai(-x)
+        x = x - aip / (x * ai) if derivative else x + ai / aip
+    return x
 
 
 def airy_zero_ladder(count: int) -> np.ndarray:
     """First ``count`` positive zeta with Ai(-zeta) = 0, ascending."""
-    return _polish_zeta(_starts(count)[0])
+    return _polish(_starts(count)[0], False)
 
 
 def airy_zero(n: int) -> float:
     """n-th positive zeta with Ai(-zeta) = 0, n >= 1."""
-    return float(_polish_zeta(_starts(n)[0][-1]))
+    return float(_polish(_starts(n)[0][-1], False))
 
 
 def airy_prime_zero(n: int) -> float:
     """n-th positive eta with Ai'(-eta) = 0, n >= 1."""
-    return float(_polish_eta(_starts(n)[1][-1]))
+    return float(_polish(_starts(n)[1][-1], True))

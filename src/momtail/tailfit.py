@@ -20,8 +20,6 @@ from .momentum import MomentumSamples
 CONCLUSIVE_R2 = 0.999
 _MIN_SAMPLES = 20
 
-COMPONENTS = ("re", "im", "abs")
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -47,7 +45,7 @@ def _component_values(samples: MomentumSamples, component: str) -> np.ndarray:
         return np.abs(samples.phi_im)
     if component == "abs":
         return np.sqrt(samples.abs_phi2)
-    raise ValueError(f"component must be one of {COMPONENTS}, got {component!r}")
+    raise ValueError(f"component must be 're', 'im' or 'abs', got {component!r}")
 
 
 def _in_window(p: np.ndarray, window: tuple[float, float] | None):

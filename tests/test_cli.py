@@ -242,6 +242,38 @@ def test_delta_pair_with_zero_energy_resonance(runner, tmp_path, command, n, cod
     assert res.exit_code == code, res.output
 
 
+# potential -> exit codes of solve, transform, predict and verify
+CORNERS = {
+    # a break deep in psi's tail, where psi ~ 1e-33: its jump is still a term
+    "far_step_30": ({"kind": "step_sum", "steps": [[0, -5], [1, 5], [30, 1]]}, (0, 0, 0, 1)),
+    "far_step_12": ({"kind": "step_sum", "steps": [[0, -50], [1, 40], [12, 10]]},
+                    (0, 0, 0, 1)),
+    "far_hybrid_step": ({"kind": "hybrid_delta_step", "g": 1, "step_height": 1, "a": 60},
+                        (0, 0, 0, 0)),
+    # psi and psi' underflow to 0.0 at the step: no expansion rule applies
+    "underflowed_step": ({"kind": "step_sum", "steps": [[0, -5], [1, 5], [400, 1]]},
+                         (0, 0, 2, 2)),
+    # decay lengths of ~1e6 and more
+    "weak_well": ({"kind": "finite_well", "depth": 1e-6, "a": -1, "b": 1}, (0, 0, 0, 0)),
+    "light_well": ({"kind": "finite_well", "depth": 10, "a": -1, "b": 1, "mass": 1e-3,
+                    "hbar": 1e3}, (0, 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", CORNERS)
+def test_corner_configs_exit_without_traceback(runner, tmp_path, name):
+    potential, codes = CORNERS[name]
+    cfg = write_cfg(tmp_path, {"potential": potential})
+    for command, code in zip(["solve", "transform", "predict", "verify"], codes):
+        res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == code, (command, res.output, res.exception)
+        # an exception the CLI does not report would end the process with a traceback
+        assert res.exception is None or type(res.exception) is SystemExit, command
+        assert "Traceback" not in res.output
+        if code == 2:
+            assert res.output.startswith("solve error: psi and psi' both vanish")
+
+
 @pytest.mark.parametrize("cfg,header,rows", [
     (WELL_CFG, "p,phi_re,phi_im,abs_phi2,classical_density", 201),
     (DELTA_CFG, "p,phi_re,phi_im,abs_phi2", 1001),   # no classical density

@@ -352,7 +352,7 @@ def test_asymmetric_linear_equal_forces_alternate_symmetric_levels():
 def test_linear_energies_are_airy_zeros_times_energy_scale(force, mass, hbar):
     bouncer = pot.Bouncer(force=force, mass=mass, hbar=hbar)
     sym = pot.SymmetricLinear(force=force, mass=mass, hbar=hbar)
-    e0 = sym.energy_scale
+    e0 = sym.force * sym.rho
     for n in range(1, 13):
         assert eig.solve(bouncer, n).energy == e0 * specfun.airy_zero(n)
         assert eig.solve(sym, n, "even").energy == e0 * specfun.airy_prime_zero(n)

@@ -163,7 +163,7 @@ def test_wall_evaluation():
 def test_bouncer_length_scale():
     b = pot.Bouncer(force=0.5)      # hbar = m = 1
     assert b.rho == pytest.approx(1.0)
-    assert b.energy_scale == pytest.approx(0.5)
+    assert b.force * b.rho == pytest.approx(0.5)
     b2 = pot.Bouncer(force=2.0)
     assert b2.rho == pytest.approx(0.25 ** (1 / 3))
 
