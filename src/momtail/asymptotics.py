@@ -161,7 +161,10 @@ def predict_tail(state: BoundState, records: list[DiscontinuityRecord],
         order, predicted = jump_from_potential(rec, state)
         side = state.derivative_table[rec.location]
         tabulated = side.right[order] - side.left[order]
-        tol = _JUMP_CHECK_TOL * max(abs(predicted), abs(tabulated), 1.0)
+        # relative to the one-sided values the jump is read from, so that a
+        # jump far below 1, deep in a tail, is checked too
+        tol = _JUMP_CHECK_TOL * max(abs(predicted), abs(tabulated),
+                                    abs(side.right[order]), abs(side.left[order]))
         if abs(predicted - tabulated) > tol:
             raise InconsistentJumps(
                 f"at x={rec.location}: potential route gives {predicted!r} for the "

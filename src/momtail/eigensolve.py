@@ -45,6 +45,10 @@ _DECAY_CUT = 42.0
 # highest derivative order in a derivative table
 _TABLE_ORDER = 5
 _FACTORIALS = tuple(math.factorial(k) for k in range(_TABLE_ORDER + 1))
+# largest |exponent| of the scale that solve_piecewise puts back on its
+# defect: e^700 ~ 1e304 keeps a defect of order 1 finite, and the clamped
+# factor is still positive, so the defect keeps its sign
+_MAX_EXP = 700.0
 
 
 def ode_taylor(t0, t1, a, g, degree: int) -> list:
@@ -142,7 +146,13 @@ def _sweep(xs, vs, cusps, energy: float, coef: float):
     is the number of levels below ``energy``; the matching defect
     psi'(a+) + kappa psi(a) at the last boundary, which vanishes at a level
     and has the sign (-1)^zeros; and (psi, psi'(a-), psi'(a+), log scale) at
-    each boundary a, with psi rescaled at each boundary.
+    each boundary a. At each boundary (psi, psi') is divided by max(|psi|,
+    |psi'|) to stay in range, so the solution itself is e^(log scale) times
+    the row, and the defect is divided by e^(log scale) of the last row.
+    That divisor is not smooth in ``energy``: where the level lives away
+    from the last boundary it leaves the defect a sign function of E at
+    float resolution, so a root finder polishes the defect times e^(log
+    scale) instead (``solve_piecewise``).
     """
     P, Q = 1.0, math.sqrt(coef * (vs[0] - energy))
     log_scale, zeros, rows = 0.0, 0, []
@@ -212,7 +222,10 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int,
             else:                   # inverse quadratic
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                # where this product underflows to 0, scipy's C division
+                # gives inf or NaN and the step below bisects; inf does here
+                denom = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:
@@ -232,7 +245,14 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1) -> BoundState:
     delta coefficients (-g), all read off the spec's ledger. Levels lie
     between the asymptote min(V_left, V_right) and min(V) - m (sum g)^2 /
     2 hbar^2. Bisecting the Sturm count of ``_sweep`` isolates level n, and
-    ``_brentq`` finds the root of its defect.
+    ``_brentq`` finds the root of its defect with the sweep's scale put
+    back: the defect times e^(s - ref), s the log scale ``_sweep`` divided
+    out at the last boundary and ref its mean over the bracket's two ends,
+    with s - ref clamped to +-``_MAX_EXP``. The factor is positive, so the
+    signs that the count and the bracket read are the defect's own; but the
+    product is the unscaled defect, analytic in E, where the divided one is
+    a sign function whenever the level lives away from the last boundary,
+    and Brent would bisect.
     """
     xs, vs, cusps = pieces = spec.pieces()
     m, hbar = spec.mass, spec.hbar
@@ -261,19 +281,34 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1) -> BoundState:
         else:
             lo, below_lo = mid, below
 
-    def defect(E):
-        return _sweep(xs, vs, cusps, E, coef)[1]
+    def swept(E):
+        """The defect at E and the log scale ``_sweep`` divided it by."""
+        _, d, rows = _sweep(xs, vs, cusps, E, coef)
+        return d, rows[-1][3]
 
-    d_lo, d_hi = defect(lo), defect(hi)
+    (d_lo, s_lo), (d_hi, s_hi) = swept(lo), swept(hi)
     if d_lo * d_hi > 0.0:
         # the count and the defect's sign disagree only within rounding of a
         # level, or where level n shares its float with a neighbour
         energy = lo if abs(d_lo) < abs(d_hi) else hi
     else:
+        ref = 0.5 * (s_lo + s_hi)
+
+        def rescaled(d, s):
+            """d times e^(s - ref), the exponent clamped short of overflow."""
+            return d * math.exp(min(max(s - ref, -_MAX_EXP), _MAX_EXP))
+
+        fb = rescaled(d_hi, s_hi)
+        if fb == 0.0 and below_hi == n:
+            # n levels lie strictly below hi, so a 0 there is level n + 1
+            # rounded onto hi, not level n: a delta far from the rest has its
+            # own level at -m g^2 / 2 hbar^2, a float the bisection can hit
+            # exactly. hi keeps the sign (-1)^n of its count
+            fb = (-1.0) ** n * math.ulp(0.0)
         # _brentq stops at rtol relative to E, which a chain resolves (its V - E
         # is -E exactly); xtol, far below the depth, only ends a search at E = 0
-        energy = _brentq(defect, lo, hi, xtol=1e-30 * (top - bottom), rtol=8.9e-16,
-                         maxiter=200, fa=d_lo, fb=d_hi)
+        energy = _brentq(lambda E: rescaled(*swept(E)), lo, hi, xtol=1e-30 * (top - bottom),
+                         rtol=8.9e-16, maxiter=200, fa=rescaled(d_lo, s_lo), fb=fb)
     return _piecewise_state(spec, pieces, n, energy)
 
 

@@ -112,6 +112,22 @@ def test_two_route_detects_corruption():
         asy.predict_tail(st, pot.discontinuities(spec))
 
 
+def test_two_route_checks_a_jump_deep_in_a_tail():
+    # psi ~ 1e-33 at x = 30: the routes' residual is measured against the
+    # one-sided values, so an order-2 jump made 5 times too large is caught
+    spec = pot.StepSum(steps=((0.0, -5.0), (1.0, 5.0), (30.0, 1.0)))
+    st = eig.solve(spec)
+    records = pot.discontinuities(spec)
+    asy.predict_tail(st, records)
+    side = st.derivative_table[30.0]
+    assert abs(side.right[2] - side.left[2]) < 1e-31
+    right = list(side.right)
+    right[2] = side.left[2] + 5.0 * (side.right[2] - side.left[2])
+    st.derivative_table[30.0] = eig.SideDerivatives(side.value, side.left, tuple(right))
+    with pytest.raises(InconsistentJumps, match="x=30"):
+        asy.predict_tail(st, records)
+
+
 def test_symmetric_linear_jump_values():
     spec = pot.SymmetricLinear(force=0.5)   # rho = 1
     even = eig.solve(spec, 1, parity="even")

@@ -1,6 +1,7 @@
 """Bound-state solvers: energies, normalization, derivative tables, jumps."""
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -114,6 +115,17 @@ def test_distant_double_delta_resolves_both_states(gap):
         assert eig.solve(spec, n).energy == pytest.approx(float(-kap ** 2 / 2), rel=1e-12)
     with pytest.raises(NoSuchState):
         eig.solve(spec, 3)
+
+
+def test_far_delta_level_hit_by_the_bisection_is_no_lower_level():
+    # the delta at 30 has its own level at -g^2/2 = -0.5 to float precision,
+    # the bisection of [-8, 0] hits -0.5 exactly, and the defect there is 0:
+    # it is level 2, and n = 1 is the deeper level of the three near deltas
+    spec = pot.DeltaSum(deltas=((1.0, 0.0), (1.0, 1.0), (1.0, 3.0), (1.0, 30.0)))
+    for n in (1, 2, 3):
+        lam = bs_eigenvalues_mp(spec, eig.solve(spec, n).energy)
+        assert lam[n - 1] == pytest.approx(1.0, abs=1e-15)
+    assert eig.solve(spec, 2).energy == -0.5
 
 
 def test_infinite_well_energies():
@@ -468,6 +480,9 @@ def test_asymmetric_linear_against_shooting(n):
 
 POLISHED = [
     (pot.DeltaSum(deltas=((1.0, -1.0), (1.5, 0.5), (0.8, 2.0))), 2),
+    # the rescaled defect spans ~1e-304..1e304 over the bracket, and an
+    # inverse quadratic step's denominator underflows to 0
+    (pot.DeltaSum(deltas=((0.6, 0.0), (23.4, 58.6), (0.8, 64.75), (98.5, 65.0))), 1),
     (pot.FiniteWell(depth=10.0, a=-1.0, b=1.0), 2),
     (pot.StepSum(steps=((0.0, -5.0), (1.0, 2.0), (2.0, 3.0))), 1),
     (pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0), 1),
@@ -478,7 +493,7 @@ POLISHED = [
 
 
 @pytest.mark.parametrize("spec,n", POLISHED, ids=[
-    "delta_chain", "finite_well", "step_ladder", "hybrid", "asym_1", "asym_30", "asym_near_equal"])
+    "delta_chain", "wide_delta_chain", "finite_well", "step_ladder", "hybrid", "asym_1", "asym_30", "asym_near_equal"])
 def test_brentq_port_matches_scipy_bit_for_bit(monkeypatch, spec, n):
     # every polish of the solve, on its own defect and bracket, against scipy
     polish, pairs = eig._brentq, []
@@ -630,6 +645,65 @@ def test_delta_chain_levels_property(chain, pick):
     grid = np.linspace(-50.0, 50.0, 1001)
     closed = mom.phi_closed_delta(spec, st, grid).phi
     assert np.max(np.abs(panels.transform(grid) - closed)) < 1e-10
+
+
+def bs_eigenvalues_mp(spec, energy):
+    """``bs_eigenvalues`` at the decay rate of ``energy``, at mpmath's precision."""
+    kappa = mpmath.sqrt(-2 * mpmath.mpf(spec.mass) * energy) / spec.hbar
+    g = [mpmath.mpf(d[0]) for d in spec.deltas]
+    a = [mpmath.mpf(d[1]) for d in spec.deltas]
+    s = mpmath.matrix([[spec.mass / (spec.hbar ** 2 * kappa) * mpmath.sqrt(gi * gj)
+                        * mpmath.exp(-kappa * abs(ai - aj)) for gj, aj in zip(g, a)]
+                       for gi, ai in zip(g, a)])
+    return sorted(mpmath.eigsy(s, eigvals_only=True), reverse=True)
+
+
+def polished(spec, n):
+    """Level n of ``spec`` and the number of defect evaluations its polish made."""
+    polish, count = eig._brentq, [0]
+
+    def counting(f, *args, **kwargs):
+        def counted(x):
+            count[0] += 1
+            return f(x)
+        return polish(counted, *args, **kwargs)
+
+    with mock.patch.object(eig, "_brentq", counting):
+        return eig.solve(spec, n), count[0]
+
+
+FAR_CHAINS = hst.tuples(hst.lists(hst.tuples(hst.floats(0.5, 2.0), hst.floats(0.5, 30.0)),
+                                  min_size=2, max_size=5), hst.booleans())
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(FAR_CHAINS, hst.integers(1, 5))
+def test_delta_chain_polish_property(chain_equal, pick):
+    # the polish reads the defect with the sweep's scale put back, a smooth
+    # function of E however far apart the deltas: few evaluations, and level
+    # n lies within 4 rtol of the 30-digit Birman-Schwinger root. Neither
+    # bound holds for every chain of the strategy: four equal deltas whose
+    # level sits ~1e-13 from a neighbour outside the bracket can take ~90
+    # evaluations, and a top level above -3e-3 can miss by up to 5e-12
+    chain, equal = chain_equal
+    strengths = [chain[0][0]] * len(chain) if equal else [g for g, _ in chain]
+    at = np.cumsum([0.0] + [gap for _, gap in chain[:-1]])
+    spec = pot.DeltaSum(deltas=tuple(zip(strengths, map(float, at))))
+    n = min(pick, int(np.sum(bs_eigenvalues(spec, 1e-8 * sum(strengths)) > 1.0)))
+    st, evaluations = polished(spec, n)
+    assert evaluations <= 45
+    deep, shallow = (bs_eigenvalues_mp(spec, st.energy * (1.0 + s * 4 * 8.9e-16))
+                     for s in (1, -1))
+    assert deep[n - 1] <= 1 <= shallow[n - 1]
+
+
+def test_far_chain_polish_is_not_bisection():
+    # the defect divided by the sweep's scale reads +-0.546 here until within
+    # ~1e-12 of the level: a sign function, on which Brent can only bisect
+    spec = pot.DeltaSum(deltas=((1.185343, 0.0), (0.861805, 14.167813)))
+    st, evaluations = polished(spec, 1)
+    assert evaluations <= 16
+    assert bs_eigenvalues_mp(spec, st.energy)[0] == pytest.approx(1.0, abs=1e-14)
 
 
 POTENTIAL = hst.floats(-5.0, 5.0).filter(lambda v: abs(v) >= 0.1)
