@@ -263,7 +263,15 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1) -> BoundState:
         raise NoSuchState("n must be >= 1")
     if not bottom < top:
         raise NoSuchState("no admissible bound-state energy window")
-    levels, at_top = _sweep(xs, vs, cusps, top, coef)[:2]
+    sweeps = {}
+
+    def sweep(E):
+        """``_sweep`` at E, run once per energy of this solve."""
+        if E not in sweeps:
+            sweeps[E] = _sweep(xs, vs, cusps, E, coef)
+        return sweeps[E]
+
+    levels, at_top = sweep(top)[:2]
     if levels == 0:
         raise NoBoundState("no level below the asymptote")
     if levels < n:
@@ -275,7 +283,7 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1) -> BoundState:
     while (((below_lo, below_hi) != (n - 1, n) or (resonant and hi == top))
            and lo < 0.5 * (lo + hi) < hi):
         mid = 0.5 * (lo + hi)
-        below = _sweep(xs, vs, cusps, mid, coef)[0]
+        below = sweep(mid)[0]
         if below >= n:
             hi, below_hi = mid, below
         else:
@@ -283,7 +291,7 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1) -> BoundState:
 
     def swept(E):
         """The defect at E and the log scale ``_sweep`` divided it by."""
-        _, d, rows = _sweep(xs, vs, cusps, E, coef)
+        _, d, rows = sweep(E)
         return d, rows[-1][3]
 
     (d_lo, s_lo), (d_hi, s_hi) = swept(lo), swept(hi)
@@ -309,12 +317,13 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1) -> BoundState:
         # is -E exactly); xtol, far below the depth, only ends a search at E = 0
         energy = _brentq(lambda E: rescaled(*swept(E)), lo, hi, xtol=1e-30 * (top - bottom),
                          rtol=8.9e-16, maxiter=200, fa=rescaled(d_lo, s_lo), fb=fb)
-    return _piecewise_state(spec, pieces, n, energy)
+    return _piecewise_state(spec, pieces, n, energy, sweep(energy)[2])
 
 
-def _piecewise_state(spec: pot.Piecewise, pieces, n: int, energy: float) -> BoundState:
+def _piecewise_state(spec: pot.Piecewise, pieces, n: int, energy: float, left) -> BoundState:
     """The normalised state of ``solve_piecewise`` at its level ``energy``,
-    on the ``pieces`` (boundaries, region potentials, delta coefficients).
+    on the ``pieces`` (boundaries, region potentials, delta coefficients),
+    from ``left``, the rows of ``_sweep`` at ``energy``.
 
     psi is built from both ends: the solutions that decay at -infinity and at
     +infinity are joined at the boundary where their product, which near a
@@ -329,8 +338,9 @@ def _piecewise_state(spec: pot.Piecewise, pieces, n: int, energy: float) -> Boun
     xs, vs, cusps = pieces
     m, hbar = spec.mass, spec.hbar
     coef = 2.0 * m / hbar ** 2
-    left = _sweep(xs, vs, cusps, energy, coef)[2]
-    mirrored = _sweep([-x for x in xs[::-1]], vs[::-1], cusps[::-1], energy, coef)[2]
+    flipped = ([-x for x in xs[::-1]], vs[::-1], cusps[::-1])
+    # pieces mirror-symmetric about 0 are their own mirror image
+    mirrored = left if flipped == pieces else _sweep(*flipped, energy, coef)[2]
     right = [(P, -Qp, -Qm, log_scale) for P, Qm, Qp, log_scale in mirrored[::-1]]
 
     def weight(i):
@@ -451,9 +461,12 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
     vanishes at a wall only when both ladders share it (within
     ``_SHARED_WALL``), and such a wall is a level: if w_(k-1) and w_k are
     shared, E is that wall; otherwise a bracket end shared with its outer
-    neighbour moves inward by ``_SHARED_WALL`` before ``_brentq``. A kink leaves psi' continuous, so the state reports one
-    psi'(0); psi(0) = 0 exactly where E is a zero of Ai, and psi'(0) = 0
-    where it is one of Ai'. psi(0) > 0, or psi'(0) > 0 where psi(0) = 0.
+    neighbour moves inward by ``_SHARED_WALL`` before ``_brentq``. The solve
+    reads only w_(k-2) .. w_(k+1), from ``specfun.merged_zero_window``, which
+    polishes only the zeta of walls near them. A kink leaves psi' continuous, so
+    the state reports one psi'(0); psi(0) = 0 exactly where E is a zero of
+    Ai, and psi'(0) = 0 where it is one of Ai'. psi(0) > 0, or psi'(0) > 0
+    where psi(0) = 0.
     """
     k = spec.level_index(n, parity)
     if k < 1:
@@ -472,23 +485,22 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
         def defect(E):
             """Matching determinant at z = 0, from one Airy call for both sides."""
             ai, aip = specfun.airy_ai_and_prime(np.array([-E / e0_r, -E / e0_l]))
-            return float(aip[0] * ai[1] / rho_r + ai[0] * aip[1] / rho_l)
+            (ai_r, ai_l), (aip_r, aip_l) = ai.tolist(), aip.tolist()
+            return aip_r * ai_l / rho_r + ai_r * aip_l / rho_l
 
-        zeta = specfun.airy_zero_ladder(k)
-        walls = np.sort(np.concatenate([e0_r * zeta, e0_l * zeta]))
+        # walls k - 3 .. k (from 0) of the merged ladder, 0.0 below the first
+        lowest, lo, hi, above = specfun.merged_zero_window(k, e0_r, e0_l)
 
-        def shared(i):
-            """Walls i and i + 1 (0-based) coincide."""
-            return i >= 0 and walls[i + 1] - walls[i] <= _SHARED_WALL * walls[i + 1]
+        def shared(low, high):
+            """Two neighbouring walls coincide."""
+            return high - low <= _SHARED_WALL * high
 
-        if shared(k - 2):
-            energy = float(walls[k - 1])
+        if k > 1 and shared(lo, hi):
+            energy = hi
         else:
-            lo = float(walls[k - 2]) if k > 1 else 0.0
-            hi = float(walls[k - 1])
-            if shared(k - 3):
+            if k > 2 and shared(lowest, lo):
                 lo *= 1.0 + _SHARED_WALL
-            if shared(k - 1):
+            if shared(hi, above):
                 hi *= 1.0 - _SHARED_WALL
             energy = _brentq(defect, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
         u_r, u_l = -energy / e0_r, -energy / e0_l

@@ -431,9 +431,8 @@ def test_asymmetric_linear_levels_property(force_right, force_left, n):
                                            force_left=force_left), n)
 
 
-def test_asymmetric_linear_solve_evaluates_few_airy_arguments(monkeypatch):
-    # the interlacing bracket needs the wall ladder and a brentq on two
-    # arguments per energy, where an energy scan at n = 30 took 6,400 energies
+def airy_arguments(monkeypatch, spec, n, parity=None):
+    """The size of each ``airy`` call that one solve makes."""
     counted = []
     airy = specfun.airy
 
@@ -442,10 +441,25 @@ def test_asymmetric_linear_solve_evaluates_few_airy_arguments(monkeypatch):
         return airy(x)
 
     monkeypatch.setattr(specfun, "airy", counting_airy)
-    eig.solve(pot.AsymmetricLinear(force_right=0.5, force_left=2.0), 30)
-    # two Newton steps on the 30 zeta of the wall ladder (no eta), two
-    # arguments per brentq evaluation, and two for the match at z = 0
-    assert 0 < sum(counted) <= 78
+    eig.solve(spec, n, parity)
+    return counted
+
+
+def test_asymmetric_linear_solve_evaluates_few_airy_arguments(monkeypatch):
+    # the interlacing bracket needs four walls of the merged ladder and a
+    # brentq on two arguments per energy, where an energy scan at n = 30 took
+    # 6,400 energies and a polished ladder of 30 zeta took 60 arguments: one
+    # Newton step on each zeta of the four walls (and of any wall whose
+    # start's error bound meets theirs), two arguments per brentq evaluation,
+    # and two for the match at z = 0
+    spec = pot.AsymmetricLinear(force_right=0.5, force_left=2.0)
+    assert 0 < sum(airy_arguments(monkeypatch, spec, 30)) <= 40
+
+
+def test_asymmetric_linear_far_level_evaluates_few_airy_arguments(monkeypatch):
+    # the count does not grow with n: no ladder below the window is polished
+    spec = pot.AsymmetricLinear(force_right=0.5, force_left=2.0)
+    assert 0 < sum(airy_arguments(monkeypatch, spec, 20000)) <= 40
 
 
 @pytest.mark.parametrize("spec,parity", [
@@ -454,18 +468,80 @@ def test_asymmetric_linear_solve_evaluates_few_airy_arguments(monkeypatch):
     (pot.SymmetricLinear(force=0.5), "odd"),
 ], ids=["bouncer", "symmetric_even", "symmetric_odd"])
 def test_single_airy_zero_solve_polishes_one_zero(monkeypatch, spec, parity):
-    # level 30 is one Airy zero: one argument per Newton step, then both
-    # sides of the match at z = 0 in one call
-    counted = []
-    airy = specfun.airy
+    # level 30 is one Airy zero: one-argument Newton calls from its
+    # asymptotic start, at most 3 of them, then both sides of the match at
+    # z = 0 in one call
+    *newton, match = airy_arguments(monkeypatch, spec, 30, parity)
+    assert 1 <= len(newton) <= 3 and set(newton) == {1} and match == 2
 
-    def counting_airy(x):
-        counted.append(np.size(x))
-        return airy(x)
 
-    monkeypatch.setattr(specfun, "airy", counting_airy)
-    eig.solve(spec, 30, parity)
-    assert counted == [1] * specfun._NEWTON_STEPS + [2]
+WALL_RATIOS = [(0.5, 2.0), (1.0, 0.45), (1.0, 1.0 + 1e-7), (1.0, 1.0 - 1e-7),
+               (1.0, 1.0 + 1e-13), (1.0, 1.0 - 1e-13)]
+
+
+@pytest.mark.parametrize("force_right,force_left", WALL_RATIOS)
+def test_asymmetric_walls_equal_the_polished_ladder_bit_for_bit(monkeypatch, force_right,
+                                                                 force_left):
+    # the four walls the bracket and the shared-wall checks read, of which
+    # the solve polishes only the zeta near the window, are the floats of
+    # the merged ladder of fully polished zeta
+    window = specfun.merged_zero_window
+    read = []
+
+    def recording(k, a, b):
+        walls = window(k, a, b)
+        read.append((k, a, b, walls))
+        return walls
+
+    monkeypatch.setattr(specfun, "merged_zero_window", recording)
+    spec = pot.AsymmetricLinear(force_right=force_right, force_left=force_left)
+    for n in range(1, 41):
+        eig.solve(spec, n)
+    assert [k for k, *_ in read] == list(range(1, 41))
+    ladder = specfun.airy_zero_ladder(41)
+    for k, a, b, walls in read:
+        merged = np.sort(np.concatenate([a * ladder[:k + 1], b * ladder[:k + 1]]))
+        want = [float(merged[p]) if p >= 0 else 0.0 for p in range(k - 3, k + 1)]
+        assert [w.hex() for w in walls] == [w.hex() for w in want]
+
+
+def test_merged_walls_far_up_the_ladder_equal_the_polished_ladder():
+    a, b = 0.5, 0.5 * 4.0 ** (1.0 / 3.0)
+    ladder = specfun.airy_zero_ladder(20001)
+    merged = np.sort(np.concatenate([a * ladder, b * ladder]))
+    assert specfun.merged_zero_window(20000, a, b) == merged[19997:20001].tolist()
+
+
+def test_linear_levels_far_up_the_ladder():
+    # level 20,000 of the bouncer and of each symmetric parity is one Airy
+    # zero near 2071, from its asymptotic start; e0 = 0.5 at F = 0.5
+    for spec, parity, derivative in [(pot.Bouncer(force=0.5), None, 0),
+                                     (pot.SymmetricLinear(force=0.5), "even", 1),
+                                     (pot.SymmetricLinear(force=0.5), "odd", 0)]:
+        want = 0.5 * float(-mpmath.airyaizero(20000, derivative=derivative))
+        assert eig.solve(spec, 20000, parity).energy == pytest.approx(want, rel=1e-13)
+
+
+def test_no_airy_solve_calls_ai_zeros(monkeypatch):
+    # the zeros start from their asymptotic expansions: scipy's ai_zeros,
+    # which computes all n zeros of Ai and of Ai' to return one, is not called
+    from scipy import special
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.special.ai_zeros was called")
+
+    monkeypatch.setattr(special, "ai_zeros", refuse)
+    # and wherever specfun might keep a reference to it
+    monkeypatch.setattr(specfun, "ai_zeros", refuse, raising=False)
+    states = [(pot.Bouncer(force=0.5), None), (pot.SymmetricLinear(force=0.5), "even"),
+              (pot.SymmetricLinear(force=0.5), "odd"),
+              (pot.AsymmetricLinear(force_right=0.5, force_left=2.0), None),
+              (pot.AsymmetricLinear(force_right=0.7, force_left=0.7), None)]
+    for spec, parity in states:
+        for n in range(1, 31):
+            eig.solve(spec, n, parity)
+            if not isinstance(spec, pot.AsymmetricLinear):     # it has no Q_n
+                spec.classical_q(n, parity)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -570,6 +646,29 @@ def test_piecewise_polish_sweeps_neither_bracket_end(monkeypatch):
     eig.solve(pot.DeltaSum(deltas=((1.0, -1.0), (1.5, 0.5), (0.8, 2.0))), 2)
     (lo, hi, inside), = polished
     assert inside and lo not in inside and hi not in inside
+
+
+@pytest.mark.parametrize("spec,n", [
+    (pot.DeltaSum(deltas=((1.185343, 0.0), (0.861805, 14.167813))), 1),
+    (pot.StepSum(steps=((0.0, -5.0), (1.0, 2.0), (2.0, 3.0))), 1),
+    (pot.FiniteWell(depth=10.0, a=-1.5, b=0.8), 2),
+    (pot.FiniteWell(depth=10.0, a=-1.0, b=1.0), 1),
+    (pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0), 1),
+], ids=["delta_chain", "step_ladder", "finite_well", "centred_well", "hybrid"])
+def test_piecewise_solve_sweeps_no_energy_twice(monkeypatch, spec, n):
+    # the top, the bisection and the polish share their sweeps, and the
+    # state reuses the polish's last one; the state's mirrored sweep, from
+    # the right, is a sweep of other pieces, or the left one where the
+    # pieces are their own mirror image
+    sweeps, sweep = [], eig._sweep
+
+    def recording(xs, vs, cusps, energy, coef):
+        sweeps.append((tuple(xs), tuple(vs), tuple(cusps), energy))
+        return sweep(xs, vs, cusps, energy, coef)
+
+    monkeypatch.setattr(eig, "_sweep", recording)
+    eig.solve(spec, n)
+    assert len(sweeps) == len(set(sweeps))
 
 
 # --- delta chains and step ladders: properties against independent oracles --

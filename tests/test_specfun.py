@@ -64,12 +64,25 @@ def test_array_form_matches_scalar_calls():
     assert np.array_equal(aip, specfun.airy_ai_prime(xs))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20, 30, 50])
+@pytest.mark.parametrize("n", range(1, 61))
 def test_zeros_against_mpmath(n):
     assert specfun.airy_zero(n) == pytest.approx(
         float(-mpmath.airyaizero(n)), rel=1e-13)
     assert specfun.airy_prime_zero(n) == pytest.approx(
         float(-mpmath.airyaizero(n, derivative=1)), rel=1e-13)
+
+
+def test_zeta_start_error_bounds_the_start():
+    # merged_zero_window orders walls by their starts wherever these bounds
+    # keep them apart: each start lies within its bound of the polished zeta
+    ladder = specfun.airy_zero_ladder(2000)
+    for k, zeta in enumerate(ladder.tolist(), start=1):
+        start, bound = specfun._zeta_start(k)
+        assert abs(start - zeta) <= bound * start
+    for k in (1, 2, 3, 5, 10, 40, 200):
+        start, bound = specfun._zeta_start(k)
+        exact = -mpmath.airyaizero(k)
+        assert abs(start - exact) <= bound * start
 
 
 def test_zeros_are_roots():
