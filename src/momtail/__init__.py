@@ -7,10 +7,9 @@ structure.
 
 from .asymptotics import TailPrediction, TailTerm, expansion_terms, predict_tail
 from .eigensolve import BoundState, SideDerivatives, solve
-from .errors import (DivergentMoment, InconsistentJumps,
-                     InsufficientDerivativeDepth, NoBoundState, NoConvergence,
-                     NonPowerLaw, NoSuchState, QuadratureBudgetExceeded,
-                     UnsupportedCase)
+from .errors import (DivergentMoment, InconsistentJumps, NoBoundState,
+                     NoConvergence, NonPowerLaw, NoSuchState,
+                     QuadratureBudgetExceeded, UnsupportedCase)
 from .momentum import (FilonPanels, MomentumSamples, classical_momentum_density,
                        moment, parseval_norm, phi_closed_delta, phi_closed_well,
                        phi_quadrature)
@@ -24,7 +23,7 @@ __all__ = [
     "AsymmetricLinear", "Bouncer", "BoundState", "DeltaSum",
     "DiscontinuityRecord", "DivergentMoment", "FilonPanels", "FiniteWell",
     "FitResult", "HybridDeltaStep", "InconsistentJumps", "InfiniteWell",
-    "InsufficientDerivativeDepth", "MomentumSamples", "NoBoundState",
+    "MomentumSamples", "NoBoundState",
     "NoConvergence", "NonPowerLaw", "NoSuchState", "PotentialSpec",
     "QuadratureBudgetExceeded", "SideDerivatives", "StepSum",
     "SymmetricLinear", "TailComparison", "TailPrediction", "TailTerm",

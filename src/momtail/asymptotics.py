@@ -37,13 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import BoundState
-from .errors import InconsistentJumps, InsufficientDerivativeDepth, UnsupportedCase
+from .errors import InconsistentJumps, UnsupportedCase
 from .potentials import DiscontinuityRecord, check_units
 
 _REL_ZERO = 1e-9    # below this (relative to the one-sided values) a jump is "zero"
 _JUMP_CHECK_TOL = 1e-8  # the two routes' jumps may differ by this share of the larger
-
-DEFAULT_ORDER_CUTOFF = 6
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,7 @@ class TailTerm:
 
 @dataclass
 class TailPrediction:
-    """All expansion terms up to a cutoff, plus the leading-order envelope."""
+    """All expansion terms up to the derivative table's depth, plus the leading-order envelope."""
     terms: list[TailTerm]
     leading_exponent: int
 
@@ -100,16 +98,13 @@ def _sum_terms(terms: list[TailTerm], p):
     return (phase[..., :, None] * powers[..., None, :] * coef).sum(axis=(-2, -1))
 
 
-def expansion_terms(state: BoundState, records: list[DiscontinuityRecord],
-                    n_max: int = DEFAULT_ORDER_CUTOFF) -> list[TailTerm]:
-    """All T_n terms with n <= n_max at every discontinuity location, in the state's hbar."""
+def expansion_terms(state: BoundState, records: list[DiscontinuityRecord]) -> list[TailTerm]:
+    """All T_n terms at every discontinuity location, in the state's hbar: n = 1
+    up to the number of derivatives psi^(n-1) the state's table holds."""
     terms: list[TailTerm] = []
     for rec in records:
         side = state.derivative_table[rec.location]
-        if n_max - 1 > len(side.right) - 1:
-            raise InsufficientDerivativeDepth(
-                f"need derivatives through order {n_max - 1}, table holds {len(side.right) - 1}")
-        for n in range(1, n_max + 1):
+        for n in range(1, len(side.right) + 1):
             raw = side.right[n - 1] - side.left[n - 1]
             scale = abs(side.right[n - 1]) + abs(side.left[n - 1])
             jump = 0.0 if abs(raw) <= _REL_ZERO * scale else raw
@@ -171,7 +166,7 @@ def predict_tail(state: BoundState, records: list[DiscontinuityRecord],
                 f"order-{order} jump, derivative table gives {tabulated!r}")
     nonzero = [t.order for t in terms if t.jump != 0.0]
     if not nonzero:
-        raise UnsupportedCase("no nonvanishing jump up to the requested order")
+        raise UnsupportedCase("no nonvanishing jump up to the derivative table's order")
     return TailPrediction(terms=terms, leading_exponent=min(nonzero))
 
 

@@ -17,9 +17,10 @@ the state's Filon panels and its truncation bound (``momentum.FilonPanels``'
 Exit codes: 0 success; 1 a failed verification or a quadrature failure
 (``solve``, ``transform`` and ``verify`` when the Filon panels cannot
 resolve psi); 2 a usage error, a ``config error``
-(an unreadable config, a field of the wrong type, grid bounds that are not
-finite with min < max, a potential parameter that is not finite, a mass or
-hbar <= 0) or a ``solve error`` (a state, parity or prediction the config
+(an unreadable config, a field it does not read or of the wrong type, grid
+bounds that are not finite with min < max, a grid too large to allocate, a
+potential parameter that is not finite, a mass or hbar <= 0) or a
+``solve error`` (a state, parity or prediction the config
 cannot have, psi and psi' both zero at a break, jumps whose two routes
 disagree, or a failed root polish).
 """
@@ -50,6 +51,7 @@ _FIT_HI = 1e3
 _EXPONENT_TOL = 0.1
 _ENVELOPE_TOL = 0.05
 _DEFAULT_GRID = {"kind": "linear", "min": -50.0, "max": 50.0, "count": 1001}
+_CONFIG_FIELDS = {"potential", "n", "parity", "grid"}
 
 # each stage of a command: the errors it reports under this prefix, and the exit code
 _FAILURES = {
@@ -109,6 +111,8 @@ def _load_config(config: str, grid: str | None, n: int | None, parity: str | Non
             raw = json.load(fh)
         if not isinstance(raw, dict) or "potential" not in raw:
             raise ValueError("config must contain a 'potential' object")
+        if set(raw) - _CONFIG_FIELDS:
+            raise ValueError(f"unexpected config fields: {sorted(set(raw) - _CONFIG_FIELDS)}")
         spec = pot.from_dict(raw["potential"])
         n = raw.get("n", 1) if n is None else n
         parity = raw.get("parity") if parity is None else parity
@@ -117,8 +121,12 @@ def _load_config(config: str, grid: str | None, n: int | None, parity: str | Non
                              f"n = {n!r}, parity = {parity!r}")
         if grid is None:
             policy = dict(raw.get("grid", _DEFAULT_GRID))
-            kind, lo, hi = policy.get("kind"), policy["min"], policy["max"]
-            count = policy["count"] if kind == "linear" else policy.get("per_decade", 40)
+            kind = policy.pop("kind", None)
+            lo, hi = (pot._number(name, policy.pop(name)) for name in ("min", "max"))
+            count = (policy.pop("count") if kind == "linear"
+                     else pot._number("per_decade", policy.pop("per_decade", 40)))
+            if policy:
+                raise ValueError(f"unexpected grid fields: {sorted(policy)}")
         else:
             parts = grid.split(":")
             if len(parts) != 4 or parts[0] not in ("linear", "log"):
@@ -187,10 +195,12 @@ def solve(cfg: RunConfig, out: Path) -> None:
 @_config_command
 def transform(cfg: RunConfig, out: Path) -> None:
     """Momentum-space wavefunction on the configured grid, as CSV."""
+    with _failing_as("config error"):
+        grid = cfg.grid()
     with _failing_as("solve error"):
         state = eig.solve(cfg.spec, cfg.n, cfg.parity)
     with _failing_as("quadrature error"):
-        samples = mom.phi_quadrature(state, cfg.grid())
+        samples = mom.phi_quadrature(state, grid)
     header = "p,phi_re,phi_im,abs_phi2"
     columns = [samples.grid, samples.phi_re, samples.phi_im, samples.abs_phi2]
     try:

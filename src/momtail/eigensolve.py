@@ -42,7 +42,8 @@ from .errors import NoBoundState, NoConvergence, NoSuchState
 
 # support truncation: exp(-42) ~ 5.7e-19
 _DECAY_CUT = 42.0
-# highest derivative order in a derivative table
+# highest derivative order in a derivative table, and so the depth of the
+# predicted tail series: its terms run to order _TABLE_ORDER + 1
 _TABLE_ORDER = 5
 _FACTORIALS = tuple(math.factorial(k) for k in range(_TABLE_ORDER + 1))
 # largest |exponent| of the scale that solve_piecewise puts back on its
@@ -463,7 +464,8 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
     shared, E is that wall; otherwise a bracket end shared with its outer
     neighbour moves inward by ``_SHARED_WALL`` before ``_brentq``. The solve
     reads only w_(k-2) .. w_(k+1), from ``specfun.merged_zero_window``, which
-    polishes only the zeta of walls near them. A kink leaves psi' continuous, so
+    polishes at most eight zeta: the four walls of each ladder that can hold
+    them, placed by their asymptotic starts. A kink leaves psi' continuous, so
     the state reports one psi'(0); psi(0) = 0 exactly where E is a zero of
     Ai, and psi'(0) = 0 where it is one of Ai'. psi(0) > 0, or psi'(0) > 0
     where psi(0) = 0.

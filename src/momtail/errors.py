@@ -27,10 +27,6 @@ class NonPowerLaw(ValueError):
     """Sampled tail is not consistent with a single power law (r^2 too low)."""
 
 
-class InsufficientDerivativeDepth(ValueError):
-    """Derivative table is too shallow for the requested expansion order."""
-
-
 class InconsistentJumps(RuntimeError):
     """Jump from potential data disagrees with the derivative table (solver bug)."""
 

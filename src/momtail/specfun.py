@@ -13,10 +13,10 @@ whichever call, ladder or subset returns it.
 
 Only the zeros a caller reads are polished: past |x| = 10 ``airy`` takes
 scipy's AMOS branch, about six times dearer a point. ``airy_zero(n)`` and
-``airy_prime_zero(n)`` polish the n-th zero alone, ``airy_zero_ladder`` the
-first ``count`` zeta, and ``merged_zero_window`` the few zeta of two scaled
-ladders near a given place in their merged order, found from the starts
-and their error bounds with no Airy call.
+``airy_prime_zero(n)`` polish the n-th zero alone, and
+``merged_zero_window`` the eight zeta of two scaled ladders that can hold a
+given place in their merged order, found by bisection on the starts with no
+Airy call.
 
 ``scipy.special`` is imported on first use, so the kinds that need no Airy
 function load no scipy. ``airy`` is a module attribute, resolved by the
@@ -29,18 +29,11 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 _module = sys.modules[__name__]
 
 # DLMF 9.9.18-19: T(t) and U(t) are t^(2/3) times sum_i c_i t^(-2i), i = 0..4
 _T = (1.0, 5 / 48, -5 / 36, 77125 / 82944, -108056875 / 6967296)
 _U = (1.0, -7 / 48, 35 / 288, -181223 / 207360, 18683371 / 1244160)
-# T's first omitted coefficient, of t^(-10): twice that term bounds the
-# truncation error of a zeta start (0.6 to 0.99 of the term, k = 2..10), and
-# 4e-15 its rounding (a start and its polished zeta differ by at most 8.7e-16
-# from k = 100 to 20,000)
-_T_NEXT = 162375596875 / 334430208
 # the series is good to only 4e-4 at zeta_1, which would cost a second
 # Newton step, and fails at eta_1: these two start from constants instead
 _ZETA_1, _ETA_1 = 2.338107, 1.0188
@@ -88,17 +81,12 @@ def _check(k: int) -> None:
         raise ValueError("zero index must be >= 1")
 
 
-def _zeta_start(k: int) -> tuple[float, float]:
-    """The start s of the k-th zeta and a bound on |s - zeta_k| / s."""
+def _start(k: int, derivative: bool) -> float:
+    """The start of the k-th eta with ``derivative``, else of the k-th zeta."""
     if k == 1:
-        return _ZETA_1, 1e-6
-    t = 3.0 * math.pi * (4 * k - 1) / 8.0
-    return _series(_T, t), 2.0 * _T_NEXT * t ** -10 + 4e-15
-
-
-def _eta_start(k: int) -> float:
-    """The start of the k-th eta."""
-    return _ETA_1 if k == 1 else _series(_U, 3.0 * math.pi * (4 * k - 3) / 8.0)
+        return _ETA_1 if derivative else _ZETA_1
+    c, shift = (_U, 3) if derivative else (_T, 1)
+    return _series(c, 3.0 * math.pi * (4 * k - shift) / 8.0)
 
 
 def _polish(x: float, derivative: bool) -> float:
@@ -113,22 +101,16 @@ def _polish(x: float, derivative: bool) -> float:
             return float(x)
 
 
-def airy_zero_ladder(count: int) -> np.ndarray:
-    """First ``count`` positive zeta with Ai(-zeta) = 0, ascending."""
-    _check(count)
-    return np.array([_polish(_zeta_start(k)[0], False) for k in range(1, count + 1)])
-
-
 def airy_zero(n: int) -> float:
     """n-th positive zeta with Ai(-zeta) = 0, n >= 1."""
     _check(n)
-    return _polish(_zeta_start(n)[0], False)
+    return _polish(_start(n, False), False)
 
 
 def airy_prime_zero(n: int) -> float:
     """n-th positive eta with Ai'(-eta) = 0, n >= 1."""
     _check(n)
-    return _polish(_eta_start(n), True)
+    return _polish(_start(n, True), True)
 
 
 def merged_zero_window(k: int, a: float, b: float) -> list[float]:
@@ -136,53 +118,28 @@ def merged_zero_window(k: int, a: float, b: float) -> list[float]:
     and b zeta_j, j >= 1, for scales a, b > 0; 0.0 stands for a place below
     the first wall. Each is the float the fully polished merged ladder holds.
 
-    The starts s_j place the walls: bisection finds how many of the first k
-    come from the a ladder, i, and walls i - 2 .. i + 1 of the a ladder and
-    k - i - 2 .. k - i + 1 of the b ladder hold the window. A wall lies within
-    e_j s_j of its start (``_zeta_start``), so a wall whose range misses the
-    window's band keeps its place; those whose ranges meet it, the band grown
-    by each until no other meets it, are polished and sorted among
-    themselves. A ladder's neighbouring walls lie further apart than any two
-    error bounds, so no wall outside the candidates can meet the band.
+    Bisection on the starts finds i, how many of the first k walls come from
+    the a ladder. Walls i - 2 .. i + 1 of the a ladder and k - i - 2 .. k - i + 1
+    of the b ladder, those of them from 1 up, are polished and sorted, and
+    wall p is the (p - below)-th of them, with ``below`` the walls of both
+    ladders under their first ones. With i exact, a_(i-3) has rank at most k - 4 and
+    a_(i+2) at least k + 1, and so for b: the candidates hold ranks k - 3 .. k,
+    and exactly ``below`` walls lie under them. Every start is within 1e-6
+    relative of its zeta, far inside the gap between neighbouring walls of
+    one ladder, so the starts misplace i only at a near-tie of the two
+    ladders' boundary walls, and then by one. The tied pair then sits at the
+    top of the first k, so the same ranks stay covered.
     """
     _check(k)
-    starts: dict[int, tuple[float, float]] = {}
-
-    def start(j: int) -> tuple[float, float]:
-        s = starts.get(j)
-        if s is None:
-            s = starts[j] = _zeta_start(j)
-        return s
-
     i, top = 0, k
     while i < top:
         mid = (i + top + 1) // 2
-        if a * start(mid)[0] <= b * start(k - mid + 1)[0]:
+        if a * _start(mid, False) <= b * _start(k - mid + 1, False):
             i = mid
         else:
             top = mid - 1
-    # (wall, its lowest and highest value, scale, j), and the count of walls below them
-    candidates, below = [], 0
-    for scale, end in ((a, i), (b, k - i)):
-        first = max(end - 2, 1)
-        below += first - 1
-        for j in range(first, end + 2):
-            s, e = start(j)
-            wall = scale * s
-            candidates.append((wall, wall * (1.0 - e), wall * (1.0 + e), scale, j))
-    candidates.sort()
-    group, size = candidates[max(k - 3 - below, 0):k + 1 - below], 0
-    while len(group) != size:
-        size = len(group)
-        low = min(c[1] for c in group)
-        high = max(c[2] for c in group)
-        group = [c for c in candidates if c[2] >= low and c[1] <= high]
-    below += sum(1 for c in candidates if c[2] < low)
-    zeta: dict[int, float] = {}
-    walls = []
-    for _, _, _, scale, j in group:
-        if j not in zeta:
-            zeta[j] = _polish(starts[j][0], False)
-        walls.append(scale * zeta[j])
-    walls.sort()
+    ladders = ((a, range(max(i - 2, 1), i + 2)), (b, range(max(k - i - 2, 1), k - i + 2)))
+    zeta = {j: airy_zero(j) for _, js in ladders for j in js}
+    walls = sorted(scale * zeta[j] for scale, js in ladders for j in js)
+    below = sum(js[0] - 1 for _, js in ladders)
     return [walls[p - below] if p >= 0 else 0.0 for p in range(k - 3, k + 1)]

@@ -10,8 +10,7 @@ from momtail import asymptotics as asy
 from momtail import eigensolve as eig
 from momtail import momentum as mom
 from momtail import potentials as pot
-from momtail.errors import (InconsistentJumps, InsufficientDerivativeDepth,
-                            UnsupportedCase)
+from momtail.errors import InconsistentJumps, UnsupportedCase
 
 
 def test_order_one_terms_always_vanish():
@@ -180,13 +179,6 @@ def test_truncation_residual_scaling():
         resid = np.abs(phi - pred.series(p, max_order=n_cut))
         slope = np.polyfit(np.log(p), np.log(resid), 1)[0]
         assert slope <= bound
-
-
-def test_insufficient_depth():
-    spec = pot.DeltaSum(deltas=((1.0, 0.0),))
-    st = eig.solve(spec)
-    with pytest.raises(InsufficientDerivativeDepth):
-        asy.expansion_terms(st, pot.discontinuities(spec), n_max=7)
 
 
 def test_wall_route_unsupported():

@@ -200,14 +200,25 @@ def test_invalid_config_exits_2(runner, tmp_path):
     {**DELTA_CFG, "n": 1.9},
     {**DELTA_CFG, "n": "2"},
     {**DELTA_CFG, "parity": "sideways"},
+    {"N": 2, **DELTA_CFG},
+    {**DELTA_CFG, "grid": {"kind": "log", "min": 1, "max": 1000, "per_decad": 2}},
+    {**DELTA_CFG, "grid": {"kind": "log", "min": 1, "max": 10, "count": 3}},
+    {**DELTA_CFG, "grid": {"kind": "log", "min": True, "max": 1000}},
+    {**DELTA_CFG, "grid": {"kind": "log", "min": 1, "max": 1000, "per_decade": True}},
+    {**DELTA_CFG, "grid": {"kind": "linear", "min": False, "max": True, "count": 3}},
+    # a grid numpy refuses before it allocates it
+    {**DELTA_CFG, "grid": {"kind": "log", "min": 1, "max": 10, "per_decade": 1e308}},
 ], ids=["string_depth", "null_n", "string_grid_min", "flat_deltas", "fractional_n",
-        "string_n", "unknown_parity"])
+        "string_n", "unknown_parity", "unknown_field", "unknown_grid_field",
+        "count_of_log_grid", "bool_grid_min", "bool_per_decade", "bool_grid_bounds",
+        "unallocatable_grid"])
 def test_config_of_wrong_field_type_exits_2(runner, tmp_path, cfg):
-    res = runner.invoke(main, ["solve", "--config", write_cfg(tmp_path, cfg),
+    # transform reads every field of a config, the grid too
+    res = runner.invoke(main, ["transform", "--config", write_cfg(tmp_path, cfg),
                                "--out", str(tmp_path)])
     assert res.exit_code == 2
-    assert "config error:" in res.output
-    assert not (tmp_path / "solve.json").exists()
+    assert res.output.startswith("config error:"), res.output
+    assert not (tmp_path / "transform.csv").exists()
 
 
 def test_no_such_state_exits_2(runner, tmp_path):

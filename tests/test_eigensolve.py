@@ -17,6 +17,8 @@ from momtail import potentials as pot
 from momtail import specfun
 from momtail.errors import NoBoundState, NoConvergence, NoSuchState
 
+from test_specfun import airy_zero_ladder
+
 mpmath.mp.dps = 30
 
 
@@ -449,15 +451,16 @@ def test_asymmetric_linear_solve_evaluates_few_airy_arguments(monkeypatch):
     # the interlacing bracket needs four walls of the merged ladder and a
     # brentq on two arguments per energy, where an energy scan at n = 30 took
     # 6,400 energies and a polished ladder of 30 zeta took 60 arguments: one
-    # Newton step on each zeta of the four walls (and of any wall whose
-    # start's error bound meets theirs), two arguments per brentq evaluation,
-    # and two for the match at z = 0
+    # or two Newton steps on each of the at most eight zeta that can hold the
+    # four walls, two arguments per brentq evaluation, and two for the match
+    # at z = 0
     spec = pot.AsymmetricLinear(force_right=0.5, force_left=2.0)
     assert 0 < sum(airy_arguments(monkeypatch, spec, 30)) <= 40
 
 
 def test_asymmetric_linear_far_level_evaluates_few_airy_arguments(monkeypatch):
-    # the count does not grow with n: no ladder below the window is polished
+    # the count does not grow with n: no zeta below the eight candidates of
+    # the window is polished
     spec = pot.AsymmetricLinear(force_right=0.5, force_left=2.0)
     assert 0 < sum(airy_arguments(monkeypatch, spec, 20000)) <= 40
 
@@ -476,7 +479,8 @@ def test_single_airy_zero_solve_polishes_one_zero(monkeypatch, spec, parity):
 
 
 WALL_RATIOS = [(0.5, 2.0), (1.0, 0.45), (1.0, 1.0 + 1e-7), (1.0, 1.0 - 1e-7),
-               (1.0, 1.0 + 1e-13), (1.0, 1.0 - 1e-13)]
+               (1.0, 1.0 + 1e-13), (1.0, 1.0 - 1e-13), (1.0, 100.0), (100.0, 1.0),
+               (1.0, 1e6)]
 
 
 @pytest.mark.parametrize("force_right,force_left", WALL_RATIOS)
@@ -498,7 +502,7 @@ def test_asymmetric_walls_equal_the_polished_ladder_bit_for_bit(monkeypatch, for
     for n in range(1, 41):
         eig.solve(spec, n)
     assert [k for k, *_ in read] == list(range(1, 41))
-    ladder = specfun.airy_zero_ladder(41)
+    ladder = airy_zero_ladder(41)
     for k, a, b, walls in read:
         merged = np.sort(np.concatenate([a * ladder[:k + 1], b * ladder[:k + 1]]))
         want = [float(merged[p]) if p >= 0 else 0.0 for p in range(k - 3, k + 1)]
@@ -507,9 +511,31 @@ def test_asymmetric_walls_equal_the_polished_ladder_bit_for_bit(monkeypatch, for
 
 def test_merged_walls_far_up_the_ladder_equal_the_polished_ladder():
     a, b = 0.5, 0.5 * 4.0 ** (1.0 / 3.0)
-    ladder = specfun.airy_zero_ladder(20001)
+    ladder = airy_zero_ladder(20001)
     merged = np.sort(np.concatenate([a * ladder, b * ladder]))
     assert specfun.merged_zero_window(20000, a, b) == merged[19997:20001].tolist()
+
+
+def test_merged_walls_at_near_ties_equal_the_polished_ladder():
+    # wall i of the a ladder and wall j of the b ladder tie to within a
+    # relative eps, where the starts may misorder them: each window k near
+    # their ranks i + j - 2, i + j - 1 still holds the polished ladder's walls
+    ladder = airy_zero_ladder(81)
+    indices = (1, 2, 3, 4, 5, 7, 10, 15, 20, 30, 40)
+    for i in indices:
+        for j in indices:
+            for eps in (0.0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7,
+                        1e-6, -1e-6):
+                ratio = ladder[i - 1] / ladder[j - 1] * (1.0 + eps)
+                for a, b in ((1.0, ratio), (ratio, 1.0)):
+                    for k in range(max(i + j - 3, 1), i + j + 3):
+                        merged = np.sort(np.concatenate([a * ladder[:k + 1],
+                                                         b * ladder[:k + 1]]))
+                        want = [float(merged[p]) if p >= 0 else 0.0
+                                for p in range(k - 3, k + 1)]
+                        walls = specfun.merged_zero_window(k, a, b)
+                        assert [w.hex() for w in walls] == [w.hex() for w in want], \
+                            (i, j, eps, a, b, k)
 
 
 def test_linear_levels_far_up_the_ladder():

@@ -11,6 +11,13 @@ from momtail import specfun
 mpmath.mp.dps = 30
 
 
+def airy_zero_ladder(count):
+    """First ``count`` positive zeta with Ai(-zeta) = 0, ascending, each
+    polished from its start: the fully polished reference of the zeros."""
+    return np.array([specfun._polish(specfun._start(k, False), False)
+                     for k in range(1, count + 1)])
+
+
 @pytest.mark.parametrize("x", np.concatenate([
     np.linspace(-12.0, 12.0, 49),
     np.array([-9.0, -2.2, 0.0, 2.2, 9.0]),
@@ -72,17 +79,16 @@ def test_zeros_against_mpmath(n):
         float(-mpmath.airyaizero(n, derivative=1)), rel=1e-13)
 
 
-def test_zeta_start_error_bounds_the_start():
-    # merged_zero_window orders walls by their starts wherever these bounds
-    # keep them apart: each start lies within its bound of the polished zeta
-    ladder = specfun.airy_zero_ladder(2000)
+def test_zeta_start_lies_within_1e_6_of_its_zero():
+    # merged_zero_window places walls by their starts, which its argument
+    # takes to be within 1e-6 relative of their zeta
+    ladder = airy_zero_ladder(2000)
     for k, zeta in enumerate(ladder.tolist(), start=1):
-        start, bound = specfun._zeta_start(k)
-        assert abs(start - zeta) <= bound * start
+        start = specfun._start(k, False)
+        assert abs(start - zeta) <= 1e-6 * start
     for k in (1, 2, 3, 5, 10, 40, 200):
-        start, bound = specfun._zeta_start(k)
-        exact = -mpmath.airyaizero(k)
-        assert abs(start - exact) <= bound * start
+        start = specfun._start(k, False)
+        assert abs(start - float(-mpmath.airyaizero(k))) <= 1e-6 * start
 
 
 def test_zeros_are_roots():
@@ -94,7 +100,7 @@ def test_zeros_are_roots():
 
 
 def test_zero_interlacing():
-    zeta = specfun.airy_zero_ladder(30)
+    zeta = airy_zero_ladder(30)
     eta = [specfun.airy_prime_zero(k) for k in range(1, 31)]
     seq = []
     for z, e in zip(zeta, eta):
@@ -103,7 +109,7 @@ def test_zero_interlacing():
 
 
 def test_zero_table_shape():
-    zeta = specfun.airy_zero_ladder(5)
+    zeta = airy_zero_ladder(5)
     eta = [specfun.airy_prime_zero(k) for k in range(1, 6)]
     assert len(zeta) == 5 and len(eta) == 5
     assert zeta[0] == pytest.approx(2.338107410459767, rel=1e-12)
@@ -118,6 +124,6 @@ def test_zero_index_validation():
 
 
 def test_single_zero_equals_the_ladder_bit_for_bit():
-    # each zero is polished on its own from the same ai_zeros(n) start
+    # each zero is polished on its own from the same asymptotic start
     for n in range(1, 81):
-        assert specfun.airy_zero(n).hex() == float(specfun.airy_zero_ladder(n)[-1]).hex()
+        assert specfun.airy_zero(n).hex() == float(airy_zero_ladder(n)[-1]).hex()
