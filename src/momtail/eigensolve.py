@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from operator import index, mul
 from typing import Callable
 
 import numpy as np
@@ -486,8 +486,7 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
     else:
         def defect(E):
             """Matching determinant at z = 0, from one Airy call for both sides."""
-            ai, aip = specfun.airy_ai_and_prime(np.array([-E / e0_r, -E / e0_l]))
-            (ai_r, ai_l), (aip_r, aip_l) = ai.tolist(), aip.tolist()
+            (ai_r, ai_l), (aip_r, aip_l) = specfun.airy_ai_and_prime((-E / e0_r, -E / e0_l))
             return aip_r * ai_l / rho_r + ai_r * aip_l / rho_l
 
         # walls k - 3 .. k (from 0) of the merged ladder, 0.0 below the first
@@ -507,7 +506,7 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
             energy = _brentq(defect, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
         u_r, u_l = -energy / e0_r, -energy / e0_l
 
-    (air, ail), (apr, apl) = np.array(specfun.airy_ai_and_prime(np.array([u_r, u_l]))).tolist()
+    (air, ail), (apr, apl) = specfun.airy_ai_and_prime((u_r, u_l))
     # Match at 0 by continuity of psi or of psi', whichever is better
     # conditioned. With Ai ~ sin(phase) and Ai' ~ sqrt|u| cos(phase), psi(0)
     # carries the match when sin^2 of the two phases sums to at least 1; at a
@@ -572,7 +571,12 @@ def __getattr__(name: str):
 
 
 def solve(spec: pot.PotentialSpec, n: int = 1, parity: str | None = None) -> BoundState:
-    """Dispatch to the solver for the given potential's family."""
+    """Dispatch to the solver for the given potential's family. n is an integer
+    (numpy's too); a bool or anything else ``operator.index`` refuses is no
+    level, and raises ``NoSuchState``."""
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise NoSuchState(f"n must be an integer, not {n!r}")
+    n = index(n)
     for family, solver in _SOLVERS.items():
         if isinstance(spec, family):
             return solver(spec, n, parity)

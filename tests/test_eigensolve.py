@@ -1074,3 +1074,36 @@ def test_shooting_agreement_symmetric_linear(n, parity):
     osc = eig.shooting_oracle(spec, (st.energy - 0.04, st.energy + 0.04),
                               n, parity)
     assert abs(st.energy - osc.energy) / abs(st.energy) < 1e-8
+
+
+EVERY_KIND = [
+    (pot.InfiniteWell(length=1.0), None),
+    (pot.DeltaSum(deltas=((1.0, 0.0), (1.0, 3.0))), None),
+    (pot.FiniteWell(depth=10.0, a=-1.0, b=1.0), None),
+    (pot.StepSum(steps=((0.0, -5.0), (1.0, 2.0), (2.0, 3.0))), None),
+    (pot.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0), None),
+    (pot.Bouncer(force=0.5), None),
+    (pot.SymmetricLinear(force=0.5), "even"),
+    (pot.AsymmetricLinear(force_right=1.0, force_left=0.5), None),
+]
+
+
+@pytest.mark.parametrize("spec,parity", EVERY_KIND, ids=[s.kind for s, _ in EVERY_KIND])
+@pytest.mark.parametrize("n", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
+def test_solve_refuses_a_level_index_that_is_no_integer(spec, parity, n):
+    # a float, even a whole one, or a bool names no level: taken as one, n = 1.5
+    # of the box gives E = pi^2 1.5^2 / 2, between levels 1 and 2
+    with pytest.raises(NoSuchState):
+        eig.solve(spec, n, parity)
+
+
+@pytest.mark.parametrize("spec,parity", EVERY_KIND, ids=[s.kind for s, _ in EVERY_KIND])
+def test_solve_takes_a_numpy_integer_level_index(spec, parity):
+    try:
+        want = eig.solve(spec, 2, parity)
+    except NoSuchState:
+        with pytest.raises(NoSuchState):
+            eig.solve(spec, np.int64(2), parity)
+        return
+    state = eig.solve(spec, np.int64(2), parity)
+    assert state.energy == want.energy and type(state.n) is int and state.n == 2

@@ -288,8 +288,9 @@ def test_panel_coefficients_match_gauss_projection(spec, n, parity):
 
 
 def test_panel_coefficients_against_multiprecision():
-    # the panel of symlin n = 11 (even) at z = 12.25, where the Gauss
-    # projection of scipy's Ai is off by 1.3e-13 of the global scale
+    # the panel of symlin n = 11 (even) at z = 12.25, where a 48-node Gauss
+    # projection in floats is off by 1.05e-13 of the global scale even from
+    # correctly rounded psi; the coefficients here are within 3.5e-16 of it
     spec = pot.SymmetricLinear(force=0.5)      # rho = 1
     panels = mom.FilonPanels(eig.solve(spec, 11, "even"))
     i = int(np.argmin(np.abs(panels.centers - 12.25)))

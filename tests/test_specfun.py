@@ -5,7 +5,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
+import airy_anchors
 from momtail import specfun
 
 mpmath.mp.dps = 30
@@ -127,3 +129,89 @@ def test_single_zero_equals_the_ladder_bit_for_bit():
     # each zero is polished on its own from the same asymptotic start
     for n in range(1, 81):
         assert specfun.airy_zero(n).hex() == float(airy_zero_ladder(n)[-1]).hex()
+
+
+def test_zero_index_refuses_bools_and_non_integers():
+    for n in (2.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError):
+            specfun.airy_zero(n)
+        with pytest.raises(ValueError):
+            specfun.airy_prime_zero(n)
+        with pytest.raises(ValueError):
+            specfun.merged_zero_window(n, 1.0, 2.0)
+    assert specfun.airy_zero(np.int64(3)) == specfun.airy_zero(3)
+    assert specfun.merged_zero_window(np.int32(5), 1.0, 2.0) == \
+        specfun.merged_zero_window(5, 1.0, 2.0)
+
+
+def assert_matches_mpmath(x):
+    """(Ai, Ai') at x within 5e-13 of max(|Ai|, |Ai'|) of 30-digit mpmath, and
+    within 1e-12 relative for 0 < x <= 60."""
+    ai, aip = specfun.airy(x)
+    ai_ref, aip_ref = float(mpmath.airyai(x)), float(mpmath.airyai(x, 1))
+    scale = max(abs(ai_ref), abs(aip_ref))
+    assert abs(ai - ai_ref) < 5e-13 * scale, x
+    assert abs(aip - aip_ref) < 5e-13 * scale, x
+    if 0.0 < x <= 60.0:
+        assert ai == pytest.approx(ai_ref, rel=1e-12) and aip == pytest.approx(aip_ref, rel=1e-12)
+
+
+# the Taylor region's anchors, every 1/16 on [-32, 16]
+ANCHORS = (-32.0 + np.arange(769) / 16.0).tolist()
+# the branch edges, each anchor midpoint (where a Taylor step is longest and
+# the nearest anchor changes), and their float neighbours
+EDGES = [y for x in [-32.0, 16.0] + [a + 1.0 / 32.0 for a in ANCHORS[:-1]]
+         for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(hst.floats(-2100.0, 100.0))
+@example(-2100.0)
+@example(100.0)
+@example(60.0)
+def test_ai_and_prime_against_mpmath_from_minus_2100_to_100(x):
+    assert_matches_mpmath(x)
+
+
+def test_ai_and_prime_against_mpmath_at_branch_edges_and_anchor_midpoints():
+    for x in EDGES:
+        assert_matches_mpmath(x)
+
+
+def test_anchors_against_mpmath():
+    # at an anchor the Taylor sum is the anchor's value plus its rest
+    for x, (ai, aip) in zip(ANCHORS, map(specfun.airy, ANCHORS)):
+        ai_ref, aip_ref = mpmath.airyai(x), mpmath.airyai(x, 1)
+        scale = max(abs(ai_ref), abs(aip_ref))
+        assert abs(ai - ai_ref) <= 1e-15 * scale and abs(aip - aip_ref) <= 1e-15 * scale, x
+
+
+def test_anchor_module_is_its_generators_output():
+    assert airy_anchors.source() == airy_anchors.TARGET.read_text()
+
+
+# the sizes the workloads use, and one past a block of the array path
+@pytest.mark.parametrize("size", [1, 2, 17, 38, 300, 1201, 4099])
+def test_scalar_pair_and_array_calls_agree_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    # drawn alike from the oscillating tail, the Taylor region and the decay
+    xs = np.concatenate([rng.uniform(-2100.0, -32.0, size), rng.uniform(-32.0, 16.0, size),
+                         rng.uniform(16.0, 100.0, size)])
+    xs = rng.permutation(xs)[:size]
+    ai, aip = specfun.airy(xs)
+    assert ai.shape == aip.shape == (size,)
+    scalar = [specfun.airy(x) for x in xs.tolist()]
+    assert ai.tolist() == [a for a, _ in scalar] and aip.tolist() == [b for _, b in scalar]
+    for i, pair in enumerate(zip(xs.tolist(), xs.tolist()[1:])):
+        assert specfun.airy(pair) == tuple(zip(*scalar[i:i + 2]))
+
+
+def test_nan_and_infinities():
+    # NaN gives NaN; +inf the limits (0, -0); -inf Ai's limit 0 and NaN for
+    # Ai', which has none; below -1e6 both are NaN
+    xs = [math.nan, math.inf, -math.inf, -2e6]
+    want = [(math.nan, math.nan), (0.0, -0.0), (0.0, math.nan), (math.nan, math.nan)]
+    ai, aip = specfun.airy(np.array(xs))
+    for x, (a, b), pair in zip(xs, want, zip(ai.tolist(), aip.tolist())):
+        for got in (specfun.airy(x), pair):
+            assert [repr(v) for v in got] == [repr(a), repr(b)], x

@@ -1,4 +1,4 @@
-"""What a fresh ``momtail`` process imports: only the scipy its run needs."""
+"""What a fresh ``momtail`` process imports: no kind and no command loads scipy."""
 
 import json
 import os
@@ -45,21 +45,35 @@ for spec in (potentials.InfiniteWell(length=1.0), potentials.DeltaSum(deltas=((1
     assert loaded == []
 
 
-def test_airy_kinds_solve_and_predict_with_scipy_special_alone():
-    # a bouncer and an asymmetric linear solve, then the predicted tail, load
-    # the scipy modules that importing scipy.special loads and no others
-    loaded = run_fresh("""
+def test_every_kind_runs_without_scipy(tmp_path):
+    # each of the 8 kinds solves, builds its panels, transforms on the CLI's
+    # default grid and predicts its tail, and both figures run through the
+    # CLI: the Airy kinds take the scalar, pair and array paths of
+    # specfun.airy, and no kind loads scipy
+    loaded = run_fresh(f"""
 import numpy as np
-from momtail import asymptotics, eigensolve, potentials
-for spec in (potentials.Bouncer(force=0.5),
-             potentials.AsymmetricLinear(force_right=0.5, force_left=2.0)):
-    state = eigensolve.solve(spec, 3)
+import momtail.cli
+from momtail import asymptotics, eigensolve, momentum, potentials
+for spec, n, parity in (
+        (potentials.InfiniteWell(length=1.0), 1, None),
+        (potentials.DeltaSum(deltas=((1.0, 0.0), (1.0, 3.0))), 1, None),
+        (potentials.FiniteWell(depth=10.0, a=-1.0, b=1.0), 1, None),
+        (potentials.StepSum(steps=((0.0, -5.0), (1.0, 2.0), (2.0, 3.0))), 1, None),
+        (potentials.HybridDeltaStep(g=1.0, step_height=1.0, a=1.0), 1, None),
+        (potentials.Bouncer(force=0.5), 3, None),
+        (potentials.SymmetricLinear(force=0.5), 3, "even"),
+        (potentials.SymmetricLinear(force=0.5), 3, "odd"),
+        (potentials.AsymmetricLinear(force_right=0.5, force_left=2.0), 3, None)):
+    state = eigensolve.solve(spec, n, parity)
+    momentum.FilonPanels(state).norm
+    momentum.phi_quadrature(state, np.linspace(-50.0, 50.0, 1001))
     prediction = asymptotics.predict_tail(state, potentials.discontinuities(spec))
     prediction.series(np.geomspace(10.0, 1000.0, 81))
+for number in ("1", "2"):
+    momtail.cli.main.main(["figure", number, "--out", {str(tmp_path)!r}], standalone_mode=False)
 """ + SCIPY_LOADED)
-    special = run_fresh("import scipy.special\n" + SCIPY_LOADED)
-    assert "scipy.special" in loaded
-    assert set(loaded) <= set(special)
+    assert loaded == []
+    assert {path.name for path in tmp_path.iterdir()} == {"figure1.csv", "figure2.csv"}
 
 
 def test_shooting_oracle_survives_a_patch_round_trip():
