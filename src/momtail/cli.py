@@ -90,6 +90,9 @@ def _grid(kind: str, lo: float, hi: float, count: int) -> partial:
     if kind == "linear":
         if type(count) is not int or count < 2:
             raise ValueError(f"linear grid needs an integer count >= 2, not {count!r}")
+        if math.isinf(hi - lo):
+            raise ValueError(f"linear grid from {lo!r} to {hi!r} spans more than a float "
+                             f"holds (max - min overflows)")
         return partial(np.linspace, float(lo), float(hi), count)
     if kind != "log":
         raise ValueError(f"unknown grid kind {kind!r}")

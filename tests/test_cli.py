@@ -380,6 +380,7 @@ MALFORMED = {
     "grid_flag_log_to_inf": (DELTA_CFG, ["--grid", "log:1:inf:40"]),
     "grid_flag_linear_to_inf": (DELTA_CFG, ["--grid", "linear:-50:inf:11"]),
     "grid_flag_log_span_overflows": (DELTA_CFG, ["--grid", "log:1e-300:1e300:40"]),
+    "grid_flag_linear_span_overflows": (DELTA_CFG, ["--grid", "linear:-1e308:1e308:3"]),
     "grid_log_to_inf": ({**DELTA_CFG, "grid": {"kind": "log", "min": 1.0, "max": math.inf}}, []),
     "grid_linear_to_inf": ({**DELTA_CFG, "grid": {"kind": "linear", "min": -50.0,
                                                   "max": math.inf, "count": 11}}, []),

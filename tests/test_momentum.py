@@ -447,6 +447,7 @@ NORM_STATES = list(_unit_states()) + [
 def test_norm_check_against_quad(spec, n, parity):
     st = eig.solve(spec, n, parity)
     panels = mom.FilonPanels(st)
+    assert "_rows" not in vars(panels)      # the norm builds no transform rows
     assert abs(panels.norm - 1.0) <= 1e-13
     assert 0.0 <= panels.norm_error <= 1e-12
     assert abs(panels.norm - tight_norm(st)) <= 1e-13
@@ -568,6 +569,23 @@ def test_transform_against_multiprecision_panel_sum(spec, n, parity):
         assert abs(phi[i] - _mp_panel_sum(panels, p)) <= 1e-15
 
 
+def test_transform_blocks_across_halfwidth_groups():
+    # a deep narrow pit sets the oscillation scale that tiles the wide floor:
+    # 94 panels of 3 half-widths, so a block of panels spans groups and a
+    # group spans blocks
+    st = eig.solve(pot.StepSum(steps=((-2.0, -8000.0), (-1.9, 7900.0), (2.0, 100.0))), 5)
+    panels = mom.FilonPanels(st)
+    assert panels.centers.size > mom._PANEL_BLOCK and np.unique(panels.halfwidths).size >= 3
+    ps = [0.3, 2.5, 17.0, 100.0, 1000.0, 3000.0]
+    phi = panels.transform(np.array(ps))
+    for i, p in enumerate(ps):
+        assert abs(phi[i] - _mp_panel_sum(panels, p)) <= 1e-15
+    for grid in (np.linspace(-50.0, 50.0, 1001), np.geomspace(1.0, 1e4, 161)):
+        closed = mom.phi_closed(st, grid).phi
+        filon = panels.transform(grid)
+        assert np.max(np.abs(closed - filon)) <= 2e-14 * np.max(np.abs(filon))
+
+
 CLI_GRID = np.linspace(-50.0, 50.0, 1001)
 LOG_GRID = np.geomspace(1.0, 1000.0, 121)     # log:1:1000:40
 
@@ -582,6 +600,7 @@ def test_transform_truncated_against_full_order_sums(spec, n, parity, grid):
     full = copy.copy(panels)
     full.orders = np.full_like(panels.orders, mom._DEGREE)
     phi, ref = panels.transform(grid), full.transform(grid)
+    assert np.any(phi != ref)       # the transform reads the orders it is given
     assert np.max(np.abs(phi - ref)) <= 2 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
@@ -607,6 +626,16 @@ def test_transform_input_forms():
     assert rep[0] == rep[2] == rep[4] and rep[3] == np.conj(rep[1])
 
 
+def _transform_peak(panels, grid) -> int:
+    """Bytes at the peak of one transform, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        panels.transform(grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_transform_memory_is_bounded():
     spec = pot.FiniteWell(depth=10.0, a=-1.0, b=1.0)
     st = eig.solve(spec, 1)
@@ -614,14 +643,14 @@ def test_transform_memory_is_bounded():
     grids = []
     mom.moment(lambda p: grids.append(p) or np.zeros(p.shape), 2, pred, p_scale=3.0)
     assert grids[0].size == 76400
-    panels = mom.FilonPanels(st)
-    tracemalloc.start()
-    try:
-        panels.transform(grids[0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    assert _transform_peak(mom.FilonPanels(st), grids[0]) < 16e6
+
+
+def test_transform_memory_is_bounded_on_many_panels():
+    # 2,342 panels: the panel blocks, not the panel count, set the peak
+    panels = mom.FilonPanels(eig.solve(pot.SymmetricLinear(force=0.5), 1500, "even"))
+    assert panels.centers.size == 2342
+    assert _transform_peak(panels, np.linspace(-200.0, 200.0, 2000)) <= 8e6
 
 
 # --- moments ---------------------------------------------------------------
