@@ -30,7 +30,6 @@ product.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -168,16 +167,6 @@ def predict_tail(state: BoundState, records: list[DiscontinuityRecord],
     if not nonzero:
         raise UnsupportedCase("no nonvanishing jump up to the derivative table's order")
     return TailPrediction(terms=terms, leading_exponent=min(nonzero))
-
-
-def prediction_to_csv(prediction: TailPrediction) -> str:
-    """CSV rows (order, location, jump, coefficient_re, coefficient_im)."""
-    buf = io.StringIO()
-    buf.write("order,location,jump,coefficient_re,coefficient_im\n")
-    for t in sorted(prediction.terms, key=lambda t: (t.order, t.location)):
-        c = t.coefficient
-        buf.write(f"{t.order},{t.location:.17g},{t.jump:.17g},{c.real:.17g},{c.imag:.17g}\n")
-    return buf.getvalue()
 
 
 def summary(prediction: TailPrediction) -> str:

@@ -222,8 +222,10 @@ def predict(cfg: RunConfig, out: Path) -> None:
     with _failing_as("solve error"):
         state = eig.solve(cfg.spec, cfg.n, cfg.parity)
         prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
+    rows = [(t.order, t.location, t.jump, t.coefficient.real, t.coefficient.imag)
+            for t in sorted(prediction.terms, key=lambda t: (t.order, t.location))]
     path = out / "predict.csv"
-    _write_text(path, asy.prediction_to_csv(prediction))
+    _write_csv(path, "order,location,jump,coefficient_re,coefficient_im", *zip(*rows))
     print(asy.summary(prediction))
     print(f"wrote {path}")
 

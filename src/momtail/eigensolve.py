@@ -5,7 +5,9 @@ to ``solve_piecewise`` on the pieces of its ledger, a ``potentials.Linear``
 kind to ``solve_linear`` on its ``forces`` and the level ``level_index(n,
 parity)``, and the box to ``solve_infinite_well``; a new kind of either
 family needs no change here. States are numbered n = 1, 2, ... in order of
-increasing energy, the symmetric linear potential's within each parity.
+increasing energy, the symmetric linear potential's within each parity; it
+alone takes a parity, and every other kind's ``level_index`` refuses one
+(NoSuchState).
 
 Every solver returns a ``BoundState`` carrying ``psi_and_slope``, (psi, psi')
 at an array of points from one evaluation, and ``ode``, the coefficients of
@@ -485,8 +487,9 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
         u_r = u_l = -level
     else:
         def defect(E):
-            """Matching determinant at z = 0, from one Airy call for both sides."""
-            (ai_r, ai_l), (aip_r, aip_l) = specfun.airy_ai_and_prime((-E / e0_r, -E / e0_l))
+            """Matching determinant at z = 0, from one Airy call per side."""
+            ai_r, aip_r = specfun.airy(-E / e0_r)
+            ai_l, aip_l = specfun.airy(-E / e0_l)
             return aip_r * ai_l / rho_r + ai_r * aip_l / rho_l
 
         # walls k - 3 .. k (from 0) of the merged ladder, 0.0 below the first
@@ -506,7 +509,8 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
             energy = _brentq(defect, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
         u_r, u_l = -energy / e0_r, -energy / e0_l
 
-    (air, ail), (apr, apl) = specfun.airy_ai_and_prime((u_r, u_l))
+    air, apr = specfun.airy(u_r)
+    ail, apl = specfun.airy(u_l)
     # Match at 0 by continuity of psi or of psi', whichever is better
     # conditioned. With Ai ~ sin(phase) and Ai' ~ sqrt|u| cos(phase), psi(0)
     # carries the match when sin^2 of the two phases sums to at least 1; at a
@@ -536,8 +540,7 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
     def psi_and_slope(z):
         z = np.asarray(z, dtype=float)
         right = z >= 0.0
-        ai, aip = specfun.airy_ai_and_prime(
-            np.where(right, z / rho_r + u_r, -z / rho_l + u_l))
+        ai, aip = specfun.airy(np.where(right, z / rho_r + u_r, -z / rho_l + u_l))
         return (np.where(right, c_r, c_l) * ai,
                 np.where(right, c_r / rho_r, -c_l / rho_l) * aip)
 
@@ -553,11 +556,12 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
                                     2.0 * math.pi * rho_l / math.sqrt(-u_l)))
 
 
-# spec family -> solver(spec, n, parity); only the linear family reads the
-# parity, through its ``level_index``
+# spec family -> solver(spec, n, parity); each reads the state through the
+# kind's ``level_index``, which refuses a parity the kind does not read
 _SOLVERS = {
-    pot.InfiniteWell: lambda spec, n, parity: solve_infinite_well(spec, n),
-    pot.Piecewise: lambda spec, n, parity: solve_piecewise(spec, n),
+    pot.InfiniteWell: lambda spec, n, parity: solve_infinite_well(
+        spec, spec.level_index(n, parity)),
+    pot.Piecewise: lambda spec, n, parity: solve_piecewise(spec, spec.level_index(n, parity)),
     pot.Linear: solve_linear,
 }
 

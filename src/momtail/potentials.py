@@ -6,8 +6,8 @@ predictions: order -1 marks a delta singularity or an infinite wall, order 0 a
 finite step, order k >= 1 a kink in the k-th derivative of V. Each kind is
 described once: a constant-V kind (``Piecewise``) defines only its ledger,
 from which its V follows; a linear kind (``Linear``) defines only its
-``forces`` and ``level_index``, from which its ledger and V follow. The box
-(``InfiniteWell``) defines its own.
+``forces``, from which its ledger and V follow. The box (``InfiniteWell``)
+defines its own.
 
 Infinite walls are modeled as boundary conditions (psi = 0 beyond the wall),
 not as a finite V -> infinity limit; they carry ``is_wall=True`` instead of a
@@ -57,7 +57,8 @@ class _Kind:
     its discontinuity records sorted by location; ``potential(x)``, V(x) with
     WALL beyond infinite walls and delta spikes excluded; ``v_floor``, the
     floor of V in the momentum scale sqrt(2m |E - v_floor|) that separates
-    structure from tail; and ``classical_q(n, parity)``, the edge
+    structure from tail; ``level_index(n, parity)``, the place of the
+    state among all levels from 1; and ``classical_q(n, parity)``, the edge
     Q_n = sqrt(2m E_n) of the classical momentum density, where there is one.
     Every parameter must be finite and mass and hbar positive; ``_check``
     adds the kind's own conditions.
@@ -77,6 +78,14 @@ class _Kind:
 
     def _check(self) -> None:
         """Refuse parameters the kind cannot have (ValueError)."""
+
+    def level_index(self, n: int, parity: str | None = None) -> int:
+        """n itself: only a kind whose levels split by parity reads one, so any
+        other refuses a parity (NoSuchState) rather than ignore it."""
+        if parity is not None:
+            raise NoSuchState(f"potential kind {self.kind!r} has no parity to choose, "
+                              f"got parity = {parity!r}")
+        return n
 
     def classical_q(self, n: int, parity: str | None = None) -> float:
         raise NoSuchState(f"no classical density for potential kind {self.kind!r}")
@@ -140,7 +149,7 @@ class InfiniteWell(_Kind):
         return 0.0 if 0.0 <= x <= self.length else WALL
 
     def classical_q(self, n: int, parity: str | None = None) -> float:
-        return n * math.pi * self.hbar / self.length
+        return self.level_index(n, parity) * math.pi * self.hbar / self.length
 
 
 @dataclass(frozen=True)
@@ -220,11 +229,7 @@ def airy_level(k: int, wall: bool) -> float:
 
 class Linear(_Kind):
     """A linear potential on each side of z = 0, described by ``forces``, (F,
-    Fbar) right and left of 0 with WALL for an infinite wall, and
-    ``level_index(n, parity)``, the place of the state among all levels from 1."""
-
-    def level_index(self, n: int, parity: str | None = None) -> int:
-        return n
+    Fbar) right and left of 0 with WALL for an infinite wall."""
 
     def ledger(self) -> list[DiscontinuityRecord]:
         """A wall at 0 where Fbar is WALL, else a kink: V' jumps by F + Fbar."""

@@ -8,11 +8,10 @@
   from mpmath by ``tests/airy_anchors.py``), each with the float nearest its
   rest, which Horner adds just before the anchor's value, so that near an
   anchor the result is nearly the correctly rounded one. The higher Taylor
-  coefficients follow from the recurrence of ``eigensolve.ode_taylor`` and
-  are built on the first call. A float is summed on Python floats, and an
-  array of more than 16 points over the stacked (Ai, Ai') coefficient
-  table, by the same operations in the same order, so both give the same
-  bits.
+  coefficients come from ``eigensolve.ode_taylor`` on the first call. A
+  float is summed on Python floats, and an array of more than 16 points
+  over the stacked (Ai, Ai') coefficient table, by the same operations in
+  the same order, so both give the same bits.
 - Above 16, the DLMF 9.7.5-6 series in 1/zeta, zeta = (2/3) x^(3/2), to its
   14th term.
 - Below -32, the modulus-phase forms (DLMF 9.8.20-23) Ai(-t) = M cos theta
@@ -44,21 +43,18 @@ n-th zero alone, and ``merged_zero_window`` the eight zeta of two scaled
 ladders that can hold a given place in their merged order, found by
 bisection on the starts with no Airy call.
 
-Every Airy value passes through the module attribute ``airy``, which the
-evaluators read through the module, so a patched ``airy`` is the one they
-call.
+Every Airy value passes through ``airy``, which the wrappers and Newton
+look up among the module's globals on each call, so a patched
+``specfun.airy`` is the one they call.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from itertools import accumulate
 
 import numpy as np
-
-_module = sys.modules[__name__]
 
 # the Taylor region [_LO, _HI], its anchors _PER_UNIT to a unit apart, and
 # the degree of the polynomial about each: its first neglected term is below
@@ -85,12 +81,11 @@ def _build_taylor() -> None:
     Ai and Ai' coefficients, (Ai, Ai') pairs down to the rests, Ai, Ai')."""
     global _AT, _TABLE
     from ._airy_anchors import ANCHORS
+    from .eigensolve import ode_taylor
     ai, ai_lo, aip, aip_lo = np.array([float(v) for v in ANCHORS.split()]).reshape(-1, 4).T
     at = _LO + np.arange(ai.size) / _PER_UNIT
-    # (k + 1)(k + 2) c_(k+2) = x_j c_k + c_(k-1), as in eigensolve.ode_taylor
-    c = [ai, aip, 0.5 * at * ai]
-    for k in range(1, _DEGREE):
-        c.append((at * c[k] + c[k - 1]) / ((k + 1) * (k + 2)))
+    # Ai'' = x Ai about each anchor x_j, with h = 1
+    c = ode_taylor(ai, aip, at, 1.0, _DEGREE + 1)
     table = np.stack([c[_DEGREE:0:-1] + [ai_lo, ai],
                       [(k + 1) * c[k + 1] for k in range(_DEGREE, 0, -1)] + [aip_lo, aip]],
                      axis=1)
@@ -186,31 +181,14 @@ def _pair(x: float) -> tuple[float, float]:
     return ai + ai0, aip + aip0
 
 
-def _two(x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """((Ai(x), Ai(y)), (Ai'(x), Ai'(y))): ``_pair``'s sums for both points in
-    one loop, which costs about 15% less than two ``_pair`` calls and so
-    keeps the pair that ``solve_linear`` reads at scipy's cost."""
-    if not (_LO <= x <= _HI and _LO <= y <= _HI):
-        (a, ap), (b, bp) = _pair(x), _pair(y)
-        return (a, b), (ap, bp)
-    xt, a, ap, x_pairs, a0, ap0 = _ROWS[int((x - _LO) * _PER_UNIT + 0.5)]
-    yt, b, bp, y_pairs, b0, bp0 = _ROWS[int((y - _LO) * _PER_UNIT + 0.5)]
-    h, g = x - xt, y - yt
-    for (c, d), (e, f) in zip(x_pairs, y_pairs):
-        a = a * h + c
-        ap = ap * h + d
-        b = b * g + e
-        bp = bp * g + f
-    return (a + a0, b + b0), (ap + ap0, bp + bp0)
-
-
 def _stacked(flat: np.ndarray) -> np.ndarray:
     """(Ai, Ai') at the points of a flat float array, as one (2, n) array.
 
-    Up to ``_LOOP`` points go through ``_pair`` one by one, which is cheaper
-    there than the 22 numpy passes of the stacked Horner sum; more than
-    ``_BLOCK`` go in blocks of that size, so that the coefficients gathered
-    for a block, 208 bytes a point, stay small."""
+    Up to ``_LOOP`` points go through ``_pair`` one by one: on a 2-core
+    Xeon the 22 numpy passes of the stacked Horner sum take about 20 us for
+    1 to 32 points, and ``_pair`` about 1.4 us a point. More than ``_BLOCK``
+    go in blocks of that size, so that the coefficients gathered for a
+    block, 208 bytes a point, stay small."""
     if flat.size <= _LOOP:
         return np.array([_pair(v) for v in flat.tolist()]).reshape(-1, 2).T
     if flat.size > _BLOCK:
@@ -238,15 +216,12 @@ def _stacked(flat: np.ndarray) -> np.ndarray:
 
 
 def airy(x):
-    """(Ai(x), Ai'(x)): floats for a float or int, pairs for a pair (tuple) of
-    floats, as ``solve_linear`` reads its two sides, and arrays of x's shape
-    for anything else."""
+    """(Ai(x), Ai'(x)): floats for a float or int, and arrays of x's shape for
+    anything else, with the bits of the float calls."""
     if not _ROWS:
         _build_taylor()
     if isinstance(x, (float, int)):
         return _pair(float(x))
-    if isinstance(x, tuple):
-        return _two(*x)
     x = np.asarray(x, dtype=float)
     ai, aip = _stacked(x.ravel())
     return ai.reshape(x.shape), aip.reshape(x.shape)
@@ -254,17 +229,12 @@ def airy(x):
 
 def airy_ai(x):
     """Airy function Ai(x) for real x (scalar or array)."""
-    return _module.airy(x)[0]
+    return airy(x)[0]
 
 
 def airy_ai_prime(x):
     """Derivative Ai'(x) for real x (scalar or array)."""
-    return _module.airy(x)[1]
-
-
-def airy_ai_and_prime(x):
-    """(Ai(x), Ai'(x)) from one ``airy`` call, for real x (scalar, pair or array)."""
-    return _module.airy(x)
+    return airy(x)[1]
 
 
 # DLMF 9.9.18-19: T(t) and U(t) are t^(2/3) times sum_i c_i t^(-2i), i = 0..4
@@ -309,7 +279,7 @@ def _polish(x: float, derivative: bool) -> float:
     """Newton on Ai(-x) = 0, or on Ai'(-x) = 0 with ``derivative``, from x,
     up to its last step (``_ZETA_STEP``, ``_ETA_STEP``)."""
     while True:
-        ai, aip = _module.airy(-x)
+        ai, aip = airy(-x)
         # d/dx Ai(-x) = -Ai'(-x) and d/dx Ai'(-x) = -Ai''(-x) = x Ai(-x)
         step = -aip / (x * ai) if derivative else ai / aip
         x = x + step

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from momtail import asymptotics as asy
+from momtail import eigensolve as eig
+from momtail import potentials as pot
 from momtail.cli import main
 from momtail.errors import NoConvergence
 
@@ -227,6 +230,32 @@ def test_no_such_state_exits_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
+# a kind other than the symmetric linear one has no parity to choose: a
+# parity it does not read is refused, not ignored
+UNREAD_PARITY = {
+    "finite_well_odd": ({"kind": "finite_well", "depth": 10, "a": -1, "b": 1}, 1, "odd"),
+    "bouncer_even": ({"kind": "bouncer", "force": 1}, 2, "even"),
+    "delta_odd": ({"kind": "delta_sum", "deltas": [[1.0, 0.0]]}, 1, "odd"),
+}
+OUTPUTS = ("solve.json", "transform.csv", "predict.csv", "verify.json")
+
+
+@pytest.mark.parametrize("command", ["solve", "transform", "predict", "verify"])
+@pytest.mark.parametrize("from_flag", [False, True], ids=["config", "flag"])
+@pytest.mark.parametrize("name", UNREAD_PARITY)
+def test_parity_the_kind_does_not_read_exits_2(runner, tmp_path, command, from_flag, name):
+    potential, n, parity = UNREAD_PARITY[name]
+    cfg = {"potential": potential, "n": n}
+    flags = ["--parity", parity] if from_flag else []
+    if not from_flag:
+        cfg["parity"] = parity
+    res = runner.invoke(main, [command, "--config", write_cfg(tmp_path, cfg),
+                               "--out", str(tmp_path), *flags])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("solve error:") and "no parity" in res.output, res.output
+    assert not any((tmp_path / out).exists() for out in OUTPUTS)
+
+
 def test_failed_root_polish_exits_2(runner, tmp_path, monkeypatch):
     # the polish raises a typed error, which the CLI reports as a solve
     # error instead of a traceback
@@ -319,6 +348,9 @@ def test_predict_outputs_terms(runner, tmp_path):
     assert "leading exponent: 2" in res.output
     lines = (tmp_path / "predict.csv").read_text().strip().split("\n")
     assert lines[0] == "order,location,jump,coefficient_re,coefficient_im"
+    spec = pot.DeltaSum(deltas=((1.0, 0.0),))
+    prediction = asy.predict_tail(eig.solve(spec), pot.discontinuities(spec))
+    assert len(lines) == len(prediction.terms) + 1
 
 
 def test_verify_passes_for_delta(runner, tmp_path):

@@ -472,10 +472,10 @@ def test_asymmetric_linear_far_level_evaluates_few_airy_arguments(monkeypatch):
 ], ids=["bouncer", "symmetric_even", "symmetric_odd"])
 def test_single_airy_zero_solve_polishes_one_zero(monkeypatch, spec, parity):
     # level 30 is one Airy zero: one-argument Newton calls from its
-    # asymptotic start, at most 3 of them, then both sides of the match at
-    # z = 0 in one call
-    *newton, match = airy_arguments(monkeypatch, spec, 30, parity)
-    assert 1 <= len(newton) <= 3 and set(newton) == {1} and match == 2
+    # asymptotic start, at most 3 of them, then one call for each side of
+    # the match at z = 0
+    *newton, match_r, match_l = airy_arguments(monkeypatch, spec, 30, parity)
+    assert 1 <= len(newton) <= 3 and set(newton) == {1} and match_r == match_l == 1
 
 
 WALL_RATIOS = [(0.5, 2.0), (1.0, 0.45), (1.0, 1.0 + 1e-7), (1.0, 1.0 - 1e-7),
@@ -1095,6 +1095,22 @@ def test_solve_refuses_a_level_index_that_is_no_integer(spec, parity, n):
     # of the box gives E = pi^2 1.5^2 / 2, between levels 1 and 2
     with pytest.raises(NoSuchState):
         eig.solve(spec, n, parity)
+
+
+@pytest.mark.parametrize("spec,parity", [
+    (pot.InfiniteWell(length=1.0), "even"),
+    (pot.FiniteWell(depth=10.0, a=-1.0, b=1.0), "odd"),
+    (pot.Bouncer(force=1.0), "even"),
+    (pot.AsymmetricLinear(force_right=0.5, force_left=2.0), "odd"),
+], ids=["box", "piecewise", "bouncer", "asymmetric_linear"])
+def test_solve_refuses_a_parity_the_kind_does_not_read(spec, parity):
+    # one case per solver family: only the symmetric linear kind's levels
+    # split by parity, and any other would return a state of either parity;
+    # the classical edge, where there is one, refuses it too
+    with pytest.raises(NoSuchState, match="no parity"):
+        eig.solve(spec, 1, parity)
+    with pytest.raises(NoSuchState):
+        spec.classical_q(1, parity)
 
 
 @pytest.mark.parametrize("spec,parity", EVERY_KIND, ids=[s.kind for s, _ in EVERY_KIND])

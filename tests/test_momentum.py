@@ -320,13 +320,12 @@ def test_build_evaluates_each_panel_once_per_generation(monkeypatch, spec, n, pa
     tiling = _reference_panels(st)[0].size
     calls, airy_args = [], []
     slope = st.psi_and_slope
-    airy = specfun.airy_ai_and_prime
+    airy = specfun.airy
 
     def no_psi(x):
         raise AssertionError("the build sampled psi")
 
-    monkeypatch.setattr(specfun, "airy_ai_and_prime",
-                        lambda x: airy_args.append(np.size(x)) or airy(x))
+    monkeypatch.setattr(specfun, "airy", lambda x: airy_args.append(np.size(x)) or airy(x))
     st.psi = no_psi
     st.psi_and_slope = lambda x: calls.append(np.size(x)) or slope(x)
     panels = mom.FilonPanels(st)

@@ -48,8 +48,8 @@ for spec in (potentials.InfiniteWell(length=1.0), potentials.DeltaSum(deltas=((1
 def test_every_kind_runs_without_scipy(tmp_path):
     # each of the 8 kinds solves, builds its panels, transforms on the CLI's
     # default grid and predicts its tail, and both figures run through the
-    # CLI: the Airy kinds take the scalar, pair and array paths of
-    # specfun.airy, and no kind loads scipy
+    # CLI: the Airy kinds take the scalar and array paths of specfun.airy,
+    # and no kind loads scipy
     loaded = run_fresh(f"""
 import numpy as np
 import momtail.cli
