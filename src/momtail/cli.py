@@ -22,7 +22,7 @@ bounds that are not finite with min < max, a grid too large to allocate, a
 potential parameter that is not finite, a mass or hbar <= 0) or a
 ``solve error`` (a state, parity or prediction the config
 cannot have, psi and psi' both zero at a break, jumps whose two routes
-disagree, or a failed root polish).
+disagree, a failed root polish, or a solve whose arithmetic overflows).
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from . import eigensolve as eig
 from . import momentum as mom
 from . import potentials as pot
 from . import tailfit
-from .errors import (InconsistentJumps, NoBoundState, NoConvergence, NoSuchState,
-                     QuadratureBudgetExceeded, UnsupportedCase)
+from .errors import (InconsistentJumps, NoConvergence, NoSuchState, QuadratureBudgetExceeded,
+                     UnsupportedCase)
 
 _FIT_LO_MULT = 10.0     # verification fit window starts at 10 * p_scale
 _FIT_HI = 1e3
@@ -55,9 +55,10 @@ _CONFIG_FIELDS = {"potential", "n", "parity", "grid"}
 
 # each stage of a command: the errors it reports under this prefix, and the exit code
 _FAILURES = {
-    "config error": ((OSError, KeyError, TypeError, ValueError, OverflowError), 2),
-    "solve error": ((NoSuchState, NoBoundState, NoConvergence, UnsupportedCase,
-                     InconsistentJumps, ValueError), 2),
+    "config error": ((OSError, KeyError, TypeError, ValueError, OverflowError, MemoryError), 2),
+    # NoSuchState and NoBoundState are ValueErrors; an extreme parameter can overflow
+    "solve error": ((NoConvergence, UnsupportedCase, InconsistentJumps, ValueError,
+                     ArithmeticError), 2),
     "quadrature error": ((QuadratureBudgetExceeded,), 1),
 }
 
@@ -209,7 +210,7 @@ def transform(cfg: RunConfig, out: Path) -> None:
     try:
         columns.append(mom.classical_momentum_density(cfg.spec, cfg.n, samples.grid, cfg.parity))
         header += ",classical_density"
-    except (NoSuchState, ValueError):
+    except NoSuchState:
         pass
     path = out / "transform.csv"
     _write_csv(path, header, *columns)

@@ -2,19 +2,19 @@
 
 ``solve`` dispatches on the spec's family: a ``potentials.Piecewise`` kind
 to ``solve_piecewise`` on the pieces of its ledger, a ``potentials.Linear``
-kind to ``solve_linear`` on its ``forces`` and the level ``level_index(n,
-parity)``, and the box to ``solve_infinite_well``; a new kind of either
-family needs no change here. States are numbered n = 1, 2, ... in order of
-increasing energy, the symmetric linear potential's within each parity; it
-alone takes a parity, and every other kind's ``level_index`` refuses one
-(NoSuchState).
+kind to ``solve_linear`` on its ``forces``, and the box to
+``solve_infinite_well``; a new kind of either family needs no change here.
+States are numbered n = 1, 2, ... in order of increasing energy, the
+symmetric linear potential's within each parity. Every solver takes (spec,
+n, parity) and first reads the level through ``spec.level_index(n,
+parity)``, which alone refuses a request that names no level (NoSuchState).
 
 Every solver returns a ``BoundState`` carrying ``psi_and_slope``, (psi, psi')
 at an array of points from one evaluation, and ``ode``, the coefficients of
 psi'' = (b0 + b1 x) psi on each piece of V. At each break a of V a solver
 gives only (psi(a), psi'(a-), psi'(a+)); the state derives its one-sided
 derivative table (orders 0..5 on each side) from those and ``ode``, by the
-Taylor recurrence ``ode_taylor``, the same recurrence from which
+Taylor recurrence ``specfun.ode_taylor``, the same recurrence from which
 ``momentum.FilonPanels`` expands psi on its panels. The breaks are the
 ledger's locations themselves, so the table of a record is
 ``derivative_table[record.location]``. Numerical
@@ -54,19 +54,6 @@ _FACTORIALS = tuple(math.factorial(k) for k in range(_TABLE_ORDER + 1))
 _MAX_EXP = 700.0
 
 
-def ode_taylor(t0, t1, a, g, degree: int) -> list:
-    """Taylor coefficients t_0..t_degree of psi(c + h t) in t, where psi'' = (b0 + b1 x) psi.
-
-    They obey (k+1)(k+2) t_(k+2) = A t_k + G t_(k-1), with A = (b0 + b1 c) h^2
-    and G = b1 h^3, from t_0 = psi(c) and t_1 = h psi'(c). With h = 1,
-    psi^(k)(c) = k! t_k. Takes floats or arrays of one shape, elementwise.
-    """
-    t = [t0, t1, 0.5 * a * t0]
-    for k in range(1, degree - 1):
-        t.append((a * t[k] + g * t[k - 1]) / ((k + 1) * (k + 2)))
-    return t
-
-
 @dataclass(frozen=True)
 class SideDerivatives:
     """One-sided derivatives psi^(j)(a-) / psi^(j)(a+) for j = 0..5."""
@@ -103,8 +90,8 @@ class BoundState:
         # the left side of break i lies in region i, its right side in region i + 1
         for a, (value, slope_l, slope_r), (l0, l1), (r0, r1) in zip(
                 self.breaks, self.matching, self.ode, self.ode[1:]):
-            left = ode_taylor(value, slope_l, l0 + l1 * a, l1, _TABLE_ORDER)
-            right = ode_taylor(value, slope_r, r0 + r1 * a, r1, _TABLE_ORDER)
+            left = specfun.ode_taylor(value, slope_l, l0 + l1 * a, l1, _TABLE_ORDER)
+            right = specfun.ode_taylor(value, slope_r, r0 + r1 * a, r1, _TABLE_ORDER)
             self.derivative_table[float(a)] = SideDerivatives(
                 float(value), tuple(map(mul, _FACTORIALS, left)),
                 tuple(map(mul, _FACTORIALS, right)))
@@ -241,7 +228,7 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int,
     raise NoConvergence(f"the root polish did not converge in {maxiter} iterations")
 
 
-def solve_piecewise(spec: pot.Piecewise, n: int = 1) -> BoundState:
+def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) -> BoundState:
     """n-th level of a piecewise-constant V with attractive delta cusps.
 
     ``spec.pieces()`` gives the boundaries, the region potentials and the
@@ -257,13 +244,12 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1) -> BoundState:
     a sign function whenever the level lives away from the last boundary,
     and Brent would bisect.
     """
+    n = spec.level_index(n, parity)
     xs, vs, cusps = pieces = spec.pieces()
     m, hbar = spec.mass, spec.hbar
     coef = 2.0 * m / hbar ** 2
     top = min(vs[0], vs[-1])
     bottom = min(vs) - m * sum(cusps) ** 2 / (2.0 * hbar ** 2)
-    if n < 1:
-        raise NoSuchState("n must be >= 1")
     if not bottom < top:
         raise NoSuchState("no admissible bound-state energy window")
     sweeps = {}
@@ -422,11 +408,10 @@ def _piecewise_state(spec: pot.Piecewise, pieces, n: int, energy: float, left) -
                       osc_scale=min(osc) if osc else math.inf)
 
 
-def solve_infinite_well(spec: pot.InfiniteWell, n: int) -> BoundState:
+def solve_infinite_well(spec: pot.InfiniteWell, n: int, parity: str | None = None) -> BoundState:
     """Particle in a box on (0, L), n = 1, 2, ..."""
+    n = spec.level_index(n, parity)
     L, m, hbar = spec.length, spec.mass, spec.hbar
-    if n < 1:
-        raise NoSuchState("n must be >= 1")
     k = n * math.pi / L
     amp = math.sqrt(2.0 / L)
     energy = hbar ** 2 * k ** 2 / (2.0 * m)
@@ -473,8 +458,6 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
     where psi(0) = 0.
     """
     k = spec.level_index(n, parity)
-    if k < 1:
-        raise NoSuchState("n must be >= 1")
     m, hbar = spec.mass, spec.hbar
     force_r, force_l = spec.forces
     wall = force_l == pot.WALL
@@ -546,7 +529,7 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
 
     parity = ("even" if k % 2 else "odd") if force_l == force_r else "none"
     # a wall's left side copies the right one's scales, so it leaves osc_scale as is
-    return BoundState(energy, n, parity, psi_and_slope,
+    return BoundState(energy, index(n), parity, psi_and_slope,
                       support=(0.0 if wall else -rho_l * (18.0 - u_l), rho_r * (18.0 - u_r)),
                       mass=m, hbar=hbar, breaks=(0.0,),
                       ode=((0.0, 0.0) if wall else (u_l / rho_l ** 2, -1.0 / rho_l ** 3),
@@ -556,12 +539,10 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
                                     2.0 * math.pi * rho_l / math.sqrt(-u_l)))
 
 
-# spec family -> solver(spec, n, parity); each reads the state through the
-# kind's ``level_index``, which refuses a parity the kind does not read
+# spec family -> its solver(spec, n, parity)
 _SOLVERS = {
-    pot.InfiniteWell: lambda spec, n, parity: solve_infinite_well(
-        spec, spec.level_index(n, parity)),
-    pot.Piecewise: lambda spec, n, parity: solve_piecewise(spec, spec.level_index(n, parity)),
+    pot.InfiniteWell: solve_infinite_well,
+    pot.Piecewise: solve_piecewise,
     pot.Linear: solve_linear,
 }
 
@@ -575,12 +556,8 @@ def __getattr__(name: str):
 
 
 def solve(spec: pot.PotentialSpec, n: int = 1, parity: str | None = None) -> BoundState:
-    """Dispatch to the solver for the given potential's family. n is an integer
-    (numpy's too); a bool or anything else ``operator.index`` refuses is no
-    level, and raises ``NoSuchState``."""
-    if isinstance(n, bool) or not hasattr(n, "__index__"):
-        raise NoSuchState(f"n must be an integer, not {n!r}")
-    n = index(n)
+    """Dispatch to the solver for the given potential's family, which checks
+    the request through ``spec.level_index(n, parity)``."""
     for family, solver in _SOLVERS.items():
         if isinstance(spec, family):
             return solver(spec, n, parity)

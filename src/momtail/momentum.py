@@ -38,8 +38,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legmulx
 
 from . import potentials as pot
-from .eigensolve import BoundState, ode_taylor, solve_infinite_well
+from .eigensolve import BoundState, solve_infinite_well
 from .errors import DivergentMoment, QuadratureBudgetExceeded
+from .specfun import ode_taylor
 
 _DEGREE = 34          # highest Taylor and Legendre coefficient kept per panel
 _TAIL_COEFFS = 5      # trailing coefficients used for the resolution check
@@ -228,12 +229,17 @@ class FilonPanels:
 
         lo, hi = state.support
         edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
-        c, hw = [], []
+        counts = []
         for u, v in zip(edges[:-1], edges[1:]):
             b0, b1 = state.ode[np.searchsorted(state.breaks, 0.5 * (u + v))]
             decays = b1 == 0.0 and b0 > 0.0
             width = 2.0 * math.pi / math.sqrt(b0) if decays else state.osc_scale
-            m = max(1, math.ceil((v - u) / width))
+            counts.append(max(1, math.ceil((v - u) / width)))
+        # counted before it is built: a very high level's tiling would fill memory
+        if sum(counts) > _MAX_PANELS:
+            raise QuadratureBudgetExceeded(f"needed more than {_MAX_PANELS} panels to resolve psi")
+        c, hw = [], []
+        for u, v, m in zip(edges[:-1], edges[1:], counts):
             h = 0.5 * (v - u) / m
             c.extend(u + (2 * i + 1) * h for i in range(m))
             hw.extend([h] * m)
@@ -448,7 +454,7 @@ def phi_closed_delta(spec: pot.DeltaSum, state: BoundState, grid) -> MomentumSam
 def phi_closed_well(spec: pot.InfiniteWell, n: int, grid, mass: float | None = None,
                     hbar: float | None = None) -> MomentumSamples:
     """phi of level n of the box, by ``phi_closed``. Units are the spec's; an
-    explicit ``mass`` or ``hbar`` must equal them. n < 1 raises NoSuchState."""
+    explicit ``mass`` or ``hbar`` must equal them. An n that is no level raises NoSuchState."""
     pot.check_units(spec, mass, hbar)
     return phi_closed(solve_infinite_well(spec, n), grid)
 
@@ -514,8 +520,8 @@ def parseval_norm(samples: MomentumSamples) -> float:
 def classical_momentum_density(spec, n: int, p, parity: str | None = None):
     """Classical momentum distribution: flat on |p| <= Q_n, Q_n = sqrt(2mE_n).
 
-    Q_n is the spec's ``classical_q``; kinds without one raise NoSuchState.
-    Normalized to unit integral over p.
+    Q_n is the spec's ``classical_q``; a kind without one and a request that
+    ``spec.level_index`` refuses raise NoSuchState. Normalized to unit integral over p.
     """
     qn = spec.classical_q(n, parity)
     p = np.asarray(p, dtype=float)

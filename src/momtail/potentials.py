@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import NamedTuple
@@ -58,8 +59,9 @@ class _Kind:
     WALL beyond infinite walls and delta spikes excluded; ``v_floor``, the
     floor of V in the momentum scale sqrt(2m |E - v_floor|) that separates
     structure from tail; ``level_index(n, parity)``, the place of the
-    state among all levels from 1; and ``classical_q(n, parity)``, the edge
-    Q_n = sqrt(2m E_n) of the classical momentum density, where there is one.
+    state among all levels from 1 and the one check of a request, which
+    every solver and ``classical_q`` read first; and ``classical_q(n,
+    parity)``, the edge Q_n = sqrt(2m E_n) of the classical density, if any.
     Every parameter must be finite and mass and hbar positive; ``_check``
     adds the kind's own conditions.
     """
@@ -80,12 +82,14 @@ class _Kind:
         """Refuse parameters the kind cannot have (ValueError)."""
 
     def level_index(self, n: int, parity: str | None = None) -> int:
-        """n itself: only a kind whose levels split by parity reads one, so any
-        other refuses a parity (NoSuchState) rather than ignore it."""
+        """n as an int. A bool, anything else ``operator.index`` refuses, n < 1, and
+        a parity where the kind's levels do not split by one name no level (NoSuchState)."""
+        if isinstance(n, bool) or not hasattr(n, "__index__") or operator.index(n) < 1:
+            raise NoSuchState(f"n must be an integer >= 1, not {n!r}")
         if parity is not None:
             raise NoSuchState(f"potential kind {self.kind!r} has no parity to choose, "
                               f"got parity = {parity!r}")
-        return n
+        return operator.index(n)
 
     def classical_q(self, n: int, parity: str | None = None) -> float:
         raise NoSuchState(f"no classical density for potential kind {self.kind!r}")
@@ -284,8 +288,8 @@ class SymmetricLinear(_OneForce):
     def level_index(self, n: int, parity: str | None = None) -> int:
         """Even and odd states alternate: the n-th even is level 2n - 1, the n-th odd 2n."""
         if parity not in ("even", "odd"):
-            raise ValueError("parity required for the symmetric linear potential")
-        return 2 * n - (parity == "even")
+            raise NoSuchState(f"symmetric linear needs parity even or odd, not {parity!r}")
+        return 2 * super().level_index(n) - (parity == "even")
 
 
 @dataclass(frozen=True)

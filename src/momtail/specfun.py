@@ -8,7 +8,7 @@
   from mpmath by ``tests/airy_anchors.py``), each with the float nearest its
   rest, which Horner adds just before the anchor's value, so that near an
   anchor the result is nearly the correctly rounded one. The higher Taylor
-  coefficients come from ``eigensolve.ode_taylor`` on the first call. A
+  coefficients come from ``ode_taylor`` on the first call. A
   float is summed on Python floats, and an array of more than 16 points
   over the stacked (Ai, Ai') coefficient table, by the same operations in
   the same order, so both give the same bits.
@@ -38,14 +38,19 @@ zeta_1 (4e-4) and fails at eta_1, so those two start from 2.338107 and
 1.0188. Newton on ``airy`` then polishes each zero until its own step is so
 small that the next one would be below rounding. The rule reads nothing but
 that zero's step, so a zero is the same float whichever call, ladder or
-subset returns it. ``airy_zero(n)`` and ``airy_prime_zero(n)`` polish the
-n-th zero alone, and ``merged_zero_window`` the eight zeta of two scaled
-ladders that can hold a given place in their merged order, found by
-bisection on the starts with no Airy call.
+subset returns it. Past x = -1e6, where ``airy`` is NaN, there is no step to
+read: from the 212,206,592nd zero of either on, the polish raises
+``NoConvergence`` instead of returning NaN. ``airy_zero(n)`` and
+``airy_prime_zero(n)`` polish the n-th zero alone, and ``merged_zero_window``
+the eight zeta of two scaled ladders that can hold a given place in their
+merged order, found by bisection on the starts with no Airy call.
 
 Every Airy value passes through ``airy``, which the wrappers and Newton
 look up among the module's globals on each call, so a patched
 ``specfun.airy`` is the one they call.
+
+``ode_taylor``, the Taylor recurrence of y'' = (a + g t) y, builds the tables
+here and the derivative tables and panels of ``eigensolve`` and ``momentum``.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ import operator
 from itertools import accumulate
 
 import numpy as np
+
+from .errors import NoConvergence
 
 # the Taylor region [_LO, _HI], its anchors _PER_UNIT to a unit apart, and
 # the degree of the polynomial about each: its first neglected term is below
@@ -74,6 +81,19 @@ _AT = _TABLE = None
 _ROWS: list = []
 
 
+def ode_taylor(t0, t1, a, g, degree: int) -> list:
+    """Taylor coefficients t_0..t_degree of psi(c + h t) in t, where psi'' = (b0 + b1 x) psi.
+
+    They obey (k+1)(k+2) t_(k+2) = A t_k + G t_(k-1), with A = (b0 + b1 c) h^2
+    and G = b1 h^3, from t_0 = psi(c) and t_1 = h psi'(c). With h = 1,
+    psi^(k)(c) = k! t_k. Takes floats or arrays of one shape, elementwise.
+    """
+    t = [t0, t1, 0.5 * a * t0]
+    for k in range(1, degree - 1):
+        t.append((a * t[k] + g * t[k - 1]) / ((k + 1) * (k + 2)))
+    return t
+
+
 def _build_taylor() -> None:
     """Fill the Taylor tables from ``_airy_anchors``. The coefficients run from
     the highest degree down, and the constant terms come as a float and the
@@ -81,7 +101,6 @@ def _build_taylor() -> None:
     Ai and Ai' coefficients, (Ai, Ai') pairs down to the rests, Ai, Ai')."""
     global _AT, _TABLE
     from ._airy_anchors import ANCHORS
-    from .eigensolve import ode_taylor
     ai, ai_lo, aip, aip_lo = np.array([float(v) for v in ANCHORS.split()]).reshape(-1, 4).T
     at = _LO + np.arange(ai.size) / _PER_UNIT
     # Ai'' = x Ai about each anchor x_j, with h = 1
@@ -277,11 +296,14 @@ def _start(k: int, derivative: bool) -> float:
 
 def _polish(x: float, derivative: bool) -> float:
     """Newton on Ai(-x) = 0, or on Ai'(-x) = 0 with ``derivative``, from x,
-    up to its last step (``_ZETA_STEP``, ``_ETA_STEP``)."""
+    up to its last step (``_ZETA_STEP``, ``_ETA_STEP``). A NaN step, where
+    ``airy`` is NaN beyond -1e6, raises ``NoConvergence``."""
     while True:
         ai, aip = airy(-x)
         # d/dx Ai(-x) = -Ai'(-x) and d/dx Ai'(-x) = -Ai''(-x) = x Ai(-x)
         step = -aip / (x * ai) if derivative else ai / aip
+        if math.isnan(step):
+            raise NoConvergence(f"the Airy zero polish met a NaN at x = {x!r}")
         x = x + step
         if not abs(step) > (_ETA_STEP * x if derivative else _ZETA_STEP):
             return float(x)

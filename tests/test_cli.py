@@ -282,27 +282,49 @@ def test_delta_pair_with_zero_energy_resonance(runner, tmp_path, command, n, cod
     assert res.exit_code == code, res.output
 
 
-# potential -> exit codes of solve, transform, predict and verify
+# potential -> exit codes of solve, transform, predict and verify, and the
+# start of the report of an exit 2
+VANISH = "solve error: psi and psi' both vanish"
+RANGE = "solve error: (34, "      # ERANGE, worded by the C library
+DIVIDE = "solve error: float division by zero"
 CORNERS = {
     # a break deep in psi's tail, where psi ~ 1e-33: its jump is still a term
-    "far_step_30": ({"kind": "step_sum", "steps": [[0, -5], [1, 5], [30, 1]]}, (0, 0, 0, 1)),
+    "far_step_30": ({"kind": "step_sum", "steps": [[0, -5], [1, 5], [30, 1]]}, (0, 0, 0, 1), None),
     "far_step_12": ({"kind": "step_sum", "steps": [[0, -50], [1, 40], [12, 10]]},
-                    (0, 0, 0, 1)),
+                    (0, 0, 0, 1), None),
     "far_hybrid_step": ({"kind": "hybrid_delta_step", "g": 1, "step_height": 1, "a": 60},
-                        (0, 0, 0, 0)),
+                        (0, 0, 0, 0), None),
     # psi and psi' underflow to 0.0 at the step: no expansion rule applies
     "underflowed_step": ({"kind": "step_sum", "steps": [[0, -5], [1, 5], [400, 1]]},
-                         (0, 0, 2, 2)),
+                         (0, 0, 2, 2), VANISH),
     # decay lengths of ~1e6 and more
-    "weak_well": ({"kind": "finite_well", "depth": 1e-6, "a": -1, "b": 1}, (0, 0, 0, 0)),
+    "weak_well": ({"kind": "finite_well", "depth": 1e-6, "a": -1, "b": 1}, (0, 0, 0, 0), None),
     "light_well": ({"kind": "finite_well", "depth": 10, "a": -1, "b": 1, "mass": 1e-3,
-                    "hbar": 1e3}, (0, 0, 0, 1)),
+                    "hbar": 1e3}, (0, 0, 0, 1), None),
+    # finite parameters whose solve overflows or divides by zero
+    "delta_strength_1e300": ({"kind": "delta_sum", "deltas": [[1e300, 0]]}, (2, 2, 2, 2), RANGE),
+    "delta_1e300_apart": ({"kind": "delta_sum", "deltas": [[1, 0], [1, 1e300]]}, (2, 2, 2, 2),
+                          "solve error: math range error"),
+    "deltas_2e300_apart": ({"kind": "delta_sum", "deltas": [[1, -1e300], [1, 1e300]]},
+                           (2, 2, 2, 2), "solve error: math range error"),
+    "well_width_2e300": ({"kind": "finite_well", "depth": 1, "a": -1e300, "b": 1e300},
+                         (2, 2, 2, 2), RANGE),
+    "well_width_2e-300": ({"kind": "finite_well", "depth": 1, "a": -1e-300, "b": 1e-300},
+                          (2, 2, 2, 2), DIVIDE),
+    "well_depth_1e300": ({"kind": "finite_well", "depth": 1e300, "a": -1, "b": 1},
+                         (2, 2, 2, 2), RANGE),
+    "steps_1e308": ({"kind": "step_sum", "steps": [[0, -1e308], [1, 1e308]]}, (2, 2, 2, 2),
+                    "solve error: cannot convert float infinity to integer"),
+    "box_length_1e-300": ({"kind": "infinite_well", "length": 1e-300}, (2, 2, 2, 2), RANGE),
+    "bouncer_hbar_1e300": ({"kind": "bouncer", "force": 1, "hbar": 1e300}, (2, 2, 2, 2), RANGE),
+    "delta_hbar_1e-300": ({"kind": "delta_sum", "deltas": [[1, 0]], "hbar": 1e-300},
+                          (2, 2, 2, 2), DIVIDE),
 }
 
 
 @pytest.mark.parametrize("name", CORNERS)
 def test_corner_configs_exit_without_traceback(runner, tmp_path, name):
-    potential, codes = CORNERS[name]
+    potential, codes, report = CORNERS[name]
     cfg = write_cfg(tmp_path, {"potential": potential})
     for command, code in zip(["solve", "transform", "predict", "verify"], codes):
         res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
@@ -311,7 +333,34 @@ def test_corner_configs_exit_without_traceback(runner, tmp_path, name):
         assert res.exception is None or type(res.exception) is SystemExit, command
         assert "Traceback" not in res.output
         if code == 2:
-            assert res.output.startswith("solve error: psi and psi' both vanish")
+            assert res.output.startswith(report)
+
+
+@pytest.mark.parametrize("command", ["solve", "transform", "predict", "verify"])
+@pytest.mark.parametrize("potential,parity", [
+    ({"kind": "bouncer", "force": 1}, None),
+    ({"kind": "symmetric_linear", "force": 1}, "even"),
+    ({"kind": "symmetric_linear", "force": 1}, "odd"),
+], ids=["bouncer", "symmetric_linear_even", "symmetric_linear_odd"])
+def test_airy_level_past_the_last_finite_zero_exits_2(runner, tmp_path, command, potential,
+                                                      parity):
+    # its zero lies beyond x = -1e6, where Ai is NaN; the NaN energy it gave
+    # ended the run with a traceback
+    cfg = write_cfg(tmp_path, {"potential": potential, "n": 3 * 10 ** 8, "parity": parity})
+    res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("solve error: the Airy zero polish met a NaN")
+
+
+def test_grid_too_large_to_allocate_is_a_config_error(runner, tmp_path):
+    # 10^17 points would take 711 PiB, more than a 64-bit address space maps,
+    # so numpy's allocation fails at once whatever the host's overcommit policy
+    cfg = write_cfg(tmp_path, {**DELTA_CFG, "grid": {"kind": "linear", "min": -1.0, "max": 1.0,
+                                                     "count": 10 ** 17}})
+    res = runner.invoke(main, ["transform", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error: Unable to allocate")
+    assert not (tmp_path / "transform.csv").exists()
 
 
 @pytest.mark.parametrize("cfg,header,rows", [

@@ -294,7 +294,7 @@ def test_symmetric_linear_energies():
         e_odd = float(-mpmath.airyaizero(n)) * 0.5
         assert eig.solve(spec, n, parity="even").energy == pytest.approx(e_even, rel=1e-13)
         assert eig.solve(spec, n, parity="odd").energy == pytest.approx(e_odd, rel=1e-13)
-    with pytest.raises(ValueError):
+    with pytest.raises(NoSuchState, match="needs parity"):
         eig.solve(spec, 1)
 
 
@@ -1088,13 +1088,33 @@ EVERY_KIND = [
 ]
 
 
+def entry_points(spec, parity):
+    """Every public call that takes a level of ``spec``: ``solve``, the family's
+    own solver, and the box's closed-form phi and the classical density and
+    edge where the kind has them; each as a function of n."""
+    solver = (eig.solve_infinite_well if isinstance(spec, pot.InfiniteWell)
+              else eig.solve_piecewise if isinstance(spec, pot.Piecewise)
+              else eig.solve_linear)
+    calls = [lambda n: eig.solve(spec, n, parity), lambda n: solver(spec, n, parity)]
+    if isinstance(spec, pot.InfiniteWell):
+        calls.append(lambda n: mom.phi_closed_well(spec, n, np.array([0.0, 3.0])).phi)
+    if isinstance(spec, (pot.InfiniteWell, pot.Bouncer, pot.SymmetricLinear)):
+        calls += [lambda n: spec.classical_q(n, parity),
+                  lambda n: mom.classical_momentum_density(spec, n, np.array([0.0, 9.0]), parity)]
+    return calls
+
+
 @pytest.mark.parametrize("spec,parity", EVERY_KIND, ids=[s.kind for s, _ in EVERY_KIND])
-@pytest.mark.parametrize("n", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
+@pytest.mark.parametrize("n", [0, -1, 1.5, 2.0, True, "1"],
+                         ids=["0", "-1", "1.5", "2.0", "True", "'1'"])
 def test_solve_refuses_a_level_index_that_is_no_integer(spec, parity, n):
-    # a float, even a whole one, or a bool names no level: taken as one, n = 1.5
-    # of the box gives E = pi^2 1.5^2 / 2, between levels 1 and 2
-    with pytest.raises(NoSuchState):
-        eig.solve(spec, n, parity)
+    # n < 1, a float, even a whole one, a bool or a string names no level, at
+    # every entry point: taken as one, n = 1.5 of the box gives E = pi^2 1.5^2 / 2,
+    # between levels 1 and 2, and the box's classical density at n = 0 divides
+    # by Q_0 = 0
+    for call in entry_points(spec, parity):
+        with pytest.raises(NoSuchState):
+            call(n)
 
 
 @pytest.mark.parametrize("spec,parity", [
@@ -1115,11 +1135,28 @@ def test_solve_refuses_a_parity_the_kind_does_not_read(spec, parity):
 
 @pytest.mark.parametrize("spec,parity", EVERY_KIND, ids=[s.kind for s, _ in EVERY_KIND])
 def test_solve_takes_a_numpy_integer_level_index(spec, parity):
-    try:
-        want = eig.solve(spec, 2, parity)
-    except NoSuchState:
-        with pytest.raises(NoSuchState):
-            eig.solve(spec, np.int64(2), parity)
-        return
-    state = eig.solve(spec, np.int64(2), parity)
-    assert state.energy == want.energy and type(state.n) is int and state.n == 2
+    # each entry point gives for np.int64(2) what it gives for 2
+    for call in entry_points(spec, parity):
+        try:
+            want = call(2)
+        except NoSuchState:
+            with pytest.raises(NoSuchState):
+                call(np.int64(2))
+            continue
+        got = call(np.int64(2))
+        if isinstance(want, eig.BoundState):
+            assert got.energy == want.energy and type(got.n) is int and got.n == 2
+        else:
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec,parity", [
+    (pot.Bouncer(force=1.0), None),
+    (pot.SymmetricLinear(force=1.0), "even"),
+    (pot.SymmetricLinear(force=1.0), "odd"),
+], ids=["bouncer", "symmetric_linear_even", "symmetric_linear_odd"])
+def test_airy_level_past_the_last_finite_zero_is_refused(spec, parity):
+    # the 3e8-th zeta and eta lie beyond x = -1e6, where Ai is NaN: the
+    # polish raises instead of returning a NaN energy
+    with pytest.raises(NoConvergence, match="NaN"):
+        eig.solve(spec, 3 * 10 ** 8, parity)

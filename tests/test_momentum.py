@@ -362,6 +362,20 @@ def test_budget_stops_a_panel_that_never_resolves():
         mom.FilonPanels(nan)
 
 
+def test_budget_refuses_a_first_tiling_before_building_it():
+    # level 10^7 of the box tiles its width in 5e6 panels: counted, not built,
+    # where the lists of their centers and half-widths took ~340 MB
+    st = eig.solve(pot.InfiniteWell(length=1.0), 10 ** 7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureBudgetExceeded, match="needed more than"):
+            mom.FilonPanels(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
 # --- tiling -----------------------------------------------------------------
 
 def _reference_panels(state):

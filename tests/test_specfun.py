@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as hst
 
 import airy_anchors
 from momtail import specfun
+from momtail.errors import NoConvergence
 
 mpmath.mp.dps = 30
 
@@ -129,6 +130,16 @@ def test_zero_index_validation():
         specfun.airy_zero(0)
     with pytest.raises(ValueError):
         specfun.airy_prime_zero(-1)
+
+
+@pytest.mark.parametrize("zero", [specfun.airy_zero, specfun.airy_prime_zero],
+                         ids=["zeta", "eta"])
+def test_zero_beyond_the_far_region_raises(zero):
+    # both 212,206,591st zeros lie just inside x = -1e6, and the next ones
+    # beyond it, where airy is NaN: the polish raises rather than return NaN
+    assert 999_999.99 < zero(212_206_591) < 1e6
+    with pytest.raises(NoConvergence, match="NaN"):
+        zero(212_206_592)
 
 
 def test_single_zero_equals_the_ladder_bit_for_bit():
