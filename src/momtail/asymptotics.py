@@ -30,6 +30,7 @@ product.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -53,9 +54,27 @@ class TailTerm:
 
     @property
     def coefficient(self) -> complex:
-        """Complex prefactor of e^{-ipa/hbar} p^{-order}."""
-        return ((-1j) ** self.order * self.jump * self.hbar ** self.order
-                / math.sqrt(2.0 * math.pi * self.hbar))
+        """Complex prefactor of e^{-ipa/hbar} p^{-order}.
+
+        The jump is multiplied by hbar one order at a time, where hbar ** order
+        can overflow first, and divided by sqrt(2 pi hbar) before the
+        products grow (hbar >= 1) or after they shrink (hbar < 1): so no
+        partial product exceeds both the jump and the coefficient. Raises
+        ``OverflowError`` where a finite jump gives a coefficient that is
+        not finite.
+        """
+        value = (-1j) ** self.order * self.jump
+        root = math.sqrt(2.0 * math.pi * self.hbar)
+        if self.hbar >= 1.0:
+            value /= root
+        for _ in range(self.order):
+            value *= self.hbar
+        if self.hbar < 1.0:
+            value /= root
+        if math.isfinite(self.jump) and not cmath.isfinite(value):
+            raise OverflowError(f"the order-{self.order} coefficient at x = {self.location!r} "
+                                f"overflows: jump {self.jump!r}, hbar {self.hbar!r}")
+        return value
 
 
 @dataclass

@@ -15,14 +15,17 @@ the state's Filon panels and its truncation bound (``momentum.FilonPanels``'
 ``norm`` and ``norm_error``).
 
 Exit codes: 0 success; 1 a failed verification or a quadrature failure
-(``solve``, ``transform`` and ``verify`` when the Filon panels cannot
-resolve psi); 2 a usage error, a ``config error``
+(the Filon panels cannot resolve psi); 2 a usage error, a ``config error``
 (an unreadable config, a field it does not read or of the wrong type, grid
 bounds that are not finite with min < max, a grid too large to allocate, a
-potential parameter that is not finite, a mass or hbar <= 0) or a
-``solve error`` (a state, parity or prediction the config
-cannot have, psi and psi' both zero at a break, jumps whose two routes
-disagree, a failed root polish, or a solve whose arithmetic overflows).
+potential parameter that is not finite, a mass or hbar <= 0, an output path
+that cannot be written) or a ``solve error`` (a state, parity or prediction
+the config cannot have, psi and psi' both zero at a break, jumps whose two
+routes disagree, a failed root polish, a solve whose arithmetic overflows,
+a state whose energy or psi is not finite, a tail coefficient past the float
+range, or a verify momentum scale of 0 or inf). One ordered map,
+``_FAILURES``, decides each failure's report and code around each whole
+command; an error it does not name is a bug, and propagates.
 """
 
 from __future__ import annotations
@@ -53,14 +56,16 @@ _ENVELOPE_TOL = 0.05
 _DEFAULT_GRID = {"kind": "linear", "min": -50.0, "max": 50.0, "count": 1001}
 _CONFIG_FIELDS = {"potential", "n", "parity", "grid"}
 
-# each stage of a command: the errors it reports under this prefix, and the exit code
-_FAILURES = {
-    "config error": ((OSError, KeyError, TypeError, ValueError, OverflowError, MemoryError), 2),
+# each failure a command reports: (its errors, report prefix, exit code); the first match wins
+_FAILURES = (
+    ((QuadratureBudgetExceeded,), "quadrature error", 1),
+    ((OSError, MemoryError), "config error", 2),    # an unwritable output, a huge grid
     # NoSuchState and NoBoundState are ValueErrors; an extreme parameter can overflow
-    "solve error": ((NoConvergence, UnsupportedCase, InconsistentJumps, ValueError,
-                     ArithmeticError), 2),
-    "quadrature error": ((QuadratureBudgetExceeded,), 1),
-}
+    ((NoConvergence, UnsupportedCase, InconsistentJumps, ValueError, ArithmeticError),
+     "solve error", 2),
+)
+_CONFIG_FAILURES = (((OSError, KeyError, TypeError, ValueError, OverflowError, MemoryError),
+                     "config error", 2),)    # reading a config and building its grid
 
 
 @dataclass
@@ -73,14 +78,16 @@ class RunConfig:
 
 
 @contextmanager
-def _failing_as(prefix: str):
-    """Report an error that ``_FAILURES`` lists under ``prefix``, and exit with its code."""
-    types, code = _FAILURES[prefix]
+def _reporting(failures):
+    """Report an error ``failures`` names in one line and exit with its code; else re-raise."""
     try:
         yield
-    except types as exc:
-        print(f"{prefix}: {exc}", file=sys.stderr)
-        sys.exit(code)
+    except Exception as exc:
+        for types, prefix, code in failures:
+            if isinstance(exc, types):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                sys.exit(code)
+        raise
 
 
 def _grid(kind: str, lo: float, hi: float, count: int) -> partial:
@@ -110,7 +117,7 @@ def _grid(kind: str, lo: float, hi: float, count: int) -> partial:
 
 def _load_config(config: str, grid: str | None, n: int | None, parity: str | None) -> RunConfig:
     """The run the ``config`` file describes, with the flags' overrides."""
-    with _failing_as("config error"):
+    with _reporting(_CONFIG_FAILURES):
         with open(config) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict) or "potential" not in raw:
@@ -172,6 +179,7 @@ def _config_command(fn):
     @click.option("--n", default=None, type=int, help="state index override")
     @click.option("--parity", default=None, type=click.Choice(["even", "odd"]),
                   help="parity override")
+    @_reporting(_FAILURES)
     def command(config, out, grid, n, parity):
         fn(_load_config(config, grid, n, parity), out)
     return main.command(fn.__name__, help=fn.__doc__)(command)
@@ -180,10 +188,8 @@ def _config_command(fn):
 @_config_command
 def solve(cfg: RunConfig, out: Path) -> None:
     """Solve the configured bound state and report energy + derivative table."""
-    with _failing_as("solve error"):
-        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
-    with _failing_as("quadrature error"):
-        panels = mom.FilonPanels(state)
+    state = eig.solve(cfg.spec, cfg.n, cfg.parity)
+    panels = mom.FilonPanels(state)
     table = {}
     for a, side in state.derivative_table.items():
         table[f"{a:.17g}"] = {"value": side.value,
@@ -199,12 +205,10 @@ def solve(cfg: RunConfig, out: Path) -> None:
 @_config_command
 def transform(cfg: RunConfig, out: Path) -> None:
     """Momentum-space wavefunction on the configured grid, as CSV."""
-    with _failing_as("config error"):
+    with _reporting(_CONFIG_FAILURES):
         grid = cfg.grid()
-    with _failing_as("solve error"):
-        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
-    with _failing_as("quadrature error"):
-        samples = mom.phi_quadrature(state, grid)
+    state = eig.solve(cfg.spec, cfg.n, cfg.parity)
+    samples = mom.phi_quadrature(state, grid)
     header = "p,phi_re,phi_im,abs_phi2"
     columns = [samples.grid, samples.phi_re, samples.phi_im, samples.abs_phi2]
     try:
@@ -220,9 +224,8 @@ def transform(cfg: RunConfig, out: Path) -> None:
 @_config_command
 def predict(cfg: RunConfig, out: Path) -> None:
     """Predicted large-|p| expansion terms for the configured state."""
-    with _failing_as("solve error"):
-        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
-        prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
+    state = eig.solve(cfg.spec, cfg.n, cfg.parity)
+    prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
     rows = [(t.order, t.location, t.jump, t.coefficient.real, t.coefficient.imag)
             for t in sorted(prediction.terms, key=lambda t: (t.order, t.location))]
     path = out / "predict.csv"
@@ -234,15 +237,16 @@ def predict(cfg: RunConfig, out: Path) -> None:
 @_config_command
 def verify(cfg: RunConfig, out: Path) -> None:
     """Quadrature vs prediction: fit the tail and score the envelope; exit 1 on failure."""
-    with _failing_as("solve error"):
-        state = eig.solve(cfg.spec, cfg.n, cfg.parity)
-        prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
+    state = eig.solve(cfg.spec, cfg.n, cfg.parity)
+    prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
 
     # momentum scale separating structure from tail: sqrt(2m|E - V_floor|)
     scale = math.sqrt(2.0 * state.mass * abs(state.energy - cfg.spec.v_floor))
+    if not 0.0 < scale < math.inf:
+        raise ArithmeticError(f"the momentum scale sqrt(2m|E - V_floor|) is {scale!r}: "
+                              f"no tail window starts at a multiple of it")
     window = (_FIT_LO_MULT * scale, max(_FIT_HI, 20.0 * _FIT_LO_MULT * scale))
-    with _failing_as("quadrature error"):
-        samples = mom.phi_quadrature(state, _grid("log", *window, 40)())
+    samples = mom.phi_quadrature(state, _grid("log", *window, 40)())
 
     comparison = tailfit.compare(prediction, samples, window=window)
     env_ok = comparison.max_rel_deviation <= _ENVELOPE_TOL
@@ -272,6 +276,7 @@ def verify(cfg: RunConfig, out: Path) -> None:
 @main.command()
 @click.argument("number", type=click.Choice(["1", "2"]))
 @click.option("--out", default=".", type=click.Path(path_type=Path), help="output directory")
+@_reporting(_FAILURES)
 def figure(number, out) -> None:
     """Plot-ready CSV data for the two reference figures."""
     if number == "1":

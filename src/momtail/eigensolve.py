@@ -86,6 +86,10 @@ class BoundState:
     derivative_table: dict[float, SideDerivatives] = field(init=False, repr=False)
 
     def __post_init__(self):
+        # an overflow inside a solve can leave an infinite level or a NaN psi
+        if not all(map(math.isfinite, (self.energy, *(v for row in self.matching for v in row)))):
+            raise ArithmeticError(f"the solve gave a state whose energy or psi is not finite: "
+                                  f"energy {self.energy!r}, matching {self.matching!r}")
         self.derivative_table = {}
         # the left side of break i lies in region i, its right side in region i + 1
         for a, (value, slope_l, slope_r), (l0, l1), (r0, r1) in zip(

@@ -198,7 +198,8 @@ class FilonPanels:
     every generation. It raises too for a panel narrower than 1e11 ulps of
     its center: the float position of its center cannot place a psi that
     varies on that scale (a panel r ulps wide misplaces psi by ~1/r of its
-    width), and its halves are no wider in ulps. And it raises when two
+    width), and its halves are no wider in ulps. It raises for a support
+    with no width in floats, which no panel can tile. And it raises when two
     neighbouring expansions give psi at their shared edge more than 1e-12
     of the scale apart: psi is continuous at every break, so expansions
     that disagree there do not reproduce the state's psi.
@@ -228,6 +229,9 @@ class FilonPanels:
             raise ValueError("the state carries no ODE data to expand psi from")
 
         lo, hi = state.support
+        if not lo < hi:
+            raise QuadratureBudgetExceeded(
+                f"the support ({lo!r}, {hi!r}) has no width in floats: no panel can place psi")
         edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
         counts = []
         for u, v in zip(edges[:-1], edges[1:]):

@@ -1,6 +1,7 @@
 """Tail expansion terms, two-route jump checks, and exponent rules."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -275,3 +276,16 @@ def test_envelope_at_a_zero_of_two_locations():
     p = np.array([2.0, 40.0, 400.0, 4000.0])
     assert all(abs(mp_sum(leads, at)[0]) < 1e-12 * mp_sum(leads, at)[1] for at in p)
     assert_sums_match(pred.leading_envelope(p), leads, p, of=abs)
+
+
+@pytest.mark.parametrize("hbar", [1e-60, 0.3, 1e80])
+@pytest.mark.parametrize("order", range(1, 7))
+def test_coefficient_against_exact_product(hbar, order):
+    # jump and coefficient split the decades of hbar^(order - 1/2) between
+    # them, so both are finite though hbar ** order may not be
+    jump = -0.7234 * 10.0 ** round(-0.5 * (order - 0.5) * math.log10(hbar))
+    term = asy.TailTerm(0.0, order, jump, hbar)
+    exact = float(Fraction(jump) * Fraction(hbar) ** order
+                  / Fraction(math.sqrt(2.0 * math.pi * hbar)))
+    assert abs(term.coefficient - (-1j) ** order * exact) <= 2 * math.ulp(exact)
+

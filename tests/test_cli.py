@@ -319,6 +319,24 @@ CORNERS = {
     "bouncer_hbar_1e300": ({"kind": "bouncer", "force": 1, "hbar": 1e300}, (2, 2, 2, 2), RANGE),
     "delta_hbar_1e-300": ({"kind": "delta_sum", "deltas": [[1, 0]], "hbar": 1e-300},
                           (2, 2, 2, 2), DIVIDE),
+    # hbar^n overflows a float where the coefficient it gives is finite
+    "asymmetric_linear_hbar_1e80": ({"kind": "asymmetric_linear", "force_right": 1,
+                                     "force_left": 2, "hbar": 1e80}, (0, 0, 0, 0), None),
+    "bouncer_hbar_1e100": ({"kind": "bouncer", "force": 1, "hbar": 1e100}, (0, 0, 0, 0), None),
+    # hbar^2/(2mF) ~ 1e420 overflows inside the Airy length: an infinite level
+    "bouncer_airy_length_overflows": ({"kind": "bouncer", "force": 1.260115539745528e-57,
+                                       "mass": 3.951075183959357e-103,
+                                       "hbar": 3.552976742453059e+130}, (2, 2, 2, 2),
+                                      "solve error: the solve gave a state whose energy or psi "
+                                      "is not finite"),
+    # a decay length far below the spacing of floats near 8.84: psi's support has no width
+    "delta_support_of_no_width": ({"kind": "delta_sum",
+                                   "deltas": [[91807072675.58, 8.842752429756352]],
+                                   "hbar": 2.834980478188222e-69}, (1, 1, 0, 1), None),
+    # E underflows to 0.0: verify has no momentum scale to place its window at
+    "box_energy_underflows": ({"kind": "infinite_well", "length": 3.288438015345917e+91,
+                               "hbar": 1.5147329205249785e-77}, (0, 0, 0, 2),
+                              "solve error: the momentum scale"),
 }
 
 
@@ -350,6 +368,52 @@ def test_airy_level_past_the_last_finite_zero_exits_2(runner, tmp_path, command,
     res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
     assert res.exit_code == 2, res.output
     assert res.output.startswith("solve error: the Airy zero polish met a NaN")
+
+
+@pytest.mark.parametrize("command", ["predict", "verify"])
+def test_odd_symmetric_linear_with_hbar_1e80(runner, tmp_path, command):
+    # its p^-5 coefficient is 3.19e120, though hbar^5 = 1e400 overflows a float
+    cfg = write_cfg(tmp_path, {"potential": {"kind": "symmetric_linear", "force": 1,
+                                             "hbar": 1e80}, "parity": "odd"})
+    res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    if command == "predict":
+        rows = [line.split(",") for line in
+                (tmp_path / "predict.csv").read_text().strip().split("\n")[1:]]
+        fifth = [complex(float(re), float(im)) for order, _, _, re, im in rows if order == "5"]
+        assert abs(fifth[0]) == pytest.approx(3.19e120, rel=1e-3)
+    else:
+        assert json.loads((tmp_path / "verify.json").read_text())["pass"] is True
+
+
+def test_coefficient_past_the_float_range_is_a_solve_error(runner, tmp_path):
+    # this well's p^-3 coefficients are 3.6e274, though hbar^3 = 1e330
+    # overflows a float, and its p^-4 ones ~1e385
+    cfg = write_cfg(tmp_path, {"potential": {"kind": "finite_well", "depth": 1e100, "a": -1,
+                                             "b": 1, "mass": 1e120, "hbar": 1e110}})
+    for command in ("solve", "transform"):
+        res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["predict", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert res.output.startswith("solve error: the order-4 coefficient at x = -1 overflows")
+    assert not (tmp_path / "predict.csv").exists()
+
+
+@pytest.mark.parametrize("args", [["solve"], ["transform"], ["predict"], ["verify"],
+                                  ["figure", "1"]], ids=lambda args: "_".join(args))
+def test_output_path_that_is_a_file_is_a_config_error(runner, tmp_path, args):
+    cfg = write_cfg(tmp_path, DELTA_CFG)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    if args[0] != "figure":
+        args = [*args, "--config", cfg]
+    res = runner.invoke(main, [*args, "--out", str(taken)])
+    assert res.exit_code == 2, res.output
+    assert type(res.exception) is SystemExit
+    assert res.output.startswith("config error:") and "Traceback" not in res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+    assert taken.read_text() == ""
 
 
 def test_grid_too_large_to_allocate_is_a_config_error(runner, tmp_path):

@@ -1,5 +1,6 @@
 """Bound-state solvers: energies, normalization, derivative tables, jumps."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -1160,3 +1161,12 @@ def test_airy_level_past_the_last_finite_zero_is_refused(spec, parity):
     # polish raises instead of returning a NaN energy
     with pytest.raises(NoConvergence, match="NaN"):
         eig.solve(spec, 3 * 10 ** 8, parity)
+
+
+@pytest.mark.parametrize("field,value", [("energy", math.inf), ("energy", math.nan),
+                                         ("matching", ((math.nan, 0.0, math.nan),))])
+def test_state_with_a_non_finite_energy_or_psi_is_refused(field, value):
+    st = eig.solve(pot.DeltaSum(deltas=((1.0, 0.0),)))
+    with pytest.raises(ArithmeticError, match="not finite"):
+        dataclasses.replace(st, **{field: value})
+

@@ -353,6 +353,17 @@ def test_build_refuses_panels_too_narrow_for_their_position():
         mom.FilonPanels(eig.solve(spec))
 
 
+def test_build_refuses_a_support_with_no_width():
+    # the decay length, ~1e-287, is far below the spacing of floats near
+    # 8.84: the support's ends round to one float, and no panel tiles it
+    spec = pot.DeltaSum(deltas=((91807072675.58, 8.842752429756352),),
+                        hbar=2.834980478188222e-69)
+    st = eig.solve(spec)
+    assert st.support[0] == st.support[1]
+    with pytest.raises(QuadratureBudgetExceeded, match="no width"):
+        mom.FilonPanels(st)
+
+
 def test_budget_stops_a_panel_that_never_resolves():
     # a NaN expansion fails the resolution test at every half-width, so the
     # panels double each generation until the budget stops them
