@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import BoundState
+from .eigensolve import BoundState, SideDerivatives
 from .errors import InconsistentJumps, UnsupportedCase
 from .potentials import DiscontinuityRecord, check_units
 
@@ -116,12 +116,30 @@ def _sum_terms(terms: list[TailTerm], p):
     return (phase[..., :, None] * powers[..., None, :] * coef).sum(axis=(-2, -1))
 
 
+def derivative_table(state: BoundState) -> dict[float, SideDerivatives]:
+    """The state's derivative table, each entry checked to be finite.
+
+    psi's higher derivatives at a break can overflow where psi itself is
+    finite, at extreme units or strengths, and a jump between two infinities
+    is NaN. Raises ``OverflowError`` naming the break and the order there.
+    """
+    for a, side in state.derivative_table.items():
+        if not all(map(math.isfinite, side.left + side.right)):
+            j = next(j for j, pair in enumerate(zip(side.left, side.right))
+                     if not all(map(math.isfinite, pair)))
+            raise OverflowError(f"psi's order-{j} derivative at the break x = {a!r} is not "
+                                f"finite: {side.left[j]!r} on the left, {side.right[j]!r} on the right")
+    return state.derivative_table
+
+
 def expansion_terms(state: BoundState, records: list[DiscontinuityRecord]) -> list[TailTerm]:
     """All T_n terms at every discontinuity location, in the state's hbar: n = 1
-    up to the number of derivatives psi^(n-1) the state's table holds."""
+    up to the number of derivatives psi^(n-1) the state's table holds. Raises
+    ``OverflowError`` where the table is not finite (``derivative_table``)."""
     terms: list[TailTerm] = []
+    table = derivative_table(state)
     for rec in records:
-        side = state.derivative_table[rec.location]
+        side = table[rec.location]
         for n in range(1, len(side.right) + 1):
             raw = side.right[n - 1] - side.left[n - 1]
             scale = abs(side.right[n - 1]) + abs(side.left[n - 1])

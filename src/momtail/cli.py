@@ -4,9 +4,11 @@ A config is a JSON object: ``potential`` (``{"kind": ..., <its parameters>}``
 with optional ``mass`` and ``hbar``, as ``potentials.from_dict`` reads it),
 ``n`` (an integer, default 1), ``parity`` ("even", "odd" or null) and
 ``grid``, the momenta of ``transform``: ``{"kind": "linear", "min", "max",
-"count"}`` (default -50 to 50, 1001 points) or ``{"kind": "log", "min",
-"max", "per_decade"}`` (per_decade default 40). ``--n``, ``--parity`` and
-``--grid`` (linear:min:max:count or log:min:max:per_decade) override them.
+"count"}`` (default -50 to 50, 1001 points; a grid with min = -max is
+mirrored about 0 to the bit) or ``{"kind": "log", "min", "max",
+"per_decade"}`` (per_decade default 40). ``--n``, ``--parity`` and ``--grid``
+override them; ``--grid`` (linear:min:max:count or log:min:max:per_decade)
+is read as that object, each number an int where its text is a whole one.
 
 Data files are CSV with 17-significant-digit formatting, and reports are JSON
 with sorted keys; identical inputs produce byte-identical outputs. ``solve``
@@ -22,7 +24,8 @@ potential parameter that is not finite, a mass or hbar <= 0, an output path
 that cannot be written) or a ``solve error`` (a state, parity or prediction
 the config cannot have, psi and psi' both zero at a break, jumps whose two
 routes disagree, a failed root polish, a solve whose arithmetic overflows,
-a state whose energy or psi is not finite, a tail coefficient past the float
+a state whose energy or psi is not finite, a level whose decay rate is a
+subnormal float, a derivative table or a tail coefficient past the float
 range, or a verify momentum scale of 0 or inf). One ordered map,
 ``_FAILURES``, decides each failure's report and code around each whole
 command; an error it does not name is a bug, and propagates.
@@ -90,6 +93,18 @@ def _reporting(failures):
         raise
 
 
+def _linspace(lo: float, hi: float, count: int) -> np.ndarray:
+    """``np.linspace(lo, hi, count)``; where lo = -hi, its lower half is the
+    mirror of its upper half about an exact 0 (the centre of an odd count), so
+    that p and -p are one |p| to the bit, as the transform's folding reads."""
+    grid = np.linspace(lo, hi, count)
+    if lo == -hi:
+        half = count // 2
+        grid[:half] = -grid[::-1][:half]
+        grid[half:count - half] = 0.0
+    return grid
+
+
 def _grid(kind: str, lo: float, hi: float, count: int) -> partial:
     """The builder of a linear grid of ``count`` points from ``lo`` to ``hi``,
     or of a log grid of ``count`` points per decade."""
@@ -101,7 +116,7 @@ def _grid(kind: str, lo: float, hi: float, count: int) -> partial:
         if math.isinf(hi - lo):
             raise ValueError(f"linear grid from {lo!r} to {hi!r} spans more than a float "
                              f"holds (max - min overflows)")
-        return partial(np.linspace, float(lo), float(hi), count)
+        return partial(_linspace, float(lo), float(hi), count)
     if kind != "log":
         raise ValueError(f"unknown grid kind {kind!r}")
     if lo <= 0:
@@ -115,8 +130,20 @@ def _grid(kind: str, lo: float, hi: float, count: int) -> partial:
     return partial(np.geomspace, float(lo), float(hi), points)
 
 
+def _flag_number(text: str) -> int | float:
+    """A number of the ``--grid`` flag: an int where the text is a whole one, else
+    a float, as a config's JSON gives them."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _load_config(config: str, grid: str | None, n: int | None, parity: str | None) -> RunConfig:
-    """The run the ``config`` file describes, with the flags' overrides."""
+    """The run the ``config`` file describes, with the flags' overrides.
+
+    A ``--grid`` flag becomes the {kind, min, max, count | per_decade} object
+    a config holds, and either is checked here, the same way."""
     with _reporting(_CONFIG_FAILURES):
         with open(config) as fh:
             raw = json.load(fh)
@@ -132,17 +159,18 @@ def _load_config(config: str, grid: str | None, n: int | None, parity: str | Non
                              f"n = {n!r}, parity = {parity!r}")
         if grid is None:
             policy = dict(raw.get("grid", _DEFAULT_GRID))
-            kind = policy.pop("kind", None)
-            lo, hi = (pot._number(name, policy.pop(name)) for name in ("min", "max"))
-            count = (policy.pop("count") if kind == "linear"
-                     else pot._number("per_decade", policy.pop("per_decade", 40)))
-            if policy:
-                raise ValueError(f"unexpected grid fields: {sorted(policy)}")
         else:
-            parts = grid.split(":")
-            if len(parts) != 4 or parts[0] not in ("linear", "log"):
+            kind, *fields = grid.split(":")
+            if len(fields) != 3:
                 raise ValueError("--grid must be linear:min:max:count or log:min:max:per_decade")
-            kind, lo, hi, count = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+            names = ("min", "max", "count" if kind == "linear" else "per_decade")
+            policy = {"kind": kind, **dict(zip(names, map(_flag_number, fields)))}
+        kind = policy.pop("kind", None)
+        lo, hi = (pot._number(name, policy.pop(name)) for name in ("min", "max"))
+        count = (policy.pop("count") if kind == "linear"
+                 else pot._number("per_decade", policy.pop("per_decade", 40)))
+        if policy:
+            raise ValueError(f"unexpected grid fields: {sorted(policy)}")
         return RunConfig(spec, n, parity, _grid(kind, lo, hi, count))
 
 
@@ -191,7 +219,7 @@ def solve(cfg: RunConfig, out: Path) -> None:
     state = eig.solve(cfg.spec, cfg.n, cfg.parity)
     panels = mom.FilonPanels(state)
     table = {}
-    for a, side in state.derivative_table.items():
+    for a, side in asy.derivative_table(state).items():
         table[f"{a:.17g}"] = {"value": side.value,
                               "left": list(side.left), "right": list(side.right)}
     _write_report(out / "solve.json", {
@@ -283,7 +311,7 @@ def figure(number, out) -> None:
         spec = pot.Bouncer(force=0.5)    # rho = 1 units
         state = eig.solve(spec, 10)
         qn = math.sqrt(2.0 * spec.mass * state.energy)
-        grid = np.linspace(-2.0 * qn, 2.0 * qn, 1201)
+        grid = _linspace(-2.0 * qn, 2.0 * qn, 1201)
         samples = mom.phi_quadrature(state, grid)
         path = out / "figure1.csv"
         _write_csv(path, "p,abs_phi2,phi_re2,phi_im2,classical_density", grid,

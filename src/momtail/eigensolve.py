@@ -17,16 +17,18 @@ derivative table (orders 0..5 on each side) from those and ``ode``, by the
 Taylor recurrence ``specfun.ode_taylor``, the same recurrence from which
 ``momentum.FilonPanels`` expands psi on its panels. The breaks are the
 ledger's locations themselves, so the table of a record is
-``derivative_table[record.location]``. Numerical
-differentiation is reserved for tests, so that tail predictions never
-inherit finite-difference noise.
+``derivative_table[record.location]``. Numerical differentiation is reserved
+for tests, so that tail predictions never inherit finite-difference noise.
 
 Where a level is the root of a defect inside a bracket, ``_brentq``, a
-step-for-step port of scipy's ``brentq`` (Brent 1973, ch. 4), polishes it,
-so a run loads no ``scipy.optimize``. ``shooting_oracle``, an independent
-ODE-shooting eigensolver for cross-validation only, lives in
-``momtail.oracle`` with the scipy integrators it needs; it is imported on
-first access to ``eigensolve.shooting_oracle`` (a module ``__getattr__``).
+step-for-step port of scipy's ``brentq`` (Brent 1973, ch. 4), polishes it, so a
+run loads no ``scipy.optimize``. It alone decides that a level is done: its
+bracket is narrower than ``_RTOL`` = 8.9e-16 of the level, in any units, which
+needs a level that is a normal float and no bracket end at 0 where the defect
+is least. ``shooting_oracle``, an independent ODE-shooting eigensolver for
+cross-validation only, lives in ``momtail.oracle`` with the scipy integrators
+it needs; it is imported on first access to ``eigensolve.shooting_oracle`` (a
+module ``__getattr__``).
 """
 
 from __future__ import annotations
@@ -48,10 +50,11 @@ _DECAY_CUT = 42.0
 # predicted tail series: its terms run to order _TABLE_ORDER + 1
 _TABLE_ORDER = 5
 _FACTORIALS = tuple(math.factorial(k) for k in range(_TABLE_ORDER + 1))
-# largest |exponent| of the scale that solve_piecewise puts back on its
-# defect: e^700 ~ 1e304 keeps a defect of order 1 finite, and the clamped
-# factor is still positive, so the defect keeps its sign
+# largest |exponent| of the scale solve_piecewise puts back on its defect: e^700 ~
+# 1e304 keeps a defect of order 1 finite, and the positive factor keeps its sign
 _MAX_EXP = 700.0
+# _brentq's relative stop (scipy's least rtol, 4 eps rounded up); _XTOL only keeps xtol > 0
+_RTOL, _XTOL, _MAXITER = 8.9e-16, math.ulp(0.0), 200
 
 
 @dataclass(frozen=True)
@@ -113,17 +116,20 @@ def _advance(P: float, Q: float, beta: float, w: float):
     the growing and decaying parts (P +- Q/r)/2 are advanced apart, because
     their sum through tanh(r w) would round a far level's e^(-2 r w) away,
     and the factor is e^(r w) or e^(-r w), whichever part leads at the far
-    end. w may be infinite, for the zeros of the last region.
+    end. As r w -> 0 the parts are huge and near opposite, so the new psi is
+    P plus one part times 1 - e^(-2 r w), which tends to P + Q w; psi has at
+    most one zero, in (0, w] where it changes sign. w may be infinite (the last region).
     """
     if beta > 0.0:
         r = math.sqrt(beta)
         up, down = 0.5 * (P + Q / r), 0.5 * (P - Q / r)
-        t = math.exp(-2.0 * r * w)
-        zeros = up * down < 0.0 and abs(down) > abs(up) >= abs(down) * t
+        t, c = math.exp(-2.0 * r * w), -math.expm1(-2.0 * r * w)
         if abs(up) > abs(down) * t:
-            return up + down * t, r * (up - down * t), r * w, int(zeros)
-        lead = up / t if up else 0.0        # t > 0 here unless up = 0
-        return lead + down, r * (lead - down), -r * w, int(zeros)
+            new, slope, growth = up * c + P * t, r * (up - down * t), r * w
+        else:
+            lead = up / t if up else 0.0        # t > 0 here unless up = 0
+            new, slope, growth = P + lead * c, r * (lead - down), -r * w
+        return new, slope, growth, int(P > 0.0 >= new or P < 0.0 <= new)
     if beta < 0.0:
         k = math.sqrt(-beta)
         phase = math.atan2(k * P, Q)        # psi = R sin(k s + phase)
@@ -169,44 +175,40 @@ def _sin_cubic(y: float) -> float:
     return sum((-y * y) ** j / math.factorial(2 * j + 3) for j in range(8))
 
 
-def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int,
-            fa: float | None = None, fb: float | None = None) -> float:
+def _brentq(f, a: float, b: float, fa: float | None = None, fb: float | None = None) -> float:
     """A root of f between a and b, where f(a) and f(b) differ in sign.
 
     A step-for-step port of scipy's ``brentq`` iteration (Brent 1973, ch. 4):
     an inverse quadratic or secant step where it falls well inside the
-    bracket, a bisection otherwise, until the bracket is narrower than
-    xtol + rtol |x|; so it returns the float scipy would. ``fa`` and ``fb``,
-    where given, are f(a) and f(b), which it then does not evaluate again. An
-    end where f is 0 is returned as the root. Raises ``NoConvergence`` where f
-    is NaN, where f(a) and f(b) share a sign, or after ``maxiter`` iterations.
+    bracket, a bisection otherwise. Its one stop, a bracket narrower than
+    ``_RTOL`` |x| (x the end where |f| is least), is relative at every scale,
+    so it returns the float scipy would with xtol ``_XTOL``, rtol ``_RTOL``
+    and maxiter ``_MAXITER``. It needs a root that is a normal float, and no
+    end at 0 where |f| is least: there its steps vanish. ``fa`` and ``fb``,
+    where given, are f(a) and f(b), which it then does not evaluate. An end
+    where f is 0 is returned as the root. Raises ``NoConvergence`` where f is
+    NaN, where f(a) and f(b) share a sign, or after ``_MAXITER`` iterations.
     """
-    def checked(x, value):
+    def checked(x, value=None):
+        value = f(x) if value is None else value
         if math.isnan(value):
             raise NoConvergence(f"the root polish met a NaN at {x!r}")
         return value
 
-    def evaluate(x):
-        return checked(x, f(x))
-
-    xpre, xcur = a, b
-    fpre = evaluate(a) if fa is None else checked(a, fa)
-    fcur = evaluate(b) if fb is None else checked(b, fb)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
+    xpre, xcur, fpre, fcur = a, b, checked(a, fa), checked(b, fb)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise NoConvergence("the root polish needs a sign change in its bracket")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -228,8 +230,8 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int,
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = evaluate(xcur)
-    raise NoConvergence(f"the root polish did not converge in {maxiter} iterations")
+        fcur = checked(xcur)
+    raise NoConvergence(f"the root polish did not converge in {_MAXITER} iterations")
 
 
 def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) -> BoundState:
@@ -246,7 +248,8 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) 
     signs that the count and the bracket read are the defect's own; but the
     product is the unscaled defect, analytic in E, where the divided one is
     a sign function whenever the level lives away from the last boundary,
-    and Brent would bisect.
+    and Brent would bisect. The bisection goes on until the ends' s lie within
+    2 ``_MAX_EXP``, where a weak level beside a strong delta leaves it decades wide.
     """
     n = spec.level_index(n, parity)
     xs, vs, cusps = pieces = spec.pieces()
@@ -259,9 +262,10 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) 
     sweeps = {}
 
     def sweep(E):
-        """``_sweep`` at E, run once per energy of this solve."""
+        """(count, defect, log scale divided out, rows) of ``_sweep`` at E, once per E."""
         if E not in sweeps:
-            sweeps[E] = _sweep(xs, vs, cusps, E, coef)
+            count, d, rows = _sweep(xs, vs, cusps, E, coef)
+            sweeps[E] = count, d, rows[-1][3], rows
         return sweeps[E]
 
     levels, at_top = sweep(top)[:2]
@@ -273,7 +277,8 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) 
     # level: the bracket must leave top, or _brentq returns it as the root
     resonant = at_top == 0.0
     lo, hi, below_lo, below_hi = bottom, top, 0, levels
-    while (((below_lo, below_hi) != (n - 1, n) or (resonant and hi == top))
+    while (((below_lo, below_hi) != (n - 1, n) or (resonant and hi == top)
+            or abs(sweep(lo)[2] - sweep(hi)[2]) > 2.0 * _MAX_EXP)
            and lo < 0.5 * (lo + hi) < hi):
         mid = 0.5 * (lo + hi)
         below = sweep(mid)[0]
@@ -282,12 +287,7 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) 
         else:
             lo, below_lo = mid, below
 
-    def swept(E):
-        """The defect at E and the log scale ``_sweep`` divided it by."""
-        _, d, rows = sweep(E)
-        return d, rows[-1][3]
-
-    (d_lo, s_lo), (d_hi, s_hi) = swept(lo), swept(hi)
+    (d_lo, s_lo), (d_hi, s_hi) = sweep(lo)[1:3], sweep(hi)[1:3]
     if d_lo * d_hi > 0.0:
         # the count and the defect's sign disagree only within rounding of a
         # level, or where level n shares its float with a neighbour
@@ -301,16 +301,12 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) 
 
         fb = rescaled(d_hi, s_hi)
         if fb == 0.0 and below_hi == n:
-            # n levels lie strictly below hi, so a 0 there is level n + 1
-            # rounded onto hi, not level n: a delta far from the rest has its
-            # own level at -m g^2 / 2 hbar^2, a float the bisection can hit
-            # exactly. hi keeps the sign (-1)^n of its count
+            # n levels lie below hi, so a 0 there is level n + 1 rounded onto hi (a far
+            # delta's own level, a float the bisection can hit): hi keeps the sign (-1)^n
             fb = (-1.0) ** n * math.ulp(0.0)
-        # _brentq stops at rtol relative to E, which a chain resolves (its V - E
-        # is -E exactly); xtol, far below the depth, only ends a search at E = 0
-        energy = _brentq(lambda E: rescaled(*swept(E)), lo, hi, xtol=1e-30 * (top - bottom),
-                         rtol=8.9e-16, maxiter=200, fa=rescaled(d_lo, s_lo), fb=fb)
-    return _piecewise_state(spec, pieces, n, energy, sweep(energy)[2])
+        energy = _brentq(lambda E: rescaled(*sweep(E)[1:3]), lo, hi,
+                         fa=rescaled(d_lo, s_lo), fb=fb)
+    return _piecewise_state(spec, pieces, n, energy, sweep(energy)[3])
 
 
 def _piecewise_state(spec: pot.Piecewise, pieces, n: int, energy: float, left) -> BoundState:
@@ -353,6 +349,9 @@ def _piecewise_state(spec: pot.Piecewise, pieces, n: int, energy: float, left) -
     P, Qm, Qp = zip(*rows)
 
     betas = [coef * (v - energy) for v in vs]
+    if not min(betas[0], betas[-1]) >= np.finfo(float).tiny:    # a subnormal has lost digits
+        raise ArithmeticError(f"the level {energy!r} decays at a subnormal 2m(V - E)/hbar^2: "
+                              f"{betas[0]!r} on the left, {betas[-1]!r} on the right")
     kap_l, kap_r = math.sqrt(betas[0]), math.sqrt(betas[-1])
     # (a, b, beta, first, second): psi = first e^(-r(x - a)) + second e^(r(x - b))
     # where beta = r^2 > 0, else first cos(k(x - a)) + second sin(k(x - a))/k
@@ -470,8 +469,7 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
     e0_r, e0_l = force_r * rho_r, force_l * rho_l
     if wall or force_l == force_r:
         level = pot.airy_level(k, wall)
-        energy = e0_r * level
-        u_r = u_l = -level
+        energy, u_r, u_l = e0_r * level, -level, -level
     else:
         def defect(E):
             """Matching determinant at z = 0, from one Airy call per side."""
@@ -493,7 +491,7 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
                 lo *= 1.0 + _SHARED_WALL
             if shared(hi, above):
                 hi *= 1.0 - _SHARED_WALL
-            energy = _brentq(defect, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+            energy = _brentq(defect, lo, hi)
         u_r, u_l = -energy / e0_r, -energy / e0_l
 
     air, apr = specfun.airy(u_r)

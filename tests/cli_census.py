@@ -5,8 +5,16 @@ parameters across hundreds of decades, and runs each through ``solve``,
 ``transform``, ``predict`` and ``verify`` in-process with click's test
 runner. A command may exit 0, 1 or 2; any other ending is an exception the
 CLI does not report, which a user sees as a traceback. Prints each such site,
-as (command, error, file:line) with its count, and the total. Run from the
-repository root::
+as (command, error, file:line) with its count, and the total.
+
+Exit codes cannot show a silent wrong energy, so each config is also solved
+(``eigensolve.solve``) with every length scaled by L = 2^20 and by 2^-20:
+positions and the box length times L, delta strengths over L, step heights
+and depths over L^2, forces over L^3, at the same mass and hbar. Level n
+must come back as E / L^2; a power of two keeps the scaled potential exact
+in floats. Prints the number of levels off by more than 1e-12, relative, and
+the worst configs. A scale the solve refuses is no wrong answer and is not
+counted. Run from the repository root::
 
     PYTHONPATH=src python tests/cli_census.py [count]
 
@@ -15,6 +23,7 @@ suite's ``error::RuntimeWarning``.
 """
 
 import json
+import math
 import random
 import sys
 import tempfile
@@ -24,10 +33,12 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+from momtail import eigensolve, potentials
 from momtail.cli import main
 
 COMMANDS = ("solve", "transform", "predict", "verify")
 SEED, COUNT = 30, 3000
+SCALES, SCALE_TOL, WORST = (2.0 ** 20, 2.0 ** -20), 1e-12, 8
 
 
 def _config(rng: random.Random) -> dict:
@@ -78,15 +89,61 @@ def _config(rng: random.Random) -> dict:
     return {"potential": {"kind": kind, **potential}, "n": rng.randint(1, 3), "parity": parity}
 
 
-def census(count: int = COUNT) -> Counter:
-    """(command, error, file:line) -> runs that ended in that unreported exception."""
+def _scaled(potential: dict, L: float) -> dict:
+    """``potential`` with every length times L, so that its levels are E / L^2."""
+    d = dict(potential)
+    kind = d["kind"]
+    if kind == "delta_sum":
+        d["deltas"] = [[g / L, x * L] for g, x in d["deltas"]]
+    elif kind == "infinite_well":
+        d["length"] *= L
+    elif kind == "finite_well":
+        d.update(depth=d["depth"] / L ** 2, a=d["a"] * L, b=d["b"] * L)
+    elif kind == "step_sum":
+        d["steps"] = [[x * L, h / L ** 2] for x, h in d["steps"]]
+    elif kind == "hybrid_delta_step":
+        d.update(g=d["g"] / L, step_height=d["step_height"] / L ** 2, a=d["a"] * L)
+    elif kind == "asymmetric_linear":
+        d.update(force_right=d["force_right"] / L ** 3, force_left=d["force_left"] / L ** 3)
+    else:
+        d["force"] /= L ** 3
+    return d
+
+
+def _energy(potential: dict, config: dict):
+    """Level n of ``potential`` at the config's n and parity, or None where refused."""
+    try:
+        return eigensolve.solve(potentials.from_dict(potential), config["n"],
+                                config["parity"]).energy
+    except Exception:
+        return None
+
+
+def covariance_misses(config: dict) -> list:
+    """(relative miss, L) for each scale L whose level is not E / L^2 within SCALE_TOL."""
+    energy = _energy(config["potential"], config)
+    misses = []
+    for L in SCALES if energy else ():
+        scaled = _energy(_scaled(config["potential"], L), config)
+        if scaled is not None:
+            miss = abs(scaled * L * L - energy) / abs(energy)
+            if not miss <= SCALE_TOL:
+                misses.append((miss, L))
+    return misses
+
+
+def census(count: int = COUNT) -> tuple[Counter, list]:
+    """(command, error, file:line) -> runs that ended in that unreported exception;
+    and (relative miss, L, config) for each level that does not scale as E / L^2."""
     rng = random.Random(SEED)
     runner = CliRunner()
-    sites = Counter()
+    sites, misses = Counter(), []
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         for _ in range(count):
-            cfg.write_text(json.dumps(_config(rng)))
+            config = _config(rng)
+            misses += [(miss, L, config) for miss, L in covariance_misses(config)]
+            cfg.write_text(json.dumps(config))
             for command in COMMANDS:
                 res = runner.invoke(main, [command, "--config", str(cfg), "--out", tmp])
                 if res.exception is None or isinstance(res.exception, SystemExit):
@@ -94,13 +151,17 @@ def census(count: int = COUNT) -> Counter:
                 frame = traceback.extract_tb(res.exc_info[2])[-1]
                 sites[command, type(res.exception).__name__,
                       f"{Path(frame.filename).name}:{frame.lineno}"] += 1
-    return sites
+    return sites, misses
 
 
 if __name__ == "__main__":
     count = int(sys.argv[1]) if len(sys.argv) > 1 else COUNT
-    sites = census(count)
+    sites, misses = census(count)
     for (command, error, where), runs in sorted(sites.items()):
         print(f"{command:9s} {error:20s} {where:24s} {runs}")
     print(f"{sum(sites.values())} of {count * len(COMMANDS)} runs ended in a traceback, "
           f"at {len(sites)} sites")
+    for miss, L, config in sorted(misses, key=lambda m: -m[0])[:WORST]:
+        print(f"L = 2^{round(math.log2(L)):+d} {miss:9.2e} {json.dumps(config)}")
+    print(f"{len(misses)} of {count * len(SCALES)} scaled solves missed E / L^2 by more "
+          f"than {SCALE_TOL:g}, relative")

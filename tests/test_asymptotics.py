@@ -25,6 +25,18 @@ def test_order_one_terms_always_vanish():
         assert all(t.jump == 0.0 for t in terms if t.order == 1)
 
 
+def test_series_below_every_term_and_a_ledger_without_jumps():
+    # order 1 is the lowest order, and its terms vanish: a series cut there
+    # is 0; no record gives no term, and so no leading exponent
+    spec = pot.DeltaSum(deltas=((1.0, 0.0),))
+    st = eig.solve(spec)
+    p = np.array([10.0, 100.0])
+    series = asy.predict_tail(st, pot.discontinuities(spec)).series(p, max_order=1)
+    assert series.shape == p.shape and not np.any(series)
+    with pytest.raises(UnsupportedCase, match="no nonvanishing jump"):
+        asy.predict_tail(st, [])
+
+
 def test_delta_order_two_term():
     spec = pot.DeltaSum(deltas=((1.0, 0.0),))
     st = eig.solve(spec)

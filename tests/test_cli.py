@@ -309,8 +309,9 @@ CORNERS = {
                            (2, 2, 2, 2), "solve error: math range error"),
     "well_width_2e300": ({"kind": "finite_well", "depth": 1, "a": -1e300, "b": 1e300},
                          (2, 2, 2, 2), RANGE),
+    # its level, about -2e-600, lies below the least float: no bracket of floats holds it
     "well_width_2e-300": ({"kind": "finite_well", "depth": 1, "a": -1e-300, "b": 1e-300},
-                          (2, 2, 2, 2), DIVIDE),
+                          (2, 2, 2, 2), "solve error: the root polish did not converge"),
     "well_depth_1e300": ({"kind": "finite_well", "depth": 1e300, "a": -1, "b": 1},
                          (2, 2, 2, 2), RANGE),
     "steps_1e308": ({"kind": "step_sum", "steps": [[0, -1e308], [1, 1e308]]}, (2, 2, 2, 2),
@@ -329,10 +330,12 @@ CORNERS = {
                                        "hbar": 3.552976742453059e+130}, (2, 2, 2, 2),
                                       "solve error: the solve gave a state whose energy or psi "
                                       "is not finite"),
-    # a decay length far below the spacing of floats near 8.84: psi's support has no width
+    # a decay length far below the spacing of floats near 8.84: psi's support
+    # has no width, and psi'' at the delta overflows, so the table has no tail
     "delta_support_of_no_width": ({"kind": "delta_sum",
                                    "deltas": [[91807072675.58, 8.842752429756352]],
-                                   "hbar": 2.834980478188222e-69}, (1, 1, 0, 1), None),
+                                   "hbar": 2.834980478188222e-69}, (1, 1, 2, 2),
+                                  "solve error: psi's order-2 derivative at the break"),
     # E underflows to 0.0: verify has no momentum scale to place its window at
     "box_energy_underflows": ({"kind": "infinite_well", "length": 3.288438015345917e+91,
                                "hbar": 1.5147329205249785e-77}, (0, 0, 0, 2),
@@ -400,6 +403,24 @@ def test_coefficient_past_the_float_range_is_a_solve_error(runner, tmp_path):
     assert not (tmp_path / "predict.csv").exists()
 
 
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_derivative_table_past_the_float_range_is_a_solve_error(runner, tmp_path, parity):
+    # psi is finite, but psi^(4) at the kink overflows: its table of
+    # infinities made a solve.json with NaN and Infinity, which is no JSON,
+    # and a prediction "jump nan"; transform reads no table
+    cfg = write_cfg(tmp_path, {"potential": {"kind": "symmetric_linear",
+                                             "force": 4.081387607210993e+103,
+                                             "mass": 1.407874506404829e+121},
+                               "parity": parity})
+    for command, code in zip(OUTPUTS, (2, 0, 2, 2)):
+        res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == code, (command, res.output)
+        if code:
+            assert res.output.startswith("solve error: psi's order-4 derivative at the "
+                                         "break x = 0.0 is not finite")
+            assert not (tmp_path / OUTPUTS[command]).exists()
+
+
 @pytest.mark.parametrize("args", [["solve"], ["transform"], ["predict"], ["verify"],
                                   ["figure", "1"]], ids=lambda args: "_".join(args))
 def test_output_path_that_is_a_file_is_a_config_error(runner, tmp_path, args):
@@ -452,6 +473,78 @@ def test_grid_override_flag(runner, tmp_path):
     first = float(lines[1].split(",")[0])
     last = float(lines[-1].split(",")[0])
     assert first == pytest.approx(1.0) and last == pytest.approx(100.0)
+
+
+def test_default_grid_is_mirrored_to_the_bit(runner, tmp_path):
+    # p and -p are one |p|, with an exact 0 at the centre, so each phi row is
+    # the exact conjugate of its mirror's
+    cfg = write_cfg(tmp_path, {"potential": {"kind": "finite_well", "depth": 10.0,
+                                             "a": -1.5, "b": 0.8}, "n": 2})
+    res = runner.invoke(main, ["transform", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    rows = [line.split(",") for line in
+            (tmp_path / "transform.csv").read_text().strip().split("\n")[1:]]
+    p, re, im = (np.array([float(row[i]) for row in rows]) for i in range(3))
+    assert p.size == 1001 and p[500] == 0.0
+    assert np.array_equal(p, -p[::-1])
+    assert np.array_equal(re, re[::-1]) and np.array_equal(im, -im[::-1])
+
+
+def _grid_run(runner, tmp_path, grid, flag):
+    """(exit code, output, p column) of transform with ``grid`` given as a
+    config object, or, with ``flag``, as the --grid string of its fields."""
+    cfg, flags = dict(DELTA_CFG), []
+    if flag:
+        flags = ["--grid", ":".join(str(v) for v in grid.values())]
+    else:
+        cfg["grid"] = grid
+    csv = tmp_path / "transform.csv"
+    csv.unlink(missing_ok=True)
+    res = runner.invoke(main, ["transform", "--config", write_cfg(tmp_path, cfg),
+                               "--out", str(tmp_path), *flags])
+    p = [line.split(",")[0] for line in csv.read_text().split("\n")[1:]] if csv.exists() else None
+    return res.exit_code, res.output, p
+
+
+GRID_POLICIES = {
+    "linear": {"kind": "linear", "min": -3.5, "max": 3.5, "count": 15},
+    "log_fractional_per_decade": {"kind": "log", "min": 1, "max": 1000, "per_decade": 2.5},
+    "log": {"kind": "log", "min": 0.5, "max": 50, "per_decade": 7},
+}
+BAD_GRIDS = {
+    "unknown_kind": {"kind": "cubic", "min": 1, "max": 10, "per_decade": 3},
+    "log_from_0": {"kind": "log", "min": 0, "max": 10, "per_decade": 3},
+    "log_from_-1": {"kind": "log", "min": -1, "max": 10, "per_decade": 3},
+    "per_decade_0.5": {"kind": "log", "min": 1, "max": 10, "per_decade": 0.5},
+    "fractional_count": {"kind": "linear", "min": -1, "max": 1, "count": 5.5},
+    "count_1": {"kind": "linear", "min": -1, "max": 1, "count": 1},
+    "min_above_max": {"kind": "linear", "min": 1, "max": -1, "count": 5},
+}
+
+
+@pytest.mark.parametrize("name", GRID_POLICIES)
+def test_grid_flag_and_grid_object_give_one_grid(runner, tmp_path, name):
+    runs = [_grid_run(runner, tmp_path, GRID_POLICIES[name], flag) for flag in (False, True)]
+    assert runs[0][0] == 0 and runs[0][2]
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", BAD_GRIDS)
+def test_grid_flag_and_grid_object_are_refused_alike(runner, tmp_path, name):
+    runs = [_grid_run(runner, tmp_path, BAD_GRIDS[name], flag) for flag in (False, True)]
+    assert runs[0][0] == 2 and runs[0][1].startswith("config error:"), runs[0]
+    assert runs[0] == runs[1]
+
+
+def test_error_no_failure_names_propagates(runner, tmp_path, monkeypatch):
+    # an error outside _FAILURES is a bug: the command does not report it
+    def broken(*args):
+        raise LookupError("a bug")
+
+    monkeypatch.setattr(eig, "solve", broken)
+    res = runner.invoke(main, ["solve", "--config", write_cfg(tmp_path, DELTA_CFG),
+                               "--out", str(tmp_path)])
+    assert type(res.exception) is LookupError and res.exit_code == 1
 
 
 def test_predict_outputs_terms(runner, tmp_path):
@@ -554,6 +647,9 @@ MALFORMED = {
     "delta_triple": ({"potential": {"kind": "delta_sum", "deltas": [[1, 0, 5]]}}, []),
     "number_deltas": ({"potential": {"kind": "delta_sum", "deltas": 5}}, []),
     "pair_force": ({"potential": {"kind": "bouncer", "force": [1, 2]}}, []),
+    # a config that is no object, and a --grid of three fields
+    "config_list": ([DELTA_CFG], []),
+    "grid_flag_three_fields": (DELTA_CFG, ["--grid", "log:1:100"]),
 }
 
 

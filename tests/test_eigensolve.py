@@ -273,6 +273,28 @@ def test_hybrid_no_bound_state():
         eig.solve(pot.HybridDeltaStep(g=0.1, step_height=-50.0, a=1.0))
 
 
+def test_strong_delta_beside_a_shallow_step_is_bound():
+    # the step lowers V to -2e-10 at 1.8e-19: near E = -2e-10 the region
+    # between the delta and the step has r w ~ 4e-24, where a sum of the
+    # growing and decaying parts cancelled, lost the sweep's zero and refused
+    # the level
+    g = 27923427357830.207
+    spec = pot.HybridDeltaStep(g=g, step_height=-2.1589392777834497e-10, a=1.7882217334540962e-19)
+    assert eig.solve(spec).energy == pytest.approx(-g * g / 2.0, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("beta", [1e-270, 1e-30, 0.0])
+def test_advance_tends_to_the_line_as_r_w_vanishes(beta):
+    # psi'' = beta psi across w = 50 from (1, -200) is psi = 1 - 200 x to
+    # rounding, with its zero at 0.005; the growing and decaying parts are
+    # -+1e137 at beta = 1e-270, and their sum cancelled to 0
+    P, Q, growth, zeros = eig._advance(1.0, -200.0, beta, 50.0)
+    scale = math.exp(growth)
+    assert P * scale == pytest.approx(-9999.0, rel=1e-15)
+    assert Q * scale == pytest.approx(-200.0, rel=1e-15)
+    assert zeros == 1
+
+
 def test_bouncer_energies_airy_zeros():
     spec = pot.Bouncer(force=0.5)
     for n in (1, 2, 3):
@@ -579,6 +601,75 @@ def test_asymmetric_linear_against_shooting(n):
     assert st.energy == pytest.approx(osc.energy, abs=1e-9)
 
 
+# --- energies to relative precision at every scale --------------------------
+
+DECADES = [10.0 ** e for e in range(-30, 31)]
+
+
+def test_asymmetric_linear_levels_scale_with_the_forces():
+    # E ~ (hbar^2 F^2 / m)^(1/3): forces s and 2s give s^(2/3) times the
+    # levels at s = 1, however small or large s is
+    base = [eig.solve(pot.AsymmetricLinear(1.0, 2.0), n).energy for n in (1, 2)]
+    for s in DECADES:
+        for n, e in zip((1, 2), base):
+            level = eig.solve(pot.AsymmetricLinear(s, 2.0 * s), n).energy
+            assert level == pytest.approx(s ** (2 / 3) * e, rel=1e-14, abs=0), (s, n)
+
+
+@pytest.mark.parametrize("unit,power", [("mass", -1 / 3), ("hbar", 2 / 3)])
+def test_asymmetric_linear_levels_scale_with_the_units(unit, power):
+    base = [eig.solve(pot.AsymmetricLinear(1.0, 2.0), n).energy for n in (1, 2)]
+    for u in DECADES:
+        spec = pot.AsymmetricLinear(1.0, 2.0, **{unit: u})
+        for n, e in zip((1, 2), base):
+            assert eig.solve(spec, n).energy == pytest.approx(u ** power * e, rel=1e-14, abs=0)
+
+
+def matching_roots_mp(force_right, force_left, count):
+    """The lowest ``count`` roots of the matching determinant of
+    V = F z, Fbar |z| at m = hbar = 1, at 60 digits: each lies between
+    consecutive walls of the two bouncer ladders merged (w_0 = 0)."""
+    with mpmath.workdps(60):
+        F, Fb = mpmath.mpf(force_right), mpmath.mpf(force_left)
+        rho_r, rho_l = mpmath.cbrt(1 / (2 * F)), mpmath.cbrt(1 / (2 * Fb))
+        e_r, e_l = F * rho_r, Fb * rho_l
+
+        def det(E):
+            return (mpmath.airyai(-E / e_r, 1) * mpmath.airyai(-E / e_l) / rho_r
+                    + mpmath.airyai(-E / e_r) * mpmath.airyai(-E / e_l, 1) / rho_l)
+
+        walls = [mpmath.mpf(0)] + sorted(-e * mpmath.airyaizero(k) for e in (e_r, e_l)
+                                         for k in range(1, count + 1))
+        return [mpmath.findroot(det, (walls[k - 1], walls[k]), solver="anderson")
+                for k in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("force_left", [1e-16, 1e-22, 1e-40, 1e40])
+def test_asymmetric_linear_at_extreme_force_ratios(force_left):
+    # a weak side's levels crowd within (Fbar/F)^(1/3) of its walls: an
+    # absolute stop returned the wall for n = 1 and level n - 1 for n >= 2
+    levels = [eig.solve(pot.AsymmetricLinear(1.0, force_left), n).energy for n in (1, 2, 3, 4)]
+    assert all(a < b for a, b in zip(levels, levels[1:]))
+    for level, root in zip(levels, matching_roots_mp(1.0, force_left, 4)):
+        assert level == pytest.approx(float(root), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("deltas", [
+    ((109204397.1286117, -7.245657566886257), (4.723534897587746e-07, 1571020277.112909)),
+    ((333347018966.4978, 7.957635393240793), (0.0011791624390114152, 303038.0503040633)),
+    *(((10.0 ** e, 0.0), (1.0, 50.0)) for e in range(2, 16)),
+    *(((1.0, 0.0), (10.0 ** e, 50.0)) for e in range(2, 16)),
+], ids=["census_424", "census_2477", *(f"strong_first_1e{e}" for e in range(2, 16)),
+        *(f"weak_first_1e{e}" for e in range(2, 16))])
+def test_weak_delta_beside_a_strong_one_has_its_own_level(deltas):
+    # the deltas are e^-100 or less coupled, so level 2 is the weak delta's
+    # own -m g^2 / 2 hbar^2, far above the strong one's: its bracket, bisected
+    # from a window ~m g_max^2 / hbar^2 deep, must still end at rtol of it
+    g = min(strength for strength, _ in deltas)
+    assert eig.solve(pot.DeltaSum(deltas=deltas), 2).energy == pytest.approx(
+        -g * g / 2.0, rel=1e-13, abs=0)
+
+
 # --- the root polish ---------------------------------------------------------
 
 POLISHED = [
@@ -601,9 +692,10 @@ def test_brentq_port_matches_scipy_bit_for_bit(monkeypatch, spec, n):
     # every polish of the solve, on its own defect and bracket, against scipy
     polish, pairs = eig._brentq, []
 
-    def both(f, a, b, xtol, rtol, maxiter, **ends):
-        ours = polish(f, a, b, xtol, rtol, maxiter, **ends)
-        pairs.append((ours, brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)))
+    def both(f, a, b, **ends):
+        ours = polish(f, a, b, **ends)
+        pairs.append((ours, brentq(f, a, b, xtol=eig._XTOL, rtol=eig._RTOL,
+                                   maxiter=eig._MAXITER)))
         return ours
 
     monkeypatch.setattr(eig, "_brentq", both)
@@ -615,25 +707,26 @@ def test_brentq_port_matches_scipy_bit_for_bit(monkeypatch, spec, n):
 
 def test_brentq_port_returns_a_root_at_either_end():
     for a, b in [(0.3, 2.0), (-1.0, 0.3)]:
-        assert eig._brentq(lambda x: x - 0.3, a, b, 1e-14, 8.9e-16, 200) == 0.3
-        assert brentq(lambda x: x - 0.3, a, b, xtol=1e-14, rtol=8.9e-16) == 0.3
+        assert eig._brentq(lambda x: x - 0.3, a, b) == 0.3
+        assert brentq(lambda x: x - 0.3, a, b, xtol=eig._XTOL, rtol=eig._RTOL) == 0.3
 
 
-def test_brentq_port_raises_typed_errors():
+def test_brentq_port_raises_typed_errors(monkeypatch):
     def nan_inside(x):
         return x - 0.3 if x in (0.0, 1.0) else math.nan
 
     with pytest.raises(NoConvergence, match="NaN"):
-        eig._brentq(nan_inside, 0.0, 1.0, 1e-14, 8.9e-16, 200)
+        eig._brentq(nan_inside, 0.0, 1.0)
     with pytest.raises(NoConvergence, match="NaN"):
-        eig._brentq(lambda x: math.nan, 0.0, 1.0, 1e-14, 8.9e-16, 200)
-    with pytest.raises(NoConvergence, match="3 iterations"):
-        eig._brentq(lambda x: math.exp(x) - 2.0, 0.0, 1.0, 1e-300, 8.9e-16, 3)
+        eig._brentq(lambda x: math.nan, 0.0, 1.0)
     with pytest.raises(NoConvergence, match="sign"):
-        eig._brentq(lambda x: x + 1.0, 0.0, 1.0, 1e-14, 8.9e-16, 200)
+        eig._brentq(lambda x: x + 1.0, 0.0, 1.0)
     for ends in ({"fa": math.nan}, {"fb": math.nan}):
         with pytest.raises(NoConvergence, match="NaN"):
-            eig._brentq(lambda x: x - 0.3, 0.0, 1.0, 1e-14, 8.9e-16, 200, **ends)
+            eig._brentq(lambda x: x - 0.3, 0.0, 1.0, **ends)
+    monkeypatch.setattr(eig, "_MAXITER", 3)
+    with pytest.raises(NoConvergence, match="3 iterations"):
+        eig._brentq(lambda x: math.exp(x) - 2.0, 0.0, 1.0)
 
 
 def test_brentq_port_takes_the_end_values_it_is_given():
@@ -644,11 +737,11 @@ def test_brentq_port_takes_the_end_values_it_is_given():
         seen.append(x)
         return math.exp(x) - 2.0
 
-    plain = eig._brentq(f, 0.0, 1.0, 1e-14, 8.9e-16, 200)
+    plain = eig._brentq(f, 0.0, 1.0)
     evaluated = list(seen)
     fa, fb = f(0.0), f(1.0)
     seen.clear()
-    given = eig._brentq(f, 0.0, 1.0, 1e-14, 8.9e-16, 200, fa=fa, fb=fb)
+    given = eig._brentq(f, 0.0, 1.0, fa=fa, fb=fb)
     assert given == plain
     assert evaluated[:2] == [0.0, 1.0] and seen == evaluated[2:]
 

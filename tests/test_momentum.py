@@ -163,6 +163,14 @@ def test_closed_form_refuses_linear_kinds(spec, parity):
         mom.phi_closed(eig.solve(spec, 1, parity), GRID)
 
 
+def test_closed_form_refuses_an_energy_equal_to_an_interior_v():
+    # the well's inside with V - E = 0: its B term would need the k -> 0 limit
+    st = eig.solve(pot.FiniteWell(depth=10.0, a=-1.0, b=1.0), 1)
+    flat = dataclasses.replace(st, ode=(st.ode[0], (0.0, 0.0), st.ode[2]))
+    with pytest.raises(ValueError, match="E equals V"):
+        mom.phi_closed(flat, GRID)
+
+
 # --- quadrature ------------------------------------------------------------
 
 def test_quadrature_matches_delta_closed_form():
@@ -695,6 +703,8 @@ def test_delta_moments():
     assert mom.moment(fn, 3, pred) == 0.0
     with pytest.raises(DivergentMoment):
         mom.moment(fn, 4, pred)
+    with pytest.raises(ValueError, match=">= 0"):
+        mom.moment(fn, -2, pred)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

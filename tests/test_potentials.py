@@ -185,6 +185,8 @@ def test_validation_errors():
         pot.Bouncer(force=-1.0)
     with pytest.raises(ValueError):
         pot.HybridDeltaStep(g=1.0, step_height=1.0, a=-1.0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        pot.StepSum(steps=((1.0, -1.0), (1.0, 2.0)))
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -202,9 +204,12 @@ def test_validation_errors():
     ("delta_sum", {"deltas": ((1.0, 0.0), (math.inf, 1.0))}),
     ("step_sum", {"steps": ((0.0, -1.0), (math.nan, 1.0))}),
     ("hybrid_delta_step", {"g": 1.0, "step_height": -math.inf, "a": 1.0}),
+    ("finite_well", {"depth": 0.0, "a": -1.0, "b": 1.0}),
+    ("hybrid_delta_step", {"g": -1.0, "step_height": 1.0, "a": 1.0}),
+    ("asymmetric_linear", {"force_right": 1.0, "force_left": 0.0}),
 ], ids=["mass_0", "hbar_0", "hbar_-1", "mass_nan", "hbar_inf", "force_inf", "force_nan",
         "force_left_inf", "a_-inf", "depth_inf", "length_inf", "g_inf", "step_at_nan",
-        "step_height_-inf"])
+        "step_height_-inf", "depth_0", "g_-1", "force_left_0"])
 def test_non_finite_or_non_positive_units_and_parameters_refused(kind, params):
     with pytest.raises(ValueError):
         pot._KINDS[kind](**params)

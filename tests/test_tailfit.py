@@ -63,6 +63,23 @@ def test_too_few_samples_rejected():
         tailfit.fit_power_law(s, window=(5.0, 5.5))
 
 
+@pytest.mark.parametrize("component,window,match", [
+    ("phase", None, "component must be"),
+    ("im", None, "strictly positive"),       # phi is real here: its im part is 0
+    ("abs", (1e4, 1e5), "no samples"),
+], ids=["unknown_component", "zero_values", "empty_window"])
+def test_fit_and_compare_refusals(component, window, match):
+    grid = np.geomspace(5.0, 500.0, 200)
+    s = synthetic(1.0, 2, grid)
+    spec = pot.DeltaSum(deltas=((1.0, 0.0),))
+    with pytest.raises(ValueError, match=match):
+        if window is None:
+            tailfit.fit_power_law(s, component=component)
+        else:
+            tailfit.compare(asy.predict_tail(eig.solve(spec), pot.discontinuities(spec)), s,
+                            window=window)
+
+
 def test_compare_delta_agreement():
     spec = pot.DeltaSum(deltas=((1.0, 0.0),))
     st = eig.solve(spec)
