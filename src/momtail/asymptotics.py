@@ -15,11 +15,13 @@ applies the jump condition
 psi^(k+2)(a+) - psi^(k+2)(a-) = (2m/hbar^2) [V^(k)(a+) - V^(k)(a-)] psi(a)
 to the spec's ledger (``potentials``), with the (k+1)-enhanced psi'(a) variant
 when psi(a) = 0. ``predict_tail`` cross-checks the two and refuses to emit a
-prediction when they disagree. A constant-V spec's pieces are read off the
-same ledger, but the table is not: the solver builds it from ``matching``
-and ``ode``, so the check still catches a region's V or a cusp put at the
-wrong break, and it guards the ODE from which ``momentum.FilonPanels``
-expands psi.
+prediction when they disagree. The lowest nonvanishing jump fixes the tail,
+so ``expansion_terms`` keeps each order that is a float, and ``predict_tail``
+refuses only where the tail lies past them. A constant-V spec's pieces are
+read off the same ledger, but the table is not: the solver builds it from
+``matching`` and ``ode``, so the check still catches a region's V or a cusp
+put at the wrong break, and it guards the ODE from which
+``momentum.FilonPanels`` expands psi.
 
 ``TailPrediction.series`` and ``leading_envelope`` group the terms by
 location and by order: the phase e^{-ipa/hbar} is formed once per location
@@ -32,11 +34,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolve import BoundState, SideDerivatives
+from .eigensolve import BoundState
 from .errors import InconsistentJumps, UnsupportedCase
 from .potentials import DiscontinuityRecord, check_units
 
@@ -51,35 +53,33 @@ class TailTerm:
     order: int            # power of (hbar/p)
     jump: float           # psi^(order-1)(a+) - psi^(order-1)(a-)
     hbar: float
+    coefficient: complex = field(init=False)
 
-    @property
-    def coefficient(self) -> complex:
-        """Complex prefactor of e^{-ipa/hbar} p^{-order}.
+    def __post_init__(self):
+        """The complex prefactor of e^{-ipa/hbar} p^{-order}, formed once.
 
         The jump is multiplied by hbar one order at a time, where hbar ** order
         can overflow first, and divided by sqrt(2 pi hbar) before the
         products grow (hbar >= 1) or after they shrink (hbar < 1): so no
-        partial product exceeds both the jump and the coefficient. Raises
-        ``OverflowError`` where a finite jump gives a coefficient that is
-        not finite.
+        partial product exceeds both the jump and the coefficient, which
+        may still be no float. A zero jump of either sign gives 0j that way.
         """
-        value = (-1j) ** self.order * self.jump
-        root = math.sqrt(2.0 * math.pi * self.hbar)
-        if self.hbar >= 1.0:
-            value /= root
-        for _ in range(self.order):
-            value *= self.hbar
-        if self.hbar < 1.0:
-            value /= root
-        if math.isfinite(self.jump) and not cmath.isfinite(value):
-            raise OverflowError(f"the order-{self.order} coefficient at x = {self.location!r} "
-                                f"overflows: jump {self.jump!r}, hbar {self.hbar!r}")
-        return value
+        value = 0j
+        if self.jump:
+            value = (-1j) ** self.order * self.jump
+            root = math.sqrt(2.0 * math.pi * self.hbar)
+            if self.hbar >= 1.0:
+                value /= root
+            for _ in range(self.order):
+                value *= self.hbar
+            if self.hbar < 1.0:
+                value /= root
+        object.__setattr__(self, "coefficient", value)
 
 
 @dataclass
 class TailPrediction:
-    """All expansion terms up to the derivative table's depth, plus the leading-order envelope."""
+    """All expansion terms up to the expansion's depth, plus the leading-order envelope."""
     terms: list[TailTerm]
     leading_exponent: int
 
@@ -116,36 +116,22 @@ def _sum_terms(terms: list[TailTerm], p):
     return (phase[..., :, None] * powers[..., None, :] * coef).sum(axis=(-2, -1))
 
 
-def derivative_table(state: BoundState) -> dict[float, SideDerivatives]:
-    """The state's derivative table, each entry checked to be finite.
-
-    psi's higher derivatives at a break can overflow where psi itself is
-    finite, at extreme units or strengths, and a jump between two infinities
-    is NaN. Raises ``OverflowError`` naming the break and the order there.
-    """
-    for a, side in state.derivative_table.items():
-        if not all(map(math.isfinite, side.left + side.right)):
-            j = next(j for j, pair in enumerate(zip(side.left, side.right))
-                     if not all(map(math.isfinite, pair)))
-            raise OverflowError(f"psi's order-{j} derivative at the break x = {a!r} is not "
-                                f"finite: {side.left[j]!r} on the left, {side.right[j]!r} on the right")
-    return state.derivative_table
-
-
 def expansion_terms(state: BoundState, records: list[DiscontinuityRecord]) -> list[TailTerm]:
-    """All T_n terms at every discontinuity location, in the state's hbar: n = 1
-    up to the number of derivatives psi^(n-1) the state's table holds. Raises
-    ``OverflowError`` where the table is not finite (``derivative_table``)."""
+    """All T_n terms at every discontinuity location, in the state's hbar. The
+    one place that sets the depth: n = 1 up to the shallowest table of the
+    records' locations, short of the first n with a coefficient that is no float."""
+    sides = [state.derivative_table[rec.location] for rec in records]
+    depth = min((len(side.right) for side in sides), default=0)
     terms: list[TailTerm] = []
-    table = derivative_table(state)
-    for rec in records:
-        side = table[rec.location]
-        for n in range(1, len(side.right) + 1):
+    for rec, side in zip(records, sides):
+        for n in range(1, depth + 1):
             raw = side.right[n - 1] - side.left[n - 1]
             scale = abs(side.right[n - 1]) + abs(side.left[n - 1])
-            jump = 0.0 if abs(raw) <= _REL_ZERO * scale else raw
+            # a jump that overflows stays one, whatever its scale
+            jump = 0.0 if abs(raw) <= _REL_ZERO * scale < math.inf else raw
             terms.append(TailTerm(rec.location, n, jump, state.hbar))
-    return terms
+    cut = min((t.order for t in terms if not cmath.isfinite(t.coefficient)), default=depth + 1)
+    return [t for t in terms if t.order < cut]
 
 
 def jump_from_potential(record: DiscontinuityRecord,
@@ -183,14 +169,24 @@ def predict_tail(state: BoundState, records: list[DiscontinuityRecord],
     """Expansion terms plus the leading exponent, with the two-route cross-check.
 
     Units are the state's; an explicit ``mass`` or ``hbar`` must equal them.
+    Raises ``OverflowError`` where the order the two-route check reads lies
+    past the table, or, with no nonzero term below it, past ``expansion_terms``.
     """
     check_units(state, mass, hbar)
     terms = expansion_terms(state, records)
+    nonzero = [t.order for t in terms if t.jump != 0.0]
+    depth = max((t.order for t in terms), default=0)
     for rec in records:
         if rec.is_wall:
             continue
         order, predicted = jump_from_potential(rec, state)
         side = state.derivative_table[rec.location]
+        # where no term below it is nonzero, the checked order leads the tail
+        limit = len(side.right) if nonzero else depth
+        if order >= limit:
+            raise OverflowError(f"psi's order-{order} derivative at the break x = {rec.location!r} "
+                                f"lies past orders 0 to {limit - 1}, past which a derivative or "
+                                f"a coefficient is no float: the jump condition reads it")
         tabulated = side.right[order] - side.left[order]
         # relative to the one-sided values the jump is read from, so that a
         # jump far below 1, deep in a tail, is checked too
@@ -200,9 +196,8 @@ def predict_tail(state: BoundState, records: list[DiscontinuityRecord],
             raise InconsistentJumps(
                 f"at x={rec.location}: potential route gives {predicted!r} for the "
                 f"order-{order} jump, derivative table gives {tabulated!r}")
-    nonzero = [t.order for t in terms if t.jump != 0.0]
     if not nonzero:
-        raise UnsupportedCase("no nonvanishing jump up to the derivative table's order")
+        raise UnsupportedCase(f"no nonvanishing jump up to order {depth} of the expansion")
     return TailPrediction(terms=terms, leading_exponent=min(nonzero))
 
 

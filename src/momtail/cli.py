@@ -11,10 +11,15 @@ override them; ``--grid`` (linear:min:max:count or log:min:max:per_decade)
 is read as that object, each number an int where its text is a whole one.
 
 Data files are CSV with 17-significant-digit formatting, and reports are JSON
-with sorted keys; identical inputs produce byte-identical outputs. ``solve``
-reports ``norm_check`` and ``norm_check_error``: the integral of psi^2 from
-the state's Filon panels and its truncation bound (``momentum.FilonPanels``'
-``norm`` and ``norm_error``).
+with sorted keys; identical inputs produce byte-identical outputs. A report
+holds no NaN or infinity, which JSON has no number for: such a value is a
+``solve error`` that names the file and the key, and no file is written.
+``solve`` reports ``norm_check`` and ``norm_check_error``: the integral of
+psi^2 from the state's Filon panels and its truncation bound
+(``momentum.FilonPanels``' ``norm`` and ``norm_error``), and the derivative
+table of each break, orders 0..5 up to the last one that is a float.
+``predict`` writes the terms of every order whose derivatives and
+coefficients are floats (``asymptotics.expansion_terms``).
 
 Exit codes: 0 success; 1 a failed verification or a quadrature failure
 (the Filon panels cannot resolve psi); 2 a usage error, a ``config error``
@@ -24,11 +29,13 @@ potential parameter that is not finite, a mass or hbar <= 0, an output path
 that cannot be written) or a ``solve error`` (a state, parity or prediction
 the config cannot have, psi and psi' both zero at a break, jumps whose two
 routes disagree, a failed root polish, a solve whose arithmetic overflows,
-a state whose energy or psi is not finite, a level whose decay rate is a
-subnormal float, a derivative table or a tail coefficient past the float
-range, or a verify momentum scale of 0 or inf). One ordered map,
-``_FAILURES``, decides each failure's report and code around each whole
-command; an error it does not name is a bug, and propagates.
+an Airy length whose hbar^2/2mF is not a positive normal float, a state
+whose energy or psi is not finite, a level whose decay rate is a subnormal
+float, a leading order or a two-route order past the orders that are
+floats, a report value that is NaN or infinite, or a verify momentum scale
+of 0 or inf). One ordered map, ``_FAILURES``, decides each failure's report
+and code around each whole command; an error it does not name is a bug, and
+propagates.
 """
 
 from __future__ import annotations
@@ -185,9 +192,28 @@ def _write_csv(path: Path, header: str, *columns) -> None:
     _write_text(path, "\n".join([header, *rows]) + "\n")
 
 
+def _not_finite(value, key: str = ""):
+    """(key, value) of the first float in ``value`` (nested dicts and lists)
+    that is NaN or infinite, keys joined by dots; None if there is none."""
+    if isinstance(value, dict):
+        items = ((f"{key}.{k}" if key else k, v) for k, v in sorted(value.items()))
+    elif isinstance(value, list):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None if not isinstance(value, float) or math.isfinite(value) else (key, value)
+    return next(filter(None, (_not_finite(v, k) for k, v in items)), None)
+
+
 def _write_report(path: Path, report: dict) -> None:
-    """Write ``report`` as JSON with sorted keys, and print it."""
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Write ``report`` as JSON with sorted keys, and print it. Raises
+    ``ValueError`` naming the file and the key where a value is NaN or
+    infinite, which JSON has no number for, and then writes nothing."""
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        key, value = _not_finite(report)
+        raise ValueError(f"{path.name} would hold {key} = {value!r}, which JSON has no "
+                         f"number for") from None
     _write_text(path, text)
     print(text, end="")
 
@@ -219,7 +245,7 @@ def solve(cfg: RunConfig, out: Path) -> None:
     state = eig.solve(cfg.spec, cfg.n, cfg.parity)
     panels = mom.FilonPanels(state)
     table = {}
-    for a, side in asy.derivative_table(state).items():
+    for a, side in state.derivative_table.items():
         table[f"{a:.17g}"] = {"value": side.value,
                               "left": list(side.left), "right": list(side.right)}
     _write_report(out / "solve.json", {

@@ -13,10 +13,10 @@ Every solver returns a ``BoundState`` carrying ``psi_and_slope``, (psi, psi')
 at an array of points from one evaluation, and ``ode``, the coefficients of
 psi'' = (b0 + b1 x) psi on each piece of V. At each break a of V a solver
 gives only (psi(a), psi'(a-), psi'(a+)); the state derives its one-sided
-derivative table (orders 0..5 on each side) from those and ``ode``, by the
-Taylor recurrence ``specfun.ode_taylor``, the same recurrence from which
-``momentum.FilonPanels`` expands psi on its panels. The breaks are the
-ledger's locations themselves, so the table of a record is
+derivative table (orders 0..5, up to the last that is a float on both sides)
+from those and ``ode``, by the Taylor recurrence ``specfun.ode_taylor``, the
+same recurrence from which ``momentum.FilonPanels`` expands psi on its panels.
+The breaks are the ledger's locations themselves, so the table of a record is
 ``derivative_table[record.location]``. Numerical differentiation is reserved
 for tests, so that tail predictions never inherit finite-difference noise.
 
@@ -46,8 +46,8 @@ from .errors import NoBoundState, NoConvergence, NoSuchState
 
 # support truncation: exp(-42) ~ 5.7e-19
 _DECAY_CUT = 42.0
-# highest derivative order in a derivative table, and so the depth of the
-# predicted tail series: its terms run to order _TABLE_ORDER + 1
+# highest derivative order in a derivative table, and so the deepest order of
+# the predicted tail series: _TABLE_ORDER + 1
 _TABLE_ORDER = 5
 _FACTORIALS = tuple(math.factorial(k) for k in range(_TABLE_ORDER + 1))
 # largest |exponent| of the scale solve_piecewise puts back on its defect: e^700 ~
@@ -59,7 +59,7 @@ _RTOL, _XTOL, _MAXITER = 8.9e-16, math.ulp(0.0), 200
 
 @dataclass(frozen=True)
 class SideDerivatives:
-    """One-sided derivatives psi^(j)(a-) / psi^(j)(a+) for j = 0..5."""
+    """One-sided derivatives psi^(j)(a-) / psi^(j)(a+), j = 0..5 while both are floats."""
     value: float
     left: tuple[float, ...]
     right: tuple[float, ...]
@@ -85,7 +85,7 @@ class BoundState:
     # (psi(a), psi'(a-), psi'(a+)) at each break a
     matching: tuple[tuple[float, float, float], ...] = ()
     osc_scale: float = math.inf     # shortest oscillation wavelength of psi
-    # psi^(0.._TABLE_ORDER) on each side of each break, from matching and ode
+    # psi^(0.._TABLE_ORDER), while floats, on each side of each break, from matching and ode
     derivative_table: dict[float, SideDerivatives] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -99,9 +99,11 @@ class BoundState:
                 self.breaks, self.matching, self.ode, self.ode[1:]):
             left = specfun.ode_taylor(value, slope_l, l0 + l1 * a, l1, _TABLE_ORDER)
             right = specfun.ode_taylor(value, slope_r, r0 + r1 * a, r1, _TABLE_ORDER)
-            self.derivative_table[float(a)] = SideDerivatives(
-                float(value), tuple(map(mul, _FACTORIALS, left)),
-                tuple(map(mul, _FACTORIALS, right)))
+            left, right = tuple(map(mul, _FACTORIALS, left)), tuple(map(mul, _FACTORIALS, right))
+            depth = None if all(map(math.isfinite, left + right)) else next(
+                j for j, pair in enumerate(zip(left, right)) if not all(map(math.isfinite, pair)))
+            self.derivative_table[float(a)] = SideDerivatives(float(value), left[:depth],
+                                                              right[:depth])
 
     def psi(self, x):
         """psi at an array of points."""
@@ -119,6 +121,7 @@ def _advance(P: float, Q: float, beta: float, w: float):
     end. As r w -> 0 the parts are huge and near opposite, so the new psi is
     P plus one part times 1 - e^(-2 r w), which tends to P + Q w; psi has at
     most one zero, in (0, w] where it changes sign. w may be infinite (the last region).
+    Raises ``ArithmeticError`` where an overflow upstream leaves them no float.
     """
     if beta > 0.0:
         r = math.sqrt(beta)
@@ -127,12 +130,17 @@ def _advance(P: float, Q: float, beta: float, w: float):
         if abs(up) > abs(down) * t:
             new, slope, growth = up * c + P * t, r * (up - down * t), r * w
         else:
-            lead = up / t if up else 0.0        # t > 0 here unless up = 0
+            if up and not t:        # neither part leads only where one is no float
+                raise ArithmeticError(f"psi's growing and decaying parts {up!r}, {down!r} "
+                                      f"left the float range at decay rate {r!r}")
+            lead = up / t if up else 0.0
             new, slope, growth = P + lead * c, r * (lead - down), -r * w
         return new, slope, growth, int(P > 0.0 >= new or P < 0.0 <= new)
     if beta < 0.0:
         k = math.sqrt(-beta)
         phase = math.atan2(k * P, Q)        # psi = R sin(k s + phase)
+        if math.isnan(phase):
+            raise ArithmeticError(f"psi's phase is NaN from {P!r}, {Q!r} at wave number {k!r}")
         zeros = math.floor((k * w + phase) / math.pi) - math.floor(phase / math.pi)
         c, s = math.cos(k * w), math.sin(k * w)
         return P * c + Q * s / k, Q * c - P * k * s, 0.0, zeros
@@ -563,4 +571,4 @@ def solve(spec: pot.PotentialSpec, n: int = 1, parity: str | None = None) -> Bou
     for family, solver in _SOLVERS.items():
         if isinstance(spec, family):
             return solver(spec, n, parity)
-    raise NoSuchState(f"no solver for potential kind {spec.kind!r}")
+    raise NoSuchState(f"no solver for {type(spec).__name__!r}, which is no potential family")

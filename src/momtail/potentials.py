@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import NamedTuple
@@ -46,8 +47,17 @@ class DiscontinuityRecord(NamedTuple):
 
 
 def airy_length(force: float, mass: float, hbar: float) -> float:
-    """Airy length scale (hbar^2 / 2mF)^(1/3) of a linear potential of force F."""
-    return (hbar ** 2 / (2.0 * mass * force)) ** (1.0 / 3.0)
+    """Airy length scale (hbar^2 / 2mF)^(1/3) of a linear potential of force F.
+
+    Raises ``ArithmeticError`` naming F, m and hbar where hbar^2 / 2mF is
+    not a positive normal float: past the range it is infinite, and as a
+    subnormal or 0 it has lost the digits that every Airy level is scaled by.
+    """
+    cube = hbar ** 2 / (2.0 * mass * force)
+    if not sys.float_info.min <= cube < math.inf:
+        raise ArithmeticError(f"the Airy length's hbar^2/2mF is {cube!r}, not a positive "
+                              f"normal float, at F = {force!r}, m = {mass!r}, hbar = {hbar!r}")
+    return cube ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -5,7 +5,11 @@ parameters across hundreds of decades, and runs each through ``solve``,
 ``transform``, ``predict`` and ``verify`` in-process with click's test
 runner. A command may exit 0, 1 or 2; any other ending is an exception the
 CLI does not report, which a user sees as a traceback. Prints each such site,
-as (command, error, file:line) with its count, and the total.
+as (command, error, file:line) with its count, and the total. For each
+command it also prints the count of each exit code, the five most common
+exit-2 reports (the first ``PREFIX`` characters of the run's last line of
+output, which follows any warning printed first), and how many of the files
+it wrote hold a NaN or an infinity, which no JSON reader takes.
 
 Exit codes cannot show a silent wrong energy, so each config is also solved
 (``eigensolve.solve``) with every length scaled by L = 2^20 and by 2^-20:
@@ -22,6 +26,7 @@ pytest does not collect it: warnings stay at Python's defaults, not the
 suite's ``error::RuntimeWarning``.
 """
 
+import csv
 import json
 import math
 import random
@@ -36,9 +41,12 @@ from click.testing import CliRunner
 from momtail import eigensolve, potentials
 from momtail.cli import main
 
-COMMANDS = ("solve", "transform", "predict", "verify")
+# each config command -> the file it writes
+COMMANDS = {"solve": "solve.json", "transform": "transform.csv", "predict": "predict.csv",
+            "verify": "verify.json"}
 SEED, COUNT = 30, 3000
 SCALES, SCALE_TOL, WORST = (2.0 ** 20, 2.0 ** -20), 1e-12, 8
+PREFIX, TOP = 56, 5
 
 
 def _config(rng: random.Random) -> dict:
@@ -132,35 +140,61 @@ def covariance_misses(config: dict) -> list:
     return misses
 
 
-def census(count: int = COUNT) -> tuple[Counter, list]:
+def _not_finite(path: Path) -> bool:
+    """``path`` holds a NaN or an infinity: a JSON constant or a CSV field."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        found = []
+        json.loads(text, parse_constant=found.append)
+        return bool(found)
+    return not all(math.isfinite(float(v)) for row in list(csv.reader(text.splitlines()))[1:]
+                   for v in row)
+
+
+def census(count: int = COUNT) -> tuple[Counter, list, Counter, Counter, Counter]:
     """(command, error, file:line) -> runs that ended in that unreported exception;
-    and (relative miss, L, config) for each level that does not scale as E / L^2."""
+    (relative miss, L, config) for each level that does not scale as E / L^2;
+    (command, exit code) -> runs; (command, exit-2 report start) -> runs; and
+    command -> the files it wrote that hold a NaN or an infinity."""
     rng = random.Random(SEED)
     runner = CliRunner()
-    sites, misses = Counter(), []
+    sites, misses, exits, reports, not_finite = Counter(), [], Counter(), Counter(), Counter()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         for _ in range(count):
             config = _config(rng)
             misses += [(miss, L, config) for miss, L in covariance_misses(config)]
             cfg.write_text(json.dumps(config))
-            for command in COMMANDS:
+            for command, written in COMMANDS.items():
+                out = Path(tmp) / written
+                out.unlink(missing_ok=True)
                 res = runner.invoke(main, [command, "--config", str(cfg), "--out", tmp])
                 if res.exception is None or isinstance(res.exception, SystemExit):
+                    exits[command, res.exit_code] += 1
+                    if res.exit_code == 2:
+                        reports[command, res.output.rstrip("\n").rsplit("\n", 1)[-1][:PREFIX]] += 1
+                    not_finite[command] += out.exists() and _not_finite(out)
                     continue
                 frame = traceback.extract_tb(res.exc_info[2])[-1]
                 sites[command, type(res.exception).__name__,
                       f"{Path(frame.filename).name}:{frame.lineno}"] += 1
-    return sites, misses
+    return sites, misses, exits, reports, not_finite
 
 
 if __name__ == "__main__":
     count = int(sys.argv[1]) if len(sys.argv) > 1 else COUNT
-    sites, misses = census(count)
+    sites, misses, exits, reports, not_finite = census(count)
     for (command, error, where), runs in sorted(sites.items()):
         print(f"{command:9s} {error:20s} {where:24s} {runs}")
     print(f"{sum(sites.values())} of {count * len(COMMANDS)} runs ended in a traceback, "
           f"at {len(sites)} sites")
+    for command in COMMANDS:
+        codes = ", ".join(f"{code}: {exits[command, code]}" for code in (0, 1, 2))
+        print(f"{command:9s} exits {codes}; {not_finite[command]} written files "
+              f"hold NaN or Infinity")
+        ours = Counter({report: runs for (c, report), runs in reports.items() if c == command})
+        for report, runs in ours.most_common(TOP):
+            print(f"  {runs:5d}  {report}")
     for miss, L, config in sorted(misses, key=lambda m: -m[0])[:WORST]:
         print(f"L = 2^{round(math.log2(L)):+d} {miss:9.2e} {json.dumps(config)}")
     print(f"{len(misses)} of {count * len(SCALES)} scaled solves missed E / L^2 by more "

@@ -194,6 +194,39 @@ def test_truncation_residual_scaling():
         assert slope <= bound
 
 
+# (spec, n, parity): whose p^-(k+1) coefficient overflows though the table
+# holds psi^(k), k the order of the jump condition; the orders kept, and the
+# leading exponent or None where predict_tail refuses
+FLOAT_ORDER_CASES = {
+    # psi(0) ~ 1e-28 is zero to the jump condition, which reads psi^(4), but
+    # its psi^(3) jump is a float term, and it leads
+    "lower_order_leads": (pot.AsymmetricLinear(
+        force_right=2.0794036565769934e-30, force_left=1.8122453969408706e+71,
+        mass=2.568380822477478e+108, hbar=2.0628848898552908e+73), 2, None, [1, 2, 3, 4], 4),
+    # no lower order is nonzero: the leading order lies past the floats
+    "odd_lead_past_the_floats": (pot.SymmetricLinear(
+        force=3.983459241357745e+125, mass=1.1706247495649099e+87,
+        hbar=1.1983387485012378e+132), 1, "odd", [1, 2, 3, 4], None),
+    "even_lead_past_the_floats": (pot.SymmetricLinear(
+        force=3.368774610759876e+123, hbar=8.471410866908398e+146), 2, "even", [1, 2, 3], None),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_ORDER_CASES)
+def test_expansion_keeps_the_orders_whose_coefficients_are_floats(name):
+    spec, n, parity, orders, leading = FLOAT_ORDER_CASES[name]
+    st = eig.solve(spec, n, parity)
+    assert len(st.derivative_table[0.0].right) == 6
+    terms = asy.expansion_terms(st, pot.discontinuities(spec))
+    assert [t.order for t in terms] == orders
+    assert all(math.isfinite(abs(t.coefficient)) for t in terms)
+    if leading is None:
+        with pytest.raises(OverflowError, match=f"psi's order-{orders[-1]} derivative"):
+            asy.predict_tail(st, pot.discontinuities(spec))
+    else:
+        assert asy.predict_tail(st, pot.discontinuities(spec)).leading_exponent == leading
+
+
 def test_wall_route_unsupported():
     spec = pot.Bouncer(force=0.5)
     st = eig.solve(spec, 1)

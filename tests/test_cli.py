@@ -324,18 +324,38 @@ CORNERS = {
     "asymmetric_linear_hbar_1e80": ({"kind": "asymmetric_linear", "force_right": 1,
                                      "force_left": 2, "hbar": 1e80}, (0, 0, 0, 0), None),
     "bouncer_hbar_1e100": ({"kind": "bouncer", "force": 1, "hbar": 1e100}, (0, 0, 0, 0), None),
-    # hbar^2/(2mF) ~ 1e420 overflows inside the Airy length: an infinite level
+    # hbar^2/(2mF) ~ 1e420 overflows inside the Airy length, though rho ~ 1e140
+    # is a float: it is refused by name, not as the infinite level it gave
     "bouncer_airy_length_overflows": ({"kind": "bouncer", "force": 1.260115539745528e-57,
                                        "mass": 3.951075183959357e-103,
                                        "hbar": 3.552976742453059e+130}, (2, 2, 2, 2),
-                                      "solve error: the solve gave a state whose energy or psi "
-                                      "is not finite"),
+                                      "solve error: the Airy length's hbar^2/2mF is inf"),
     # a decay length far below the spacing of floats near 8.84: psi's support
-    # has no width, and psi'' at the delta overflows, so the table has no tail
+    # has no width, so no panel holds psi; psi'' at the delta overflows, so the
+    # table stops at psi', which is all the delta's p^-2 tail reads
     "delta_support_of_no_width": ({"kind": "delta_sum",
                                    "deltas": [[91807072675.58, 8.842752429756352]],
-                                   "hbar": 2.834980478188222e-69}, (1, 1, 2, 2),
-                                  "solve error: psi's order-2 derivative at the break"),
+                                   "hbar": 2.834980478188222e-69}, (1, 1, 0, 1), None),
+    # 2m(V - E)/hbar^2 outside the well is 5e-324, a subnormal that has lost
+    # every digit of the level's decay rate
+    "well_decay_rate_subnormal": ({"kind": "finite_well", "depth": 0.0037255896952591407,
+                                   "a": 8.336484381689615, "b": 11.260204310160416,
+                                   "mass": 1.2664391494423287e-54,
+                                   "hbar": 7.271337262988827e+52}, (2, 2, 2, 2),
+                                  "solve error: the level -1.546999489688477e-164 decays at a "
+                                  "subnormal 2m(V - E)/hbar^2"),
+    # 2m(V - E)/hbar^2 overflows: psi's phase in the well, and beside the
+    # hybrid's delta its decay rate and psi'
+    "well_phase_overflows": ({"kind": "finite_well", "depth": 1.9970470594996236e+16,
+                              "a": -8.8186205376442, "b": 9979892.695408143,
+                              "mass": 4.2853158678256596e+59, "hbar": 3.727383137147171e-131},
+                             (2, 2, 2, 2), "solve error: psi's phase is NaN from 1.0, nan at "
+                             "wave number inf"),
+    "hybrid_rate_overflows": ({"kind": "hybrid_delta_step", "g": 5.474948198392659e-09,
+                               "step_height": -5.833444434236515e-20, "a": 1.752032314049523e-18,
+                               "mass": 4.758068778416576e+49, "hbar": 2.878615471663187e-62},
+                              (2, 2, 2, 2), "solve error: psi's growing and decaying parts nan, "
+                              "nan left the float range at decay rate inf"),
     # E underflows to 0.0: verify has no momentum scale to place its window at
     "box_energy_underflows": ({"kind": "infinite_well", "length": 3.288438015345917e+91,
                                "hbar": 1.5147329205249785e-77}, (0, 0, 0, 2),
@@ -389,36 +409,69 @@ def test_odd_symmetric_linear_with_hbar_1e80(runner, tmp_path, command):
         assert json.loads((tmp_path / "verify.json").read_text())["pass"] is True
 
 
-def test_coefficient_past_the_float_range_is_a_solve_error(runner, tmp_path):
+# the CLI runs at Python's default warnings: at these units the verify
+# window's (1/p)^n under- or overflows with a numpy warning (ROADMAP item 22),
+# and the report must hold no NaN or inf that this leaves
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_coefficient_past_the_float_range_ends_the_expansion(runner, tmp_path):
     # this well's p^-3 coefficients are 3.6e274, though hbar^3 = 1e330
-    # overflows a float, and its p^-4 ones ~1e385
+    # overflows a float, and its p^-4 ones ~1e385: the expansion keeps orders
+    # 1-3, and the leading one is p^-3
     cfg = write_cfg(tmp_path, {"potential": {"kind": "finite_well", "depth": 1e100, "a": -1,
                                              "b": 1, "mass": 1e120, "hbar": 1e110}})
-    for command in ("solve", "transform"):
+    for command in ("solve", "transform", "predict"):
         res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
-    res = runner.invoke(main, ["predict", "--config", cfg, "--out", str(tmp_path)])
-    assert res.exit_code == 2
-    assert res.output.startswith("solve error: the order-4 coefficient at x = -1 overflows")
-    assert not (tmp_path / "predict.csv").exists()
+    assert res.output.startswith("leading exponent: 3")
+    rows = [line.split(",") for line in
+            (tmp_path / "predict.csv").read_text().strip().split("\n")[1:]]
+    assert sorted({int(row[0]) for row in rows}) == [1, 2, 3]
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+    # its (1/p)^3 underflows to 0 in the verify window, p ~ 1e111, and the
+    # deviation divides by that envelope
+    res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2 and type(res.exception) is SystemExit
+    assert res.output.startswith("solve error: verify.json would hold "
+                                 "comparison.max_rel_deviation = inf")
+    assert not (tmp_path / "verify.json").exists()
 
 
-@pytest.mark.parametrize("parity", ["even", "odd"])
-def test_derivative_table_past_the_float_range_is_a_solve_error(runner, tmp_path, parity):
-    # psi is finite, but psi^(4) at the kink overflows: its table of
-    # infinities made a solve.json with NaN and Infinity, which is no JSON,
-    # and a prediction "jump nan"; transform reads no table
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_report_value_that_is_no_float_is_a_solve_error(runner, tmp_path):
+    # (1/p)^5 overflows in the verify window, and inf times the tiny p^-5
+    # coefficient gave "max_rel_deviation": NaN, which is no JSON
+    cfg = write_cfg(tmp_path, {"potential": {"kind": "symmetric_linear",
+                                             "force": 1.847476586418087e-143,
+                                             "mass": 2.709799972610435e-08,
+                                             "hbar": 4.633642542731326e-108},
+                               "parity": "odd"})
+    res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2 and type(res.exception) is SystemExit
+    assert res.output.startswith("solve error: verify.json would hold "
+                                 "comparison.max_rel_deviation = nan")
+    assert not (tmp_path / "verify.json").exists()
+
+
+@pytest.mark.parametrize("parity,codes", [("even", (0, 0, 0, 0)), ("odd", (0, 0, 2, 2))])
+def test_derivative_table_keeps_the_orders_that_are_floats(runner, tmp_path, parity, codes):
+    # psi is finite, but psi^(4) at the kink overflows: the table keeps
+    # orders 0-3. The even state's p^-4 tail reads psi^(3) and is predicted;
+    # the odd state's p^-5 tail reads psi^(4), past the table
     cfg = write_cfg(tmp_path, {"potential": {"kind": "symmetric_linear",
                                              "force": 4.081387607210993e+103,
                                              "mass": 1.407874506404829e+121},
                                "parity": parity})
-    for command, code in zip(OUTPUTS, (2, 0, 2, 2)):
+    for command, code in zip(OUTPUTS, codes):
         res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
         assert res.exit_code == code, (command, res.output)
         if code:
             assert res.output.startswith("solve error: psi's order-4 derivative at the "
-                                         "break x = 0.0 is not finite")
+                                         "break x = 0.0 lies past orders 0 to 3")
             assert not (tmp_path / OUTPUTS[command]).exists()
+    table = json.loads((tmp_path / "solve.json").read_text())["derivative_table"]
+    assert list(table) == ["0"]
+    assert len(table["0"]["left"]) == len(table["0"]["right"]) == 4
+    assert all(map(math.isfinite, table["0"]["left"] + table["0"]["right"]))
 
 
 @pytest.mark.parametrize("args", [["solve"], ["transform"], ["predict"], ["verify"],

@@ -1227,6 +1227,11 @@ def test_solve_refuses_a_parity_the_kind_does_not_read(spec, parity):
         spec.classical_q(1, parity)
 
 
+def test_solve_refuses_an_object_of_no_potential_family():
+    with pytest.raises(NoSuchState, match="no solver for 'dict'"):
+        eig.solve({"kind": "delta_sum", "deltas": [[1.0, 0.0]]})
+
+
 @pytest.mark.parametrize("spec,parity", EVERY_KIND, ids=[s.kind for s, _ in EVERY_KIND])
 def test_solve_takes_a_numpy_integer_level_index(spec, parity):
     # each entry point gives for np.int64(2) what it gives for 2
