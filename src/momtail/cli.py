@@ -28,14 +28,14 @@ bounds that are not finite with min < max, a grid too large to allocate, a
 potential parameter that is not finite, a mass or hbar <= 0, an output path
 that cannot be written) or a ``solve error`` (a state, parity or prediction
 the config cannot have, psi and psi' both zero at a break, jumps whose two
-routes disagree, a failed root polish, a solve whose arithmetic overflows,
-an Airy length whose hbar^2/2mF is not a positive normal float, a state
-whose energy or psi is not finite, a level whose decay rate is a subnormal
-float, a leading order or a two-route order past the orders that are
-floats, a report value that is NaN or infinite, or a verify momentum scale
-of 0 or inf). One ordered map, ``_FAILURES``, decides each failure's report
-and code around each whole command; an error it does not name is a bug, and
-propagates.
+routes disagree, a failed root polish, a unit of the spec's image or an
+image parameter that is no positive normal float, a solve whose arithmetic
+overflows, a level whose energy in the user's units is no normal float, an
+image's level whose decay rate is subnormal or whose V - E keeps no digit,
+a leading order or a two-route order past the orders that are floats, a
+report value that is NaN or infinite, or a verify momentum scale of 0 or
+inf). One ordered map, ``_FAILURES``, decides each failure's report and code
+around each whole command; an error it does not name is a bug, and propagates.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ def verify(cfg: RunConfig, out: Path) -> None:
     prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
 
     # momentum scale separating structure from tail: sqrt(2m|E - V_floor|)
-    scale = math.sqrt(2.0 * state.mass * abs(state.energy - cfg.spec.v_floor))
+    scale = state.momentum_scale(cfg.spec.v_floor)
     if not 0.0 < scale < math.inf:
         raise ArithmeticError(f"the momentum scale sqrt(2m|E - V_floor|) is {scale!r}: "
                               f"no tail window starts at a multiple of it")
@@ -336,7 +336,7 @@ def figure(number, out) -> None:
     if number == "1":
         spec = pot.Bouncer(force=0.5)    # rho = 1 units
         state = eig.solve(spec, 10)
-        qn = math.sqrt(2.0 * spec.mass * state.energy)
+        qn = state.momentum_scale(0.0)
         grid = _linspace(-2.0 * qn, 2.0 * qn, 1201)
         samples = mom.phi_quadrature(state, grid)
         path = out / "figure1.csv"

@@ -1,24 +1,29 @@
 """Normalized bound states for the cataloged potentials.
 
 ``solve`` dispatches on the spec's family: a ``potentials.Piecewise`` kind
-to ``solve_piecewise`` on the pieces of its ledger, a ``potentials.Linear``
-kind to ``solve_linear`` on its ``forces``, and the box to
+to ``solve_piecewise`` on the pieces of its image, a ``potentials.Linear``
+kind to ``solve_linear`` on its image's force ratio, and the box to
 ``solve_infinite_well``; a new kind of either family needs no change here.
+Every solver works on the spec's dimensionless image, where m = 1/2 and
+hbar = 1, so psi'' = (V - E) psi, and reads no mass or hbar: the spec's
+``units`` (``potentials.Units``) carry its level back at the edge.
 States are numbered n = 1, 2, ... in order of increasing energy, the
 symmetric linear potential's within each parity. Every solver takes (spec,
 n, parity) and first reads the level through ``spec.level_index(n,
 parity)``, which alone refuses a request that names no level (NoSuchState).
 
-Every solver returns a ``BoundState`` carrying ``psi_and_slope``, (psi, psi')
-at an array of points from one evaluation, and ``ode``, the coefficients of
-psi'' = (b0 + b1 x) psi on each piece of V. At each break a of V a solver
-gives only (psi(a), psi'(a-), psi'(a+)); the state derives its one-sided
+Every solver returns a ``BoundState``: the image's ``Level``, carrying
+``psi_and_slope``, (psi, psi') at an array of points from one evaluation,
+and ``ode``, the coefficients of psi'' = (b0 + b1 x) psi on each piece of V,
+and the ``units`` that give its energy, psi, support, breaks, osc_scale and
+derivative table in the user's units. At each break a of V a solver gives
+only (psi(a), psi'(a-), psi'(a+)); the level derives its one-sided
 derivative table (orders 0..5, up to the last that is a float on both sides)
 from those and ``ode``, by the Taylor recurrence ``specfun.ode_taylor``, the
 same recurrence from which ``momentum.FilonPanels`` expands psi on its panels.
-The breaks are the ledger's locations themselves, so the table of a record is
-``derivative_table[record.location]``. Numerical differentiation is reserved
-for tests, so that tail predictions never inherit finite-difference noise.
+The state's breaks are the ledger's locations themselves, so the table of a
+record is ``derivative_table[record.location]``. Numerical differentiation is
+reserved for tests, so that tail predictions never inherit finite-difference noise.
 
 Where a level is the root of a defect inside a bracket, ``_brentq``, a
 step-for-step port of scipy's ``brentq`` (Brent 1973, ch. 4), polishes it, so a
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import index, mul
 from typing import Callable
 
@@ -65,22 +71,26 @@ class SideDerivatives:
     right: tuple[float, ...]
 
 
+def _table(value: float, left: tuple, right: tuple) -> SideDerivatives:
+    """The one-sided derivatives up to the last order that is a float on both sides."""
+    depth = None if all(map(math.isfinite, left + right)) else next(
+        j for j, pair in enumerate(zip(left, right)) if not all(map(math.isfinite, pair)))
+    return SideDerivatives(float(value), left[:depth], right[:depth])
+
+
 @dataclass
-class BoundState:
+class Level:
+    """A level of a spec's image, where m = 1/2 and hbar = 1 (``potentials.Units``)."""
     energy: float
-    n: int
-    parity: str                     # 'even' | 'odd' | 'none'
     # (psi, psi') at an array of points, from one evaluation
     psi_and_slope: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     support: tuple[float, float]    # numeric support, |psi| < ~1e-18 outside
-    mass: float                     # the spec's units, which the transform,
-    hbar: float                     # the prediction and the moments read
     # boundaries of the pieces of V, ascending: psi can kink only there; they
     # need not lie inside the support (the box's walls are its ends)
     breaks: tuple[float, ...] = ()
-    # the ODE psi'' = (b0 + b1 x) psi, b0 + b1 x = (2m/hbar^2)(V(x) - E), as
-    # (b0, b1) for each of the len(breaks) + 1 regions between consecutive
-    # breaks, region i ending at breaks[i]; (0, 0) where psi vanishes (V = inf)
+    # the ODE psi'' = (b0 + b1 x) psi, b0 + b1 x = V(x) - E, as (b0, b1) for
+    # each of the len(breaks) + 1 regions between consecutive breaks, region
+    # i ending at breaks[i]; (0, 0) where psi vanishes (V = inf)
     ode: tuple[tuple[float, float], ...] = ()
     # (psi(a), psi'(a-), psi'(a+)) at each break a
     matching: tuple[tuple[float, float, float], ...] = ()
@@ -99,11 +109,75 @@ class BoundState:
                 self.breaks, self.matching, self.ode, self.ode[1:]):
             left = specfun.ode_taylor(value, slope_l, l0 + l1 * a, l1, _TABLE_ORDER)
             right = specfun.ode_taylor(value, slope_r, r0 + r1 * a, r1, _TABLE_ORDER)
-            left, right = tuple(map(mul, _FACTORIALS, left)), tuple(map(mul, _FACTORIALS, right))
-            depth = None if all(map(math.isfinite, left + right)) else next(
-                j for j, pair in enumerate(zip(left, right)) if not all(map(math.isfinite, pair)))
-            self.derivative_table[float(a)] = SideDerivatives(float(value), left[:depth],
-                                                              right[:depth])
+            self.derivative_table[float(a)] = _table(value, tuple(map(mul, _FACTORIALS, left)),
+                                                     tuple(map(mul, _FACTORIALS, right)))
+
+
+@dataclass
+class BoundState:
+    """Level n of a spec in the spec's units: the level ``image`` of its image,
+    carried back by ``units``. ``breaks`` are the spec's own locations of the
+    image's breaks. ``energy``, ``support`` (an end at a break at the break's
+    own location), ``osc_scale``, ``derivative_table`` (keyed by ``breaks``,
+    each order up to the last that is a float on both sides), ``psi_and_slope``
+    and ``psi`` are the image's in the user's units. Raises ``ArithmeticError``
+    where the energy is not a normal float: past the range, or below it,
+    where its digits are lost."""
+    image: Level
+    units: pot.Units
+    n: int
+    parity: str                     # 'even' | 'odd' | 'none'
+    breaks: tuple[float, ...] = ()
+    energy: float = field(init=False)
+    support: tuple[float, float] = field(init=False)
+    osc_scale: float = field(init=False)
+
+    def __post_init__(self):
+        units, image = self.units, self.image
+        self.energy = image.energy * units.energy
+        if not pot._normal(abs(self.energy)):
+            raise ArithmeticError(
+                f"the level's energy {self.energy!r} is not a normal float: the image's "
+                f"{image.energy!r} in units of hbar^2/2mL^2 = {units.energy!r}")
+        # an end at a break (the box's walls) is the spec's own location of it
+        self.support = tuple(dict(zip(image.breaks, self.breaks)).get(x, units.origin
+                                                                      + units.length * x)
+                             for x in image.support)
+        self.osc_scale = units.length * image.osc_scale
+
+    @cached_property
+    def derivative_table(self) -> dict[float, SideDerivatives]:
+        """The image's table in the user's units, formed on first read."""
+        return {a: _table(self.units.derivatives([side.value])[0],
+                          *(tuple(self.units.derivatives(values))
+                            for values in (side.left, side.right)))
+                for a, side in zip(self.breaks,
+                                   map(self.image.derivative_table.get, self.image.breaks))}
+
+    @property
+    def mass(self) -> float:
+        return self.units.mass
+
+    @property
+    def hbar(self) -> float:
+        return self.units.hbar
+
+    def momentum_scale(self, v_floor: float) -> float:
+        """sqrt(2m |E - v_floor|), formed in the image as (hbar/L) sqrt(|E' - v_floor'|)."""
+        units = self.units
+        return units.momentum * math.sqrt(abs(self.image.energy - units.scale(v_floor, 0)))
+
+    def image_side(self, location: float) -> SideDerivatives:
+        """The image's one-sided derivatives at the break the spec places at ``location``."""
+        return self.image.derivative_table[self.image.breaks[self.breaks.index(location)]]
+
+    def psi_and_slope(self, x):
+        """(psi, psi') at an array of points, from one evaluation of the image's."""
+        units = self.units
+        psi, slope = self.image.psi_and_slope((np.asarray(x, dtype=float) - units.origin)
+                                              / units.length)
+        root = math.sqrt(units.length)
+        return psi / root, slope / (root * units.length)
 
     def psi(self, x):
         """psi at an array of points."""
@@ -147,7 +221,7 @@ def _advance(P: float, Q: float, beta: float, w: float):
     return P + Q * w, Q, 0.0, int(Q != 0.0 and 0.0 < -P / Q <= w)
 
 
-def _sweep(xs, vs, cusps, energy: float, coef: float):
+def _sweep(xs, vs, cusps, energy: float):
     """March the solution that decays at -infinity from left to right.
 
     Returns the number of its zeros, which by the Sturm oscillation theorem
@@ -162,24 +236,25 @@ def _sweep(xs, vs, cusps, energy: float, coef: float):
     float resolution, so a root finder polishes the defect times e^(log
     scale) instead (``solve_piecewise``).
     """
-    P, Q = 1.0, math.sqrt(coef * (vs[0] - energy))
+    P, Q = 1.0, math.sqrt(vs[0] - energy)
     log_scale, zeros, rows = 0.0, 0, []
     for i, x in enumerate(xs):
-        Qp = Q + coef * cusps[i] * P
+        Qp = Q + cusps[i] * P
         rows.append((P, Q, Qp, log_scale))
         if i + 1 == len(xs):
             break
-        P, Q, growth, z = _advance(P, Qp, coef * (vs[i + 1] - energy), xs[i + 1] - x)
+        P, Q, growth, z = _advance(P, Qp, vs[i + 1] - energy, xs[i + 1] - x)
         s = max(abs(P), abs(Q))
         P, Q, log_scale, zeros = P / s, Q / s, log_scale + growth + math.log(s), zeros + z
-    zeros += _advance(P, Qp, coef * (vs[-1] - energy), math.inf)[3]
-    return zeros, Qp + math.sqrt(coef * (vs[-1] - energy)) * P, rows
+    zeros += _advance(P, Qp, vs[-1] - energy, math.inf)[3]
+    return zeros, Qp + math.sqrt(vs[-1] - energy) * P, rows
 
 
 def _sin_cubic(y: float) -> float:
-    """(y - sin y) / y^3, by its Taylor series below y = 1, where the difference cancels."""
+    """(y - sin y) / y^3, by its Taylor series below y = 1, where the difference
+    cancels; above, as (1 - sin y / y) / y / y, which forms no y^3 to overflow."""
     if y >= 1.0:
-        return (y - math.sin(y)) / y ** 3
+        return (1.0 - math.sin(y) / y) / y / y
     return sum((-y * y) ** j / math.factorial(2 * j + 3) for j in range(8))
 
 
@@ -245,10 +320,10 @@ def _brentq(f, a: float, b: float, fa: float | None = None, fb: float | None = N
 def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) -> BoundState:
     """n-th level of a piecewise-constant V with attractive delta cusps.
 
-    ``spec.pieces()`` gives the boundaries, the region potentials and the
-    delta coefficients (-g), all read off the spec's ledger. Levels lie
-    between the asymptote min(V_left, V_right) and min(V) - m (sum g)^2 /
-    2 hbar^2. Bisecting the Sturm count of ``_sweep`` isolates level n, and
+    ``spec.image_pieces`` gives the boundaries, the region potentials and
+    the delta coefficients (-g) of the spec's image, where psi'' = (V - E)
+    psi. Levels lie between the asymptote min(V_left, V_right) and min(V) -
+    (sum g)^2 / 4. Bisecting the Sturm count of ``_sweep`` isolates level n, and
     ``_brentq`` finds the root of its defect with the sweep's scale put
     back: the defect times e^(s - ref), s the log scale ``_sweep`` divided
     out at the last boundary and ref its mean over the bracket's two ends,
@@ -260,11 +335,10 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) 
     2 ``_MAX_EXP``, where a weak level beside a strong delta leaves it decades wide.
     """
     n = spec.level_index(n, parity)
-    xs, vs, cusps = pieces = spec.pieces()
-    m, hbar = spec.mass, spec.hbar
-    coef = 2.0 * m / hbar ** 2
+    units, pieces = spec.units, spec.image_pieces
+    xs, vs, cusps = pieces
     top = min(vs[0], vs[-1])
-    bottom = min(vs) - m * sum(cusps) ** 2 / (2.0 * hbar ** 2)
+    bottom = min(vs) - sum(cusps) ** 2 / 4.0
     if not bottom < top:
         raise NoSuchState("no admissible bound-state energy window")
     sweeps = {}
@@ -272,7 +346,7 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) 
     def sweep(E):
         """(count, defect, log scale divided out, rows) of ``_sweep`` at E, once per E."""
         if E not in sweeps:
-            count, d, rows = _sweep(xs, vs, cusps, E, coef)
+            count, d, rows = _sweep(xs, vs, cusps, E)
             sweeps[E] = count, d, rows[-1][3], rows
         return sweeps[E]
 
@@ -314,13 +388,27 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) 
             fb = (-1.0) ** n * math.ulp(0.0)
         energy = _brentq(lambda E: rescaled(*sweep(E)[1:3]), lo, hi,
                          fa=rescaled(d_lo, s_lo), fb=fb)
-    return _piecewise_state(spec, pieces, n, energy, sweep(energy)[3])
+    parity = _mirror_parity(pieces, n)
+    return BoundState(_piecewise_state(pieces, energy, sweep(energy)[3], parity != "none"), units,
+                      n, parity, tuple(float(r.location) for r in spec.ledger()))
 
 
-def _piecewise_state(spec: pot.Piecewise, pieces, n: int, energy: float, left) -> BoundState:
-    """The normalised state of ``solve_piecewise`` at its level ``energy``,
-    on the ``pieces`` (boundaries, region potentials, delta coefficients),
-    from ``left``, the rows of ``_sweep`` at ``energy``.
+def _mirror_parity(pieces, n: int) -> str:
+    """Where the pieces are their own mirror image (equal widths, potentials
+    and cusps read backwards), level n is even for odd n and odd for even
+    n; otherwise its parity is "none"."""
+    xs, vs, cusps = pieces
+    widths = [b - a for a, b in zip(xs, xs[1:])]
+    if widths == widths[::-1] and vs == vs[::-1] and cusps == cusps[::-1]:
+        return "even" if n % 2 else "odd"
+    return "none"
+
+
+def _piecewise_state(pieces, energy: float, left, mirror: bool) -> Level:
+    """The normalised level of ``solve_piecewise`` at its ``energy``, on the
+    image's ``pieces`` (boundaries, region potentials, delta coefficients),
+    from ``left``, the rows of ``_sweep`` at ``energy``; ``mirror`` where the
+    pieces are their own mirror image.
 
     psi is built from both ends: the solutions that decay at -infinity and at
     +infinity are joined at the boundary where their product, which near a
@@ -329,15 +417,11 @@ def _piecewise_state(spec: pot.Piecewise, pieces, n: int, energy: float, left) -
     region with E < V, psi = D e^(-r(x - a)) + U e^(r(x - b)), so neither term
     exceeds the region's scale; with E >= V, psi = A cos(k(x - a)) +
     B sin(k(x - a))/k. Each region is normalised in closed form, and psi > 0
-    as x -> -infinity. Where the pieces are mirror-symmetric, level n is even
-    for odd n and odd for even n; otherwise its parity is "none".
+    as x -> -infinity. Mirror-symmetric pieces sweep alike from both ends.
     """
     xs, vs, cusps = pieces
-    m, hbar = spec.mass, spec.hbar
-    coef = 2.0 * m / hbar ** 2
     flipped = ([-x for x in xs[::-1]], vs[::-1], cusps[::-1])
-    # pieces mirror-symmetric about 0 are their own mirror image
-    mirrored = left if flipped == pieces else _sweep(*flipped, energy, coef)[2]
+    mirrored = left if mirror else _sweep(*flipped, energy)[2]
     right = [(P, -Qp, -Qm, log_scale) for P, Qm, Qp, log_scale in mirrored[::-1]]
 
     def weight(i):
@@ -356,10 +440,15 @@ def _piecewise_state(spec: pot.Piecewise, pieces, n: int, energy: float, left) -
     rows[j][1] = left[j][1] / left[j][0]
     P, Qm, Qp = zip(*rows)
 
-    betas = [coef * (v - energy) for v in vs]
+    betas = [v - energy for v in vs]
     if not min(betas[0], betas[-1]) >= np.finfo(float).tiny:    # a subnormal has lost digits
-        raise ArithmeticError(f"the level {energy!r} decays at a subnormal 2m(V - E)/hbar^2: "
+        raise ArithmeticError(f"the image's level {energy!r} decays at a subnormal V' - E': "
                               f"{betas[0]!r} on the left, {betas[-1]!r} on the right")
+    # the polish fixes the level to _RTOL of itself, so within that of a V, V - E has no digit
+    lost = [v for beta, v in zip(betas[1:-1], vs[1:-1]) if abs(beta) <= _RTOL * abs(v)]
+    if lost:
+        raise ArithmeticError(f"the image's level {energy!r} lies within its polish's rounding "
+                              f"of the V' = {lost[0]!r} of a region: V' - E' there has no digit")
     kap_l, kap_r = math.sqrt(betas[0]), math.sqrt(betas[-1])
     # (a, b, beta, first, second): psi = first e^(-r(x - a)) + second e^(r(x - b))
     # where beta = r^2 > 0, else first cos(k(x - a)) + second sin(k(x - a))/k
@@ -379,7 +468,7 @@ def _piecewise_state(spec: pot.Piecewise, pieces, n: int, energy: float, left) -
             A, B = P[i - 1], Qp[i - 1]
             S = math.sin(k * w) / k if k else w
             norm2 += (A * A * (w + S * math.cos(k * w)) / 2.0 + A * B * S * S
-                      + B * B * 2.0 * w ** 3 * _sin_cubic(2.0 * k * w))
+                      + B * B * 2.0 * w * (w * (w * _sin_cubic(2.0 * k * w))))
             regions.append((a, b, beta, A, B))
     regions.append((xs[-1], math.inf, betas[-1], P[-1], 0.0))
     scale = math.copysign(1.0 / math.sqrt(norm2), left[j][0])   # psi > 0 as x -> -inf
@@ -407,39 +496,33 @@ def _piecewise_state(spec: pot.Piecewise, pieces, n: int, energy: float, left) -
             out[:, sel] = piece(i, x[sel])
         return tuple(out)
 
-    mirror = (vs == vs[::-1] and cusps == cusps[::-1]
-              and len({x + y for x, y in zip(xs, xs[::-1])}) == 1)
-    parity = ("even" if n % 2 else "odd") if mirror else "none"
     osc = [2.0 * math.pi / math.sqrt(-b) for b in betas[1:-1] if b < 0]
-    return BoundState(energy, n, parity, psi_and_slope,
-                      support=(xs[0] - _DECAY_CUT / kap_l, xs[-1] + _DECAY_CUT / kap_r),
-                      mass=m, hbar=hbar, breaks=tuple(float(x) for x in xs),
-                      ode=tuple((b, 0.0) for b in betas),
-                      matching=tuple(tuple(scale * v for v in row) for row in rows),
-                      osc_scale=min(osc) if osc else math.inf)
+    return Level(energy, psi_and_slope,
+                 support=(xs[0] - _DECAY_CUT / kap_l, xs[-1] + _DECAY_CUT / kap_r),
+                 breaks=tuple(float(x) for x in xs), ode=tuple((b, 0.0) for b in betas),
+                 matching=tuple(tuple(scale * v for v in row) for row in rows),
+                 osc_scale=min(osc) if osc else math.inf)
 
 
 def solve_infinite_well(spec: pot.InfiniteWell, n: int, parity: str | None = None) -> BoundState:
-    """Particle in a box on (0, L), n = 1, 2, ..."""
+    """Particle in a box on (0, L), n = 1, 2, ...: in the image, the box on (0, 1)."""
     n = spec.level_index(n, parity)
-    L, m, hbar = spec.length, spec.mass, spec.hbar
-    k = n * math.pi / L
-    amp = math.sqrt(2.0 / L)
-    energy = hbar ** 2 * k ** 2 / (2.0 * m)
+    k = n * math.pi
+    amp = math.sqrt(2.0)
 
     def psi_and_slope(x):
         x = np.asarray(x, dtype=float)
-        inside = (x >= 0.0) & (x <= L)
-        kx = k * np.clip(x, 0.0, L)
+        inside = (x >= 0.0) & (x <= 1.0)
+        kx = k * np.clip(x, 0.0, 1.0)
         return (np.where(inside, amp * np.sin(kx), 0.0),
                 np.where(inside, amp * k * np.cos(kx), 0.0))
 
     parity = "even" if n % 2 == 1 else "odd"   # about the well center
-    return BoundState(energy, n, parity, psi_and_slope, support=(0.0, L),
-                      mass=m, hbar=hbar, breaks=(0.0, L),
-                      ode=((0.0, 0.0), (-k * k, 0.0), (0.0, 0.0)),
-                      matching=((0.0, 0.0, amp * k), (0.0, amp * k * (-1.0) ** n, 0.0)),
-                      osc_scale=2.0 * L / n)
+    level = Level(k ** 2, psi_and_slope, support=(0.0, 1.0), breaks=(0.0, 1.0),
+                  ode=((0.0, 0.0), (-k * k, 0.0), (0.0, 0.0)),
+                  matching=((0.0, 0.0, amp * k), (0.0, amp * k * (-1.0) ** n, 0.0)),
+                  osc_scale=2.0 / n)
+    return BoundState(level, spec.units, n, parity, (0.0, spec.length))
 
 
 # walls of the two bouncer ladders closer than this (relative) are one wall
@@ -449,15 +532,21 @@ _SHARED_WALL = 1e-12
 def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> BoundState:
     """A state of V = F z (z > 0), Fbar |z| (z < 0), with (F, Fbar) = ``spec.forces``.
 
-    psi = c_r Ai(z / rho_r + u_r) for z >= 0 and c_l Ai(-z / rho_l + u_l)
-    below, with u = -E / e0 on each side, and E is level k =
-    ``spec.level_index(n, parity)``. Beside a wall (Fbar = WALL) or at equal
-    forces E is e0 times ``pot.airy_level(k, wall)``. Otherwise a Dirichlet
-    wall at 0, a rank-one change of the resolvent, cuts the line into two
-    bouncers whose merged levels w_1 <= w_2 <= ... interlace the full-line
-    ones, w_(k-1) <= E <= w_k (Reed & Simon IV, XIII.15; w_0 = 0), and E is
-    the only root of the matching determinant there. The determinant
-    vanishes at a wall only when both ladders share it (within
+    In the image the right-hand force is 1 and its Airy length and energy
+    are 1; the left-hand force is r = Fbar / F (``spec.force_ratio``), with
+    the Airy length rho = r^(-1/3) and the energy e0 = r rho. psi = c_r
+    Ai(z + u_r) for z >= 0 and c_l Ai(-z / rho + u_l) below, with u_r = -E
+    and u_l = -E / e0, and E is level k = ``spec.level_index(n, parity)``.
+    Beside a wall (Fbar = WALL) or at equal forces E is
+    ``pot.airy_level(k, wall)``. Otherwise a Dirichlet wall at 0, a rank-one
+    change of the resolvent, cuts the line into two bouncers whose merged
+    levels w_1 <= w_2 <= ... interlace the full-line ones, w_(k-1) <= E <=
+    w_k (Reed & Simon IV, XIII.15; w_0 = 0), and E is the only root of the
+    matching determinant there. At a bracket end that is a wall, one side's
+    Ai vanishes, and its rounding, times the other side's 1/rho, could set
+    the determinant's sign there: the determinant is formed with that Ai at
+    0, so its sign is that of the wall's Ai' times the other side's Ai. The
+    determinant vanishes at a wall only when both ladders share it (within
     ``_SHARED_WALL``), and such a wall is a level: if w_(k-1) and w_k are
     shared, E is that wall; otherwise a bracket end shared with its outer
     neighbour moves inward by ``_SHARED_WALL`` before ``_brentq``. The solve
@@ -469,24 +558,29 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
     where psi(0) = 0.
     """
     k = spec.level_index(n, parity)
-    m, hbar = spec.mass, spec.hbar
-    force_r, force_l = spec.forces
-    wall = force_l == pot.WALL
-    rho_r = pot.airy_length(force_r, m, hbar)
-    rho_l = rho_r if wall else pot.airy_length(force_l, m, hbar)
-    e0_r, e0_l = force_r * rho_r, force_l * rho_l
-    if wall or force_l == force_r:
+    ratio = spec.force_ratio
+    wall = ratio == pot.WALL
+    rho_l = 1.0 if wall else ratio ** (-1.0 / 3.0)
+    e0_l = ratio * rho_l
+    if wall or ratio == 1.0:
         level = pot.airy_level(k, wall)
-        energy, u_r, u_l = e0_r * level, -level, -level
+        energy, u_r, u_l = level, -level, -level
     else:
+        walls = set()
+
         def defect(E):
-            """Matching determinant at z = 0, from one Airy call per side."""
-            ai_r, aip_r = specfun.airy(-E / e0_r)
-            ai_l, aip_l = specfun.airy(-E / e0_l)
-            return aip_r * ai_l / rho_r + ai_r * aip_l / rho_l
+            """Matching determinant at z = 0, from one Airy call per side; at a
+            wall end, with the Ai of the side nearer its zero, relative to |u|, at 0."""
+            (ai_r, aip_r), (ai_l, aip_l) = specfun.airy(-E), specfun.airy(-E / e0_l)
+            if E in walls:
+                if abs(ai_r * aip_l) * max(1.0, E / e0_l) < abs(ai_l * aip_r) * max(1.0, E):
+                    ai_r = 0.0
+                else:
+                    ai_l = 0.0
+            return aip_r * ai_l + ai_r * aip_l / rho_l
 
         # walls k - 3 .. k (from 0) of the merged ladder, 0.0 below the first
-        lowest, lo, hi, above = specfun.merged_zero_window(k, e0_r, e0_l)
+        lowest, lo, hi, above = specfun.merged_zero_window(k, 1.0, e0_l)
 
         def shared(low, high):
             """Two neighbouring walls coincide."""
@@ -495,12 +589,14 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
         if k > 1 and shared(lo, hi):
             energy = hi
         else:
+            walls.update(end for end in (lo, hi) if end > 0.0)
             if k > 2 and shared(lowest, lo):
                 lo *= 1.0 + _SHARED_WALL
             if shared(hi, above):
                 hi *= 1.0 - _SHARED_WALL
+            walls.intersection_update((lo, hi))
             energy = _brentq(defect, lo, hi)
-        u_r, u_l = -energy / e0_r, -energy / e0_l
+        u_r, u_l = -energy, -energy / e0_l
 
     air, apr = specfun.airy(u_r)
     ail, apl = specfun.airy(u_l)
@@ -517,15 +613,15 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
     elif sin2(air, apr, u_r) + sin2(ail, apl, u_l) >= 1.0:
         c_r, c_l = (1.0, air / ail) if abs(ail) >= abs(air) else (ail / air, 1.0)
     else:
-        # psi'(0+) = c_r Ai'(u_r) / rho_r equals psi'(0-) = -c_l Ai'(u_l) / rho_l
-        c_r, c_l = apl / rho_l, -apr / rho_r
+        # psi'(0+) = c_r Ai'(u_r) equals psi'(0-) = -c_l Ai'(u_l) / rho_l
+        c_r, c_l = apl / rho_l, -apr
     # psi(0) and psi'(0) are the means of the two sides, which differ by the
     # residual of the match; at equal forces, where one of them vanishes, the
     # two sides cancel exactly
     value = 0.0 if wall else 0.5 * (c_r * air + c_l * ail)
-    slope = c_r * apr / rho_r if wall else 0.5 * (c_r * apr / rho_r - c_l * apl / rho_l)
+    slope = c_r * apr if wall else 0.5 * (c_r * apr - c_l * apl / rho_l)
     # integral of Ai^2 from b to infinity = Ai'(b)^2 - b Ai(b)^2
-    norm2 = (c_r * c_r * rho_r * (apr * apr - u_r * air * air)
+    norm2 = (c_r * c_r * (apr * apr - u_r * air * air)
              + c_l * c_l * rho_l * (apl * apl - u_l * ail * ail))
     scale = math.copysign(1.0 / math.sqrt(norm2), value if value else slope)
     c_r, c_l, value, slope = scale * c_r, scale * c_l, scale * value, scale * slope
@@ -533,20 +629,18 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
     def psi_and_slope(z):
         z = np.asarray(z, dtype=float)
         right = z >= 0.0
-        ai, aip = specfun.airy(np.where(right, z / rho_r + u_r, -z / rho_l + u_l))
-        return (np.where(right, c_r, c_l) * ai,
-                np.where(right, c_r / rho_r, -c_l / rho_l) * aip)
+        ai, aip = specfun.airy(np.where(right, z + u_r, -z / rho_l + u_l))
+        return np.where(right, c_r, c_l) * ai, np.where(right, c_r, -c_l / rho_l) * aip
 
-    parity = ("even" if k % 2 else "odd") if force_l == force_r else "none"
+    parity = ("even" if k % 2 else "odd") if ratio == 1.0 else "none"
     # a wall's left side copies the right one's scales, so it leaves osc_scale as is
-    return BoundState(energy, index(n), parity, psi_and_slope,
-                      support=(0.0 if wall else -rho_l * (18.0 - u_l), rho_r * (18.0 - u_r)),
-                      mass=m, hbar=hbar, breaks=(0.0,),
-                      ode=((0.0, 0.0) if wall else (u_l / rho_l ** 2, -1.0 / rho_l ** 3),
-                           (u_r / rho_r ** 2, 1.0 / rho_r ** 3)),
-                      matching=((value, 0.0 if wall else slope, slope),),
-                      osc_scale=min(2.0 * math.pi * rho_r / math.sqrt(-u_r),
-                                    2.0 * math.pi * rho_l / math.sqrt(-u_l)))
+    level = Level(energy, psi_and_slope,
+                  support=(0.0 if wall else -rho_l * (18.0 - u_l), 18.0 - u_r), breaks=(0.0,),
+                  ode=((0.0, 0.0) if wall else (u_l / rho_l ** 2, -1.0 / rho_l ** 3), (u_r, 1.0)),
+                  matching=((value, 0.0 if wall else slope, slope),),
+                  osc_scale=min(2.0 * math.pi / math.sqrt(-u_r),
+                                2.0 * math.pi * rho_l / math.sqrt(-u_l)))
+    return BoundState(level, spec.units, index(n), parity, (0.0,))
 
 
 # spec family -> its solver(spec, n, parity)

@@ -2,19 +2,20 @@
 
 phi(p) = (1 / sqrt(2 pi hbar)) * integral psi(x) e^{-ipx/hbar} dx.
 
-The general route, ``phi_quadrature``, is a Filon-type quadrature with
-precomputed moments (Iserles & Norsett, Proc. R. Soc. A 461, 2005): psi is
-expanded in Legendre polynomials on panels whose edges include every kink of
-psi, from the Taylor series that the state's ODE gives about each panel
-center (``FilonPanels``), and the oscillatory moments integral
-P_k(t) e^{-i w t} dt = 2 (-i)^k j_k(w), with w = |p| hw / hbar, come from one
-table of spherical Bessel functions for all orders (``_bessel_table``). The
-transform holds the panels in half-width-group order and sums them in fixed
-blocks that may span groups, each block with one table of phases and one
-set of sums over its panels. The
-absolute error stays near machine precision even at p ~ 10^3, where phi
-itself is ~1e-10. The same expansion gives the integral of psi^2
-(``FilonPanels.norm``), so psi is expanded once per state.
+Both routes transform the state's image (``potentials.Units``): phi(p) =
+sqrt(L/hbar) e^{-ipx0/hbar} phi'(p'), p' = pL/hbar, and only that factor
+and p' read the units. The general route, ``phi_quadrature``, is a
+Filon-type quadrature with precomputed moments (Iserles & Norsett, Proc. R.
+Soc. A 461, 2005): psi' is expanded in Legendre polynomials on panels whose
+edges include every kink of psi', from the Taylor series that its ODE gives
+about each panel center (``FilonPanels``), and the oscillatory moments
+integral P_k(t) e^{-i w t} dt = 2 (-i)^k j_k(w), with w = |p'| hw, come from
+one table of spherical Bessel functions for all orders (``_bessel_table``).
+The transform holds the panels in half-width-group order and sums them in
+fixed blocks that may span groups, each block with one table of phases and
+one set of sums over its panels. The absolute error stays near machine
+precision even at p ~ 10^3, where phi itself is ~1e-10. The same expansion
+gives the integral of psi^2 (``FilonPanels.norm``), so psi is expanded once.
 
 ``phi_closed`` gives phi in closed form, region by region, for every state
 whose V is constant between its breaks: the delta sums, finite wells, step
@@ -38,7 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legmulx
 
 from . import potentials as pot
-from .eigensolve import BoundState, solve_infinite_well
+from .eigensolve import BoundState, Level, solve_infinite_well
 from .errors import DivergentMoment, QuadratureBudgetExceeded
 from .specfun import ode_taylor
 
@@ -164,7 +165,7 @@ class _PanelRows(NamedTuple):
     """``FilonPanels``' panels in half-width-group order, as ``transform`` reads them."""
     order: np.ndarray       # row -> panel index in center order
     widths: np.ndarray      # the distinct half-widths, ascending: one group each
-    phase: np.ndarray       # center / hbar per row
+    phase: np.ndarray       # center per row
     even: np.ndarray        # moment rows, even orders (real part)
     odd: np.ndarray         # moment rows, odd orders (imaginary part)
     cuts: list              # first row of each segment
@@ -174,44 +175,42 @@ class _PanelRows(NamedTuple):
 class FilonPanels:
     """Per-panel Legendre expansion of psi, reusable for every p, and psi's norm.
 
-    The first generation of panels tiles the state's support, cut at its
+    The panels, ``centers``, ``halfwidths`` and ``coeffs``, are the image's
+    (``state.image``); the first generation tiles its support, cut at its
     breaks: each interval between kinks of psi is cut into equal panels of
     one shared half-width. Where the interval's ODE piece is constant and
-    classically forbidden (psi'' = b0 psi with b0 > 0), psi does not
-    oscillate, and the panels are no wider than the decay length
-    2 pi / sqrt(b0): over that width psi changes by e^(2 pi), so the
-    degree-34 expansion resolves them at once, and their count grows with
-    neither the decay length nor the support. Elsewhere no panel is wider
-    than the state's oscillation scale ``state.osc_scale``. Each
-    generation of pending panels is expanded together
-    (``_panel_coefficients``): one ``state.psi_and_slope`` call at their
-    centers, then the Taylor recurrence of the state's ODE, ``state.ode``,
-    to degree 34. A panel is accepted when its trailing Legendre
-    coefficients and its last Taylor terms are below 1e-12 of the global
-    scale; otherwise it becomes two of exactly half its half-width, which
-    join the next generation. Centers are computed from the shared
-    half-width, not from linspace cuts, so a state's panels come in a few
-    groups of bitwise equal half-width.
+    classically forbidden (psi'' = b0 psi, b0 > 0), psi does not oscillate,
+    and the panels are no wider than the decay length 2 pi / sqrt(b0): over
+    it psi changes by e^(2 pi), so the degree-34 expansion resolves them at
+    once, and their count grows with neither the decay length nor the
+    support. Elsewhere no panel is wider than ``osc_scale``, nor than 1e150,
+    whose hw^2 would leave the floats. Each generation of pending panels is
+    expanded together (``_panel_coefficients``): one ``psi_and_slope`` call
+    at their centers, then the Taylor recurrence of the ODE, ``ode``, to
+    degree 34. A panel is accepted when its trailing Legendre coefficients
+    and its last Taylor terms are below 1e-12 of the global scale;
+    otherwise it becomes two of exactly half its half-width, which join the
+    next generation. Centers are computed from the shared half-width, not
+    from linspace cuts, so a state's panels come in a few groups of bitwise
+    equal half-width.
 
     Raises ``QuadratureBudgetExceeded`` before panels outnumber the budget,
     which also stops a panel that never resolves: its descendants double
     every generation. It raises too for a panel narrower than 1e11 ulps of
     its center: the float position of its center cannot place a psi that
     varies on that scale (a panel r ulps wide misplaces psi by ~1/r of its
-    width), and its halves are no wider in ulps. It raises for a support
-    with no width in floats, which no panel can tile. And it raises when two
+    width), and its halves are no wider in ulps. And it raises when two
     neighbouring expansions give psi at their shared edge more than 1e-12
     of the scale apart: psi is continuous at every break, so expansions
     that disagree there do not reproduce the state's psi.
 
     ``norm`` is the integral of psi^2, hw sum_k c_k^2 2/(2k+1) summed over
-    the accepted panels by ``math.fsum``; it reads no closed-form
+    the accepted panels by ``math.fsum``: it reads no closed-form
     normalization, so it checks the solver's. ``norm_error`` bounds its
     truncation error: with psi at most t off a panel's expansion, t the
-    larger of its trailing coefficients and last Taylor terms, psi's
-    L2 distance there is at most s = sqrt(2 hw) t, which moves the panel's
-    integral n by at most 2 s sqrt(n) + s^2. Rounding in psi itself, ~5e-15
-    on supports thousands wide, is not in it.
+    larger of its trailing coefficients and last Taylor terms, psi's L2
+    distance there is at most s = sqrt(2 hw) t, which moves the panel's
+    integral n by at most 2 s sqrt(n) + s^2; rounding in psi is not in it.
 
     ``orders`` holds, per panel, the last order k whose |c_k| exceeds
     eps scale / (_DEGREE + 1), with scale the largest |c_k| of the state:
@@ -220,25 +219,22 @@ class FilonPanels:
     a panel with no such order (far out in a tail, where psi leaves no
     trace) is not kept at all.
 
-    A state without ODE data (``shooting_oracle``'s spline) raises
-    ``ValueError``.
+    A state without ODE data (``shooting_oracle``'s spline) raises ValueError.
     """
 
     def __init__(self, state: BoundState):
-        if len(state.ode) != len(state.breaks) + 1:
+        level = state.image
+        if len(level.ode) != len(level.breaks) + 1:
             raise ValueError("the state carries no ODE data to expand psi from")
 
-        lo, hi = state.support
-        if not lo < hi:
-            raise QuadratureBudgetExceeded(
-                f"the support ({lo!r}, {hi!r}) has no width in floats: no panel can place psi")
-        edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
+        lo, hi = level.support
+        edges = sorted({lo, hi, *(b for b in level.breaks if lo < b < hi)})
         counts = []
         for u, v in zip(edges[:-1], edges[1:]):
-            b0, b1 = state.ode[np.searchsorted(state.breaks, 0.5 * (u + v))]
+            b0, b1 = level.ode[np.searchsorted(level.breaks, 0.5 * (u + v))]
             decays = b1 == 0.0 and b0 > 0.0
-            width = 2.0 * math.pi / math.sqrt(b0) if decays else state.osc_scale
-            counts.append(max(1, math.ceil((v - u) / width)))
+            width = 2.0 * math.pi / math.sqrt(b0) if decays else level.osc_scale
+            counts.append(max(1, math.ceil((v - u) / min(width, 1e150))))
         # counted before it is built: a very high level's tiling would fill memory
         if sum(counts) > _MAX_PANELS:
             raise QuadratureBudgetExceeded(f"needed more than {_MAX_PANELS} panels to resolve psi")
@@ -261,7 +257,7 @@ class FilonPanels:
                     f"the panel at x = {c[i]:.17g} of half-width {hw[i]:.3g} spans "
                     f"fewer than {_MIN_RESOLUTION:.0e} ulps of its center, too few "
                     f"to place psi")
-            ck, truncation = _panel_coefficients(state, c, hw)
+            ck, truncation = _panel_coefficients(level, c, hw)
             scale = max(scale, np.max(np.abs(ck)))
             tail = np.maximum(np.max(np.abs(ck[:, -_TAIL_COEFFS:]), axis=1), truncation)
             done = tail <= _REL_TOL * max(scale, 1e-300)
@@ -296,7 +292,7 @@ class FilonPanels:
         self.halfwidths = halfwidths[kept]
         self.coeffs = coeffs[kept]      # (panels, degree+1)
         self.orders = np.max(np.where(carried[kept], _ORDERS, 0), axis=1)
-        self.hbar = state.hbar
+        self.units = state.units
 
     @cached_property
     def _rows(self) -> _PanelRows:
@@ -307,7 +303,7 @@ class FilonPanels:
         widths, firsts = np.unique(hw, return_index=True)
         coeffs = self.coeffs[order]
         # c_k 2(-i)^k is real for even k and imaginary for odd k
-        scale = (hw / math.sqrt(2.0 * math.pi * self.hbar))[:, None]
+        scale = (hw * math.sqrt(1.0 / self.units.momentum) / math.sqrt(2.0 * math.pi))[:, None]
         even = coeffs[:, 0::2] * _MOMENT_PHASE[0::2].real * scale
         odd = coeffs[:, 1::2] * _MOMENT_PHASE[1::2].imag * scale
         # a segment starts at each group's first row and each block's
@@ -317,31 +313,30 @@ class FilonPanels:
                   for first in range(0, order.size, _PANEL_BLOCK)]
         for i, (lo, hi, g) in enumerate(zip(cuts, [*cuts[1:], order.size], groups)):
             blocks[lo // _PANEL_BLOCK][2].append((i, lo, hi, g))
-        return _PanelRows(order, widths, self.centers[order] / self.hbar, even, odd, cuts, blocks)
+        return _PanelRows(order, widths, self.centers[order], even, odd, cuts, blocks)
 
     def transform(self, p: np.ndarray, hbar: float | None = None) -> np.ndarray:
-        """phi(p) for an array of momenta (psi assumed real), shaped like p.
+        """phi(p) for an array of momenta (psi assumed real), shaped like p, in
+        the state's hbar; an explicit ``hbar`` must equal it.
 
-        phi is in the state's hbar; an explicit ``hbar`` must equal it.
-
-        A panel with center c and half-width hw contributes
-        hw e^{-i|p|c/hbar} sum_k c_k 2(-i)^k j_k(|p| hw/hbar) / sqrt(2 pi hbar),
-        summed up to the panel's ``orders``. The Bessel tables j_k(|p| hw/hbar)
-        of every half-width come from one recurrence pass (``_bessel_table``)
-        per block of distinct |p|, up to the highest order of any panel. The
-        panels are held in half-width-group order, and each block of
-        ``_PANEL_BLOCK`` of them, which may span groups, takes one table of
-        phases |p|c/hbar, applied as cos and sin, and per group two real
-        matrix products over the orders up to the segment's highest: the even
-        orders give the real part of the moment sum, the odd orders its
-        imaginary part. Four sums over the block's panels then give the real
-        and imaginary parts of phi, so the whole sum stays in real
-        arithmetic. Blocks are fixed in size and order, so equal inputs give
-        equal outputs.
+        With q = |p'|, a panel with center c and half-width hw contributes hw
+        e^{-iqc} sum_k c_k 2(-i)^k j_k(q hw) sqrt(L/hbar) / sqrt(2 pi), summed
+        up to the panel's ``orders``, and the sum times e^{-iq x0/L} is phi.
+        The Bessel tables j_k(q hw) of every half-width come from one
+        recurrence pass (``_bessel_table``) per block of distinct |p|, up to
+        the highest order of any panel. The panels are held in
+        half-width-group order, and each block of ``_PANEL_BLOCK`` of them,
+        which may span groups, takes one table of phases qc, applied as cos
+        and sin, and per group two real matrix products over the orders up to
+        the segment's highest: the even orders give the real part of the
+        moment sum, the odd ones its imaginary part. Four sums over the
+        block's panels give phi in real arithmetic. Blocks are fixed in size
+        and order, so equal inputs give equal outputs.
         """
-        pot.check_units(self, hbar=hbar)
+        pot.check_units(units := self.units, hbar=hbar)
         p = np.asarray(p, dtype=float)
         pa, inverse = np.unique(np.abs(p).ravel(), return_inverse=True)
+        pa = pa / units.momentum
         rows = self._rows
         # the orders are read per call: each segment sums orders 0..k-1
         counts = (np.maximum.reduceat(self.orders[rows.order], rows.cuts) + 1).tolist()
@@ -350,7 +345,7 @@ class FilonPanels:
         for start in range(0, pa.size, _POINT_BLOCK):
             block = slice(start, start + _POINT_BLOCK)
             q = pa[block]
-            w = (q * rows.widths[:, None] / self.hbar).ravel()
+            w = (q * rows.widths[:, None]).ravel()
             order = np.argsort(w, kind="stable")
             table = np.empty((top + 1, w.size))
             table[:, order] = _bessel_table(w[order], top)
@@ -367,27 +362,31 @@ class FilonPanels:
                     np.matmul(rows.odd[lo:hi, :k // 2], jn[1:k:2], out=odd[lo - first:hi - first])
                 re[block] += np.einsum("pm,pm->m", even, cos) + np.einsum("pm,pm->m", odd, sin)
                 im[block] += np.einsum("pm,pm->m", odd, cos) - np.einsum("pm,pm->m", even, sin)
-        out = (re + 1j * im)[inverse].reshape(p.shape)
+        out = re + 1j * im
+        if units.origin:
+            out *= np.exp(-1j * pa * (units.origin / units.length))
+        out = out[inverse].reshape(p.shape)
         # psi real: phi(-p) = conj(phi(p))
         return np.where(p < 0.0, np.conj(out), out)
 
 
-def _panel_coefficients(state: BoundState, c: np.ndarray,
+def _panel_coefficients(level: Level, c: np.ndarray,
                         hw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Legendre coefficients of psi(c + hw t), t in [-1, 1], for each panel.
+    """Legendre coefficients of the ``level``'s psi(c + hw t), t in [-1, 1], for each panel.
 
     With psi'' = (b0 + b1 x) psi in the panel's region, ``ode_taylor`` gives
     the Taylor coefficients t_0..t__DEGREE of psi(c + hw t) from psi(c) and
-    psi'(c), and a fixed matrix maps them to Legendre coefficients. Returns
+    psi'(c) (no hw^3 where b1 = 0), and a fixed matrix maps them to Legendre
+    coefficients. Returns
     those, shape (panels, _DEGREE + 1), and per panel the larger of the last
     two Taylor terms, which bounds the dropped rest of the series while its
     terms fall (two terms, because with G = 0 the even and the odd terms are
     independent).
     """
-    psi, slope = state.psi_and_slope(c)
-    b0, b1 = np.asarray(state.ode)[np.searchsorted(state.breaks, c)].T
-    taylor = np.array(ode_taylor(psi, hw * slope, (b0 + b1 * c) * hw ** 2, b1 * hw ** 3,
-                                 _DEGREE))
+    psi, slope = level.psi_and_slope(c)
+    b0, b1 = np.asarray(level.ode)[np.searchsorted(level.breaks, c)].T
+    taylor = np.array(ode_taylor(psi, hw * slope, (b0 + b1 * c) * hw ** 2,
+                                 b1 * hw ** np.where(b1, 3, 0), _DEGREE))
     return (_TO_LEGENDRE @ taylor).T, np.max(np.abs(taylor[-2:]), axis=0)
 
 
@@ -412,21 +411,23 @@ def _sinc_integral(v: np.ndarray, w: float) -> np.ndarray:
 def phi_closed(state: BoundState, grid) -> MomentumSamples:
     """Closed-form phi of a state whose V is constant between its breaks.
 
-    Sums the integral of psi e^{-iqx}, q = p/hbar, region by region of
-    ``state.ode``, from the ``breaks`` and ``matching`` rows alone. An outer
-    region gives psi(a) e^{-iqa} / (kappa -+ iq), or nothing where V is not
-    above E (psi = 0, the box's outside). An interior one with E < V, psi =
-    D e^{-r(x - a)} + U e^{r(x - b)}, has only r +- iq denominators; one with
+    Sums the integral of psi e^{-iqx}, q = p', region by region of the
+    image's ``ode``, from its ``breaks`` and ``matching`` rows alone, and
+    carries it to phi as ``FilonPanels.transform`` does. An outer region
+    gives psi(a) e^{-iqa} / (kappa -+ iq), or nothing where V is not above E
+    (psi = 0, the box's outside). An interior one with E < V, psi = D
+    e^{-r(x - a)} + U e^{r(x - b)}, has only r +- iq denominators; one with
     E > V, psi = A cos k(x - a) + B sin k(x - a)/k, is summed through
     ``_sinc_integral`` at q -+ k, so no removable pole appears. A linear
     kind's state, a state without ODE data and an E equal to an interior V
     (where the B term would need its k -> 0 limit) raise ValueError.
     """
-    breaks, ode, rows = state.breaks, state.ode, state.matching
+    units, (breaks, ode, rows) = state.units, (state.image.breaks, state.image.ode,
+                                               state.image.matching)
     if len(ode) != len(breaks) + 1 or any(b1 != 0.0 for _, b1 in ode):
         raise ValueError("the state's V is not constant between its breaks")
     p = np.asarray(grid, dtype=float)
-    q = p / state.hbar
+    q = p / units.momentum
     total = np.zeros(p.shape, dtype=complex)
     for (b0, _), (value, _, _), a, sign in ((ode[0], rows[0], breaks[0], -1.0),
                                             (ode[-1], rows[-1], breaks[-1], 1.0)):
@@ -447,7 +448,8 @@ def phi_closed(state: BoundState, grid) -> MomentumSamples:
                                             + slope_a * (lower - upper) / (2j * k))
         else:
             raise ValueError(f"E equals V on the region ({a!r}, {b!r})")
-    return MomentumSamples(p, total / math.sqrt(2.0 * math.pi * state.hbar))
+    total *= np.exp(-1j * q * (units.origin / units.length)) * math.sqrt(1.0 / units.momentum)
+    return MomentumSamples(p, total / math.sqrt(2.0 * math.pi))
 
 
 def phi_closed_delta(spec: pot.DeltaSum, state: BoundState, grid) -> MomentumSamples:
@@ -480,7 +482,6 @@ def moment(phi_fn, k: int, prediction, p_scale: float = 1.0) -> float:
     is replaced by the analytic remainder of the leading envelope,
     2 * A2 / ((2e-k-1) p_cut^(2e-k-1)) with A2 the angle-averaged squared
     envelope. Raises DivergentMoment when 2e - k <= 1. Odd k vanish by the phi(-p) = conj(phi(p)) symmetry.
-    hbar is the one the prediction's terms carry.
     """
     if k < 0:
         raise ValueError("moment order must be >= 0")
@@ -497,7 +498,7 @@ def moment(phi_fn, k: int, prediction, p_scale: float = 1.0) -> float:
     span = (locs[-1] - locs[0]) if len(locs) > 1 else 0.0
     width = 0.5 * p_scale
     if span > 0.0:
-        width = min(width, 0.5 * math.pi * prediction.terms[0].hbar / span)
+        width = min(width, 0.5 * math.pi * prediction.units.hbar / span)
 
     nodes, weights = leggauss(10)
     m_panels = math.ceil(p_cut / width)

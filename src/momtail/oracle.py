@@ -5,7 +5,8 @@ DOP853 from both ends inward and finds the energy with scipy's ``brentq``
 on a matching defect: it shares neither the Sturm count nor the closed
 forms of ``eigensolve``'s solvers.
 Its state carries ``psi_and_slope`` from a cubic Hermite spline, but no
-ODE, breaks or derivative table. No runtime path imports this module, so a
+ODE, breaks or derivative table, on an image that is the spec in its own
+units, of length 1 at origin 0. No runtime path imports this module, so a
 ``momtail`` run does not load scipy's integrators, interpolants or root
 finders; ``eigensolve.shooting_oracle`` resolves to it on first use.
 """
@@ -20,7 +21,7 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 from . import potentials as pot
-from .eigensolve import BoundState
+from .eigensolve import BoundState, Level
 from .errors import NoConvergence
 
 
@@ -190,5 +191,7 @@ def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],
             psi[at], slope[at] = spline(x[at]), spline(x[at], 1)
         return psi, slope
 
-    return BoundState(energy, n, parity or "none", psi_and_slope, support=(lo, hi),
-                      mass=m, hbar=hbar)
+    # in the user's units: an image of length 1 at origin 0, whose energy unit is hbar^2/2m
+    units = pot.Units.of(0.0, 1.0, "one", m, hbar)
+    return BoundState(Level(energy / units.energy, psi_and_slope, support=(lo, hi)), units, n,
+                      parity or "none")

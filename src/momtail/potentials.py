@@ -13,7 +13,17 @@ Infinite walls are modeled as boundary conditions (psi = 0 beyond the wall),
 not as a finite V -> infinity limit; they carry ``is_wall=True`` instead of a
 finite jump value.
 
-Units: every spec carries explicit mass and hbar (default m = hbar = 1).
+Units: every spec carries explicit mass and hbar (default m = hbar = 1),
+and they are read in one place: ``units``, the kind's ``Units``. Each
+family names one natural origin x0 and length L (``natural()``): a
+piecewise kind its first break, and the least of the span of its breaks and
+each jump's own length, at which the jump's image is 2 in size (hbar^2/mg
+for a delta); a linear kind 0 and the Airy length of its right-hand force;
+the box 0 and its length. The solvers, the panels and the tail expansion
+work on the spec's dimensionless image, where m = 1/2 and hbar = 1, x' =
+(x - x0)/L, E' = E/E0 with E0 = hbar^2/2mL^2, and each jump in V^(k) is
+L^k/E0 times its own (``Units.image``); ``Units`` carries their results
+back to the user's units.
 """
 
 from __future__ import annotations
@@ -23,7 +33,8 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, fields
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from . import specfun
@@ -46,26 +57,126 @@ class DiscontinuityRecord(NamedTuple):
     is_wall: bool = False
 
 
-def airy_length(force: float, mass: float, hbar: float) -> float:
-    """Airy length scale (hbar^2 / 2mF)^(1/3) of a linear potential of force F.
+def _power_product(*factors: tuple[float, float]) -> float:
+    """The product of x ** e over (x, e) pairs of positive floats, formed on
+    their mantissas in [1, 2) and their powers of two apart (``math.frexp``),
+    so that it leaves the float range only where the product does: inf past
+    it, a subnormal or 0.0 below. A power of two to a whole power is exact."""
+    mantissa, exponent = 1.0, 0.0
+    for x, e in factors:
+        fraction, power = math.frexp(x)
+        mantissa *= (2.0 * fraction) ** e
+        exponent += (power - 1) * e
+    whole = math.floor(exponent)
+    try:
+        return math.ldexp(mantissa * 2.0 ** (exponent - whole), whole)
+    except OverflowError:
+        return math.inf
 
-    Raises ``ArithmeticError`` naming F, m and hbar where hbar^2 / 2mF is
-    not a positive normal float: past the range it is infinite, and as a
-    subnormal or 0 it has lost the digits that every Airy level is scaled by.
-    """
-    cube = hbar ** 2 / (2.0 * mass * force)
-    if not sys.float_info.min <= cube < math.inf:
-        raise ArithmeticError(f"the Airy length's hbar^2/2mF is {cube!r}, not a positive "
-                              f"normal float, at F = {force!r}, m = {mass!r}, hbar = {hbar!r}")
-    return cube ** (1.0 / 3.0)
+
+def _normal(value: float) -> bool:
+    """``value`` is a positive normal float: not 0, subnormal, negative, inf or NaN."""
+    return sys.float_info.min <= value < math.inf
+
+
+def airy_length(force: float, mass: float, hbar: float) -> float:
+    """Airy length scale (hbar^2 / 2mF)^(1/3) of a linear potential of force F,
+    formed without the quotient hbar^2 / 2mF (``_power_product``)."""
+    third = 1.0 / 3.0
+    return _power_product((hbar, 2.0 * third), (2.0, -third), (mass, -third), (force, -third))
+
+
+class Units(NamedTuple):
+    """Where a spec meets its dimensionless image, in which m = 1/2 and hbar = 1,
+    so that psi'' = (V - E) psi: x = origin + length x', E = energy E' with
+    energy = hbar^2 / 2m length^2, p = momentum p' with momentum = hbar /
+    length, and psi(x) = psi'(x') / sqrt(length). ``of`` forms the factors
+    the edges multiply by once: ``factors``, length^k / energy for k = -1, 0,
+    1, and ``lengths`` and ``momenta``, length^-(j + 1/2) and momentum^(j +
+    1/2) for j = 0..7, or () where one of them is no normal float."""
+    origin: float
+    length: float
+    energy: float
+    momentum: float
+    mass: float
+    hbar: float
+    factors: tuple = ()
+    lengths: tuple = ()
+    momenta: tuple = ()
+
+    @classmethod
+    def of(cls, origin: float, length: float, source: str, mass: float, hbar: float,
+           energy: float | None = None) -> Units:
+        """The units of the origin and ``length`` that ``source`` names, with the
+        energy hbar^2 / 2m length^2 unless given. Raises ``ArithmeticError``
+        naming the unit and ``source`` where the length, the energy or the
+        momentum is not a positive normal float."""
+        units = {"length": length}
+        if _normal(length):
+            units["energy"] = (0.5 * _power_product((hbar, 2.0), (mass, -1.0), (length, -2.0))
+                               if energy is None else energy)
+            units["momentum"] = hbar / length
+        for name, value in units.items():
+            if not _normal(value):
+                raise ArithmeticError(
+                    f"the unit {name} {value!r} is not a positive normal float: the length "
+                    f"{length!r} is {source}, at m = {mass!r}, hbar = {hbar!r}")
+        energy, momentum = units["energy"], units["momentum"]
+        return cls(origin, length, energy, momentum, mass, hbar,
+                   tuple(_power_product((length, k), (energy, -1.0)) for k in (-1.0, 0.0, 1.0)),
+                   _half_powers(1.0 / length), _half_powers(momentum))
+
+    def scale(self, value: float, order: int) -> float:
+        """A value of V^(order) in the image, order -1, 0 or 1: ``value`` times
+        length^order / energy."""
+        return value * self.factors[order + 1]
+
+    def image(self, record: DiscontinuityRecord) -> DiscontinuityRecord:
+        """``record`` in the image: at (x - origin) / length, its jump ``scale``d."""
+        return DiscontinuityRecord((record.location - self.origin) / self.length, record.order,
+                                   self.scale(record.jump, record.order), record.is_wall)
+
+    def derivatives(self, values) -> list[float]:
+        """psi^(j) of the image in the user's units, j = 0..7: each
+        ``values[j]`` length^-(j + 1/2)."""
+        return _scaled(values, 1.0 / self.length, self.lengths)
+
+    def coefficients(self, values) -> list[complex]:
+        """The coefficients of (p')^-n, n = 1..8, of the image in the user's
+        units: each ``values[n - 1]`` (hbar / length)^(n - 1/2)."""
+        return _scaled(values, self.momentum, self.momenta)
+
+
+def _half_powers(base: float) -> tuple:
+    """base^(j + 1/2), j = 0..7, where all are normal floats (they run
+    monotonically in j), else ()."""
+    powers = tuple(accumulate(repeat(base, 7), operator.mul, initial=math.sqrt(base)))
+    return powers if _normal(powers[0]) and _normal(powers[-1]) else ()
+
+
+def _scaled(values, base: float, powers: tuple) -> list:
+    """Each ``values[j]`` times base^(j + 1/2): by one product with
+    ``powers[j]`` where there are powers, else one factor at a time, whose
+    partial products run monotonically toward the result, so that none
+    leaves the float range unless the result does."""
+    if powers:
+        return list(map(operator.mul, values, powers))
+    out = []
+    for j, value in enumerate(values):
+        value *= math.sqrt(base)
+        for _ in range(j):
+            value *= base
+        out.append(value)
+    return out
 
 
 @dataclass(frozen=True, kw_only=True)
 class _Kind:
     """What every potential kind carries and gives, by itself or by its family.
 
-    Its units ``mass`` and ``hbar`` (keyword-only, default 1); ``ledger()``,
-    its discontinuity records sorted by location; ``potential(x)``, V(x) with
+    Its units ``mass`` and ``hbar`` (keyword-only, default 1), which only
+    ``units`` reads, from the family's ``natural()`` origin and length;
+    ``ledger()``, its discontinuity records sorted by location; ``potential(x)``, V(x) with
     WALL beyond infinite walls and delta spikes excluded; ``v_floor``, the
     floor of V in the momentum scale sqrt(2m |E - v_floor|) that separates
     structure from tail; ``level_index(n, parity)``, the place of the
@@ -104,6 +215,19 @@ class _Kind:
     def classical_q(self, n: int, parity: str | None = None) -> float:
         raise NoSuchState(f"no classical density for potential kind {self.kind!r}")
 
+    @cached_property
+    def units(self) -> Units:
+        """The ``Units`` of the kind's ``natural()`` origin and length, formed
+        on first read: a spec is immutable."""
+        return Units.of(*self.natural(), self.mass, self.hbar)
+
+
+def _pieces(records: list[DiscontinuityRecord]) -> tuple[list[float], list[float], list[float]]:
+    """``Piecewise.pieces()`` of the ledger ``records``."""
+    return ([r.location for r in records],
+            list(accumulate((r.jump if r.order == 0 else 0.0 for r in records), initial=0.0)),
+            [r.jump if r.order == -1 else 0.0 for r in records])
+
 
 class Piecewise(_Kind):
     """A V that is constant between the locations of its ``ledger()``, whose
@@ -113,11 +237,35 @@ class Piecewise(_Kind):
     def pieces(self) -> tuple[list[float], list[float], list[float]]:
         """(boundaries, the potentials of the regions between them, the delta
         coefficient at each boundary), summing the steps from V = 0 at -infinity."""
+        return _pieces(self.ledger())
+
+    def natural(self) -> tuple[float, float, str]:
+        """The first break, and the least of the span of the breaks and each
+        record's length (hbar^2 / m |J|)^(1/(k+2)), at which the image of its
+        jump J in V^(k) is 2 in size: hbar^2 / mg for a delta."""
         records = self.ledger()
-        return ([r.location for r in records],
-                list(accumulate((r.jump if r.order == 0 else 0.0 for r in records),
-                                initial=0.0)),
-                [r.jump if r.order == -1 else 0.0 for r in records])
+        first, last = records[0].location, records[-1].location
+        lengths = [(last - first, f"the span of the breaks from {first!r} to {last!r}")
+                   ] if len(records) > 1 else []
+        for r in records:
+            e = 1.0 / (r.order + 2)
+            length = _power_product((self.hbar, 2.0 * e), (self.mass, -e), (abs(r.jump), -e))
+            lengths.append((length, f"the length of the jump {r.jump!r} at x = {r.location!r}"))
+        return first, *min(lengths)
+
+    @cached_property
+    def image_pieces(self) -> tuple[list[float], list[float], list[float]]:
+        """The ``pieces()`` of the image, formed on first read. Raises
+        ``ArithmeticError`` naming the record whose image is no float."""
+        units, ledger = self.units, self.ledger()
+        records = [units.image(r) for r in ledger]
+        for r, image in zip(ledger, records):
+            if not (math.isfinite(image.location) and math.isfinite(image.jump)):
+                raise ArithmeticError(
+                    f"the image of the order-{r.order} jump {r.jump!r} at x = {r.location!r} "
+                    f"is {image.jump!r} at x' = {image.location!r}, at the units "
+                    f"{units.length!r} of length and {units.energy!r} of energy")
+        return tuple(map(tuple, _pieces(records)))
 
     def potential(self, x: float) -> float:
         """V(x), the steps below x summed from V = 0 at -infinity as ``pieces()``
@@ -162,8 +310,11 @@ class InfiniteWell(_Kind):
     def potential(self, x: float) -> float:
         return 0.0 if 0.0 <= x <= self.length else WALL
 
+    def natural(self) -> tuple[float, float, str]:
+        return 0.0, self.length, "the box length"
+
     def classical_q(self, n: int, parity: str | None = None) -> float:
-        return self.level_index(n, parity) * math.pi * self.hbar / self.length
+        return self.units.momentum * (self.level_index(n, parity) * math.pi)
 
 
 @dataclass(frozen=True)
@@ -256,6 +407,26 @@ class Linear(_Kind):
         force, force_bar = self.forces
         return force * x if x >= 0.0 else force_bar * -x
 
+    @cached_property
+    def units(self) -> Units:
+        """0 and the Airy length rho of the right-hand force F, whose energy F rho
+        is hbar^2 / 2m rho^2: the image's right-hand force is 1."""
+        force = self.forces[0]
+        rho = airy_length(force, self.mass, self.hbar)
+        return Units.of(0.0, rho, f"the Airy length of F = {force!r}", self.mass, self.hbar,
+                        force * rho)
+
+    @cached_property
+    def force_ratio(self) -> float:
+        """Fbar / F, the image's left-hand force; WALL for a wall. Raises
+        ``ArithmeticError`` where it is not a positive normal float."""
+        force, force_bar = self.forces
+        ratio = force_bar if force_bar == WALL else force_bar / force
+        if not (ratio == WALL or _normal(ratio)):
+            raise ArithmeticError(f"the image's force ratio Fbar/F = {ratio!r} is not a positive "
+                                  f"normal float, at F = {force!r}, Fbar = {force_bar!r}")
+        return ratio
+
 
 class _OneForce(Linear):
     """A linear potential of a single force F > 0, with its Airy scales."""
@@ -271,7 +442,7 @@ class _OneForce(Linear):
 
     def classical_q(self, n: int, parity: str | None = None) -> float:
         level = airy_level(self.level_index(n, parity), self.forces[1] == WALL)
-        return (self.hbar / self.rho) * math.sqrt(level)
+        return self.units.momentum * math.sqrt(level)
 
 
 @dataclass(frozen=True)

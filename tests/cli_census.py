@@ -18,7 +18,8 @@ and depths over L^2, forces over L^3, at the same mass and hbar. Level n
 must come back as E / L^2; a power of two keeps the scaled potential exact
 in floats. Prints the number of levels off by more than 1e-12, relative, and
 the worst configs. A scale the solve refuses is no wrong answer and is not
-counted. Run from the repository root::
+counted. Exits 1 where any run ends in a traceback or any scaled solve
+misses, else 0. Run from the repository root::
 
     PYTHONPATH=src python tests/cli_census.py [count]
 
@@ -199,3 +200,4 @@ if __name__ == "__main__":
         print(f"L = 2^{round(math.log2(L)):+d} {miss:9.2e} {json.dumps(config)}")
     print(f"{len(misses)} of {count * len(SCALES)} scaled solves missed E / L^2 by more "
           f"than {SCALE_TOL:g}, relative")
+    sys.exit(1 if sites or misses else 0)

@@ -59,7 +59,7 @@ def test_prediction_uses_hbar():
     p = np.array([1e3])
     exact = abs(mom.phi_closed_delta(spec, st, p).phi[0])
     assert pred.leading_envelope(p)[0] == pytest.approx(exact, rel=1e-3)
-    assert all(t.hbar == 10.0 for t in pred.terms)
+    assert pred.units.hbar == 10.0
 
 
 def test_well_interference_structure():
@@ -114,10 +114,11 @@ def test_two_route_consistency(name, spec, kw, expected):
 
 
 def test_two_route_detects_corruption():
+    # both routes read the state's image: its table is the one corrupted
     spec = pot.DeltaSum(deltas=((1.0, 0.0),))
     st = eig.solve(spec)
-    side = st.derivative_table[0.0]
-    st.derivative_table[0.0] = eig.SideDerivatives(
+    side = st.image.derivative_table[0.0]
+    st.image.derivative_table[0.0] = eig.SideDerivatives(
         side.value, left=side.left,
         right=(side.right[0], side.right[1] + 1e-3) + side.right[2:])
     with pytest.raises(InconsistentJumps):
@@ -131,11 +132,13 @@ def test_two_route_checks_a_jump_deep_in_a_tail():
     st = eig.solve(spec)
     records = pot.discontinuities(spec)
     asy.predict_tail(st, records)
-    side = st.derivative_table[30.0]
-    assert abs(side.right[2] - side.left[2]) < 1e-31
+    assert abs(st.derivative_table[30.0].right[2] - st.derivative_table[30.0].left[2]) < 1e-31
+    # both routes read the image's table, at the image of x = 30
+    at = st.image.breaks[st.breaks.index(30.0)]
+    side = st.image.derivative_table[at]
     right = list(side.right)
     right[2] = side.left[2] + 5.0 * (side.right[2] - side.left[2])
-    st.derivative_table[30.0] = eig.SideDerivatives(side.value, side.left, tuple(right))
+    st.image.derivative_table[at] = eig.SideDerivatives(side.value, side.left, tuple(right))
     with pytest.raises(InconsistentJumps, match="x=30"):
         asy.predict_tail(st, records)
 
@@ -240,7 +243,7 @@ def test_double_zero_unsupported():
     spec = pot.FiniteWell(depth=10.0, a=-1.0, b=1.0)
     st = eig.solve(spec, 1)
     rec = pot.discontinuities(spec)[0]
-    st.derivative_table[rec.location] = eig.SideDerivatives(
+    st.image.derivative_table[st.image.breaks[0]] = eig.SideDerivatives(
         0.0, left=(0.0,) * 6, right=(0.0,) * 6)
     with pytest.raises(UnsupportedCase):
         asy.jump_from_potential(rec, st)
@@ -268,30 +271,32 @@ SUM_STATES = {
 SUM_P = np.concatenate([np.geomspace(3.0, 3000.0, 9), -np.geomspace(5.0, 500.0, 4)])
 
 
-def mp_sum(terms, p):
+def mp_sum(terms, p, units):
     """The terms' sum at one p in 30 digits, and the sum of their moduli.
 
-    Each term is (-i)^n jump hbar^n / sqrt(2 pi hbar) e^(-i theta) p^-n.
-    theta = a p / hbar is rounded to a double as the code rounds it, so the
-    comparison measures the sum and not the conditioning of the phase in p.
+    Each term is its image's coefficient e^(-i theta) p'^-n sqrt(L / hbar),
+    p' = p L / hbar. theta = p' a / L is rounded to a double as the code
+    rounds it, so the comparison measures the sum and not the conditioning
+    of the phase in p.
     """
     with mpmath.workdps(30):
         total, size = mpmath.mpc(0), mpmath.mpf(0)
         for t in terms:
-            hbar, n = mpmath.mpf(t.hbar), t.order
-            term = (mpmath.mpc(0, -1) ** n * t.jump * hbar ** n / mpmath.sqrt(2 * mpmath.pi * hbar)
-                    * mpmath.expj(-mpmath.mpf(t.location * p / t.hbar)) / mpmath.mpf(p) ** n)
+            n, q = t.order, p / units.momentum
+            term = (mpmath.mpc(t.image) / mpmath.sqrt(mpmath.mpf(units.momentum))
+                    * mpmath.expj(-mpmath.mpf(q * (t.location / units.length)))
+                    / mpmath.mpf(q) ** n)
             total += term
             size += abs(term)
         return complex(total), float(size)
 
 
-def assert_sums_match(got, terms, p, of=lambda z: z):
+def assert_sums_match(got, terms, p, units, of=lambda z: z):
     """got = of(sum of the terms) within 8 eps of the sum of their moduli, at each p."""
     p = np.asarray(p, dtype=float)
     assert got.shape == p.shape
     for value, at in zip(np.ravel(got), p.ravel()):
-        ref, size = mp_sum(terms, float(at))
+        ref, size = mp_sum(terms, float(at), units)
         assert abs(value - of(ref)) <= 8 * np.finfo(float).eps * size, (at, value, ref)
 
 
@@ -299,17 +304,17 @@ def assert_sums_match(got, terms, p, of=lambda z: z):
 def test_series_and_envelope_against_multiprecision_sum(name):
     spec, n, parity = SUM_STATES[name]
     pred = asy.predict_tail(eig.solve(spec, n, parity), pot.discontinuities(spec))
-    nonzero = [t for t in pred.terms if t.jump != 0.0]
-    assert_sums_match(pred.series(SUM_P), nonzero, SUM_P)
+    nonzero, units = [t for t in pred.terms if t.image], pred.units
+    assert_sums_match(pred.series(SUM_P), nonzero, SUM_P, units)
     top = pred.leading_exponent + 1
     assert_sums_match(pred.series(SUM_P, max_order=top),
-                      [t for t in nonzero if t.order <= top], SUM_P)
+                      [t for t in nonzero if t.order <= top], SUM_P, units)
     envelope = pred.leading_envelope(SUM_P)
     assert envelope.dtype == float
-    assert_sums_match(envelope, pred.leading_terms(), SUM_P, of=abs)
+    assert_sums_match(envelope, pred.leading_terms(), SUM_P, units, of=abs)
     for p in (np.float64(-40.0), SUM_P[:12].reshape(3, 4)):
-        assert_sums_match(pred.series(p), nonzero, p)
-        assert_sums_match(pred.leading_envelope(p), pred.leading_terms(), p, of=abs)
+        assert_sums_match(pred.series(p), nonzero, p, units)
+        assert_sums_match(pred.leading_envelope(p), pred.leading_terms(), p, units, of=abs)
 
 
 def test_envelope_at_a_zero_of_two_locations():
@@ -319,17 +324,22 @@ def test_envelope_at_a_zero_of_two_locations():
     leads = pred.leading_terms()
     assert {t.location for t in leads} == {0.0, math.pi}
     p = np.array([2.0, 40.0, 400.0, 4000.0])
-    assert all(abs(mp_sum(leads, at)[0]) < 1e-12 * mp_sum(leads, at)[1] for at in p)
-    assert_sums_match(pred.leading_envelope(p), leads, p, of=abs)
+    units = pred.units
+    assert all(abs(mp_sum(leads, at, units)[0]) < 1e-12 * mp_sum(leads, at, units)[1]
+               for at in p)
+    assert_sums_match(pred.leading_envelope(p), leads, p, units, of=abs)
 
 
 @pytest.mark.parametrize("hbar", [1e-60, 0.3, 1e80])
 @pytest.mark.parametrize("order", range(1, 7))
 def test_coefficient_against_exact_product(hbar, order):
     # jump and coefficient split the decades of hbar^(order - 1/2) between
-    # them, so both are finite though hbar ** order may not be
+    # them, so both are finite though hbar ** order may not be; at length 1
+    # the image's jump is the user's
     jump = -0.7234 * 10.0 ** round(-0.5 * (order - 0.5) * math.log10(hbar))
-    term = asy.TailTerm(0.0, order, jump, hbar)
+    term = asy._terms(0.0, [0.0] * (order - 1) + [jump],
+                      pot.Units.of(0.0, 1.0, "one", 1.0, hbar))[-1]
+    assert term.jump == jump
     exact = float(Fraction(jump) * Fraction(hbar) ** order
                   / Fraction(math.sqrt(2.0 * math.pi * hbar)))
     assert abs(term.coefficient - (-1j) ** order * exact) <= 2 * math.ulp(exact)

@@ -108,16 +108,20 @@ def test_transform_of_wide_state(runner, tmp_path, potential, n):
     assert len(lines) == 1002
 
 
+# the ladder's last two steps lie 1e-6 apart at x = 1, and at x' = 1 of its
+# image: the panel between them spans ~2e9 ulps of its center
+NARROW_CFG = {"potential": {"kind": "step_sum", "steps": [[0, -5], [1, 4], [1.000001, 1]]}}
+
+
 def test_transform_of_unplaceable_narrow_state_exits_1(runner, tmp_path):
-    cfg = write_cfg(tmp_path, {"potential": {"kind": "delta_sum", "deltas": [[1e14, 0.3]]}})
+    cfg = write_cfg(tmp_path, NARROW_CFG)
     res = runner.invoke(main, ["transform", "--config", cfg, "--out", str(tmp_path)])
     assert res.exit_code == 1
     assert not (tmp_path / "transform.csv").exists()
 
 
 def test_solve_of_unplaceable_narrow_state_exits_1(runner, tmp_path):
-    # the Filon panels at x = 0.3 span ~1e3 ulps of their centers
-    cfg = write_cfg(tmp_path, {"potential": {"kind": "delta_sum", "deltas": [[1e14, 0.3]]}})
+    cfg = write_cfg(tmp_path, NARROW_CFG)
     res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path)])
     assert res.exit_code == 1
     assert "quadrature error" in res.output
@@ -134,13 +138,13 @@ def test_solve_of_noisy_psi_exits_1(runner, tmp_path, monkeypatch):
 
     def noisy_solve(*args):
         st = solve(*args)
-        clean = st.psi_and_slope
+        clean = st.image.psi_and_slope
 
         def noisy(x):
             psi, slope = clean(x)
             return psi + 1e-9 * np.sin(1e7 * x), slope
 
-        return dataclasses.replace(st, psi_and_slope=noisy)
+        return dataclasses.replace(st, image=dataclasses.replace(st.image, psi_and_slope=noisy))
 
     monkeypatch.setattr(eig, "solve", noisy_solve)
     cfg = write_cfg(tmp_path, DELTA_CFG)
@@ -285,8 +289,8 @@ def test_delta_pair_with_zero_energy_resonance(runner, tmp_path, command, n, cod
 # potential -> exit codes of solve, transform, predict and verify, and the
 # start of the report of an exit 2
 VANISH = "solve error: psi and psi' both vanish"
-RANGE = "solve error: (34, "      # ERANGE, worded by the C library
-DIVIDE = "solve error: float division by zero"
+UNIT = "solve error: the unit "          # a unit of the image that is no normal float
+NO_DIGIT = "solve error: the image's level"     # V' - E' in a region has no digit
 CORNERS = {
     # a break deep in psi's tail, where psi ~ 1e-33: its jump is still a term
     "far_step_30": ({"kind": "step_sum", "steps": [[0, -5], [1, 5], [30, 1]]}, (0, 0, 0, 1), None),
@@ -299,74 +303,82 @@ CORNERS = {
                          (0, 0, 2, 2), VANISH),
     # decay lengths of ~1e6 and more
     "weak_well": ({"kind": "finite_well", "depth": 1e-6, "a": -1, "b": 1}, (0, 0, 0, 0), None),
+    # its verify window ends at p' = pL/hbar = 2 in the image, where |phi| is
+    # ~3e-16 of its peak, the transform's floor: the fit there is not conclusive
     "light_well": ({"kind": "finite_well", "depth": 10, "a": -1, "b": 1, "mass": 1e-3,
-                    "hbar": 1e3}, (0, 0, 0, 1), None),
-    # finite parameters whose solve overflows or divides by zero
-    "delta_strength_1e300": ({"kind": "delta_sum", "deltas": [[1e300, 0]]}, (2, 2, 2, 2), RANGE),
+                    "hbar": 1e3}, (0, 0, 0, 0), None),
+    # finite parameters whose image has a unit past the floats, or whose
+    # level's V - E keeps no digit in the image
+    "delta_strength_1e300": ({"kind": "delta_sum", "deltas": [[1e300, 0]]}, (2, 2, 2, 2), UNIT),
     "delta_1e300_apart": ({"kind": "delta_sum", "deltas": [[1, 0], [1, 1e300]]}, (2, 2, 2, 2),
                           "solve error: math range error"),
     "deltas_2e300_apart": ({"kind": "delta_sum", "deltas": [[1, -1e300], [1, 1e300]]},
                            (2, 2, 2, 2), "solve error: math range error"),
     "well_width_2e300": ({"kind": "finite_well", "depth": 1, "a": -1e300, "b": 1e300},
-                         (2, 2, 2, 2), RANGE),
-    # its level, about -2e-600, lies below the least float: no bracket of floats holds it
+                         (2, 2, 2, 2), NO_DIGIT),
+    # its level, about -2e-600, lies below the least float
     "well_width_2e-300": ({"kind": "finite_well", "depth": 1, "a": -1e-300, "b": 1e-300},
-                          (2, 2, 2, 2), "solve error: the root polish did not converge"),
+                          (2, 2, 2, 2), UNIT),
     "well_depth_1e300": ({"kind": "finite_well", "depth": 1e300, "a": -1, "b": 1},
-                         (2, 2, 2, 2), RANGE),
+                         (2, 2, 2, 2), NO_DIGIT),
     "steps_1e308": ({"kind": "step_sum", "steps": [[0, -1e308], [1, 1e308]]}, (2, 2, 2, 2),
-                    "solve error: cannot convert float infinity to integer"),
-    "box_length_1e-300": ({"kind": "infinite_well", "length": 1e-300}, (2, 2, 2, 2), RANGE),
-    "bouncer_hbar_1e300": ({"kind": "bouncer", "force": 1, "hbar": 1e300}, (2, 2, 2, 2), RANGE),
+                    NO_DIGIT),
+    "box_length_1e-300": ({"kind": "infinite_well", "length": 1e-300}, (2, 2, 2, 2), UNIT),
     "delta_hbar_1e-300": ({"kind": "delta_sum", "deltas": [[1, 0]], "hbar": 1e-300},
-                          (2, 2, 2, 2), DIVIDE),
-    # hbar^n overflows a float where the coefficient it gives is finite
+                          (2, 2, 2, 2), UNIT),
+    # the image of each is the unit bouncer, whose levels and tail are floats
+    "bouncer_hbar_1e300": ({"kind": "bouncer", "force": 1, "hbar": 1e300}, (0, 0, 0, 0), None),
     "asymmetric_linear_hbar_1e80": ({"kind": "asymmetric_linear", "force_right": 1,
                                      "force_left": 2, "hbar": 1e80}, (0, 0, 0, 0), None),
     "bouncer_hbar_1e100": ({"kind": "bouncer", "force": 1, "hbar": 1e100}, (0, 0, 0, 0), None),
-    # hbar^2/(2mF) ~ 1e420 overflows inside the Airy length, though rho ~ 1e140
-    # is a float: it is refused by name, not as the infinite level it gave
+    # hbar^2/(2mF) ~ 1e420 overflowed inside the Airy length, though rho ~ 1e140
     "bouncer_airy_length_overflows": ({"kind": "bouncer", "force": 1.260115539745528e-57,
                                        "mass": 3.951075183959357e-103,
-                                       "hbar": 3.552976742453059e+130}, (2, 2, 2, 2),
-                                      "solve error: the Airy length's hbar^2/2mF is inf"),
-    # a decay length far below the spacing of floats near 8.84: psi's support
-    # has no width, so no panel holds psi; psi'' at the delta overflows, so the
-    # table stops at psi', which is all the delta's p^-2 tail reads
+                                       "hbar": 3.552976742453059e+130}, (0, 0, 0, 0), None),
+    # a decay length far below the spacing of floats near 8.84: the user's
+    # support has no width, but the image's panels hold psi
     "delta_support_of_no_width": ({"kind": "delta_sum",
                                    "deltas": [[91807072675.58, 8.842752429756352]],
-                                   "hbar": 2.834980478188222e-69}, (1, 1, 0, 1), None),
-    # 2m(V - E)/hbar^2 outside the well is 5e-324, a subnormal that has lost
-    # every digit of the level's decay rate
+                                   "hbar": 2.834980478188222e-69}, (0, 0, 0, 0), None),
+    # its image's level, ~-6e-323, is subnormal: the polish cannot place it
     "well_decay_rate_subnormal": ({"kind": "finite_well", "depth": 0.0037255896952591407,
                                    "a": 8.336484381689615, "b": 11.260204310160416,
                                    "mass": 1.2664391494423287e-54,
                                    "hbar": 7.271337262988827e+52}, (2, 2, 2, 2),
-                                  "solve error: the level -1.546999489688477e-164 decays at a "
-                                  "subnormal 2m(V - E)/hbar^2"),
-    # 2m(V - E)/hbar^2 overflows: psi's phase in the well, and beside the
-    # hybrid's delta its decay rate and psi'
+                                  "solve error: the root polish did not converge"),
     "well_phase_overflows": ({"kind": "finite_well", "depth": 1.9970470594996236e+16,
                               "a": -8.8186205376442, "b": 9979892.695408143,
                               "mass": 4.2853158678256596e+59, "hbar": 3.727383137147171e-131},
-                             (2, 2, 2, 2), "solve error: psi's phase is NaN from 1.0, nan at "
-                             "wave number inf"),
+                             (2, 2, 2, 2), NO_DIGIT),
+    # psi decays by e^-1e147 from the delta to the step: no panels tile the
+    # decay, and psi and psi' are 0.0 at the step
     "hybrid_rate_overflows": ({"kind": "hybrid_delta_step", "g": 5.474948198392659e-09,
                                "step_height": -5.833444434236515e-20, "a": 1.752032314049523e-18,
                                "mass": 4.758068778416576e+49, "hbar": 2.878615471663187e-62},
-                              (2, 2, 2, 2), "solve error: psi's growing and decaying parts nan, "
-                              "nan left the float range at decay rate inf"),
-    # E underflows to 0.0: verify has no momentum scale to place its window at
+                              (1, 1, 2, 2), VANISH),
+    # hbar^2/2mL^2 ~ 1e-337 underflows: the level ~1e-336 is no float
     "box_energy_underflows": ({"kind": "infinite_well", "length": 3.288438015345917e+91,
-                               "hbar": 1.5147329205249785e-77}, (0, 0, 0, 2),
-                              "solve error: the momentum scale"),
+                               "hbar": 1.5147329205249785e-77}, (2, 2, 2, 2), UNIT),
+    # the image's unit box: hw ** 3 overflowed in the user's units and the
+    # panel budget refused it
+    "box_length_1e130": ({"kind": "infinite_well", "length": 1.0682506336238505e130,
+                          "hbar": 1.1133668697572003e116}, (0, 0, 0, 1), None, {"n": 2}),
+    # every jump of its derivative table underflows to 0.0 in the user's
+    # units, but not in its image: its p^-5 term leads
+    "odd_symmetric_linear_underflowed_jumps": ({"kind": "symmetric_linear",
+                                                "force": 9.377102194054041e-53,
+                                                "mass": 6.398718530779836e-137,
+                                                "hbar": 6.661384639285105e+50}, (0, 0, 0, 1),
+                                               None, {"n": 2, "parity": "odd"}),
+    # hw ** 3 of its panels overflowed in the user's units, with a numpy warning
+    "well_panels_overflowed": ({"kind": "finite_well", "depth": 383854132125529.25,
+                                "a": -7.68425025177822, "b": -6.267606834127363,
+                                "mass": 5.943619722427872e-123}, (0, 0, 0, 1), None),
 }
-
-
 @pytest.mark.parametrize("name", CORNERS)
 def test_corner_configs_exit_without_traceback(runner, tmp_path, name):
-    potential, codes, report = CORNERS[name]
-    cfg = write_cfg(tmp_path, {"potential": potential})
+    potential, codes, report, *level = CORNERS[name]
+    cfg = write_cfg(tmp_path, {"potential": potential, **(level[0] if level else {})})
     for command, code in zip(["solve", "transform", "predict", "verify"], codes):
         res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
         assert res.exit_code == code, (command, res.output, res.exception)
@@ -409,10 +421,6 @@ def test_odd_symmetric_linear_with_hbar_1e80(runner, tmp_path, command):
         assert json.loads((tmp_path / "verify.json").read_text())["pass"] is True
 
 
-# the CLI runs at Python's default warnings: at these units the verify
-# window's (1/p)^n under- or overflows with a numpy warning (ROADMAP item 22),
-# and the report must hold no NaN or inf that this leaves
-@pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_coefficient_past_the_float_range_ends_the_expansion(runner, tmp_path):
     # this well's p^-3 coefficients are 3.6e274, though hbar^3 = 1e330
     # overflows a float, and its p^-4 ones ~1e385: the expansion keeps orders
@@ -427,24 +435,37 @@ def test_coefficient_past_the_float_range_ends_the_expansion(runner, tmp_path):
             (tmp_path / "predict.csv").read_text().strip().split("\n")[1:]]
     assert sorted({int(row[0]) for row in rows}) == [1, 2, 3]
     assert all(math.isfinite(float(v)) for row in rows for v in row)
-    # its (1/p)^3 underflows to 0 in the verify window, p ~ 1e111, and the
-    # deviation divides by that envelope
+    # the verify window, p ~ 1e111, is p' ~ 10 to 200 in the image, where
+    # the envelope is summed: its (1/p)^3 underflowed to 0 in the user's units
     res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])
-    assert res.exit_code == 2 and type(res.exception) is SystemExit
-    assert res.output.startswith("solve error: verify.json would hold "
-                                 "comparison.max_rel_deviation = inf")
-    assert not (tmp_path / "verify.json").exists()
+    assert res.exit_code == 1, res.output
+    comparison = json.loads((tmp_path / "verify.json").read_text())["comparison"]
+    assert comparison["window"][0] > 1e110 and 0.0 < comparison["max_rel_deviation"] < 100.0
 
 
-@pytest.mark.filterwarnings("default::RuntimeWarning")
-def test_report_value_that_is_no_float_is_a_solve_error(runner, tmp_path):
-    # (1/p)^5 overflows in the verify window, and inf times the tiny p^-5
-    # coefficient gave "max_rel_deviation": NaN, which is no JSON
+def test_odd_symmetric_linear_at_extreme_units_verifies(runner, tmp_path):
+    # in the user's units (1/p)^5 overflowed in the verify window, and inf
+    # times the tiny p^-5 coefficient gave "max_rel_deviation": NaN
     cfg = write_cfg(tmp_path, {"potential": {"kind": "symmetric_linear",
                                              "force": 1.847476586418087e-143,
                                              "mass": 2.709799972610435e-08,
                                              "hbar": 4.633642542731326e-108},
                                "parity": "odd"})
+    res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code in (0, 1), res.output
+    assert math.isfinite(json.loads((tmp_path / "verify.json").read_text())["comparison"]
+                         ["max_rel_deviation"])
+
+
+def test_report_value_that_is_no_float_is_a_solve_error(runner, tmp_path, monkeypatch):
+    # a NaN deviation would be no JSON number
+    import dataclasses
+
+    from momtail import tailfit
+    compare = tailfit.compare
+    monkeypatch.setattr(tailfit, "compare", lambda *args, **kwargs: dataclasses.replace(
+        compare(*args, **kwargs), max_rel_deviation=math.nan))
+    cfg = write_cfg(tmp_path, DELTA_CFG)
     res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])
     assert res.exit_code == 2 and type(res.exception) is SystemExit
     assert res.output.startswith("solve error: verify.json would hold "

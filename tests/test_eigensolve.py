@@ -625,11 +625,29 @@ def test_asymmetric_linear_levels_scale_with_the_units(unit, power):
             assert eig.solve(spec, n).energy == pytest.approx(u ** power * e, rel=1e-14, abs=0)
 
 
-def matching_roots_mp(force_right, force_left, count):
+@pytest.mark.parametrize("length,mass,hbar,n", [
+    (1.7440084269206832e-68, 4.676591978179583e+149, 4.4108822884177423e-147, 1),
+    (1.6426192855777429e+128, 8.062563406702723e+49, 1.0, 2),
+    (1.5722616029451546e+18, 2.9412810382886552e+131, 3.394045090125839e-69, 2),
+], ids=["census_box_1", "census_box_2", "census_box_3"])
+def test_census_boxes_scale_with_their_length_or_are_refused_by_name(length, mass, hbar, n):
+    # levels near the least normal float: at L = 2^20 their hbar^2/2mL^2 is
+    # subnormal, which had lost the digits of E / L^2
+    energy = eig.solve(pot.InfiniteWell(length, mass=mass, hbar=hbar), n).energy
+    for scale in (2.0 ** 20, 2.0 ** -20):
+        try:
+            scaled = eig.solve(pot.InfiniteWell(length * scale, mass=mass, hbar=hbar), n).energy
+        except ArithmeticError as exc:
+            assert str(exc).startswith("the unit energy") and "the box length" in str(exc)
+            continue
+        assert scaled * scale * scale == pytest.approx(energy, rel=1e-12, abs=0)
+
+
+def matching_roots_mp(force_right, force_left, count, digits=60):
     """The lowest ``count`` roots of the matching determinant of
-    V = F z, Fbar |z| at m = hbar = 1, at 60 digits: each lies between
-    consecutive walls of the two bouncer ladders merged (w_0 = 0)."""
-    with mpmath.workdps(60):
+    V = F z, Fbar |z| at m = hbar = 1, at 60 digits or ``digits``: each lies
+    between consecutive walls of the two bouncer ladders merged (w_0 = 0)."""
+    with mpmath.workdps(digits):
         F, Fb = mpmath.mpf(force_right), mpmath.mpf(force_left)
         rho_r, rho_l = mpmath.cbrt(1 / (2 * F)), mpmath.cbrt(1 / (2 * Fb))
         e_r, e_l = F * rho_r, Fb * rho_l
@@ -640,17 +658,29 @@ def matching_roots_mp(force_right, force_left, count):
 
         walls = [mpmath.mpf(0)] + sorted(-e * mpmath.airyaizero(k) for e in (e_r, e_l)
                                          for k in range(1, count + 1))
-        return [mpmath.findroot(det, (walls[k - 1], walls[k]), solver="anderson")
-                for k in range(1, count + 1)]
+        def bisect(lo, hi):
+            """The root of det between lo and hi, by bisection to 1e-20 of it."""
+            below = det(lo) < 0
+            while hi - lo > mpmath.mpf(10) ** -20 * hi:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if (det(mid) < 0) == below else (lo, mid)
+            return (lo + hi) / 2
+
+        return [bisect(walls[k - 1], walls[k]) for k in range(1, count + 1)]
 
 
-@pytest.mark.parametrize("force_left", [1e-16, 1e-22, 1e-40, 1e40])
+@pytest.mark.parametrize("force_left", [1e-16, 1e-22, 1e-40, 1e40, 1e48, 3.5e53, 1e100, 1e300,
+                                        1e-53, 1e-100, 1e-300])
 def test_asymmetric_linear_at_extreme_force_ratios(force_left):
     # a weak side's levels crowd within (Fbar/F)^(1/3) of its walls: an
-    # absolute stop returned the wall for n = 1 and level n - 1 for n >= 2
+    # absolute stop returned the wall for n = 1 and level n - 1 for n >= 2;
+    # and past a ratio of ~1e48 the rounding of the wall's own Ai, times the
+    # steep side's 1/rho, set the sign of the determinant at a bracket end.
+    # A root that close to its wall needs (Fbar/F)^(1/3) more digits.
     levels = [eig.solve(pot.AsymmetricLinear(1.0, force_left), n).energy for n in (1, 2, 3, 4)]
     assert all(a < b for a, b in zip(levels, levels[1:]))
-    for level, root in zip(levels, matching_roots_mp(1.0, force_left, 4)):
+    digits = 60 + round(abs(math.log10(force_left)) / 3)
+    for level, root in zip(levels, matching_roots_mp(1.0, force_left, 4, digits)):
         assert level == pytest.approx(float(root), rel=1e-13, abs=0)
 
 
@@ -668,6 +698,17 @@ def test_weak_delta_beside_a_strong_one_has_its_own_level(deltas):
     g = min(strength for strength, _ in deltas)
     assert eig.solve(pot.DeltaSum(deltas=deltas), 2).energy == pytest.approx(
         -g * g / 2.0, rel=1e-13, abs=0)
+
+
+def test_sin_cubic_against_multiprecision():
+    # (y - sin y) / y^3 without y^3, which overflowed past y ~ 5.6e102 while
+    # the quotient, ~1/y^2, is a float up to y ~ 1e154
+    ys = [1.0, 1.5, 2.0, math.pi, *np.geomspace(1.0, 1e103, 200).tolist()]
+    with mpmath.workdps(40):
+        for y in ys:
+            ref = (mpmath.mpf(y) - mpmath.sin(y)) / mpmath.mpf(y) ** 3
+            assert abs(eig._sin_cubic(y) - ref) <= 3e-16 * ref, y
+    assert eig._sin_cubic(1e200) == 0.0
 
 
 # --- the root polish ---------------------------------------------------------
@@ -757,9 +798,9 @@ def test_piecewise_polish_sweeps_neither_bracket_end(monkeypatch):
         polished.append((a, b, list(sweeps)))
         return root
 
-    def counting(xs, vs, cusps, energy, coef):
+    def counting(xs, vs, cusps, energy):
         sweeps.append(energy)
-        return sweep(xs, vs, cusps, energy, coef)
+        return sweep(xs, vs, cusps, energy)
 
     monkeypatch.setattr(eig, "_brentq", recording)
     monkeypatch.setattr(eig, "_sweep", counting)
@@ -782,9 +823,9 @@ def test_piecewise_solve_sweeps_no_energy_twice(monkeypatch, spec, n):
     # pieces are their own mirror image
     sweeps, sweep = [], eig._sweep
 
-    def recording(xs, vs, cusps, energy, coef):
+    def recording(xs, vs, cusps, energy):
         sweeps.append((tuple(xs), tuple(vs), tuple(cusps), energy))
-        return sweep(xs, vs, cusps, energy, coef)
+        return sweep(xs, vs, cusps, energy)
 
     monkeypatch.setattr(eig, "_sweep", recording)
     eig.solve(spec, n)
@@ -1264,7 +1305,8 @@ def test_airy_level_past_the_last_finite_zero_is_refused(spec, parity):
 @pytest.mark.parametrize("field,value", [("energy", math.inf), ("energy", math.nan),
                                          ("matching", ((math.nan, 0.0, math.nan),))])
 def test_state_with_a_non_finite_energy_or_psi_is_refused(field, value):
+    # the image's level is refused, which the solvers build first
     st = eig.solve(pot.DeltaSum(deltas=((1.0, 0.0),)))
     with pytest.raises(ArithmeticError, match="not finite"):
-        dataclasses.replace(st, **{field: value})
+        dataclasses.replace(st.image, **{field: value})
 

@@ -166,7 +166,9 @@ def test_closed_form_refuses_linear_kinds(spec, parity):
 def test_closed_form_refuses_an_energy_equal_to_an_interior_v():
     # the well's inside with V - E = 0: its B term would need the k -> 0 limit
     st = eig.solve(pot.FiniteWell(depth=10.0, a=-1.0, b=1.0), 1)
-    flat = dataclasses.replace(st, ode=(st.ode[0], (0.0, 0.0), st.ode[2]))
+    ode = st.image.ode
+    flat = dataclasses.replace(st, image=dataclasses.replace(st.image,
+                                                             ode=(ode[0], (0.0, 0.0), ode[2])))
     with pytest.raises(ValueError, match="E equals V"):
         mom.phi_closed(flat, GRID)
 
@@ -204,12 +206,13 @@ def test_quadrature_matches_narrow_delta_closed_form(spec):
     kappa = spec.mass * spec.deltas[0][0] / spec.hbar ** 2
     p = GRID * spec.mass * spec.deltas[0][0] / spec.hbar
     calls = []
-    slope = st.psi_and_slope
-    st.psi_and_slope = lambda x: calls.append(np.size(x)) or slope(x)
+    slope = st.image.psi_and_slope
+    st.image.psi_and_slope = lambda x: calls.append(np.size(x)) or slope(x)
     panels = mom.FilonPanels(st)
-    # every panel of that tiling resolves in the first generation
+    # every panel of that tiling resolves in the first generation; the
+    # panels tile the image, whose half-widths are the user's over L
     assert calls == [panels.centers.size]
-    assert np.all(panels.halfwidths <= math.pi / kappa)
+    assert np.all(panels.halfwidths * st.units.length <= math.pi / kappa)
     q = panels.transform(p)
     c = mom.phi_closed_delta(spec, st, p).phi
     assert np.max(np.abs(q - c)) < 1e-13 * np.max(np.abs(c))
@@ -290,7 +293,7 @@ def test_panel_coefficients_match_gauss_projection(spec, n, parity):
     # c_k = (2k+1)/2 sum_i w_i P_k(t_i) psi(c + hw t_i)
     proj = ((2.0 * np.arange(degree + 1) + 1.0) / 2.0)[:, None] \
         * (legvander(nodes, degree).T * weights)
-    vals = st.psi(panels.centers[:, None] + panels.halfwidths[:, None] * nodes)
+    vals = st.image.psi_and_slope(panels.centers[:, None] + panels.halfwidths[:, None] * nodes)[0]
     gauss = vals @ proj.T
     assert np.max(np.abs(panels.coeffs - gauss)) <= 1e-12 * np.max(np.abs(gauss))
 
@@ -325,9 +328,9 @@ def test_panel_coefficients_against_multiprecision():
 ], ids=["bouncer_10", "symlin_11_even"])
 def test_build_evaluates_each_panel_once_per_generation(monkeypatch, spec, n, parity):
     st = eig.solve(spec, n, parity)
-    tiling = _reference_panels(st)[0].size
+    tiling = _reference_panels(st.image)[0].size
     calls, airy_args = [], []
-    slope = st.psi_and_slope
+    slope = st.image.psi_and_slope
     airy = specfun.airy
 
     def no_psi(x):
@@ -335,7 +338,7 @@ def test_build_evaluates_each_panel_once_per_generation(monkeypatch, spec, n, pa
 
     monkeypatch.setattr(specfun, "airy", lambda x: airy_args.append(np.size(x)) or airy(x))
     st.psi = no_psi
-    st.psi_and_slope = lambda x: calls.append(np.size(x)) or slope(x)
+    st.image.psi_and_slope = lambda x: calls.append(np.size(x)) or slope(x)
     panels = mom.FilonPanels(st)
     # every panel resolves in the first generation: one call, one Airy
     # argument per panel of the tiling (the panels kept are fewer)
@@ -354,29 +357,44 @@ def test_build_refuses_state_without_ode():
 
 
 def test_build_refuses_panels_too_narrow_for_their_position():
-    # at x = 0.3 the panels of a support-8.4e-13 delta span ~1e3 ulps of their
-    # centers, and the rounded centers put phi ~6e-3 off the closed form
-    spec = pot.DeltaSum(deltas=((1e14, 0.3),))
-    with pytest.raises(QuadratureBudgetExceeded):
+    # the image puts the ladder's last two steps at x' = 1 and 1 + 1e-6, so
+    # the panel between them spans ~2e9 ulps of its center, too few to place psi
+    spec = pot.StepSum(steps=((0.0, -5.0), (1.0, 4.0), (1.0 + 1e-6, 1.0)))
+    with pytest.raises(QuadratureBudgetExceeded, match="ulps of its center"):
         mom.FilonPanels(eig.solve(spec))
 
 
-def test_build_refuses_a_support_with_no_width():
+def test_narrow_delta_far_from_its_origin_is_panelled_in_its_image():
+    # at x = 0.3 the panels of a support-8.4e-13 delta spanned ~1e3 ulps of
+    # their centers in the user's units; its image is the unit delta at 0
+    spec = pot.DeltaSum(deltas=((1e14, 0.3),))
+    st = eig.solve(spec)
+    p = np.linspace(-3e15, 3e15, 101)
+    filon, closed = mom.phi_quadrature(st, p).phi, mom.phi_closed_delta(spec, st, p).phi
+    assert np.max(np.abs(np.abs(filon) - np.abs(closed))) < 1e-13 * np.max(np.abs(closed))
+
+
+def test_delta_narrower_than_the_float_spacing_is_panelled_in_its_image():
     # the decay length, ~1e-287, is far below the spacing of floats near
-    # 8.84: the support's ends round to one float, and no panel tiles it
+    # 8.84: the user's support has no width in floats, but the image's does
     spec = pot.DeltaSum(deltas=((91807072675.58, 8.842752429756352),),
                         hbar=2.834980478188222e-69)
     st = eig.solve(spec)
     assert st.support[0] == st.support[1]
-    with pytest.raises(QuadratureBudgetExceeded, match="no width"):
-        mom.FilonPanels(st)
+    panels = mom.FilonPanels(st)
+    assert abs(panels.norm - 1.0) <= 1e-13
+    p = np.array([0.0, 1e-70, 1e-69, 1e-68])
+    closed = mom.phi_closed_delta(spec, st, p).phi
+    assert np.max(np.abs(np.abs(panels.transform(p)) - np.abs(closed))) \
+        < 1e-13 * np.max(np.abs(closed))
 
 
 def test_budget_stops_a_panel_that_never_resolves():
     # a NaN expansion fails the resolution test at every half-width, so the
     # panels double each generation until the budget stops them
     st = eig.solve(pot.DeltaSum(deltas=((1.0, 0.0),)))
-    nan = dataclasses.replace(st, psi_and_slope=lambda x: (np.full(np.shape(x), np.nan),) * 2)
+    nan = dataclasses.replace(st, image=dataclasses.replace(
+        st.image, psi_and_slope=lambda x: (np.full(np.shape(x), np.nan),) * 2))
     with pytest.raises(QuadratureBudgetExceeded):
         mom.FilonPanels(nan)
 
@@ -398,11 +416,12 @@ def test_budget_refuses_a_first_tiling_before_building_it():
 # --- tiling -----------------------------------------------------------------
 
 def _reference_panels(state):
-    """FilonPanels' tiling from the tiling and bisection written out in one
-    loop, with no panel wider than 2 pi / sqrt(b0) in a constant forbidden
-    piece psi'' = b0 psi, nor elsewhere than the oscillation scale: its
-    centers and half-widths, and which panels have a Legendre coefficient
-    above eps / 35 of the largest, the panels FilonPanels keeps."""
+    """FilonPanels' tiling of the image's level ``state`` from the tiling and
+    bisection written out in one loop, with no panel wider than 2 pi /
+    sqrt(b0) in a constant forbidden piece psi'' = b0 psi, nor elsewhere
+    than the oscillation scale: its centers and half-widths, and which
+    panels have a Legendre coefficient above eps / 35 of the largest, the
+    panels FilonPanels keeps."""
     lo, hi = state.support
     edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
     c, hw = [], []
@@ -455,7 +474,7 @@ def test_filon_panels_keep_their_tiling(request, spec, n, parity):
     # only on purpose
     st = eig.solve(spec, n, parity)
     panels = mom.FilonPanels(st)
-    centers, halfwidths, kept = _reference_panels(st)
+    centers, halfwidths, kept = _reference_panels(st.image)
     assert centers.size == PANEL_COUNTS[request.node.callspec.id]
     assert np.count_nonzero(~kept) == EMPTY_PANELS.get(request.node.callspec.id, 0)
     assert np.array_equal(panels.centers, centers[kept])
@@ -489,13 +508,14 @@ def test_norm_check_refuses_noisy_psi():
     # each panel's expansion is resolved, but psi at its center carries the
     # noise, so neighbouring expansions meet ~6e-8 of the scale apart
     st = eig.solve(pot.DeltaSum(deltas=((1.0, 0.0),)))
-    clean = st.psi_and_slope
+    clean = st.image.psi_and_slope
 
     def noisy(x):
         psi, slope = clean(x)
         return psi + 1e-9 * np.sin(1e7 * x), slope
 
-    noisy_state = dataclasses.replace(st, psi_and_slope=noisy)
+    noisy_state = dataclasses.replace(st, image=dataclasses.replace(st.image,
+                                                                    psi_and_slope=noisy))
     with pytest.raises(QuadratureBudgetExceeded):
         mom.FilonPanels(noisy_state)
     with pytest.raises(QuadratureBudgetExceeded):
@@ -572,9 +592,11 @@ def test_quadrature_large_p_against_multiprecision_oracle(spec, n, groups):
 
 def _mp_panel_sum(panels, p):
     """phi(p) as a 30-digit sum over the panels' own float centers,
-    half-widths and Legendre coefficients: the transform's rounding alone."""
-    hbar = mpmath.mpf(panels.hbar)
-    q = mpmath.mpf(p) / hbar
+    half-widths and Legendre coefficients, in the image at the float p' =
+    p L / hbar the transform reads, times sqrt(L / hbar) e^(-ip'x0/L): the
+    transform's rounding alone."""
+    units = panels.units
+    q = mpmath.mpf(p / units.momentum)
     total, tables = mpmath.mpc(0), {}
     for c, hw, ck in zip(panels.centers, panels.halfwidths, panels.coeffs):
         if hw not in tables:
@@ -582,7 +604,8 @@ def _mp_panel_sum(panels, p):
         moment = mpmath.fsum(mpmath.mpf(x) * 2 * (-1j) ** k * j
                              for k, (x, j) in enumerate(zip(ck, tables[hw])))
         total += mpmath.mpf(hw) * mpmath.expj(-q * mpmath.mpf(c)) * moment
-    return complex(total / mpmath.sqrt(2 * mpmath.pi * hbar))
+    total *= mpmath.expj(-q * mpmath.mpf(units.origin / units.length))
+    return complex(total / mpmath.sqrt(2 * mpmath.pi * mpmath.mpf(units.momentum)))
 
 
 @pytest.mark.parametrize("spec,n,parity", [

@@ -36,7 +36,7 @@ def test_readers_take_the_state_units(spec, n, parity):
     explicit = asy.predict_tail(st, recs, mass=spec.mass, hbar=spec.hbar)
     assert implicit.terms == explicit.terms
     assert implicit.leading_exponent == explicit.leading_exponent
-    assert all(t.hbar == spec.hbar for t in implicit.terms)
+    assert implicit.units == st.units and st.units.hbar == spec.hbar
 
     grid = np.linspace(-60.0, 60.0, 2401)
     samples = mom.phi_quadrature(st, grid)
