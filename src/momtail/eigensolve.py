@@ -332,7 +332,8 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) 
     product is the unscaled defect, analytic in E, where the divided one is
     a sign function whenever the level lives away from the last boundary,
     and Brent would bisect. The bisection goes on until the ends' s lie within
-    2 ``_MAX_EXP``, where a weak level beside a strong delta leaves it decades wide.
+    2 ``_MAX_EXP``, where a weak level beside a strong delta leaves it decades wide,
+    and until the bracket has left a top that is 0 or where the defect is 0.
     """
     n = spec.level_index(n, parity)
     units, pieces = spec.units, spec.image_pieces
@@ -355,11 +356,12 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) 
         raise NoBoundState("no level below the asymptote")
     if levels < n:
         raise NoSuchState(f"holds only {levels} bound states, needed {n}")
-    # a defect of exactly 0 at top is a zero-energy resonance, which is no
-    # level: the bracket must leave top, or _brentq returns it as the root
-    resonant = at_top == 0.0
+    # the bracket must leave top where its defect is exactly 0, a zero-energy
+    # resonance that is no level, which _brentq would return as the root; and
+    # where top is 0, an end at which _brentq's steps vanish
+    leave_top = at_top == 0.0 or top == 0.0
     lo, hi, below_lo, below_hi = bottom, top, 0, levels
-    while (((below_lo, below_hi) != (n - 1, n) or (resonant and hi == top)
+    while (((below_lo, below_hi) != (n - 1, n) or (leave_top and hi == top)
             or abs(sweep(lo)[2] - sweep(hi)[2]) > 2.0 * _MAX_EXP)
            and lo < 0.5 * (lo + hi) < hi):
         mid = 0.5 * (lo + hi)

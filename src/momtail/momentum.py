@@ -176,36 +176,37 @@ class FilonPanels:
     """Per-panel Legendre expansion of psi, reusable for every p, and psi's norm.
 
     The panels, ``centers``, ``halfwidths`` and ``coeffs``, are the image's
-    (``state.image``); the first generation tiles its support, cut at its
-    breaks: each interval between kinks of psi is cut into equal panels of
-    one shared half-width. Where the interval's ODE piece is constant and
-    classically forbidden (psi'' = b0 psi, b0 > 0), psi does not oscillate,
-    and the panels are no wider than the decay length 2 pi / sqrt(b0): over
-    it psi changes by e^(2 pi), so the degree-34 expansion resolves them at
-    once, and their count grows with neither the decay length nor the
-    support. Elsewhere no panel is wider than ``osc_scale``, nor than 1e150,
-    whose hw^2 would leave the floats. Each generation of pending panels is
-    expanded together (``_panel_coefficients``): one ``psi_and_slope`` call
-    at their centers, then the Taylor recurrence of the ODE, ``ode``, to
-    degree 34. A panel is accepted when its trailing Legendre coefficients
-    and its last Taylor terms are below 1e-12 of the global scale;
-    otherwise it becomes two of exactly half its half-width, which join the
-    next generation. Centers are computed from the shared half-width, not
-    from linspace cuts, so a state's panels come in a few groups of bitwise
-    equal half-width.
+    (``state.image``), and one rule read off its ODE, ``ode``, tiles its
+    support, cut at its breaks: each interval between kinks of psi is cut
+    into equal panels of one shared half-width. Where the interval's ODE
+    piece is constant and classically forbidden (psi'' = b0 psi, b0 > 0),
+    psi does not oscillate, and the panels are no wider than the decay
+    length 2 pi / sqrt(b0): over it psi changes by e^(2 pi), so the
+    degree-34 expansion resolves them, and their count grows with neither
+    the decay length nor the support. Where it is linear (psi'' = (b0 + b1
+    x) psi, b1 != 0), they are no wider than pi |b1|^(-1/3), pi Airy
+    lengths of that side, nor than ``osc_scale``; elsewhere no panel is
+    wider than ``osc_scale``; and none is wider than 1e150, whose hw^2
+    would leave the floats. All panels are expanded together
+    (``_panel_coefficients``): one ``psi_and_slope`` call at their centers,
+    then the Taylor recurrence of the ODE to degree 34. Centers are
+    computed from the shared half-width, not from linspace cuts, so a
+    state's panels come in a few groups of bitwise equal half-width.
 
     Raises ``QuadratureBudgetExceeded`` before panels outnumber the budget,
-    which also stops a panel that never resolves: its descendants double
-    every generation. It raises too for a panel narrower than 1e11 ulps of
-    its center: the float position of its center cannot place a psi that
-    varies on that scale (a panel r ulps wide misplaces psi by ~1/r of its
-    width), and its halves are no wider in ulps. And it raises when two
-    neighbouring expansions give psi at their shared edge more than 1e-12
-    of the scale apart: psi is continuous at every break, so expansions
-    that disagree there do not reproduce the state's psi.
+    counted before they are built. It raises too for a panel narrower than
+    1e11 ulps of its center: the float position of its center cannot place
+    a psi that varies on that scale (a panel r ulps wide misplaces psi by
+    ~1/r of its width). It raises for a panel that does not resolve psi,
+    one whose trailing Legendre coefficients or last Taylor terms exceed
+    1e-12 of the global scale (the largest |c_k|), naming its position,
+    half-width and tail. And it raises when two neighbouring expansions
+    give psi at their shared edge more than 1e-12 of the scale apart: psi
+    is continuous at every break, so expansions that disagree there do not
+    reproduce the state's psi.
 
     ``norm`` is the integral of psi^2, hw sum_k c_k^2 2/(2k+1) summed over
-    the accepted panels by ``math.fsum``: it reads no closed-form
+    the panels by ``math.fsum``: it reads no closed-form
     normalization, so it checks the solver's. ``norm_error`` bounds its
     truncation error: with psi at most t off a panel's expansion, t the
     larger of its trailing coefficients and last Taylor terms, psi's L2
@@ -232,42 +233,37 @@ class FilonPanels:
         counts = []
         for u, v in zip(edges[:-1], edges[1:]):
             b0, b1 = level.ode[np.searchsorted(level.breaks, 0.5 * (u + v))]
-            decays = b1 == 0.0 and b0 > 0.0
-            width = 2.0 * math.pi / math.sqrt(b0) if decays else level.osc_scale
+            if b1:
+                width = min(level.osc_scale, math.pi * abs(b1) ** (-1.0 / 3.0))
+            else:
+                width = 2.0 * math.pi / math.sqrt(b0) if b0 > 0.0 else level.osc_scale
             counts.append(max(1, math.ceil((v - u) / min(width, 1e150))))
         # counted before it is built: a very high level's tiling would fill memory
         if sum(counts) > _MAX_PANELS:
             raise QuadratureBudgetExceeded(f"needed more than {_MAX_PANELS} panels to resolve psi")
-        c, hw = [], []
+        centers, halfwidths = [], []
         for u, v, m in zip(edges[:-1], edges[1:], counts):
             h = 0.5 * (v - u) / m
-            c.extend(u + (2 * i + 1) * h for i in range(m))
-            hw.extend([h] * m)
-        c, hw = np.array(c), np.array(hw)
-        parts = [], [], [], []      # accepted centers, half-widths, coefficients, tails
-        scale, accepted = 0.0, 0
-        while c.size:
-            if accepted + c.size > _MAX_PANELS:
-                raise QuadratureBudgetExceeded(
-                    f"needed more than {_MAX_PANELS} panels to resolve psi")
-            coarse = hw < _MIN_RESOLUTION * np.spacing(np.abs(c))
-            if np.any(coarse):
-                i = np.argmax(coarse)
-                raise QuadratureBudgetExceeded(
-                    f"the panel at x = {c[i]:.17g} of half-width {hw[i]:.3g} spans "
-                    f"fewer than {_MIN_RESOLUTION:.0e} ulps of its center, too few "
-                    f"to place psi")
-            ck, truncation = _panel_coefficients(level, c, hw)
-            scale = max(scale, np.max(np.abs(ck)))
-            tail = np.maximum(np.max(np.abs(ck[:, -_TAIL_COEFFS:]), axis=1), truncation)
-            done = tail <= _REL_TOL * max(scale, 1e-300)
-            for part, value in zip(parts, (c, hw, ck, tail)):
-                part.append(value[done])
-            accepted += np.count_nonzero(done)
-            c, hw = c[~done], 0.5 * hw[~done]
-            c, hw = np.concatenate([c - hw, c + hw]), np.concatenate([hw, hw])
-        order = np.argsort(np.concatenate(parts[0]))
-        centers, halfwidths, coeffs, tails = (np.concatenate(part)[order] for part in parts)
+            centers.extend(u + (2 * i + 1) * h for i in range(m))
+            halfwidths.extend([h] * m)
+        centers, halfwidths = np.array(centers), np.array(halfwidths)
+        coarse = halfwidths < _MIN_RESOLUTION * np.spacing(np.abs(centers))
+        if np.any(coarse):
+            i = np.argmax(coarse)
+            raise QuadratureBudgetExceeded(
+                f"the panel at x = {centers[i]:.17g} of half-width {halfwidths[i]:.3g} spans "
+                f"fewer than {_MIN_RESOLUTION:.0e} ulps of its center, too few to place psi")
+        coeffs, truncation = _panel_coefficients(level, centers, halfwidths)
+        # C order for the products below, whose rounding follows their operands' layout
+        coeffs = np.ascontiguousarray(coeffs)
+        scale = np.max(np.abs(coeffs))
+        tails = np.maximum(np.max(np.abs(coeffs[:, -_TAIL_COEFFS:]), axis=1), truncation)
+        ratio = tails / max(scale, 1e-300)
+        if not np.all(ratio <= _REL_TOL):       # NaN fails too
+            i = np.argmax(~(ratio <= _REL_TOL))
+            raise QuadratureBudgetExceeded(
+                f"the panel at x = {centers[i]:.17g} of half-width {halfwidths[i]:.3g} does "
+                f"not resolve psi: its tail is {ratio[i]:.3g} of the scale, above {_REL_TOL:g}")
 
         # psi at a panel's right edge, t = 1, is the sum of its c_k, and at its
         # left edge, t = -1, the alternating sum

@@ -242,12 +242,13 @@ class Piecewise(_Kind):
     def natural(self) -> tuple[float, float, str]:
         """The first break, and the least of the span of the breaks and each
         record's length (hbar^2 / m |J|)^(1/(k+2)), at which the image of its
-        jump J in V^(k) is 2 in size: hbar^2 / mg for a delta."""
+        jump J in V^(k) is 2 in size: hbar^2 / mg for a delta. A jump of 0
+        sets no length."""
         records = self.ledger()
         first, last = records[0].location, records[-1].location
         lengths = [(last - first, f"the span of the breaks from {first!r} to {last!r}")
                    ] if len(records) > 1 else []
-        for r in records:
+        for r in (r for r in records if r.jump):
             e = 1.0 / (r.order + 2)
             length = _power_product((self.hbar, 2.0 * e), (self.mass, -e), (abs(r.jump), -e))
             lengths.append((length, f"the length of the jump {r.jump!r} at x = {r.location!r}"))

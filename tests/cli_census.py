@@ -8,8 +8,10 @@ CLI does not report, which a user sees as a traceback. Prints each such site,
 as (command, error, file:line) with its count, and the total. For each
 command it also prints the count of each exit code, the five most common
 exit-2 reports (the first ``PREFIX`` characters of the run's last line of
-output, which follows any warning printed first), and how many of the files
-it wrote hold a NaN or an infinity, which no JSON reader takes.
+output, which follows any warning printed first), the five most common
+quadrature error reports of its exit 1 runs (the whole line, each number
+read as ``#``, so that they group by reason), and how many of the files it
+wrote hold a NaN or an infinity, which no JSON reader takes.
 
 Exit codes cannot show a silent wrong energy, so each config is also solved
 (``eigensolve.solve``) with every length scaled by L = 2^20 and by 2^-20:
@@ -31,6 +33,7 @@ import csv
 import json
 import math
 import random
+import re
 import sys
 import tempfile
 import traceback
@@ -152,14 +155,16 @@ def _not_finite(path: Path) -> bool:
                    for v in row)
 
 
-def census(count: int = COUNT) -> tuple[Counter, list, Counter, Counter, Counter]:
+def census(count: int = COUNT) -> tuple[Counter, list, Counter, Counter, Counter, Counter]:
     """(command, error, file:line) -> runs that ended in that unreported exception;
     (relative miss, L, config) for each level that does not scale as E / L^2;
-    (command, exit code) -> runs; (command, exit-2 report start) -> runs; and
-    command -> the files it wrote that hold a NaN or an infinity."""
+    (command, exit code) -> runs; (command, exit-2 report start) -> runs;
+    (command, quadrature error report, numbers as #) -> runs; and command ->
+    the files it wrote that hold a NaN or an infinity."""
     rng = random.Random(SEED)
     runner = CliRunner()
     sites, misses, exits, reports, not_finite = Counter(), [], Counter(), Counter(), Counter()
+    quadrature = Counter()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         for _ in range(count):
@@ -172,19 +177,22 @@ def census(count: int = COUNT) -> tuple[Counter, list, Counter, Counter, Counter
                 res = runner.invoke(main, [command, "--config", str(cfg), "--out", tmp])
                 if res.exception is None or isinstance(res.exception, SystemExit):
                     exits[command, res.exit_code] += 1
+                    last = res.output.rstrip("\n").rsplit("\n", 1)[-1]
                     if res.exit_code == 2:
-                        reports[command, res.output.rstrip("\n").rsplit("\n", 1)[-1][:PREFIX]] += 1
+                        reports[command, last[:PREFIX]] += 1
+                    elif last.startswith("quadrature error"):
+                        quadrature[command, re.sub(r"\d[\w.+-]*", "#", last)] += 1
                     not_finite[command] += out.exists() and _not_finite(out)
                     continue
                 frame = traceback.extract_tb(res.exc_info[2])[-1]
                 sites[command, type(res.exception).__name__,
                       f"{Path(frame.filename).name}:{frame.lineno}"] += 1
-    return sites, misses, exits, reports, not_finite
+    return sites, misses, exits, reports, quadrature, not_finite
 
 
 if __name__ == "__main__":
     count = int(sys.argv[1]) if len(sys.argv) > 1 else COUNT
-    sites, misses, exits, reports, not_finite = census(count)
+    sites, misses, exits, reports, quadrature, not_finite = census(count)
     for (command, error, where), runs in sorted(sites.items()):
         print(f"{command:9s} {error:20s} {where:24s} {runs}")
     print(f"{sum(sites.values())} of {count * len(COMMANDS)} runs ended in a traceback, "
@@ -193,9 +201,10 @@ if __name__ == "__main__":
         codes = ", ".join(f"{code}: {exits[command, code]}" for code in (0, 1, 2))
         print(f"{command:9s} exits {codes}; {not_finite[command]} written files "
               f"hold NaN or Infinity")
-        ours = Counter({report: runs for (c, report), runs in reports.items() if c == command})
-        for report, runs in ours.most_common(TOP):
-            print(f"  {runs:5d}  {report}")
+        for found in (reports, quadrature):
+            ours = Counter({report: runs for (c, report), runs in found.items() if c == command})
+            for report, runs in ours.most_common(TOP):
+                print(f"  {runs:5d}  {report}")
     for miss, L, config in sorted(misses, key=lambda m: -m[0])[:WORST]:
         print(f"L = 2^{round(math.log2(L)):+d} {miss:9.2e} {json.dumps(config)}")
     print(f"{len(misses)} of {count * len(SCALES)} scaled solves missed E / L^2 by more "

@@ -298,6 +298,9 @@ CORNERS = {
                     (0, 0, 0, 1), None),
     "far_hybrid_step": ({"kind": "hybrid_delta_step", "g": 1, "step_height": 1, "a": 60},
                         (0, 0, 0, 0), None),
+    # a step of height 0 sets no length of the image: the lone delta's level
+    "hybrid_zero_step": ({"kind": "hybrid_delta_step", "g": 1, "step_height": 0, "a": 1},
+                         (0, 0, 0, 0), None),
     # psi and psi' underflow to 0.0 at the step: no expansion rule applies
     "underflowed_step": ({"kind": "step_sum", "steps": [[0, -5], [1, 5], [400, 1]]},
                          (0, 0, 2, 2), VANISH),

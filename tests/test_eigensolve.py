@@ -197,6 +197,28 @@ def test_finite_well_against_matching_condition(depth, a, b, units, n):
     assert st.parity == ("even" if n % 2 else "odd")
 
 
+def test_weak_well_whose_window_ends_at_zero():
+    # the image's window ends at top = 0.0, where the polish's steps vanish:
+    # the bisection leaves it, and the level, about depth^2 / 4 below zero,
+    # is the root of the image's even matching condition k tan(k w/2) = kappa
+    spec = pot.FiniteWell(depth=2.6984157969868794e-08, a=6.728156338574614,
+                          b=26317531.359142076, mass=3.301798287229292e-147)
+    (a, b), (_, v, _), _ = spec.image_pieces
+    energy = eig.solve(spec).image.energy
+    with mpmath.workdps(40):
+        depth, width = -mpmath.mpf(v), mpmath.mpf(b) - mpmath.mpf(a)
+
+        def matching(kappa):
+            k = mpmath.sqrt(depth - kappa ** 2)
+            return k * mpmath.tan(k * width / 2) - kappa
+
+        guess = mpmath.sqrt(-energy)
+        kappa = mpmath.findroot(matching, (guess / 2, 2 * guess), solver="illinois")
+        level = float(-kappa ** 2)
+    assert level == pytest.approx(-float(depth) ** 2 / 4, rel=1e-9)
+    assert energy == pytest.approx(level, rel=1e-15, abs=0.0)
+
+
 def test_single_delta_off_origin_with_units():
     g, a, m, hbar = 0.7, 1.3, 2.0, 2.0
     st = eig.solve(pot.DeltaSum(deltas=((g, a),), mass=m, hbar=hbar))
@@ -204,6 +226,13 @@ def test_single_delta_off_origin_with_units():
     assert st.derivative_table[a].value == pytest.approx(
         math.sqrt(m * g) / hbar, rel=1e-14, abs=0.0)
     assert st.parity == "even"
+
+
+def test_hybrid_with_a_zero_step_is_the_lone_delta():
+    # a jump of 0 sets no length of the image, where it raised 0.0 to a negative power
+    g, m, hbar = 1.5, 2.0, 0.5
+    st = eig.solve(pot.HybridDeltaStep(g=g, step_height=0.0, a=1.0, mass=m, hbar=hbar))
+    assert st.energy == pytest.approx(-m * g * g / (2 * hbar ** 2), rel=1e-15, abs=0.0)
 
 
 def test_mirror_symmetric_pieces_set_parity():

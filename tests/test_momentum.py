@@ -326,7 +326,7 @@ def test_panel_coefficients_against_multiprecision():
     (pot.Bouncer(force=0.5), 10, None),
     (pot.SymmetricLinear(force=0.5), 11, "even"),
 ], ids=["bouncer_10", "symlin_11_even"])
-def test_build_evaluates_each_panel_once_per_generation(monkeypatch, spec, n, parity):
+def test_build_evaluates_each_panel_once(monkeypatch, spec, n, parity):
     st = eig.solve(spec, n, parity)
     tiling = _reference_panels(st.image)[0].size
     calls, airy_args = [], []
@@ -340,10 +340,34 @@ def test_build_evaluates_each_panel_once_per_generation(monkeypatch, spec, n, pa
     st.psi = no_psi
     st.image.psi_and_slope = lambda x: calls.append(np.size(x)) or slope(x)
     panels = mom.FilonPanels(st)
-    # every panel resolves in the first generation: one call, one Airy
-    # argument per panel of the tiling (the panels kept are fewer)
+    # one pass: one call, one Airy argument per panel of the tiling (the
+    # panels kept are fewer)
     assert calls == [tiling]
     assert airy_args == calls
+
+
+@pytest.mark.parametrize("force_right,force_left,n", [
+    (1.0, 1e3, 2), (1.0, 40.0, 1), (1.0, 1e-3, 1), (1.334052, 0.355098, 1),
+], ids=["steep_1e3", "steep_40", "soft_1e-3", "soft_0.355"])
+def test_asymmetric_linear_builds_in_one_pass(monkeypatch, force_right, force_left, n):
+    # each side's panels are no wider than pi of its own Airy length, so
+    # these states, whose steep or soft side a tiling by osc_scale alone
+    # left unresolved, build from one expansion of the first tiling
+    st = eig.solve(pot.AsymmetricLinear(force_right=force_right, force_left=force_left), n)
+    tiling = _reference_panels(st.image)[0].size
+    calls = []
+    expand = mom._panel_coefficients
+    monkeypatch.setattr(mom, "_panel_coefficients",
+                        lambda *args: calls.append(args[1].size) or expand(*args))
+    panels = mom.FilonPanels(st)
+    assert calls == [tiling]
+    ps = [0.0, 1.3, 13.0]
+    phi = panels.transform(np.array(ps))
+    lo, hi = st.support
+    cuts = sorted({*st.breaks, *np.arange(math.ceil(lo), hi)})
+    with mpmath.workdps(17):
+        for i, p in enumerate(ps):
+            assert abs(phi[i] - mp_phi(st, p, lo, hi, cuts)) < 1e-9
 
 
 def test_build_refuses_state_without_ode():
@@ -389,14 +413,19 @@ def test_delta_narrower_than_the_float_spacing_is_panelled_in_its_image():
         < 1e-13 * np.max(np.abs(closed))
 
 
-def test_budget_stops_a_panel_that_never_resolves():
-    # a NaN expansion fails the resolution test at every half-width, so the
-    # panels double each generation until the budget stops them
+def test_build_refuses_an_unresolved_panel_at_once():
+    # a NaN expansion fails the resolution test: its first panel is refused
+    # by name, with no second expansion
     st = eig.solve(pot.DeltaSum(deltas=((1.0, 0.0),)))
+    calls = []
     nan = dataclasses.replace(st, image=dataclasses.replace(
-        st.image, psi_and_slope=lambda x: (np.full(np.shape(x), np.nan),) * 2))
-    with pytest.raises(QuadratureBudgetExceeded):
+        st.image, psi_and_slope=lambda x: calls.append(np.size(x))
+        or (np.full(np.shape(x), np.nan),) * 2))
+    with pytest.raises(QuadratureBudgetExceeded,
+                       match=r"the panel at x = \S+ of half-width \S+ does not resolve psi: "
+                             r"its tail is nan of the scale"):
         mom.FilonPanels(nan)
+    assert len(calls) == 1
 
 
 def test_budget_refuses_a_first_tiling_before_building_it():
@@ -416,38 +445,34 @@ def test_budget_refuses_a_first_tiling_before_building_it():
 # --- tiling -----------------------------------------------------------------
 
 def _reference_panels(state):
-    """FilonPanels' tiling of the image's level ``state`` from the tiling and
-    bisection written out in one loop, with no panel wider than 2 pi /
-    sqrt(b0) in a constant forbidden piece psi'' = b0 psi, nor elsewhere
-    than the oscillation scale: its centers and half-widths, and which
-    panels have a Legendre coefficient above eps / 35 of the largest, the
-    panels FilonPanels keeps."""
+    """FilonPanels' tiling of the image's level ``state``, written out in one
+    pass, with no panel wider than 2 pi / sqrt(b0) in a constant forbidden
+    piece psi'' = b0 psi, nor than pi |b1|^(-1/3) in a linear piece psi'' =
+    (b0 + b1 x) psi, nor anywhere than the oscillation scale: its centers
+    and half-widths, and which panels have a Legendre coefficient above
+    eps / 35 of the largest, the panels FilonPanels keeps. Every panel must
+    resolve psi."""
     lo, hi = state.support
     edges = sorted({lo, hi, *(b for b in state.breaks if lo < b < hi)})
     c, hw = [], []
     for u, v in zip(edges[:-1], edges[1:]):
         b0, b1 = state.ode[np.searchsorted(state.breaks, 0.5 * (u + v))]
-        width = 2.0 * math.pi / math.sqrt(b0) if b1 == 0.0 and b0 > 0.0 else state.osc_scale
+        width = state.osc_scale
+        if b1 != 0.0:
+            width = min(width, math.pi * abs(b1) ** (-1.0 / 3.0))
+        elif b0 > 0.0:
+            width = 2.0 * math.pi / math.sqrt(b0)
         m = max(1, math.ceil((v - u) / width))
         h = 0.5 * (v - u) / m
         c.extend(u + (2 * i + 1) * h for i in range(m))
         hw.extend([h] * m)
     c, hw = np.array(c), np.array(hw)
-    centers, halfwidths, largest, scale = [], [], [], 0.0
-    while c.size:
-        ck, truncation = mom._panel_coefficients(state, c, hw)
-        scale = max(scale, np.max(np.abs(ck)))
-        tail = np.maximum(np.max(np.abs(ck[:, -mom._TAIL_COEFFS:]), axis=1), truncation)
-        done = tail <= mom._REL_TOL * max(scale, 1e-300)
-        centers.append(c[done])
-        halfwidths.append(hw[done])
-        largest.append(np.max(np.abs(ck[done]), axis=1))
-        c, hw = c[~done], 0.5 * hw[~done]
-        c, hw = np.concatenate([c - hw, c + hw]), np.concatenate([hw, hw])
-    centers = np.concatenate(centers)
-    order = np.argsort(centers)
-    kept = np.concatenate(largest)[order] > np.finfo(float).eps * scale / 35.0
-    return centers[order], np.concatenate(halfwidths)[order], kept
+    ck, truncation = mom._panel_coefficients(state, c, hw)
+    scale = np.max(np.abs(ck))
+    tail = np.maximum(np.max(np.abs(ck[:, -mom._TAIL_COEFFS:]), axis=1), truncation)
+    assert np.all(tail <= mom._REL_TOL * scale)
+    kept = np.max(np.abs(ck), axis=1) > np.finfo(float).eps * scale / 35.0
+    return c, hw, kept
 
 
 PANEL_COUNTS = {
@@ -457,14 +482,14 @@ PANEL_COUNTS = {
     "step_ladder-m2-hbar2": 16, "hybrid-unit": 15, "hybrid-m2-hbar2": 15,
     "bouncer-unit": 9, "bouncer-m2-hbar2": 9, "symlin_even-unit": 14,
     "symlin_even-m2-hbar2": 14, "symlin_odd-unit": 16, "symlin_odd-m2-hbar2": 16,
-    "asymlin-unit": 13, "asymlin-m2-hbar2": 13,
+    "asymlin-unit": 15, "asymlin-m2-hbar2": 15,
 }
 # panels of the tiling past the end of an Airy tail, with no coefficient
 # above eps / 35 of the scale; FilonPanels drops them
 EMPTY_PANELS = {
     "bouncer-unit": 1, "bouncer-m2-hbar2": 1, "symlin_even-unit": 2,
     "symlin_even-m2-hbar2": 2, "symlin_odd-unit": 2, "symlin_odd-m2-hbar2": 2,
-    "asymlin-unit": 1, "asymlin-m2-hbar2": 1,
+    "asymlin-unit": 2, "asymlin-m2-hbar2": 2,
 }
 
 
