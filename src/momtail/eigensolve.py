@@ -258,22 +258,22 @@ def _sin_cubic(y: float) -> float:
     return sum((-y * y) ** j / math.factorial(2 * j + 3) for j in range(8))
 
 
-def _brentq(f, a: float, b: float, fa: float | None = None, fb: float | None = None) -> float:
-    """A root of f between a and b, where f(a) and f(b) differ in sign.
+def _brentq(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f between a and b, given fa and fb, the values that stand for
+    f(a) and f(b) and differ in sign.
 
     A step-for-step port of scipy's ``brentq`` iteration (Brent 1973, ch. 4):
     an inverse quadratic or secant step where it falls well inside the
     bracket, a bisection otherwise. Its one stop, a bracket narrower than
     ``_RTOL`` |x| (x the end where |f| is least), is relative at every scale,
     so it returns the float scipy would with xtol ``_XTOL``, rtol ``_RTOL``
-    and maxiter ``_MAXITER``. It needs a root that is a normal float, and no
-    end at 0 where |f| is least: there its steps vanish. ``fa`` and ``fb``,
-    where given, are f(a) and f(b), which it then does not evaluate. An end
-    where f is 0 is returned as the root. Raises ``NoConvergence`` where f is
-    NaN, where f(a) and f(b) share a sign, or after ``_MAXITER`` iterations.
+    and maxiter ``_MAXITER`` on f with the values fa and fb at its ends. It
+    needs a root that is a normal float, and no end at 0 where |f| is least:
+    there its steps vanish. It never evaluates f at a or b; an end whose
+    value is 0 is returned as the root. Raises ``NoConvergence`` where a
+    value is NaN, where fa and fb share a sign, or after ``_MAXITER`` iterations.
     """
-    def checked(x, value=None):
-        value = f(x) if value is None else value
+    def checked(x, value):
         if math.isnan(value):
             raise NoConvergence(f"the root polish met a NaN at {x!r}")
         return value
@@ -313,7 +313,7 @@ def _brentq(f, a: float, b: float, fa: float | None = None, fb: float | None = N
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = checked(xcur)
+        fcur = checked(xcur, f(xcur))
     raise NoConvergence(f"the root polish did not converge in {_MAXITER} iterations")
 
 
@@ -333,7 +333,10 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) 
     a sign function whenever the level lives away from the last boundary,
     and Brent would bisect. The bisection goes on until the ends' s lie within
     2 ``_MAX_EXP``, where a weak level beside a strong delta leaves it decades wide,
-    and until the bracket has left a top that is 0 or where the defect is 0.
+    and until the bracket has left a top that is 0. The count, not the defect's
+    rounding, signs the ends' values: (-1)^(n-1) at lo, where a 0 is level n,
+    and (-1)^n at hi, where a 0 is level n + 1 and stands as the least float.
+    Raises ``ArithmeticError`` where the bracket lies below the least normal float.
     """
     n = spec.level_index(n, parity)
     units, pieces = spec.units, spec.image_pieces
@@ -351,17 +354,14 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) 
             sweeps[E] = count, d, rows[-1][3], rows
         return sweeps[E]
 
-    levels, at_top = sweep(top)[:2]
+    levels = sweep(top)[0]
     if levels == 0:
         raise NoBoundState("no level below the asymptote")
     if levels < n:
         raise NoSuchState(f"holds only {levels} bound states, needed {n}")
-    # the bracket must leave top where its defect is exactly 0, a zero-energy
-    # resonance that is no level, which _brentq would return as the root; and
-    # where top is 0, an end at which _brentq's steps vanish
-    leave_top = at_top == 0.0 or top == 0.0
+    # the bracket must leave a top of 0, an end at which _brentq's steps vanish
     lo, hi, below_lo, below_hi = bottom, top, 0, levels
-    while (((below_lo, below_hi) != (n - 1, n) or (leave_top and hi == top)
+    while (((below_lo, below_hi) != (n - 1, n) or hi == top == 0.0
             or abs(sweep(lo)[2] - sweep(hi)[2]) > 2.0 * _MAX_EXP)
            and lo < 0.5 * (lo + hi) < hi):
         mid = 0.5 * (lo + hi)
@@ -370,26 +370,23 @@ def solve_piecewise(spec: pot.Piecewise, n: int = 1, parity: str | None = None) 
             hi, below_hi = mid, below
         else:
             lo, below_lo = mid, below
+    if not pot._normal(max(abs(lo), abs(hi))):
+        raise ArithmeticError(f"level {n} of the image lies below the least normal float, in "
+                              f"({lo!r}, {hi!r}): the image's region potentials are {vs!r}, at "
+                              f"the unit energy {units.energy!r}")
 
     (d_lo, s_lo), (d_hi, s_hi) = sweep(lo)[1:3], sweep(hi)[1:3]
-    if d_lo * d_hi > 0.0:
-        # the count and the defect's sign disagree only within rounding of a
-        # level, or where level n shares its float with a neighbour
-        energy = lo if abs(d_lo) < abs(d_hi) else hi
-    else:
-        ref = 0.5 * (s_lo + s_hi)
+    ref = 0.5 * (s_lo + s_hi)
 
-        def rescaled(d, s):
-            """d times e^(s - ref), the exponent clamped short of overflow."""
-            return d * math.exp(min(max(s - ref, -_MAX_EXP), _MAX_EXP))
+    def rescaled(d, s):
+        """d times e^(s - ref), the exponent clamped short of overflow."""
+        return d * math.exp(min(max(s - ref, -_MAX_EXP), _MAX_EXP))
 
-        fb = rescaled(d_hi, s_hi)
-        if fb == 0.0 and below_hi == n:
-            # n levels lie below hi, so a 0 there is level n + 1 rounded onto hi (a far
-            # delta's own level, a float the bisection can hit): hi keeps the sign (-1)^n
-            fb = (-1.0) ** n * math.ulp(0.0)
-        energy = _brentq(lambda E: rescaled(*sweep(E)[1:3]), lo, hi,
-                         fa=rescaled(d_lo, s_lo), fb=fb)
+    # the defect's sign is (-1)^(levels below): n - 1 lie below lo and n below hi, where
+    # a 0 is level n + 1 rounded onto hi (a far delta's own level, which bisection can hit)
+    fa = math.copysign(rescaled(d_lo, s_lo), (-1.0) ** (n - 1))
+    fb = math.copysign(rescaled(d_hi, s_hi) or math.ulp(0.0), (-1.0) ** n)
+    energy = _brentq(lambda E: rescaled(*sweep(E)[1:3]), lo, hi, fa, fb)
     parity = _mirror_parity(pieces, n)
     return BoundState(_piecewise_state(pieces, energy, sweep(energy)[3], parity != "none"), units,
                       n, parity, tuple(float(r.location) for r in spec.ledger()))
@@ -544,14 +541,14 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
     change of the resolvent, cuts the line into two bouncers whose merged
     levels w_1 <= w_2 <= ... interlace the full-line ones, w_(k-1) <= E <=
     w_k (Reed & Simon IV, XIII.15; w_0 = 0), and E is the only root of the
-    matching determinant there. At a bracket end that is a wall, one side's
-    Ai vanishes, and its rounding, times the other side's 1/rho, could set
-    the determinant's sign there: the determinant is formed with that Ai at
-    0, so its sign is that of the wall's Ai' times the other side's Ai. The
-    determinant vanishes at a wall only when both ladders share it (within
-    ``_SHARED_WALL``), and such a wall is a level: if w_(k-1) and w_k are
-    shared, E is that wall; otherwise a bracket end shared with its outer
-    neighbour moves inward by ``_SHARED_WALL`` before ``_brentq``. The solve
+    matching determinant there. The determinant vanishes at a wall only
+    when both ladders share it (within ``_SHARED_WALL``), and such a wall is
+    a level: if w_(k-1) and w_k are shared, E is that wall; otherwise a
+    bracket end shared with its outer neighbour moves inward by
+    ``_SHARED_WALL``, off the wall. Only the two ends can be walls, and each
+    end's value is formed once for ``_brentq``: at a wall, one side's Ai
+    vanishes, and its rounding, times the other side's 1/rho, could set the
+    determinant's sign, so it is formed with that Ai at 0. The solve
     reads only w_(k-2) .. w_(k+1), from ``specfun.merged_zero_window``, which
     polishes at most eight zeta: the four walls of each ladder that can hold
     them, placed by their asymptotic starts. A kink leaves psi' continuous, so
@@ -568,13 +565,11 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
         level = pot.airy_level(k, wall)
         energy, u_r, u_l = level, -level, -level
     else:
-        walls = set()
-
-        def defect(E):
+        def defect(E, wall=False):
             """Matching determinant at z = 0, from one Airy call per side; at a
-            wall end, with the Ai of the side nearer its zero, relative to |u|, at 0."""
+            ``wall`` end, with the Ai of the side nearer its zero, relative to |u|, at 0."""
             (ai_r, aip_r), (ai_l, aip_l) = specfun.airy(-E), specfun.airy(-E / e0_l)
-            if E in walls:
+            if wall:
                 if abs(ai_r * aip_l) * max(1.0, E / e0_l) < abs(ai_l * aip_r) * max(1.0, E):
                     ai_r = 0.0
                 else:
@@ -591,13 +586,12 @@ def solve_linear(spec: pot.Linear, n: int = 1, parity: str | None = None) -> Bou
         if k > 1 and shared(lo, hi):
             energy = hi
         else:
-            walls.update(end for end in (lo, hi) if end > 0.0)
+            lo_wall, hi_wall = lo > 0.0, True
             if k > 2 and shared(lowest, lo):
-                lo *= 1.0 + _SHARED_WALL
+                lo, lo_wall = lo * (1.0 + _SHARED_WALL), False
             if shared(hi, above):
-                hi *= 1.0 - _SHARED_WALL
-            walls.intersection_update((lo, hi))
-            energy = _brentq(defect, lo, hi)
+                hi, hi_wall = hi * (1.0 - _SHARED_WALL), False
+            energy = _brentq(defect, lo, hi, defect(lo, lo_wall), defect(hi, hi_wall))
         u_r, u_l = -energy, -energy / e0_l
 
     air, apr = specfun.airy(u_r)

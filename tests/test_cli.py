@@ -343,12 +343,13 @@ CORNERS = {
     "delta_support_of_no_width": ({"kind": "delta_sum",
                                    "deltas": [[91807072675.58, 8.842752429756352]],
                                    "hbar": 2.834980478188222e-69}, (0, 0, 0, 0), None),
-    # its image's level, ~-6e-323, is subnormal: the polish cannot place it
+    # its image's level, ~-6e-323, is subnormal: no polish can place it, and
+    # the refusal names its bracket
     "well_decay_rate_subnormal": ({"kind": "finite_well", "depth": 0.0037255896952591407,
                                    "a": 8.336484381689615, "b": 11.260204310160416,
                                    "mass": 1.2664391494423287e-54,
                                    "hbar": 7.271337262988827e+52}, (2, 2, 2, 2),
-                                  "solve error: the root polish did not converge"),
+                                  "solve error: level 1 of the image lies below the least normal"),
     "well_phase_overflows": ({"kind": "finite_well", "depth": 1.9970470594996236e+16,
                               "a": -8.8186205376442, "b": 9979892.695408143,
                               "mass": 4.2853158678256596e+59, "hbar": 3.727383137147171e-131},

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from unittest import mock
 
 import mpmath
@@ -760,12 +761,13 @@ POLISHED = [
     "delta_chain", "wide_delta_chain", "finite_well", "step_ladder", "hybrid", "asym_1", "asym_30", "asym_near_equal"])
 def test_brentq_port_matches_scipy_bit_for_bit(monkeypatch, spec, n):
     # every polish of the solve, on its own defect and bracket, against scipy
+    # on the same function: the solver's end values at the ends, f inside
     polish, pairs = eig._brentq, []
 
-    def both(f, a, b, **ends):
-        ours = polish(f, a, b, **ends)
-        pairs.append((ours, brentq(f, a, b, xtol=eig._XTOL, rtol=eig._RTOL,
-                                   maxiter=eig._MAXITER)))
+    def both(f, a, b, fa, fb):
+        ours = polish(f, a, b, fa, fb)
+        pairs.append((ours, brentq(lambda x: fa if x == a else fb if x == b else f(x), a, b,
+                                   xtol=eig._XTOL, rtol=eig._RTOL, maxiter=eig._MAXITER)))
         return ours
 
     monkeypatch.setattr(eig, "_brentq", both)
@@ -777,7 +779,7 @@ def test_brentq_port_matches_scipy_bit_for_bit(monkeypatch, spec, n):
 
 def test_brentq_port_returns_a_root_at_either_end():
     for a, b in [(0.3, 2.0), (-1.0, 0.3)]:
-        assert eig._brentq(lambda x: x - 0.3, a, b) == 0.3
+        assert eig._brentq(lambda x: x - 0.3, a, b, a - 0.3, b - 0.3) == 0.3
         assert brentq(lambda x: x - 0.3, a, b, xtol=eig._XTOL, rtol=eig._RTOL) == 0.3
 
 
@@ -786,34 +788,33 @@ def test_brentq_port_raises_typed_errors(monkeypatch):
         return x - 0.3 if x in (0.0, 1.0) else math.nan
 
     with pytest.raises(NoConvergence, match="NaN"):
-        eig._brentq(nan_inside, 0.0, 1.0)
+        eig._brentq(nan_inside, 0.0, 1.0, -0.3, 0.7)
     with pytest.raises(NoConvergence, match="NaN"):
-        eig._brentq(lambda x: math.nan, 0.0, 1.0)
+        eig._brentq(lambda x: math.nan, 0.0, 1.0, math.nan, math.nan)
     with pytest.raises(NoConvergence, match="sign"):
-        eig._brentq(lambda x: x + 1.0, 0.0, 1.0)
-    for ends in ({"fa": math.nan}, {"fb": math.nan}):
+        eig._brentq(lambda x: x + 1.0, 0.0, 1.0, 1.0, 2.0)
+    for fa, fb in ((math.nan, 0.7), (-0.3, math.nan)):
         with pytest.raises(NoConvergence, match="NaN"):
-            eig._brentq(lambda x: x - 0.3, 0.0, 1.0, **ends)
+            eig._brentq(lambda x: x - 0.3, 0.0, 1.0, fa, fb)
     monkeypatch.setattr(eig, "_MAXITER", 3)
     with pytest.raises(NoConvergence, match="3 iterations"):
-        eig._brentq(lambda x: math.exp(x) - 2.0, 0.0, 1.0)
+        eig._brentq(lambda x: math.exp(x) - 2.0, 0.0, 1.0, -1.0, math.e - 2.0)
 
 
-def test_brentq_port_takes_the_end_values_it_is_given():
-    # the given f(a), f(b) replace its own two evaluations, with the same root
+def test_brentq_port_never_evaluates_its_ends():
+    # the given fa, fb stand for f(a), f(b): f is evaluated only inside the
+    # bracket, and the root is scipy's, which evaluates the ends itself
     seen = []
 
     def f(x):
         seen.append(x)
         return math.exp(x) - 2.0
 
-    plain = eig._brentq(f, 0.0, 1.0)
-    evaluated = list(seen)
     fa, fb = f(0.0), f(1.0)
     seen.clear()
-    given = eig._brentq(f, 0.0, 1.0, fa=fa, fb=fb)
-    assert given == plain
-    assert evaluated[:2] == [0.0, 1.0] and seen == evaluated[2:]
+    root = eig._brentq(f, 0.0, 1.0, fa, fb)
+    assert seen and 0.0 not in seen and 1.0 not in seen
+    assert root == brentq(f, 0.0, 1.0, xtol=eig._XTOL, rtol=eig._RTOL, maxiter=eig._MAXITER)
 
 
 def test_piecewise_polish_sweeps_neither_bracket_end(monkeypatch):
@@ -993,6 +994,41 @@ def test_far_chain_polish_is_not_bisection():
     st, evaluations = polished(spec, 1)
     assert evaluations <= 16
     assert bs_eigenvalues_mp(spec, st.energy)[0] == pytest.approx(1.0, abs=1e-14)
+
+
+# three equal deltas ~33 apart: levels 1 to 3 lie within 2e-18 of each other,
+# and the rounding of the defect at a bracket end can disagree with the count
+NEAR_DEGENERATE = pot.DeltaSum(deltas=(
+    (1.6454924341550203, 0.0), (0.888550600487956, 12.679522853084265),
+    (1.6454924341550203, 32.96107622136299), (1.4930251315536829, 54.35848126275239),
+    (1.6454924341550203, 68.22932571153001)))
+
+
+def test_near_degenerate_chain_levels():
+    # each level within 1e-15 of its 50-digit Birman-Schwinger root: the n-th
+    # eigenvalue crosses 1 between E (1 + 1e-15) and E (1 - 1e-15)
+    energies = [eig.solve(NEAR_DEGENERATE, n).energy for n in range(1, 6)]
+    assert energies == sorted(energies)
+    with mpmath.workdps(50):
+        for n, energy in enumerate(energies, 1):
+            deep, shallow = (bs_eigenvalues_mp(NEAR_DEGENERATE,
+                                               energy * (1 + s * mpmath.mpf("1e-15")))
+                             for s in (1, -1))
+            assert deep[n - 1] <= 1 <= shallow[n - 1]
+    with pytest.raises(NoSuchState):
+        eig.solve(NEAR_DEGENERATE, 6)
+
+
+def test_level_below_the_least_normal_float_is_named():
+    # the image's depth is 1.4e-216, so its level, ~-1e-432, is no float: the
+    # isolated bracket is (-5e-324, 0.0), on which no polish converges
+    spec = pot.FiniteWell(4.3939775330818634e-17, 4.971281682713993, 4.971281709053655,
+                          mass=3.2965808204632243e-112, hbar=3.7379930384603884e+36)
+    with pytest.raises(ArithmeticError, match=re.escape(
+            f"level 1 of the image lies below the least normal float, in (-5e-324, 0.0): the "
+            f"image's region potentials are {spec.image_pieces[1]!r}, at the unit energy "
+            f"{spec.units.energy!r}")):
+        eig.solve(spec, 1)
 
 
 POTENTIAL = hst.floats(-5.0, 5.0).filter(lambda v: abs(v) >= 0.1)
