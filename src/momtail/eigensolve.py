@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from operator import index, mul
 from typing import Callable
 
@@ -80,7 +80,8 @@ def _table(value: float, left: tuple, right: tuple) -> SideDerivatives:
 
 @dataclass
 class Level:
-    """A level of a spec's image, where m = 1/2 and hbar = 1 (``potentials.Units``)."""
+    """A level of a spec's image, where m = 1/2 and hbar = 1 (``potentials.Units``).
+    A linear kind's level and the oracle's have no ``regions``."""
     energy: float
     # (psi, psi') at an array of points, from one evaluation
     psi_and_slope: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -95,6 +96,8 @@ class Level:
     # (psi(a), psi'(a-), psi'(a+)) at each break a
     matching: tuple[tuple[float, float, float], ...] = ()
     osc_scale: float = math.inf     # shortest oscillation wavelength of psi
+    # psi in closed form where V is constant between the breaks (``_closed_form``)
+    regions: tuple[tuple[float, float, float, float, float], ...] = ()
     # psi^(0.._TABLE_ORDER), while floats, on each side of each break, from matching and ode
     derivative_table: dict[float, SideDerivatives] = field(init=False, repr=False)
 
@@ -117,10 +120,10 @@ class Level:
 class BoundState:
     """Level n of a spec in the spec's units: the level ``image`` of its image,
     carried back by ``units``. ``breaks`` are the spec's own locations of the
-    image's breaks. ``energy``, ``support`` (an end at a break at the break's
-    own location), ``osc_scale``, ``derivative_table`` (keyed by ``breaks``,
-    each order up to the last that is a float on both sides), ``psi_and_slope``
-    and ``psi`` are the image's in the user's units. Raises ``ArithmeticError``
+    image's breaks. ``energy``, ``support`` (origin + length x at each end x),
+    ``osc_scale``, ``derivative_table`` (keyed by ``breaks``, each order up to
+    the last that is a float on both sides), ``psi_and_slope`` and ``psi`` are
+    the image's in the user's units. Raises ``ArithmeticError``
     where the energy is not a normal float: past the range, or below it,
     where its digits are lost."""
     image: Level
@@ -139,10 +142,7 @@ class BoundState:
             raise ArithmeticError(
                 f"the level's energy {self.energy!r} is not a normal float: the image's "
                 f"{image.energy!r} in units of hbar^2/2mL^2 = {units.energy!r}")
-        # an end at a break (the box's walls) is the spec's own location of it
-        self.support = tuple(dict(zip(image.breaks, self.breaks)).get(x, units.origin
-                                                                      + units.length * x)
-                             for x in image.support)
+        self.support = tuple(units.origin + units.length * x for x in image.support)
         self.osc_scale = units.length * image.osc_scale
 
     @cached_property
@@ -412,11 +412,11 @@ def _piecewise_state(pieces, energy: float, left, mirror: bool) -> Level:
     psi is built from both ends: the solutions that decay at -infinity and at
     +infinity are joined at the boundary where their product, which near a
     level is proportional to psi^2 (the diagonal of the Green's function), is
-    largest, so the rounding of the energy leaves the smallest kink. In a
-    region with E < V, psi = D e^(-r(x - a)) + U e^(r(x - b)), so neither term
-    exceeds the region's scale; with E >= V, psi = A cos(k(x - a)) +
-    B sin(k(x - a))/k. Each region is normalised in closed form, and psi > 0
-    as x -> -infinity. Mirror-symmetric pieces sweep alike from both ends.
+    largest, so the rounding of the energy leaves the smallest kink. Each
+    region becomes one of the level's ``regions`` (``_closed_form``), its
+    coefficients from psi and psi' at both ends where E < V, from psi(a) and
+    psi'(a+) where E >= V; it is normalised in closed form, and psi > 0 as
+    x -> -infinity. Mirror-symmetric pieces sweep alike from both ends.
     """
     xs, vs, cusps = pieces
     flipped = ([-x for x in xs[::-1]], vs[::-1], cusps[::-1])
@@ -449,8 +449,6 @@ def _piecewise_state(pieces, energy: float, left, mirror: bool) -> Level:
         raise ArithmeticError(f"the image's level {energy!r} lies within its polish's rounding "
                               f"of the V' = {lost[0]!r} of a region: V' - E' there has no digit")
     kap_l, kap_r = math.sqrt(betas[0]), math.sqrt(betas[-1])
-    # (a, b, beta, first, second): psi = first e^(-r(x - a)) + second e^(r(x - b))
-    # where beta = r^2 > 0, else first cos(k(x - a)) + second sin(k(x - a))/k
     regions = [(-math.inf, xs[0], betas[0], 0.0, P[0])]
     norm2 = P[0] ** 2 / (2.0 * kap_l) + P[-1] ** 2 / (2.0 * kap_r)
     for i in range(1, len(xs)):
@@ -471,56 +469,57 @@ def _piecewise_state(pieces, energy: float, left, mirror: bool) -> Level:
             regions.append((a, b, beta, A, B))
     regions.append((xs[-1], math.inf, betas[-1], P[-1], 0.0))
     scale = math.copysign(1.0 / math.sqrt(norm2), left[j][0])   # psi > 0 as x -> -inf
-    regions = [(a, b, beta, scale * c1, scale * c2) for a, b, beta, c1, c2 in regions]
-    edges = np.array(xs)
-
-    def piece(i, x):
-        """(psi, psi') on region i, stacked."""
-        a, b, beta, c1, c2 = regions[i]
-        s = x - a
-        if beta > 0.0:
-            r = math.sqrt(beta)
-            down, up = c1 * np.exp(-r * s), c2 * np.exp(r * (x - b))
-            return np.array([down + up, r * (up - down)])
-        k = math.sqrt(-beta)
-        return np.array([c1 * np.cos(k * s) + c2 * s * np.sinc(k * s / math.pi),
-                         c2 * np.cos(k * s) - c1 * k * np.sin(k * s)])
-
-    def psi_and_slope(x):
-        x = np.asarray(x, dtype=float)
-        region = np.searchsorted(edges, x)
-        out = np.empty((2,) + x.shape)
-        for i in np.unique(region):
-            sel = region == i
-            out[:, sel] = piece(i, x[sel])
-        return tuple(out)
-
+    regions = tuple((a, b, beta, scale * c1, scale * c2) for a, b, beta, c1, c2 in regions)
     osc = [2.0 * math.pi / math.sqrt(-b) for b in betas[1:-1] if b < 0]
-    return Level(energy, psi_and_slope,
+    return Level(energy, partial(_closed_form, regions),
                  support=(xs[0] - _DECAY_CUT / kap_l, xs[-1] + _DECAY_CUT / kap_r),
                  breaks=tuple(float(x) for x in xs), ode=tuple((b, 0.0) for b in betas),
                  matching=tuple(tuple(scale * v for v in row) for row in rows),
-                 osc_scale=min(osc) if osc else math.inf)
+                 osc_scale=min(osc) if osc else math.inf, regions=regions)
+
+
+def _closed_form(regions, x) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, psi') at an array of points from a ``Level``'s ``regions``.
+
+    Each region (a, b, beta, c1, c2) holds psi'' = beta psi on (a, b), with a
+    the b of the region before it. Where beta = r^2 > 0, psi = c1 e^(-r(x -
+    a)) + c2 e^(r(x - b)), so neither term exceeds the region's scale; else,
+    with beta = -k^2, psi = c1 cos k(x - a) + c2 sin k(x - a)/k. A point at a
+    boundary takes the region to its left; outside the regions psi and psi' are 0.
+    """
+    x = np.asarray(x, dtype=float)
+    edges = np.array([regions[0][0], *(r[1] for r in regions)])
+    region = np.searchsorted(edges, x) - 1
+    out = np.zeros((2,) + x.shape)
+    for i in np.unique(region):
+        if not 0 <= i < len(regions):
+            continue
+        a, b, beta, c1, c2 = regions[i]
+        sel = region == i
+        s = x[sel] - a
+        if beta > 0.0:
+            r = math.sqrt(beta)
+            down, up = c1 * np.exp(-r * s), c2 * np.exp(r * (x[sel] - b))
+            out[:, sel] = down + up, r * (up - down)
+        else:
+            k = math.sqrt(-beta)
+            out[:, sel] = (c1 * np.cos(k * s) + c2 * s * np.sinc(k * s / math.pi),
+                           c2 * np.cos(k * s) - c1 * k * np.sin(k * s))
+    return tuple(out)
 
 
 def solve_infinite_well(spec: pot.InfiniteWell, n: int, parity: str | None = None) -> BoundState:
-    """Particle in a box on (0, L), n = 1, 2, ...: in the image, the box on (0, 1)."""
+    """Particle in a box on (0, L), n = 1, 2, ...: in the image, the box on (0,
+    1), whose one region holds psi = sqrt(2) sin(k x), k = n pi."""
     n = spec.level_index(n, parity)
     k = n * math.pi
     amp = math.sqrt(2.0)
-
-    def psi_and_slope(x):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= 0.0) & (x <= 1.0)
-        kx = k * np.clip(x, 0.0, 1.0)
-        return (np.where(inside, amp * np.sin(kx), 0.0),
-                np.where(inside, amp * k * np.cos(kx), 0.0))
-
+    regions = ((0.0, 1.0, -k * k, 0.0, amp * k),)
     parity = "even" if n % 2 == 1 else "odd"   # about the well center
-    level = Level(k ** 2, psi_and_slope, support=(0.0, 1.0), breaks=(0.0, 1.0),
+    level = Level(k ** 2, partial(_closed_form, regions), support=(0.0, 1.0), breaks=(0.0, 1.0),
                   ode=((0.0, 0.0), (-k * k, 0.0), (0.0, 0.0)),
                   matching=((0.0, 0.0, amp * k), (0.0, amp * k * (-1.0) ** n, 0.0)),
-                  osc_scale=2.0 / n)
+                  osc_scale=2.0 / n, regions=regions)
     return BoundState(level, spec.units, n, parity, (0.0, spec.length))
 
 

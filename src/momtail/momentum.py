@@ -17,14 +17,15 @@ one set of sums over its panels. The absolute error stays near machine
 precision even at p ~ 10^3, where phi itself is ~1e-10. The same expansion
 gives the integral of psi^2 (``FilonPanels.norm``), so psi is expanded once.
 
-``phi_closed`` gives phi in closed form, region by region, for every state
-whose V is constant between its breaks: the delta sums, finite wells, step
-ladders, the delta+step hybrid and the box (``phi_closed_delta`` and
-``phi_closed_well`` call it). In the paper's terms it is the jump ledger of
-the large-p series summed to all orders. It is a cross-check, not a route:
-``phi_quadrature`` stays Filon for every kind, and ``verify`` does not read
-it, because its large-p series is the derivative table's own, so scoring
-the prediction against it would be circular. ``moment`` integrates
+``phi_closed`` gives phi in closed form, region by region of the level's
+``regions``, for every state whose V is constant between its breaks: the
+delta sums, finite wells, step ladders, the delta+step hybrid and the box
+(``phi_closed_delta`` and ``phi_closed_well`` call it). In the paper's
+terms it is the jump ledger of the large-p series summed to all orders. It
+is a cross-check, not a route: ``phi_quadrature`` stays Filon for every
+kind, and ``verify`` does not read it, because its large-p series is the
+derivative table's own, so scoring the prediction against it would be
+circular. ``moment`` integrates
 p^k |phi|^2 with an analytic large-p remainder taken from a tail prediction.
 """
 
@@ -407,41 +408,35 @@ def _sinc_integral(v: np.ndarray, w: float) -> np.ndarray:
 def phi_closed(state: BoundState, grid) -> MomentumSamples:
     """Closed-form phi of a state whose V is constant between its breaks.
 
-    Sums the integral of psi e^{-iqx}, q = p', region by region of the
-    image's ``ode``, from its ``breaks`` and ``matching`` rows alone, and
-    carries it to phi as ``FilonPanels.transform`` does. An outer region
-    gives psi(a) e^{-iqa} / (kappa -+ iq), or nothing where V is not above E
-    (psi = 0, the box's outside). An interior one with E < V, psi = D
-    e^{-r(x - a)} + U e^{r(x - b)}, has only r +- iq denominators; one with
-    E > V, psi = A cos k(x - a) + B sin k(x - a)/k, is summed through
-    ``_sinc_integral`` at q -+ k, so no removable pole appears. A linear
-    kind's state, a state without ODE data and an E equal to an interior V
-    (where the B term would need its k -> 0 limit) raise ValueError.
+    Sums the integral of psi e^{-iqx}, q = p', over the image's ``regions``
+    (``eigensolve.Level``), and carries it to phi as
+    ``FilonPanels.transform`` does. A region with E < V, psi = c1 e^{-r(x -
+    a)} + c2 e^{r(x - b)}, has only r +- iq denominators, and an outer one,
+    where one coefficient is 0, leaves no factor 1 - e^{-(r +- iq)w}; one
+    with E > V, psi = c1 cos k(x - a) + c2 sin k(x - a)/k, is summed through
+    ``_sinc_integral`` at q -+ k, so no removable pole appears. A state
+    without regions (a linear kind's, the oracle's) and an E equal to a
+    region's V (where the c2 term would need its k -> 0 limit) raise ValueError.
     """
-    units, (breaks, ode, rows) = state.units, (state.image.breaks, state.image.ode,
-                                               state.image.matching)
-    if len(ode) != len(breaks) + 1 or any(b1 != 0.0 for _, b1 in ode):
+    units, regions = state.units, state.image.regions
+    if not regions:
         raise ValueError("the state's V is not constant between its breaks")
     p = np.asarray(grid, dtype=float)
     q = p / units.momentum
     total = np.zeros(p.shape, dtype=complex)
-    for (b0, _), (value, _, _), a, sign in ((ode[0], rows[0], breaks[0], -1.0),
-                                            (ode[-1], rows[-1], breaks[-1], 1.0)):
-        if b0 > 0.0:
-            total += value * np.exp(-1j * q * a) / (math.sqrt(b0) + sign * 1j * q)
-    for (b0, _), a, b, (psi_a, _, slope_a), (psi_b, slope_b, _) in zip(
-            ode[1:-1], breaks, breaks[1:], rows, rows[1:]):
+    for a, b, beta, c1, c2 in regions:
         w = b - a
-        if b0 > 0.0:
-            r = math.sqrt(b0)
-            down, up = 0.5 * (psi_a - slope_a / r), 0.5 * (psi_b + slope_b / r)
-            total += (down * np.exp(-1j * q * a) * (1.0 - np.exp(-(r + 1j * q) * w)) / (r + 1j * q)
-                      + up * np.exp(-1j * q * b) * (1.0 - np.exp(-(r - 1j * q) * w)) / (r - 1j * q))
-        elif b0 < 0.0:
-            k = math.sqrt(-b0)
+        if beta > 0.0:
+            r = math.sqrt(beta)
+            for c, end, v in ((c1, a, r + 1j * q), (c2, b, r - 1j * q)):
+                if c:
+                    decay = 1.0 if w == math.inf else 1.0 - np.exp(-v * w)
+                    total += c * np.exp(-1j * q * end) * decay / v
+        elif beta < 0.0:
+            k = math.sqrt(-beta)
             lower, upper = _sinc_integral(q - k, w), _sinc_integral(q + k, w)
-            total += np.exp(-1j * q * a) * (psi_a * 0.5 * (lower + upper)
-                                            + slope_a * (lower - upper) / (2j * k))
+            total += np.exp(-1j * q * a) * (c1 * 0.5 * (lower + upper)
+                                            + c2 * (lower - upper) / (2j * k))
         else:
             raise ValueError(f"E equals V on the region ({a!r}, {b!r})")
     total *= np.exp(-1j * q * (units.origin / units.length)) * math.sqrt(1.0 / units.momentum)

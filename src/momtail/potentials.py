@@ -348,6 +348,8 @@ class StepSum(Piecewise):
     kind = "step_sum"
 
     def _check(self) -> None:
+        if not self.steps:
+            raise ValueError("need at least one step")
         object.__setattr__(self, "steps", tuple((float(a), float(h)) for a, h in self.steps))
         locs = [a for a, _ in self.steps]
         if sorted(locs) != locs or len(set(locs)) != len(locs):
@@ -419,11 +421,12 @@ class Linear(_Kind):
 
     @cached_property
     def force_ratio(self) -> float:
-        """Fbar / F, the image's left-hand force; WALL for a wall. Raises
-        ``ArithmeticError`` where it is not a positive normal float."""
+        """Fbar / F, the image's left-hand force; WALL where Fbar is WALL, not where
+        the quotient overflows. Raises ``ArithmeticError`` where it is not a
+        positive normal float."""
         force, force_bar = self.forces
         ratio = force_bar if force_bar == WALL else force_bar / force
-        if not (ratio == WALL or _normal(ratio)):
+        if not (force_bar == WALL or _normal(ratio)):
             raise ArithmeticError(f"the image's force ratio Fbar/F = {ratio!r} is not a positive "
                                   f"normal float, at F = {force!r}, Fbar = {force_bar!r}")
         return ratio

@@ -374,6 +374,36 @@ CORNERS = {
                                                 "mass": 6.398718530779836e-137,
                                                 "hbar": 6.661384639285105e+50}, (0, 0, 0, 1),
                                                None, {"n": 2, "parity": "odd"}),
+    # an empty ladder passed its checks, and natural() read its first record
+    "empty_ladder": ({"kind": "step_sum", "steps": []}, (2, 2, 2, 2),
+                     "config error: need at least one step"),
+    # Fbar/F = 1e400 overflows to inf, which solved as a wall: a bouncer's
+    # level, and a p^-2 tail where a kink gives p^-4
+    "force_ratio_overflows": ({"kind": "asymmetric_linear", "force_right": 1e-200,
+                               "force_left": 1e200}, (2, 2, 2, 2),
+                              "solve error: the image's force ratio Fbar/F = inf"),
+    # the second step lies at x' = 1e300 / 1e-150, past the floats
+    "step_image_past_the_floats": ({"kind": "step_sum", "steps": [[0, -1e300], [1e300, 1e300]]},
+                                   (2, 2, 2, 2), "solve error: the image of the order-0 jump"),
+    # census configs: the box's level 88.8 E0 overflows in the user's units,
+    # and the ladder's right-hand V' - E' rounds to 0
+    "box_energy_overflows": ({"kind": "infinite_well", "length": 7.639126308652009e-49,
+                              "hbar": 2.846433555588882e+105}, (2, 2, 2, 2),
+                             "solve error: the level's energy inf is not a normal float",
+                             {"n": 3}),
+    "ladder_decay_rate_subnormal": ({"kind": "step_sum",
+                                     "steps": [[-1.7522262551807124, -1.9097129264003736e+19],
+                                               [-1.7522262538098703, -555604722219696.4],
+                                               [-1.7491894873794573, 3544.6055962175396]],
+                                     "hbar": 1.2712689109633575e-131}, (2, 2, 2, 2),
+                                    "solve error: the image's level -2.000058187250506 decays "
+                                    "at a subnormal V' - E'"),
+    # the ladder's floor, -2e308, is no float in the user's units, though its
+    # image's is -2.67: verify finds no tail window
+    "ladder_floor_past_the_floats": ({"kind": "step_sum", "mass": 5e-109, "hbar": 1e100,
+                                      "steps": [[0, -1e308], [1, -1e308], [2, 1e308],
+                                                [3, 1.5e308]]}, (0, 0, 0, 2),
+                                     "solve error: the momentum scale sqrt(2m|E - V_floor|)"),
     # hw ** 3 of its panels overflowed in the user's units, with a numpy warning
     "well_panels_overflowed": ({"kind": "finite_well", "depth": 383854132125529.25,
                                 "a": -7.68425025177822, "b": -6.267606834127363,

@@ -325,6 +325,17 @@ def test_advance_tends_to_the_line_as_r_w_vanishes(beta):
     assert zeros == 1
 
 
+@pytest.mark.parametrize("P,Q,beta,w,report", [
+    (1.0, -math.inf, 1.0, math.inf, "growing and decaying parts"),
+    (math.nan, 1.0, -1.0, 1.0, "phase is NaN"),
+], ids=["parts", "phase"])
+def test_advance_refuses_parts_that_are_no_float(P, Q, beta, w, report):
+    # no spec is known to reach these: the sweep divides (psi, psi') by their
+    # larger size at each boundary, and every region's image is finite
+    with pytest.raises(ArithmeticError, match=report):
+        eig._advance(P, Q, beta, w)
+
+
 def test_bouncer_energies_airy_zeros():
     spec = pot.Bouncer(force=0.5)
     for n in (1, 2, 3):

@@ -164,11 +164,11 @@ def test_closed_form_refuses_linear_kinds(spec, parity):
 
 
 def test_closed_form_refuses_an_energy_equal_to_an_interior_v():
-    # the well's inside with V - E = 0: its B term would need the k -> 0 limit
+    # the well's inside with V - E = 0: its c2 term would need the k -> 0 limit
     st = eig.solve(pot.FiniteWell(depth=10.0, a=-1.0, b=1.0), 1)
-    ode = st.image.ode
-    flat = dataclasses.replace(st, image=dataclasses.replace(st.image,
-                                                             ode=(ode[0], (0.0, 0.0), ode[2])))
+    outer, (a, b, _, c1, c2), last = st.image.regions
+    flat = dataclasses.replace(st, image=dataclasses.replace(
+        st.image, regions=(outer, (a, b, 0.0, c1, c2), last)))
     with pytest.raises(ValueError, match="E equals V"):
         mom.phi_closed(flat, GRID)
 

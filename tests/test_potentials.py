@@ -187,6 +187,17 @@ def test_validation_errors():
         pot.HybridDeltaStep(g=1.0, step_height=1.0, a=-1.0)
     with pytest.raises(ValueError, match="strictly increasing"):
         pot.StepSum(steps=((1.0, -1.0), (1.0, 2.0)))
+    # natural() read the first record of an empty ledger
+    with pytest.raises(ValueError, match="need at least one step"):
+        pot.StepSum(steps=())
+
+
+@pytest.mark.parametrize("forces", [(1e-200, 1e200), (1e200, 1e-200), (1.0, 5e-324)],
+                         ids=["overflows", "underflows", "subnormal"])
+def test_force_ratio_that_is_no_normal_float_is_refused(forces):
+    # an overflowing Fbar/F is inf, which read as WALL: the spec solved as a bouncer
+    with pytest.raises(ArithmeticError, match="force ratio"):
+        pot.AsymmetricLinear(*forces).force_ratio
 
 
 @pytest.mark.parametrize("kind,params", [
