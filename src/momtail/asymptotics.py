@@ -8,39 +8,49 @@ and phi(p) = (1/sqrt(2 pi hbar)) * sum_n T_n(p), summed over all locations.
 Order-1 terms vanish identically because psi is continuous.
 
 The terms are formed in the state's image (``potentials.Units``), where
-hbar = 1, and carried to the user's units at the spec's own location a: the
-coefficient times (hbar/L)^(n - 1/2) and the jump times L^-(n - 1/2). Two
-independent routes give the lowest nonvanishing jump at each location. One
-reads the image's derivative table, which the solver derives from its (psi,
-psi'(a-), psi'(a+)) at each break and its ODE psi'' = (V - E) psi on each
-piece (``eigensolve``). The other applies the jump condition psi^(k+2)(a+)
-- psi^(k+2)(a-) = [V^(k)(a+) - V^(k)(a-)] psi(a) to the image of the spec's
+hbar = 1, as one row per location: the image's jumps of orders n = 1, 2, ...
+at that location and their coefficients (-i)^n jump' / sqrt(2 pi), formed
+once. ``TailPrediction`` holds these rows as a (locations x orders) table,
+and carries a term to the user's units only where a caller reads
+``terms``: the coefficient times (hbar/L)^(n - 1/2) and the jump times
+L^-(n - 1/2), at the spec's own location a. Two independent routes give
+the lowest nonvanishing jump at each location. One reads the image's
+derivative table, which the solver derives from its (psi, psi'(a-),
+psi'(a+)) at each break and its ODE psi'' = (V - E) psi on each piece
+(``eigensolve``). The other applies the jump condition psi^(k+2)(a+) -
+psi^(k+2)(a-) = [V^(k)(a+) - V^(k)(a-)] psi(a) to the image of the spec's
 ledger record, with the (k+1)-enhanced psi'(a) variant when psi(a) = 0.
 ``predict_tail`` cross-checks the two and refuses to emit a prediction when
-they disagree. The lowest nonvanishing jump fixes the tail, so
-``expansion_terms`` keeps each order whose terms are floats in the user's
-units, and ``predict_tail`` refuses only where the tail lies past them. A
-constant-V spec's pieces are read off the same ledger, but the table is
-not: the solver builds it from ``matching`` and ``ode``, so the check still
-catches a region's V or a cusp put at the wrong break, and it guards the
-ODE from which ``momentum.FilonPanels`` expands psi.
+they disagree. The lowest nonvanishing jump fixes the tail, so the rows keep
+each order whose jumps and coefficients are floats in the user's units,
+tested in the same pass that forms them, and ``predict_tail`` refuses only
+where the tail lies past them. A constant-V spec's pieces are read off the
+same ledger, but the table is not: the solver builds it from ``matching``
+and ``ode``, so the check still catches a region's V or a cusp put at the
+wrong break, and it guards the ODE from which ``momentum.FilonPanels``
+expands psi.
 
-``TailPrediction.series`` and ``leading_envelope`` sum the image's terms at
-p' = pL/hbar by location and by order: the phase e^{-ip'a/L} is formed once
-per location and the real power (1/p')^n once per order, and the sum of
-phase x power x coefficient runs elementwise over p x locations x orders.
+``TailPrediction.series`` and ``leading_envelope`` sum the table at p' =
+pL/hbar: the phase e^{-ip'a/L} is formed once per location and the real
+power (1/p')^n once per order with a nonzero coefficient. ``series`` sums
+each order's coefficients over the locations with their phases, one matrix
+product, then the orders with their powers; ``leading_envelope`` sums the
+leading column's phase x power x coefficient over the locations where it is
+nonzero.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .eigensolve import BoundState
+from .eigensolve import BoundState, SideDerivatives
 from .errors import InconsistentJumps, UnsupportedCase
 from .potentials import DiscontinuityRecord, Units, check_units
 
@@ -60,77 +70,116 @@ class TailTerm(NamedTuple):
 
 @dataclass
 class TailPrediction:
-    """All expansion terms up to the expansion's depth, plus the leading-order
-    envelope, and the ``units`` their sums are carried back by."""
-    terms: list[TailTerm]
-    leading_exponent: int
+    """The expansion as a table of the image's terms, one row per location:
+    ``images[i, n - 1]``, (-i)^n jump' / sqrt(2 pi) at ``locations[i]``, and
+    ``jumps[i][n - 1]``, its jump' of psi^(n-1), for the orders n = 1 ..
+    ``depth``; ``orders``, those with a nonzero image, the least of which
+    leads; and the ``units`` that carry them to the user's. ``terms``, the
+    user-unit ``TailTerm``s, location by location and order by order, are
+    formed on first read."""
+    locations: tuple[float, ...]
+    jumps: list[list[float]]
+    images: np.ndarray
+    orders: list[int]
     units: Units
+
+    @property
+    def depth(self) -> int:
+        return self.images.shape[1]
+
+    @property
+    def leading_exponent(self) -> int:
+        return self.orders[0]
+
+    @cached_property
+    def terms(self) -> list[TailTerm]:
+        return _user_terms(self.locations, self.jumps, self.units)
 
     def leading_terms(self) -> list[TailTerm]:
         return [t for t in self.terms if t.order == self.leading_exponent and t.image]
 
     def series(self, p, max_order: int | None = None):
-        """Sum of all (or all up-to-max_order) term contributions at p."""
-        top = math.inf if max_order is None else max_order
-        return _sum_terms([t for t in self.terms if t.image and t.order <= top], p, self.units)
+        """Sum of all (or all up-to-max_order) term contributions at p: at
+        each p, the powers of the orders times the phases' sums over the
+        locations of each order's coefficients (phase @ coefficients)."""
+        orders = [n for n in self.orders if max_order is None or n <= max_order]
+        phase, powers, coef = self._factors(p, slice(None), orders)
+        return ((phase @ coef) * powers).sum(axis=-1) * math.sqrt(1.0 / self.units.momentum)
 
     def leading_envelope(self, p):
-        """|sum of leading-order contributions|, phases included, vectorized."""
-        return np.abs(_sum_terms(self.leading_terms(), p, self.units))
+        """|sum of leading-order contributions|, phases included, vectorized:
+        the leading column's phase x power x coefficient, summed over the
+        locations where it is nonzero."""
+        lead = self.leading_exponent
+        phase, powers, coef = self._factors(p, np.flatnonzero(self.images[:, lead - 1]), [lead])
+        total = (phase[..., :, None] * powers[..., None, :] * coef).sum(axis=(-2, -1))
+        return np.abs(total * math.sqrt(1.0 / self.units.momentum))
 
-
-def _sum_terms(terms: list[TailTerm], p, units: Units):
-    """Sum over the terms of image coefficient x e^{-ip'a/L} x p'^-order at each
-    p' = p / ``units.momentum``, times sqrt(L/hbar), over an array of p x
-    location x order. Where the least |p'|, s, is so small that (1/s)^order
-    may overflow, each coefficient is divided by s^order, one factor at a
-    time, and each power is (s/p')^order: no power overflows unless its term does."""
-    p = np.asarray(p, dtype=float) / units.momentum
-    if not terms:
-        return np.zeros(p.shape, dtype=complex)
-    locations = sorted({t.location for t in terms})
-    orders = sorted({t.order for t in terms})
-    s = float(np.abs(p).min(initial=1.0))
-    s = s if 0.0 < s < 2.0 ** (-1000.0 / orders[-1]) else 1.0
-    coef = np.zeros((len(locations), len(orders)), dtype=complex)
-    for t in terms:
-        coef[locations.index(t.location), orders.index(t.order)] += t.image
-    for j, order in enumerate(orders if s < 1.0 else ()):
-        for _ in range(order):
-            coef[:, j] /= s
-    phase = np.exp(-1j * np.multiply.outer(p, [a / units.length for a in locations]))
-    powers = np.power.outer(s / p, orders)
-    total = (phase[..., :, None] * powers[..., None, :] * coef).sum(axis=(-2, -1))
-    return total * math.sqrt(1.0 / units.momentum)
+    def _factors(self, p, rows, orders: list[int]):
+        """At each p' = p / ``units.momentum``: the phases e^{-ip'a/L} of the
+        ``rows``' locations a, the powers p'^-n of ``orders`` and their image
+        coefficients. Where the least |p'|, s, is so small that (1/s)^n may
+        overflow, each coefficient is divided by s^n, one factor at a time,
+        and each power is (s/p')^n: no power overflows unless its term does."""
+        units = self.units
+        p = np.asarray(p, dtype=float) / units.momentum
+        s = float(np.abs(p).min(initial=1.0))
+        s = s if orders and 0.0 < s < 2.0 ** (-1000.0 / orders[-1]) else 1.0
+        coef = self.images[rows][:, [n - 1 for n in orders]]
+        for j, order in enumerate(orders if s < 1.0 else ()):
+            for _ in range(order):
+                coef[:, j] /= s
+        locations = np.array(self.locations)[rows] / units.length
+        return np.exp(-1j * np.multiply.outer(p, locations)), np.power.outer(s / p, orders), coef
 
 
 _TURNS, _ROOT_2PI = [(-1j) ** n for n in range(8)], math.sqrt(2.0 * math.pi)   # (-i)^n
 
 
+def _images(jumps: list[float]) -> list[complex]:
+    """(-i)^n jump' / sqrt(2 pi) of the image's jumps of orders n = 1, 2, ..."""
+    return [turn * jump / _ROOT_2PI if jump else 0j for turn, jump in zip(_TURNS[1:], jumps)]
+
+
 def _terms(location: float, jumps: list[float], units: Units) -> list[TailTerm]:
     """The terms of orders 1, 2, ... at ``location`` whose image's jumps are ``jumps``."""
-    images = [turn * jump / _ROOT_2PI if jump else 0j for turn, jump in zip(_TURNS[1:], jumps)]
+    images = _images(jumps)
     return list(map(TailTerm, [location] * len(jumps), range(1, len(jumps) + 1),
                     units.derivatives(jumps), units.coefficients(images), images))
 
 
-def expansion_terms(state: BoundState, records: list[DiscontinuityRecord]) -> list[TailTerm]:
-    """All T_n terms at every discontinuity location, from the state's image.
-    The one place that sets the depth: n = 1 up to the shallowest image table
-    of the records' locations, short of the first n with a term whose
-    coefficient or jump is no float in the user's units."""
-    sides = [state.image_side(rec.location) for rec in records]
+def _user_terms(locations, jump_rows, units: Units) -> list[TailTerm]:
+    """Every row's terms, location by location and order by order."""
+    return [t for a, jumps in zip(locations, jump_rows) for t in _terms(a, jumps, units)]
+
+
+def _image_rows(sides: list[SideDerivatives], units: Units) -> tuple[list, list]:
+    """The image's rows at the locations whose one-sided derivatives are
+    ``sides``: each one's jumps and (-i)^n jump' / sqrt(2 pi). The one place
+    that sets the depth: n = 1 up to the shallowest of the tables, short of
+    the first n at which a location's jump or coefficient is no float in the
+    user's units (``Units.derivatives`` and ``coefficients``)."""
     depth = min((len(side.right) for side in sides), default=0)
-    terms: list[TailTerm] = []
-    for rec, side in zip(records, sides):
+    jump_rows, image_rows = [], []
+    for side in sides:
         # a jump that overflows stays one, whatever its scale
         jumps = [0.0 if abs(r - l) <= _REL_ZERO * (abs(r) + abs(l)) < math.inf else r - l
                  for r, l in zip(side.right[:depth], side.left[:depth])]
-        terms += _terms(rec.location, jumps, state.units)
-    cut = min((t.order for t in terms
-               if not (cmath.isfinite(t.coefficient) and math.isfinite(t.jump))),
-              default=depth + 1)
-    return [t for t in terms if t.order < cut]
+        images = _images(jumps)
+        finite = list(map(operator.and_, map(math.isfinite, units.derivatives(jumps)),
+                          map(cmath.isfinite, units.coefficients(images))))
+        if not all(finite):
+            depth = finite.index(False)
+        jump_rows.append(jumps)
+        image_rows.append(images)
+    return [row[:depth] for row in jump_rows], [row[:depth] for row in image_rows]
+
+
+def expansion_terms(state: BoundState, records: list[DiscontinuityRecord]) -> list[TailTerm]:
+    """All T_n terms at every discontinuity location, from the state's image,
+    to the depth ``_image_rows`` sets."""
+    jumps, _ = _image_rows([state.image_side(rec.location) for rec in records], state.units)
+    return _user_terms([rec.location for rec in records], jumps, state.units)
 
 
 def jump_from_potential(record: DiscontinuityRecord,
@@ -143,7 +192,13 @@ def jump_from_potential(record: DiscontinuityRecord,
     """
     if record.is_wall:
         raise UnsupportedCase("walls have one-sided data only; no jump-condition route")
-    side = state.image_side(record.location)
+    return _jump_condition(record, state, state.breaks.index(record.location))
+
+
+def _jump_condition(record: DiscontinuityRecord, state: BoundState,
+                    i: int) -> tuple[int, float]:
+    """``jump_from_potential`` of a record that is no wall, at the state's break i."""
+    side = state.image.derivative_table[state.image.breaks[i]]
     image = state.units.image(record)
     # delta: psi'(a+) - psi'(a-) = c psi(a), c the image's delta coefficient
     if record.order == -1:
@@ -152,7 +207,6 @@ def jump_from_potential(record: DiscontinuityRecord,
     # psi over the length on which psi'' = b psi acts, b the larger of the two
     # pieces beside a: scale-free, so a psi(a) ~ 1e-33 deep in a tail, whose
     # psi' is as small, keeps its jump
-    i = state.breaks.index(record.location)
     b = max(abs(b0 + b1 * image.location) for b0, b1 in state.image.ode[i:i + 2])
     slope = max(abs(side.right[1]), abs(side.left[1]))
     if abs(side.value) * math.sqrt(b) > 1e-10 * slope:
@@ -165,23 +219,26 @@ def jump_from_potential(record: DiscontinuityRecord,
 
 def predict_tail(state: BoundState, records: list[DiscontinuityRecord],
                  mass: float | None = None, hbar: float | None = None) -> TailPrediction:
-    """Expansion terms plus the leading exponent, with the two-route cross-check.
+    """The expansion's rows plus the leading exponent, with the two-route
+    cross-check. ``records`` are the ledger's, one per location, in order.
 
     Units are the state's; an explicit ``mass`` or ``hbar`` must equal them.
     Raises ``OverflowError`` where the order the two-route check reads lies
-    past the table, or, with no nonzero term below it, past ``expansion_terms``.
+    past the table, or, with no nonzero term below it, past the expansion.
     """
     check_units(state, mass, hbar)
-    terms = expansion_terms(state, records)
-    nonzero = [t.order for t in terms if t.image]
-    depth = max((t.order for t in terms), default=0)
-    for rec in records:
+    at = {a: i for i, a in enumerate(state.breaks)}
+    table, breaks = state.image.derivative_table, state.image.breaks
+    sides = [table[breaks[at[rec.location]]] for rec in records]
+    jumps, images = _image_rows(sides, state.units)
+    depth = len(images[0]) if images else 0
+    orders = [n for n, column in enumerate(zip(*images), 1) if any(column)]
+    for rec, side in zip(records, sides):
         if rec.is_wall:
             continue
-        order, predicted = jump_from_potential(rec, state)
-        side = state.image_side(rec.location)
+        order, predicted = _jump_condition(rec, state, at[rec.location])
         # where no term below it is nonzero, the checked order leads the tail
-        limit = len(side.right) if nonzero else depth
+        limit = len(side.right) if orders else depth
         if order >= limit:
             raise OverflowError(f"psi's order-{order} derivative at the break x = {rec.location!r} "
                                 f"lies past orders 0 to {limit - 1}, past which a derivative or "
@@ -195,9 +252,10 @@ def predict_tail(state: BoundState, records: list[DiscontinuityRecord],
             raise InconsistentJumps(
                 f"at x={rec.location}: potential route gives {predicted!r} for the "
                 f"order-{order} jump, derivative table gives {tabulated!r}")
-    if not nonzero:
+    if not orders:
         raise UnsupportedCase(f"no nonvanishing jump up to order {depth} of the expansion")
-    return TailPrediction(terms=terms, leading_exponent=min(nonzero), units=state.units)
+    return TailPrediction(tuple(rec.location for rec in records), jumps,
+                          np.array(images, dtype=complex), orders, state.units)
 
 
 def summary(prediction: TailPrediction) -> str:

@@ -295,7 +295,7 @@ def verify(cfg: RunConfig, out: Path) -> None:
     prediction = asy.predict_tail(state, pot.discontinuities(cfg.spec))
 
     # momentum scale separating structure from tail: sqrt(2m|E - V_floor|)
-    scale = state.momentum_scale(cfg.spec.v_floor)
+    scale = state.momentum_scale(cfg.spec.image_floor)
     if not 0.0 < scale < math.inf:
         raise ArithmeticError(f"the momentum scale sqrt(2m|E - V_floor|) is {scale!r}: "
                               f"no tail window starts at a multiple of it")

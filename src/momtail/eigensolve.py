@@ -162,10 +162,10 @@ class BoundState:
     def hbar(self) -> float:
         return self.units.hbar
 
-    def momentum_scale(self, v_floor: float) -> float:
-        """sqrt(2m |E - v_floor|), formed in the image as (hbar/L) sqrt(|E' - v_floor'|)."""
-        units = self.units
-        return units.momentum * math.sqrt(abs(self.image.energy - units.scale(v_floor, 0)))
+    def momentum_scale(self, image_floor: float) -> float:
+        """sqrt(2m |E - V_floor|), formed in the image as (hbar/L) sqrt(|E' -
+        ``image_floor``|), the floor V_floor' given in the image."""
+        return self.units.momentum * math.sqrt(abs(self.image.energy - image_floor))
 
     def image_side(self, location: float) -> SideDerivatives:
         """The image's one-sided derivatives at the break the spec places at ``location``."""
@@ -502,9 +502,10 @@ def _closed_form(regions, x) -> tuple[np.ndarray, np.ndarray]:
             down, up = c1 * np.exp(-r * s), c2 * np.exp(r * (x[sel] - b))
             out[:, sel] = down + up, r * (up - down)
         else:
+            # beta < 0: a level at a region's V is refused before its regions form
             k = math.sqrt(-beta)
-            out[:, sel] = (c1 * np.cos(k * s) + c2 * s * np.sinc(k * s / math.pi),
-                           c2 * np.cos(k * s) - c1 * k * np.sin(k * s))
+            cos, sin = np.cos(k * s), np.sin(k * s)
+            out[:, sel] = c1 * cos + c2 * (1.0 / k) * sin, c2 * cos - c1 * k * sin
     return tuple(out)
 
 

@@ -179,7 +179,7 @@ class _Kind:
     ``ledger()``, its discontinuity records sorted by location; ``potential(x)``, V(x) with
     WALL beyond infinite walls and delta spikes excluded; ``v_floor``, the
     floor of V in the momentum scale sqrt(2m |E - v_floor|) that separates
-    structure from tail; ``level_index(n, parity)``, the place of the
+    structure from tail, and ``image_floor``, the image's; ``level_index(n, parity)``, the place of the
     state among all levels from 1 and the one check of a request, which
     every solver and ``classical_q`` read first; and ``classical_q(n,
     parity)``, the edge Q_n = sqrt(2m E_n) of the classical density, if any.
@@ -220,6 +220,11 @@ class _Kind:
         """The ``Units`` of the kind's ``natural()`` origin and length, formed
         on first read: a spec is immutable."""
         return Units.of(*self.natural(), self.mass, self.hbar)
+
+    @property
+    def image_floor(self) -> float:
+        """``v_floor`` in the image, where the momentum scale is formed."""
+        return self.units.scale(self.v_floor, 0)
 
 
 def _pieces(records: list[DiscontinuityRecord]) -> tuple[list[float], list[float], list[float]]:
@@ -361,8 +366,10 @@ class StepSum(Piecewise):
         return [DiscontinuityRecord(a, 0, h) for a, h in self.steps]
 
     @property
-    def v_floor(self) -> float:
-        return min(self.pieces()[1])
+    def image_floor(self) -> float:
+        """The least potential of the image's regions, a float where the sum of
+        the steps in the user's units may not be."""
+        return min(self.image_pieces[1])
 
 
 @dataclass(frozen=True)

@@ -344,3 +344,52 @@ def test_coefficient_against_exact_product(hbar, order):
                   / Fraction(math.sqrt(2.0 * math.pi * hbar)))
     assert abs(term.coefficient - (-1j) ** order * exact) <= 2 * math.ulp(exact)
 
+
+
+# --- the prediction's table of image rows, and its terms formed on read ------
+
+ROW_KINDS = {
+    "delta_sum": (lambda u: pot.DeltaSum(deltas=((1.0, -1.0), (2.0, 1.5)), **u), 1, None),
+    "infinite_well": (lambda u: pot.InfiniteWell(length=math.pi, **u), 3, None),
+    "finite_well": (lambda u: pot.FiniteWell(depth=10.0, a=-1.0, b=1.0, **u), 1, None),
+    "step_sum": (lambda u: pot.StepSum(steps=((0.0, -5.0), (1.0, 2.0), (2.0, 3.0)), **u),
+                 1, None),
+    "hybrid": (lambda u: pot.HybridDeltaStep(g=20.0, step_height=1.0, a=1.0, **u), 1, None),
+    "bouncer": (lambda u: pot.Bouncer(force=0.5, **u), 3, None),
+    "symmetric_linear_even": (lambda u: pot.SymmetricLinear(force=0.5, **u), 2, "even"),
+    "symmetric_linear_odd": (lambda u: pot.SymmetricLinear(force=0.5, **u), 2, "odd"),
+    "asymmetric_linear": (lambda u: pot.AsymmetricLinear(force_right=0.5, force_left=2.0, **u),
+                          3, None),
+}
+
+
+@pytest.mark.parametrize("mass", [0.5, 2.0, 7.3])
+@pytest.mark.parametrize("hbar", [0.5, 2.0, 7.3])
+@pytest.mark.parametrize("kind", ROW_KINDS)
+def test_terms_formed_on_read_are_the_expansion_terms(kind, mass, hbar):
+    make, n, parity = ROW_KINDS[kind]
+    spec = make({"mass": mass, "hbar": hbar})
+    st = eig.solve(spec, n, parity)
+    records = pot.discontinuities(spec)
+    pred = asy.predict_tail(st, records)
+    terms = asy.expansion_terms(st, records)
+    assert pred.terms == terms
+    # one row per location, one column per order, in the terms' order
+    assert [(t.location, t.order) for t in terms] == [
+        (a, order) for a in pred.locations for order in range(1, pred.depth + 1)]
+    assert [t.image for t in terms] == list(pred.images.ravel())
+    assert pred.leading_exponent == min(t.order for t in terms if t.image)
+
+
+def test_series_builds_no_term_and_terms_are_built_once(monkeypatch):
+    spec, n, parity = SUM_STATES["delta_chain"]
+    st, records = eig.solve(spec, n, parity), pot.discontinuities(spec)
+    calls, build = [], asy._terms
+    monkeypatch.setattr(asy, "_terms", lambda *args: calls.append(args) or build(*args))
+    pred = asy.predict_tail(st, records)
+    pred.series(SUM_P)
+    pred.leading_envelope(SUM_P)
+    assert calls == []
+    first = pred.terms
+    assert len(calls) == len(records) == 5
+    assert pred.terms is first and pred.leading_terms() and len(calls) == 5

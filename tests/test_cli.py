@@ -398,12 +398,12 @@ CORNERS = {
                                      "hbar": 1.2712689109633575e-131}, (2, 2, 2, 2),
                                     "solve error: the image's level -2.000058187250506 decays "
                                     "at a subnormal V' - E'"),
-    # the ladder's floor, -2e308, is no float in the user's units, though its
-    # image's is -2.67: verify finds no tail window
+    # the ladder's floor, -2e308, is no float in the user's units, but its
+    # image's, -2.67, is: verify reads the momentum scale 9.9e99 from it, and
+    # its window, 10 to 200 times that, gives a verdict
     "ladder_floor_past_the_floats": ({"kind": "step_sum", "mass": 5e-109, "hbar": 1e100,
                                       "steps": [[0, -1e308], [1, -1e308], [2, 1e308],
-                                                [3, 1.5e308]]}, (0, 0, 0, 2),
-                                     "solve error: the momentum scale sqrt(2m|E - V_floor|)"),
+                                                [3, 1.5e308]]}, (0, 0, 0, 1), None),
     # hw ** 3 of its panels overflowed in the user's units, with a numpy warning
     "well_panels_overflowed": ({"kind": "finite_well", "depth": 383854132125529.25,
                                 "a": -7.68425025177822, "b": -6.267606834127363,

@@ -1386,3 +1386,18 @@ def test_state_with_a_non_finite_energy_or_psi_is_refused(field, value):
     with pytest.raises(ArithmeticError, match="not finite"):
         dataclasses.replace(st.image, **{field: value})
 
+
+
+@pytest.mark.parametrize("region, report", [(0, "decays at a subnormal"), (1, "has no digit"),
+                                            (2, "has no digit")])
+def test_no_region_reaches_the_closed_form_at_its_own_v(region, report):
+    # an allowed region's psi is c1 cos ks + c2 sin(ks) (1/k), k = sqrt(E' - V'),
+    # which needs k > 0: a level at a region's V' is refused before its
+    # regions are formed, and the box's one region has V' - E' = -k^2 < 0
+    pieces = pot.StepSum(steps=((0.0, -5.0), (1.0, 2.0), (2.0, 3.0))).image_pieces
+    energy = pieces[1][region]
+    with pytest.raises(ArithmeticError, match=report):
+        eig._piecewise_state(pieces, energy, eig._sweep(*pieces, energy)[2], False)
+    for n in (1, 2, 7):
+        ((_, _, beta, _, _),) = eig.solve(pot.InfiniteWell(length=2.0), n).image.regions
+        assert beta == -(n * math.pi) ** 2

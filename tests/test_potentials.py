@@ -266,3 +266,17 @@ def test_units_survive_round_trip():
     spec = pot.Bouncer(force=1.0, mass=2.0, hbar=0.5)
     again = pot.from_json(pot.to_json(spec))
     assert again.mass == 2.0 and again.hbar == 0.5
+
+
+def test_image_floor():
+    # a ladder reads its floor off the image's regions, which stay floats where
+    # the sum of its steps in the user's units overflows; every other kind
+    # scales its v_floor, and a hybrid's and a delta sum's floor stays 0
+    ladder = pot.StepSum(steps=((0, -1e308), (1, -1e308), (2, 1e308), (3, 1.5e308)),
+                         mass=5e-109, hbar=1e100)
+    assert ladder.image_floor == min(ladder.image_pieces[1]) == pytest.approx(-2.6666666666666665)
+    well = pot.FiniteWell(depth=10.0, a=-1.0, b=1.0, mass=2.0)
+    assert well.image_floor == well.units.scale(-10.0, 0)
+    for spec in (pot.HybridDeltaStep(g=1.0, step_height=-0.5, a=1.0),
+                 pot.DeltaSum(deltas=((1.0, 0.0),)), pot.Bouncer(force=0.5)):
+        assert spec.image_floor == 0.0
