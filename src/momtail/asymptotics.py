@@ -103,7 +103,8 @@ class TailPrediction:
         each p, the powers of the orders times the phases' sums over the
         locations of each order's coefficients (phase @ coefficients)."""
         orders = [n for n in self.orders if max_order is None or n <= max_order]
-        phase, powers, coef = self._factors(p, slice(None), orders)
+        phase, powers, coef = self._factors(p, self.locations,
+                                            self.images[:, [n - 1 for n in orders]], orders)
         return ((phase @ coef) * powers).sum(axis=-1) * math.sqrt(1.0 / self.units.momentum)
 
     def leading_envelope(self, p):
@@ -111,26 +112,28 @@ class TailPrediction:
         the leading column's phase x power x coefficient, summed over the
         locations where it is nonzero."""
         lead = self.leading_exponent
-        phase, powers, coef = self._factors(p, np.flatnonzero(self.images[:, lead - 1]), [lead])
+        rows = np.flatnonzero(self.images[:, lead - 1])
+        phase, powers, coef = self._factors(p, [self.locations[i] for i in rows],
+                                            self.images[rows, lead - 1:lead], [lead])
         total = (phase[..., :, None] * powers[..., None, :] * coef).sum(axis=(-2, -1))
         return np.abs(total * math.sqrt(1.0 / self.units.momentum))
 
-    def _factors(self, p, rows, orders: list[int]):
+    def _factors(self, p, locations, coef: np.ndarray, orders: list[int]):
         """At each p' = p / ``units.momentum``: the phases e^{-ip'a/L} of the
-        ``rows``' locations a, the powers p'^-n of ``orders`` and their image
-        coefficients. Where the least |p'|, s, is so small that (1/s)^n may
-        overflow, each coefficient is divided by s^n, one factor at a time,
-        and each power is (s/p')^n: no power overflows unless its term does."""
+        ``locations`` a, the powers p'^-n of ``orders``, and ``coef``, their
+        image coefficients (a copy, location x order). Where the least |p'|,
+        s, is so small that (1/s)^n may overflow, each coefficient is divided
+        by s^n, one factor at a time, and each power is (s/p')^n: no power
+        overflows unless its term does."""
         units = self.units
         p = np.asarray(p, dtype=float) / units.momentum
         s = float(np.abs(p).min(initial=1.0))
         s = s if orders and 0.0 < s < 2.0 ** (-1000.0 / orders[-1]) else 1.0
-        coef = self.images[rows][:, [n - 1 for n in orders]]
         for j, order in enumerate(orders if s < 1.0 else ()):
             for _ in range(order):
                 coef[:, j] /= s
-        locations = np.array(self.locations)[rows] / units.length
-        return np.exp(-1j * np.multiply.outer(p, locations)), np.power.outer(s / p, orders), coef
+        phase = np.exp(np.multiply.outer(p, [-1j * (a / units.length) for a in locations]))
+        return phase, np.power.outer(s / p, orders), coef
 
 
 _TURNS, _ROOT_2PI = [(-1j) ** n for n in range(8)], math.sqrt(2.0 * math.pi)   # (-i)^n
