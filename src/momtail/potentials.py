@@ -179,10 +179,11 @@ class _Kind:
     ``ledger()``, its discontinuity records sorted by location; ``potential(x)``, V(x) with
     WALL beyond infinite walls and delta spikes excluded; ``v_floor``, the
     floor of V in the momentum scale sqrt(2m |E - v_floor|) that separates
-    structure from tail, and ``image_floor``, the image's; ``level_index(n, parity)``, the place of the
-    state among all levels from 1 and the one check of a request, which
-    every solver and ``classical_q`` read first; and ``classical_q(n,
-    parity)``, the edge Q_n = sqrt(2m E_n) of the classical density, if any.
+    structure from tail, and ``image_floor``, the image's; ``level_index(n,
+    parity)``, the place of the state among all levels from 1 and the one
+    check of a request, which every solver and ``classical_q`` read first;
+    and ``classical_q(n, parity)``, the edge Q_n = sqrt(2m E_n) of the
+    classical density, if any.
     Every parameter must be finite and mass and hbar positive; ``_check``
     adds the kind's own conditions.
     """
@@ -366,9 +367,13 @@ class StepSum(Piecewise):
         return [DiscontinuityRecord(a, 0, h) for a, h in self.steps]
 
     @property
+    def v_floor(self) -> float:
+        return min(self.pieces()[1])
+
+    @property
     def image_floor(self) -> float:
         """The least potential of the image's regions, a float where the sum of
-        the steps in the user's units may not be."""
+        the steps in the user's units, ``v_floor``, may not be."""
         return min(self.image_pieces[1])
 
 

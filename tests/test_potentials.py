@@ -274,6 +274,7 @@ def test_image_floor():
     # scales its v_floor, and a hybrid's and a delta sum's floor stays 0
     ladder = pot.StepSum(steps=((0, -1e308), (1, -1e308), (2, 1e308), (3, 1.5e308)),
                          mass=5e-109, hbar=1e100)
+    assert ladder.v_floor == -math.inf
     assert ladder.image_floor == min(ladder.image_pieces[1]) == pytest.approx(-2.6666666666666665)
     well = pot.FiniteWell(depth=10.0, a=-1.0, b=1.0, mass=2.0)
     assert well.image_floor == well.units.scale(-10.0, 0)
