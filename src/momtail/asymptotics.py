@@ -30,13 +30,12 @@ and ``ode``, so the check still catches a region's V or a cusp put at the
 wrong break, and it guards the ODE from which ``momentum.FilonPanels``
 expands psi.
 
-``TailPrediction.series`` and ``leading_envelope`` sum the table at p' =
-pL/hbar: the phase e^{-ip'a/L} is formed once per location and the real
-power (1/p')^n once per order with a nonzero coefficient. ``series`` sums
-each order's coefficients over the locations with their phases, one matrix
-product, then the orders with their powers; ``leading_envelope`` sums the
-leading column's phase x power x coefficient over the locations where it is
-nonzero.
+``TailPrediction.series`` sums the table at p' = pL/hbar: the phase
+e^{-ip'a/L} is formed once per location, each order's coefficients are
+summed over the locations with their phases, one matrix product, and the
+orders by Horner's rule in 1/p', from the deepest down, so that no power
+of 1/p' is formed and a point's sum overflows only where its own terms do.
+``leading_envelope`` is the modulus of the series cut at the leading order.
 """
 
 from __future__ import annotations
@@ -100,48 +99,29 @@ class TailPrediction:
 
     def series(self, p, max_order: int | None = None):
         """Sum of all (or all up-to-max_order) term contributions at p: at
-        each p, the powers of the orders times the phases' sums over the
-        locations of each order's coefficients (phase @ coefficients)."""
-        orders = [n for n in self.orders if max_order is None or n <= max_order]
-        phase, powers, coef = self._factors(p, self.locations,
-                                            self.images[:, [n - 1 for n in orders]], orders)
-        return ((phase @ coef) * powers).sum(axis=-1) * math.sqrt(1.0 / self.units.momentum)
-
-    def leading_envelope(self, p):
-        """|sum of leading-order contributions|, phases included, vectorized:
-        the leading column's phase x power x coefficient, summed over the
-        locations where it is nonzero."""
-        lead = self.leading_exponent
-        rows = np.flatnonzero(self.images[:, lead - 1])
-        phase, powers, coef = self._factors(p, [self.locations[i] for i in rows],
-                                            self.images[rows, lead - 1:lead], [lead])
-        total = (phase[..., :, None] * powers[..., None, :] * coef).sum(axis=(-2, -1))
-        return np.abs(total * math.sqrt(1.0 / self.units.momentum))
-
-    def _factors(self, p, locations, coef: np.ndarray, orders: list[int]):
-        """At each p' = p / ``units.momentum``: the phases e^{-ip'a/L} of the
-        ``locations`` a, the powers p'^-n of ``orders``, and ``coef``, their
-        image coefficients (a copy, location x order). Where the least |p'|,
-        s, is so small that (1/s)^n may overflow, each coefficient is divided
-        by s^n, one factor at a time, and each power is (s/p')^n: no power
-        overflows unless its term does."""
+        each p' = p / ``units.momentum``, the phases' sums over the locations
+        of each order's coefficients (phase @ coefficients), summed over the
+        orders by Horner's rule in 1/p'."""
         units = self.units
         p = np.asarray(p, dtype=float) / units.momentum
-        s = float(np.abs(p).min(initial=1.0))
-        s = s if orders and 0.0 < s < 2.0 ** (-1000.0 / orders[-1]) else 1.0
-        for j, order in enumerate(orders if s < 1.0 else ()):
-            for _ in range(order):
-                coef[:, j] /= s
-        phase = np.exp(np.multiply.outer(p, [-1j * (a / units.length) for a in locations]))
-        return phase, np.power.outer(s / p, orders), coef
+        phase = np.exp(np.multiply.outer(p, [-1j * (a / units.length) for a in self.locations]))
+        sums = phase @ self.images[:, :self.depth if max_order is None else max(max_order, 0)]
+        total = np.zeros(p.shape, dtype=complex)
+        for n in range(sums.shape[-1] - 1, -1, -1):
+            total = (total + sums[..., n]) / p
+        return total * math.sqrt(1.0 / units.momentum)
+
+    def leading_envelope(self, p):
+        """|sum of leading-order contributions|, phases included, vectorized."""
+        return np.abs(self.series(p, self.leading_exponent))
 
 
-_TURNS, _ROOT_2PI = [(-1j) ** n for n in range(8)], math.sqrt(2.0 * math.pi)   # (-i)^n
+_ROOT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _images(jumps: list[float]) -> list[complex]:
     """(-i)^n jump' / sqrt(2 pi) of the image's jumps of orders n = 1, 2, ..."""
-    return [turn * jump / _ROOT_2PI if jump else 0j for turn, jump in zip(_TURNS[1:], jumps)]
+    return [(-1j) ** n * jump / _ROOT_2PI if jump else 0j for n, jump in enumerate(jumps, 1)]
 
 
 def _terms(location: float, jumps: list[float], units: Units) -> list[TailTerm]:
@@ -178,10 +158,19 @@ def _image_rows(sides: list[SideDerivatives], units: Units) -> tuple[list, list]
     return [row[:depth] for row in jump_rows], [row[:depth] for row in image_rows]
 
 
+def _sides(state: BoundState, records: list[DiscontinuityRecord]
+           ) -> list[tuple[int, SideDerivatives]]:
+    """Each record's break index in ``state`` and the image's one-sided
+    derivatives there."""
+    at = {a: i for i, a in enumerate(state.breaks)}
+    table, breaks = state.image.derivative_table, state.image.breaks
+    return [(at[rec.location], table[breaks[at[rec.location]]]) for rec in records]
+
+
 def expansion_terms(state: BoundState, records: list[DiscontinuityRecord]) -> list[TailTerm]:
     """All T_n terms at every discontinuity location, from the state's image,
     to the depth ``_image_rows`` sets."""
-    jumps, _ = _image_rows([state.image_side(rec.location) for rec in records], state.units)
+    jumps, _ = _image_rows([side for _, side in _sides(state, records)], state.units)
     return _user_terms([rec.location for rec in records], jumps, state.units)
 
 
@@ -195,13 +184,13 @@ def jump_from_potential(record: DiscontinuityRecord,
     """
     if record.is_wall:
         raise UnsupportedCase("walls have one-sided data only; no jump-condition route")
-    return _jump_condition(record, state, state.breaks.index(record.location))
+    return _jump_condition(record, state, *_sides(state, [record])[0])
 
 
-def _jump_condition(record: DiscontinuityRecord, state: BoundState,
-                    i: int) -> tuple[int, float]:
-    """``jump_from_potential`` of a record that is no wall, at the state's break i."""
-    side = state.image.derivative_table[state.image.breaks[i]]
+def _jump_condition(record: DiscontinuityRecord, state: BoundState, i: int,
+                    side: SideDerivatives) -> tuple[int, float]:
+    """``jump_from_potential`` of a record that is no wall, at the state's
+    break i, whose image's one-sided derivatives are ``side``."""
     image = state.units.image(record)
     # delta: psi'(a+) - psi'(a-) = c psi(a), c the image's delta coefficient
     if record.order == -1:
@@ -230,16 +219,14 @@ def predict_tail(state: BoundState, records: list[DiscontinuityRecord],
     past the table, or, with no nonzero term below it, past the expansion.
     """
     check_units(state, mass, hbar)
-    at = {a: i for i, a in enumerate(state.breaks)}
-    table, breaks = state.image.derivative_table, state.image.breaks
-    sides = [table[breaks[at[rec.location]]] for rec in records]
-    jumps, images = _image_rows(sides, state.units)
+    sides = _sides(state, records)
+    jumps, images = _image_rows([side for _, side in sides], state.units)
     depth = len(images[0]) if images else 0
     orders = [n for n, column in enumerate(zip(*images), 1) if any(column)]
-    for rec, side in zip(records, sides):
+    for rec, (i, side) in zip(records, sides):
         if rec.is_wall:
             continue
-        order, predicted = _jump_condition(rec, state, at[rec.location])
+        order, predicted = _jump_condition(rec, state, i, side)
         # where no term below it is nonzero, the checked order leads the tail
         limit = len(side.right) if orders else depth
         if order >= limit:

@@ -49,12 +49,10 @@ import numpy as np
 from . import potentials as pot
 from . import specfun
 from .errors import NoBoundState, NoConvergence, NoSuchState
+from .potentials import _TABLE_ORDER
 
 # support truncation: exp(-42) ~ 5.7e-19
 _DECAY_CUT = 42.0
-# highest derivative order in a derivative table, and so the deepest order of
-# the predicted tail series: _TABLE_ORDER + 1
-_TABLE_ORDER = 5
 _FACTORIALS = tuple(math.factorial(k) for k in range(_TABLE_ORDER + 1))
 # largest |exponent| of the scale solve_piecewise puts back on its defect: e^700 ~
 # 1e304 keeps a defect of order 1 finite, and the positive factor keeps its sign
@@ -65,7 +63,8 @@ _RTOL, _XTOL, _MAXITER = 8.9e-16, math.ulp(0.0), 200
 
 @dataclass(frozen=True)
 class SideDerivatives:
-    """One-sided derivatives psi^(j)(a-) / psi^(j)(a+), j = 0..5 while both are floats."""
+    """One-sided derivatives psi^(j)(a-) / psi^(j)(a+), j = 0.._TABLE_ORDER while both
+    are floats."""
     value: float
     left: tuple[float, ...]
     right: tuple[float, ...]
@@ -166,10 +165,6 @@ class BoundState:
         """sqrt(2m |E - V_floor|), formed in the image as (hbar/L) sqrt(|E' -
         ``image_floor``|), the floor V_floor' given in the image."""
         return self.units.momentum * math.sqrt(abs(self.image.energy - image_floor))
-
-    def image_side(self, location: float) -> SideDerivatives:
-        """The image's one-sided derivatives at the break the spec places at ``location``."""
-        return self.image.derivative_table[self.image.breaks[self.breaks.index(location)]]
 
     def psi_and_slope(self, x):
         """(psi, psi') at an array of points, from one evaluation of the image's."""

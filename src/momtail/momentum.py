@@ -485,8 +485,8 @@ def moment(phi_fn, k: int, prediction, p_scale: float = 1.0) -> float:
     p_cut = _MOMENT_CUT * max(1.0, p_scale)
 
     # oscillation of |phi|^2 in p comes from cross terms e^{-ip(a_i - a_j)/hbar}
-    locs = sorted({t.location for t in prediction.terms})
-    span = (locs[-1] - locs[0]) if len(locs) > 1 else 0.0
+    locs = prediction.locations
+    span = locs[-1] - locs[0]
     width = 0.5 * p_scale
     if span > 0.0:
         width = min(width, 0.5 * math.pi * prediction.units.hbar / span)

@@ -41,6 +41,10 @@ from . import specfun
 from .errors import NoSuchState
 
 WALL = math.inf
+# highest derivative order of psi in a derivative table, and so the deepest
+# order of the predicted tail series, _TABLE_ORDER + 1: ``Units`` forms its
+# half powers for j = 0.._TABLE_ORDER, one per order of either
+_TABLE_ORDER = 5
 
 
 class DiscontinuityRecord(NamedTuple):
@@ -93,7 +97,7 @@ class Units(NamedTuple):
     length, and psi(x) = psi'(x') / sqrt(length). ``of`` forms the factors
     the edges multiply by once: ``factors``, length^k / energy for k = -1, 0,
     1, and ``lengths`` and ``momenta``, length^-(j + 1/2) and momentum^(j +
-    1/2) for j = 0..7, or () where one of them is no normal float."""
+    1/2) for j = 0.._TABLE_ORDER, or () where one of them is no normal float."""
     origin: float
     length: float
     energy: float
@@ -137,20 +141,20 @@ class Units(NamedTuple):
                                    self.scale(record.jump, record.order), record.is_wall)
 
     def derivatives(self, values) -> list[float]:
-        """psi^(j) of the image in the user's units, j = 0..7: each
+        """psi^(j) of the image in the user's units, j = 0.._TABLE_ORDER: each
         ``values[j]`` length^-(j + 1/2)."""
         return _scaled(values, 1.0 / self.length, self.lengths)
 
     def coefficients(self, values) -> list[complex]:
-        """The coefficients of (p')^-n, n = 1..8, of the image in the user's
-        units: each ``values[n - 1]`` (hbar / length)^(n - 1/2)."""
+        """The coefficients of (p')^-n, n = 1.._TABLE_ORDER + 1, of the image in
+        the user's units: each ``values[n - 1]`` (hbar / length)^(n - 1/2)."""
         return _scaled(values, self.momentum, self.momenta)
 
 
 def _half_powers(base: float) -> tuple:
-    """base^(j + 1/2), j = 0..7, where all are normal floats (they run
-    monotonically in j), else ()."""
-    powers = tuple(accumulate(repeat(base, 7), operator.mul, initial=math.sqrt(base)))
+    """base^(j + 1/2), j = 0.._TABLE_ORDER, where all are normal floats (they
+    run monotonically in j), else ()."""
+    powers = tuple(accumulate(repeat(base, _TABLE_ORDER), operator.mul, initial=math.sqrt(base)))
     return powers if _normal(powers[0]) and _normal(powers[-1]) else ()
 
 
@@ -177,10 +181,10 @@ class _Kind:
     Its units ``mass`` and ``hbar`` (keyword-only, default 1), which only
     ``units`` reads, from the family's ``natural()`` origin and length;
     ``ledger()``, its discontinuity records sorted by location; ``potential(x)``, V(x) with
-    WALL beyond infinite walls and delta spikes excluded; ``v_floor``, the
-    floor of V in the momentum scale sqrt(2m |E - v_floor|) that separates
-    structure from tail, and ``image_floor``, the image's; ``level_index(n,
-    parity)``, the place of the state among all levels from 1 and the one
+    WALL beyond infinite walls and delta spikes excluded; ``image_floor``, the
+    image's floor V_floor' of V in the momentum scale sqrt(2m |E - V_floor|)
+    that separates structure from tail; ``level_index(n, parity)``, the place
+    of the state among all levels from 1 and the one
     check of a request, which every solver and ``classical_q`` read first;
     and ``classical_q(n, parity)``, the edge Q_n = sqrt(2m E_n) of the
     classical density, if any.
@@ -189,7 +193,7 @@ class _Kind:
     """
     mass: float = 1.0
     hbar: float = 1.0
-    v_floor = 0.0
+    image_floor = 0.0
 
     def __post_init__(self):
         self._check()
@@ -222,28 +226,11 @@ class _Kind:
         on first read: a spec is immutable."""
         return Units.of(*self.natural(), self.mass, self.hbar)
 
-    @property
-    def image_floor(self) -> float:
-        """``v_floor`` in the image, where the momentum scale is formed."""
-        return self.units.scale(self.v_floor, 0)
-
-
-def _pieces(records: list[DiscontinuityRecord]) -> tuple[list[float], list[float], list[float]]:
-    """``Piecewise.pieces()`` of the ledger ``records``."""
-    return ([r.location for r in records],
-            list(accumulate((r.jump if r.order == 0 else 0.0 for r in records), initial=0.0)),
-            [r.jump if r.order == -1 else 0.0 for r in records])
-
 
 class Piecewise(_Kind):
     """A V that is constant between the locations of its ``ledger()``, whose
     delta (order -1) and step (order 0) records with V = 0 at -infinity are
     the whole potential."""
-
-    def pieces(self) -> tuple[list[float], list[float], list[float]]:
-        """(boundaries, the potentials of the regions between them, the delta
-        coefficient at each boundary), summing the steps from V = 0 at -infinity."""
-        return _pieces(self.ledger())
 
     def natural(self) -> tuple[float, float, str]:
         """The first break, and the least of the span of the breaks and each
@@ -261,9 +248,11 @@ class Piecewise(_Kind):
         return first, *min(lengths)
 
     @cached_property
-    def image_pieces(self) -> tuple[list[float], list[float], list[float]]:
-        """The ``pieces()`` of the image, formed on first read. Raises
-        ``ArithmeticError`` naming the record whose image is no float."""
+    def image_pieces(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """The image's (boundaries, the potentials of the regions between them,
+        the delta coefficient at each boundary), summing the steps from V = 0
+        at -infinity, formed on first read. Raises ``ArithmeticError`` naming
+        the record whose image is no float."""
         units, ledger = self.units, self.ledger()
         records = [units.image(r) for r in ledger]
         for r, image in zip(ledger, records):
@@ -272,11 +261,21 @@ class Piecewise(_Kind):
                     f"the image of the order-{r.order} jump {r.jump!r} at x = {r.location!r} "
                     f"is {image.jump!r} at x' = {image.location!r}, at the units "
                     f"{units.length!r} of length and {units.energy!r} of energy")
-        return tuple(map(tuple, _pieces(records)))
+        return (tuple(r.location for r in records),
+                tuple(accumulate((r.jump if r.order == 0 else 0.0 for r in records),
+                                 initial=0.0)),
+                tuple(r.jump if r.order == -1 else 0.0 for r in records))
+
+    @property
+    def image_floor(self) -> float:
+        """The least potential of the image's regions, a float where the sum of
+        the steps in the user's units may not be."""
+        return min(self.image_pieces[1])
 
     def potential(self, x: float) -> float:
-        """V(x), the steps below x summed from V = 0 at -infinity as ``pieces()``
-        sums them; at a boundary, the value of the region to its left."""
+        """V(x), the steps below x summed from V = 0 at -infinity as
+        ``image_pieces`` sums their images; at a boundary, the value of the
+        region to its left."""
         return sum((r.jump for r in self.ledger() if r.order == 0 and r.location < x), 0.0)
 
 
@@ -342,10 +341,6 @@ class FiniteWell(Piecewise):
         return [DiscontinuityRecord(self.a, 0, -self.depth),
                 DiscontinuityRecord(self.b, 0, +self.depth)]
 
-    @property
-    def v_floor(self) -> float:
-        return -self.depth
-
 
 @dataclass(frozen=True)
 class StepSum(Piecewise):
@@ -366,16 +361,6 @@ class StepSum(Piecewise):
     def ledger(self) -> list[DiscontinuityRecord]:
         return [DiscontinuityRecord(a, 0, h) for a, h in self.steps]
 
-    @property
-    def v_floor(self) -> float:
-        return min(self.pieces()[1])
-
-    @property
-    def image_floor(self) -> float:
-        """The least potential of the image's regions, a float where the sum of
-        the steps in the user's units, ``v_floor``, may not be."""
-        return min(self.image_pieces[1])
-
 
 @dataclass(frozen=True)
 class HybridDeltaStep(Piecewise):
@@ -384,6 +369,9 @@ class HybridDeltaStep(Piecewise):
     step_height: float
     a: float
     kind = "hybrid_delta_step"
+    # 0 even below a negative step: ``verify``'s window starts at a multiple of
+    # the momentum scale this floor sets, so moving it moves verdicts
+    image_floor = 0.0
 
     def _check(self) -> None:
         if self.g <= 0:

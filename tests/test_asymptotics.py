@@ -393,3 +393,37 @@ def test_series_builds_no_term_and_terms_are_built_once(monkeypatch):
     first = pred.terms
     assert len(calls) == len(records) == 5
     assert pred.terms is first and pred.leading_terms() and len(calls) == 5
+
+
+# --- a grid that holds a momentum far below the state's scale ----------------
+
+TINY_P_STATES = {
+    "delta_chain": (pot.DeltaSum(deltas=((1.0, 0.0), (1.5, 1.3))), 1, None),
+    "finite_well": (pot.FiniteWell(depth=10.0, a=-1.0, b=1.0), 1, None),
+    "bouncer": (pot.Bouncer(force=0.5), 3, None),
+}
+
+
+def _terms_are_floats(terms, p, units) -> bool:
+    """Every nonzero term's modulus |image| p'^-n sqrt(L / hbar) at p is a float."""
+    q = abs(p) / units.momentum
+    return all(math.log(abs(t.image)) - t.order * math.log(q) - 0.5 * math.log(units.momentum)
+               < math.log(np.finfo(float).max) for t in terms if t.image)
+
+
+@pytest.mark.parametrize("grid", [[1e-60, 1.0, 10.0], [1e-300, 1.0]], ids=["1e-60", "1e-300"])
+@pytest.mark.parametrize("name", TINY_P_STATES)
+def test_a_tiny_momentum_spoils_no_other_point(name, grid):
+    # each point's sum reads only its own terms: a momentum whose terms
+    # overflow leaves the other points' sums as they are without it
+    spec, n, parity = TINY_P_STATES[name]
+    pred = asy.predict_tail(eig.solve(spec, n, parity), pot.discontinuities(spec))
+    p = np.array(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        series, envelope = pred.series(p), pred.leading_envelope(p)
+    np.testing.assert_allclose(series[1:], pred.series(p[1:]), rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(envelope[1:], pred.leading_envelope(p[1:]), rtol=1e-15, atol=0.0)
+    for got, terms in ((series, pred.terms), (envelope, pred.leading_terms())):
+        for value, at in zip(got, p):
+            if _terms_are_floats(terms, at, pred.units):
+                assert np.isfinite(value), (at, value)

@@ -507,6 +507,21 @@ def test_report_value_that_is_no_float_is_a_solve_error(runner, tmp_path, monkey
     assert not (tmp_path / "verify.json").exists()
 
 
+@pytest.mark.parametrize("scale", [0.0, math.inf])
+def test_momentum_scale_that_starts_no_window_is_a_solve_error(runner, tmp_path, monkeypatch,
+                                                                scale):
+    # no census config reaches this refusal, since predict_tail's overflow cut
+    # fires first at the units that would overflow the scale; a scale of 0 or
+    # inf puts the fit window at 0 or inf
+    monkeypatch.setattr(eig.BoundState, "momentum_scale", lambda self, image_floor: scale)
+    cfg = write_cfg(tmp_path, DELTA_CFG)
+    res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2 and type(res.exception) is SystemExit, res.output
+    assert res.output.startswith(f"solve error: the momentum scale sqrt(2m|E - V_floor|) is "
+                                 f"{scale!r}: no tail window starts at a multiple of it")
+    assert not (tmp_path / "verify.json").exists()
+
+
 @pytest.mark.parametrize("parity,codes", [("even", (0, 0, 0, 0)), ("odd", (0, 0, 2, 2))])
 def test_derivative_table_keeps_the_orders_that_are_floats(runner, tmp_path, parity, codes):
     # psi is finite, but psi^(4) at the kink overflows: the table keeps

@@ -41,6 +41,22 @@ def _hand_pieces(spec):
     return [0.0, spec.a], [0.0, 0.0, spec.step_height], [-spec.g, 0.0]
 
 
+def _image_spec(spec):
+    """The constant-V kind ``spec`` with the parameters its image's ledger
+    holds, at m = 1/2 and hbar = 1."""
+    image = [spec.units.image(r) for r in spec.ledger()]
+    units = {"mass": 0.5, "hbar": 1.0}
+    if isinstance(spec, pot.DeltaSum):
+        return pot.DeltaSum(deltas=tuple((-r.jump, r.location) for r in image), **units)
+    if isinstance(spec, pot.FiniteWell):
+        return pot.FiniteWell(depth=-image[0].jump, a=image[0].location, b=image[1].location,
+                              **units)
+    if isinstance(spec, pot.StepSum):
+        return pot.StepSum(steps=tuple((r.location, r.jump) for r in image), **units)
+    return pot.HybridDeltaStep(g=-image[0].jump, step_height=image[1].jump,
+                               a=image[1].location, **units)
+
+
 def _hand_linear(spec):
     """(ledger as (location, order, jump, is_wall), V) of each linear kind by hand."""
     if isinstance(spec, pot.Bouncer):
@@ -56,8 +72,8 @@ def test_family_descriptions_against_kind_formulas(spec):
     # each family derives from one description what the kinds once wrote out
     # by hand; the hand formulas stay here as the reference, compared with ==
     if isinstance(spec, pot.Piecewise):
+        assert spec.image_pieces == tuple(map(tuple, _hand_pieces(_image_spec(spec))))
         xs, vs, cusps = _hand_pieces(spec)
-        assert spec.pieces() == (xs, vs, cusps)
         inside = ([xs[0] - 1.0] + [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
                   + [xs[-1] + 1.0])
         assert [spec.potential(x) for x in inside] == vs
@@ -268,13 +284,42 @@ def test_units_survive_round_trip():
     assert again.mass == 2.0 and again.hbar == 0.5
 
 
+# (length, hbar): both half powers normal at every order; at L = 1e-50 and
+# hbar = 1e-30, L^-5.5 ~ 1e275 is a float but L^-7.5 would not be
+SCALED_UNITS = [(1e-50, 1e-30), (3.7e-20, 2.0), (0.37, 1.0), (2.0, 7.3), (6.1e33, 1e40),
+                (3e45, 1e42)]
+
+
+def _ulps(got: float, want: float) -> float:
+    return abs(got - want) / math.ulp(want) if want else abs(got)
+
+
+@pytest.mark.parametrize("length,hbar", SCALED_UNITS)
+def test_product_and_one_factor_routes_agree(length, hbar):
+    # where the half powers are floats, one product with them gives each
+    # order what one factor at a time gives, to 4 ulps, at every order the
+    # derivative tables and the tail expansion hold
+    units = pot.Units.of(0.0, length, "a length", 1.0, hbar)
+    assert len(units.lengths) == len(units.momenta) == pot._TABLE_ORDER + 1
+    values = [(-1.7) ** j * 3.1 * 10.0 ** (3 * j - 7) for j in range(pot._TABLE_ORDER + 1)]
+    images = [complex(v, 0.61 * v - 1e-3 * j) for j, v in enumerate(values)]
+    derivatives = pot._scaled(values, 1.0 / length, units.lengths)
+    assert derivatives == units.derivatives(values)
+    coefficients = pot._scaled(images, units.momentum, units.momenta)
+    assert coefficients == units.coefficients(images)
+    for got, want in zip(derivatives, pot._scaled(values, 1.0 / length, ())):
+        assert _ulps(got, want) <= 4, (got, want)
+    for got, want in zip(coefficients, pot._scaled(images, units.momentum, ())):
+        assert _ulps(got.real, want.real) <= 4 and _ulps(got.imag, want.imag) <= 4, (got, want)
+
+
 def test_image_floor():
-    # a ladder reads its floor off the image's regions, which stay floats where
-    # the sum of its steps in the user's units overflows; every other kind
-    # scales its v_floor, and a hybrid's and a delta sum's floor stays 0
+    # a constant-V kind reads its floor off the image's regions, which stay
+    # floats where the sum of its steps in the user's units overflows; a
+    # well's is its scaled depth, and a hybrid's, a delta sum's and a linear
+    # kind's floor stays 0
     ladder = pot.StepSum(steps=((0, -1e308), (1, -1e308), (2, 1e308), (3, 1.5e308)),
                          mass=5e-109, hbar=1e100)
-    assert ladder.v_floor == -math.inf
     assert ladder.image_floor == min(ladder.image_pieces[1]) == pytest.approx(-2.6666666666666665)
     well = pot.FiniteWell(depth=10.0, a=-1.0, b=1.0, mass=2.0)
     assert well.image_floor == well.units.scale(-10.0, 0)
