@@ -218,7 +218,7 @@ def predict_tail(state: BoundState, records: list[DiscontinuityRecord],
     Raises ``OverflowError`` where the order the two-route check reads lies
     past the table, or, with no nonzero term below it, past the expansion.
     """
-    check_units(state, mass, hbar)
+    check_units(state.units, mass, hbar)
     sides = _sides(state, records)
     jumps, images = _image_rows([side for _, side in sides], state.units)
     depth = len(images[0]) if images else 0

@@ -153,14 +153,6 @@ class BoundState:
                 for a, side in zip(self.breaks,
                                    map(self.image.derivative_table.get, self.image.breaks))}
 
-    @property
-    def mass(self) -> float:
-        return self.units.mass
-
-    @property
-    def hbar(self) -> float:
-        return self.units.hbar
-
     def momentum_scale(self, image_floor: float) -> float:
         """sqrt(2m |E - V_floor|), formed in the image as (hbar/L) sqrt(|E' -
         ``image_floor``|), the floor V_floor' given in the image."""
@@ -424,6 +416,17 @@ def _piecewise_state(pieces, energy: float, left, mirror: bool) -> Level:
         return math.log(abs(product)) + left[i][3] + right[i][3] if product else -math.inf
 
     j = max(range(len(xs)), key=weight)
+    # two mirror levels that share one float: where each sweep decays from its
+    # own end, the rows grow away from the joint by the whole tunnelling
+    # exponent, and psi joined there has no square in the floats
+    gap = max([left[i][3] - left[j][3] for i in range(j)]
+              + [right[i][3] - right[j][3] for i in range(j, len(xs))])
+    if mirror and gap > 0.5 * math.log(np.finfo(float).max):
+        raise ArithmeticError(
+            f"the image's level {energy!r} is a mirror pair's, both levels one float, on pieces "
+            f"that are their own mirror image (boundaries {xs!r}, potentials {vs!r}, cusps "
+            f"{cusps!r}): psi joined at x = {xs[j]!r} grows away from it by a log scale of "
+            f"{gap:.6g}, and leaves the floats")
 
     def at_joint(side, i):
         """(psi, psi'(a-), psi'(a+)) of side[i], scaled to psi = 1 at the joint."""

@@ -164,13 +164,11 @@ def _bessel_table(w: np.ndarray, top: int) -> np.ndarray:
 
 class _PanelRows(NamedTuple):
     """``FilonPanels``' panels in half-width-group order, as ``transform`` reads them."""
-    order: np.ndarray       # row -> panel index in center order
     widths: np.ndarray      # the distinct half-widths, ascending: one group each
     phase: np.ndarray       # center per row
-    even: np.ndarray        # moment rows, even orders (real part)
-    odd: np.ndarray         # moment rows, odd orders (imaginary part)
-    cuts: list              # first row of each segment
-    blocks: list            # (first row, end row, [(segment, lo, hi, group), ...]) per block
+    even: np.ndarray        # moment rows, even orders 0..top (real part)
+    odd: np.ndarray         # moment rows, odd orders 1..top (imaginary part)
+    blocks: list            # (first row, end row, [(lo, hi, group), ...]) per block
 
 
 class FilonPanels:
@@ -214,10 +212,10 @@ class FilonPanels:
     distance there is at most s = sqrt(2 hw) t, which moves the panel's
     integral n by at most 2 s sqrt(n) + s^2; rounding in psi is not in it.
 
-    ``orders`` holds, per panel, the last order k whose |c_k| exceeds
-    eps scale / (_DEGREE + 1), with scale the largest |c_k| of the state:
-    the orders above it add up to less than one ulp of the scale, so the
-    transform, which reads them on each call, drops them. By the same rule
+    ``top`` is the set's one order cut: the highest order k whose |c_k|
+    exceeds eps scale / (_DEGREE + 1) on any panel, with scale the largest
+    |c_k| of the state. On every panel the orders above it add up to less
+    than one ulp of the scale, so the transform drops them. By the same rule
     a panel with no such order (far out in a tail, where psi leaves no
     trace) is not kept at all.
 
@@ -280,15 +278,15 @@ class FilonPanels:
         distance = np.sqrt(2.0 * halfwidths) * tails     # L2, psi from its expansion
         self.norm_error = math.fsum(distance * (2.0 * np.sqrt(norms) + distance))
 
-        # the last order above eps scale / (degree+1): the dropped rest of a
-        # panel's sum stays below one ulp of the scale; a panel with no such
-        # order is dropped whole
+        # the last order above eps scale / (degree+1) on any panel: the dropped
+        # rest of each panel's sum stays below one ulp of the scale; a panel
+        # with no such order is dropped whole
         carried = np.abs(coeffs) > np.finfo(float).eps * scale / (_DEGREE + 1)
         kept = carried.any(axis=1)
         self.centers = centers[kept]
         self.halfwidths = halfwidths[kept]
         self.coeffs = coeffs[kept]      # (panels, degree+1)
-        self.orders = np.max(np.where(carried[kept], _ORDERS, 0), axis=1)
+        self.top = int(np.flatnonzero(carried.any(axis=0))[-1])
         self.units = state.units
 
     @cached_property
@@ -298,19 +296,19 @@ class FilonPanels:
         order = np.argsort(self.halfwidths, kind="stable")
         hw = self.halfwidths[order]
         widths, firsts = np.unique(hw, return_index=True)
-        coeffs = self.coeffs[order]
+        coeffs = self.coeffs[order, :self.top + 1]
         # c_k 2(-i)^k is real for even k and imaginary for odd k
         scale = (hw * math.sqrt(1.0 / self.units.momentum) / math.sqrt(2.0 * math.pi))[:, None]
-        even = coeffs[:, 0::2] * _MOMENT_PHASE[0::2].real * scale
-        odd = coeffs[:, 1::2] * _MOMENT_PHASE[1::2].imag * scale
+        even = coeffs[:, 0::2] * _MOMENT_PHASE[0:self.top + 1:2].real * scale
+        odd = coeffs[:, 1::2] * _MOMENT_PHASE[1:self.top + 1:2].imag * scale
         # a segment starts at each group's first row and each block's
         cuts = sorted({*firsts.tolist(), *range(0, order.size, _PANEL_BLOCK)})
         groups = (np.searchsorted(firsts, cuts, side="right") - 1).tolist()
         blocks = [(first, min(first + _PANEL_BLOCK, order.size), [])
                   for first in range(0, order.size, _PANEL_BLOCK)]
-        for i, (lo, hi, g) in enumerate(zip(cuts, [*cuts[1:], order.size], groups)):
-            blocks[lo // _PANEL_BLOCK][2].append((i, lo, hi, g))
-        return _PanelRows(order, widths, self.centers[order], even, odd, cuts, blocks)
+        for lo, hi, g in zip(cuts, [*cuts[1:], order.size], groups):
+            blocks[lo // _PANEL_BLOCK][2].append((lo, hi, g))
+        return _PanelRows(widths, self.centers[order], even, odd, blocks)
 
     def transform(self, p: np.ndarray, hbar: float | None = None) -> np.ndarray:
         """phi(p) for an array of momenta (psi assumed real), shaped like p, in
@@ -318,26 +316,23 @@ class FilonPanels:
 
         With q = |p'|, a panel with center c and half-width hw contributes hw
         e^{-iqc} sum_k c_k 2(-i)^k j_k(q hw) sqrt(L/hbar) / sqrt(2 pi), summed
-        up to the panel's ``orders``, and the sum times e^{-iq x0/L} is phi.
-        The Bessel tables j_k(q hw) of every half-width come from one
-        recurrence pass (``_bessel_table``) per block of distinct |p|, up to
-        the highest order of any panel. The panels are held in
-        half-width-group order, and each block of ``_PANEL_BLOCK`` of them,
-        which may span groups, takes one table of phases qc, applied as cos
-        and sin, and per group two real matrix products over the orders up to
-        the segment's highest: the even orders give the real part of the
-        moment sum, the odd ones its imaginary part. Four sums over the
-        block's panels give phi in real arithmetic. Blocks are fixed in size
-        and order, so equal inputs give equal outputs.
+        up to the set's one cut ``top``, and the sum times e^{-iq x0/L} is
+        phi. The Bessel tables j_k(q hw), k = 0..top, of every half-width come
+        from one recurrence pass (``_bessel_table``) per block of distinct
+        |p|. The panels are held in half-width-group order, and each block of
+        ``_PANEL_BLOCK`` of them, which may span groups, takes one table of
+        phases qc, applied as cos and sin, and per group two real matrix
+        products of its whole moment rows with that group's Bessel columns:
+        the even orders give the real part of the moment sum, the odd ones
+        its imaginary part. Four sums over the block's panels give phi in
+        real arithmetic. Blocks are fixed in size and order, so equal inputs
+        give equal outputs.
         """
         pot.check_units(units := self.units, hbar=hbar)
         p = np.asarray(p, dtype=float)
         pa, inverse = np.unique(np.abs(p).ravel(), return_inverse=True)
         pa = pa / units.momentum
-        rows = self._rows
-        # the orders are read per call: each segment sums orders 0..k-1
-        counts = (np.maximum.reduceat(self.orders[rows.order], rows.cuts) + 1).tolist()
-        top = max(counts) - 1
+        rows, top = self._rows, self.top
         re, im = np.zeros(pa.size), np.zeros(pa.size)
         for start in range(0, pa.size, _POINT_BLOCK):
             block = slice(start, start + _POINT_BLOCK)
@@ -352,11 +347,9 @@ class FilonPanels:
                 sin = np.sin(arg)
                 cos = np.cos(arg, out=arg)
                 even, odd = np.empty_like(cos), np.empty_like(cos)
-                for i, lo, hi, g in segments:
-                    k, jn = counts[i], table[:, g]
-                    np.matmul(rows.even[lo:hi, :(k + 1) // 2], jn[0:k:2],
-                              out=even[lo - first:hi - first])
-                    np.matmul(rows.odd[lo:hi, :k // 2], jn[1:k:2], out=odd[lo - first:hi - first])
+                for lo, hi, g in segments:
+                    np.matmul(rows.even[lo:hi], table[0::2, g], out=even[lo - first:hi - first])
+                    np.matmul(rows.odd[lo:hi], table[1::2, g], out=odd[lo - first:hi - first])
                 re[block] += np.einsum("pm,pm->m", even, cos) + np.einsum("pm,pm->m", odd, sin)
                 im[block] += np.einsum("pm,pm->m", odd, cos) - np.einsum("pm,pm->m", even, sin)
         out = re + 1j * im
@@ -390,10 +383,10 @@ def _panel_coefficients(level: Level, c: np.ndarray,
 def phi_quadrature(state: BoundState, grid, hbar: float | None = None) -> MomentumSamples:
     """phi on the grid by Filon-Legendre quadrature of the state's psi, in the
     state's hbar; an explicit ``hbar`` must equal it."""
-    pot.check_units(state, hbar=hbar)
+    pot.check_units(state.units, hbar=hbar)
     # hbar passed explicitly: a wrapped transform may default it otherwise
     grid = np.asarray(grid, dtype=float)
-    return MomentumSamples(grid, FilonPanels(state).transform(grid, state.hbar))
+    return MomentumSamples(grid, FilonPanels(state).transform(grid, state.units.hbar))
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +455,8 @@ def phi_closed_well(spec: pot.InfiniteWell, n: int, grid, mass: float | None = N
 
 # numeric integration of a moment ends here, in units of max(1, p_scale)
 _MOMENT_CUT = 2000.0
+# Gauss panels a moment may ask phi_fn for: 2.5e6 momenta, each a complex phi
+_MOMENT_PANELS = 250_000
 
 
 def moment(phi_fn, k: int, prediction, p_scale: float = 1.0) -> float:
@@ -473,6 +468,10 @@ def moment(phi_fn, k: int, prediction, p_scale: float = 1.0) -> float:
     is replaced by the analytic remainder of the leading envelope,
     2 * A2 / ((2e-k-1) p_cut^(2e-k-1)) with A2 the angle-averaged squared
     envelope. Raises DivergentMoment when 2e - k <= 1. Odd k vanish by the phi(-p) = conj(phi(p)) symmetry.
+    The Gauss panels are no wider than 0.5 pi hbar / span, span the distance
+    between the extreme locations; where that asks for more than
+    ``_MOMENT_PANELS`` of them, it raises QuadratureBudgetExceeded before
+    anything is allocated.
     """
     if k < 0:
         raise ValueError("moment order must be >= 0")
@@ -491,8 +490,12 @@ def moment(phi_fn, k: int, prediction, p_scale: float = 1.0) -> float:
     if span > 0.0:
         width = min(width, 0.5 * math.pi * prediction.units.hbar / span)
 
-    nodes, weights = leggauss(10)
     m_panels = math.ceil(p_cut / width)
+    if m_panels > _MOMENT_PANELS:
+        raise QuadratureBudgetExceeded(
+            f"<p^{k}> needs {m_panels} Gauss panels of width {width:.3g} up to p = {p_cut:.6g}, "
+            f"more than {_MOMENT_PANELS}")
+    nodes, weights = leggauss(10)
     edges = np.linspace(0.0, p_cut, m_panels + 1)
     c = 0.5 * (edges[:-1] + edges[1:])
     hw = 0.5 * (edges[1:] - edges[:-1])

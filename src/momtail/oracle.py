@@ -55,7 +55,7 @@ def _integrate_inward(spec, energy, x_start, x_end, breakpoints=()):
 def _linear_reach(spec: pot.Bouncer | pot.SymmetricLinear, E: float) -> float:
     """Turning point E/F plus ten (stretched) Airy lengths: psi is negligible beyond."""
     zt = E / spec.force
-    return zt + 10.0 * spec.rho * max(1.0, zt ** (1 / 6))
+    return zt + 10.0 * spec.units.length * max(1.0, zt ** (1 / 6))
 
 
 def shooting_oracle(spec: pot.PotentialSpec, e_bracket: tuple[float, float],

@@ -433,16 +433,12 @@ class Linear(_Kind):
 
 
 class _OneForce(Linear):
-    """A linear potential of a single force F > 0, with its Airy scales."""
+    """A linear potential of a single force F > 0. Its Airy length and energy
+    are its ``units``' length and energy."""
 
     def _check(self) -> None:
         if self.force <= 0:
             raise ValueError("force must be positive")
-
-    @property
-    def rho(self) -> float:
-        """Airy length scale (hbar^2 / 2mF)^(1/3)."""
-        return airy_length(self.force, self.mass, self.hbar)
 
     def classical_q(self, n: int, parity: str | None = None) -> float:
         level = airy_level(self.level_index(n, parity), self.forces[1] == WALL)
@@ -510,7 +506,8 @@ def evaluate(spec: PotentialSpec, x: float) -> float:
 def check_units(carrier, mass: float | None = None, hbar: float | None = None) -> None:
     """Refuse an explicit mass or hbar that differs from the carrier's own.
 
-    ``carrier`` is a spec or a bound state; None means "use the carrier's
+    ``carrier`` is a spec or a ``Units``, the only place a bound state holds
+    its mass and hbar (``state.units``); None means "use the carrier's
     value", so only a conflicting value raises ValueError.
     """
     for name, given in (("mass", mass), ("hbar", hbar)):

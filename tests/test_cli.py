@@ -301,6 +301,9 @@ CORNERS = {
     # a step of height 0 sets no length of the image: the lone delta's level
     "hybrid_zero_step": ({"kind": "hybrid_delta_step", "g": 1, "step_height": 0, "a": 1},
                          (0, 0, 0, 0), None),
+    # an exact mirror pair whose two levels are one float: psi cannot be joined
+    "far_mirror_pair": ({"kind": "delta_sum", "deltas": [[1, 0], [1, 400]]}, (2, 2, 2, 2),
+                        "solve error: the image's level -1.0 is a mirror pair's"),
     # psi and psi' underflow to 0.0 at the step: no expansion rule applies
     "underflowed_step": ({"kind": "step_sum", "steps": [[0, -5], [1, 5], [400, 1]]},
                          (0, 0, 2, 2), VANISH),
@@ -313,10 +316,12 @@ CORNERS = {
     # finite parameters whose image has a unit past the floats, or whose
     # level's V - E keeps no digit in the image
     "delta_strength_1e300": ({"kind": "delta_sum", "deltas": [[1e300, 0]]}, (2, 2, 2, 2), UNIT),
+    # equal deltas this far apart are a mirror pair whose two levels are one float
     "delta_1e300_apart": ({"kind": "delta_sum", "deltas": [[1, 0], [1, 1e300]]}, (2, 2, 2, 2),
-                          "solve error: math range error"),
+                          "solve error: the image's level -1.0000000000000002 is a mirror pair's"),
     "deltas_2e300_apart": ({"kind": "delta_sum", "deltas": [[1, -1e300], [1, 1e300]]},
-                           (2, 2, 2, 2), "solve error: math range error"),
+                           (2, 2, 2, 2),
+                           "solve error: the image's level -1.0000000000000002 is a mirror pair's"),
     "well_width_2e300": ({"kind": "finite_well", "depth": 1, "a": -1e300, "b": 1e300},
                          (2, 2, 2, 2), NO_DIGIT),
     # its level, about -2e-600, lies below the least float

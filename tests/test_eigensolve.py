@@ -132,6 +132,18 @@ def test_far_delta_level_hit_by_the_bisection_is_no_lower_level():
     assert eig.solve(spec, 2).energy == -0.5
 
 
+@pytest.mark.parametrize("gap", [400.0, 1000.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_far_mirror_pair_is_refused_by_name(gap, n):
+    # two equal deltas this far apart hold two levels that are one float,
+    # and no boundary sees both sweeps accurately: psi joined at either
+    # grows by e^gap away from it, where a bare OverflowError was raised
+    with pytest.raises(ArithmeticError, match="mirror pair") as info:
+        eig.solve(pot.DeltaSum(deltas=((1.0, 0.0), (1.0, gap))), n)
+    assert type(info.value) is ArithmeticError
+    assert f"log scale of {gap:g}" in str(info.value)
+
+
 def test_infinite_well_energies():
     for n in range(1, 6):
         st = eig.solve(pot.InfiniteWell(length=math.pi), n)
@@ -430,7 +442,7 @@ def test_asymmetric_linear_equal_forces_alternate_symmetric_levels():
 def test_linear_energies_are_airy_zeros_times_energy_scale(force, mass, hbar):
     bouncer = pot.Bouncer(force=force, mass=mass, hbar=hbar)
     sym = pot.SymmetricLinear(force=force, mass=mass, hbar=hbar)
-    e0 = sym.force * sym.rho
+    e0 = sym.units.energy     # force * rho, bit for bit
     for n in range(1, 13):
         assert eig.solve(bouncer, n).energy == e0 * specfun.airy_zero(n)
         assert eig.solve(sym, n, "even").energy == e0 * specfun.airy_prime_zero(n)

@@ -673,15 +673,26 @@ LOG_GRID = np.geomspace(1.0, 1000.0, 121)     # log:1:1000:40
 @pytest.mark.parametrize("grid", [CLI_GRID, LOG_GRID], ids=["cli", "log"])
 @pytest.mark.parametrize("spec,n,parity", list(_unit_states()))
 def test_transform_truncated_against_full_order_sums(spec, n, parity, grid):
-    # each panel sums only the orders whose coefficients exceed
+    # the set sums only the orders up to its highest coefficient above
     # eps scale / (degree + 1); the dropped rest stays below an ulp
     panels = mom.FilonPanels(eig.solve(spec, n, parity))
-    assert panels.orders.max() < mom._DEGREE      # the sums are truncated
+    assert panels.top < mom._DEGREE      # the sums are truncated
     full = copy.copy(panels)
-    full.orders = np.full_like(panels.orders, mom._DEGREE)
+    full.top = mom._DEGREE
     phi, ref = panels.transform(grid), full.transform(grid)
-    assert np.any(phi != ref)       # the transform reads the orders it is given
+    assert np.any(phi != ref)       # the transform reads the cut it is given
     assert np.max(np.abs(phi - ref)) <= 2 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("spec,n,parity", list(_unit_states()))
+def test_one_order_cut_per_panel_set(spec, n, parity):
+    panels = mom.FilonPanels(eig.solve(spec, n, parity))
+    floor = np.finfo(float).eps * np.max(np.abs(panels.coeffs)) / (mom._DEGREE + 1)
+    carried = np.flatnonzero(np.any(np.abs(panels.coeffs) > floor, axis=0))
+    assert panels.top == carried[-1]      # the highest order carried on any panel
+    rows = panels._rows
+    assert rows.even.shape == (panels.centers.size, panels.top // 2 + 1)
+    assert rows.odd.shape == (panels.centers.size, (panels.top + 1) // 2)
 
 
 def test_transform_deep_tail_against_series():
@@ -765,6 +776,27 @@ def test_well_second_moment(n):
         n * n, rel=1e-6)
     with pytest.raises(DivergentMoment):
         mom.moment(fn, 4, pred)
+
+
+def test_moment_refuses_an_unaffordable_panel_count():
+    # a well 10,000 wide oscillates in p with period ~2 pi hbar / 10,000: its
+    # moment would ask phi for 1.27e8 momenta, about 1 GB before phi is formed
+    spec = pot.FiniteWell(depth=1.0, a=-5000.0, b=5000.0)
+    pred = asy.predict_tail(eig.solve(spec, 1), pot.discontinuities(spec))
+
+    def never(p):
+        raise AssertionError("phi_fn called past the panel budget")
+
+    with pytest.raises(QuadratureBudgetExceeded, match="12732396 Gauss panels"):
+        mom.moment(never, 2, pred)
+
+
+def test_moment_affords_a_well_100_wide():
+    spec = pot.FiniteWell(depth=1.0, a=-50.0, b=50.0)
+    pred = asy.predict_tail(eig.solve(spec, 1), pot.discontinuities(spec))
+    grids = []
+    mom.moment(lambda p: grids.append(p.size) or np.zeros(p.shape), 2, pred)
+    assert grids == [127324 * 10]
 
 
 def test_finite_well_moment_converges():

@@ -178,10 +178,10 @@ def test_wall_evaluation():
 
 def test_bouncer_length_scale():
     b = pot.Bouncer(force=0.5)      # hbar = m = 1
-    assert b.rho == pytest.approx(1.0)
-    assert b.force * b.rho == pytest.approx(0.5)
+    assert b.units.length == pytest.approx(1.0)
+    assert b.force * b.units.length == pytest.approx(0.5)
     b2 = pot.Bouncer(force=2.0)
-    assert b2.rho == pytest.approx(0.25 ** (1 / 3))
+    assert b2.units.length == pytest.approx(0.25 ** (1 / 3))
 
 
 def test_validation_errors():

@@ -29,7 +29,7 @@ IDS = ["delta", "delta_chain", "well", "finite_well", "step_ladder", "hybrid",
 @pytest.mark.parametrize("spec,n,parity", STATES, ids=IDS)
 def test_readers_take_the_state_units(spec, n, parity):
     st = eig.solve(spec, n, parity)
-    assert (st.mass, st.hbar) == (spec.mass, spec.hbar)
+    assert (st.units.mass, st.units.hbar) == (spec.mass, spec.hbar)
 
     recs = pot.discontinuities(spec)
     implicit = asy.predict_tail(st, recs)
@@ -67,5 +67,5 @@ def test_shooting_oracle_state_carries_units():
     spec = pot.Bouncer(force=0.5, **UNITS)
     energy = eig.solve(spec, 1).energy
     shot = eig.shooting_oracle(spec, (0.99 * energy, 1.01 * energy), 1)
-    assert (shot.mass, shot.hbar) == (spec.mass, spec.hbar)
+    assert (shot.units.mass, shot.units.hbar) == (spec.mass, spec.hbar)
     assert shot.energy == pytest.approx(energy, rel=1e-9)
